@@ -30,6 +30,12 @@ ratios* -- binary codec >= ``CODEC_MIN_RATIO`` x pickle on the protocol
 mix, optimized TCP OAR >= ``OAR_MIN_RATIO`` x the pre-PR transport
 shape -- plus a kernel-normalized regression tolerance on the binary
 OAR cell (see ``docs/BENCHMARKS.md``).
+
+``history_scaling`` is gated on its same-run ratio too: the last
+quarter of one long write run must keep at least ``HISTORY_MIN_RATIO``
+of the first quarter's adopted ops per host second, in quick and in
+full mode alike -- per-request ordering bookkeeping that grows with the
+run length fails it on any machine.
 """
 
 from __future__ import annotations
@@ -45,6 +51,7 @@ sys.path.insert(0, REPO_ROOT)
 
 from benchmarks.perf.harness import (  # noqa: E402
     GOLDEN_DIGEST,
+    best_history_scaling,
     format_table,
     run_suite,
     write_payload,
@@ -90,6 +97,13 @@ OAR_MIN_RATIO = 2.0
 #: this check exists to catch structural transport regressions.
 WALLCLOCK_TOLERANCE = 0.60
 
+#: The last quarter of the history-scaling run must adopt at least this
+#: fraction of the first quarter's ops per host second.  A same-run
+#: ratio: history-independent bookkeeping measures 0.90-1.08 at 3 000
+#: writes and 0.96-1.01 at 8 000; a full copy of O_delivered per
+#: Opt-delivery measured 0.37-0.41 and 0.15-0.18.
+HISTORY_MIN_RATIO = 0.75
+
 
 def _b10_reference(payload: dict, committed: dict) -> dict:
     """The committed same-shape B10 reference for this run's mode."""
@@ -99,7 +113,8 @@ def _b10_reference(payload: dict, committed: dict) -> dict:
 
 
 def check_against(payload: dict, committed_path: str) -> int:
-    """Gate: kernel dispatch, B10 sharded wall-clock, determinism digest."""
+    """Gate: kernel dispatch, B10 sharded wall-clock, the same-run
+    ratios (codec, transport, history scaling), determinism digest."""
     with open(committed_path) as handle:
         committed = json.load(handle)
     baseline = committed["baseline_pre_pr"]["kernel_events_per_sec"]
@@ -250,6 +265,21 @@ def check_against(payload: dict, committed_path: str) -> int:
             )
     else:
         notes.append("wallclock gates skipped (suite ran without wallclock)")
+
+    # History scaling: a same-run ratio, so no committed reference is
+    # involved.  One re-measure before failing, as for the other ratios.
+    history_ratio = payload["history_scaling"]["ratio"]
+    if history_ratio < HISTORY_MIN_RATIO:
+        retry = best_history_scaling(payload["mode"] == "quick", repeats=2)
+        history_ratio = max(history_ratio, retry["ratio"])
+    if history_ratio < HISTORY_MIN_RATIO:
+        failures.append(
+            f"per-request cost grows with history: the last quarter of the "
+            f"write run adopts {history_ratio:.2f}x the first quarter's "
+            f"ops/s, below the {HISTORY_MIN_RATIO:.2f} floor"
+        )
+    else:
+        notes.append(f"history q4/q1 {history_ratio:.2f} >= {HISTORY_MIN_RATIO:.2f}")
 
     expected_digest = committed.get("golden_digest", GOLDEN_DIGEST)
     if payload["golden_digest"] != expected_digest:

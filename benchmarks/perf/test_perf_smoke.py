@@ -23,6 +23,9 @@ def test_suite_runs_quick_and_payload_is_complete(tmp_path):
     for bench in harness.BENCHES:
         assert payload["results"][bench.key] > 0
     assert payload["mode"] == "quick"
+    history = payload["history_scaling"]
+    assert history["writes"] == harness.HISTORY_WRITES_QUICK
+    assert history["ops_per_sec_q1"] > 0 and history["ops_per_sec_q4"] > 0
     # Rate-style micros are compared against the pre-PR baseline even in
     # quick mode; quick wall-clocks are not (different workload sizes),
     # and benchmarks of paths that did not exist pre-PR (the read path)
@@ -38,6 +41,7 @@ def test_suite_runs_quick_and_payload_is_complete(tmp_path):
     table = harness.format_table(payload)
     for bench in harness.BENCHES:
         assert bench.label in table
+    assert "history scaling" in table
 
 
 def test_wallclock_cells():

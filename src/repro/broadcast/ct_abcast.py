@@ -56,12 +56,17 @@ class CTAtomicBroadcastServer(ComponentProcess):
         self.r_delivered: List[str] = []
         self.delivered: List[str] = []
         self._delivered_set: Set[str] = set()
+        # R-delivered rids no decision has covered yet, in R-delivery
+        # order (a dict as an ordered set): the next proposal, kept up
+        # to date instead of rescanned from r_delivered per instance.
+        self._undecided: Dict[str, None] = {}
         self._instance = 0
         self._proposing = False
         # Decided rids awaiting bodies.  A deque: this was a list popped
         # with pop(0), which turned a long decided-but-unknown backlog
         # into an O(n^2) drain (perf regression guard -- keep popleft).
         self._deliver_queue: Deque[str] = deque()
+        self._queued: Set[str] = set()
         self.rmc = self.add_component(ReliableMulticast(self, self._on_rdeliver))
         self.consensus = self.add_component(ConsensusManager(self, self.group, fd))
         if isinstance(fd, HeartbeatFailureDetector):
@@ -81,23 +86,17 @@ class CTAtomicBroadcastServer(ComponentProcess):
             return
         self.requests[payload.rid] = payload
         self.r_delivered.append(payload.rid)
+        if payload.rid not in self._queued:
+            self._undecided[payload.rid] = None
         self.env.trace("r_deliver", rid=payload.rid)
         self._drain_deliver_queue()
         self._maybe_start_instance()
-
-    def _undelivered(self) -> Tuple[str, ...]:
-        queued = set(self._deliver_queue)
-        return tuple(
-            rid
-            for rid in self.r_delivered
-            if rid not in self._delivered_set and rid not in queued
-        )
 
     def _maybe_start_instance(self) -> None:
         """Launch the next consensus instance if there is work and none runs."""
         if self._proposing:
             return
-        batch = self._undelivered()
+        batch = tuple(self._undecided)
         if not batch:
             return
         self._proposing = True
@@ -120,8 +119,10 @@ class CTAtomicBroadcastServer(ComponentProcess):
             "abcast_decide", instance=number, order=merged.items,
         )
         for rid in merged:
-            if rid not in self._delivered_set and rid not in self._deliver_queue:
+            if rid not in self._delivered_set and rid not in self._queued:
                 self._deliver_queue.append(rid)
+                self._queued.add(rid)
+                self._undecided.pop(rid, None)
         self._instance += 1
         self._proposing = False
         self._drain_deliver_queue()
@@ -131,7 +132,9 @@ class CTAtomicBroadcastServer(ComponentProcess):
         queue = self._deliver_queue
         requests = self.requests
         while queue and queue[0] in requests:
-            self._deliver(queue.popleft())
+            rid = queue.popleft()
+            self._queued.discard(rid)
+            self._deliver(rid)
 
     def _deliver(self, rid: str) -> None:
         request = self.requests[rid]

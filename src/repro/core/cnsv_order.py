@@ -89,14 +89,17 @@ def compute_bad_new(
     # Lines 6-11: split O_delivered into Good (correctly ordered prefix)
     # and Bad (wrongly ordered suffix), and start New with the part of
     # dlvmax not yet delivered locally.
-    if o_delivered == common_prefix(o_delivered, dlv_max):
-        # O_delivered is a prefix of dlvmax: nothing to undo.
-        new = dlv_max.subtract(o_delivered)
+    if o_delivered.is_prefix_of(dlv_max):
+        # O_delivered is a prefix of dlvmax: nothing to undo, and
+        # dlvmax ⊖ O_delivered is the rest of dlvmax.
+        new = dlv_max.suffix_from(len(o_delivered))
         good = o_delivered
         bad = EMPTY
     else:
+        # Good is a prefix of O_delivered, so O_delivered ⊖ Good is the
+        # rest of O_delivered.
         good = common_prefix(o_delivered, dlv_max)
-        bad = o_delivered.subtract(good)
+        bad = o_delivered.suffix_from(len(good))
         new = EMPTY
 
     # Lines 12-14: deterministically merge the not-yet-delivered sequences

@@ -17,17 +17,28 @@ implementation uses request identifiers (strings).
 :class:`MessageSequence` is immutable: every operator returns a new
 sequence.  This keeps protocol state transitions auditable and makes the
 hypothesis property tests in ``tests/property/test_sequences.py`` direct
-transcriptions of the paper's definitions.
+transcriptions of the paper's definitions.  It is the *value* type of the
+algebra, used where the paper computes with whole sequences (the batch a
+sequencer orders, Cnsv-order, the epoch settle).
+
+:class:`SequenceLog` is the other half: a sequence that only ever grows
+by one message at a time (``R_delivered``, and ``O_delivered`` within an
+epoch) is kept as an append-only log, so that delivering a message costs
+the same whatever the length of the history, and is turned into a
+:class:`MessageSequence` value (:meth:`SequenceLog.snapshot`) only where
+an operator of the algebra is applied to it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from typing import (
     Dict,
     FrozenSet,
     Hashable,
     Iterable,
     Iterator,
+    List,
     Tuple,
     TypeVar,
     Union,
@@ -71,6 +82,11 @@ class MessageSequence:
         self._index = index
         return self
 
+    @classmethod
+    def _of_distinct(cls, items: Tuple[Hashable, ...]) -> "MessageSequence":
+        """Internal: build from a tuple the caller knows is duplicate-free."""
+        return cls._make(items, dict.fromkeys(items))
+
     # -- basic container protocol ------------------------------------
 
     def __len__(self) -> int:
@@ -84,7 +100,8 @@ class MessageSequence:
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return MessageSequence(self._items[index])
+            # Any slice of a duplicate-free tuple is duplicate-free.
+            return MessageSequence._of_distinct(self._items[index])
         return self._items[index]
 
     def __eq__(self, other: object) -> bool:
@@ -143,9 +160,18 @@ class MessageSequence:
         return MessageSequence(self._items + other_items)
 
     def subtract(self, other: SequenceLike) -> "MessageSequence":
-        """⊖: all messages of self that are not in other (order kept)."""
+        """⊖: all messages of self that are not in other (order kept).
+
+        O(len(self)) when ``other`` already answers membership in O(1)
+        (a sequence, a log, a set or a dict); any other iterable is
+        copied into a set first.
+        """
         if isinstance(other, MessageSequence):
             exclude = other._index
+        elif isinstance(other, SequenceLog):
+            exclude = other._position
+        elif isinstance(other, (AbstractSet, dict)):
+            exclude = other
         else:
             exclude = set(other)
         if not exclude or not self._items:
@@ -153,7 +179,7 @@ class MessageSequence:
         kept = [item for item in self._items if item not in exclude]
         if len(kept) == len(self._items):
             return self
-        return MessageSequence._make(tuple(kept), dict.fromkeys(kept))
+        return MessageSequence._of_distinct(tuple(kept))
 
     def is_prefix_of(self, other: "MessageSequence") -> bool:
         """True if self is a (possibly equal) prefix of other."""
@@ -170,9 +196,9 @@ class MessageSequence:
     def append(self, item: Hashable) -> "MessageSequence":
         """self ⊕ {item}.
 
-        O(n) dict/tuple copies at C speed -- not the constructor's
-        Python-level dedup loop -- because every Opt-delivery appends to
-        ``O_delivered``.
+        O(n): a new value means a dict and a tuple copy (at C speed,
+        not the constructor's dedup pass).  A sequence that grows message
+        by message is a :class:`SequenceLog`, whose append is O(1).
         """
         if item in self._index:
             return self  # first occurrence wins: nothing changes
@@ -182,15 +208,81 @@ class MessageSequence:
 
     def suffix_from(self, index: int) -> "MessageSequence":
         """The suffix starting at position ``index``."""
-        return MessageSequence(self._items[index:])
+        return MessageSequence._of_distinct(self._items[index:])
 
     def prefix_to(self, index: int) -> "MessageSequence":
         """The prefix of the first ``index`` items."""
-        return MessageSequence(self._items[:index])
+        return MessageSequence._of_distinct(self._items[:index])
 
 
 #: The empty sequence ε of the paper.
 EMPTY: MessageSequence = MessageSequence()
+
+
+class SequenceLog:
+    """A duplicate-free sequence that grows by appending, in O(1).
+
+    The mutable counterpart of :class:`MessageSequence` for the
+    sequences Fig. 6 only ever extends one message at a time: append,
+    membership, position and length cost the same at any length.  Like
+    the value type, appending an item already present changes nothing
+    (first occurrence wins).  :attr:`items` and :meth:`snapshot` copy
+    the log out as a value; they are O(n) and meant for the places that
+    compute with the whole sequence (once per epoch, never per message).
+    """
+
+    __slots__ = ("_items", "_position")
+
+    def __init__(self) -> None:
+        self._items: List[Hashable] = []
+        self._position: Dict[Hashable, int] = {}
+
+    def append(self, item: Hashable) -> None:
+        """self <- self ⊕ {item}."""
+        position = self._position
+        if item not in position:
+            position[item] = len(self._items)
+            self._items.append(item)
+
+    def clear(self) -> None:
+        """self <- ε."""
+        self._items.clear()
+        self._position.clear()
+
+    def __len__(self) -> int:
+        return len(self._items)
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._items)
+
+    def __contains__(self, item: Hashable) -> bool:
+        return item in self._position
+
+    def __bool__(self) -> bool:
+        return bool(self._items)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (SequenceLog, MessageSequence)):
+            return self.items == other.items
+        if isinstance(other, (tuple, list)):
+            return self.items == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(self.snapshot())
+
+    @property
+    def items(self) -> Tuple[Hashable, ...]:
+        """The current contents as a tuple (an O(n) copy)."""
+        return tuple(self._items)
+
+    def snapshot(self) -> MessageSequence:
+        """The current contents as a value of the Section 5.1 algebra."""
+        return MessageSequence._of_distinct(tuple(self._items))
+
+    def index_of(self, item: Hashable) -> int:
+        """Position of ``item`` (0-based), O(1).  Raises KeyError if absent."""
+        return self._position[item]
 
 
 def as_sequence(value: SequenceLike) -> MessageSequence:
@@ -209,16 +301,14 @@ def common_prefix(*sequences: SequenceLike) -> MessageSequence:
     if not sequences:
         return EMPTY
     seqs = [as_sequence(s) for s in sequences]
-    shortest = min(len(s) for s in seqs)
+    # One pass over the columns; zip stops at the shortest sequence and
+    # tuple.count compares a whole column at C speed.
     prefix_len = 0
-    first = seqs[0]
-    for position in range(shortest):
-        item = first[position]
-        if all(s[position] == item for s in seqs[1:]):
-            prefix_len = position + 1
-        else:
+    for column in zip(*(s.items for s in seqs)):
+        if column.count(column[0]) != len(column):
             break
-    return first.prefix_to(prefix_len)
+        prefix_len += 1
+    return seqs[0].prefix_to(prefix_len)
 
 
 def merge_dedup(*sequences: SequenceLike) -> MessageSequence:

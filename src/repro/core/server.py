@@ -31,7 +31,12 @@ The Remark of Section 5.3 (unbounded ``O_delivered`` when phase 2 is
 rare) is implemented as the two garbage-collection knobs
 ``gc_after_requests`` / ``gc_interval``, which make the sequencer
 R-broadcast a periodic PhaseII.  Benchmarks quantify the trade-off
-(`benchmarks/test_ablation_gc.py`).
+(`benchmarks/test_ablation_gc.py`).  What grows without phase 2 is
+memory and the size of the next Cnsv-order proposal, not the cost of a
+request: ``R_delivered`` and ``O_delivered`` are append-only logs and
+line 9's not-yet-ordered sequence is maintained incrementally, so Tasks
+0, 1a and 1b do the same work per request at any history length (see
+"Ordering bookkeeping" in ``docs/ARCHITECTURE.md``).
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from repro.core.messages import (
     SeqOrder,
     ShedNotice,
 )
-from repro.core.sequences import EMPTY, MessageSequence
+from repro.core.sequences import EMPTY, MessageSequence, SequenceLog
 from repro.broadcast.reliable import ReliableMulticast
 from repro.failure.detector import (
     FailureDetector,
@@ -286,11 +291,19 @@ class OARServer(ComponentProcess):
         fd = self.fd
         self.config = config or OARConfig()
 
-        # Fig. 6, lines 1-5.
-        self.r_delivered: MessageSequence = EMPTY
+        # Fig. 6, lines 1-5.  R_delivered and O_delivered grow message
+        # by message, so they are logs; A_delivered changes only at an
+        # epoch settle, by the Section 5.1 operators, so it is a value.
+        self.r_delivered = SequenceLog()
         self.a_delivered: MessageSequence = EMPTY
-        self.o_delivered: MessageSequence = EMPTY
+        self.o_delivered = SequenceLog()
         self.epoch = 0
+
+        # Fig. 6, line 9: (R_delivered ⊖ A_delivered) ⊖ O_delivered, kept
+        # up to date instead of recomputed (a dict as an ordered set):
+        # rids enter at R-delivery, leave at Opt-/A-delivery, and the
+        # undone ones re-enter at the epoch settle.
+        self._unordered: Dict[str, None] = {}
 
         self.phase = 1
         self.sequencer_index = 0
@@ -314,8 +327,10 @@ class OARServer(ComponentProcess):
         # not R-delivered yet); drained in order by Task 0.  A deque:
         # this used to be a list drained with pop(0), which made a long
         # ordered-but-unknown backlog O(n^2) to drain (perf regression
-        # guard -- keep popleft here).
+        # guard -- keep popleft here).  The set mirrors the deque for
+        # O(1) membership.
         self._opt_pending: Deque[str] = deque()
+        self._opt_pending_set: Set[str] = set()
 
         # Buffers for messages belonging to future epochs.
         self._future_orders: Dict[int, List[SeqOrder]] = {}
@@ -525,7 +540,8 @@ class OARServer(ComponentProcess):
             self._shed_request(request)
             return
         self.requests[request.rid] = request
-        self.r_delivered = self.r_delivered.append(request.rid)
+        self.r_delivered.append(request.rid)
+        self._unordered[request.rid] = None
         self.env.trace("r_deliver", rid=request.rid)
         self._drain_opt_pending()
         if self._pending_result is not None:
@@ -596,21 +612,20 @@ class OARServer(ComponentProcess):
     # Task 1a: the sequencer orders messages
     # ------------------------------------------------------------------
 
-    def _unordered(self) -> MessageSequence:
-        """(R_delivered ⊖ A_delivered) ⊖ O_delivered (Fig. 6, line 9)."""
-        return self.r_delivered.subtract(self.a_delivered).subtract(self.o_delivered)
-
     def _maybe_order(self) -> None:
         if self.phase != 1 or not self.is_sequencer:
             return
-        # Exclude messages already ordered (sent in an earlier msgSet of
-        # this epoch) but still waiting for their request body locally.
-        not_delivered = self._unordered().subtract(self._opt_pending)
+        if self._order_busy_epoch is not None:
+            return  # a batch is in service; arrivals wait their turn
+        # Line 9's sequence as a value, less the messages already ordered
+        # (sent in an earlier msgSet of this epoch) but still waiting
+        # for their request body locally.
+        not_delivered = MessageSequence(self._unordered).subtract(
+            self._opt_pending_set
+        )
         if not not_delivered:
             return
         if self.config.order_cost > 0:
-            if self._order_busy_epoch is not None:
-                return  # a batch is in service; arrivals wait their turn
             # Freeze the batch now and charge for exactly what will be
             # emitted, so the ordering pipeline saturates at 1/order_cost
             # requests per time unit regardless of arrival rate.
@@ -631,7 +646,7 @@ class OARServer(ComponentProcess):
             remainder = (
                 batch.subtract(self.a_delivered)
                 .subtract(self.o_delivered)
-                .subtract(self._opt_pending)
+                .subtract(self._opt_pending_set)
             )
             if remainder:
                 self._send_order(remainder)
@@ -823,10 +838,11 @@ class OARServer(ComponentProcess):
             if (
                 rid in self.a_delivered
                 or rid in self.o_delivered
-                or rid in self._opt_pending
+                or rid in self._opt_pending_set
             ):
                 continue
             self._opt_pending.append(rid)
+            self._opt_pending_set.add(rid)
 
     def _drain_order_gaps(self) -> None:
         """Adopt buffered out-of-order SeqOrders once their gap closes."""
@@ -846,7 +862,9 @@ class OARServer(ComponentProcess):
         pending = self._opt_pending
         requests = self.requests
         while pending and pending[0] in requests:
-            self._opt_deliver(pending.popleft())
+            rid = pending.popleft()
+            self._opt_pending_set.discard(rid)
+            self._opt_deliver(rid)
 
     def _opt_deliver(self, rid: str) -> None:
         """Fig. 6, lines 12-19: deliver the request, execute, reply.
@@ -867,7 +885,8 @@ class OARServer(ComponentProcess):
         else:
             weight = frozenset({self.pid, sequencer})
         request = self.requests[rid]
-        self.o_delivered = self.o_delivered.append(rid)
+        self.o_delivered.append(rid)
+        self._unordered.pop(rid, None)
         self._opt_delivery_count_this_epoch += 1
         position = len(self.a_delivered) + len(self.o_delivered)
         epoch = self.epoch
@@ -968,15 +987,18 @@ class OARServer(ComponentProcess):
         # not delivered; they are covered by O_notdelivered (if received)
         # or by a later epoch.
         self._opt_pending.clear()
-        o_notdelivered = self._unordered()
-        proposal = (self.o_delivered.items, o_notdelivered.items)
+        self._opt_pending_set.clear()
+        o_delivered = self.o_delivered.items
+        o_notdelivered = tuple(self._unordered)
         self.env.trace(
             "cnsv_propose",
             epoch=epoch,
-            o_delivered=self.o_delivered.items,
-            o_notdelivered=o_notdelivered.items,
+            o_delivered=o_delivered,
+            o_notdelivered=o_notdelivered,
         )
-        self.consensus.propose(("cnsv", epoch), proposal, self._on_cnsv_decide)
+        self.consensus.propose(
+            ("cnsv", epoch), (o_delivered, o_notdelivered), self._on_cnsv_decide
+        )
 
     def _on_cnsv_decide(self, instance_id: Tuple[str, int], vector: Any) -> None:
         _tag, epoch = instance_id
@@ -986,11 +1008,12 @@ class OARServer(ComponentProcess):
                 f"{self.epoch}/phase {self.phase}"
             )
         decision = decision_from_vector(vector)
-        result = compute_bad_new(self.o_delivered, decision)
+        o_delivered = self.o_delivered.snapshot()
+        result = compute_bad_new(o_delivered, decision)
         self.env.trace(
             "cnsv_order",
             epoch=epoch,
-            o_delivered=self.o_delivered.items,
+            o_delivered=o_delivered.items,
             decision=decision,
             bad=result.bad.items,
             new=result.new.items,
@@ -1047,7 +1070,7 @@ class OARServer(ComponentProcess):
         # here; the execution is engine-scheduled like any other apply,
         # dependency-chained behind any still-in-flight survivors on
         # conflicting keys.
-        survivors = self.o_delivered.subtract(result.bad)
+        survivors = result.good  # O_delivered ⊖ Bad
         base_position = len(self.a_delivered) + len(survivors)
         for offset, rid in enumerate(result.new.items):
             request = self.requests.get(rid)
@@ -1067,7 +1090,8 @@ class OARServer(ComponentProcess):
 
         # Fig. 6, lines 30-32: settle the epoch.
         self.a_delivered = self.a_delivered.concat(survivors).concat(result.new)
-        self.o_delivered = EMPTY
+        self.o_delivered.clear()
+        self._settle_unordered(result)
         self.undo_log.commit()
         self.epoch = epoch + 1
         self.phase = 1
@@ -1095,6 +1119,31 @@ class OARServer(ComponentProcess):
                 # suspected.
                 self._request_phase2("suspicion")
             self._maybe_order()
+
+    def _settle_unordered(self, result: CnsvOrderResult) -> None:
+        """Bring line 9's sequence across the epoch settle.
+
+        New was just A-delivered, so it leaves.  Bad was Opt-undelivered:
+        whatever of it New did not deliver again is R-delivered and in
+        neither A_delivered nor O_delivered, i.e. unordered once more --
+        and its place in ``(R ⊖ A) ⊖ O`` is its place in R_delivered,
+        *ahead* of everything R-delivered since.  (A rid this replica
+        shed was never R-delivered here and stays out, as the definition
+        says.)  Re-entry is the only step that is not an append, so the
+        set is re-sorted by R-position, and only when it happens.
+        """
+        unordered = self._unordered
+        new = result.new
+        for rid in new:
+            unordered.pop(rid, None)
+        r_delivered = self.r_delivered
+        undone = [
+            rid for rid in result.bad if rid not in new and rid in r_delivered
+        ]
+        if undone:
+            self._unordered = dict.fromkeys(
+                sorted([*unordered, *undone], key=r_delivered.index_of)
+            )
 
     def _cons_executed(
         self, request: Request, result: Any, position: int, epoch: int, lane: int
@@ -1152,14 +1201,13 @@ class OARServer(ComponentProcess):
         the paper's propositions (which the trace checkers cover).
         """
         a_set = self.a_delivered.to_set()
-        o_set = self.o_delivered.to_set()
+        o_set = set(self.o_delivered)
         if a_set & o_set:
             raise RuntimeError(
                 f"{self.pid}: A_delivered and O_delivered overlap: "
                 f"{sorted(a_set & o_set)}"
             )
         delivered = a_set | o_set
-        r_set = self.r_delivered.to_set()
         # Settled/optimistic messages whose body we do not know are
         # impossible; messages can be delivered without being in
         # R_delivered only via Cnsv-order's New (and then the body was
@@ -1184,6 +1232,23 @@ class OARServer(ComponentProcess):
         if pending & delivered:
             raise RuntimeError(
                 f"{self.pid}: pending ∩ delivered = {sorted(pending & delivered)}"
+            )
+        if pending != self._opt_pending_set or len(pending) != len(self._opt_pending):
+            raise RuntimeError(
+                f"{self.pid}: pending queue {tuple(self._opt_pending)} out of "
+                f"sync with its membership index {sorted(self._opt_pending_set)}"
+            )
+        # The incrementally maintained line-9 sequence is, element for
+        # element, the one the paper defines.
+        unordered = (
+            self.r_delivered.snapshot()
+            .subtract(self.a_delivered)
+            .subtract(self.o_delivered)
+        )
+        if tuple(self._unordered) != unordered.items:
+            raise RuntimeError(
+                f"{self.pid}: unordered set {tuple(self._unordered)} is not "
+                f"(R_delivered ⊖ A_delivered) ⊖ O_delivered = {unordered.items}"
             )
         if self.phase not in (1, 2):
             raise RuntimeError(f"{self.pid}: bad phase {self.phase}")

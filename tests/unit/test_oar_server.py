@@ -6,16 +6,21 @@ authentication, ordering-before-request races, and the phase-2
 bookkeeping that the pseudo-code leaves implicit.
 """
 
+import tracemalloc
+from statistics import median
 from typing import List
 
 import pytest
 
+from repro.core.cnsv_order import CnsvOrderResult
 from repro.core.messages import PhaseII, Reply, Request, SeqOrder
+from repro.core.sequences import MessageSequence
 from repro.core.server import OARConfig, OARServer
 from repro.failure.detector import ScriptedFailureDetector
 from repro.sim.latency import ConstantLatency
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
+from repro.sim.process import Process
 from repro.statemachine import CounterMachine
 
 pytestmark = pytest.mark.unit
@@ -42,8 +47,6 @@ def build(n: int = 3, config: OARConfig = None, seed: int = 0):
 
         def on_message(self, src, payload):
             self.replies.append((src, payload))
-
-    from repro.sim.process import Process
 
     class ClientProcess(Process):
         def __init__(self):
@@ -243,6 +246,141 @@ class TestEpochSettlement:
         sim.run(until=sim.now + 5.0)
         assert p2.machine.fingerprint() == before
         assert len(client.replies) > replies_before
+
+
+class TestUnorderedSet:
+    """Fig. 6 line 9, maintained incrementally (``OARServer._unordered``)."""
+
+    def test_follows_r_delivery_and_opt_delivery(self):
+        _sim, _network, servers, _client = build()
+        p2 = servers[1]
+        for n in range(4):
+            p2._task0_request(request(n))
+        assert tuple(p2._unordered) == ("c1-0", "c1-1", "c1-2", "c1-3")
+        p2._task1b_order("p1", SeqOrder(0, ("c1-2", "c1-0")))
+        assert p2.o_delivered == ("c1-2", "c1-0")
+        assert tuple(p2._unordered) == ("c1-1", "c1-3")
+        p2.check_invariants()
+
+    def settle_with_partial_redelivery(self, config: OARConfig) -> OARServer:
+        """p2 Opt-delivers c1-0..2 of c1-0..4, then Cnsv-order undoes
+        c1-1 and c1-2 and A-delivers only c1-2 (and c1-4)."""
+        _sim, _network, servers, _client = build(config=config)
+        p2 = servers[1]
+        for n in range(5):
+            p2._task0_request(request(n))
+        p2._task1b_order("p1", SeqOrder(0, ("c1-0", "c1-1", "c1-2")))
+        assert tuple(p2._unordered) == ("c1-3", "c1-4")
+        p2.phase = 2
+        p2._finish_phase2(
+            CnsvOrderResult(
+                bad=MessageSequence(["c1-1", "c1-2"]),
+                new=MessageSequence(["c1-2", "c1-4"]),
+                good=MessageSequence(["c1-0"]),
+                dlv_max=MessageSequence(["c1-0"]),
+            )
+        )
+        assert p2.a_delivered == ("c1-0", "c1-2", "c1-4")
+        p2.check_invariants()
+        return p2
+
+    def test_bad_reenters_at_its_r_delivery_position(self):
+        # c1-1 is unordered again, and (R ⊖ A) ⊖ O has it where
+        # R_delivered has it: ahead of c1-3, not behind it.
+        p2 = self.settle_with_partial_redelivery(
+            OARConfig(paranoid=True, rotate_sequencer=False)
+        )
+        assert len(p2.o_delivered) == 0
+        assert tuple(p2._unordered) == ("c1-1", "c1-3")
+
+    def test_next_sequencer_orders_the_undone_rid_first(self):
+        # With rotation p2 is the sequencer of epoch 1 and orders what
+        # is left at once -- in that same order.
+        p2 = self.settle_with_partial_redelivery(OARConfig(paranoid=True))
+        assert p2.is_sequencer and p2.epoch == 1
+        assert p2.o_delivered == ("c1-1", "c1-3")
+        assert not p2._unordered
+
+    def test_pending_index_follows_the_queue(self):
+        _sim, _network, servers, _client = build()
+        p2 = servers[1]
+        p2._task1b_order("p1", SeqOrder(0, ("c1-0", "c1-1")))
+        assert p2._opt_pending_set == {"c1-0", "c1-1"}
+        p2._task0_request(request(0))
+        assert tuple(p2._opt_pending) == ("c1-1",)
+        assert p2._opt_pending_set == {"c1-1"}
+        p2.check_invariants()
+        p2._task2_phase2(PhaseII(0, "test"))
+        assert not p2._opt_pending and not p2._opt_pending_set
+
+
+    def test_invariant_check_rejects_a_misordered_or_stale_set(self):
+        _sim, _network, servers, _client = build()
+        p2 = servers[1]
+        for n in range(3):
+            p2._task0_request(request(n))
+        p2.check_invariants()
+        right = p2._unordered
+        p2._unordered = dict.fromkeys(reversed(right))  # same elements
+        with pytest.raises(RuntimeError, match="unordered set"):
+            p2.check_invariants()
+        p2._unordered = right
+        p2._task1b_order("p1", SeqOrder(0, ("c1-1",)))
+        p2._unordered["c1-1"] = None  # delivered, yet still listed
+        with pytest.raises(RuntimeError, match="unordered set"):
+            p2.check_invariants()
+
+    def test_invariant_check_rejects_a_pending_index_out_of_step(self):
+        _sim, _network, servers, _client = build()
+        p2 = servers[1]
+        p2._task1b_order("p1", SeqOrder(0, ("c1-0", "c1-1")))
+        p2.check_invariants()
+        p2._opt_pending_set.discard("c1-1")
+        with pytest.raises(RuntimeError, match="membership index"):
+            p2.check_invariants()
+
+
+class TestHistoryIndependence:
+    def test_allocation_per_request_does_not_grow_with_history(self):
+        """A request allocates the same at history 16 000 as at 500.
+
+        Counted, not timed: the peak of traced allocation while one
+        request is R-delivered, ordered and Opt-delivered by a
+        one-replica group.  The median of 50 consecutive requests
+        ignores the odd request on which a list or dict grows.
+        """
+        sim = Simulator(seed=0)
+        network = SimNetwork(sim, trace_level="off")
+        server = OARServer(
+            "p1", ["p1"], CounterMachine(), ScriptedFailureDetector(), OARConfig()
+        )
+        network.add_process(server)
+        network.add_process(Process("c1"))
+        network.start_all()
+
+        def deliver(n: int) -> int:
+            body = request(n)
+            tracemalloc.reset_peak()
+            before, _peak = tracemalloc.get_traced_memory()
+            server._task0_request(body)
+            _current, peak = tracemalloc.get_traced_memory()
+            sim.run()  # hand the reply over, so the event queue stays empty
+            return peak - before
+
+        def median_at(history: int, done: int) -> float:
+            for n in range(done, history):
+                server._task0_request(request(n))
+                sim.run()
+            tracemalloc.start()
+            try:
+                return median(deliver(history + n) for n in range(50))
+            finally:
+                tracemalloc.stop()
+
+        early = median_at(500, 0)
+        late = median_at(16_000, 550)
+        assert len(server.o_delivered) == len(server.r_delivered) == 16_050
+        assert late <= 2 * early, (early, late)
 
 
 class TestConfigValidation:

@@ -5,6 +5,7 @@ import pytest
 from repro.core.sequences import (
     EMPTY,
     MessageSequence,
+    SequenceLog,
     as_sequence,
     common_prefix,
     merge_dedup,
@@ -139,6 +140,12 @@ class TestCommonPrefix:
     def test_no_arguments(self):
         assert common_prefix() == EMPTY
 
+    def test_stops_at_first_divergence_of_any_argument(self):
+        a = MessageSequence("abcdef")
+        assert common_prefix(a, MessageSequence("abcxef"), a) == tuple("abc")
+        assert common_prefix(a, a, MessageSequence("ab")) == tuple("ab")
+        assert common_prefix(a, MessageSequence("xbcdef")) == EMPTY
+
     def test_accepts_raw_iterables(self):
         assert common_prefix(("a", "b"), ("a", "c")) == ("a",)
 
@@ -181,6 +188,76 @@ class TestPrefixPredicates:
         assert seq.prefix_to(2) == tuple("ab")
         assert seq.suffix_from(2) == tuple("cd")
         assert seq.prefix_to(0) == EMPTY
+
+    def test_slices_are_full_sequences(self):
+        # Slices skip the dedup constructor; membership, further
+        # operators and out-of-range bounds must behave all the same.
+        seq = MessageSequence("abcdef")
+        for part in (seq.prefix_to(3), seq[:3], seq.prefix_to(99).prefix_to(3)):
+            assert part == tuple("abc")
+            assert "c" in part and "d" not in part
+            assert part.concat("cx") == tuple("abcx")
+            assert seq.subtract(part) == tuple("def")
+        assert seq.suffix_from(4) == seq[4:] == tuple("ef")
+        assert seq.suffix_from(99) == EMPTY
+        assert seq[::-2] == tuple("fdb")
+        assert "e" not in seq[::-2]
+
+
+class TestSequenceLog:
+    """The append-only counterpart used for R_delivered / O_delivered."""
+
+    def test_grows_in_place_and_reads_like_a_sequence(self):
+        log = SequenceLog()
+        assert not log and len(log) == 0 and log == () and log.items == ()
+        for item in ("m1", "m2", "m3"):
+            log.append(item)
+        assert log and len(log) == 3
+        assert list(log) == ["m1", "m2", "m3"]
+        assert "m2" in log and "m9" not in log
+        assert log == ("m1", "m2", "m3") == tuple(log.items)
+        assert log == ["m1", "m2", "m3"]
+        assert log == MessageSequence(["m1", "m2", "m3"])
+        assert log != ("m1", "m2")
+        assert repr(log) == "{m1;m2;m3}"
+
+    def test_append_keeps_first_occurrence(self):
+        log = SequenceLog()
+        for item in "abab":
+            log.append(item)
+        assert log == ("a", "b")
+
+    def test_index_of_is_the_append_position(self):
+        log = SequenceLog()
+        for item in "xyz":
+            log.append(item)
+        assert [log.index_of(item) for item in "xyz"] == [0, 1, 2]
+        with pytest.raises(KeyError):
+            log.index_of("w")
+
+    def test_snapshot_is_an_independent_value(self):
+        log = SequenceLog()
+        log.append("m1")
+        log.append("m2")
+        value = log.snapshot()
+        assert isinstance(value, MessageSequence)
+        log.append("m3")
+        assert value == ("m1", "m2")
+        assert value.concat(["m9"]).subtract(["m1"]) == ("m2", "m9")
+        assert log.snapshot().is_prefix_of(MessageSequence(["m1", "m2", "m3", "m4"]))
+
+    def test_clear_restarts_positions(self):
+        log = SequenceLog()
+        log.append("a")
+        log.append("b")
+        log.clear()
+        assert log == () and "a" not in log
+        log.append("b")
+        assert log.index_of("b") == 0
+
+    def test_is_not_hashable(self):
+        with pytest.raises(TypeError):
+            hash(SequenceLog())
 
 
 class TestPaperIdentities:
