@@ -23,6 +23,9 @@ substrate and the numbers stay comparable across PRs:
 * ``history_scaling``   -- does a request cost the same late in a run as
   early?  Adopted writes per host second over the last quarter of one
   long run, divided by the same over its first quarter.
+* ``checker_scaling``   -- is the checker bundle linear in the trace?
+  ``check_all()`` host seconds on a full-trace run with 4x the requests,
+  divided by the same on the 1x run.
 
 ``PRE_PR_BASELINE`` pins the numbers measured at commit f35608a (the
 last commit before the hot-path overhaul) on the same reference machine
@@ -411,6 +414,72 @@ def best_history_scaling(quick: bool, repeats: int) -> Dict[str, float]:
     return max(runs, key=lambda cell: cell["ratio"])
 
 
+#: Requests per client of the 1x checker-scaling run (quick / full).
+CHECKER_REQUESTS_QUICK = 32
+CHECKER_REQUESTS_FULL = 256
+
+
+def checker_run(requests_per_client: int) -> Any:
+    """One quiescent full-trace run of the checker-scaling shape.
+
+    One shard of 3 replicas, 4 closed-loop clients writing kv keys:
+    failure-free, so every request of the run is Opt-delivered in the
+    one epoch -- the longest per-epoch orders a run of that length can
+    hand the majority-guarantee and Cnsv-order checkers.
+    """
+    run = run_sharded_scenario(
+        ShardedScenarioConfig(
+            n_shards=1,
+            n_servers=3,
+            n_clients=4,
+            requests_per_client=requests_per_client,
+            machine="kv",
+            workload="uniform",
+            n_keys=64,
+            driver="closed",
+            grace=50.0,
+            horizon=10_000_000.0,
+            max_events=50_000_000,
+            seed=0,
+        )
+    )
+    assert run.all_done()
+    return run
+
+
+def checker_scaling(quick: bool, rounds: int = 5) -> Dict[str, float]:
+    """``check_all()`` seconds at 4x the requests over the same at 1x.
+
+    Both runs are built first and then timed in turns, best of
+    ``rounds`` each (the bundle reads a run and changes nothing), so a
+    slow spell of the machine hits both sides and cancels in the ratio:
+    a bundle linear in the trace reads about 4, the per-epoch pairwise
+    majority-guarantee sweep it replaced read 53-54 on the quick shape
+    (cubic is 64).  The cyclic collector is off while timing, as in
+    :func:`history_scaling`: a full pass walks the whole retained trace,
+    which is not what the checkers cost.
+    """
+    requests = CHECKER_REQUESTS_QUICK if quick else CHECKER_REQUESTS_FULL
+    runs = {"1x": checker_run(requests), "4x": checker_run(4 * requests)}
+    best = {label: float("inf") for label in runs}
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(rounds):
+            for label, run in runs.items():
+                start = time.perf_counter()
+                run.check_all()
+                best[label] = min(best[label], time.perf_counter() - start)
+    finally:
+        gc.enable()
+    return {
+        "requests_per_client": requests,
+        "check_all_sec_1x": round(best["1x"], 5),
+        "check_all_sec_4x": round(best["4x"], 5),
+        "ratio": round(best["4x"] / best["1x"], 2),
+    }
+
+
 # ----------------------------------------------------------------------
 # Suite driver
 # ----------------------------------------------------------------------
@@ -556,6 +625,7 @@ def run_suite(
         "speedup_vs_pre_pr": speedups,
         "golden_digest": golden_scenario_digest(),
         "history_scaling": best_history_scaling(quick, repeats),
+        "checker_scaling": checker_scaling(quick),
     }
     if not quick:
         quick_b10 = _best(lambda: b10_scenario(B10_QUICK_REQUESTS), repeats, False)
@@ -596,6 +666,14 @@ def format_table(payload: Dict[str, Any]) -> str:
         f"history scaling ({history['writes']} writes, one run): "
         f"{history['ops_per_sec_q4']:,.1f} ops/s in the last quarter / "
         f"{history['ops_per_sec_q1']:,.1f} in the first = {history['ratio']:.3f}"
+    )
+    checker = payload["checker_scaling"]
+    lines.append(
+        f"checker scaling (check_all, {checker['requests_per_client']} -> "
+        f"{4 * checker['requests_per_client']} requests per client): "
+        f"{checker['check_all_sec_4x']:.4f} s / "
+        f"{checker['check_all_sec_1x']:.4f} s = {checker['ratio']:.2f} "
+        f"(linear is 4)"
     )
     lines.append("")
     lines.append(f"golden digest: {payload['golden_digest']}")

@@ -36,6 +36,10 @@ quarter of one long write run must keep at least ``HISTORY_MIN_RATIO``
 of the first quarter's adopted ops per host second, in quick and in
 full mode alike -- per-request ordering bookkeeping that grows with the
 run length fails it on any machine.
+
+``checker_scaling`` is the same kind of gate for the checker bundle:
+``check_all()`` on a full-trace run with four times the requests may
+take at most ``CHECKER_MAX_RATIO`` times as long as on the 1x run.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ sys.path.insert(0, REPO_ROOT)
 from benchmarks.perf.harness import (  # noqa: E402
     GOLDEN_DIGEST,
     best_history_scaling,
+    checker_scaling,
     format_table,
     run_suite,
     write_payload,
@@ -104,6 +109,14 @@ WALLCLOCK_TOLERANCE = 0.60
 #: Opt-delivery measured 0.37-0.41 and 0.15-0.18.
 HISTORY_MIN_RATIO = 0.75
 
+#: ``check_all()`` at 4x the requests may cost at most this many times
+#: the 1x run.  A same-run ratio: the linear bundle measures 2.7-3.4 on
+#: the quick shape (fixed per-run work keeps it under 4) and 4.0-4.5 on
+#: the full one (the larger trace misses the cache more), six runs
+#: each; the pairwise majority-guarantee sweep measured 53-54 on the
+#: quick shape.
+CHECKER_MAX_RATIO = 6.0
+
 
 def _b10_reference(payload: dict, committed: dict) -> dict:
     """The committed same-shape B10 reference for this run's mode."""
@@ -114,7 +127,8 @@ def _b10_reference(payload: dict, committed: dict) -> dict:
 
 def check_against(payload: dict, committed_path: str) -> int:
     """Gate: kernel dispatch, B10 sharded wall-clock, the same-run
-    ratios (codec, transport, history scaling), determinism digest."""
+    ratios (codec, transport, history and checker scaling), determinism
+    digest."""
     with open(committed_path) as handle:
         committed = json.load(handle)
     baseline = committed["baseline_pre_pr"]["kernel_events_per_sec"]
@@ -280,6 +294,20 @@ def check_against(payload: dict, committed_path: str) -> int:
         )
     else:
         notes.append(f"history q4/q1 {history_ratio:.2f} >= {HISTORY_MIN_RATIO:.2f}")
+
+    # Checker scaling: a same-run ratio too, same one-retry policy.
+    checker_ratio = payload["checker_scaling"]["ratio"]
+    if checker_ratio > CHECKER_MAX_RATIO:
+        retry = checker_scaling(payload["mode"] == "quick")
+        checker_ratio = min(checker_ratio, retry["ratio"])
+    if checker_ratio > CHECKER_MAX_RATIO:
+        failures.append(
+            f"checker bundle is superlinear: check_all() on 4x the requests "
+            f"costs {checker_ratio:.1f}x the 1x run, above the "
+            f"{CHECKER_MAX_RATIO:.0f}x ceiling (linear is 4)"
+        )
+    else:
+        notes.append(f"check_all 4x/1x {checker_ratio:.1f} <= {CHECKER_MAX_RATIO:.0f}")
 
     expected_digest = committed.get("golden_digest", GOLDEN_DIGEST)
     if payload["golden_digest"] != expected_digest:

@@ -26,6 +26,9 @@ def test_suite_runs_quick_and_payload_is_complete(tmp_path):
     history = payload["history_scaling"]
     assert history["writes"] == harness.HISTORY_WRITES_QUICK
     assert history["ops_per_sec_q1"] > 0 and history["ops_per_sec_q4"] > 0
+    checker = payload["checker_scaling"]
+    assert checker["requests_per_client"] == harness.CHECKER_REQUESTS_QUICK
+    assert 0 < checker["check_all_sec_1x"] < checker["check_all_sec_4x"]
     # Rate-style micros are compared against the pre-PR baseline even in
     # quick mode; quick wall-clocks are not (different workload sizes),
     # and benchmarks of paths that did not exist pre-PR (the read path)
@@ -41,7 +44,7 @@ def test_suite_runs_quick_and_payload_is_complete(tmp_path):
     table = harness.format_table(payload)
     for bench in harness.BENCHES:
         assert bench.label in table
-    assert "history scaling" in table
+    assert "history scaling" in table and "checker scaling" in table
 
 
 def test_wallclock_cells():

@@ -100,45 +100,6 @@ def hot_share_after(run, since: float) -> float:
     return hot / total if total else 0.0
 
 
-def check_big_run(run):
-    """The linear-cost slice of the checker bundle, for the goodput runs.
-
-    The pairwise majority-guarantee sweep is quadratic in requests per
-    shard; at B11's scale (~860 requests on the hot shard) it would cost
-    tens of seconds while adding no coverage -- the full bundle
-    (including it) runs on every smaller scenario in this file and the
-    test tiers.  Everything the rebalancing could actually break is
-    checked here: per-shard at-most-once and order/state agreement,
-    external consistency of adoptions, and migration atomicity +
-    conservation + single-owner across shards.
-    """
-    assert run.all_done()
-    client_pids = [client.pid for client in run.clients] + [
-        coordinator.client.pid for coordinator in run.rebalancers
-    ]
-    for shard, servers in enumerate(run.shards):
-        view = checkers.subtrace(
-            run.trace, [server.pid for server in servers] + client_pids
-        )
-        checkers.check_at_most_once(view, servers)
-        checkers.check_total_order(servers)
-        checkers.check_replica_convergence(servers)
-        checkers.check_external_consistency(view)
-        checkers.check_at_least_once(
-            view,
-            [server for server in servers if not server.crashed],
-            run.routed_to(shard),
-        )
-    checkers.check_cross_shard_atomicity(run.trace, run.shards, quiescent=True)
-    checkers.check_migration_atomicity(
-        run.trace,
-        run.shards,
-        run.routing_table,
-        run.key_universe,
-        quiescent=True,
-    )
-
-
 def run_static(seed: int = 0):
     return run_sharded_scenario(base_config(seed))
 
@@ -157,12 +118,14 @@ def run_rebalanced(seed: int = 0):
 
 def test_b11_rebalance_recovers_goodput(benchmark):
     static = run_static()
-    check_big_run(static)
+    assert static.all_done()
+    static.check_all()
 
     rebalanced, coordinator = run_rebalanced()
     assert coordinator.done
     assert coordinator.moves_committed > 0
-    check_big_run(rebalanced)  # incl. check_migration_atomicity
+    assert rebalanced.all_done()
+    rebalanced.check_all()  # incl. check_migration_atomicity
 
     # When did the last migration land?  Measure both runs' goodput over
     # the identical window from that instant to the end of arrivals.

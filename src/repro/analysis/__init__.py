@@ -11,6 +11,7 @@ inconsistencies of the sequencer baseline vs. OAR).
 
 from repro.analysis.checkers import (
     CheckFailure,
+    DeliveryIndex,
     check_at_least_once,
     check_at_most_once,
     check_cnsv_order_properties,
@@ -22,13 +23,13 @@ from repro.analysis.checkers import (
     check_total_order,
     count_baseline_inconsistencies,
     reconstruct_delivered,
-    subtrace,
 )
 from repro.analysis.stats import LatencyStats, latencies_from_trace, summarize
 from repro.analysis.timeline import describe_run, render_timeline
 
 __all__ = [
     "CheckFailure",
+    "DeliveryIndex",
     "LatencyStats",
     "check_at_least_once",
     "check_at_most_once",
@@ -44,6 +45,5 @@ __all__ = [
     "latencies_from_trace",
     "reconstruct_delivered",
     "render_timeline",
-    "subtrace",
     "summarize",
 ]

@@ -3,7 +3,10 @@
 Every checker takes the run's :class:`~repro.sim.trace.TraceLog` (plus
 whatever protocol objects it needs) and raises :class:`CheckFailure` with
 a precise description on violation.  Checkers are pure functions of the
-trace so they work identically for simulator and asyncio runs.
+trace so they work identically for simulator and asyncio runs.  The
+per-group ones also take a :class:`DeliveryIndex`, the one-pass digest
+of a group's history that :func:`check_single_shard_properties` builds
+once and shares, which keeps the whole bundle linear in the trace.
 
 Mapping to the paper:
 
@@ -23,8 +26,20 @@ Fig. 1(b) anomaly (baseline)   :func:`count_baseline_inconsistencies`
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from collections import Counter, defaultdict
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.sequences import MessageSequence, as_sequence, common_prefix
 from repro.sim.trace import TraceEvent, TraceLog
@@ -45,33 +60,123 @@ _MISSING = object()
 # Trace reconstruction helpers
 # ----------------------------------------------------------------------
 
+class DeliveryIndex:
+    """One group's delivery and ordering history, indexed for the bundle.
+
+    Built when a checker runs -- nothing is added to the recording path
+    -- in one pass over the delivery events and one over the (few)
+    consensus events, then shared by every single-group checker: the
+    bundle replays each server's history once and never rescans the
+    trace per epoch.  ``server_pids`` scopes the server-emitted events
+    to one group of a sharded run (all groups share one trace);
+    ``adopt`` events are kept whole, since a client talks to every group
+    and a rid it adopted elsewhere simply finds no delivery here.
+
+    The replay enforces the paper's footnote 2 reverse-order discipline:
+    ``opt_undeliver`` must remove the *last* delivered element.
+    """
+
+    def __init__(
+        self, trace: TraceLog, server_pids: Optional[Iterable[str]] = None
+    ) -> None:
+        self.trace = trace
+        wanted = None if server_pids is None else frozenset(server_pids)
+
+        def scoped(*kinds: str) -> List[TraceEvent]:
+            events = trace.events_of_kinds(kinds)
+            if wanted is None:
+                return events
+            return [event for event in events if event.pid in wanted]
+
+        self.crashed: Set[str] = {event.pid for event in scoped("crash")}
+        self.adoptions: List[TraceEvent] = trace.events(kind="adopt")
+
+        #: pid -> final delivered sequence (the server's ``current_order``).
+        self.final_orders: Dict[str, List[str]] = {}
+        #: epoch -> pid -> {rid: rank}, in that epoch's Opt-delivery order.
+        self.opt_orders: Dict[int, Dict[str, Dict[str, int]]] = {}
+        #: rid -> its delivery events, at any pid.
+        self.opt_delivers: Dict[str, List[TraceEvent]] = defaultdict(list)
+        self.a_delivers: Dict[str, List[TraceEvent]] = defaultdict(list)
+        #: (pid, rid, epoch) of every Opt-undelivery.
+        self.undone: Set[Tuple[str, str, int]] = set()
+        for event in scoped("opt_deliver", "a_deliver", "opt_undeliver"):
+            pid = event.pid
+            kind = event.kind
+            rid = event.fields["rid"]
+            delivered = self.final_orders.setdefault(pid, [])
+            if kind == "opt_undeliver":
+                if not delivered or delivered[-1] != rid:
+                    raise CheckFailure(
+                        f"{pid}: opt_undeliver({rid}) does not undo the "
+                        f"last delivery (tail={delivered[-3:]})"
+                    )
+                delivered.pop()
+                self.undone.add((pid, rid, event.fields["epoch"]))
+                continue
+            delivered.append(rid)
+            if kind == "a_deliver":
+                self.a_delivers[rid].append(event)
+            else:
+                self.opt_delivers[rid].append(event)
+                ranks = self.opt_orders.setdefault(
+                    event.fields["epoch"], {}
+                ).setdefault(pid, {})
+                ranks.setdefault(rid, len(ranks))
+        #: Lane-interleaved traces (OARConfig.exec_cost > 0) split a delivery
+        #: into the delivery event (order and position, no value) and an
+        #: ``exec_done`` carrying the result, keyed here by
+        #: (pid, rid, epoch, conservative) to join the values back.
+        self.exec_values: Dict[Tuple[str, str, int, bool], Any] = {}
+        for event in scoped("exec_done"):
+            fields = event.fields
+            key = (event.pid, fields["rid"], fields["epoch"], fields["conservative"])
+            self.exec_values[key] = fields["value"]
+        #: pid -> {rid: position in its final sequence}.
+        self.final_positions: Dict[str, Dict[str, int]] = {
+            pid: {rid: position for position, rid in enumerate(delivered)}
+            for pid, delivered in self.final_orders.items()
+        }
+
+        #: epoch -> pid -> (O_delivered, O_notdelivered) as proposed.
+        self.proposals: Dict[
+            int, Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]
+        ] = defaultdict(dict)
+        for event in scoped("cnsv_propose"):
+            self.proposals[event["epoch"]][event.pid] = (
+                tuple(event["o_delivered"]),
+                tuple(event["o_notdelivered"]),
+            )
+        #: epoch -> rid -> number of processes whose proposal held it
+        #: (the key set is the union of everything proposed).
+        self.proposed: Dict[int, Counter] = defaultdict(Counter)
+        for epoch, per_pid in self.proposals.items():
+            for dlv, notdlv in per_pid.values():
+                self.proposed[epoch].update(set(dlv).union(notdlv))
+        #: epoch -> pid -> its ``cnsv_order`` result event.
+        self.results: Dict[int, Dict[str, TraceEvent]] = defaultdict(dict)
+        for event in scoped("cnsv_order"):
+            self.results[event["epoch"]][event.pid] = event
+
+    @classmethod
+    def of(cls, history: "History") -> "DeliveryIndex":
+        """``history`` itself if already indexed, else the whole trace's index."""
+        return history if isinstance(history, cls) else cls(history)
+
+
+#: What a single-group checker accepts: a trace (indexed on the spot,
+#: unscoped) or the index :func:`check_single_shard_properties` shares.
+History = Union[TraceLog, DeliveryIndex]
+
+
 def reconstruct_delivered(trace: TraceLog, pid: str) -> List[str]:
     """Replay a server's delivery events into its final delivered sequence.
 
     ``opt_deliver`` appends, ``opt_undeliver`` must remove the *last*
-    element (the paper's footnote 2 reverse-order discipline -- enforced
-    here), ``a_deliver`` appends.  The result must equal the server's
+    element, ``a_deliver`` appends.  The result must equal the server's
     ``current_order``; :func:`check_at_most_once` verifies both.
     """
-    delivered: List[str] = []
-    # The kind index keeps this O(delivery events) even on traces that
-    # are dominated by other kinds (message-level tracing, heartbeats).
-    deliveries = trace.events_of_kinds(
-        ("opt_deliver", "a_deliver", "opt_undeliver"), pid=pid
-    )
-    for event in deliveries:
-        if event.kind == "opt_deliver":
-            delivered.append(event["rid"])
-        elif event.kind == "a_deliver":
-            delivered.append(event["rid"])
-        elif event.kind == "opt_undeliver":
-            if not delivered or delivered[-1] != event["rid"]:
-                raise CheckFailure(
-                    f"{pid}: opt_undeliver({event['rid']}) does not undo the "
-                    f"last delivery (tail={delivered[-3:]})"
-                )
-            delivered.pop()
-    return delivered
+    return DeliveryIndex(trace, [pid]).final_orders.get(pid, [])
 
 
 def settled_epochs(trace: TraceLog, pid: str) -> Set[int]:
@@ -80,20 +185,11 @@ def settled_epochs(trace: TraceLog, pid: str) -> Set[int]:
     return {epoch - 1 for epoch in started if epoch >= 1}
 
 
-def _epoch_opt_orders(trace: TraceLog, epoch: int) -> Dict[str, List[str]]:
-    """Per-server optimistic delivery order during one epoch."""
-    orders: Dict[str, List[str]] = defaultdict(list)
-    for event in trace.events(kind="opt_deliver"):
-        if event["epoch"] == epoch:
-            orders[event.pid].append(event["rid"])
-    return dict(orders)
-
-
 # ----------------------------------------------------------------------
 # Cnsv-order specification (Section 5.4)
 # ----------------------------------------------------------------------
 
-def check_cnsv_order_properties(trace: TraceLog, group_size: int) -> int:
+def check_cnsv_order_properties(history: History, group_size: int) -> int:
     """Validate every Cnsv-order invocation in the trace.
 
     Returns the number of epochs checked.  Checks Agreement, Unicity,
@@ -101,22 +197,12 @@ def check_cnsv_order_properties(trace: TraceLog, group_size: int) -> int:
     thriftiness; Termination is implied by the run reaching quiescence
     with matching propose/result pairs (also asserted).
     """
+    index = DeliveryIndex.of(history)
     majority = group_size // 2 + 1
-    proposals: Dict[int, Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]] = (
-        defaultdict(dict)
-    )
-    results: Dict[int, Dict[str, TraceEvent]] = defaultdict(dict)
-    for event in trace.events(kind="cnsv_propose"):
-        proposals[event["epoch"]][event.pid] = (
-            tuple(event["o_delivered"]),
-            tuple(event["o_notdelivered"]),
-        )
-    for event in trace.events(kind="cnsv_order"):
-        results[event["epoch"]][event.pid] = event
 
-    crashed = {event.pid for event in trace.events(kind="crash")}
-
-    for epoch, per_pid in sorted(results.items()):
+    for epoch, per_pid in sorted(index.results.items()):
+        proposed = index.proposed[epoch]
+        opt_orders = index.opt_orders.get(epoch, {})
         finals: Dict[str, MessageSequence] = {}
         for pid, event in per_pid.items():
             o_dlv = as_sequence(event["o_delivered"])
@@ -144,15 +230,22 @@ def check_cnsv_order_properties(trace: TraceLog, group_size: int) -> int:
                     f"Bad={bad!r} New={new!r}"
                 )
             # Validity: every New message was proposed by someone.
-            proposed_union: Set[str] = set()
-            for dlv, notdlv in proposals[epoch].values():
-                proposed_union |= set(dlv) | set(notdlv)
-            leftovers = new.to_set() - proposed_union
+            leftovers = new.to_set() - proposed.keys()
             if leftovers:
                 raise CheckFailure(
                     f"validity violated at {pid} epoch {epoch}: "
                     f"New contains unproposed {sorted(leftovers)}"
                 )
+            # Undo consistency: an undone message was Opt-delivered by at
+            # most a minority (counted over *all* processes, including
+            # crashed ones, via their opt_deliver events).
+            for rid in event["bad"]:
+                holders = sum(rid in ranks for ranks in opt_orders.values())
+                if holders >= majority:
+                    raise CheckFailure(
+                        f"undo consistency violated at {pid} epoch {epoch}: "
+                        f"{rid} undone but Opt-delivered by {holders} processes"
+                    )
 
         # Agreement: identical final sequences across completing processes.
         distinct = {seq.items for seq in finals.values()}
@@ -162,97 +255,110 @@ def check_cnsv_order_properties(trace: TraceLog, group_size: int) -> int:
             )
 
         # Non-triviality: anything held by a majority is delivered.
-        ownership: Dict[str, int] = defaultdict(int)
-        for dlv, notdlv in proposals[epoch].values():
-            for rid in set(dlv) | set(notdlv):
-                ownership[rid] += 1
         final_set = next(iter(finals.values())).to_set() if finals else set()
-        for rid, holders in ownership.items():
+        for rid, holders in proposed.items():
             if holders >= majority and rid not in final_set:
                 raise CheckFailure(
                     f"non-triviality violated in epoch {epoch}: {rid} held "
                     f"by {holders} >= {majority} processes but not delivered"
                 )
 
-        # Undo consistency: an undone message was Opt-delivered by at most
-        # a minority (counted over *all* processes, including crashed
-        # ones, via their opt_deliver events).
-        opt_orders = _epoch_opt_orders(trace, epoch)
-        for pid, event in per_pid.items():
-            for rid in event["bad"]:
-                holders = sum(1 for order in opt_orders.values() if rid in order)
-                if holders >= majority:
-                    raise CheckFailure(
-                        f"undo consistency violated at {pid} epoch {epoch}: "
-                        f"{rid} undone but Opt-delivered by {holders} processes"
-                    )
-
         # Termination (finite-run form): every correct proposer got a result.
-        for pid in proposals[epoch]:
-            if pid not in per_pid and pid not in crashed:
+        for pid in index.proposals[epoch]:
+            if pid not in per_pid and pid not in index.crashed:
                 raise CheckFailure(
                     f"termination violated in epoch {epoch}: {pid} proposed "
                     f"but never received a Cnsv-order result"
                 )
 
-    return len(results)
+    return len(index.results)
 
 
 # ----------------------------------------------------------------------
 # Majority guarantee (Section 4)
 # ----------------------------------------------------------------------
 
-def check_majority_guarantee(trace: TraceLog, group_size: int) -> int:
+def majority_inversions(
+    index: DeliveryIndex, majority: int
+) -> Iterator[Tuple[int, str, str, str, List[str]]]:
+    """Every ``(epoch, pid, m1, m2, holders)`` breaking the majority guarantee.
+
+    ``holders`` (at least ``majority`` of them) Opt-delivered ``m1``
+    before ``m2`` in ``epoch``, yet ``pid`` finally delivered ``m2``
+    first.  Per epoch and final order, each replica's Opt-delivery order
+    is mapped onto the final positions (rids the final order lacks are
+    skipped); the pair above is exactly an *inversion* of a holder's
+    mapped order, whichever way the two rids sort.  A pair inverted in
+    ``majority`` mapped orders needs ``majority`` orders that descend
+    somewhere, and a correct run never has them: within an epoch every
+    replica Opt-delivers a prefix of the one sequencer's order, so the
+    pair witnessed by the shortest descending order would be inverted in
+    all of them -- a real violation, which undo consistency excludes.
+    So a correct run costs O(Opt-deliveries x replicas) dict lookups;
+    only a history that fails the witness test has its inverted pairs
+    enumerated and counted per pair.
+    """
+    for epoch, orders in sorted(index.opt_orders.items()):
+        for pid, final in index.final_positions.items():
+            suspects = []
+            for holder, ranks in orders.items():
+                mapped = [final[rid] for rid in ranks if rid in final]
+                if mapped != sorted(mapped):
+                    suspects.append((holder, mapped))
+            if len(suspects) < majority:
+                continue
+            inverted: Dict[Tuple[str, str], List[str]] = defaultdict(list)
+            for holder, mapped in suspects:
+                rids = [rid for rid in orders[holder] if rid in final]
+                for later in range(1, len(mapped)):
+                    for earlier in range(later):
+                        if mapped[earlier] > mapped[later]:
+                            inverted[rids[earlier], rids[later]].append(holder)
+            for (m1, m2), holders in sorted(inverted.items()):
+                if len(holders) >= majority:
+                    yield epoch, pid, m1, m2, holders
+
+
+def check_majority_guarantee(history: History, group_size: int) -> int:
     """If a majority Opt-delivered m1 before m2, nobody delivers m2 first.
 
     Checked per epoch against every server's *final* delivered sequence
-    (reconstructed from the trace).  Returns the number of (epoch, pair)
-    combinations examined.
+    (see :func:`majority_inversions`); the failure quotes where each
+    holder and the violating server put the two messages.  Returns the
+    number of epochs checked.
     """
-    majority = group_size // 2 + 1
-    pids = {event.pid for event in trace.events(kind="opt_deliver")}
-    pids |= {event.pid for event in trace.events(kind="a_deliver")}
-    final_orders = {pid: reconstruct_delivered(trace, pid) for pid in pids}
-
-    epochs = sorted(
-        {event["epoch"] for event in trace.events(kind="opt_deliver")}
-    )
-    examined = 0
-    for epoch in epochs:
-        opt_orders = list(_epoch_opt_orders(trace, epoch).values())
-        rids = sorted({rid for order in opt_orders for rid in order})
-        for i, m1 in enumerate(rids):
-            for m2 in rids[i + 1:]:
-                before = sum(
-                    1
-                    for order in opt_orders
-                    if m1 in order and m2 in order
-                    and order.index(m1) < order.index(m2)
-                )
-                examined += 1
-                if before < majority:
-                    continue
-                for pid, order in final_orders.items():
-                    if m1 in order and m2 in order:
-                        if order.index(m2) < order.index(m1):
-                            raise CheckFailure(
-                                f"majority guarantee violated: majority "
-                                f"Opt-delivered {m1} before {m2} in epoch "
-                                f"{epoch}, but {pid} delivered {m2} first"
-                            )
-    return examined
+    index = DeliveryIndex.of(history)
+    for epoch, pid, m1, m2, holders in majority_inversions(
+        index, group_size // 2 + 1
+    ):
+        orders = index.opt_orders[epoch]
+        final = index.final_positions[pid]
+        opt_slice = "; ".join(
+            f"{holder} {m1}@{orders[holder][m1]} {m2}@{orders[holder][m2]}"
+            for holder in holders
+        )
+        raise CheckFailure(
+            f"majority guarantee violated: majority Opt-delivered {m1} "
+            f"before {m2} in epoch {epoch}, but {pid} delivered {m2} first "
+            f"(epoch {epoch} Opt-delivery ranks: {opt_slice}; final "
+            f"positions at {pid}: {m2}@{final[m2]} {m1}@{final[m1]})"
+        )
+    return len(index.opt_orders)
 
 
 # ----------------------------------------------------------------------
 # Propositions 2/3/4: at-most-once, at-least-once
 # ----------------------------------------------------------------------
 
-def check_at_most_once(trace: TraceLog, servers: Iterable[Any]) -> None:
+def check_at_most_once(history: History, servers: Iterable[Any]) -> None:
     """No request is (finally) delivered twice; traces match server state."""
+    index = DeliveryIndex.of(history)
     for server in servers:
-        delivered = reconstruct_delivered(trace, server.pid)
-        if len(delivered) != len(set(delivered)):
-            duplicates = [rid for rid in set(delivered) if delivered.count(rid) > 1]
+        delivered = index.final_orders.get(server.pid, [])
+        if len(delivered) != len(index.final_positions.get(server.pid, ())):
+            duplicates = [
+                rid for rid, times in Counter(delivered).items() if times > 1
+            ]
             raise CheckFailure(
                 f"{server.pid}: duplicate deliveries of {duplicates}"
             )
@@ -265,7 +371,7 @@ def check_at_most_once(trace: TraceLog, servers: Iterable[Any]) -> None:
 
 
 def check_at_least_once(
-    trace: TraceLog,
+    history: History,
     correct_servers: Iterable[Any],
     submitted_rids: Iterable[str],
 ) -> None:
@@ -273,10 +379,10 @@ def check_at_least_once(
 
     Valid only for quiescent runs (the property is an "eventually").
     """
+    index = DeliveryIndex.of(history)
     expected = set(submitted_rids)
     for server in correct_servers:
-        delivered = set(reconstruct_delivered(trace, server.pid))
-        missing = expected - delivered
+        missing = expected - index.final_positions.get(server.pid, {}).keys()
         if missing:
             raise CheckFailure(
                 f"{server.pid}: requests never delivered: {sorted(missing)}"
@@ -289,8 +395,10 @@ def check_at_least_once(
 
 def _server_order(server: Any) -> Tuple[str, ...]:
     """A server's full delivery order, protocol-agnostic."""
-    if hasattr(server, "current_order"):
-        return tuple(server.current_order.items)
+    # One read: OARServer.current_order is a property that concatenates.
+    current = getattr(server, "current_order", None)
+    if current is not None:
+        return tuple(current.items)
     return tuple(server.delivered_order)
 
 
@@ -343,7 +451,7 @@ def check_replica_convergence(servers: Sequence[Any]) -> None:
 # ----------------------------------------------------------------------
 
 def check_external_consistency(
-    trace: TraceLog,
+    history: History,
     strict: bool = True,
 ) -> int:
     """Every adopted reply agrees with what the servers (finally) delivered.
@@ -358,132 +466,106 @@ def check_external_consistency(
     relaxed mode is for runs cut off mid-recovery.  Returns the number of
     adoptions checked.
     """
-    adoptions = trace.events(kind="adopt")
+    index = DeliveryIndex.of(history)
     # Proposition 7 quantifies over *correct* processes: a crashed
     # process may well have Opt-delivered in a doomed order and died
     # before the undo -- that is exactly the Figure 4 sequencer.
-    crashed = {event.pid for event in trace.events(kind="crash")}
-    a_delivers: Dict[str, List[TraceEvent]] = defaultdict(list)
-    for event in trace.events(kind="a_deliver"):
-        if event.pid not in crashed:
-            a_delivers[event["rid"]].append(event)
-    opt_delivers: Dict[str, List[TraceEvent]] = defaultdict(list)
-    for event in trace.events(kind="opt_deliver"):
-        if event.pid not in crashed:
-            opt_delivers[event["rid"]].append(event)
-    undone: Set[Tuple[str, str, int]] = {
-        (event.pid, event["rid"], event["epoch"])
-        for event in trace.events(kind="opt_undeliver")
-    }
+    crashed = index.crashed
+    a_delivers = index.a_delivers
+    opt_delivers = index.opt_delivers
+    undone = index.undone
+    exec_values = index.exec_values
     settled_cache: Dict[str, Set[int]] = {}
 
-    # Lane-interleaved traces (OARConfig.exec_cost > 0) split a delivery
-    # into the delivery event (order and position, no value) and an
-    # ``exec_done`` event carrying the result; join the values back.  A
-    # delivery with no execution (cut off mid-flight, or its undo raced
-    # the run end) keeps _MISSING and is exempt from the value
-    # comparison -- its position claim is still checked.
-    exec_values: Dict[Tuple[str, str, int, bool], Any] = {
-        (event.pid, event["rid"], event["epoch"], event["conservative"]): (
-            event["value"]
-        )
-        for event in trace.events(kind="exec_done")
-    }
-
     def delivered_value(event: TraceEvent, conservative: bool) -> Any:
-        value = event.get("value", _MISSING)
+        # Lane-interleaved traces carry the result on ``exec_done``.  A
+        # delivery with no execution (cut off mid-flight, or its undo
+        # raced the run end) keeps _MISSING and is exempt from the value
+        # comparison -- its position claim is still checked.
+        fields = event.fields
+        value = fields.get("value", _MISSING)
         if value is _MISSING:
             value = exec_values.get(
-                (event.pid, event["rid"], event["epoch"], conservative), _MISSING
+                (event.pid, fields["rid"], fields["epoch"], conservative), _MISSING
             )
         return value
 
-    for adoption in adoptions:
+    for adoption in index.adoptions:
         rid = adoption["rid"]
+        position = adoption["position"]
+        adopted = adoption["value"]
         for event in a_delivers.get(rid, ()):
+            if event.pid in crashed:
+                continue
             value = delivered_value(event, True)
-            if event["position"] != adoption["position"] or (
-                value is not _MISSING and value != adoption["value"]
+            if event["position"] != position or (
+                value is not _MISSING and value != adopted
             ):
                 raise CheckFailure(
                     f"external consistency violated: client adopted "
-                    f"{rid} at position {adoption['position']} "
-                    f"(value {adoption['value']!r}) but {event.pid} "
-                    f"A-delivered it at {event['position']} "
+                    f"{rid} at position {position} (value {adopted!r}) but "
+                    f"{event.pid} A-delivered it at {event['position']} "
                     f"(value {value!r})"
                 )
         for event in opt_delivers.get(rid, ()):
-            if (event.pid, rid, event["epoch"]) in undone:
+            if event.pid in crashed or (event.pid, rid, event["epoch"]) in undone:
                 continue
             value = delivered_value(event, False)
-            matches = event["position"] == adoption["position"] and (
-                value is _MISSING or value == adoption["value"]
-            )
-            if matches:
+            if event["position"] == position and (
+                value is _MISSING or value == adopted
+            ):
                 continue
             if not strict:
                 settled = settled_cache.setdefault(
-                    event.pid, settled_epochs(trace, event.pid)
+                    event.pid, settled_epochs(index.trace, event.pid)
                 )
                 if event["epoch"] not in settled:
                     continue  # recovery was still pending at run end
             raise CheckFailure(
                 f"external consistency violated: client adopted {rid} at "
-                f"position {adoption['position']} (value "
-                f"{adoption['value']!r}) but {event.pid} Opt-delivered it "
-                f"at {event['position']} (value {value!r}) in "
-                f"epoch {event['epoch']} without undoing it"
+                f"position {position} (value {adopted!r}) but {event.pid} "
+                f"Opt-delivered it at {event['position']} (value {value!r}) "
+                f"in epoch {event['epoch']} without undoing it"
             )
-    return len(adoptions)
+    return len(index.adoptions)
+
+
+# ----------------------------------------------------------------------
+# The single-group bundle
+# ----------------------------------------------------------------------
+
+def check_single_shard_properties(
+    trace: TraceLog,
+    servers: Sequence[Any],
+    submitted_rids: Iterable[str],
+    strict: bool = True,
+    at_least_once: bool = True,
+) -> None:
+    """The full OAR property bundle for one replica group.
+
+    The one list of paper properties both ``check_all`` bundles run: an
+    unsharded run is its single group, a sharded run calls this once per
+    shard.  The group's history is indexed once (:class:`DeliveryIndex`,
+    scoped to ``servers``) and shared by every trace-based member.
+    ``submitted_rids`` must contain only requests routed to this group
+    (single-shard operations and transaction branches alike).
+    """
+    index = DeliveryIndex(trace, [server.pid for server in servers])
+    group_size = len(servers)
+    check_cnsv_order_properties(index, group_size)
+    check_majority_guarantee(index, group_size)
+    check_at_most_once(index, servers)
+    check_total_order(servers)
+    check_replica_convergence(servers)
+    check_external_consistency(index, strict=strict)
+    if at_least_once:
+        correct = [server for server in servers if not server.crashed]
+        check_at_least_once(index, correct, submitted_rids)
 
 
 # ----------------------------------------------------------------------
 # Sharded deployments (repro.sharding)
 # ----------------------------------------------------------------------
-
-def subtrace(trace: TraceLog, pids: Iterable[str]) -> TraceLog:
-    """The sub-log of events emitted by ``pids``, preserving order.
-
-    Sharded runs share one trace across all groups; the single-group
-    checkers (epoch-keyed consensus properties, majority guarantee) are
-    run per shard on the sub-log of that shard's servers plus the
-    clients.
-    """
-    wanted = set(pids)
-    filtered = TraceLog()
-    append = filtered.append
-    for event in trace:
-        if event.pid in wanted:
-            append(event)
-    return filtered
-
-
-def check_single_shard_properties(
-    trace: TraceLog,
-    servers: Sequence[Any],
-    client_pids: Iterable[str],
-    submitted_rids: Iterable[str],
-    strict: bool = True,
-    at_least_once: bool = True,
-) -> None:
-    """The full OAR property bundle, scoped to one shard's group.
-
-    ``submitted_rids`` must contain only requests routed to this shard
-    (single-shard operations and transaction branches alike).
-    """
-    shard_pids = [server.pid for server in servers]
-    shard_view = subtrace(trace, list(shard_pids) + list(client_pids))
-    group_size = len(servers)
-    check_cnsv_order_properties(shard_view, group_size)
-    check_majority_guarantee(shard_view, group_size)
-    check_at_most_once(shard_view, servers)
-    check_total_order(servers)
-    check_replica_convergence(servers)
-    check_external_consistency(shard_view, strict=strict)
-    if at_least_once:
-        correct = [server for server in servers if not server.crashed]
-        check_at_least_once(shard_view, correct, submitted_rids)
-
 
 def check_cross_shard_atomicity(
     trace: TraceLog,

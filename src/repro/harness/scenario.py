@@ -249,28 +249,22 @@ class ScenarioRun:
         """Assert every applicable paper property over this run's trace."""
         trace = self.trace
         if self.config.protocol == "oar":
-            checkers.check_cnsv_order_properties(trace, len(self.servers))
-            checkers.check_majority_guarantee(trace, len(self.servers))
-            checkers.check_at_most_once(trace, self.servers)
-            checkers.check_total_order(self.servers)
-            checkers.check_replica_convergence(self.servers)
-            checkers.check_external_consistency(trace, strict=strict)
-            if at_least_once and self.all_done():
-                # Replica-local reads are never delivered by servers --
-                # they are answered, not ordered -- so they are not
-                # subject to the delivery-based at-least-once property.
-                # Shed requests likewise: refused deterministically,
-                # deliberately never ordered.
-                excluded = set()
-                for client in self.clients:
-                    excluded |= getattr(client, "read_rids", set())
-                    excluded |= getattr(client, "shed_rids", set())
-                ordered = [
-                    rid for rid in self.submitted_rids() if rid not in excluded
-                ]
-                checkers.check_at_least_once(
-                    trace, self.correct_servers, ordered
-                )
+            # Replica-local reads are never delivered by servers -- they
+            # are answered, not ordered -- so they are not subject to the
+            # delivery-based at-least-once property.  Shed requests
+            # likewise: refused deterministically, deliberately never
+            # ordered.
+            excluded = set()
+            for client in self.clients:
+                excluded |= getattr(client, "read_rids", set())
+                excluded |= getattr(client, "shed_rids", set())
+            checkers.check_single_shard_properties(
+                trace,
+                self.servers,
+                [rid for rid in self.submitted_rids() if rid not in excluded],
+                strict=strict,
+                at_least_once=at_least_once and self.all_done(),
+            )
             checkers.check_read_consistency(
                 trace,
                 self.servers,

@@ -213,10 +213,6 @@ class ShardedRun:
         """All servers across shards (shard-major order)."""
         return [server for shard in self.shards for server in shard]
 
-    @property
-    def client_pids(self) -> List[str]:
-        return [client.pid for client in self.clients]
-
     def correct_servers(self, shard: int) -> List[OARServer]:
         return [s for s in self.shards[shard] if not s.crashed]
 
@@ -311,9 +307,6 @@ class ShardedRun:
         safety only.
         """
         quiescent = self.all_done()
-        client_pids = self.client_pids + [
-            coordinator.client.pid for coordinator in self.rebalancers
-        ]
         initial_placement = self.router.placement(self.key_universe)
         # Shed requests were routed but deterministically refused (never
         # ordered); they are exempt from delivery-based properties.
@@ -327,7 +320,6 @@ class ShardedRun:
             checkers.check_single_shard_properties(
                 self.trace,
                 servers,
-                client_pids,
                 routed,
                 strict=strict,
                 at_least_once=at_least_once and quiescent,

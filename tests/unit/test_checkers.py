@@ -126,6 +126,13 @@ class TestMajorityGuaranteeChecker:
             rid=rid, epoch=epoch, position=position, value=position,
         )
 
+    def _final(self, log, pid, rids):
+        for position, rid in enumerate(rids, start=1):
+            log.record(
+                10.0 + position, pid, "a_deliver",
+                rid=rid, epoch=0, position=position, value=position,
+            )
+
     def test_detects_violation(self):
         log = TraceLog()
         # Majority (p1, p2 of 3) opt-deliver a before b...
@@ -133,17 +140,58 @@ class TestMajorityGuaranteeChecker:
             self._opt(log, pid, "a", 0, 1)
             self._opt(log, pid, "b", 0, 2)
         # ...but p3 A-delivers b before a.
-        log.record(5.0, "p3", "a_deliver", rid="b", epoch=0, position=1, value=1)
-        log.record(6.0, "p3", "a_deliver", rid="a", epoch=0, position=2, value=2)
-        with pytest.raises(CheckFailure, match="majority guarantee"):
+        self._final(log, "p3", ["b", "a"])
+        with pytest.raises(CheckFailure) as failure:
             check_majority_guarantee(log, 3)
+        # The failure carries the offending slice of history, not just
+        # the pair: where each holder and the violator put m1 and m2.
+        text = str(failure.value)
+        assert "majority Opt-delivered a before b in epoch 0" in text
+        assert "but p3 delivered b first" in text
+        assert "Opt-delivery ranks: p1 a@0 b@1; p2 a@0 b@1" in text
+        assert "final positions at p3: b@0 a@1" in text
+
+    def test_detects_violation_against_rid_sort_order(self):
+        # The mirror image: the majority's first message sorts *after*
+        # its second.  A sweep over sorted rid pairs that only ever
+        # counts "smaller rid first" never looks at this direction.
+        log = TraceLog()
+        for pid in ("p1", "p2"):
+            self._opt(log, pid, "b", 0, 1)
+            self._opt(log, pid, "a", 0, 2)
+        self._final(log, "p3", ["a", "b"])
+        with pytest.raises(
+            CheckFailure, match="Opt-delivered b before a in epoch 0, but p3"
+        ):
+            check_majority_guarantee(log, 3)
+
+    def test_detects_inversion_of_non_adjacent_pair(self):
+        # x sits between the pair in the Opt order and is absent from
+        # p3's final order, so no two *neighbours* are inverted.
+        log = TraceLog()
+        for pid in ("p1", "p2"):
+            for position, rid in enumerate(("a", "x", "b"), start=1):
+                self._opt(log, pid, rid, 0, position)
+        self._final(log, "p3", ["b", "a"])
+        with pytest.raises(CheckFailure, match="p1 a@0 b@2; p2 a@0 b@2"):
+            check_majority_guarantee(log, 3)
+
+    def test_majority_counted_per_pair_not_per_replica(self):
+        # Two of three orders disagree with the final one, but about
+        # different pairs: no single pair has a majority behind it.
+        log = TraceLog()
+        for position, rid in enumerate(("b", "a", "c", "d"), start=1):
+            self._opt(log, "p1", rid, 0, position)
+        for position, rid in enumerate(("a", "b", "d", "c"), start=1):
+            self._opt(log, "p2", rid, 0, position)
+        self._final(log, "p3", ["a", "b", "c", "d"])
+        assert check_majority_guarantee(log, 3) == 1
 
     def test_minority_prefix_allows_reordering(self):
         log = TraceLog()
         self._opt(log, "p1", "a", 0, 1)  # only one of three
         self._opt(log, "p1", "b", 0, 2)
-        log.record(5.0, "p3", "a_deliver", rid="b", epoch=0, position=1, value=1)
-        log.record(6.0, "p3", "a_deliver", rid="a", epoch=0, position=2, value=2)
+        self._final(log, "p3", ["b", "a"])
         check_majority_guarantee(log, 3)
 
 
