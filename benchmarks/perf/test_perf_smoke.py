@@ -55,17 +55,14 @@ def test_wallclock_cells():
 
     rates = wallclock.codec_rates(300)
     assert rates["binary"] > rates["pickle"] > 0
-    pingpong = wallclock.tcp_pingpong_msgs_per_sec("binary", 200)
+    pingpong = wallclock.tcp_pingpong_msgs_per_sec(200)
     assert pingpong > 0
-    # The reconstructed pre-PR transport (the OAR baseline cell's
-    # denominator) still hosts a full scenario end to end.
-    assert wallclock.tcp_oar_ops_per_sec_baseline(5) > 0
+    assert wallclock.tcp_oar_ops_per_sec(5) > 0
     section = {
         "codec_roundtrips_per_sec": {k: round(v, 1) for k, v in rates.items()},
         "tcp_pingpong_msgs_per_sec": {"binary": round(pingpong, 1)},
         "ratios": {
             "codec_binary_vs_pickle": round(rates["binary"] / rates["pickle"], 2),
-            "oar_binary_vs_pre_pr": 1.0,
         },
     }
     rendered = wallclock.format_wallclock(section)

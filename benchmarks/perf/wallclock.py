@@ -6,36 +6,32 @@ ROADMAP's "as fast as the hardware allows" claim, measured.  Two kinds
 of numbers live here:
 
 * **Micros** -- ``codec_roundtrips_per_sec`` (frames through
-  encode+decode of a representative protocol mix) and
-  ``tcp_pingpong_msgs_per_sec`` (loopback round trips through
-  :class:`~repro.runtime.tcp.TcpCluster`), each with a ``binary`` and a
-  ``pickle`` cell.
+  encode+decode of a representative protocol mix: the ``binary`` codec
+  and, as the same-run reference the gate divides by, plain stdlib
+  ``pickle`` of the same frames) and ``tcp_pingpong_msgs_per_sec``
+  (loopback round trips through
+  :class:`~repro.runtime.tcp.TcpCluster`).
 * **End-to-end cells** -- adopted operations per second for the
   failure-free OAR shape, the 2-shard B10 shape, and the read-heavy
-  B12 shape, over TCP with tracing off.  The OAR shape is measured
-  twice: the optimized transport (binary codec, write coalescing,
-  sequencer order batching, direct-dispatch receive) and the pre-PR
-  shape (pickle codec, ``flush_bytes=1`` so every frame is its own
-  ``writer.write``, no batching, inbox-queue + pump-task receive) --
-  their ratio is the end-to-end win the CI gate holds.
+  B12 shape, over TCP with tracing off.
 
 Absolute wall-clock rates are machine-dependent; the committed numbers
 carry machine provenance in ``BENCH_perf.json`` and the gates compare
-*same-run ratios* (binary vs pickle) or kernel-normalized work, never
+a *same-run ratio* (binary vs pickle) or kernel-normalized work, never
 raw rates across machines (see ``docs/BENCHMARKS.md``).
 """
 
 from __future__ import annotations
 
 import asyncio
-import struct
+import pickle
 import time
 from typing import Any, Dict, List
 
 from repro.broadcast.reliable import RMsg
 from repro.core.messages import Reply, Request, SeqOrder
 from repro.failure.detector import Heartbeat
-from repro.runtime.codec import make_codec
+from repro.runtime.codec import BinaryCodec
 from repro.runtime.scenario import (
     RuntimeScenarioConfig,
     run_runtime_scenario,
@@ -81,6 +77,16 @@ PROTOCOL_MIX: List[Any] = [
 ]
 
 
+class _PickleReference:
+    """Whole-frame stdlib pickle: what the codec ratio is measured against."""
+
+    @staticmethod
+    def encode_frame(src: str, payload: Any) -> bytes:
+        return pickle.dumps((src, payload), protocol=pickle.HIGHEST_PROTOCOL)
+
+    decode_frame = staticmethod(pickle.loads)
+
+
 def _codec_trial(codec: Any, n: int) -> float:
     """One timed pass of ``n`` x mix frames; returns frames/sec."""
     encode, decode = codec.encode_frame, codec.decode_frame
@@ -100,22 +106,15 @@ def _codec_check(codec: Any) -> None:
         assert src == "p1" and repr(out) == repr(message)
 
 
-def codec_roundtrips_per_sec(codec_name: str, n: int) -> float:
-    """Frames/sec through ``encode_frame`` + ``decode_frame`` of the mix."""
-    codec = make_codec(codec_name)
-    _codec_check(codec)
-    return max(_codec_trial(codec, n) for _ in range(3))
-
-
 def codec_rates(n: int) -> Dict[str, float]:
     """Both codec cells, measured as *interleaved* paired trials.
 
     Timing binary in one block and pickle in another lets CPU-state
     drift (frequency scaling, cache warmth) between the blocks move the
     reported ratio by tens of percent; alternating the trials gives both
-    codecs the same conditions, so the binary/pickle ratio the perf gate
-    holds is stable across runs."""
-    codecs = {name: make_codec(name) for name in ("binary", "pickle")}
+    the same conditions, so the binary/pickle ratio the perf gate holds
+    is stable across runs."""
+    codecs = {"binary": BinaryCodec, "pickle": _PickleReference}
     for codec in codecs.values():
         _codec_check(codec)
         _codec_trial(codec, max(1, n // 10))  # warmup
@@ -160,11 +159,11 @@ class _TcpPinger(Process):
             self.env.send(src, payload)
 
 
-def tcp_pingpong_msgs_per_sec(codec_name: str, n: int) -> float:
+def tcp_pingpong_msgs_per_sec(n: int) -> float:
     """Messages/sec for a windowed two-process ping-pong over TCP."""
 
     async def scenario() -> float:
-        cluster = TcpCluster(codec=codec_name, trace_level="off")
+        cluster = TcpCluster(trace_level="off")
         a = _TcpPinger("a", "b", n)
         b = _TcpPinger("b", "a", n)
         cluster.add_process(a)
@@ -190,109 +189,6 @@ def tcp_pingpong_msgs_per_sec(codec_name: str, n: int) -> float:
 # ----------------------------------------------------------------------
 # End-to-end cells (ops/sec over TCP, tracing off)
 # ----------------------------------------------------------------------
-
-_FRAME_HEADER = struct.Struct(">I")
-
-
-class SeedTcpCluster(TcpCluster):
-    """The pre-PR transport, reconstructed verbatim for the baseline cell.
-
-    The optimized :class:`TcpCluster` can emulate the seed's *frame
-    shape* (``flush_bytes=1``, ``encode_cache=False``,
-    ``direct_dispatch=False``) but not its *mechanics*, which are what
-    this PR actually removed: one :func:`asyncio.ensure_future` task
-    per send, a per-channel :class:`asyncio.Lock` held across the
-    write, ``await writer.drain()`` after every frame, and a receive
-    loop of two ``readexactly`` awaits per frame feeding the inbox
-    queue.  This subclass restores exactly that send/receive code (from
-    the seed tree) so the committed ``oar_binary_vs_pre_pr`` ratio
-    compares against the transport that actually existed, not a
-    flattering approximation of it.
-    """
-
-    def __init__(
-        self,
-        seed: int = 0,
-        codec: Any = "pickle",
-        trace_level: str = "off",
-        **_ignored: Any,
-    ) -> None:
-        super().__init__(
-            seed=seed,
-            codec=codec,
-            trace_level=trace_level,
-            flush_bytes=1,
-            encode_cache=False,
-            direct_dispatch=False,  # seed dispatch: inbox queue + pump
-        )
-        self._writers: Dict[Any, asyncio.StreamWriter] = {}
-        self._writer_locks: Dict[Any, asyncio.Lock] = {}
-        self._closing = False
-
-    def send_frame(self, src: str, dst: str, payload: Any) -> None:
-        # The closing guard keeps late dispatches (a pump draining its
-        # inbox while shutdown cancels it) from spawning send tasks
-        # that nothing will ever cancel or await.
-        if self._closing or src in self._crashed or dst not in self._addresses:
-            return
-        self._stats["frames_sent"] += 1
-        self._track(asyncio.ensure_future(self._send_frame(src, dst, payload)))
-
-    async def _send_frame(self, src: str, dst: str, payload: Any) -> None:
-        key = (src, dst)
-        lock = self._writer_locks.setdefault(key, asyncio.Lock())
-        # The lock both serializes the lazy connect and keeps frames
-        # from interleaving on the stream (FIFO per channel).
-        async with lock:
-            writer = self._writers.get(key)
-            if writer is None or writer.is_closing():
-                if dst in self._crashed:
-                    return
-                host, port = self._addresses[dst]
-                try:
-                    _reader, writer = await asyncio.open_connection(host, port)
-                except OSError:
-                    return  # destination crashed between check and connect
-                self._writers[key] = writer
-            body = self.codec.encode_frame(src, payload)
-            writer.write(_FRAME_HEADER.pack(len(body)) + body)
-            self._stats["flushes"] += 1
-            self._stats["bytes_sent"] += _FRAME_HEADER.size + len(body)
-            try:
-                await writer.drain()
-            except (ConnectionResetError, BrokenPipeError):
-                self._writers.pop(key, None)
-
-    def _make_connection_handler(self, pid: str):
-        async def handle(
-            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-        ) -> None:
-            try:
-                while True:
-                    header = await reader.readexactly(_FRAME_HEADER.size)
-                    (length,) = _FRAME_HEADER.unpack(header)
-                    body = await reader.readexactly(length)
-                    src, payload = self.codec.decode_frame(body)
-                    self._stats["frames_received"] += 1
-                    self._inboxes[pid].put_nowait((src, payload))
-            except (
-                asyncio.IncompleteReadError,
-                ConnectionResetError,
-                asyncio.CancelledError,
-            ):
-                pass
-            finally:
-                writer.close()
-
-        return handle
-
-    async def shutdown(self) -> None:
-        self._closing = True
-        await super().shutdown()
-        for writer in self._writers.values():
-            writer.close()
-        self._writers.clear()
-
 
 def _ops_per_sec(config: RuntimeScenarioConfig) -> float:
     run = run_runtime_scenario(config)
@@ -321,55 +217,15 @@ def _oar_scenario(requests_per_client: int) -> ShardedScenarioConfig:
 
 
 def tcp_oar_ops_per_sec(requests_per_client: int) -> float:
-    """The optimized transport: binary codec + coalescing (with a 2 ms
-    timed flush window -- the throughput cells accept the latency
-    trade) + sequencer order batching + direct-dispatch receive."""
+    """Failure-free OAR over TCP with a 2 ms timed flush window (the
+    throughput cells accept the latency trade)."""
     return _ops_per_sec(
         RuntimeScenarioConfig(
             scenario=_oar_scenario(requests_per_client),
             backend="tcp",
-            codec="binary",
             tcp_flush_interval=0.002,
         )
     )
-
-
-def tcp_oar_ops_per_sec_baseline(requests_per_client: int) -> float:
-    """The pre-PR transport: the same scenario hosted on
-    :class:`SeedTcpCluster` -- pickle per frame, a task + lock +
-    write + drain per send, readexactly + inbox-pump receive, no order
-    batching.  See the class docstring; this is the denominator of the
-    ``oar_binary_vs_pre_pr`` ratio the CI gate holds."""
-    return _ops_per_sec(
-        RuntimeScenarioConfig(
-            scenario=_oar_scenario(requests_per_client),
-            backend="tcp",
-            codec="pickle",
-            tcp_batch_interval=None,
-            tcp_cluster_factory=SeedTcpCluster,
-        )
-    )
-
-
-def oar_rates(requests_per_client: int, pairs: int = 3) -> Dict[str, float]:
-    """Both OAR cells, measured as *interleaved* pairs (best of each).
-
-    The same reasoning as :func:`codec_rates`: the host's effective CPU
-    speed drifts by tens of percent across minutes, so measuring the
-    optimized cell and the baseline cell in separate blocks lets that
-    drift masquerade as (or hide) a transport win.  Alternating them
-    gives both cells the same conditions; best-of discards the
-    slow-outlier runs both cells occasionally take."""
-    rates = {"binary": 0.0, "pickle_unbatched": 0.0}
-    for _ in range(pairs):
-        rates["binary"] = max(
-            rates["binary"], tcp_oar_ops_per_sec(requests_per_client)
-        )
-        rates["pickle_unbatched"] = max(
-            rates["pickle_unbatched"],
-            tcp_oar_ops_per_sec_baseline(requests_per_client),
-        )
-    return rates
 
 
 def tcp_sharded_ops_per_sec(requests_per_client: int) -> float:
@@ -390,7 +246,6 @@ def tcp_sharded_ops_per_sec(requests_per_client: int) -> float:
                 trace_level="off",
             ),
             backend="tcp",
-            codec="binary",
         )
     )
 
@@ -414,7 +269,6 @@ def tcp_readheavy_ops_per_sec(requests_per_client: int) -> float:
                 trace_level="off",
             ),
             backend="tcp",
-            codec="binary",
         )
     )
 
@@ -425,7 +279,7 @@ def tcp_readheavy_ops_per_sec(requests_per_client: int) -> float:
 
 def run_wallclock(quick: bool = False) -> Dict[str, Any]:
     """Measure every wall-clock cell; returns the ``wallclock`` section."""
-    codec_n = 4_000 if quick else 12_000  # x len(mix) frames, best of 3
+    codec_n = 4_000 if quick else 12_000  # x len(mix) frames, best of 5
     pingpong_n = 3_000 if quick else 10_000
     oar_requests = 150 if quick else 400
     sharded_requests = 100 if quick else 250
@@ -433,20 +287,17 @@ def run_wallclock(quick: bool = False) -> Dict[str, Any]:
     codec = {
         name: round(rate, 1) for name, rate in codec_rates(codec_n).items()
     }
-    pingpong = {
-        name: round(tcp_pingpong_msgs_per_sec(name, pingpong_n), 1)
-        for name in ("binary", "pickle")
-    }
-    oar = {
-        name: round(rate, 1)
-        for name, rate in oar_rates(
-            oar_requests, pairs=3 if quick else 5
-        ).items()
-    }
-    section: Dict[str, Any] = {
+    # Best of several runs: the host's effective CPU speed drifts by
+    # tens of percent across minutes and both the committed reference
+    # and the gated figure should be the pipeline's ceiling, not a slow
+    # outlier.
+    oar = max(tcp_oar_ops_per_sec(oar_requests) for _ in range(3 if quick else 5))
+    return {
         "codec_roundtrips_per_sec": codec,
-        "tcp_pingpong_msgs_per_sec": pingpong,
-        "tcp_oar_ops_per_sec": oar,
+        "tcp_pingpong_msgs_per_sec": {
+            "binary": round(tcp_pingpong_msgs_per_sec(pingpong_n), 1)
+        },
+        "tcp_oar_ops_per_sec": {"binary": round(oar, 1)},
         "tcp_sharded_ops_per_sec": {
             "binary": round(tcp_sharded_ops_per_sec(sharded_requests), 1)
         },
@@ -455,12 +306,8 @@ def run_wallclock(quick: bool = False) -> Dict[str, Any]:
         },
         "ratios": {
             "codec_binary_vs_pickle": round(codec["binary"] / codec["pickle"], 2),
-            "oar_binary_vs_pre_pr": round(
-                oar["binary"] / oar["pickle_unbatched"], 2
-            ),
         },
     }
-    return section
 
 
 def format_wallclock(section: Dict[str, Any]) -> str:
@@ -473,8 +320,5 @@ def format_wallclock(section: Dict[str, Any]) -> str:
         lines.append(f"  {key:<28} {rendered}")
     ratios = section["ratios"]
     lines.append("")
-    lines.append(
-        f"  codec binary/pickle: {ratios['codec_binary_vs_pickle']:.2f}x   "
-        f"OAR binary vs pre-PR shape: {ratios['oar_binary_vs_pre_pr']:.2f}x"
-    )
+    lines.append(f"  codec binary/pickle: {ratios['codec_binary_vs_pickle']:.2f}x")
     return "\n".join(lines)

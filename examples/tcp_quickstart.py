@@ -28,7 +28,6 @@ def main() -> None:
             n_keys=32,
         ),
         backend="tcp",  # or "asyncio" for in-process queues
-        codec="binary",  # or "pickle" for the seed wire format
     )
     print("Running: 2 shards x 3 replicas + 4 clients over TCP sockets...\n")
     run = run_runtime_scenario(config)

@@ -17,30 +17,25 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 from repro.analysis import checkers
 from repro.broadcast.ct_abcast import CTAtomicBroadcastServer
 from repro.broadcast.sequencer import SequencerAtomicBroadcastServer
-from repro.core.admission import TokenBucket
 from repro.core.client import OARClient
 from repro.core.server import OARConfig, OARServer
-from repro.failure.detector import (
-    FailureDetector,
-    HeartbeatFailureDetector,
-    ScriptedFailureDetector,
-)
+from repro.failure.detector import FailureDetector
 from repro.faults.injection import FaultSchedule
 from repro.replication.active import FirstReplyClient
 from repro.replication.passive import PassiveReplicationServer
-from repro.sim.latency import ConstantLatency, LatencyModel
+from repro.sharding.cluster import (
+    MACHINE_CLASSES,
+    fd_factory,
+    make_driver,
+    run_to_quiescence,
+    sim_network,
+)
+from repro.sim.latency import LatencyModel
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
-from repro.sim.process import Process
 from repro.sim.trace import TraceLog
-from repro.statemachine import (
-    BankMachine,
-    CounterMachine,
-    KVStoreMachine,
-    StackMachine,
-)
+from repro.statemachine import BankMachine
 from repro.workload.drivers import ClosedLoopDriver, OpenLoopDriver
-from repro.workload.openloop import PoissonProcess, SessionedOpenLoopDriver
 from repro.workload.generators import (
     bank_ops,
     counter_ops,
@@ -50,7 +45,6 @@ from repro.workload.generators import (
 )
 
 PROTOCOLS = ("oar", "sequencer", "ct", "passive")
-MACHINES = ("counter", "stack", "kv", "bank")
 
 
 @dataclass
@@ -209,36 +203,9 @@ class ScenarioRun:
 
     def execute(self) -> "ScenarioRun":
         """Run to quiescence (+ grace period); returns self for chaining."""
-        config = self.config
-        if config.fault_schedule is not None:
-            config.fault_schedule.apply(
-                self.network, list(self.detectors.values())
-            )
-        if config.arm is not None:
-            config.arm(self)
-        deadline = config.horizon
-        sim = self.sim
-        drivers = self.drivers
-        servers = self.servers
-
-        def finished() -> bool:
-            # Horizon first: it is one float compare, the driver sweep is
-            # not, and this predicate runs after every event.
-            if sim._now >= deadline:
-                return True
-            for driver in drivers:
-                if not driver.done:
-                    return False
-            for server in servers:
-                # Execution lanes still busy on a live replica: state is
-                # still changing, keep running.
-                if not server.crashed and getattr(server, "exec_backlog", 0):
-                    return False
-            return True
-
-        sim.run_until(finished, max_events=config.max_events)
-        # Grace: let replies/settlements in flight land before checking.
-        sim.run(until=sim.now + config.grace, max_events=config.max_events)
+        # Only OAR servers have execution lanes to drain.
+        lanes = self.servers if self.config.protocol == "oar" else ()
+        run_to_quiescence(self, lanes)
         return self
 
     # ------------------------------------------------------------------
@@ -279,20 +246,12 @@ class ScenarioRun:
             checkers.check_fault_plane_accounting(trace, self.network)
 
 
-_MACHINE_CLASSES = {
-    "counter": CounterMachine,
-    "stack": StackMachine,
-    "kv": KVStoreMachine,
-    "bank": BankMachine,
-}
-
-
 def _make_machine(kind: str) -> Any:
     if kind == "bank":  # the bank starts with seeded accounts
         return BankMachine({"alice": 1_000, "bob": 1_000, "carol": 1_000})
-    cls = _MACHINE_CLASSES.get(kind)
+    cls = MACHINE_CLASSES.get(kind)
     if cls is None:
-        raise ValueError(f"unknown machine kind: {kind} (choose from {MACHINES})")
+        raise ValueError(f"unknown machine kind: {kind} (choose from {tuple(MACHINE_CLASSES)})")
     return cls()
 
 
@@ -320,16 +279,8 @@ def build_scenario(config: ScenarioConfig) -> ScenarioRun:
         raise ValueError(
             f"unknown protocol: {config.protocol} (choose from {PROTOCOLS})"
         )
-    sim = Simulator(seed=config.seed)
-    latency = config.latency if config.latency is not None else ConstantLatency(1.0)
-    network = SimNetwork(
-        sim,
-        latency=latency,
-        trace_messages=config.trace_messages,
-        trace_level=config.trace_level,
-    )
-    if config.faults is not None:
-        config.faults(network)
+    network = sim_network(config)
+    sim = network.sim
 
     oar_config = config.oar.with_exec_overrides(
         config.exec_cost, config.exec_lanes
@@ -337,32 +288,19 @@ def build_scenario(config: ScenarioConfig) -> ScenarioRun:
     group = [f"p{i + 1}" for i in range(config.n_servers)]
     detectors: Dict[str, FailureDetector] = {}
 
-    def fd_factory(host: Process) -> FailureDetector:
-        if config.fd_kind == "heartbeat":
-            detector: FailureDetector = HeartbeatFailureDetector(
-                host,
-                monitored=group,
-                interval=config.fd_interval,
-                timeout=config.fd_timeout,
-            )
-        elif config.fd_kind == "scripted":
-            detector = ScriptedFailureDetector()
-        else:
-            raise ValueError(f"unknown fd kind: {config.fd_kind}")
-        detectors[host.pid] = detector
-        return detector
+    build_fd = fd_factory(config, group, detectors)
 
     servers: List[Any] = []
     for pid in group:
         machine = _make_machine(config.machine)
         if config.protocol == "oar":
-            server: Any = OARServer(pid, group, machine, fd_factory, oar_config)
+            server: Any = OARServer(pid, group, machine, build_fd, oar_config)
         elif config.protocol == "sequencer":
-            server = SequencerAtomicBroadcastServer(pid, group, machine, fd_factory)
+            server = SequencerAtomicBroadcastServer(pid, group, machine, build_fd)
         elif config.protocol == "ct":
-            server = CTAtomicBroadcastServer(pid, group, machine, fd_factory)
+            server = CTAtomicBroadcastServer(pid, group, machine, build_fd)
         else:
-            server = PassiveReplicationServer(pid, group, machine, fd_factory)
+            server = PassiveReplicationServer(pid, group, machine, build_fd)
         servers.append(server)
         network.add_process(server)
 
@@ -376,7 +314,7 @@ def build_scenario(config: ScenarioConfig) -> ScenarioRun:
                 group,
                 retry_interval=config.retry_interval,
                 read_mode=read_mode,
-                is_read_only=_MACHINE_CLASSES[config.machine].is_read_only,
+                is_read_only=MACHINE_CLASSES[config.machine].is_read_only,
             )
         else:
             reliable = config.protocol == "ct"
@@ -386,54 +324,18 @@ def build_scenario(config: ScenarioConfig) -> ScenarioRun:
 
     network.start_all()
 
-    drivers: List[Any] = []
-    for index, client in enumerate(clients):
-        ops_rng = sim.child_rng(f"ops/{client.pid}")
-        ops = _make_ops(config, ops_rng)
-        if config.driver == "closed":
-            driver: Any = ClosedLoopDriver(
-                sim,
-                client,
-                ops,
-                total=config.requests_per_client,
-                think_time=config.think_time,
-                start_at=config.driver_start_at,
-            )
-        elif config.driver == "open":
-            driver = OpenLoopDriver(
-                sim,
-                client,
-                ops,
-                total=config.requests_per_client,
-                rate=config.open_rate,
-                rng=sim.child_rng(f"arrivals/{client.pid}"),
-                start_at=config.driver_start_at,
-            )
-        elif config.driver == "session":
-            bucket = (
-                TokenBucket(config.client_rate, burst=config.client_burst)
-                if config.client_rate is not None
-                else None
-            )
-            driver = SessionedOpenLoopDriver(
-                sim,
-                client,
-                ops,
-                total=config.requests_per_client,
-                arrival=(
-                    config.arrival
-                    if config.arrival is not None
-                    else PoissonProcess(config.open_rate)
-                ),
-                rng=sim.child_rng(f"arrivals/{client.pid}"),
-                n_sessions=config.n_sessions,
-                start_at=config.driver_start_at,
-                bucket=bucket,
-                measure_from=config.measure_from,
-            )
-        else:
-            raise ValueError(f"unknown driver kind: {config.driver}")
-        drivers.append(driver)
+    drivers = [
+        make_driver(
+            config,
+            sim,
+            client,
+            _make_ops(config, sim.child_rng(f"ops/{client.pid}")),
+            sim.child_rng(f"arrivals/{client.pid}"),
+            ClosedLoopDriver,
+            OpenLoopDriver,
+        )
+        for client in clients
+    ]
 
     return ScenarioRun(
         config=config,

@@ -10,29 +10,26 @@ the ``wallclock`` section of ``BENCH_perf.json``).  Two transports:
   laptop-scale equivalent of a LAN: the paper's latencies were LAN
   round-trips, ours are event-loop hops plus the configured delay).
 * :class:`~repro.runtime.tcp.TcpCluster` -- every process served on a
-  real localhost TCP socket.  Frames are length-prefixed bodies from a
-  per-cluster wire codec (:mod:`repro.runtime.codec`): the compact
-  tagged binary codec by default, or ``codec="pickle"`` for the seed
-  behaviour.  Sends coalesce into per-connection buffers; see the
-  module docs for the flush and reconnect rules.
+  real localhost TCP socket.  Frames are length-prefixed bodies from
+  the compact tagged binary codec (:mod:`repro.runtime.codec`).  Sends
+  coalesce into per-connection buffers; see the module docs for the
+  flush and reconnect rules.
 
-Both host the **same** :class:`~repro.sim.process.Process` subclasses as
-the simulator -- the protocol code has no idea which world it lives in.
-Full sharded scenarios (router, sharded clients, replica-local reads)
-run over either transport through
-:func:`~repro.runtime.scenario.run_runtime_scenario`, which returns a
-genuine :class:`~repro.sharding.cluster.ShardedRun` view so the entire
+Both share :class:`~repro.runtime.host.RuntimeCluster` (processes,
+crash-stop, clock, ``run_until``, ``stats``) and host the **same**
+:class:`~repro.sim.process.Process` subclasses as the simulator -- the
+protocol code has no idea which world it lives in.  Full sharded
+scenarios (router, sharded clients, replica-local reads) run over
+either transport through
+:func:`~repro.runtime.scenario.run_runtime_scenario`, which places the
+deployment with the simulator's own builder
+(:func:`~repro.sharding.cluster.place_sharded_scenario`) and returns a
+genuine :class:`~repro.sharding.cluster.ShardedRun` view, so the entire
 ``check_all`` checker bundle applies to wall-clock runs unchanged.
 """
 
-from repro.runtime.codec import (
-    WIRE_TAGS,
-    BinaryCodec,
-    PickleCodec,
-    make_codec,
-    registered_types,
-)
-from repro.runtime.host import AsyncioCluster, AsyncioEnv
+from repro.runtime.codec import WIRE_TAGS, BinaryCodec, registered_types
+from repro.runtime.host import AsyncioCluster, AsyncioEnv, RuntimeCluster
 from repro.runtime.scenario import (
     RuntimeScenarioConfig,
     RuntimeShardedRun,
@@ -45,13 +42,12 @@ __all__ = [
     "AsyncioCluster",
     "AsyncioEnv",
     "BinaryCodec",
-    "PickleCodec",
+    "RuntimeCluster",
     "RuntimeScenarioConfig",
     "RuntimeShardedRun",
     "TcpCluster",
     "WIRE_TAGS",
     "execute_runtime_scenario",
-    "make_codec",
     "registered_types",
     "run_runtime_scenario",
 ]

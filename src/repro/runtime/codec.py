@@ -3,11 +3,10 @@
 The simulator passes Python objects by reference, so serialization cost
 is invisible there -- but over real sockets every message is encoded
 once and decoded once, and the decentralised-replication literature is
-unambiguous that *message cost dominates deployed replication*.  The
-seed runtime pickled every frame; pickle is general but slow (it
-re-discovers each dataclass's shape per message, and spells out class
-paths on the wire).  This module replaces it with a registry-driven
-binary codec:
+unambiguous that *message cost dominates deployed replication*.
+Pickling every frame is general but slow (pickle re-discovers each
+dataclass's shape per message, and spells out class paths on the wire),
+so the wire format is a registry-driven binary codec:
 
 * every wire dataclass in :mod:`repro.core.messages`,
   :mod:`repro.broadcast`, :mod:`repro.consensus.chandra_toueg`, and the
@@ -36,11 +35,12 @@ arguments.  Fields whose annotations promise marshal-native types
 are passed to marshal untouched; ``Any`` fields go through the
 recursive walk that converts nested registered dataclasses to nodes.
 
-Codec choice is per cluster: ``TcpCluster(codec="binary")`` (default)
-or ``codec="pickle"`` for the seed behaviour.  Both produce identical
-decoded objects -- the property suite round-trips every registered
-type, and a seeded scenario run is digest-identical under either codec
-(see ``tests/property/test_codec_props.py``).
+This is the one wire codec of :class:`~repro.runtime.tcp.TcpCluster`.
+Decoded objects are indistinguishable from the ones encoded -- the
+property suite round-trips every registered type, and a seeded scenario
+run whose every payload crosses the codec is digest-identical to one
+that passes objects by reference (see
+``tests/property/test_codec_props.py``).
 
 Caveats, shared with pickle but worth stating: marshal bytes are not
 guaranteed stable across Python *versions*, so a cluster must run one
@@ -78,9 +78,7 @@ from ..statemachine.base import OpResult, WrongShard
 
 __all__ = [
     "BinaryCodec",
-    "PickleCodec",
     "WIRE_TAGS",
-    "make_codec",
     "registered_types",
 ]
 
@@ -332,14 +330,12 @@ def registered_types() -> Tuple[Type[Any], ...]:
 
 
 # ---------------------------------------------------------------------------
-# Codec objects
+# The codec
 # ---------------------------------------------------------------------------
 
 
 class BinaryCodec:
-    """The compact tagged binary codec (default for real backends)."""
-
-    name = "binary"
+    """The compact tagged binary codec of the real backends."""
 
     @staticmethod
     def encode(obj: Any) -> bytes:
@@ -372,40 +368,3 @@ class BinaryCodec:
                 return src, _NODE_DEC[node[0]](node)
             return src, _unwalk(node)
         return _ploads(buf[1:])
-
-
-class PickleCodec:
-    """The seed runtime's pickle framing, kept as a per-cluster option."""
-
-    name = "pickle"
-
-    @staticmethod
-    def encode(obj: Any) -> bytes:
-        return _pdumps(obj, protocol=_PICKLE_PROTO)
-
-    decode = staticmethod(_ploads)
-
-    @staticmethod
-    def encode_frame(src: str, payload: Any) -> bytes:
-        return _pdumps((src, payload), protocol=_PICKLE_PROTO)
-
-    @staticmethod
-    def decode_frame(buf: bytes) -> Tuple[str, Any]:
-        return _ploads(buf)
-
-
-_CODECS = {"binary": BinaryCodec, "pickle": PickleCodec}
-
-
-def make_codec(spec: Any = "binary") -> Any:
-    """Resolve a codec spec: ``"binary"``, ``"pickle"``, or a codec object."""
-    if isinstance(spec, str):
-        try:
-            return _CODECS[spec]()
-        except KeyError:
-            raise ValueError(
-                f"unknown codec {spec!r}; expected one of {sorted(_CODECS)}"
-            ) from None
-    if hasattr(spec, "encode") and hasattr(spec, "decode"):
-        return spec
-    raise TypeError(f"codec spec must be a name or codec object, got {spec!r}")

@@ -94,33 +94,21 @@ class AsyncioEnv(ProcessEnv):
         self._cluster.trace.record(self._cluster.now, self._pid, kind, **fields)
 
 
-class AsyncioCluster:
-    """Hosts processes on one asyncio event loop with queue transport.
+class RuntimeCluster:
+    """What the wall-clock hosts share: processes, crash-stop, the clock.
 
-    Usage::
-
-        cluster = AsyncioCluster(link_delay=0.001)
-        cluster.add_process(server); ...
-        async def scenario():
-            await cluster.start()
-            ... submit requests ...
-            await cluster.run_until(lambda: client.outstanding == 0)
-            await cluster.shutdown()
-        asyncio.run(scenario())
+    Subclasses supply the transport: ``start`` (hand every process its
+    env and begin delivering) and ``shutdown``.
     """
 
-    def __init__(
-        self, link_delay: float = 0.0, seed: int = 0, trace_level: str = "full"
-    ) -> None:
-        self.link_delay = link_delay
+    def __init__(self, seed: int = 0, trace_level: str = "full") -> None:
         self.seed = seed
         self.trace = TraceLog(level=trace_level)
         self._processes: Dict[str, Process] = {}
-        self._inboxes: Dict[str, "asyncio.Queue[Tuple[str, Any]]"] = {}
-        self._pumps: List[asyncio.Task] = []
         self._crashed: set = set()
         self._started = False
         self._epoch = time.monotonic()
+        self._stats: Dict[str, int] = {}
 
     @property
     def loop(self) -> asyncio.AbstractEventLoop:
@@ -140,7 +128,6 @@ class AsyncioCluster:
         if process.pid in self._processes:
             raise ValueError(f"duplicate pid: {process.pid}")
         self._processes[process.pid] = process
-        self._inboxes[process.pid] = asyncio.Queue()
 
     def is_crashed(self, pid: str) -> bool:
         return pid in self._crashed
@@ -155,7 +142,47 @@ class AsyncioCluster:
             process.on_crash()
         self.trace.record(self.now, pid, "crash")
 
-    # ------------------------------------------------------------------
+    def stats(self) -> Dict[str, int]:
+        """Transport counters (empty for a transport that keeps none)."""
+        return dict(self._stats)
+
+    async def run_until(
+        self,
+        predicate: Callable[[], bool],
+        timeout: float = 30.0,
+        poll: float = 0.002,
+    ) -> bool:
+        """Poll ``predicate`` until true or ``timeout`` wall-clock seconds."""
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            if predicate():
+                return True
+            await asyncio.sleep(poll)
+        return predicate()
+
+
+class AsyncioCluster(RuntimeCluster):
+    """Hosts processes on one asyncio event loop with queue transport.
+
+    Usage::
+
+        cluster = AsyncioCluster(link_delay=0.001)
+        cluster.add_process(server); ...
+        async def scenario():
+            await cluster.start()
+            ... submit requests ...
+            await cluster.run_until(lambda: client.outstanding == 0)
+            await cluster.shutdown()
+        asyncio.run(scenario())
+    """
+
+    def __init__(
+        self, link_delay: float = 0.0, seed: int = 0, trace_level: str = "full"
+    ) -> None:
+        super().__init__(seed, trace_level)
+        self.link_delay = link_delay
+        self._inboxes: Dict[str, "asyncio.Queue[Tuple[str, Any]]"] = {}
+        self._pumps: List[asyncio.Task] = []
 
     def route(self, src: str, dst: str, payload: Any) -> None:
         if src in self._crashed or dst not in self._inboxes:
@@ -172,6 +199,7 @@ class AsyncioCluster:
     async def start(self) -> None:
         self._started = True
         self._epoch = time.monotonic()
+        self._inboxes = {pid: asyncio.Queue() for pid in self._processes}
         for pid, process in self._processes.items():
             process.start(AsyncioEnv(self, pid, self.seed))
         for pid in self._processes:
@@ -185,20 +213,6 @@ class AsyncioCluster:
             if pid in self._crashed:
                 continue
             process.on_message(src, payload)
-
-    async def run_until(
-        self,
-        predicate: Callable[[], bool],
-        timeout: float = 30.0,
-        poll: float = 0.002,
-    ) -> bool:
-        """Poll ``predicate`` until true or ``timeout`` wall-clock seconds."""
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if predicate():
-                return True
-            await asyncio.sleep(poll)
-        return predicate()
 
     async def shutdown(self) -> None:
         for pump in self._pumps:

@@ -3,21 +3,23 @@
 The simulator is the correctness oracle; this module is the proof that
 the *same* protocol objects -- ``OARServer``, ``ShardedOARClient``, the
 router, the replica-local read paths, the closed/open-loop drivers --
-run unmodified over real event loops and real sockets.  It mirrors
-:func:`repro.sharding.cluster.build_sharded_scenario` construction
-step for step, but hosts every process on an
+run unmodified over real event loops and real sockets.  Construction is
+:mod:`repro.sharding.cluster`'s, not a copy of it: the deployment is
+placed by :func:`~repro.sharding.cluster.place_sharded_scenario` on an
 :class:`~repro.runtime.host.AsyncioCluster` or
-:class:`~repro.runtime.tcp.TcpCluster` instead of a ``SimNetwork``.
+:class:`~repro.runtime.tcp.TcpCluster` instead of a ``SimNetwork``, and
+driven by :func:`~repro.sharding.cluster.start_drivers` on a wall
+clock instead of the ``Simulator``.
 
 Two impedance mismatches are bridged here:
 
 * **Time.**  Scenario configs speak simulated time units (a redirect
-  delay of 5.0, a horizon of 20 000).  Wall-clock runs scale every
-  time-valued knob by ``time_scale`` seconds per unit -- except the
-  failure detector, whose wall-clock interval/timeout are set
-  explicitly (``fd_interval``/``fd_timeout``): a scaled sim timeout can
-  land under the event loop's scheduling jitter and manufacture false
-  suspicions that the sim never sees.
+  delay of 5.0, a horizon of 20 000).  The scenario that is placed is a
+  copy with every time-valued knob scaled by ``time_scale`` seconds per
+  unit -- except the failure detector, whose wall-clock
+  interval/timeout are set explicitly (``fd_interval``/``fd_timeout``):
+  a scaled sim timeout can land under the event loop's scheduling
+  jitter and manufacture false suspicions that the sim never sees.
 * **Scheduling.**  The workload drivers only use the simulator's
   ``schedule_at`` / ``schedule`` / ``call_soon`` surface, so a thin
   :class:`_WallClock` adapter lets ``ClosedLoopDriver`` and
@@ -30,8 +32,8 @@ properties included -- applies to socket runs exactly as it does to
 simulated ones.
 
 Over TCP the sequencer's order batching (``OARConfig.batch_interval``,
-PR 2) defaults *on* (``tcp_batch_interval`` wall-clock seconds): over
-real sockets every ordering message is a syscall, so amortizing
+PR 2) defaults *on* (:data:`TCP_BATCH_INTERVAL` wall-clock seconds):
+over real sockets every ordering message is a syscall, so amortizing
 ``SeqOrder`` traffic into ``OrderBatch`` frames is part of the
 throughput story rather than an optional latency trade.
 """
@@ -42,32 +44,25 @@ import asyncio
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.client import ShardedOARClient
-from repro.core.server import OARConfig, OARServer
-from repro.failure.detector import (
-    FailureDetector,
-    HeartbeatFailureDetector,
-    ScriptedFailureDetector,
-)
-from repro.runtime.host import AsyncioCluster
+from repro.core.server import OARConfig
+from repro.runtime.host import AsyncioCluster, RuntimeCluster
 from repro.runtime.tcp import TcpCluster
 from repro.sharding.cluster import (
     ShardedRun,
     ShardedScenarioConfig,
-    SHARDED_MACHINES,
-    WORKLOADS,
-    _key_universe,
-    _machine_class,
-    _make_machine,
-    _make_ops,
+    place_sharded_scenario,
+    start_drivers,
 )
-from repro.sharding.router import RoutingTable, make_router
-from repro.statemachine import SplittableMachine
 from repro.workload.drivers import ClosedLoopDriver, OpenLoopDriver
 
 BACKENDS = ("asyncio", "tcp")
+
+#: Sequencer order batching over TCP, in wall-clock seconds; applied
+#: only when the scenario itself leaves batching off.
+TCP_BATCH_INTERVAL = 0.002
 
 
 class _WallClock:
@@ -100,49 +95,26 @@ class _WallClock:
 class RuntimeScenarioConfig:
     """A sharded scenario bound to a real backend.
 
-    ``scenario`` is the same description the simulator runs; the fields
-    here say how to host it on a wall clock.
+    ``scenario`` is the same description the simulator runs (its
+    ``trace_level`` included: ``check_all`` needs "full", throughput
+    runs want "off"); the fields here say how to host it on a wall
+    clock.
     """
 
     scenario: ShardedScenarioConfig
     backend: str = "tcp"  #: "asyncio" (in-process queues) or "tcp"
-    codec: Any = "binary"  #: TCP wire codec: "binary" | "pickle" | object
     link_delay: float = 0.0005  #: asyncio backend's per-hop delay (s)
     time_scale: float = 0.04  #: wall-clock seconds per simulated unit
     #: Wall-clock failure detector cadence (not scaled from the
     #: scenario: see module docstring).
     fd_interval: float = 0.2
     fd_timeout: float = 1.5
-    #: Sequencer order batching default for TCP, in wall-clock seconds;
-    #: applied only when the scenario itself leaves batching off.
-    #: ``None`` keeps batching off.
-    tcp_batch_interval: Optional[float] = 0.002
-    #: Coalescing buffer cap forwarded to :class:`TcpCluster`
-    #: (``None`` keeps the transport default; ``1`` disables coalescing
-    #: -- the pre-codec baseline shape used by the perf harness).
-    flush_bytes: Optional[int] = None
     #: Timed coalescing window forwarded to :class:`TcpCluster`
     #: (``None`` = flush at the turn boundary; throughput cells set a
     #: small window to trade per-hop latency for fewer syscalls).
     tcp_flush_interval: Optional[float] = None
-    #: Encode-once fan-out cache on the TCP transport; the perf
-    #: harness's pre-PR baseline disables it (the seed encoded per
-    #: send).
-    encode_cache: bool = True
-    #: Receive path on the TCP transport: ``True`` dispatches parsed
-    #: frames straight to the process; ``False`` restores the seed's
-    #: inbox-queue + pump-task shape (pre-PR baseline cell).
-    tcp_direct_dispatch: bool = True
-    #: Alternative TCP cluster constructor (same keyword surface as
-    #: :class:`TcpCluster`); the perf harness uses this to host the
-    #: scenario on a reconstructed pre-PR transport for the baseline
-    #: cell.  ``None`` uses :class:`TcpCluster`.
-    tcp_cluster_factory: Optional[Callable[..., Any]] = None
     timeout: float = 60.0  #: wall-clock quiescence deadline (s)
     grace: float = 0.05  #: settle window after quiescence (s)
-    #: Trace level override; ``None`` defers to the scenario's
-    #: (``check_all`` needs "full"; throughput runs want "off").
-    trace_level: Optional[str] = None
 
     def with_changes(self, **changes: Any) -> "RuntimeScenarioConfig":
         return replace(self, **changes)
@@ -154,22 +126,16 @@ class RuntimeShardedRun:
 
     ``view`` is a real :class:`~repro.sharding.cluster.ShardedRun`
     whose ``network`` is the live cluster -- every property and the
-    whole ``check_all`` bundle read through it unchanged.
+    whole ``check_all`` bundle read through it unchanged.  Its
+    ``config`` is the scenario as placed (time in wall-clock seconds);
+    ``config.scenario`` here is the description as given.
     """
 
     config: RuntimeScenarioConfig
-    cluster: Any
+    cluster: RuntimeCluster
     view: ShardedRun
     completed: bool = False
     elapsed: float = 0.0  #: wall-clock seconds of the drive phase
-
-    @property
-    def trace(self):
-        return self.cluster.trace
-
-    @property
-    def servers(self) -> List[OARServer]:
-        return self.view.servers
 
     @property
     def clients(self) -> List[ShardedOARClient]:
@@ -182,12 +148,6 @@ class RuntimeShardedRun:
     def adopted(self) -> Dict[str, Any]:
         return self.view.adopted()
 
-    def latencies(self) -> List[float]:
-        return self.view.latencies()
-
-    def all_done(self) -> bool:
-        return self.view.all_done()
-
     def ops_per_sec(self) -> float:
         """Adopted logical operations per wall-clock second."""
         if self.elapsed <= 0:
@@ -195,8 +155,7 @@ class RuntimeShardedRun:
         return len(self.view.adopted()) / self.elapsed
 
     def transport_stats(self) -> Dict[str, int]:
-        stats = getattr(self.cluster, "stats", None)
-        return stats() if callable(stats) else {}
+        return self.cluster.stats()
 
     def check_all(self, strict: bool = True, at_least_once: bool = True) -> None:
         """The full sharded checker bundle, on the wall-clock trace."""
@@ -204,11 +163,8 @@ class RuntimeShardedRun:
 
 
 def _scaled_oar(config: RuntimeScenarioConfig) -> OARConfig:
-    """The scenario's OAR knobs, overridden and scaled to wall clock."""
-    scenario = config.scenario
-    oar = scenario.oar.with_exec_overrides(
-        scenario.exec_cost, scenario.exec_lanes
-    ).with_admission_overrides(scenario.admission_limit, scenario.read_queue_limit)
+    """The scenario's own OAR knobs, scaled to wall clock."""
+    oar = config.scenario.oar
     scale = config.time_scale
 
     def interval(value: Optional[float]) -> Optional[float]:
@@ -217,12 +173,8 @@ def _scaled_oar(config: RuntimeScenarioConfig) -> OARConfig:
         return max(value * scale, OARConfig.MIN_INTERVAL)
 
     batch_interval = interval(oar.batch_interval)
-    if (
-        config.backend == "tcp"
-        and not batch_interval
-        and config.tcp_batch_interval
-    ):
-        batch_interval = max(config.tcp_batch_interval, OARConfig.MIN_INTERVAL)
+    if config.backend == "tcp" and not batch_interval:
+        batch_interval = TCP_BATCH_INTERVAL
     return replace(
         oar,
         batch_interval=batch_interval,
@@ -234,30 +186,49 @@ def _scaled_oar(config: RuntimeScenarioConfig) -> OARConfig:
     )
 
 
-def _make_cluster(config: RuntimeScenarioConfig) -> Any:
+def _wall_clock_scenario(config: RuntimeScenarioConfig) -> ShardedScenarioConfig:
+    """The scenario as it is placed: time-valued knobs in wall-clock
+    seconds.  Rejects the sim-only features, which have no placed form."""
     scenario = config.scenario
-    trace_level = (
-        config.trace_level if config.trace_level is not None else scenario.trace_level
+    if scenario.driver == "session":
+        raise ValueError(
+            "runtime scenarios support the closed/open drivers "
+            "(the session driver is sim-only)"
+        )
+    if scenario.faults is not None or scenario.fault_schedule is not None:
+        raise ValueError(
+            "link-fault injection is sim-only; runtime runs exercise "
+            "real sockets (crash processes via cluster.crash instead)"
+        )
+    scale = config.time_scale
+
+    def scaled(value: Optional[float]) -> Optional[float]:
+        return value * scale if value is not None else None
+
+    return scenario.with_changes(
+        oar=_scaled_oar(config),
+        exec_cost=scaled(scenario.exec_cost),
+        retry_interval=scaled(scenario.retry_interval),
+        redirect_delay=scenario.redirect_delay * scale,
+        load_half_life=scaled(scenario.load_half_life),
+        fd_interval=config.fd_interval,
+        fd_timeout=config.fd_timeout,
     )
+
+
+def _make_cluster(config: RuntimeScenarioConfig) -> RuntimeCluster:
+    scenario = config.scenario
     if config.backend == "tcp":
-        kwargs: Dict[str, Any] = {}
-        if config.flush_bytes is not None:
-            kwargs["flush_bytes"] = config.flush_bytes
-        factory = config.tcp_cluster_factory or TcpCluster
-        return factory(
+        return TcpCluster(
             seed=scenario.seed,
-            codec=config.codec,
-            trace_level=trace_level,
-            encode_cache=config.encode_cache,
-            direct_dispatch=config.tcp_direct_dispatch,
+            trace_level=scenario.trace_level,
             flush_interval=config.tcp_flush_interval,
-            **kwargs,
         )
     if config.backend == "asyncio":
         return AsyncioCluster(
             link_delay=config.link_delay,
             seed=scenario.seed,
-            trace_level=trace_level,
+            trace_level=scenario.trace_level,
         )
     raise ValueError(f"unknown backend: {config.backend} (choose from {BACKENDS})")
 
@@ -266,159 +237,30 @@ async def execute_runtime_scenario(
     config: RuntimeScenarioConfig,
 ) -> RuntimeShardedRun:
     """Build, drive to quiescence, and tear down -- inside a running loop."""
-    scenario = config.scenario
-    if scenario.machine not in SHARDED_MACHINES:
-        raise ValueError(f"unknown machine kind: {scenario.machine}")
-    if scenario.workload not in WORKLOADS:
-        raise ValueError(f"unknown workload: {scenario.workload}")
-    if scenario.driver not in ("closed", "open"):
-        raise ValueError(
-            "runtime scenarios support the closed/open drivers "
-            f"(got {scenario.driver!r}; the session driver is sim-only)"
-        )
-    if scenario.faults is not None or scenario.fault_schedule is not None:
-        raise ValueError(
-            "link-fault injection is sim-only; runtime runs exercise "
-            "real sockets (crash processes via cluster.crash instead)"
-        )
-
+    scenario = _wall_clock_scenario(config)
     cluster = _make_cluster(config)
-    scale = config.time_scale
-
-    key_universe = _key_universe(scenario)
-    router = make_router(scenario.router, scenario.n_shards, key_universe)
-    routing_table = RoutingTable(router)
-    accounts_by_shard = routing_table.placement(key_universe)
-
-    shard_groups = tuple(
-        tuple(f"s{shard}.p{i + 1}" for i in range(scenario.n_servers))
-        for shard in range(scenario.n_shards)
-    )
-
-    detectors: Dict[str, FailureDetector] = {}
-
-    def fd_factory(group: Tuple[str, ...]):
-        def build(host: Any) -> FailureDetector:
-            if scenario.fd_kind == "heartbeat":
-                detector: FailureDetector = HeartbeatFailureDetector(
-                    host,
-                    monitored=group,
-                    interval=config.fd_interval,
-                    timeout=config.fd_timeout,
-                )
-            elif scenario.fd_kind == "scripted":
-                detector = ScriptedFailureDetector()
-            else:
-                raise ValueError(f"unknown fd kind: {scenario.fd_kind}")
-            detectors[host.pid] = detector
-            return detector
-
-        return build
-
-    oar_config = _scaled_oar(config)
-    shards: List[List[OARServer]] = []
-    for shard, group in enumerate(shard_groups):
-        servers: List[OARServer] = []
-        for pid in group:
-            machine = _make_machine(scenario, accounts_by_shard[shard])
-            server = OARServer(pid, group, machine, fd_factory(group), oar_config)
-            servers.append(server)
-            cluster.add_process(server)
-        shards.append(servers)
-
-    machine_cls = _machine_class(scenario.machine)
-    read_mode = scenario.read_mode or scenario.oar.read_mode
-    clients: List[ShardedOARClient] = []
-    for index in range(scenario.n_clients):
-        client = ShardedOARClient(
-            f"c{index + 1}",
-            shard_groups,
-            routing_table.copy(),
-            key_extractor=machine_cls.keys_of,
-            tx_planner=machine_cls.tx_branches,
-            retry_interval=(
-                scenario.retry_interval * scale
-                if scenario.retry_interval is not None
-                else None
-            ),
-            route_authority=routing_table,
-            redirect_delay=scenario.redirect_delay * scale,
-            max_redirects=scenario.max_redirects,
-            read_mode=read_mode,
-            is_read_only=machine_cls.is_read_only,
-            load_half_life=(
-                scenario.load_half_life * scale
-                if scenario.load_half_life is not None
-                else None
-            ),
-            splitter=(
-                machine_cls
-                if issubclass(machine_cls, SplittableMachine)
-                else None
-            ),
-        )
-        clients.append(client)
-        cluster.add_process(client)
-
-    await cluster.start()
-
-    # Drivers reuse the sim's classes verbatim over the wall-clock
-    # adapter; per-client op streams are seeded exactly like the sim's
-    # (same child-seed derivation would need a Simulator, so we derive
-    # from the scenario seed + pid directly -- determinism of the *op
-    # sequence* per client is what matters for reproducibility).
-    drivers: List[Any] = []
-    clock = _WallClock(cluster.loop, scale)
-    for client in clients:
-        ops_rng = random.Random(f"{scenario.seed}/ops/{client.pid}")
-        ops = _make_ops(scenario, ops_rng, key_universe, accounts_by_shard)
-        if scenario.driver == "closed":
-            driver: Any = ClosedLoopDriver(
-                clock,
-                client,
-                ops,
-                total=scenario.requests_per_client,
-                think_time=scenario.think_time,
-                start_at=scenario.driver_start_at,
-            )
-        else:
-            driver = OpenLoopDriver(
-                clock,
-                client,
-                ops,
-                total=scenario.requests_per_client,
-                rate=scenario.open_rate,
-                rng=random.Random(f"{scenario.seed}/arrivals/{client.pid}"),
-                start_at=scenario.driver_start_at,
-            )
-        drivers.append(driver)
-
-    initial_total = None
-    if scenario.machine == "bank" and scenario.workload != "hotkey":
-        initial_total = scenario.initial_balance * len(key_universe)
-
-    view = ShardedRun(
-        config=scenario,
-        sim=None,  # type: ignore[arg-type]  # checkers never touch it
-        network=cluster,  # type: ignore[arg-type]  # duck-typed: .trace
-        router=router,
-        routing_table=routing_table,
-        shard_groups=shard_groups,
-        shards=shards,
-        clients=clients,
-        drivers=drivers,
-        detectors=detectors,
-        key_universe=key_universe,
-        initial_total=initial_total,
-    )
+    view = place_sharded_scenario(scenario, cluster)
     run = RuntimeShardedRun(config=config, cluster=cluster, view=view)
-
-    started = time.perf_counter()
-    run.completed = await cluster.run_until(view.all_done, timeout=config.timeout)
-    run.elapsed = time.perf_counter() - started
-    if config.grace > 0:
-        await asyncio.sleep(config.grace)
-    await cluster.shutdown()
+    seed = scenario.seed
+    try:
+        await cluster.start()
+        # The two driver classes are read from this module's globals
+        # here, at build time, so a caller that rebinds them (the repo
+        # benchmark's due-time open loop) drives the run with its own.
+        start_drivers(
+            view,
+            _WallClock(cluster.loop, config.time_scale),
+            lambda name: random.Random(f"{seed}/{name}"),
+            ClosedLoopDriver,
+            OpenLoopDriver,
+        )
+        started = time.perf_counter()
+        run.completed = await cluster.run_until(view.all_done, timeout=config.timeout)
+        run.elapsed = time.perf_counter() - started
+        if config.grace > 0:
+            await asyncio.sleep(config.grace)
+    finally:
+        await cluster.shutdown()
     return run
 
 

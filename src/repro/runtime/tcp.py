@@ -1,19 +1,18 @@
 """Localhost TCP transport: every process behind a real socket.
 
-Frames are length-prefixed (4-byte big-endian) bodies produced by a
-per-cluster codec -- the compact binary codec from
-:mod:`repro.runtime.codec` by default, or pickle (``codec="pickle"``)
-for the seed behaviour.  One persistent connection is opened lazily per
-directed (src, dst) pair; TCP ordering gives the FIFO channel property
-of the paper's model.  This transport exists solely for loopback
-benchmarking of our own processes -- it is not a trust boundary.
+Frames are length-prefixed (4-byte big-endian) bodies produced by the
+binary codec of :mod:`repro.runtime.codec`.  One persistent connection
+is opened lazily per directed (src, dst) pair; TCP ordering gives the
+FIFO channel property of the paper's model.  This transport exists
+solely for loopback benchmarking of our own processes -- it is not a
+trust boundary.
 
 Two throughput mechanisms keep syscall count from scaling with op
 count:
 
 * **Write coalescing** -- sends append to a per-connection buffer and
   the buffer flushes either at the end of the current event-loop turn
-  (``loop.call_soon``) or as soon as it exceeds ``flush_bytes``.  All
+  (``loop.call_soon``) or as soon as it holds ``_FLUSH_BYTES``.  All
   frames a process emits while handling one delivery or timer (a
   request fan-out, a reply batch, a sequencer drain) therefore share
   one ``writer.write``.  ``flush_interval`` widens the window across
@@ -32,10 +31,6 @@ The receive side is symmetric: each accepted connection parses frames
 out of bulk socket reads and dispatches them *directly* to the process
 -- no inbox queue, no pump task -- so one coalesced chunk from a peer
 costs one event-loop wakeup (see ``_make_connection_handler``).
-``direct_dispatch=False`` restores the seed's receive shape (an inbox
-queue per process drained by a pump task, one queue put + one pump
-wakeup per frame) -- kept so the perf harness's pre-PR baseline cell
-measures the transport this PR actually replaced.
 
 A peer that died mid-connection is handled in the writer path: a send
 that finds its cached :class:`~asyncio.StreamWriter` closed (or takes
@@ -51,18 +46,16 @@ from __future__ import annotations
 import asyncio
 import struct
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.runtime.codec import make_codec
-from repro.runtime.host import AsyncioEnv
-from repro.sim.process import Process
-from repro.sim.trace import TraceLog
+from repro.runtime.codec import BinaryCodec
+from repro.runtime.host import AsyncioEnv, RuntimeCluster
 
 _HEADER = struct.Struct(">I")
 
 #: flush as soon as a connection buffer holds this many bytes, rather
 #: than waiting for the turn boundary (bounds memory under bursts).
-_DEFAULT_FLUSH_BYTES = 64 * 1024
+_FLUSH_BYTES = 64 * 1024
 #: ask the event loop to drain a transport once its kernel-side write
 #: buffer backlog passes this (backpressure guard, rarely hit on
 #: loopback).
@@ -103,50 +96,34 @@ class _Conn:
         self.failures = 0
 
 
-class TcpCluster:
+class TcpCluster(RuntimeCluster):
     """Hosts processes on localhost TCP sockets.
 
-    The API mirrors :class:`~repro.runtime.host.AsyncioCluster`:
+    Used like :class:`~repro.runtime.host.AsyncioCluster`:
     ``add_process`` everything, ``await start()``, drive the scenario,
     ``await shutdown()``.
 
-    ``codec`` selects the wire encoding (``"binary"`` | ``"pickle"`` |
-    a codec object); ``trace_level`` is forwarded to the
+    ``trace_level`` is forwarded to the
     :class:`~repro.sim.trace.TraceLog` (benchmarks run ``"off"`` -- at
     six-digit message rates full tracing is the bottleneck, the same
     hot-path hazard the simulator solved in its perf overhaul);
-    ``flush_bytes`` caps the coalescing buffer; ``flush_interval``
-    widens the coalescing window across event-loop turns (see the
-    module docstring); ``direct_dispatch=False`` selects the seed's
-    inbox-queue + pump-task receive path (see the module docstring).
+    ``flush_interval`` widens the coalescing window across event-loop
+    turns (see the module docstring).
     """
 
     def __init__(
         self,
         seed: int = 0,
-        codec: Any = "binary",
         trace_level: str = "full",
-        flush_bytes: int = _DEFAULT_FLUSH_BYTES,
-        encode_cache: bool = True,
-        direct_dispatch: bool = True,
         flush_interval: Optional[float] = None,
     ) -> None:
-        self.seed = seed
-        self.codec = make_codec(codec)
-        self.trace = TraceLog(level=trace_level)
-        self.flush_bytes = flush_bytes
+        super().__init__(seed, trace_level)
         self.flush_interval = flush_interval
-        self.encode_cache = encode_cache
-        self.direct_dispatch = direct_dispatch
-        self._inboxes: Dict[str, asyncio.Queue] = {}
-        self._processes: Dict[str, Process] = {}
         self._servers: Dict[str, asyncio.AbstractServer] = {}
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._conns: Dict[Tuple[str, str], _Conn] = {}
         self._tasks: List[asyncio.Task] = []
-        self._crashed: set = set()
-        self._epoch = time.monotonic()
-        self._stats: Dict[str, int] = {
+        self._stats = {
             "frames_sent": 0,
             "frames_received": 0,
             "bytes_sent": 0,
@@ -161,52 +138,14 @@ class TcpCluster:
         self._enc_obj: Any = None
         self._enc_frame: bytes = b""
 
-    # -- interface shared with AsyncioCluster (used by AsyncioEnv) -----
-
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        return asyncio.get_event_loop()
-
-    @property
-    def now(self) -> float:
-        return time.monotonic() - self._epoch
-
-    @property
-    def pids(self) -> List[str]:
-        return list(self._processes)
-
-    def is_crashed(self, pid: str) -> bool:
-        return pid in self._crashed
-
     def crash(self, pid: str) -> None:
-        if pid in self._crashed:
-            return
-        self._crashed.add(pid)
-        process = self._processes.get(pid)
-        if process is not None:
-            process.crashed = True
-            process.on_crash()
+        super().crash(pid)
         server = self._servers.pop(pid, None)
         if server is not None:
             server.close()
-        self.trace.record(self.now, pid, "crash")
-
-    def stats(self) -> Dict[str, int]:
-        """Transport counters (frames, bytes, flushes, reconnects)."""
-        return dict(self._stats)
-
-    def route(self, src: str, dst: str, payload: Any) -> None:
-        # AsyncioEnv fallback path (not used: _TcpEnv overrides send).
-        self.send_frame(src, dst, payload)
-
-    # ------------------------------------------------------------------
-
-    def add_process(self, process: Process) -> None:
-        if process.pid in self._processes:
-            raise ValueError(f"duplicate pid: {process.pid}")
-        self._processes[process.pid] = process
 
     async def start(self) -> None:
+        self._started = True
         self._epoch = time.monotonic()
         for pid in self._processes:
             server = await asyncio.start_server(
@@ -215,25 +154,11 @@ class TcpCluster:
             self._servers[pid] = server
             address = server.sockets[0].getsockname()
             self._addresses[pid] = (address[0], address[1])
-        if not self.direct_dispatch:
-            for pid in self._processes:
-                inbox: asyncio.Queue = asyncio.Queue()
-                self._inboxes[pid] = inbox
-                self._track(asyncio.ensure_future(self._pump(pid, inbox)))
         for pid, process in self._processes.items():
             process.start(_TcpEnv(self, pid, self.seed))
 
-    async def _pump(self, pid: str, inbox: "asyncio.Queue") -> None:
-        """Seed receive shape: drain an inbox queue one frame at a time."""
-        process = self._processes[pid]
-        crashed = self._crashed
-        while True:
-            src, payload = await inbox.get()
-            if pid not in crashed:
-                process.on_message(src, payload)
-
     def _make_connection_handler(self, pid: str):
-        decode_frame = self.codec.decode_frame
+        decode_frame = BinaryCodec.decode_frame
         header_size = _HEADER.size
         unpack_from = _HEADER.unpack_from
 
@@ -251,7 +176,6 @@ class TcpCluster:
             # deliveries remain one at a time per process, in
             # per-channel FIFO order (TCP + in-order parse).
             process = self._processes[pid]
-            inbox = self._inboxes.get(pid)  # None on the direct path
             crashed = self._crashed
             stats = self._stats
             buf = bytearray()
@@ -274,10 +198,7 @@ class TcpCluster:
                         pos = frame_end
                         stats["frames_received"] += 1
                         if pid not in crashed:
-                            if inbox is None:
-                                process.on_message(src, payload)
-                            else:
-                                inbox.put_nowait((src, payload))
+                            process.on_message(src, payload)
                     if pos:
                         del buf[:pos]
             except (ConnectionResetError, asyncio.CancelledError):
@@ -300,12 +221,11 @@ class TcpCluster:
             frame = self._enc_frame
             self._stats["encode_cache_hits"] += 1
         else:
-            body = self.codec.encode_frame(src, payload)
+            body = BinaryCodec.encode_frame(src, payload)
             frame = _HEADER.pack(len(body)) + body
-            if self.encode_cache:
-                self._enc_src = src
-                self._enc_obj = payload
-                self._enc_frame = frame
+            self._enc_src = src
+            self._enc_obj = payload
+            self._enc_frame = frame
         key = (src, dst)
         conn = self._conns.get(key)
         if conn is None:
@@ -313,7 +233,7 @@ class TcpCluster:
         conn.buf.append(frame)
         conn.size += len(frame)
         self._stats["frames_sent"] += 1
-        if conn.size >= self.flush_bytes:
+        if conn.size >= _FLUSH_BYTES:
             self._flush(key, conn)
         elif not conn.scheduled:
             conn.scheduled = True
@@ -409,19 +329,6 @@ class TcpCluster:
             conn.draining = False
 
     # ------------------------------------------------------------------
-
-    async def run_until(
-        self,
-        predicate: Callable[[], bool],
-        timeout: float = 30.0,
-        poll: float = 0.002,
-    ) -> bool:
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if predicate():
-                return True
-            await asyncio.sleep(poll)
-        return predicate()
 
     async def shutdown(self) -> None:
         # Flush any frames still sitting in coalescing buffers so that

@@ -28,7 +28,17 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Protocol,
+    Sequence,
+    Tuple,
+)
 
 from repro.analysis import checkers
 from repro.core.admission import TokenBucket
@@ -68,8 +78,16 @@ from repro.workload.generators import (
     zipfian_kv_ops,
 )
 
-SHARDED_MACHINES = ("kv", "bank", "counter", "stack")
+#: Machine kind -> replica state machine class, for every harness.
+MACHINE_CLASSES = {
+    "kv": KVStoreMachine,
+    "bank": BankMachine,
+    "counter": CounterMachine,
+    "stack": StackMachine,
+}
+SHARDED_MACHINES = tuple(MACHINE_CLASSES)
 WORKLOADS = ("uniform", "zipf", "hotshift", "cross", "readheavy", "hotkey")
+DRIVERS = ("closed", "open", "session")
 
 #: Machines with per-key state: their sharded deployments carry the
 #: key-ownership books and support live migration + the migration
@@ -184,13 +202,23 @@ class ShardedScenarioConfig:
         return replace(self, **changes)
 
 
+class Host(Protocol):
+    """What a deployment is placed on: ``SimNetwork``, ``AsyncioCluster``
+    or ``TcpCluster``.  Starting it is the one step the backends do
+    differently, so that stays with the caller."""
+
+    trace: TraceLog
+
+    def add_process(self, process: Process) -> None: ...
+
+
 @dataclass
 class ShardedRun:
     """A built (and, after ``execute``, completed) sharded deployment."""
 
     config: ShardedScenarioConfig
-    sim: Simulator
-    network: SimNetwork
+    sim: Optional[Simulator]  #: None when a wall-clock backend hosts the run
+    network: Host
     router: ShardRouter  #: the static base placement (epoch 0)
     routing_table: RoutingTable  #: the authoritative epoched view
     shard_groups: Tuple[Tuple[str, ...], ...]
@@ -261,37 +289,7 @@ class ShardedRun:
 
     def execute(self) -> "ShardedRun":
         """Run to quiescence (+ grace period); returns self for chaining."""
-        config = self.config
-        if config.fault_schedule is not None:
-            config.fault_schedule.apply(
-                self.network, list(self.detectors.values())
-            )
-        if config.arm is not None:
-            config.arm(self)
-        deadline = config.horizon
-        sim = self.sim
-        drivers = self.drivers
-        rebalancers = self.rebalancers
-        servers = self.servers
-
-        def finished() -> bool:
-            # Horizon first: one float compare vs a sweep over every
-            # driver, and this predicate runs after every event.
-            if sim._now >= deadline:
-                return True
-            for driver in drivers:
-                if not driver.done:
-                    return False
-            for coordinator in rebalancers:
-                if not coordinator.done and not coordinator.client.crashed:
-                    return False
-            for server in servers:
-                if not server.crashed and server.exec_backlog:
-                    return False
-            return True
-
-        sim.run_until(finished, max_events=config.max_events)
-        sim.run(until=sim.now + config.grace, max_events=config.max_events)
+        run_to_quiescence(self, self.servers, self.rebalancers)
         return self
 
     # ------------------------------------------------------------------
@@ -400,15 +398,6 @@ def _key_universe(config: ShardedScenarioConfig) -> Tuple[str, ...]:
     return tuple(f"k{i:03d}" for i in range(config.n_keys))
 
 
-def _machine_class(kind: str) -> type:
-    return {
-        "kv": KVStoreMachine,
-        "bank": BankMachine,
-        "counter": CounterMachine,
-        "stack": StackMachine,
-    }[kind]
-
-
 def _make_machine(
     config: ShardedScenarioConfig, placed_keys: Tuple[str, ...]
 ) -> StateMachine:
@@ -422,13 +411,7 @@ def _make_machine(
             {account: config.initial_balance for account in placed_keys},
             owned=placed_keys,
         )
-    if config.machine == "counter":
-        return CounterMachine()
-    if config.machine == "stack":
-        return StackMachine()
-    raise ValueError(
-        f"unknown machine kind: {config.machine} (choose from {SHARDED_MACHINES})"
-    )
+    return MACHINE_CLASSES[config.machine]()
 
 
 def _make_ops(
@@ -469,8 +452,8 @@ def _make_ops(
     return kv_ops(rng, keys=key_universe)
 
 
-def build_sharded_scenario(config: ShardedScenarioConfig) -> ShardedRun:
-    """Construct (but do not run) the sharded deployment."""
+def _validate(config: ShardedScenarioConfig) -> None:
+    """Reject what no backend can build, before any host is touched."""
     if config.machine not in SHARDED_MACHINES:
         raise ValueError(
             f"unknown machine kind: {config.machine} "
@@ -484,18 +467,153 @@ def build_sharded_scenario(config: ShardedScenarioConfig) -> ShardedRun:
         raise ValueError("the cross-shard workload requires the bank machine")
     if config.workload == "hotkey" and config.machine != "bank":
         raise ValueError("the hot-key workload requires the bank machine")
+    if config.driver not in DRIVERS:
+        raise ValueError(f"unknown driver kind: {config.driver}")
+    if config.driver == "open" and config.open_rate <= 0:
+        raise ValueError("rate must be positive")
 
-    sim = Simulator(seed=config.seed)
-    latency = config.latency if config.latency is not None else ConstantLatency(1.0)
-    network = SimNetwork(
-        sim,
-        latency=latency,
-        trace_messages=config.trace_messages,
-        trace_level=config.trace_level,
-    )
-    if config.faults is not None:
-        config.faults(network)
 
+def fd_factory(
+    config: Any, group: Sequence[str], detectors: Dict[str, FailureDetector]
+) -> Callable[[Process], FailureDetector]:
+    """The scenario's failure detector for one replication group.
+
+    ``config`` is any scenario config (``fd_kind`` / ``fd_interval`` /
+    ``fd_timeout``); every detector built is registered in ``detectors``
+    by its host's pid.
+    """
+
+    def build(host: Process) -> FailureDetector:
+        if config.fd_kind == "heartbeat":
+            detector: FailureDetector = HeartbeatFailureDetector(
+                host,
+                monitored=group,
+                interval=config.fd_interval,
+                timeout=config.fd_timeout,
+            )
+        elif config.fd_kind == "scripted":
+            detector = ScriptedFailureDetector()
+        else:
+            raise ValueError(f"unknown fd kind: {config.fd_kind}")
+        detectors[host.pid] = detector
+        return detector
+
+    return build
+
+
+def make_driver(
+    config: Any,
+    clock: Any,
+    client: Any,
+    ops: Iterator[Tuple[Any, ...]],
+    arrivals_rng: random.Random,
+    closed_loop: Callable[..., Any],
+    open_loop: Callable[..., Any],
+) -> Any:
+    """One client's workload driver, as ``config.driver`` names it.
+
+    ``clock`` is the scheduling surface the driver runs on (a
+    ``Simulator``, or the runtime's wall-clock adapter); the closed- and
+    open-loop classes are the caller's, so a caller whose module names
+    were rebound (the benchmark injects a due-time open loop that way)
+    builds what its own globals say at call time.
+    """
+    if config.driver == "closed":
+        return closed_loop(
+            clock,
+            client,
+            ops,
+            total=config.requests_per_client,
+            think_time=config.think_time,
+            start_at=config.driver_start_at,
+        )
+    if config.driver == "open":
+        return open_loop(
+            clock,
+            client,
+            ops,
+            total=config.requests_per_client,
+            rate=config.open_rate,
+            rng=arrivals_rng,
+            start_at=config.driver_start_at,
+        )
+    if config.driver == "session":
+        bucket = (
+            TokenBucket(config.client_rate, burst=config.client_burst)
+            if config.client_rate is not None
+            else None
+        )
+        return SessionedOpenLoopDriver(
+            clock,
+            client,
+            ops,
+            total=config.requests_per_client,
+            arrival=(
+                config.arrival
+                if config.arrival is not None
+                else PoissonProcess(config.open_rate)
+            ),
+            rng=arrivals_rng,
+            n_sessions=config.n_sessions,
+            start_at=config.driver_start_at,
+            bucket=bucket,
+            measure_from=config.measure_from,
+        )
+    raise ValueError(f"unknown driver kind: {config.driver}")
+
+
+def run_to_quiescence(
+    run: Any, exec_servers: Sequence[Any], rebalancers: Sequence[Any] = ()
+) -> None:
+    """Arm a built sim run and drive it until its drivers are done.
+
+    Applies the fault schedule and the ``arm`` hook, runs the simulator
+    until every driver is done, every live coordinator in
+    ``rebalancers`` has drained and no live server in ``exec_servers``
+    (the ones that have execution lanes) holds a backlog -- or the
+    horizon passes -- and then for the grace period, so replies and
+    settlements in flight land before checking.
+    """
+    config = run.config
+    if config.fault_schedule is not None:
+        config.fault_schedule.apply(run.network, list(run.detectors.values()))
+    if config.arm is not None:
+        config.arm(run)
+    deadline = config.horizon
+    sim = run.sim
+    drivers = run.drivers
+
+    def finished() -> bool:
+        # Horizon first: one float compare vs a sweep over every
+        # driver, and this predicate runs after every event.
+        if sim._now >= deadline:
+            return True
+        for driver in drivers:
+            if not driver.done:
+                return False
+        for coordinator in rebalancers:
+            if not coordinator.done and not coordinator.client.crashed:
+                return False
+        for server in exec_servers:
+            if not server.crashed and server.exec_backlog:
+                return False
+        return True
+
+    sim.run_until(finished, max_events=config.max_events)
+    sim.run(until=sim.now + config.grace, max_events=config.max_events)
+
+
+def place_sharded_scenario(
+    config: ShardedScenarioConfig, host: Host, sim: Optional[Simulator] = None
+) -> ShardedRun:
+    """Place every server and client of the deployment on ``host``.
+
+    The backend-neutral half of construction: routing, replica state
+    machines, servers and clients, added to ``host`` shard-major, servers
+    before clients.  The caller starts the host (the one step the
+    backends do differently) and then calls :func:`start_drivers`.
+    """
+    _validate(config)
     key_universe = _key_universe(config)
     router = make_router(config.router, config.n_shards, key_universe)
     # The authoritative epoched routing view: identical to the base
@@ -509,39 +627,21 @@ def build_sharded_scenario(config: ShardedScenarioConfig) -> ShardedRun:
     )
 
     detectors: Dict[str, FailureDetector] = {}
-
-    def fd_factory(group: Tuple[str, ...]) -> Callable[[Process], FailureDetector]:
-        def build(host: Process) -> FailureDetector:
-            if config.fd_kind == "heartbeat":
-                detector: FailureDetector = HeartbeatFailureDetector(
-                    host,
-                    monitored=group,
-                    interval=config.fd_interval,
-                    timeout=config.fd_timeout,
-                )
-            elif config.fd_kind == "scripted":
-                detector = ScriptedFailureDetector()
-            else:
-                raise ValueError(f"unknown fd kind: {config.fd_kind}")
-            detectors[host.pid] = detector
-            return detector
-
-        return build
-
     oar_config = config.oar.with_exec_overrides(
         config.exec_cost, config.exec_lanes
     ).with_admission_overrides(config.admission_limit, config.read_queue_limit)
     shards: List[List[OARServer]] = []
     for shard, group in enumerate(shard_groups):
         servers: List[OARServer] = []
+        build_fd = fd_factory(config, group, detectors)
         for pid in group:
             machine = _make_machine(config, accounts_by_shard[shard])
-            server = OARServer(pid, group, machine, fd_factory(group), oar_config)
+            server = OARServer(pid, group, machine, build_fd, oar_config)
             servers.append(server)
-            network.add_process(server)
+            host.add_process(server)
         shards.append(servers)
 
-    machine_cls = _machine_class(config.machine)
+    machine_cls = MACHINE_CLASSES[config.machine]
     read_mode = config.read_mode or config.oar.read_mode
     clients: List[ShardedOARClient] = []
     for index in range(config.n_clients):
@@ -567,58 +667,7 @@ def build_sharded_scenario(config: ShardedScenarioConfig) -> ShardedRun:
             ),
         )
         clients.append(client)
-        network.add_process(client)
-
-    network.start_all()
-
-    drivers: List[Any] = []
-    for client in clients:
-        ops_rng = sim.child_rng(f"ops/{client.pid}")
-        ops = _make_ops(config, ops_rng, key_universe, accounts_by_shard)
-        if config.driver == "closed":
-            driver: Any = ClosedLoopDriver(
-                sim,
-                client,
-                ops,
-                total=config.requests_per_client,
-                think_time=config.think_time,
-                start_at=config.driver_start_at,
-            )
-        elif config.driver == "open":
-            driver = OpenLoopDriver(
-                sim,
-                client,
-                ops,
-                total=config.requests_per_client,
-                rate=config.open_rate,
-                rng=sim.child_rng(f"arrivals/{client.pid}"),
-                start_at=config.driver_start_at,
-            )
-        elif config.driver == "session":
-            bucket = (
-                TokenBucket(config.client_rate, burst=config.client_burst)
-                if config.client_rate is not None
-                else None
-            )
-            driver = SessionedOpenLoopDriver(
-                sim,
-                client,
-                ops,
-                total=config.requests_per_client,
-                arrival=(
-                    config.arrival
-                    if config.arrival is not None
-                    else PoissonProcess(config.open_rate)
-                ),
-                rng=sim.child_rng(f"arrivals/{client.pid}"),
-                n_sessions=config.n_sessions,
-                start_at=config.driver_start_at,
-                bucket=bucket,
-                measure_from=config.measure_from,
-            )
-        else:
-            raise ValueError(f"unknown driver kind: {config.driver}")
-        drivers.append(driver)
+        host.add_process(client)
 
     initial_total = None
     if config.machine == "bank" and config.workload != "hotkey":
@@ -630,17 +679,73 @@ def build_sharded_scenario(config: ShardedScenarioConfig) -> ShardedRun:
     return ShardedRun(
         config=config,
         sim=sim,
-        network=network,
+        network=host,
         router=router,
         routing_table=routing_table,
         shard_groups=shard_groups,
         shards=shards,
         clients=clients,
-        drivers=drivers,
+        drivers=[],
         detectors=detectors,
         key_universe=key_universe,
         initial_total=initial_total,
     )
+
+
+def start_drivers(
+    run: ShardedRun,
+    clock: Any,
+    child_rng: Callable[[str], random.Random],
+    closed_loop: Callable[..., Any],
+    open_loop: Callable[..., Any],
+) -> None:
+    """Give every client of a placed, started deployment its driver.
+
+    ``clock`` schedules the drivers (``schedule_at`` / ``schedule`` /
+    ``call_soon``), ``child_rng(name)`` derives the per-client op and
+    arrival streams, the same on every backend:
+    ``random.Random(f"{seed}/{name}")``.
+    """
+    config = run.config
+    accounts_by_shard = run.router.placement(run.key_universe)
+    for client in run.clients:
+        ops = _make_ops(
+            config, child_rng(f"ops/{client.pid}"), run.key_universe, accounts_by_shard
+        )
+        run.drivers.append(
+            make_driver(
+                config,
+                clock,
+                client,
+                ops,
+                child_rng(f"arrivals/{client.pid}"),
+                closed_loop,
+                open_loop,
+            )
+        )
+
+
+def sim_network(config: Any) -> SimNetwork:
+    """A fresh simulator and the scenario's network on it (the sim host)."""
+    network = SimNetwork(
+        Simulator(seed=config.seed),
+        latency=config.latency if config.latency is not None else ConstantLatency(1.0),
+        trace_messages=config.trace_messages,
+        trace_level=config.trace_level,
+    )
+    if config.faults is not None:
+        config.faults(network)
+    return network
+
+
+def build_sharded_scenario(config: ShardedScenarioConfig) -> ShardedRun:
+    """Construct (but do not run) the sharded deployment on the simulator."""
+    network = sim_network(config)
+    sim = network.sim
+    run = place_sharded_scenario(config, network, sim)
+    network.start_all()
+    start_drivers(run, sim, sim.child_rng, ClosedLoopDriver, OpenLoopDriver)
+    return run
 
 
 def run_sharded_scenario(config: ShardedScenarioConfig) -> ShardedRun:

@@ -972,9 +972,9 @@ def attach_rebalancer(
         ShardedScenarioConfig(..., arm=lambda run: attach_rebalancer(
             run, start_at=150.0))
     """
-    from repro.sharding.cluster import _machine_class
+    from repro.sharding.cluster import MACHINE_CLASSES
 
-    machine_cls = _machine_class(run.config.machine)
+    machine_cls = MACHINE_CLASSES[run.config.machine]
     client = ShardedOARClient(
         pid,
         run.shard_groups,

@@ -15,15 +15,20 @@ reconnect accounting, and the trace-level hot-path gate.
 """
 
 import asyncio
+import gc
+import inspect
+import warnings
+from dataclasses import fields
 from typing import Any, List
 
 import pytest
 
+from repro.runtime import scenario as runtime_scenario
 from repro.runtime.scenario import (
     RuntimeScenarioConfig,
     run_runtime_scenario,
 )
-from repro.runtime.tcp import TcpCluster
+from repro.runtime.tcp import _FLUSH_BYTES, TcpCluster
 from repro.sharding.cluster import ShardedScenarioConfig
 from repro.sim.process import Process
 
@@ -91,13 +96,6 @@ class TestShardedParity:
         assert run.completed
         run.check_all()
 
-    def test_pickle_codec_reaches_same_quiescence(self):
-        run = run_runtime_scenario(
-            RuntimeScenarioConfig(scenario=_config(), backend="tcp", codec="pickle")
-        )
-        assert run.completed
-        run.check_all()
-
     def test_sim_only_features_are_rejected(self):
         with pytest.raises(ValueError, match="sim-only"):
             run_runtime_scenario(
@@ -109,6 +107,74 @@ class TestShardedParity:
             run_runtime_scenario(
                 RuntimeScenarioConfig(scenario=_config(), backend="carrier-pigeon")
             )
+
+
+def _opened_servers(monkeypatch) -> List[Any]:
+    """Every ``asyncio.Server`` a ``TcpCluster`` opens from here on."""
+    opened: List[Any] = []
+    real_start = TcpCluster.start
+
+    async def start(self):
+        try:
+            await real_start(self)
+        finally:
+            opened.extend(self._servers.values())
+
+    monkeypatch.setattr(TcpCluster, "start", start)
+    return opened
+
+
+class TestTeardown:
+    def test_bad_open_rate_is_rejected_before_any_socket_opens(self, monkeypatch):
+        opened = _opened_servers(monkeypatch)
+        with pytest.raises(ValueError, match="rate must be positive"):
+            run_runtime_scenario(
+                RuntimeScenarioConfig(
+                    scenario=_config(driver="open", open_rate=0.0), backend="tcp"
+                )
+            )
+        assert opened == []
+
+    def test_failure_after_start_still_closes_every_socket(self, monkeypatch):
+        """Whatever raises once the listening sockets are open -- here a
+        driver that refuses to be built -- the cluster is shut down."""
+        opened = _opened_servers(monkeypatch)
+
+        def refuse(*_args: Any, **_kwargs: Any) -> Any:
+            raise ValueError("no driver today")
+
+        monkeypatch.setattr(runtime_scenario, "OpenLoopDriver", refuse)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="no driver today"):
+                run_runtime_scenario(
+                    RuntimeScenarioConfig(scenario=_config(driver="open"), backend="tcp")
+                )
+            gc.collect()
+        assert len(opened) == 2 * 3 + 4  # every server and client had a socket
+        assert not any(server.is_serving() for server in opened)
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
+def test_knob_budget():
+    """The runtime's whole option surface; a new knob has to argue its
+    way past this list."""
+    assert {field.name for field in fields(RuntimeScenarioConfig)} == {
+        "scenario",
+        "backend",
+        "time_scale",
+        "timeout",
+        "tcp_flush_interval",
+        "fd_interval",
+        "fd_timeout",
+        "link_delay",
+        "grace",
+    }
+    assert list(inspect.signature(TcpCluster).parameters) == [
+        "seed",
+        "trace_level",
+        "flush_interval",
+    ]
 
 
 class _Recorder(Process):
@@ -209,29 +275,33 @@ class TestTransport:
 
         assert asyncio.run(scenario()) == []
 
-    def test_flush_bytes_one_writes_per_frame(self):
-        """``flush_bytes=1`` recovers the seed's write-per-send shape
-        (this is what the wall-clock baseline cell relies on)."""
+    def test_oversized_payload_flushes_inside_send(self):
+        """The size trigger: a connection buffer past ``_FLUSH_BYTES`` is
+        written by ``send_frame`` itself, before the turn boundary."""
 
         async def scenario():
-            cluster = TcpCluster(trace_level="off", flush_bytes=1)
+            cluster = TcpCluster(trace_level="off")
             a, b = _Recorder("a"), _Recorder("b")
             cluster.add_process(a)
             cluster.add_process(b)
             await cluster.start()
             # Establish the connection first: frames buffered while the
-            # connect is in flight legitimately share its first flush.
+            # connect is in flight wait for it whatever their size.
             a.env.send("b", "hello")
             await cluster.run_until(lambda: len(b.received) == 1, timeout=5)
-            baseline = cluster.stats()["flushes"]
-            for index in range(10):
-                a.env.send("b", index)
-            await cluster.run_until(lambda: len(b.received) == 11, timeout=5)
-            stats = cluster.stats()
+            before = cluster.stats()["flushes"]
+            a.env.send("b", "small")
+            after_small = cluster.stats()["flushes"]
+            a.env.send("b", "x" * (_FLUSH_BYTES + 1))
+            after_big = cluster.stats()["flushes"]  # no await since the sends
+            delivered = await cluster.run_until(lambda: len(b.received) == 3, timeout=5)
             await cluster.shutdown()
-            return stats["flushes"] - baseline
+            return before, after_small, after_big, delivered
 
-        assert asyncio.run(scenario()) >= 10
+        before, after_small, after_big, delivered = asyncio.run(scenario())
+        assert after_small == before  # under the trigger: waits for the turn
+        assert after_big == before + 1  # both frames, one write, synchronously
+        assert delivered
 
     def test_flush_interval_batches_across_turns(self):
         """With a timed flush window, frames sent in *separate* turns
@@ -255,40 +325,3 @@ class TestTransport:
             return stats["flushes"] - baseline
 
         assert asyncio.run(scenario()) == 1
-
-    def test_pump_receive_path_delivers_and_reaches_quiescence(self):
-        """``direct_dispatch=False`` (the seed's inbox-queue + pump-task
-        receive shape, kept for the wall-clock baseline cell) still
-        delivers every frame and completes a full sharded run."""
-
-        async def scenario():
-            cluster = TcpCluster(trace_level="off", direct_dispatch=False)
-            a, b = _Recorder("a"), _Recorder("b")
-            cluster.add_process(a)
-            cluster.add_process(b)
-            await cluster.start()
-            for index in range(10):
-                a.env.send("b", index)
-            delivered = await cluster.run_until(
-                lambda: len(b.received) == 10, timeout=5
-            )
-            await cluster.shutdown()
-            return delivered, [payload for _src, payload in b.received]
-
-        delivered, payloads = asyncio.run(scenario())
-        assert delivered
-        assert payloads == list(range(10))  # per-channel FIFO survives
-
-        run = run_runtime_scenario(
-            RuntimeScenarioConfig(
-                scenario=_config(),
-                backend="tcp",
-                codec="pickle",
-                flush_bytes=1,
-                encode_cache=False,
-                tcp_batch_interval=None,
-                tcp_direct_dispatch=False,
-            )
-        )
-        assert run.completed
-        run.check_all()

@@ -8,13 +8,12 @@ through randomly generated field values, plus the structural payloads
 (``MessageSequence``, ``RMsg`` wrapping, the fault plane's
 ``CorruptedPayload`` envelope) and a determinism check: a seeded sim
 scenario whose every payload is round-tripped through the codec in
-flight produces the same trace digest under binary, pickle, and no
-codec at all.
+flight produces the same trace digest as one that passes them by
+reference.
 """
 
 from dataclasses import fields
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +24,6 @@ from repro.harness.scenario import ScenarioConfig, run_scenario
 from repro.runtime.codec import (
     WIRE_TAGS,
     BinaryCodec,
-    PickleCodec,
-    make_codec,
     registered_types,
 )
 from repro.sim.faultplane import CorruptedPayload, wire_checksum
@@ -101,7 +98,7 @@ def _instances(cls):
 @given(st.data())
 def test_every_registered_type_roundtrips(data):
     """encode -> decode is the identity (by == and by repr) for every
-    registered wire class, under both codecs, as a frame and bare."""
+    registered wire class, as a frame and bare."""
     cls = data.draw(st.sampled_from(registered_types()))
     message = data.draw(_instances(cls))
     # frozenset iteration order is not guaranteed to survive
@@ -109,13 +106,12 @@ def test_every_registered_type_roundtrips(data):
     # collide), so repr fidelity is only asserted for set-free examples;
     # field equality holds regardless.
     set_free = "frozenset(" not in repr(message)
-    for codec in (BinaryCodec(), PickleCodec()):
-        src, out = codec.decode_frame(codec.encode_frame("p1", message))
-        assert src == "p1"
-        assert out == message
-        if set_free:
-            assert repr(out) == repr(message)
-        assert codec.decode(codec.encode(message)) == message
+    src, out = BinaryCodec.decode_frame(BinaryCodec.encode_frame("p1", message))
+    assert src == "p1"
+    assert out == message
+    if set_free:
+        assert repr(out) == repr(message)
+    assert BinaryCodec.decode(BinaryCodec.encode(message)) == message
 
 
 @settings(max_examples=100, deadline=None)
@@ -171,7 +167,7 @@ def test_registry_is_append_only_prefix():
 
 
 # ---------------------------------------------------------------------------
-# Cross-codec determinism on a seeded scenario
+# Codec-vs-reference determinism on a seeded scenario
 # ---------------------------------------------------------------------------
 
 _SCENARIO = dict(
@@ -188,15 +184,16 @@ _SCENARIO = dict(
 )
 
 
-def _digest_through_codec(monkeypatch, codec_name):
-    """Run the seeded sim scenario with every payload round-tripped
-    through the codec at transmit time, as if it crossed a real wire."""
+def _digest(monkeypatch, through_codec):
+    """Run the seeded sim scenario, optionally with every payload
+    round-tripped through the codec at transmit time, as if it crossed a
+    real wire."""
     real_transmit = SimNetwork.transmit
-    if codec_name is not None:
-        codec = make_codec(codec_name)
+    if through_codec:
 
         def transmit(self, src, dst, payload):
-            return real_transmit(self, src, dst, codec.decode(codec.encode(payload)))
+            wired = BinaryCodec.decode(BinaryCodec.encode(payload))
+            return real_transmit(self, src, dst, wired)
 
         monkeypatch.setattr(SimNetwork, "transmit", transmit)
     run = run_scenario(ScenarioConfig(**_SCENARIO))
@@ -204,9 +201,8 @@ def _digest_through_codec(monkeypatch, codec_name):
     return run.trace.digest()
 
 
-@pytest.mark.parametrize("codec_name", ["binary", "pickle"])
-def test_codec_is_transparent_to_trace_digests(monkeypatch, codec_name):
+def test_codec_is_transparent_to_trace_digests(monkeypatch):
     """A seeded scenario produces the identical trace digest whether
     payloads cross the wire through the codec or by reference."""
-    reference = _digest_through_codec(monkeypatch, None)
-    assert _digest_through_codec(monkeypatch, codec_name) == reference
+    reference = _digest(monkeypatch, through_codec=False)
+    assert _digest(monkeypatch, through_codec=True) == reference

@@ -1,5 +1,7 @@
 """Unit tests for the binary wire codec (registry, escape hatches, sizes)."""
 
+import pickle
+
 import pytest
 
 from repro.core.messages import Reply, Request, SeqOrder
@@ -7,8 +9,6 @@ from repro.failure.detector import Heartbeat
 from repro.runtime.codec import (
     WIRE_TAGS,
     BinaryCodec,
-    PickleCodec,
-    make_codec,
     registered_types,
 )
 from repro.statemachine.base import OpResult
@@ -46,7 +46,7 @@ class TestRegistry:
         """The headline claim: a protocol frame is much smaller in
         binary than in pickle (class paths never go on the wire)."""
         binary = BinaryCodec.encode_frame("p1", _REPLY)
-        pickled = PickleCodec.encode_frame("p1", _REPLY)
+        pickled = pickle.dumps(("p1", _REPLY), protocol=pickle.HIGHEST_PROTOCOL)
         assert len(binary) < 0.7 * len(pickled)
 
     def test_heartbeats_do_not_take_the_escape_hatch(self):
@@ -81,21 +81,3 @@ class TestEscapeHatches:
         assert encoded[0] == 0  # pickle discriminator
         src, out = BinaryCodec.decode_frame(encoded)
         assert src == "c1" and out == request
-
-
-class TestMakeCodec:
-    def test_names_resolve(self):
-        assert make_codec("binary").name == "binary"
-        assert make_codec("pickle").name == "pickle"
-
-    def test_codec_objects_pass_through(self):
-        codec = PickleCodec()
-        assert make_codec(codec) is codec
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown codec"):
-            make_codec("json")
-
-    def test_non_codec_object_rejected(self):
-        with pytest.raises(TypeError, match="codec spec"):
-            make_codec(42)
