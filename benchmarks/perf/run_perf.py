@@ -7,13 +7,12 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/run_perf.py --quick \
         --check-against BENCH_perf.json                          # CI gate
 
-The CI gate fails when the measured kernel dispatch rate regresses more
-than 30% against the committed pre-PR baseline recorded in the given
-file.  The gate compares against the *pre-PR* number on purpose: the
-optimization's >3x margin is the headroom that keeps the gate meaningful
-on CI machines slower than the reference box, while a real loss of the
-fast path (back to pre-PR speed) still trips it.  The gate also verifies
-the fixed-seed determinism digest.
+The CI gate fails when the kernel's same-instant fast lane stops
+paying: the ``kernel_dispatch`` cascade through the ``Simulator`` must
+run at least ``KERNEL_MIN_RATIO`` times as fast as the same cascade
+through the heap-only ``ReferenceLoop``, both measured in turns in this
+run, so the machine cancels.  The gate also verifies the fixed-seed
+determinism digest.
 
 The B10 sharded wall-clock is gated too, so a regression in the
 sharding layer (router/client/2PC/migration plumbing) is caught even
@@ -58,13 +57,18 @@ from benchmarks.perf.harness import (  # noqa: E402
     best_history_scaling,
     checker_scaling,
     format_table,
+    kernel_vs_reference,
     run_suite,
     write_payload,
 )
 
-#: A regression of more than this fraction against the committed kernel
-#: baseline fails the CI gate.
-REGRESSION_TOLERANCE = 0.30
+#: The same-instant cascade must run at least this many times as fast
+#: on the ``Simulator`` as on the heap-only ``ReferenceLoop``.  A
+#: same-run ratio: the fast lane measures 1.18-1.34 while the machine
+#: is in its slow state and 1.23-1.40 in its fast one (eight runs each,
+#: quick and full shapes alike); with ``call_soon`` pushed through the
+#: heap instead it measures 0.81-0.89 (seven runs).
+KERNEL_MIN_RATIO = 1.05
 
 #: Tolerance for the replica-local read-path gate.  Like the B10 gate it
 #: compares kernel-normalized work (read rate / kernel rate) so a slow
@@ -121,22 +125,29 @@ def _b10_reference(payload: dict, committed: dict) -> dict:
 
 
 def check_against(payload: dict, committed_path: str) -> int:
-    """Gate: kernel dispatch, B10 sharded wall-clock, the same-run
-    ratios (codec, history and checker scaling), the kernel-normalized
-    TCP OAR cell, determinism digest."""
+    """Gate: the same-run ratios (kernel fast lane, codec, history and
+    checker scaling), the kernel-normalized B10, read-path, execution
+    engine and TCP OAR cells, determinism digest."""
     with open(committed_path) as handle:
         committed = json.load(handle)
-    baseline = committed["baseline_pre_pr"]["kernel_events_per_sec"]
     measured = payload["results"]["kernel_events_per_sec"]
-    floor = baseline * (1.0 - REGRESSION_TOLERANCE)
     failures = []
     notes = []
-    if measured < floor:
+
+    # Kernel fast lane: a same-run ratio, so no committed reference is
+    # involved.  One re-measure before failing, as for the other ratios.
+    kernel_ratio = payload["kernel_vs_reference"]["ratio"]
+    if kernel_ratio < KERNEL_MIN_RATIO:
+        retry = kernel_vs_reference(payload["mode"] == "quick")
+        kernel_ratio = max(kernel_ratio, retry["ratio"])
+    if kernel_ratio < KERNEL_MIN_RATIO:
         failures.append(
-            f"kernel dispatch regressed: {measured:,.0f} events/s is below "
-            f"{floor:,.0f} (70% of the committed pre-PR baseline "
-            f"{baseline:,.0f})"
+            f"kernel fast lane lost its margin: the same-instant cascade "
+            f"runs {kernel_ratio:.2f}x the heap-only reference loop, below "
+            f"the {KERNEL_MIN_RATIO:.2f}x floor"
         )
+    else:
+        notes.append(f"kernel fast lane {kernel_ratio:.2f}x >= {KERNEL_MIN_RATIO:.2f}x")
 
     # B10 sharded wall-clock, normalized by the same run's kernel rate
     # so a uniformly slower machine cancels out and only the sharding
@@ -297,10 +308,7 @@ def check_against(payload: dict, committed_path: str) -> int:
         for failure in failures:
             print(f"PERF GATE FAIL: {failure}", file=sys.stderr)
         return 1
-    print(
-        f"perf gate ok: kernel {measured:,.0f} events/s >= {floor:,.0f}; "
-        f"{'; '.join(notes)}; digest matches"
-    )
+    print(f"perf gate ok: {'; '.join(notes)}; digest matches")
     return 0
 
 
@@ -322,8 +330,9 @@ def main(argv=None) -> int:
         "--check-against",
         metavar="FILE",
         default=None,
-        help="fail (exit 1) if kernel events/s regresses >30%% against the "
-        "committed baseline in FILE, or if the determinism digest drifts",
+        help="fail (exit 1) if a same-run ratio misses its floor, a "
+        "kernel-normalized cell regresses against FILE, or the determinism "
+        "digest drifts",
     )
     args = parser.parse_args(argv)
 

@@ -42,7 +42,7 @@ line 9's not-yet-ordered sequence is maintained incrementally, so Tasks
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.consensus.chandra_toueg import ConsensusManager
@@ -187,38 +187,6 @@ class OARConfig:
     #: timer would starve the event loop without ordering any faster
     #: than ``batch_interval = 0`` (order on every R-delivery).
     MIN_INTERVAL = 0.001
-
-    def with_exec_overrides(
-        self, exec_cost: Optional[float], exec_lanes: Optional[int]
-    ) -> "OARConfig":
-        """A copy with the scenario-level execution overrides applied.
-
-        ``None`` keeps this config's value; used by both harnesses so
-        the override logic lives in exactly one place.
-        """
-        overrides: Dict[str, Any] = {}
-        if exec_cost is not None:
-            overrides["exec_cost"] = exec_cost
-        if exec_lanes is not None:
-            overrides["exec_lanes"] = exec_lanes
-        return replace(self, **overrides) if overrides else self
-
-    def with_admission_overrides(
-        self, admission_limit: Optional[int], read_queue_limit: Optional[int]
-    ) -> "OARConfig":
-        """A copy with the scenario-level admission overrides applied.
-
-        ``None`` keeps this config's value (normally: disabled).  Both
-        harnesses route their admission knobs through here, and the
-        no-override case returns ``self`` unchanged -- the digest-
-        identity guarantee for runs that never enable the plane.
-        """
-        overrides: Dict[str, Any] = {}
-        if admission_limit is not None:
-            overrides["admission_limit"] = admission_limit
-        if read_queue_limit is not None:
-            overrides["read_queue_limit"] = read_queue_limit
-        return replace(self, **overrides) if overrides else self
 
     def __post_init__(self) -> None:
         if self.batch_interval < 0:

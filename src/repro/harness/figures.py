@@ -3,8 +3,11 @@
 Each ``run_figure_*`` function builds the precise scenario of the
 corresponding figure -- same group size, same message arrival orders, same
 crash/suspicion timing -- on the deterministic simulator, executes it and
-returns a :class:`FigureRun` whose fields the tests and benchmarks assert
-against the figure's outcome:
+returns the :class:`~repro.harness.scenario.ScenarioRun` whose trace
+queries the tests and benchmarks assert against the figure's outcome.  A
+figure is an ordinary :class:`~repro.harness.scenario.ScenarioConfig`
+with a scripted failure detector and no workload (``_scripted``); the
+function scripts only the figure's submissions, faults and suspicions:
 
 * **Figure 1(a)** -- sequencer-based Atomic Broadcast, good run: the
   replicated stack delivers ``pop`` then ``push(x)`` everywhere; the
@@ -30,128 +33,41 @@ against the figure's outcome:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import replace
+from typing import Any, Optional
 
-from repro.broadcast.sequencer import OrderMsg, SequencerAtomicBroadcastServer
-from repro.core.client import OARClient
+from repro.broadcast.sequencer import OrderMsg
 from repro.core.messages import SeqOrder
-from repro.core.server import OARConfig, OARServer
-from repro.failure.detector import ScriptedFailureDetector
+from repro.core.server import OARConfig
 from repro.faults.injection import crash_during_multicast
-from repro.replication.active import FirstReplyClient
+from repro.harness.scenario import ScenarioConfig, ScenarioRun, build_scenario
 from repro.sim.latency import ConstantLatency, PerLinkLatency
-from repro.sim.loop import Simulator
-from repro.sim.network import SimNetwork
-from repro.sim.trace import TraceLog
-from repro.statemachine import CounterMachine, StackMachine
 
 
-@dataclass
-class FigureRun:
-    """The outcome of one figure-exact scenario."""
-
-    name: str
-    sim: Simulator
-    network: SimNetwork
-    servers: List[Any]
-    clients: List[Any]
-    detectors: Dict[str, ScriptedFailureDetector] = field(default_factory=dict)
-
-    @property
-    def trace(self) -> TraceLog:
-        return self.network.trace
-
-    @property
-    def correct_servers(self) -> List[Any]:
-        return [s for s in self.servers if not s.crashed]
-
-    def server(self, pid: str) -> Any:
-        return next(s for s in self.servers if s.pid == pid)
-
-    def adopted(self) -> Dict[str, Any]:
-        merged: Dict[str, Any] = {}
-        for client in self.clients:
-            merged.update(client.adopted)
-        return merged
-
-    def opt_delivered(self, pid: str, epoch: int = 0) -> Tuple[str, ...]:
-        return tuple(
-            event["rid"]
-            for event in self.trace.events(kind="opt_deliver", pid=pid)
-            if event["epoch"] == epoch
-        )
-
-    def a_delivered(self, pid: str, epoch: Optional[int] = None) -> Tuple[str, ...]:
-        return tuple(
-            event["rid"]
-            for event in self.trace.events(kind="a_deliver", pid=pid)
-            if epoch is None or event["epoch"] == epoch
-        )
-
-    def opt_undelivered(self, pid: str) -> Tuple[str, ...]:
-        return tuple(
-            event["rid"]
-            for event in self.trace.events(kind="opt_undeliver", pid=pid)
-        )
+def _scripted(**deployment: Any) -> ScenarioRun:
+    """Build a figure's deployment: suspicions are scripted and the
+    workload drivers submit nothing, so the figure drives every step.
+    The config's defaults -- OAR replicating a counter -- are the
+    service of Figures 2-4."""
+    return build_scenario(
+        ScenarioConfig(fd_kind="scripted", requests_per_client=0, **deployment)
+    )
 
 
 # ----------------------------------------------------------------------
 # OAR scenarios (Figures 2, 3, 4)
 # ----------------------------------------------------------------------
 
-def _build_oar(
-    n_servers: int,
-    n_clients: int,
-    seed: int,
-    latency: Any = None,
-    config: Optional[OARConfig] = None,
-) -> FigureRun:
-    sim = Simulator(seed=seed)
-    network = SimNetwork(
-        sim, latency=latency or ConstantLatency(1.0), trace_messages=False
-    )
-    group = [f"p{i + 1}" for i in range(n_servers)]
-    detectors: Dict[str, ScriptedFailureDetector] = {}
-    servers: List[OARServer] = []
-    for pid in group:
-        fd = ScriptedFailureDetector()
-        detectors[pid] = fd
-        server = OARServer(
-            pid, group, CounterMachine(), fd, config or OARConfig()
-        )
-        servers.append(server)
-        network.add_process(server)
-    clients: List[OARClient] = []
-    for index in range(n_clients):
-        client = OARClient(f"c{index + 1}", group)
-        clients.append(client)
-        network.add_process(client)
-    network.start_all()
-    return FigureRun(
-        name="oar",
-        sim=sim,
-        network=network,
-        servers=servers,
-        clients=clients,
-        detectors=detectors,
-    )
-
-
-def run_figure_2(seed: int = 0) -> FigureRun:
+def run_figure_2(seed: int = 0) -> ScenarioRun:
     """OAR with no failure nor suspicion (Figure 2).
 
     Five requests in two sequencer batches ({m1;m2} then {m3;m4;m5});
     every server Opt-delivers all five in the same order; phase 2 never
     runs.
     """
-    run = _build_oar(
-        n_servers=3,
-        n_clients=1,
-        seed=seed,
-        config=OARConfig(batch_interval=2.0),
+    run = _scripted(
+        n_servers=3, n_clients=1, seed=seed, oar=OARConfig(batch_interval=2.0)
     )
-    run.name = "figure2"
     client = run.clients[0]
     # First batch arrives before the t=2 ordering tick, second before t=4.
     run.sim.schedule_at(0.2, lambda: client.submit(("incr",)))  # m1
@@ -163,7 +79,7 @@ def run_figure_2(seed: int = 0) -> FigureRun:
     return run
 
 
-def run_figure_3(seed: int = 0) -> FigureRun:
+def run_figure_3(seed: int = 0) -> ScenarioRun:
     """OAR with the crash of the sequencer, but no Opt-undelivery (Figure 3).
 
     Three servers.  p1 orders {m1;m2} (delivered everywhere), then orders
@@ -171,13 +87,12 @@ def run_figure_3(seed: int = 0) -> FigureRun:
     The majority {p1, p2} Opt-delivered m3 before m4, so Cnsv-order
     returns Bad = ε everywhere; p3 A-delivers {m3;m4}.
     """
-    run = _build_oar(
+    run = _scripted(
         n_servers=3,
         n_clients=1,
         seed=seed,
-        config=OARConfig(batch_interval=2.0, consensus_collect="majority"),
+        oar=OARConfig(batch_interval=2.0, consensus_collect="majority"),
     )
-    run.name = "figure3"
     client = run.clients[0]
     run.sim.schedule_at(0.2, lambda: client.submit(("incr",)))  # m1
     run.sim.schedule_at(0.3, lambda: client.submit(("incr",)))  # m2
@@ -202,7 +117,7 @@ def run_figure_3(seed: int = 0) -> FigureRun:
     return run
 
 
-def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> FigureRun:
+def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> ScenarioRun:
     """OAR with the crash of the sequencer and Opt-undelivery (Figure 4).
 
     Four servers.  Only p2 receives the ordering of {m3;m4}; the network
@@ -222,20 +137,17 @@ def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> FigureRun
     latency = PerLinkLatency(
         ConstantLatency(1.0), {("c1", "p3"): ConstantLatency(3.0)}
     )
-    if config is None:
-        config = OARConfig(batch_interval=2.0, consensus_collect="unsuspected")
-    else:
-        config = replace(
-            config, batch_interval=2.0, consensus_collect="unsuspected"
-        )
-    run = _build_oar(
+    run = _scripted(
         n_servers=4,
         n_clients=2,
         seed=seed,
         latency=latency,
-        config=config,
+        oar=replace(
+            config or OARConfig(),
+            batch_interval=2.0,
+            consensus_collect="unsuspected",
+        ),
     )
-    run.name = "figure4"
     c1, c2 = run.clients
     run.sim.schedule_at(0.20, lambda: c1.submit(("incr",)))  # m1
     run.sim.schedule_at(0.30, lambda: c2.submit(("incr",)))  # m2
@@ -272,50 +184,22 @@ def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> FigureRun
 # Sequencer-baseline scenarios (Figure 1)
 # ----------------------------------------------------------------------
 
-def _build_sequencer_stack(
-    seed: int,
-    latency: Any = None,
-) -> FigureRun:
-    sim = Simulator(seed=seed)
-    network = SimNetwork(
-        sim, latency=latency or ConstantLatency(1.0), trace_messages=False
-    )
-    group = ["p1", "p2", "p3"]
-    detectors: Dict[str, ScriptedFailureDetector] = {}
-    servers: List[SequencerAtomicBroadcastServer] = []
-    for pid in group:
-        fd = ScriptedFailureDetector()
-        detectors[pid] = fd
-        machine = StackMachine()
-        machine.apply(("push", "y"))  # the figure's initial stack [y]
-        server = SequencerAtomicBroadcastServer(pid, group, machine, fd)
-        servers.append(server)
-        network.add_process(server)
-    clients: List[FirstReplyClient] = []
-    for cid in ("c1", "c2"):
-        client = FirstReplyClient(cid, group, reliable=False)
-        clients.append(client)
-        network.add_process(client)
-    network.start_all()
-    return FigureRun(
-        name="sequencer-stack",
-        sim=sim,
-        network=network,
-        servers=servers,
-        clients=clients,
-        detectors=detectors,
-    )
+def _stack_y(**deployment: Any) -> ScenarioRun:
+    """Figure 1's service: a replicated stack holding [y], two clients."""
+    run = _scripted(machine="stack", n_servers=3, n_clients=2, **deployment)
+    for server in run.servers:
+        server.machine.apply(("push", "y"))
+    return run
 
 
-def run_figure_1a(seed: int = 0) -> FigureRun:
+def run_figure_1a(seed: int = 0) -> ScenarioRun:
     """Sequencer-based Atomic Broadcast, good run (Figure 1(a)).
 
     Initial stack [y].  c2's pop and c1's push(x) are sequenced
     (pop; push): every replica's pop returns y, the stack ends as [x] --
     all replies consistent.
     """
-    run = _build_sequencer_stack(seed=seed)
-    run.name = "figure1a"
+    run = _stack_y(protocol="sequencer", seed=seed)
     c1, c2 = run.clients
     run.sim.schedule_at(0.10, lambda: c2.submit(("pop",)))      # arrives first
     run.sim.schedule_at(0.30, lambda: c1.submit(("push", "x")))
@@ -323,7 +207,7 @@ def run_figure_1a(seed: int = 0) -> FigureRun:
     return run
 
 
-def run_figure_1b(seed: int = 0) -> FigureRun:
+def run_figure_1b(seed: int = 0) -> ScenarioRun:
     """Sequencer-based Atomic Broadcast, inconsistent run (Figure 1(b)).
 
     The sequencer p1 delivers pop (reply y to c2), but crashes before its
@@ -336,8 +220,7 @@ def run_figure_1b(seed: int = 0) -> FigureRun:
     latency = PerLinkLatency(
         ConstantLatency(1.0), {("c2", "p2"): ConstantLatency(2.5)}
     )
-    run = _build_sequencer_stack(seed=seed, latency=latency)
-    run.name = "figure1b"
+    run = _stack_y(protocol="sequencer", seed=seed, latency=latency)
     c1, c2 = run.clients
     pop_rid = "c2-0"
     run.sim.schedule_at(0.10, lambda: c2.submit(("pop",)))
@@ -359,7 +242,7 @@ def run_figure_1b(seed: int = 0) -> FigureRun:
     return run
 
 
-def run_figure_1b_with_oar(seed: int = 0) -> FigureRun:
+def run_figure_1b_with_oar(seed: int = 0) -> ScenarioRun:
     """The Figure 1(b) scenario executed by OAR instead of the baseline.
 
     Same service (stack [y]), same request interleaving, same sequencer
@@ -368,50 +251,26 @@ def run_figure_1b_with_oar(seed: int = 0) -> FigureRun:
     below majority); it adopts the conservative reply that matches the
     surviving replicas -- external consistency (Proposition 7).
     """
-    sim = Simulator(seed=seed)
     latency = PerLinkLatency(
         ConstantLatency(1.0), {("c2", "p2"): ConstantLatency(2.5)}
     )
-    network = SimNetwork(sim, latency=latency)
-    group = ["p1", "p2", "p3"]
-    detectors: Dict[str, ScriptedFailureDetector] = {}
-    servers: List[OARServer] = []
-    for pid in group:
-        fd = ScriptedFailureDetector()
-        detectors[pid] = fd
-        machine = StackMachine()
-        machine.apply(("push", "y"))
-        server = OARServer(pid, group, machine, fd, OARConfig())
-        servers.append(server)
-        network.add_process(server)
-    clients = [OARClient("c1", group), OARClient("c2", group)]
-    for client in clients:
-        network.add_process(client)
-    network.start_all()
-    run = FigureRun(
-        name="figure1b-oar",
-        sim=sim,
-        network=network,
-        servers=servers,
-        clients=clients,
-        detectors=detectors,
-    )
-    c1, c2 = clients
+    run = _stack_y(seed=seed, latency=latency)
+    c1, c2 = run.clients
     pop_rid = "c2-0"
-    sim.schedule_at(0.10, lambda: c2.submit(("pop",)))
-    sim.schedule_at(0.30, lambda: c1.submit(("push", "x")))
+    run.sim.schedule_at(0.10, lambda: c2.submit(("pop",)))
+    run.sim.schedule_at(0.30, lambda: c1.submit(("push", "x")))
 
     def is_pop_order(payload: Any) -> bool:
         return isinstance(payload, SeqOrder) and pop_rid in payload.rids
 
     crash_during_multicast(
-        network, "p1", is_pop_order, deliver_to=set(), crash=True
+        run.network, "p1", is_pop_order, deliver_to=set(), crash=True
     )
 
     def suspect_p1() -> None:
         for pid in ("p2", "p3"):
-            detectors[pid].force_suspect("p1")
+            run.detectors[pid].force_suspect("p1")
 
-    sim.schedule_at(5.0, suspect_p1)
-    sim.run(until=60.0, max_events=200_000)
+    run.sim.schedule_at(5.0, suspect_p1)
+    run.sim.run(until=60.0, max_events=200_000)
     return run

@@ -38,6 +38,7 @@ from typing import (
     Protocol,
     Sequence,
     Tuple,
+    TypeVar,
 )
 
 from repro.analysis import checkers
@@ -94,48 +95,141 @@ DRIVERS = ("closed", "open", "session")
 #: atomicity checker.
 MIGRATABLE_MACHINES = ("kv", "bank")
 
+ConfigT = TypeVar("ConfigT", bound="BaseScenarioConfig")
+RunT = TypeVar("RunT", bound="BaseRun")
+
 
 @dataclass
-class ShardedScenarioConfig:
+class BaseScenarioConfig:
+    """What every sim scenario says about its deployment, declared once.
+
+    :class:`~repro.harness.scenario.ScenarioConfig` (one replication
+    group) and :class:`ShardedScenarioConfig` extend it; a subclass
+    restates a field only where its default differs.
+    """
+
+    n_servers: int = 3  #: replicas per replication group
+    n_clients: int = 1
+    requests_per_client: int = 20
+    machine: str = "counter"
+    seed: int = 0
+
+    #: One-way link delay model; None = constant 1.0 (one phase per hop).
+    latency: Optional[LatencyModel] = None
+
+    #: "heartbeat" (live ◇S implementation) or "scripted" (suspicions are
+    #: injected explicitly -- used by figure-exact scenarios).
+    fd_kind: str = "heartbeat"
+    fd_interval: float = 5.0
+    fd_timeout: float = 15.0
+
+    #: OAR-specific knobs (ignored by other protocols).
+    oar: OARConfig = field(default_factory=OARConfig)
+
+    #: Scenario-level overrides of ``oar`` (see :func:`resolve_oar`);
+    #: None defers to the ``oar`` config.  ``read_mode`` is how clients
+    #: execute read-only operations ("sequencer" orders reads like
+    #: writes, the paper's base protocol; "optimistic" / "conservative"
+    #: answer replica-locally).  ``exec_cost`` / ``exec_lanes`` are the
+    #: replica execution service model: a per-operation execution cost
+    #: and that many conflict-scheduled worker lanes (benchmark B13).
+    read_mode: Optional[str] = None
+    exec_cost: Optional[float] = None
+    exec_lanes: Optional[int] = None
+
+    #: ``read_ratio`` is the read fraction of the Zipf-skewed read-heavy
+    #: mix (``read_heavy_kv_ops``, the B12 read-scaling workload) over a
+    #: universe of ``n_keys`` kv keys with exponent ``zipf_s``.  A
+    #: single group runs that mix when ``read_ratio`` is set; a sharded
+    #: run when its ``workload`` is "readheavy" (its other kv workloads
+    #: draw from the same universe).
+    read_ratio: Optional[float] = None
+    n_keys: int = 16
+    zipf_s: float = 1.2
+
+    #: "closed" (latency-oriented), "open" (Poisson arrivals at
+    #: ``open_rate`` requests/time-unit per client) or "session" (the
+    #: overload harness: an arrival process multiplexing ``n_sessions``
+    #: logical sessions per client, optional client-side token bucket,
+    #: streaming latency recorder -- see ``repro.workload.openloop``).
+    driver: str = "closed"
+    open_rate: float = 0.2
+    think_time: float = 0.0
+    #: Simulated time at which the drivers begin submitting.  A warm-up
+    #: window lets pre-arranged topology work (scheduled migrations or
+    #: key splits via ``arm``) commit before traffic measures against
+    #: it, instead of queueing stale-routed requests behind the change.
+    driver_start_at: float = 0.0
+    #: Session-driver knobs: the arrival process (None = Poisson at
+    #: ``open_rate``), sessions per client, the client-side token bucket
+    #: (``client_rate`` None disables throttling), and the warm-up cut
+    #: for the latency recorder (ops submitted before ``measure_from``
+    #: are excluded from percentiles).
+    arrival: Optional[Any] = None
+    n_sessions: int = 64
+    client_rate: Optional[float] = None
+    measure_from: float = 0.0
+    #: Admission-control overrides: None defers to the ``oar`` config
+    #: (default: disabled; see ``OARConfig.admission_limit``).
+    admission_limit: Optional[int] = None
+    read_queue_limit: Optional[int] = None
+    #: Client retransmission pacing (lost replies / crashed read
+    #: targets); None disables retransmission.
+    retry_interval: Optional[float] = None
+
+    fault_schedule: Optional[FaultSchedule] = None
+
+    #: Link-fault-plane installer; called with the built
+    #: :class:`~repro.sim.network.SimNetwork` right after construction
+    #: (e.g. ``lambda net: install_uniform_faults(net, drop=0.05)``).
+    faults: Optional[Callable[[SimNetwork], None]] = None
+
+    #: Hook for surgical fault injection; called with the built run
+    #: before the simulation starts (e.g. to arm a crash-during-multicast
+    #: interceptor).
+    arm: Optional[Callable[[BaseRun], None]] = None
+
+    #: Simulated-time and event budget.
+    horizon: float = 10_000.0
+    max_events: int = 2_000_000
+    grace: float = 50.0
+    trace_messages: bool = False
+    #: "full" keeps the checker-grade protocol trace; "off" disables all
+    #: tracing (zero-waste mode for throughput/soak runs -- ``check_all``
+    #: and trace-based metrics need "full").
+    trace_level: str = "full"
+
+    def with_changes(self: ConfigT, **changes: Any) -> ConfigT:
+        """A copy of this config with some fields replaced."""
+        return replace(self, **changes)
+
+
+@dataclass
+class ShardedScenarioConfig(BaseScenarioConfig):
     """Everything needed to reproduce one sharded experiment run."""
 
     n_shards: int = 2
-    n_servers: int = 3  #: replicas *per shard*
     n_clients: int = 2
-    requests_per_client: int = 20
     machine: str = "kv"
     router: str = "hash"  #: "hash" or "range"
-    seed: int = 0
 
     #: Workload family: "uniform" (kv over a flat key universe), "zipf"
     #: (kv, skewed), "hotshift" (kv, skewed with a hotspot that moves
-    #: across the key space every ``shift_every`` ops -- the live-
-    #: rebalancing stress), "cross" (bank transfers, cross-shard mix),
-    #: "readheavy" (kv or bank, Zipf-skewed, ``read_ratio`` reads --
-    #: the replica-local read-path mix of benchmark B12), "hotkey"
-    #: (bank deposits/withdrawals/balances with ``hot_ratio`` of all
-    #: traffic on one account -- the key-splitting stress of B14; its
-    #: deposits break money-supply conservation, so the run swaps the
+    #: across the key space every 150 ops -- the live-rebalancing
+    #: stress), "cross" (bank transfers, cross-shard mix), "readheavy"
+    #: (kv or bank, Zipf-skewed, ``read_ratio`` reads -- the
+    #: replica-local read-path mix of benchmark B12), "hotkey" (bank
+    #: deposits/withdrawals/balances with ``hot_ratio`` of all traffic
+    #: on one account -- the key-splitting stress of B14; its deposits
+    #: break money-supply conservation, so the run swaps the
     #: conserved-total checks for ``check_fragment_conservation``).
     workload: str = "uniform"
     n_keys: int = 32
-    zipf_s: float = 1.2
-    shift_every: int = 150
     cross_ratio: float = 0.3
     read_ratio: float = 0.9
     hot_ratio: float = 0.8
     accounts_per_shard: int = 4
     initial_balance: int = 1_000
-
-    #: How clients execute read-only operations: None defers to
-    #: ``oar.read_mode`` ("sequencer" orders reads like writes;
-    #: "optimistic" / "conservative" answer replica-locally).
-    read_mode: Optional[str] = None
-
-    #: Replica execution service model overrides: None defers to
-    #: ``oar.exec_cost`` / ``oar.exec_lanes`` (free inline execution).
-    exec_cost: Optional[float] = None
-    exec_lanes: Optional[int] = None
 
     #: Half-life of the clients' per-key load counters (the rebalance
     #: planner's statistic); None disables decay (all-time totals).
@@ -149,57 +243,30 @@ class ShardedScenarioConfig:
     #: error is surfaced as a terminal adoption.
     max_redirects: int = 100
 
-    latency: Optional[LatencyModel] = None
-    fd_kind: str = "heartbeat"
-    fd_interval: float = 5.0
-    fd_timeout: float = 15.0
-    oar: OARConfig = field(default_factory=OARConfig)
-
-    driver: str = "closed"
-    open_rate: float = 0.2
-    think_time: float = 0.0
-    #: Simulated time at which the drivers begin submitting.  A warm-up
-    #: window lets pre-arranged topology work (scheduled migrations or
-    #: key splits via ``arm``) commit before traffic measures against
-    #: it, instead of queueing stale-routed requests behind the change.
-    driver_start_at: float = 0.0
-    retry_interval: Optional[float] = None
-
-    #: "session" driver knobs (the overload harness, see
-    #: ``repro.workload.openloop``): the arrival process (None = Poisson
-    #: at ``open_rate``), sessions per client, the client-side token
-    #: bucket (``client_rate`` None disables throttling), and the
-    #: warm-up cut for the latency recorder.
-    arrival: Optional[Any] = None
-    n_sessions: int = 64
-    client_rate: Optional[float] = None
-    client_burst: float = 8.0
-    measure_from: float = 0.0
-    #: Admission-control overrides: None defers to the ``oar`` config
-    #: (default: disabled; see ``OARConfig.admission_limit``).
-    admission_limit: Optional[int] = None
-    read_queue_limit: Optional[int] = None
-
-    fault_schedule: Optional[FaultSchedule] = None
-
-    #: Link-fault-plane installer; called with the built
-    #: :class:`~repro.sim.network.SimNetwork` right after construction.
-    faults: Optional[Callable[[SimNetwork], None]] = None
-
-    arm: Optional[Callable[["ShardedRun"], None]] = None
-
     horizon: float = 20_000.0
     max_events: int = 4_000_000
-    grace: float = 50.0
-    trace_messages: bool = False
-    #: "full" keeps the checker-grade protocol trace; "off" disables all
-    #: tracing (zero-waste mode for throughput/soak runs -- ``check_all``
-    #: needs "full").
-    trace_level: str = "full"
 
-    def with_changes(self, **changes: Any) -> "ShardedScenarioConfig":
-        """A copy of this config with some fields replaced."""
-        return replace(self, **changes)
+
+def resolve_oar(config: BaseScenarioConfig) -> OARConfig:
+    """The OAR knobs a scenario's servers and clients are built with.
+
+    ``config.oar`` with every scenario-level override that is set
+    applied; a scenario that sets none gets ``config.oar`` itself, so
+    runs that never touch these knobs build exactly what they always
+    did.
+    """
+    overrides = {
+        name: value
+        for name in (
+            "read_mode",
+            "exec_cost",
+            "exec_lanes",
+            "admission_limit",
+            "read_queue_limit",
+        )
+        if (value := getattr(config, name)) is not None
+    }
+    return replace(config.oar, **overrides) if overrides else config.oar
 
 
 class Host(Protocol):
@@ -213,36 +280,30 @@ class Host(Protocol):
 
 
 @dataclass
-class ShardedRun:
-    """A built (and, after ``execute``, completed) sharded deployment."""
+class BaseRun:
+    """What every built scenario is and answers, whatever it deploys.
 
-    config: ShardedScenarioConfig
+    :class:`~repro.harness.scenario.ScenarioRun` (one replication group)
+    and :class:`ShardedRun` extend it with their own topology and their
+    own ``check_all`` bundle; both expose ``servers``.
+    """
+
+    config: BaseScenarioConfig
     sim: Optional[Simulator]  #: None when a wall-clock backend hosts the run
     network: Host
-    router: ShardRouter  #: the static base placement (epoch 0)
-    routing_table: RoutingTable  #: the authoritative epoched view
-    shard_groups: Tuple[Tuple[str, ...], ...]
-    shards: List[List[OARServer]]  #: servers, indexed by shard
-    clients: List[ShardedOARClient]
+    clients: List[Any]
     drivers: List[Any]
     detectors: Dict[str, FailureDetector]
-    key_universe: Tuple[str, ...]
-    initial_total: Optional[int]  #: bank only: conserved money supply
-    #: Rebalance coordinators attached to this run (see
-    #: :func:`~repro.sharding.rebalance.attach_rebalancer`).
-    rebalancers: List[Any] = field(default_factory=list)
+
+    #: Rebalance coordinators the run waits for; only a sharded run has any.
+    rebalancers = ()
 
     @property
     def trace(self) -> TraceLog:
         return self.network.trace
 
-    @property
-    def servers(self) -> List[OARServer]:
-        """All servers across shards (shard-major order)."""
-        return [server for shard in self.shards for server in shard]
-
-    def correct_servers(self, shard: int) -> List[OARServer]:
-        return [s for s in self.shards[shard] if not s.crashed]
+    def server(self, pid: str) -> Any:
+        return next(s for s in self.servers if s.pid == pid)
 
     def submitted_rids(self) -> List[str]:
         """Logical submissions (cross-shard txids count once)."""
@@ -254,47 +315,147 @@ class ShardedRun:
             merged.update(client.adopted)
         return merged
 
-    def latencies(self) -> List[float]:
-        """Client-perceived logical latencies (whole transactions)."""
-        return [adopted.latency for adopted in self.adopted().values()]
+    # -- trace queries (what the figure-exact scenarios assert on) -----
+
+    def opt_delivered(self, pid: str, epoch: int = 0) -> Tuple[str, ...]:
+        return tuple(
+            event["rid"]
+            for event in self.trace.events(kind="opt_deliver", pid=pid)
+            if event["epoch"] == epoch
+        )
+
+    def a_delivered(self, pid: str, epoch: Optional[int] = None) -> Tuple[str, ...]:
+        return tuple(
+            event["rid"]
+            for event in self.trace.events(kind="a_deliver", pid=pid)
+            if epoch is None or event["epoch"] == epoch
+        )
+
+    def opt_undelivered(self, pid: str) -> Tuple[str, ...]:
+        return tuple(
+            event["rid"]
+            for event in self.trace.events(kind="opt_undeliver", pid=pid)
+        )
+
+    # -- quiescence ----------------------------------------------------
 
     def all_done(self) -> bool:
         """Drivers finished, rebalancers drained, exec lanes drained.
 
-        A *crashed* coordinator never drains; it is excluded so a
-        coordinator-crash scenario still reaches quiescence (its
+        A run is not quiescent while a live server still holds delivered
+        operations in its execution engine (only OAR servers have one):
+        the machine state (and the outstanding replies) would still
+        change.  A *crashed* coordinator never drains; it is excluded so
+        a coordinator-crash scenario still reaches quiescence (its
         stranded migrations are the recovery coordinator's job).
         Likewise crashed replicas never drain their execution lanes
         (crash-stop suppresses their timers) and are excluded.
         """
-        if not all(driver.done for driver in self.drivers):
-            return False
-        if not all(
-            coordinator.done
-            for coordinator in self.rebalancers
-            if not coordinator.client.crashed
-        ):
-            return False
-        return not any(
-            server.exec_backlog for server in self.servers if not server.crashed
+        # Drivers first, returning at the first one still busy: while a
+        # run executes, this is evaluated after every simulator event.
+        for driver in self.drivers:
+            if not driver.done:
+                return False
+        for coordinator in self.rebalancers:
+            if not coordinator.done and not coordinator.client.crashed:
+                return False
+        for server in self.servers:
+            if not server.crashed and getattr(server, "exec_backlog", 0):
+                return False
+        return True
+
+    def execute(self: RunT) -> RunT:
+        """Run to quiescence (+ grace period); returns self for chaining.
+
+        Applies the fault schedule and the ``arm`` hook, runs the
+        simulator until the run is quiescent -- or the horizon passes --
+        and then for the grace period, so replies and settlements in
+        flight land before checking.
+        """
+        config = self.config
+        if config.fault_schedule is not None:
+            config.fault_schedule.apply(self.network, list(self.detectors.values()))
+        if config.arm is not None:
+            config.arm(self)
+        sim = self.sim
+        deadline = config.horizon
+        # Horizon first: one float compare vs a sweep over every driver.
+        sim.run_until(
+            lambda: sim._now >= deadline or self.all_done(),
+            max_events=config.max_events,
         )
+        sim.run(until=sim.now + config.grace, max_events=config.max_events)
+        return self
+
+    # -- checking ------------------------------------------------------
+
+    def _checkable_trace(self) -> TraceLog:
+        """The trace, for a ``check_all``; refuses a run that kept none.
+
+        Every checker reads the trace; handed an empty one, the first to
+        run reports a protocol violation the run never committed.
+        """
+        if not self.trace.enabled:
+            raise ValueError(
+                'check_all() needs the protocol trace: build the run with '
+                'trace_level="full" (this one has trace_level="off")'
+            )
+        return self.trace
+
+    def _check_group(
+        self,
+        servers: Sequence[Any],
+        rids: Sequence[str],
+        make_machine: Callable[[], StateMachine],
+        strict: bool,
+        at_least_once: bool,
+        shard: Optional[int] = None,
+    ) -> None:
+        """The paper's properties over one OAR group.
+
+        ``rids`` are the requests the group was asked to order;
+        replica-local reads observe prefix-closed states of its adopted
+        order, replayed on a fresh ``make_machine()`` (conservative
+        reads must; optimistic staleness is counted, not failed).
+        """
+        checkers.check_single_shard_properties(
+            self.trace, servers, rids, strict=strict, at_least_once=at_least_once
+        )
+        checkers.check_read_consistency(self.trace, servers, make_machine, shard=shard)
+
+
+@dataclass
+class ShardedRun(BaseRun):
+    """A built (and, after ``execute``, completed) sharded deployment."""
+
+    config: ShardedScenarioConfig
+    router: ShardRouter  #: the static base placement (epoch 0)
+    routing_table: RoutingTable  #: the authoritative epoched view
+    shard_groups: Tuple[Tuple[str, ...], ...]
+    shards: List[List[OARServer]]  #: servers, indexed by shard
+    key_universe: Tuple[str, ...]
+    initial_total: Optional[int]  #: bank only: conserved money supply
+    #: Rebalance coordinators attached to this run (see
+    #: :func:`~repro.sharding.rebalance.attach_rebalancer`).
+    rebalancers: List[Any] = field(default_factory=list)
+
+    @property
+    def servers(self) -> List[OARServer]:
+        """All servers across shards (shard-major order)."""
+        return [server for shard in self.shards for server in shard]
+
+    def correct_servers(self, shard: int) -> List[OARServer]:
+        return [s for s in self.shards[shard] if not s.crashed]
+
+    def latencies(self) -> List[float]:
+        """Client-perceived logical latencies (whole transactions)."""
+        return [adopted.latency for adopted in self.adopted().values()]
 
     def routed_to(self, shard: int) -> List[str]:
         """Physical rids (ops and tx branches) routed to one shard."""
         return [
             rid for client in self.clients for rid in client.routed_to(shard)
         ]
-
-    # ------------------------------------------------------------------
-
-    def execute(self) -> "ShardedRun":
-        """Run to quiescence (+ grace period); returns self for chaining."""
-        run_to_quiescence(self, self.servers, self.rebalancers)
-        return self
-
-    # ------------------------------------------------------------------
-    # Checker bundle
-    # ------------------------------------------------------------------
 
     def check_all(self, strict: bool = True, at_least_once: bool = True) -> None:
         """Per-shard paper properties plus cross-shard and migration atomicity.
@@ -304,6 +465,7 @@ class ShardedRun:
         apply to quiescent runs; a run cut off mid-flight is checked for
         safety only.
         """
+        trace = self._checkable_trace()
         quiescent = self.all_done()
         initial_placement = self.router.placement(self.key_universe)
         # Shed requests were routed but deterministically refused (never
@@ -312,58 +474,44 @@ class ShardedRun:
         for client in self.clients:
             shed_rids |= getattr(client, "shed_rids", set())
         for shard, servers in enumerate(self.shards):
-            routed = [
-                rid for rid in self.routed_to(shard) if rid not in shed_rids
-            ]
-            checkers.check_single_shard_properties(
-                self.trace,
+            self._check_group(
                 servers,
-                routed,
-                strict=strict,
-                at_least_once=at_least_once and quiescent,
-            )
-            # Replica-local reads routed to this shard observe
-            # prefix-closed states of its adopted order (conservative
-            # reads must; optimistic staleness is counted, not failed).
-            checkers.check_read_consistency(
-                self.trace,
-                servers,
+                [rid for rid in self.routed_to(shard) if rid not in shed_rids],
                 lambda s=shard: _make_machine(self.config, initial_placement[s]),
-                shard=shard,
+                strict,
+                at_least_once and quiescent,
+                shard,
             )
         checkers.check_cross_shard_atomicity(
-            self.trace,
+            trace,
             self.shards,
             expected_total=self.initial_total,
             quiescent=quiescent,
         )
-        checkers.check_fault_plane_accounting(self.trace, self.network)
+        checkers.check_fault_plane_accounting(trace, self.network)
         checkers.check_admission_accounting(
-            self.trace,
-            [server for servers in self.shards for server in servers],
-            self.clients,
-            self.drivers,
+            trace, self.servers, self.clients, self.drivers
+        )
+        # A coordinator crash strands its migrations without making the
+        # run non-quiescent (all_done excludes crashed coordinators), so
+        # completeness claims only hold once every journal record is
+        # terminal -- recovery coordinators drive the *same* record
+        # objects to terminal, so this settles after a successful
+        # resume.  Until then the migration and split checkers run in
+        # safety-only mode (stranded is incomplete, not non-atomic).
+        settled = quiescent and all(
+            record.terminal
+            for coordinator in self.rebalancers
+            for record in coordinator.journal
         )
         if self.config.machine in MIGRATABLE_MACHINES:
-            # A coordinator crash strands its migrations without making
-            # the run non-quiescent (all_done excludes crashed
-            # coordinators), so completeness claims only hold once every
-            # journal record is terminal -- recovery coordinators drive
-            # the *same* record objects to terminal, so this settles
-            # after a successful resume.  Until then the checker runs in
-            # safety-only mode (stranded is incomplete, not non-atomic).
-            migrations_settled = all(
-                record.terminal
-                for coordinator in self.rebalancers
-                for record in coordinator.journal
-            )
             checkers.check_migration_atomicity(
-                self.trace,
+                trace,
                 self.shards,
                 self.routing_table,
                 self.key_universe,
                 expected_total=self.initial_total,
-                quiescent=quiescent and migrations_settled,
+                quiescent=settled,
             )
         if self.config.machine == "bank":
             # Hot-key splitting: every account that was ever split must
@@ -371,19 +519,14 @@ class ShardedRun:
             # initial placement + net adopted deltas).  A no-op when the
             # run never split anything.
             checkers.check_fragment_conservation(
-                self.trace,
+                trace,
                 self.shards,
                 self.routing_table,
                 initial_values={
                     account: self.config.initial_balance
                     for account in self.key_universe
                 },
-                quiescent=quiescent
-                and all(
-                    record.terminal
-                    for coordinator in self.rebalancers
-                    for record in coordinator.journal
-                ),
+                quiescent=settled,
             )
 
 
@@ -442,9 +585,7 @@ def _make_ops(
     if config.workload == "zipf":
         return zipfian_kv_ops(rng, key_universe, s=config.zipf_s)
     if config.workload == "hotshift":
-        return hot_shift_kv_ops(
-            rng, key_universe, s=config.zipf_s, shift_every=config.shift_every
-        )
+        return hot_shift_kv_ops(rng, key_universe, s=config.zipf_s)
     if config.workload == "readheavy":
         return read_heavy_kv_ops(
             rng, key_universe, s=config.zipf_s, read_ratio=config.read_ratio
@@ -539,7 +680,7 @@ def make_driver(
         )
     if config.driver == "session":
         bucket = (
-            TokenBucket(config.client_rate, burst=config.client_burst)
+            TokenBucket(config.client_rate)
             if config.client_rate is not None
             else None
         )
@@ -560,47 +701,6 @@ def make_driver(
             measure_from=config.measure_from,
         )
     raise ValueError(f"unknown driver kind: {config.driver}")
-
-
-def run_to_quiescence(
-    run: Any, exec_servers: Sequence[Any], rebalancers: Sequence[Any] = ()
-) -> None:
-    """Arm a built sim run and drive it until its drivers are done.
-
-    Applies the fault schedule and the ``arm`` hook, runs the simulator
-    until every driver is done, every live coordinator in
-    ``rebalancers`` has drained and no live server in ``exec_servers``
-    (the ones that have execution lanes) holds a backlog -- or the
-    horizon passes -- and then for the grace period, so replies and
-    settlements in flight land before checking.
-    """
-    config = run.config
-    if config.fault_schedule is not None:
-        config.fault_schedule.apply(run.network, list(run.detectors.values()))
-    if config.arm is not None:
-        config.arm(run)
-    deadline = config.horizon
-    sim = run.sim
-    drivers = run.drivers
-
-    def finished() -> bool:
-        # Horizon first: one float compare vs a sweep over every
-        # driver, and this predicate runs after every event.
-        if sim._now >= deadline:
-            return True
-        for driver in drivers:
-            if not driver.done:
-                return False
-        for coordinator in rebalancers:
-            if not coordinator.done and not coordinator.client.crashed:
-                return False
-        for server in exec_servers:
-            if not server.crashed and server.exec_backlog:
-                return False
-        return True
-
-    sim.run_until(finished, max_events=config.max_events)
-    sim.run(until=sim.now + config.grace, max_events=config.max_events)
 
 
 def place_sharded_scenario(
@@ -627,9 +727,7 @@ def place_sharded_scenario(
     )
 
     detectors: Dict[str, FailureDetector] = {}
-    oar_config = config.oar.with_exec_overrides(
-        config.exec_cost, config.exec_lanes
-    ).with_admission_overrides(config.admission_limit, config.read_queue_limit)
+    oar_config = resolve_oar(config)
     shards: List[List[OARServer]] = []
     for shard, group in enumerate(shard_groups):
         servers: List[OARServer] = []
@@ -642,7 +740,6 @@ def place_sharded_scenario(
         shards.append(servers)
 
     machine_cls = MACHINE_CLASSES[config.machine]
-    read_mode = config.read_mode or config.oar.read_mode
     clients: List[ShardedOARClient] = []
     for index in range(config.n_clients):
         # Each client routes by its own (possibly stale) copy of the
@@ -657,7 +754,7 @@ def place_sharded_scenario(
             route_authority=routing_table,
             redirect_delay=config.redirect_delay,
             max_redirects=config.max_redirects,
-            read_mode=read_mode,
+            read_mode=oar_config.read_mode,
             is_read_only=machine_cls.is_read_only,
             load_half_life=config.load_half_life,
             splitter=(

@@ -6,17 +6,22 @@ what it builds (or in which order) moves a ``TraceLog.digest()``.  The
 pins below were taken at commit 54c1a78 (PR 13), before the builder was
 split into its placement and driver steps, and cover every protocol x
 driver pair of ``ScenarioConfig`` plus four ``ShardedScenarioConfig``
-shapes.  A deliberate protocol change regenerates them with::
+shapes.  The six ``run_figure_*`` pins (digest and trace length, seed 0)
+were taken at commit 00de224 (PR 14), when each figure still hand-built
+its own group, and hold the figures' move onto ``build_scenario`` to
+byte-identical traces.  A deliberate protocol change regenerates them
+with::
 
     PYTHONPATH=src python tests/integration/test_builder_digests.py
 """
 
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Tuple
 
 import pytest
 
 from repro.core.server import OARConfig
 from repro.faults.injection import FaultSchedule
+from repro.harness import figures
 from repro.harness.scenario import ScenarioConfig, run_scenario
 from repro.sharding.cluster import ShardedScenarioConfig, run_sharded_scenario
 
@@ -90,6 +95,17 @@ DIGESTS: Dict[str, str] = {
     "sharded-kv-uniform": "9dea8db7b1bec34a689031415678f69a9ac1686650eb5e01a0d23d81ca366ca4",
 }
 
+FIGURES: Dict[str, Tuple[str, int]] = {
+    "1a": ("1457dc75875a48146b11c10b26ca2a2a6d99a1e8d93cb2f20da8bd7b9f16767b", 18),
+    "1b": ("cf8844cba0d5de2dacae61ecd7cd43b4db42a68dff48e146b6571e5ab0f5d834", 22),
+    "1b_with_oar": (
+        "2401aa0d559420e8d4d81bad8b8addf5b5155c1fefba40b9296b01bdf60dcc2b", 31,
+    ),
+    "2": ("2bf45b1537706f1e16d06516401ef646cff4b60964659e9f54ad7167aecee226", 45),
+    "3": ("950b91c17024b465e68a5680be2988dbc3ec681a24a004a24c521fa0b552997c", 50),
+    "4": ("e39131abc4e0da6c1ac70fe26d8c85c86bb508e9d54a0f1e78b9cbc7411a8f7b", 88),
+}
+
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
 def test_digest_is_pinned(name):
@@ -98,6 +114,15 @@ def test_digest_is_pinned(name):
     assert run.trace.digest() == DIGESTS[name]
 
 
+@pytest.mark.parametrize("name", sorted(FIGURES))
+def test_figure_digest_is_pinned(name):
+    trace = getattr(figures, f"run_figure_{name}")().trace
+    assert (trace.digest(), len(trace)) == FIGURES[name]
+
+
 if __name__ == "__main__":
     for scenario_name in sorted(SCENARIOS):
         print(f'    "{scenario_name}": "{SCENARIOS[scenario_name]().trace.digest()}",')
+    for figure_name in sorted(FIGURES):
+        figure_trace = getattr(figures, f"run_figure_{figure_name}")().trace
+        print(f'    "{figure_name}": ("{figure_trace.digest()}", {len(figure_trace)}),')

@@ -166,6 +166,7 @@ class TestFigure1:
         assert checkers.count_baseline_inconsistencies(
             run.trace, run.correct_servers
         ) == 0
+        run.check_all()
 
     def test_bad_run_exhibits_external_inconsistency(self):
         run = run_figure_1b()
@@ -179,6 +180,8 @@ class TestFigure1:
         assert checkers.count_baseline_inconsistencies(
             run.trace, run.correct_servers
         ) == 1
+        # The anomaly is external: the survivors themselves converge.
+        run.check_all()
 
     def test_oar_on_same_scenario_stays_consistent(self):
         run = run_figure_1b_with_oar()
@@ -190,6 +193,7 @@ class TestFigure1:
         assert checkers.count_baseline_inconsistencies(
             run.trace, run.correct_servers
         ) == 0
+        run.check_all()
 
 
 def run_checks(run, group_size):
@@ -199,3 +203,4 @@ def run_checks(run, group_size):
     checkers.check_total_order(run.correct_servers)
     checkers.check_replica_convergence(run.correct_servers)
     checkers.check_external_consistency(run.trace)
+    run.check_all()

@@ -28,8 +28,9 @@ from repro.runtime.scenario import (
     RuntimeScenarioConfig,
     run_runtime_scenario,
 )
+from repro.harness.scenario import ScenarioConfig
 from repro.runtime.tcp import _FLUSH_BYTES, TcpCluster
-from repro.sharding.cluster import ShardedScenarioConfig
+from repro.sharding.cluster import BaseScenarioConfig, ShardedScenarioConfig
 from repro.sim.process import Process
 
 pytestmark = pytest.mark.integration
@@ -95,6 +96,16 @@ class TestShardedParity:
         )
         assert run.completed
         run.check_all()
+
+    def test_check_all_refuses_a_run_without_a_trace(self):
+        run = run_runtime_scenario(
+            RuntimeScenarioConfig(
+                scenario=_config(trace_level="off"), backend="asyncio"
+            )
+        )
+        assert run.completed
+        with pytest.raises(ValueError, match='trace_level="full"'):
+            run.check_all()
 
     def test_sim_only_features_are_rejected(self):
         with pytest.raises(ValueError, match="sim-only"):
@@ -175,6 +186,39 @@ def test_knob_budget():
         "trace_level",
         "flush_interval",
     ]
+
+    # The sim scenarios' surface: every shared knob is declared once, in
+    # the base; a config adds only what is its own and restates a base
+    # field only where its default differs.
+    base = {field.name for field in fields(BaseScenarioConfig)}
+    assert len(base) == 35
+    assert {field.name for field in fields(ScenarioConfig)} - base == {"protocol"}
+    assert {field.name for field in fields(ShardedScenarioConfig)} - base == {
+        "n_shards",
+        "router",
+        "workload",
+        "cross_ratio",
+        "hot_ratio",
+        "accounts_per_shard",
+        "initial_balance",
+        "load_half_life",
+        "redirect_delay",
+        "max_redirects",
+    }
+    assert base & set(vars(ScenarioConfig).get("__annotations__", {})) == set()
+    restated = base & set(vars(ShardedScenarioConfig)["__annotations__"])
+    assert restated == {
+        "n_clients",
+        "machine",
+        "read_ratio",
+        "n_keys",
+        "horizon",
+        "max_events",
+    }
+    defaults = {field.name: field.default for field in fields(BaseScenarioConfig)}
+    for field in fields(ShardedScenarioConfig):
+        if field.name in restated:
+            assert field.default != defaults[field.name], field.name
 
 
 class _Recorder(Process):

@@ -10,18 +10,19 @@ observable schedule.  Three layers of evidence:
 * repeat-run reproducibility (same seed -> byte-identical digest);
 * a hypothesis property driving random scheduling programs through both
   the real :class:`Simulator` and a minimal pure-heap reference
-  implementing the original global-counter semantics, asserting
-  identical firing order -- this pins the ``schedule`` / ``call_soon`` /
-  ``post`` interleaving contract.
+  implementing the original global-counter semantics (``ReferenceLoop``,
+  shared with the perf gate that times the fast lane against it),
+  asserting identical firing order -- this pins the ``schedule`` /
+  ``call_soon`` / ``post`` interleaving contract.
 """
 
-import heapq
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from benchmarks.perf.harness import ReferenceLoop
 from repro.harness import ScenarioConfig, run_scenario
 from repro.sim.loop import Simulator
 
@@ -65,31 +66,6 @@ class TestGoldenScenario:
         assert other.trace.digest() != GOLDEN_DIGEST
 
 
-# ----------------------------------------------------------------------
-# Reference kernel: the original single-heap, global-counter semantics
-# ----------------------------------------------------------------------
-
-class _ReferenceLoop:
-    """Every event in one heap, ordered by (time, scheduling counter)."""
-
-    def __init__(self):
-        self._queue = []
-        self._counter = itertools.count()
-        self.now = 0.0
-
-    def schedule(self, delay, callback):
-        heapq.heappush(self._queue, (self.now + delay, next(self._counter), callback))
-
-    def call_soon(self, callback):
-        heapq.heappush(self._queue, (self.now, next(self._counter), callback))
-
-    def run(self):
-        while self._queue:
-            when, _seq, callback = heapq.heappop(self._queue)
-            self.now = when
-            callback()
-
-
 #: A program is a tree of events; each node carries the scheduling API
 #: to use and a delay bucket, and fires its children when it executes.
 _api = st.sampled_from(["schedule", "post", "call_soon"])
@@ -127,7 +103,7 @@ def test_interleaving_matches_reference_kernel(programs):
     """Fast lane + handle-free posts fire in exact global schedule order."""
     real_order, ref_order = [], []
     real = Simulator(seed=0)
-    ref = _ReferenceLoop()
+    ref = ReferenceLoop()
     real_ids, ref_ids = itertools.count(), itertools.count()
     for spec in programs:
         _spawn(real, spec, real_order, real_ids, use_real_api=True)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.faults.injection import random_fault_schedule
 from repro.harness.scenario import ScenarioConfig, build_scenario, run_scenario
+from repro.sharding.cluster import ShardedScenarioConfig, run_sharded_scenario
 from repro.sim.component import Component, ComponentProcess
 from repro.sim.latency import (
     ConstantLatency,
@@ -87,6 +88,23 @@ class TestScenarioConfig:
         assert len(run.adopted()) == 3
         assert len(run.latencies()) == 3
         assert len(run.submitted_rids()) == 3
+
+    @pytest.mark.parametrize("protocol", ["oar", "sequencer"])
+    def test_check_all_refuses_a_run_without_a_trace(self, protocol):
+        run = run_scenario(
+            ScenarioConfig(protocol=protocol, requests_per_client=3, trace_level="off")
+        )
+        assert run.all_done()
+        with pytest.raises(ValueError, match='trace_level="full"'):
+            run.check_all()
+
+    def test_sharded_check_all_refuses_a_run_without_a_trace(self):
+        run = run_sharded_scenario(
+            ShardedScenarioConfig(requests_per_client=3, trace_level="off")
+        )
+        assert run.all_done()
+        with pytest.raises(ValueError, match='trace_level="full"'):
+            run.check_all()
 
 
 class TestComponentDispatch:
