@@ -216,16 +216,24 @@ def _oar_scenario(requests_per_client: int) -> ShardedScenarioConfig:
     )
 
 
-def tcp_oar_ops_per_sec(requests_per_client: int) -> float:
+def _tcp_oar(requests_per_client: int) -> RuntimeScenarioConfig:
     """Failure-free OAR over TCP with a 2 ms timed flush window (the
     throughput cells accept the latency trade)."""
-    return _ops_per_sec(
-        RuntimeScenarioConfig(
-            scenario=_oar_scenario(requests_per_client),
-            backend="tcp",
-            tcp_flush_interval=0.002,
-        )
+    return RuntimeScenarioConfig(
+        scenario=_oar_scenario(requests_per_client),
+        backend="tcp",
+        tcp_flush_interval=0.002,
     )
+
+
+def tcp_oar_ops_per_sec(requests_per_client: int) -> float:
+    return _ops_per_sec(_tcp_oar(requests_per_client))
+
+
+def tcp_oar_transport_stats(requests_per_client: int) -> Dict[str, int]:
+    """``TcpCluster.stats()`` of one run of the same cell: how well the
+    transport batched (not a rate, so not part of the committed section)."""
+    return run_runtime_scenario(_tcp_oar(requests_per_client)).transport_stats()
 
 
 def tcp_sharded_ops_per_sec(requests_per_client: int) -> float:
@@ -322,3 +330,14 @@ def format_wallclock(section: Dict[str, Any]) -> str:
     lines.append("")
     lines.append(f"  codec binary/pickle: {ratios['codec_binary_vs_pickle']:.2f}x")
     return "\n".join(lines)
+
+
+def format_transport(stats: Dict[str, int]) -> str:
+    """Send- and receive-side batching of one TCP run, from its ``stats()``."""
+    return (
+        f"  tcp_oar transport: {stats['frames_sent']:,} frames, "
+        f"{stats['frames_sent'] / stats['flushes']:.2f} per flush "
+        f"({stats['flushes']:,} flushes), "
+        f"{stats['frames_received'] / stats['wakeups']:.2f} per wakeup "
+        f"({stats['wakeups']:,} wakeups)"
+    )

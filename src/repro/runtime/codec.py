@@ -42,9 +42,12 @@ run whose every payload crosses the codec is digest-identical to one
 that passes objects by reference (see
 ``tests/property/test_codec_props.py``).
 
-Caveats, shared with pickle but worth stating: marshal bytes are not
-guaranteed stable across Python *versions*, so a cluster must run one
-interpreter version (true of every supported deployment here), and
+Caveats, shared with pickle but worth stating: marshal promises no
+byte stability across Python *versions*.  Pinning the format
+(``_MARSHAL_VERSION``) is what makes the wire classes decode equal and
+re-encode byte-identical on every interpreter of the CI matrix
+(``tests/unit/test_wire_fixture.py`` holds the committed frames);
+anything riding the pickle escape hatch has no such pin.  And
 ``decode`` is only safe on frames from trusted peers (the runtime is a
 closed benchmarking backend, not an open network service).
 """

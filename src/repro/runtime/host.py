@@ -11,22 +11,34 @@ from __future__ import annotations
 import asyncio
 import random
 import time
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.process import Process, ProcessEnv
 from repro.sim.trace import TraceLog
 
 
 class AsyncioTimerHandle:
-    """Duck-type of :class:`repro.sim.loop.TimerHandle` over asyncio."""
+    """Duck-type of :class:`repro.sim.loop.TimerHandle` over asyncio.
 
-    __slots__ = ("_handle", "cancelled", "fired", "deadline")
+    The handle is itself the ``call_later`` callback: firing marks it and
+    hands the callback to the cluster as one turn of its process.
+    """
 
-    def __init__(self, handle: asyncio.TimerHandle, deadline: float) -> None:
-        self._handle = handle
+    __slots__ = ("_env", "_callback", "_handle", "cancelled", "fired", "deadline")
+
+    def __init__(self, env: "AsyncioEnv", delay: float, callback: Callable[[], None]) -> None:
+        self._env = env
+        self._callback = callback
         self.cancelled = False
         self.fired = False
-        self.deadline = deadline
+        loop = env._cluster.loop
+        self.deadline = loop.time() + delay
+        self._handle: Optional[asyncio.TimerHandle] = loop.call_later(delay, self)
+
+    def __call__(self) -> None:
+        self.fired = True
+        self._handle = None  # it points back here: do not leave a cycle
+        self._env._fire(self._callback)
 
     def cancel(self) -> None:
         if not self.fired:
@@ -38,13 +50,20 @@ class AsyncioTimerHandle:
         return not self.cancelled and not self.fired
 
 
-class AsyncioEnv(ProcessEnv):
-    """ProcessEnv implementation backed by an :class:`AsyncioCluster`."""
+def _no_trace(kind: str, **fields: Any) -> None:
+    """``env.trace`` of a cluster whose log is off."""
 
-    def __init__(self, cluster: "AsyncioCluster", pid: str, seed: int) -> None:
+
+class AsyncioEnv(ProcessEnv):
+    """ProcessEnv implementation backed by a :class:`RuntimeCluster`."""
+
+    def __init__(self, cluster: "RuntimeCluster", pid: str, seed: int) -> None:
         self._cluster = cluster
         self._pid = pid
         self._rng = random.Random(f"{seed}/{pid}")
+        if not cluster.trace.enabled:
+            # Dropped at the door: no kwargs packed, no clock read.
+            self.trace = _no_trace  # type: ignore[method-assign]
 
     @property
     def pid(self) -> str:
@@ -65,30 +84,17 @@ class AsyncioEnv(ProcessEnv):
     def send(self, dst: str, payload: Any) -> None:
         self._cluster.route(self._pid, dst, payload)
 
+    def _fire(self, callback: Callable[[], None]) -> None:
+        """A timer of this process came due (crash-stop: never after a crash)."""
+        if not self._cluster.is_crashed(self._pid):
+            self._cluster.turn(callback)
+
     def set_timer(self, delay: float, callback: Callable[[], None]) -> AsyncioTimerHandle:
-        loop = self._cluster.loop
-        deadline = loop.time() + delay
-        handle_box: List[AsyncioTimerHandle] = []
-
-        def fire() -> None:
-            if handle_box:
-                handle_box[0].fired = True
-            if not self._cluster.is_crashed(self._pid):
-                callback()
-
-        timer = loop.call_later(delay, fire)
-        wrapped = AsyncioTimerHandle(timer, deadline)
-        handle_box.append(wrapped)
-        return wrapped
+        return AsyncioTimerHandle(self, delay, callback)
 
     def post(self, delay: float, callback: Callable[[], None]) -> None:
-        """Handle-free timer: no AsyncioTimerHandle wrapper is allocated."""
-
-        def fire() -> None:
-            if not self._cluster.is_crashed(self._pid):
-                callback()
-
-        self._cluster.loop.call_later(delay, fire)
+        """Handle-free timer: no AsyncioTimerHandle is allocated."""
+        self._cluster.loop.call_later(delay, self._fire, callback)
 
     def trace(self, kind: str, **fields: Any) -> None:
         self._cluster.trace.record(self._cluster.now, self._pid, kind, **fields)
@@ -101,6 +107,9 @@ class RuntimeCluster:
     env and begin delivering) and ``shutdown``.
     """
 
+    #: The event loop everything runs on, bound by :meth:`start`.
+    loop: asyncio.AbstractEventLoop
+
     def __init__(self, seed: int = 0, trace_level: str = "full") -> None:
         self.seed = seed
         self.trace = TraceLog(level=trace_level)
@@ -109,10 +118,6 @@ class RuntimeCluster:
         self._started = False
         self._epoch = time.monotonic()
         self._stats: Dict[str, int] = {}
-
-    @property
-    def loop(self) -> asyncio.AbstractEventLoop:
-        return asyncio.get_event_loop()
 
     @property
     def now(self) -> float:
@@ -145,6 +150,18 @@ class RuntimeCluster:
     def stats(self) -> Dict[str, int]:
         """Transport counters (empty for a transport that keeps none)."""
         return dict(self._stats)
+
+    async def start(self) -> None:
+        """Bind the running loop and restart the clock; subclasses go on
+        to hand every process its env."""
+        self._started = True
+        self._epoch = time.monotonic()
+        self.loop = asyncio.get_running_loop()
+
+    def turn(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` as one turn: a timer or driver step that may
+        send.  A transport that batches sends per turn overrides this."""
+        callback()
 
     async def run_until(
         self,
@@ -190,20 +207,19 @@ class AsyncioCluster(RuntimeCluster):
         if self.link_delay > 0:
             # Constant delay keeps per-channel FIFO (asyncio call_later
             # with equal delays fires in scheduling order).
-            asyncio.get_event_loop().call_later(
+            self.loop.call_later(
                 self.link_delay, self._inboxes[dst].put_nowait, (src, payload)
             )
         else:
             self._inboxes[dst].put_nowait((src, payload))
 
     async def start(self) -> None:
-        self._started = True
-        self._epoch = time.monotonic()
+        await super().start()
         self._inboxes = {pid: asyncio.Queue() for pid in self._processes}
         for pid, process in self._processes.items():
             process.start(AsyncioEnv(self, pid, self.seed))
         for pid in self._processes:
-            self._pumps.append(asyncio.ensure_future(self._pump(pid)))
+            self._pumps.append(self.loop.create_task(self._pump(pid)))
 
     async def _pump(self, pid: str) -> None:
         inbox = self._inboxes[pid]

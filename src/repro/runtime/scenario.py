@@ -70,25 +70,28 @@ class _WallClock:
 
     Delays arrive in simulated time units and are scaled to wall-clock
     seconds; ``schedule_at`` is relative to this clock's construction
-    (the drivers' time zero).
+    (the drivers' time zero).  Every callback runs as one
+    :meth:`~repro.runtime.host.RuntimeCluster.turn` of the cluster, so
+    what a driver step sends is flushed when the step returns.
     """
 
-    __slots__ = ("_loop", "_scale", "_epoch")
+    __slots__ = ("_loop", "_turn", "_scale", "_epoch")
 
-    def __init__(self, loop: asyncio.AbstractEventLoop, scale: float) -> None:
-        self._loop = loop
+    def __init__(self, cluster: RuntimeCluster, scale: float) -> None:
+        self._loop = cluster.loop
+        self._turn = cluster.turn
         self._scale = scale
-        self._epoch = loop.time()
+        self._epoch = self._loop.time()
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
         delay = self._epoch + when * self._scale - self._loop.time()
-        self._loop.call_later(max(0.0, delay), callback)
+        self._loop.call_later(max(0.0, delay), self._turn, callback)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        self._loop.call_later(delay * self._scale, callback)
+        self._loop.call_later(delay * self._scale, self._turn, callback)
 
     def call_soon(self, callback: Callable[[], None]) -> None:
-        self._loop.call_soon(callback)
+        self._loop.call_soon(self._turn, callback)
 
 
 @dataclass(frozen=True)
@@ -249,7 +252,7 @@ async def execute_runtime_scenario(
         # benchmark's due-time open loop) drives the run with its own.
         start_drivers(
             view,
-            _WallClock(cluster.loop, config.time_scale),
+            _WallClock(cluster, config.time_scale),
             lambda name: random.Random(f"{seed}/{name}"),
             ClosedLoopDriver,
             OpenLoopDriver,

@@ -7,93 +7,136 @@ FIFO channel property of the paper's model.  This transport exists
 solely for loopback benchmarking of our own processes -- it is not a
 trust boundary.
 
-Two throughput mechanisms keep syscall count from scaling with op
-count:
+It is written on :class:`asyncio.Protocol`, not on streams: an
+established connection owns no task, future or reader, so a hop costs
+the loop callbacks its handlers need and nothing more.  The walk-through
+is in ``docs/ARCHITECTURE.md`` ("The TCP transport"); in short:
 
-* **Write coalescing** -- sends append to a per-connection buffer and
-  the buffer flushes either at the end of the current event-loop turn
-  (``loop.call_soon``) or as soon as it holds ``_FLUSH_BYTES``.  All
-  frames a process emits while handling one delivery or timer (a
-  request fan-out, a reply batch, a sequencer drain) therefore share
-  one ``writer.write``.  ``flush_interval`` widens the window across
-  turns: instead of flushing at the turn boundary, a dirty connection
-  flushes at most once per interval (``loop.call_later``), trading up
-  to that much latency per hop for several-fold fewer syscalls at
-  saturation -- the same trade the sequencer's ``OrderBatch`` makes,
-  applied at the transport.  Throughput cells opt in; the default
-  (``None``) keeps the latency-preserving turn-boundary flush.
-* **Encode-once fan-out** -- relay-on-first-receipt and R-multicast
-  send *the same payload object* to every group member back to back,
-  so a one-entry identity cache on the encoder turns an n-destination
-  broadcast into one encode plus n buffer appends.
-
-The receive side is symmetric: each accepted connection parses frames
-out of bulk socket reads and dispatches them *directly* to the process
--- no inbox queue, no pump task -- so one coalesced chunk from a peer
-costs one event-loop wakeup (see ``_make_connection_handler``).
-
-A peer that died mid-connection is handled in the writer path: a send
-that finds its cached :class:`~asyncio.StreamWriter` closed (or takes
-``ConnectionResetError``/``BrokenPipeError`` on write) drops the
-writer, reconnects once, and re-sends the buffered frames; a second
-consecutive failure treats the destination as crashed and drops the
-frames (crash-stop peers never come back under the same pid).  Every
-reconnection is counted in :meth:`TcpCluster.stats`.
+* **Receive** -- the accepted side (:class:`_Inbound`) parses frames
+  straight out of the chunk ``data_received`` is handed and calls
+  ``process.on_message`` synchronously.  asyncio runs one callback at a
+  time, so handlers stay mutually exclusive and channels FIFO.
+* **Send** -- ``send_frame`` buffers per connection and puts the
+  connection on one cluster-wide dirty list, drained by one pass
+  (:meth:`TcpCluster._flush_pass`).  By default the pass runs at the end
+  of the callback that produced the sends (a ``data_received``, a timer
+  or driver step: a *turn*); only sends made outside a turn fall back
+  to ``loop.call_soon``.  ``flush_interval`` instead writes a connection
+  that long after its first buffered frame, one timer serving them all:
+  latency per hop traded for fewer syscalls at saturation.  A multicast
+  sends one payload object back to back, so a one-entry identity cache
+  makes it one encode plus n appends.
+* **Backpressure** -- the connecting side (:class:`_Conn`) is its
+  transport's protocol: while paused, frames wait in ``conn.buf``.
+* **Dead peers** -- a flush that finds its transport closing reconnects
+  once and re-sends; a second consecutive failure drops the frames
+  (crash-stop peers never return under the same pid).  ``crash(pid)``
+  closes the pid's listener and transports, and frames *for* a crashed
+  pid are dropped in ``send_frame``, before any encode or connect.
 """
 
 from __future__ import annotations
 
 import asyncio
 import struct
-import time
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.runtime.codec import BinaryCodec
 from repro.runtime.host import AsyncioEnv, RuntimeCluster
 
 _HEADER = struct.Struct(">I")
+_HEADER_SIZE = _HEADER.size
+_unpack_from = _HEADER.unpack_from
+_NEVER = float("inf")
 
 #: flush as soon as a connection buffer holds this many bytes, rather
-#: than waiting for the turn boundary (bounds memory under bursts).
+#: than waiting for the flush pass (bounds memory under bursts).
 _FLUSH_BYTES = 64 * 1024
-#: ask the event loop to drain a transport once its kernel-side write
-#: buffer backlog passes this (backpressure guard, rarely hit on
-#: loopback).
-_DRAIN_THRESHOLD = 1 << 20
+#: bound on ``shutdown`` letting the accepted sides read on to their EOF
+_LINGER = 1.0
 
 
-class _TcpEnv(AsyncioEnv):
-    """AsyncioEnv whose sends go through the TCP cluster."""
+class _Conn(asyncio.Protocol):
+    """Connecting side of a (src, dst) channel: send buffer and pause switch."""
 
-    def __init__(self, cluster: "TcpCluster", pid: str, seed: int) -> None:
-        super().__init__(cluster, pid, seed)  # type: ignore[arg-type]
-        self._tcp = cluster
+    __slots__ = ("cluster", "key", "buf", "size", "dirty", "due", "writer",
+                 "connecting", "paused", "failures")
 
-    def send(self, dst: str, payload: Any) -> None:
-        self._tcp.send_frame(self.pid, dst, payload)
-
-
-class _Conn:
-    """Per-(src, dst) connection state: send buffer plus stream writer."""
-
-    __slots__ = (
-        "buf",
-        "size",
-        "scheduled",
-        "writer",
-        "connecting",
-        "draining",
-        "failures",
-    )
-
-    def __init__(self) -> None:
+    def __init__(self, cluster: "TcpCluster", key: Tuple[str, str]) -> None:
+        self.cluster = cluster
+        self.key = key
         self.buf: List[bytes] = []
         self.size = 0
-        self.scheduled = False
-        self.writer: Optional[asyncio.StreamWriter] = None
+        self.dirty = False  #: on the cluster's dirty list
+        self.due = 0.0  #: under ``flush_interval``: when its window runs out
+        self.writer: Optional[asyncio.WriteTransport] = None
         self.connecting = False
-        self.draining = False
+        self.paused = False
         self.failures = 0
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.writer = transport  # type: ignore[assignment]
+        self.paused = False
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        if self.buf:
+            self.cluster._flush(self)
+
+
+class _Inbound(asyncio.Protocol):
+    """Accepted side of a connection: each chunk is one turn of its process."""
+
+    __slots__ = ("cluster", "pid", "process", "transport", "tail")
+
+    def __init__(self, cluster: "TcpCluster", pid: str) -> None:
+        self.cluster = cluster
+        self.pid = pid
+        self.process = cluster._processes[pid]
+        self.transport: Optional[asyncio.BaseTransport] = None
+        self.tail = b""  #: the start of a frame the last chunk split
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        self.cluster._inbound.add(self)
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.cluster._inbound.discard(self)
+
+    def data_received(self, data: bytes) -> None:
+        cluster = self.cluster
+        if self.tail:
+            data = self.tail + data
+            self.tail = b""
+        view = memoryview(data)
+        end = len(data)
+        decode_frame = cluster._decode_frame
+        crashed = cluster._crashed
+        pid = self.pid
+        on_message = self.process.on_message
+        pos = frames = 0
+        cluster._in_turn = True
+        try:
+            while end - pos >= _HEADER_SIZE:
+                frame_end = pos + _HEADER_SIZE + _unpack_from(data, pos)[0]
+                if frame_end > end:
+                    break
+                src, payload = decode_frame(view[pos + _HEADER_SIZE : frame_end])
+                pos = frame_end
+                frames += 1
+                if pid not in crashed:
+                    on_message(src, payload)
+        finally:
+            stats = cluster._stats
+            stats["wakeups"] += 1
+            stats["frames_received"] += frames
+            if pos < end:
+                self.tail = data[pos:]
+            cluster._end_turn()
 
 
 class TcpCluster(RuntimeCluster):
@@ -101,37 +144,35 @@ class TcpCluster(RuntimeCluster):
 
     Used like :class:`~repro.runtime.host.AsyncioCluster`:
     ``add_process`` everything, ``await start()``, drive the scenario,
-    ``await shutdown()``.
-
-    ``trace_level`` is forwarded to the
-    :class:`~repro.sim.trace.TraceLog` (benchmarks run ``"off"`` -- at
-    six-digit message rates full tracing is the bottleneck, the same
-    hot-path hazard the simulator solved in its perf overhaul);
+    ``await shutdown()``.  ``trace_level`` is forwarded to the
+    :class:`~repro.sim.trace.TraceLog` (benchmarks run ``"off"``: at
+    six-digit message rates full tracing is the bottleneck);
     ``flush_interval`` widens the coalescing window across event-loop
     turns (see the module docstring).
     """
 
     def __init__(
-        self,
-        seed: int = 0,
-        trace_level: str = "full",
-        flush_interval: Optional[float] = None,
+        self, seed: int = 0, trace_level: str = "full", flush_interval: Optional[float] = None
     ) -> None:
         super().__init__(seed, trace_level)
         self.flush_interval = flush_interval
         self._servers: Dict[str, asyncio.AbstractServer] = {}
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._conns: Dict[Tuple[str, str], _Conn] = {}
-        self._tasks: List[asyncio.Task] = []
-        self._stats = {
-            "frames_sent": 0,
-            "frames_received": 0,
-            "bytes_sent": 0,
-            "flushes": 0,
-            "reconnects": 0,
-            "dropped_frames": 0,
-            "encode_cache_hits": 0,
-        }
+        self._inbound: Set[_Inbound] = set()
+        self._connects: Set[asyncio.Task] = set()  #: the only tasks there are
+        self._dirty: List[_Conn] = []
+        self._in_turn = False  #: the running callback ends with a flush pass
+        self._scheduled = False  #: a flush pass is on the loop
+        self._stats = dict.fromkeys(  # "wakeups" are data_received calls
+            ("frames_sent", "frames_received", "bytes_sent", "flushes", "reconnects",
+             "dropped_frames", "encode_cache_hits", "wakeups"),
+            0,
+        )
+        # Looked up per cluster, not at import: the repo benchmark's
+        # traced run wraps both on the class before it builds a cluster.
+        self._encode_frame = BinaryCodec.encode_frame
+        self._decode_frame = BinaryCodec.decode_frame
         # one-entry identity cache for encode-once fan-out (holds a real
         # reference so a recycled id() can never alias a new object)
         self._enc_src: Optional[str] = None
@@ -143,85 +184,38 @@ class TcpCluster(RuntimeCluster):
         server = self._servers.pop(pid, None)
         if server is not None:
             server.close()
+        for inbound in list(self._inbound):
+            if inbound.pid == pid:
+                inbound.transport.close()
+        for conn in self._conns.values():
+            if conn.key[0] == pid:
+                self._close(conn)
 
     async def start(self) -> None:
-        self._started = True
-        self._epoch = time.monotonic()
+        await super().start()
         for pid in self._processes:
-            server = await asyncio.start_server(
-                self._make_connection_handler(pid), host="127.0.0.1", port=0
-            )
+            server = await self.loop.create_server(partial(_Inbound, self, pid), "127.0.0.1", 0)
             self._servers[pid] = server
-            address = server.sockets[0].getsockname()
-            self._addresses[pid] = (address[0], address[1])
+            self._addresses[pid] = server.sockets[0].getsockname()[:2]
         for pid, process in self._processes.items():
-            process.start(_TcpEnv(self, pid, self.seed))
-
-    def _make_connection_handler(self, pid: str):
-        decode_frame = BinaryCodec.decode_frame
-        header_size = _HEADER.size
-        unpack_from = _HEADER.unpack_from
-
-        async def handle(
-            reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-        ) -> None:
-            # Frames are parsed from bulk reads and dispatched *directly*
-            # to the process -- no inbox queue, no pump task.  The
-            # receiving side of write coalescing: one coalesced chunk
-            # from a peer is one ``read`` wakeup and one synchronous
-            # dispatch loop, so per-frame event-loop overhead (queue
-            # put + pump wakeup + context switch) disappears.  Mutual
-            # exclusion still holds: asyncio never runs two callbacks
-            # concurrently and ``on_message`` contains no await, so
-            # deliveries remain one at a time per process, in
-            # per-channel FIFO order (TCP + in-order parse).
-            process = self._processes[pid]
-            crashed = self._crashed
-            stats = self._stats
-            buf = bytearray()
-            try:
-                while True:
-                    chunk = await reader.read(65536)
-                    if not chunk:
-                        break
-                    buf += chunk
-                    pos = 0
-                    end = len(buf)
-                    while end - pos >= header_size:
-                        (length,) = unpack_from(buf, pos)
-                        frame_end = pos + header_size + length
-                        if frame_end > end:
-                            break
-                        src, payload = decode_frame(
-                            buf[pos + header_size : frame_end]
-                        )
-                        pos = frame_end
-                        stats["frames_received"] += 1
-                        if pid not in crashed:
-                            process.on_message(src, payload)
-                    if pos:
-                        del buf[:pos]
-            except (ConnectionResetError, asyncio.CancelledError):
-                # Normal teardown paths: peer closed, or cluster shutdown
-                # cancelled us mid-read.  Returning (rather than
-                # re-raising CancelledError) keeps the streams machinery
-                # from logging spurious tracebacks at shutdown.
-                pass
-            finally:
-                writer.close()
-
-        return handle
-
-    # -- send path ------------------------------------------------------
+            env = AsyncioEnv(self, pid, self.seed)
+            # one call per frame: ``send_frame`` with the pid bound
+            env.send = partial(self.send_frame, pid)  # type: ignore[method-assign]
+            process.start(env)
 
     def send_frame(self, src: str, dst: str, payload: Any) -> None:
-        if src in self._crashed or dst not in self._addresses:
+        crashed = self._crashed
+        if src in crashed or dst not in self._addresses:
+            return
+        stats = self._stats
+        if dst in crashed:
+            stats["dropped_frames"] += 1
             return
         if payload is self._enc_obj and src == self._enc_src:
             frame = self._enc_frame
-            self._stats["encode_cache_hits"] += 1
+            stats["encode_cache_hits"] += 1
         else:
-            body = BinaryCodec.encode_frame(src, payload)
+            body = self._encode_frame(src, payload)
             frame = _HEADER.pack(len(body)) + body
             self._enc_src = src
             self._enc_obj = payload
@@ -229,126 +223,132 @@ class TcpCluster(RuntimeCluster):
         key = (src, dst)
         conn = self._conns.get(key)
         if conn is None:
-            conn = self._conns[key] = _Conn()
+            conn = self._conns[key] = _Conn(self, key)
         conn.buf.append(frame)
         conn.size += len(frame)
-        self._stats["frames_sent"] += 1
+        stats["frames_sent"] += 1
+        if not conn.dirty:
+            conn.dirty = True
+            self._dirty.append(conn)
+            if self.flush_interval is not None:
+                conn.due = self.loop.time() + self.flush_interval
+                if not self._scheduled:
+                    self._scheduled = True
+                    self.loop.call_at(conn.due, self._flush_pass)
+            elif not self._in_turn and not self._scheduled:
+                self._scheduled = True
+                self.loop.call_soon(self._flush_pass)
         if conn.size >= _FLUSH_BYTES:
-            self._flush(key, conn)
-        elif not conn.scheduled:
-            conn.scheduled = True
-            if self.flush_interval is None:
-                self.loop.call_soon(self._flush, key, conn)
-            else:
-                self.loop.call_later(self.flush_interval, self._flush, key, conn)
+            self._flush(conn)
 
-    def _flush(self, key: Tuple[str, str], conn: _Conn) -> None:
-        conn.scheduled = False
-        if not conn.buf:
-            return
-        writer = conn.writer
-        if writer is None or writer.is_closing():
-            if writer is not None:
-                self._writer_failed(key, conn)
-                return
-            self._ensure_connect(key, conn)
-            return
-        data = b"".join(conn.buf)
-        conn.buf.clear()
-        conn.size = 0
+    def turn(self, callback: Callable[[], None]) -> None:
+        self._in_turn = True
         try:
-            writer.write(data)
-        except (ConnectionResetError, BrokenPipeError):
-            conn.buf.append(data)
-            conn.size = len(data)
-            self._writer_failed(key, conn)
-            return
-        conn.failures = 0
-        self._stats["flushes"] += 1
-        self._stats["bytes_sent"] += len(data)
-        transport = writer.transport
-        if (
-            transport is not None
-            and transport.get_write_buffer_size() > _DRAIN_THRESHOLD
-            and not conn.draining
-        ):
-            conn.draining = True
-            self._track(asyncio.ensure_future(self._drain(key, conn)))
+            callback()
+        finally:
+            self._end_turn()
 
-    def _writer_failed(self, key: Tuple[str, str], conn: _Conn) -> None:
-        """A cached writer turned out dead: reconnect once, then give up."""
-        conn.writer = None
-        conn.failures += 1
-        if conn.failures > 1 or key[1] in self._crashed:
-            # Second consecutive failure: crash-stop peers never come
-            # back under the same pid, so drop rather than retry-loop.
-            self._stats["dropped_frames"] += len(conn.buf)
-            conn.buf.clear()
+    def _end_turn(self) -> None:
+        self._in_turn = False
+        if self._dirty and not self._scheduled:
+            self._flush_pass()
+
+    def _flush_pass(self) -> None:
+        """The one place buffered sends reach the sockets (besides the
+        ``_FLUSH_BYTES`` trigger).  At a turn boundary every dirty
+        connection is written; under ``flush_interval`` those whose
+        window has run out -- the head's has, the timer was set for it
+        -- and the timer is set again for the next."""
+        now = _NEVER if self.flush_interval is None else self.loop.time()
+        dirty = self._dirty
+        count = 0
+        for conn in dirty:
+            if conn.due > now and count:
+                break
+            count += 1
+            conn.dirty = False
+            if conn.buf:
+                self._flush(conn)
+        del dirty[:count]
+        self._scheduled = bool(dirty)
+        if dirty:
+            self.loop.call_at(dirty[0].due, self._flush_pass)
+
+    def _flush(self, conn: _Conn) -> None:
+        writer = conn.writer
+        if writer is None:
+            self._ensure_connect(conn)
+        elif writer.is_closing():
+            self._writer_failed(conn)
+        elif not conn.paused:
+            buf = conn.buf
+            writer.write(buf[0] if len(buf) == 1 else b"".join(buf))
+            buf.clear()
+            stats = self._stats
+            stats["flushes"] += 1
+            stats["bytes_sent"] += conn.size
             conn.size = 0
             conn.failures = 0
-            return
-        self._stats["reconnects"] += 1
-        self._ensure_connect(key, conn)
 
-    def _track(self, task: asyncio.Task) -> None:
-        self._tasks.append(task)
-        if len(self._tasks) > 64:
-            self._tasks = [t for t in self._tasks if not t.done()]
+    def _close(self, conn: _Conn) -> None:
+        """Write what is buffered, then close (a transport drains first)."""
+        if conn.writer is not None:
+            if conn.buf:
+                self._flush(conn)
+            conn.writer.close()
 
-    def _ensure_connect(self, key: Tuple[str, str], conn: _Conn) -> None:
+    def _drop(self, conn: _Conn) -> None:
+        self._stats["dropped_frames"] += len(conn.buf)
+        conn.buf.clear()
+        conn.size = 0
+        conn.failures = 0
+
+    def _writer_failed(self, conn: _Conn) -> None:
+        """A cached transport turned out dead: reconnect once, then give up."""
+        conn.writer = None
+        conn.failures += 1
+        if conn.failures > 1 or conn.key[1] in self._crashed:
+            # Second consecutive failure: crash-stop peers never come
+            # back under the same pid, so drop rather than retry-loop.
+            self._drop(conn)
+        else:
+            self._stats["reconnects"] += 1
+            self._ensure_connect(conn)
+
+    def _ensure_connect(self, conn: _Conn) -> None:
         if not conn.connecting:
             conn.connecting = True
-            self._track(asyncio.ensure_future(self._connect(key, conn)))
+            task = self.loop.create_task(self._connect(conn))
+            self._connects.add(task)
+            task.add_done_callback(self._connects.discard)
 
-    async def _connect(self, key: Tuple[str, str], conn: _Conn) -> None:
-        dst = key[1]
+    async def _connect(self, conn: _Conn) -> None:
         try:
-            host, port = self._addresses[dst]
-            _reader, writer = await asyncio.open_connection(host, port)
-        except (OSError, KeyError):
-            # Destination crashed between check and connect.
-            conn.connecting = False
-            self._stats["dropped_frames"] += len(conn.buf)
-            conn.buf.clear()
-            conn.size = 0
-            return
-        conn.writer = writer
-        conn.connecting = False
-        if conn.buf:
-            self._flush(key, conn)
-
-    async def _drain(self, key: Tuple[str, str], conn: _Conn) -> None:
-        writer = conn.writer
-        try:
-            if writer is not None:
-                await writer.drain()
-        except (ConnectionResetError, BrokenPipeError):
-            if conn.writer is writer:
-                conn.writer = None
+            await self.loop.create_connection(lambda: conn, *self._addresses[conn.key[1]])
+        except OSError:  # destination crashed between check and connect
+            self._drop(conn)
         finally:
-            conn.draining = False
-
-    # ------------------------------------------------------------------
+            conn.connecting = False
+        if conn.buf:
+            self._flush(conn)
 
     async def shutdown(self) -> None:
-        # Flush any frames still sitting in coalescing buffers so that
-        # a scenario's final replies are not lost to teardown.
-        for key, conn in list(self._conns.items()):
-            if conn.buf and conn.writer is not None:
-                self._flush(key, conn)
-        for task in self._tasks:
-            task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks.clear()
+        # Frames buffered in the last turn are not lost to teardown:
+        # they are written, a closed transport drains before its FIN,
+        # and the accepted sides get to read up to that EOF.
         for conn in self._conns.values():
-            if conn.writer is not None:
-                conn.writer.close()
+            self._close(conn)
         self._conns.clear()
+        self._addresses.clear()  # a late send has no destination
+        connects = list(self._connects)
+        for task in connects:
+            task.cancel()
+        await asyncio.gather(*connects, return_exceptions=True)
         for server in self._servers.values():
             server.close()
-        for server in list(self._servers.values()):
-            try:
-                await server.wait_closed()
-            except Exception:
-                pass
+        await self.run_until(lambda: not self._inbound, timeout=_LINGER, poll=0.001)
+        for inbound in list(self._inbound):
+            inbound.transport.abort()
+        for server in self._servers.values():
+            await server.wait_closed()
         self._servers.clear()

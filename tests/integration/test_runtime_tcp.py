@@ -10,8 +10,11 @@ runtime scenario builder wraps a genuine
 weakened parity mode.
 
 The transport-level tests pin the throughput mechanisms directly:
-write coalescing (flushes < frames), encode-once fan-out, dead-peer
-reconnect accounting, and the trace-level hot-path gate.
+write coalescing (one flush per connection and turn), encode-once
+fan-out, dead-peer reconnect and crash accounting, the task-free
+steady state, teardown that loses no frame, and the trace-level
+hot-path gate.  Framing and the turn discipline are pinned without
+sockets in ``tests/unit/test_tcp_framing.py``.
 """
 
 import asyncio
@@ -254,8 +257,10 @@ class TestTransport:
         stats = asyncio.run(scenario())
         assert stats["frames_sent"] == 60
         # All frames to one destination were emitted in one turn: they
-        # share a single flush per connection, not one write per frame.
-        assert stats["flushes"] < stats["frames_sent"]
+        # share a single flush per connection, not one write per frame
+        # -- and a single wakeup on the other side.
+        assert stats["flushes"] == 3
+        assert stats["wakeups"] == 3
         # The identity cache only re-encodes when the object changes:
         # the same payload object across the whole synchronous burst is
         # one encode, every other send is a hit.
@@ -300,12 +305,122 @@ class TestTransport:
             a.env.send("b", "into the void")
             await asyncio.sleep(0.05)
             stats = cluster.stats()
+            attempts = list(cluster._conns)
             await cluster.shutdown()
-            return stats, b.received
+            return stats, attempts, b.received
 
-        stats, received = asyncio.run(scenario())
+        stats, attempts, received = asyncio.run(scenario())
         assert received == []
-        assert stats["dropped_frames"] >= 0  # no exception escaped is the point
+        # Dropped at the door: counted, never encoded, and no connection
+        # (so no connect attempt) was ever made for it.
+        assert stats["dropped_frames"] == 1
+        assert stats["frames_sent"] == 0
+        assert attempts == []
+
+    def test_crash_closes_the_pids_transports_and_later_frames_are_dropped(self):
+        async def scenario():
+            cluster = TcpCluster(trace_level="off")
+            a, b = _Recorder("a"), _Recorder("b")
+            cluster.add_process(a)
+            cluster.add_process(b)
+            await cluster.start()
+            a.env.send("b", "ping")
+            b.env.send("a", "pong")
+            await cluster.run_until(
+                lambda: len(a.received) == 1 and len(b.received) == 1, timeout=5
+            )
+            (accepted_by_b,) = [i for i in cluster._inbound if i.pid == "b"]
+            b.env.send("a", "last words")  # buffered when the crash hits
+            cluster.crash("b")
+            assert accepted_by_b.transport.is_closing()
+            assert cluster._conns["b", "a"].writer.is_closing()
+            await cluster.run_until(lambda: len(a.received) == 2, timeout=5)
+            before = cluster.stats()
+            a.env.send("b", "anyone there?")
+            await asyncio.sleep(0.05)
+            after = cluster.stats()
+            await cluster.shutdown()
+            return a.received, before, after
+
+        received, before, after = asyncio.run(scenario())
+        # What b sent before it crashed is still delivered ...
+        assert [payload for _src, payload in received] == ["pong", "last words"]
+        # ... and a frame for it afterwards goes nowhere: no encode, no
+        # write down the half-dead connection, no reconnect.
+        assert after["dropped_frames"] == before["dropped_frames"] + 1
+        assert after["frames_sent"] == before["frames_sent"]
+        assert after["reconnects"] == 0
+
+    def test_an_established_mesh_owns_no_tasks(self):
+        """Nothing reads, drains or lingers: once the connects are done
+        the only task alive is the caller's."""
+
+        async def scenario():
+            cluster = TcpCluster(trace_level="off")
+            processes = [_Recorder(f"p{i}") for i in range(3)]
+            for process in processes:
+                cluster.add_process(process)
+            await cluster.start()
+            for src in processes:
+                for dst in processes:
+                    src.env.send(dst.pid, f"from {src.pid}")
+            delivered = await cluster.run_until(
+                lambda: all(len(p.received) == 3 for p in processes), timeout=5
+            )
+            tasks = asyncio.all_tasks()
+            connects = set(cluster._connects)
+            await cluster.shutdown()
+            return delivered, tasks == {asyncio.current_task()}, connects
+
+        delivered, only_the_caller, connects = asyncio.run(scenario())
+        assert delivered
+        assert only_the_caller
+        assert connects == set()
+
+    def test_shutdown_delivers_frames_buffered_in_the_last_turn(self):
+        async def scenario():
+            cluster = TcpCluster(trace_level="off")
+            a, b = _Recorder("a"), _Recorder("b")
+            cluster.add_process(a)
+            cluster.add_process(b)
+            await cluster.start()
+            a.env.send("b", "hello")
+            await cluster.run_until(lambda: len(b.received) == 1, timeout=5)
+            for index in range(3):
+                a.env.send("b", index)  # still in conn.buf: no turn has ended
+            assert len(cluster._conns["a", "b"].buf) == 3
+            await cluster.shutdown()
+            return b.received
+
+        received = asyncio.run(scenario())
+        assert [payload for _src, payload in received] == ["hello", 0, 1, 2]
+
+    def test_backpressure_holds_frames_until_the_transport_resumes(self):
+        """Over a real socket: while the transport says pause, flushes
+        leave the frames in ``conn.buf``; resume writes them in order."""
+
+        async def scenario():
+            cluster = TcpCluster(trace_level="off")
+            a, b = _Recorder("a"), _Recorder("b")
+            cluster.add_process(a)
+            cluster.add_process(b)
+            await cluster.start()
+            a.env.send("b", "hello")
+            await cluster.run_until(lambda: len(b.received) == 1, timeout=5)
+            conn = cluster._conns["a", "b"]
+            conn.pause_writing()
+            for index in range(5):
+                a.env.send("b", index)
+                await asyncio.sleep(0)  # a flush pass per frame, all held
+            held = (len(conn.buf), len(b.received))
+            conn.resume_writing()
+            await cluster.run_until(lambda: len(b.received) == 6, timeout=5)
+            await cluster.shutdown()
+            return held, b.received
+
+        held, received = asyncio.run(scenario())
+        assert held == (5, 1)
+        assert [payload for _src, payload in received] == ["hello", 0, 1, 2, 3, 4]
 
     def test_trace_level_off_disables_recording(self):
         async def scenario():
