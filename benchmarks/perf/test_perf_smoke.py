@@ -57,6 +57,11 @@ def test_wallclock_cells():
     pingpong = wallclock.tcp_pingpong_msgs_per_sec(200)
     assert pingpong > 0
     assert wallclock.tcp_oar_ops_per_sec(5) > 0
+    # The stage cell reads all of its requests; its ratio is gated in
+    # the runtime-smoke job, at full size.
+    stages = wallclock.tcp_paced_stages(5)
+    assert len(stages.per_rid) == 4 * 5
+    assert wallclock.order_wait_ratio(stages) > 0
     section = {
         "codec_roundtrips_per_sec": {k: round(v, 1) for k, v in rates.items()},
         "tcp_pingpong_msgs_per_sec": {"binary": round(pingpong, 1)},

@@ -14,6 +14,11 @@ of numbers live here:
 * **End-to-end cells** -- adopted operations per second for the
   failure-free OAR shape, the 2-shard B10 shape, and the read-heavy
   B12 shape, over TCP with tracing off.
+* **Stage cell** -- :func:`tcp_paced_stages`: the same OAR group offered
+  a third of its capacity with a full trace, read as the four stages of
+  a write (:func:`repro.analysis.timeline.stage_latencies`).  Its gate,
+  :func:`order_wait_ratio`, divides two medians of one run, so it needs
+  no reference machine.
 
 Absolute wall-clock rates are machine-dependent; the committed numbers
 carry machine provenance in ``BENCH_perf.json`` and the gates compare
@@ -28,6 +33,7 @@ import pickle
 import time
 from typing import Any, Dict, List
 
+from repro.analysis.timeline import StageLatencies, stage_latencies
 from repro.broadcast.reliable import RMsg
 from repro.core.messages import Reply, Request, SeqOrder
 from repro.failure.detector import Heartbeat
@@ -234,6 +240,37 @@ def tcp_oar_transport_stats(requests_per_client: int) -> Dict[str, int]:
     """``TcpCluster.stats()`` of one run of the same cell: how well the
     transport batched (not a rate, so not part of the committed section)."""
     return run_runtime_scenario(_tcp_oar(requests_per_client)).transport_stats()
+
+
+#: Ceiling of :func:`order_wait_ratio` in the runtime-smoke job.  The
+#: sequencer orders when the loop has drained its input, so a lone
+#: write waits for Task 1a about as long as its request took to arrive
+#: (~1); behind a 2 ms ordering tick the same cell reads ~6.5.
+ORDER_WAIT_CEILING = 3.0
+
+
+def tcp_paced_stages(requests_per_client: int) -> StageLatencies:
+    """Where a write's time goes when nothing queues: the OAR cell at
+    4 x 50 ops/s (2 per unit x ``time_scale`` 0.04), turn-boundary
+    flush, full trace, checked."""
+    run = run_runtime_scenario(
+        RuntimeScenarioConfig(
+            scenario=_oar_scenario(requests_per_client).with_changes(
+                open_rate=2.0, trace_level="full"
+            ),
+            backend="tcp",
+        )
+    )
+    assert run.completed, "wall-clock scenario did not reach quiescence"
+    run.check_all()
+    return stage_latencies(run.view.trace)
+
+
+def order_wait_ratio(stages: StageLatencies) -> float:
+    """Median R-deliver@sequencer -> ``seq_order`` over median submit ->
+    R-deliver@sequencer: the wait for Task 1a in units of one hop."""
+    first_hop, order_wait = stages.medians()[:2]
+    return order_wait / first_hop
 
 
 def tcp_sharded_ops_per_sec(requests_per_client: int) -> float:

@@ -25,7 +25,7 @@ from repro.analysis.checkers import (
     reconstruct_delivered,
 )
 from repro.analysis.stats import LatencyStats, latencies_from_trace, summarize
-from repro.analysis.timeline import describe_run, render_timeline
+from repro.analysis.timeline import describe_run, render_timeline, stage_latencies
 
 __all__ = [
     "CheckFailure",
@@ -45,5 +45,6 @@ __all__ = [
     "latencies_from_trace",
     "reconstruct_delivered",
     "render_timeline",
+    "stage_latencies",
     "summarize",
 ]

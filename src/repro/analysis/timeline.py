@@ -19,10 +19,15 @@ Marker legend (see :data:`MARKERS`):
 ``*``  client adopts a reply
 ``!``  client retransmits
 ====== ===========================================
+
+:func:`stage_latencies` reads the same events as numbers: where a
+failure-free request spent its time between submission and adoption.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from statistics import median
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.sim.trace import TraceLog
@@ -137,3 +142,82 @@ def describe_run(trace: TraceLog, pids: Sequence[str]) -> str:
     if epochs:
         summary += f"; conservative phases in epoch(s) {epochs}"
     return summary
+
+
+#: The failure-free request path (the paper's Figure 2), as the four
+#: intervals between its five trace events.
+STAGES: Tuple[str, ...] = (
+    "submit -> R-deliver@sequencer",
+    "R-deliver@sequencer -> seq_order",
+    "seq_order -> first follower Opt-deliver",
+    "first follower Opt-deliver -> adopt",
+)
+
+
+@dataclass(frozen=True)
+class StageLatencies:
+    """Per-request stage times of one run, in the trace's own time unit.
+
+    ``per_rid[rid][i]`` is how long ``rid`` spent in ``STAGES[i]``.
+    """
+
+    per_rid: Dict[str, Tuple[float, float, float, float]]
+
+    def medians(self) -> Tuple[float, ...]:
+        """Median of each stage over the requests (zeros when empty)."""
+        if not self.per_rid:
+            return (0.0,) * len(STAGES)
+        return tuple(median(column) for column in zip(*self.per_rid.values()))
+
+    def format(self, scale: float = 1.0, unit: str = "units") -> str:
+        """The stage table; a wall-clock trace wants ``scale=1000, unit="ms"``."""
+        medians = self.medians()
+        lines = [f"stage medians over {len(self.per_rid)} requests ({unit})"]
+        for stage, value in zip(STAGES, medians):
+            lines.append(f"  {stage:<40} {value * scale:8.3f}")
+        lines.append(f"  {'submit -> adopt (sum of medians)':<40} {sum(medians) * scale:8.3f}")
+        return "\n".join(lines)
+
+
+def stage_latencies(trace: TraceLog) -> StageLatencies:
+    """Where each optimistically ordered request spent its time.
+
+    A request's sequencer is the process whose ``seq_order`` first
+    carried its rid; its R-delivery is timed *there* (the order cannot
+    be sent earlier), its optimistic delivery at the first *other*
+    replica (the sequencer's own reply weighs ``{s}`` and cannot be
+    adopted alone).  Works on simulated and on wall-clock traces alike;
+    requests that miss one of the five events -- settled by a
+    conservative phase, never adopted, a group of one -- are left out.
+    """
+    first: Dict[Tuple[str, str], float] = {}  # (kind, rid) -> earliest time
+    r_deliver: Dict[Tuple[str, str], float] = {}  # (rid, pid) -> time
+    ordered: Dict[str, Tuple[str, float]] = {}  # rid -> (sequencer, time)
+    for event in trace.events_of_kinds(("submit", "r_deliver", "seq_order", "adopt")):
+        kind = event.kind
+        if kind == "seq_order":
+            for rid in event["rids"]:
+                ordered.setdefault(rid, (event.pid, event.time))
+        elif kind == "r_deliver":
+            r_deliver.setdefault((event["rid"], event.pid), event.time)
+        else:
+            first.setdefault((kind, event["rid"]), event.time)
+    for event in trace.events(kind="opt_deliver"):
+        rid = event["rid"]
+        if rid in ordered and event.pid != ordered[rid][0]:
+            first.setdefault(("opt_deliver", rid), event.time)
+
+    per_rid: Dict[str, Tuple[float, float, float, float]] = {}
+    for rid, (sequencer, order_time) in ordered.items():
+        points = (
+            first.get(("submit", rid)),
+            r_deliver.get((rid, sequencer)),
+            order_time,
+            first.get(("opt_deliver", rid)),
+            first.get(("adopt", rid)),
+        )
+        if None not in points:
+            per_rid[rid] = tuple(
+                later - earlier for earlier, later in zip(points, points[1:])
+            )
+    return StageLatencies(per_rid)

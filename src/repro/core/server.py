@@ -85,8 +85,12 @@ class OARConfig:
 
     batch_interval:
         How often Task 1a runs at the sequencer.  ``0.0`` means "order
-        immediately upon R-delivery" (lowest latency); a positive value
-        batches requests, trading latency for fewer ordering messages.
+        upon R-delivery" (lowest latency): at once on a host that
+        delivers one message per event, and once per burst of input on
+        one that reads many (``ProcessEnv.defer``), so the batch follows
+        the load.  A positive value is the paper's periodic Task 1a: it
+        batches requests over a fixed window, trading latency for fewer
+        ordering messages.
     order_cost:
         Per-request service time at the sequencer (Task 1a).  ``0.0``
         (the default) keeps the paper's idealized instant sequencer; a
@@ -330,6 +334,8 @@ class OARServer(ComponentProcess):
         # batch is currently being serviced, and the frozen batch itself.
         self._order_busy_epoch: Optional[int] = None
         self._order_batch: MessageSequence = EMPTY
+        #: An order-on-arrival Task 1a is waiting in ``env.defer``.
+        self._order_deferred = False
 
         self._opt_delivery_count_this_epoch = 0
 
@@ -514,8 +520,24 @@ class OARServer(ComponentProcess):
         self._drain_opt_pending()
         if self._pending_result is not None:
             self._try_finish_phase2()
-        if self.config.batch_interval == 0:
-            self._maybe_order()
+        if (
+            self.config.batch_interval == 0
+            and not self._order_deferred
+            and self.phase == 1
+            and self.is_sequencer
+        ):
+            # Order on arrival -- once the host has handed over every
+            # request that arrived with this one, so that the batch
+            # follows the load: one rid when requests come alone, many
+            # when they come faster than they are ordered.
+            self._order_deferred = True
+            self.env.defer(self._deferred_order)
+
+    def _deferred_order(self) -> None:
+        # Cleared first: should ordering raise, the next R-delivery
+        # must be able to defer again.
+        self._order_deferred = False
+        self._maybe_order()
 
     # ------------------------------------------------------------------
     # Admission control (OARConfig.admission_limit / read_queue_limit)

@@ -31,11 +31,13 @@ real cluster, so ``check_all`` -- the full checker bundle, trace-based
 properties included -- applies to socket runs exactly as it does to
 simulated ones.
 
-Over TCP the sequencer's order batching (``OARConfig.batch_interval``,
-PR 2) defaults *on* (:data:`TCP_BATCH_INTERVAL` wall-clock seconds):
-over real sockets every ordering message is a syscall, so amortizing
-``SeqOrder`` traffic into ``OrderBatch`` frames is part of the
-throughput story rather than an optional latency trade.
+Over TCP the sequencer's order batching needs no window: with
+``OARConfig.batch_interval`` left at 0 the sequencer orders through
+``ProcessEnv.defer``, i.e. once the event loop has handled every chunk
+that was readable, so one ``SeqOrder`` carries one rid when requests
+arrive alone and many when they arrive faster than they are ordered.
+An explicit ``batch_interval`` is scaled like every other time knob and
+gives the paper's periodic Task 1a.
 """
 
 from __future__ import annotations
@@ -59,10 +61,6 @@ from repro.sharding.cluster import (
 from repro.workload.drivers import ClosedLoopDriver, OpenLoopDriver
 
 BACKENDS = ("asyncio", "tcp")
-
-#: Sequencer order batching over TCP, in wall-clock seconds; applied
-#: only when the scenario itself leaves batching off.
-TCP_BATCH_INTERVAL = 0.002
 
 
 class _WallClock:
@@ -175,12 +173,9 @@ def _scaled_oar(config: RuntimeScenarioConfig) -> OARConfig:
             return value
         return max(value * scale, OARConfig.MIN_INTERVAL)
 
-    batch_interval = interval(oar.batch_interval)
-    if config.backend == "tcp" and not batch_interval:
-        batch_interval = TCP_BATCH_INTERVAL
     return replace(
         oar,
-        batch_interval=batch_interval,
+        batch_interval=interval(oar.batch_interval),
         order_cost=oar.order_cost * scale,
         read_cost=oar.read_cost * scale,
         exec_cost=oar.exec_cost * scale,

@@ -26,6 +26,11 @@ is in ``docs/ARCHITECTURE.md`` ("The TCP transport"); in short:
   latency per hop traded for fewer syscalls at saturation.  A multicast
   sends one payload object back to back, so a one-entry identity cache
   makes it one encode plus n appends.
+* **Deferred work** -- ``env.defer(callback)`` ("once the input being
+  handled is consumed": the sequencer's order-on-arrival) queues the
+  callback; one ``loop.call_soon`` per batch runs them as one turn
+  after every chunk that was readable in this loop iteration has been
+  handled, so what a burst of requests defers is done once.
 * **Backpressure** -- the connecting side (:class:`_Conn`) is its
   transport's protocol: while paused, frames wait in ``conn.buf``.
 * **Dead peers** -- a flush that finds its transport closing reconnects
@@ -162,6 +167,8 @@ class TcpCluster(RuntimeCluster):
         self._inbound: Set[_Inbound] = set()
         self._connects: Set[asyncio.Task] = set()  #: the only tasks there are
         self._dirty: List[_Conn] = []
+        #: ``env.defer`` callbacks, by pid; non-empty = a drain is on the loop
+        self._deferred: List[Tuple[str, Callable[[], None]]] = []
         self._in_turn = False  #: the running callback ends with a flush pass
         self._scheduled = False  #: a flush pass is on the loop
         self._stats = dict.fromkeys(  # "wakeups" are data_received calls
@@ -200,7 +207,9 @@ class TcpCluster(RuntimeCluster):
         for pid, process in self._processes.items():
             env = AsyncioEnv(self, pid, self.seed)
             # one call per frame: ``send_frame`` with the pid bound
+            # (and ``defer``, which here waits for the loop)
             env.send = partial(self.send_frame, pid)  # type: ignore[method-assign]
+            env.defer = partial(self.defer, pid)  # type: ignore[method-assign]
             process.start(env)
 
     def send_frame(self, src: str, dst: str, payload: Any) -> None:
@@ -246,6 +255,33 @@ class TcpCluster(RuntimeCluster):
         try:
             callback()
         finally:
+            self._end_turn()
+
+    def defer(self, pid: str, callback: Callable[[], None]) -> None:
+        """``ProcessEnv.defer`` of ``pid``: queue ``callback`` behind
+        every chunk this loop iteration found readable -- their
+        ``data_received`` calls are on the ready queue already, ahead of
+        the drain."""
+        self._deferred.append((pid, callback))
+        if len(self._deferred) == 1:
+            self.loop.call_soon(self._run_deferred)
+
+    def _run_deferred(self) -> None:
+        """One turn for the whole batch (crash-stop: a crashed pid's
+        callback is dropped, as its timers are)."""
+        batch, self._deferred = iter(self._deferred), []
+        crashed = self._crashed
+        self._in_turn = True
+        try:
+            for pid, callback in batch:
+                if pid not in crashed:
+                    callback()
+        finally:
+            stranded = list(batch)
+            if stranded:  # one raised: the rest get a drain of their own
+                if not self._deferred:
+                    self.loop.call_soon(self._run_deferred)
+                self._deferred[:0] = stranded
             self._end_turn()
 
     def _end_turn(self) -> None:

@@ -71,6 +71,20 @@ class ProcessEnv:
         """
         self.set_timer(delay, callback)
 
+    def defer(self, callback: Callable[[], None]) -> None:
+        """Run ``callback`` once the input being handled now is consumed.
+
+        Work that is better done once per burst of input than once per
+        message (the sequencer's Task 1a) goes through here.  A host
+        that hands a process one message per event has nothing more to
+        consume, so the default -- the simulator's and the asyncio
+        host's -- is a plain synchronous call.  The TCP host reads many
+        frames per wake-up and runs the callback when the event loop has
+        handled everything that was readable; a process that crashes in
+        between never sees it run (the rule timers follow).
+        """
+        callback()
+
     def trace(self, kind: str, **fields: Any) -> None:
         """Record a structured trace event (see :mod:`repro.analysis.trace`)."""
         raise NotImplementedError

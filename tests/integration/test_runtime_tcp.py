@@ -26,6 +26,8 @@ from typing import Any, List
 
 import pytest
 
+from repro.core.server import OARConfig
+from repro.failure.detector import HeartbeatFailureDetector
 from repro.runtime import scenario as runtime_scenario
 from repro.runtime.scenario import (
     RuntimeScenarioConfig,
@@ -33,8 +35,12 @@ from repro.runtime.scenario import (
 )
 from repro.harness.scenario import ScenarioConfig
 from repro.runtime.tcp import _FLUSH_BYTES, TcpCluster
-from repro.sharding.cluster import BaseScenarioConfig, ShardedScenarioConfig
-from repro.sim.process import Process
+from repro.sharding.cluster import (
+    BaseScenarioConfig,
+    ShardedScenarioConfig,
+    place_sharded_scenario,
+)
+from repro.sim.process import Process, ProcessEnv
 
 pytestmark = pytest.mark.integration
 
@@ -123,6 +129,105 @@ class TestShardedParity:
             )
 
 
+class TestOrderBatching:
+    """Over sockets the sequencer orders when the loop has drained its
+    input (``ProcessEnv.defer``); a window is the scenario's to ask for."""
+
+    def test_batch_interval_stays_zero_unless_the_scenario_sets_one(self):
+        scaled = runtime_scenario._scaled_oar
+        for backend in ("tcp", "asyncio"):
+            config = RuntimeScenarioConfig(scenario=_config(), backend=backend)
+            assert scaled(config).batch_interval == 0.0
+        explicit = RuntimeScenarioConfig(
+            scenario=_config(oar=OARConfig(batch_interval=0.5)), time_scale=0.04
+        )
+        assert scaled(explicit).batch_interval == pytest.approx(0.02)
+        # ... and never under the floor a periodic timer is allowed.
+        tiny = explicit.with_changes(time_scale=0.0001)
+        assert scaled(tiny).batch_interval == OARConfig.MIN_INTERVAL
+
+    def test_an_explicit_interval_still_orders_periodically(self):
+        interval = 0.01  # 0.25 units x 0.04 s
+        run = run_runtime_scenario(
+            RuntimeScenarioConfig(
+                scenario=_config(
+                    n_shards=1,
+                    requests_per_client=30,
+                    driver="open",
+                    open_rate=50.0,  # 2 000/s per client: many per window
+                    oar=OARConfig(batch_interval=0.25),
+                ),
+                backend="tcp",
+            )
+        )
+        assert run.completed
+        run.check_all()
+        orders = run.view.trace.events(kind="seq_order")
+        assert max(len(order["rids"]) for order in orders) > 1
+        assert len(orders) < 4 * 30 / 2
+        # Task 1a runs on the tick, not on arrival: orders are a window apart.
+        times = [order.time for order in orders]
+        assert min(b - a for a, b in zip(times, times[1:])) > 0.9 * interval
+
+    def test_an_idle_cluster_arms_heartbeat_timers_only(self):
+        """No ordering tick, on any replica: what an idle cluster puts on
+        the loop's timer heap is its failure detectors' and nothing else."""
+
+        async def scenario() -> List[Any]:
+            config = RuntimeScenarioConfig(
+                scenario=_config(n_shards=1, n_clients=1, fd_kind="heartbeat"),
+                backend="tcp",
+                fd_interval=0.02,
+            )
+            cluster = runtime_scenario._make_cluster(config)
+            place_sharded_scenario(runtime_scenario._wall_clock_scenario(config), cluster)
+            armed: List[Any] = []
+            try:
+                await cluster.start()
+                loop = cluster.loop
+                call_at = loop.call_at  # call_later goes through it
+
+                def recording(when: float, callback: Any, *args: Any, **kwargs: Any) -> Any:
+                    armed.append(callback)
+                    return call_at(when, callback, *args, **kwargs)
+
+                loop.call_at = recording  # type: ignore[method-assign]
+                try:
+                    await asyncio.sleep(0.1)
+                finally:
+                    del loop.call_at
+            finally:
+                await cluster.shutdown()
+            return armed
+
+        armed = asyncio.run(scenario())
+        owners = [getattr(callback, "_callback", callback) for callback in armed]
+        ticks = [
+            owner for owner in owners
+            if isinstance(getattr(owner, "__self__", None), HeartbeatFailureDetector)
+        ]
+        assert len(ticks) >= 3 * 3  # three replicas, 20 ms cadence, 100 ms
+        others = [owner for owner in owners if owner not in ticks]
+        # The test's own sleep(0.1) is the one timer that is not a heartbeat's.
+        assert [getattr(owner, "__qualname__", "") for owner in others] == [
+            "_set_result_unless_cancelled"
+        ], others
+
+    def test_closed_loop_writes_pass_check_all_with_load_following_batches(self):
+        run = run_runtime_scenario(
+            RuntimeScenarioConfig(
+                scenario=_config(n_shards=1, requests_per_client=60, seed=17),
+                backend="tcp",
+            )
+        )
+        assert run.completed
+        run.check_all()
+        assert len(run.adopted()) == 4 * 60
+        orders = run.view.trace.events(kind="seq_order")
+        assert sum(len(order["rids"]) for order in orders) == 4 * 60
+        assert not any(server._order_deferred for server in run.view.servers)
+
+
 def _opened_servers(monkeypatch) -> List[Any]:
     """Every ``asyncio.Server`` a ``TcpCluster`` opens from here on."""
     opened: List[Any] = []
@@ -189,6 +294,21 @@ def test_knob_budget():
         "trace_level",
         "flush_interval",
     ]
+    # No module switch either: the TCP-only order window is gone.
+    assert not hasattr(runtime_scenario, "TCP_BATCH_INTERVAL")
+    # What a protocol process may ask of its host (``defer`` since PR 17).
+    assert {name for name in vars(ProcessEnv) if not name.startswith("_")} == {
+        "pid",
+        "now",
+        "rng",
+        "peers",
+        "send",
+        "send_to_all",
+        "set_timer",
+        "post",
+        "defer",
+        "trace",
+    }
 
     # The sim scenarios' surface: every shared knob is declared once, in
     # the base; a config adds only what is its own and restates a base

@@ -136,6 +136,18 @@ class TestCrash:
         assert network.correct_pids() == []
 
 
+class TestDefer:
+    def test_deferred_work_runs_before_defer_returns(self):
+        # The simulator delivers one message per event: the input being
+        # handled is consumed already, and no event is spent on the call.
+        sim, _network, (a, _b) = build()
+        ran = []
+        events = sim.pending_events
+        a.env.defer(lambda: ran.append(sim.now))
+        assert ran == [sim.now]
+        assert sim.pending_events == events
+
+
 class TestPartition:
     def test_partition_holds_and_heal_releases(self):
         sim, network, (a, b) = build()

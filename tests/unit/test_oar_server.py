@@ -8,13 +8,14 @@ bookkeeping that the pseudo-code leaves implicit.
 
 import tracemalloc
 from statistics import median
-from typing import List
+from typing import Callable, List
 
 import pytest
 
 from repro.core.cnsv_order import CnsvOrderResult
 from repro.core.messages import PhaseII, Reply, Request, SeqOrder
-from repro.core.sequences import MessageSequence
+from repro.broadcast.reliable import RMsg
+from repro.core.sequences import EMPTY, MessageSequence
 from repro.core.server import OARConfig, OARServer
 from repro.failure.detector import ScriptedFailureDetector
 from repro.sim.latency import ConstantLatency
@@ -338,6 +339,132 @@ class TestUnorderedSet:
         p2._opt_pending_set.discard("c1-1")
         with pytest.raises(RuntimeError, match="membership index"):
             p2.check_invariants()
+
+
+class TestDeferredOrdering:
+    """Task 1a at ``batch_interval=0`` goes through ``env.defer``: one
+    order per burst of input on a host that reads many messages per
+    wake-up, one per request on a host that delivers them one by one."""
+
+    @staticmethod
+    def queued(server: OARServer) -> List[Callable[[], None]]:
+        """Stand-in for the TCP host: ``env.defer`` queues, the test drains."""
+        queue: List[Callable[[], None]] = []
+        server.env.defer = queue.append
+        return queue
+
+    @staticmethod
+    def orders(network, pid: str) -> List[tuple]:
+        return [
+            (event["epoch"], event["rids"])
+            for event in network.trace.events(kind="seq_order", pid=pid)
+        ]
+
+    def test_requests_delivered_before_the_drain_share_one_order(self):
+        _sim, network, servers, _client = build()
+        p1 = servers[0]
+        queue = self.queued(p1)
+        for n in (3, 0, 2, 1):
+            p1._task0_request(request(n))
+        assert len(queue) == 1  # at most one deferral pending
+        assert self.orders(network, "p1") == []
+        queue.pop()()
+        assert self.orders(network, "p1") == [(0, ("c1-3", "c1-0", "c1-2", "c1-1"))]
+        assert p1.o_delivered == ("c1-3", "c1-0", "c1-2", "c1-1")
+        # The next burst defers afresh.
+        p1._task0_request(request(4))
+        assert len(queue) == 1
+        queue.pop()()
+        assert self.orders(network, "p1")[1:] == [(0, ("c1-4",))]
+
+    def test_the_default_env_orders_every_request_on_arrival(self):
+        _sim, network, servers, _client = build()
+        p1 = servers[0]
+        for n in range(4):
+            p1._task0_request(request(n))
+            assert not p1._order_deferred
+        assert self.orders(network, "p1") == [(0, (f"c1-{n}",)) for n in range(4)]
+
+    def test_a_drain_in_phase_2_orders_nothing_and_the_epoch_start_orders_the_backlog(self):
+        _sim, network, servers, _client = build(config=OARConfig(rotate_sequencer=False))
+        p1 = servers[0]
+        queue = self.queued(p1)
+        for n in range(3):
+            p1._task0_request(request(n))
+        p1._task2_phase2(PhaseII(0, "test"))
+        assert p1.phase == 2
+        queue.pop()()
+        assert self.orders(network, "p1") == []
+        p1._task0_request(request(3))  # phase 2: buffered, not deferred
+        assert queue == [] and not p1._order_deferred
+        p1._finish_phase2(CnsvOrderResult(EMPTY, EMPTY, EMPTY, EMPTY))
+        assert p1.is_sequencer and p1.epoch == 1
+        assert self.orders(network, "p1") == [(1, ("c1-0", "c1-1", "c1-2", "c1-3"))]
+
+    def test_a_drain_after_losing_the_sequencer_role_orders_nothing(self):
+        _sim, network, servers, _client = build()
+        p1, p2 = servers[0], servers[1]
+        queue = self.queued(p1)
+        for server in (p1, p2):
+            for n in range(2):
+                server._task0_request(request(n))
+        for server in (p1, p2):
+            server._task2_phase2(PhaseII(0, "test"))
+        p1._finish_phase2(CnsvOrderResult(EMPTY, EMPTY, EMPTY, EMPTY))
+        assert p1.phase == 1 and p1.current_sequencer == "p2"
+        queue.pop()()  # deferred as the sequencer of epoch 0
+        assert self.orders(network, "p1") == []
+        assert tuple(p1._unordered) == ("c1-0", "c1-1")
+        # The backlog is the new sequencer's, ordered as its epoch starts.
+        p2._finish_phase2(CnsvOrderResult(EMPTY, EMPTY, EMPTY, EMPTY))
+        assert self.orders(network, "p2") == [(1, ("c1-0", "c1-1"))]
+
+    def test_invariants_hold_between_deferral_and_drain(self):
+        _sim, network, servers, _client = build(config=OARConfig(paranoid=True))
+        p1 = servers[0]
+        queue = self.queued(p1)
+        for n in range(3):
+            # Through on_message, so that the paranoid check itself runs.
+            p1.on_message("c1", RMsg(f"c1-m{n}", "c1", request(n), ("p1", "p2", "p3")))
+            assert p1._order_deferred and len(queue) == 1
+        assert tuple(p1._unordered) == ("c1-0", "c1-1", "c1-2")
+        queue.pop()()
+        p1.check_invariants()
+        assert self.orders(network, "p1") == [(0, ("c1-0", "c1-1", "c1-2"))]
+        assert not p1._unordered and not p1._order_deferred
+
+    def test_non_sequencers_never_defer(self):
+        _sim, _network, servers, _client = build()
+
+        def refuse(_callback):
+            raise AssertionError("only the phase-1 sequencer defers")
+
+        for follower in servers[1:]:
+            follower.env.defer = refuse
+            for n in range(3):
+                follower._task0_request(request(n))
+            assert not follower._order_deferred
+
+    def test_the_pending_flag_is_clear_when_ordering_raises(self, monkeypatch):
+        _sim, network, servers, _client = build()
+        p1 = servers[0]
+        queue = self.queued(p1)
+        p1._task0_request(request(0))
+
+        def broken() -> None:
+            assert not p1._order_deferred
+            raise RuntimeError("ordering bug")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(p1, "_maybe_order", broken)
+            with pytest.raises(RuntimeError, match="ordering bug"):
+                queue.pop()()
+        assert not p1._order_deferred
+        # Nothing is wedged: the next R-delivery defers again and its
+        # drain orders the stranded rid too.
+        p1._task0_request(request(1))
+        queue.pop()()
+        assert self.orders(network, "p1") == [(0, ("c1-0", "c1-1"))]
 
 
 class TestHistoryIndependence:

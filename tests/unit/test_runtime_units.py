@@ -107,6 +107,24 @@ class TestAsyncioCluster:
 
         assert asyncio.run(scenario()) == []
 
+    def test_defer_is_a_plain_call_on_the_queue_host(self):
+        """One message per pump step: there is no further input to wait
+        for, so deferred work runs before ``defer`` returns (as in the
+        simulator -- which is what keeps the three hosts' traces equal)."""
+
+        async def scenario():
+            cluster = AsyncioCluster()
+            a = Recorder("a")
+            cluster.add_process(a)
+            await cluster.start()
+            ran = []
+            a.env.defer(lambda: ran.append("now"))
+            synchronous = list(ran)
+            await cluster.shutdown()
+            return synchronous
+
+        assert asyncio.run(scenario()) == ["now"]
+
     def test_duplicate_pid_rejected(self):
         async def scenario():
             cluster = AsyncioCluster()

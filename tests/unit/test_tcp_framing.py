@@ -173,3 +173,124 @@ def test_a_single_frame_flush_writes_the_frame_itself():
     cluster.turn(lambda: cluster.send_frame("b", "a", payload))
     (written,) = transport.written
     assert written is cluster._enc_frame  # no join, no copy
+
+
+# ----------------------------------------------------------------------
+# Deferred work (``ProcessEnv.defer`` on the TCP host)
+# ----------------------------------------------------------------------
+
+
+class Loop:
+    """What ``defer`` needs of a loop: ``call_soon``, run here by hand."""
+
+    def __init__(self) -> None:
+        self.ready: List[Any] = []
+
+    def call_soon(self, callback: Any, *args: Any) -> None:
+        self.ready.append((callback, args))
+
+    def run_once(self) -> None:
+        ready, self.ready = self.ready, []
+        for callback, args in ready:
+            callback(*args)
+
+
+def test_work_deferred_while_handling_chunks_runs_once_they_are_consumed():
+    class Batcher(Recorder):
+        def __init__(self, pid: str) -> None:
+            super().__init__(pid)
+            self.batches: List[List[Any]] = []
+            self.pending = False
+
+        def on_message(self, src: str, payload: Any) -> None:
+            super().on_message(src, payload)
+            if not self.pending:
+                self.pending = True
+                cluster.defer(self.pid, self.drain)
+
+        def drain(self) -> None:
+            self.pending = False
+            self.batches.append([payload for _src, payload in self.received])
+            self.received.clear()
+
+    b = Batcher("b")
+    cluster, inbound = accepted(b)
+    loop = cluster.loop = Loop()  # type: ignore[assignment]
+    inbound.data_received(frame(1) + frame(2))
+    inbound.data_received(frame(3))  # a second chunk, readable in the same iteration
+    assert b.batches == [] and len(loop.ready) == 1  # one call_soon for the burst
+    loop.run_once()
+    assert b.batches == [[1, 2, 3]]
+    assert loop.ready == [] and cluster._deferred == []
+    inbound.data_received(frame(4))
+    loop.run_once()
+    assert b.batches == [[1, 2, 3], [4]]
+
+
+def test_a_batch_of_deferred_callbacks_is_one_turn_with_one_flush():
+    cluster, _inbound, _conn, transport = echoing("b", "a")
+    loop = cluster.loop = Loop()  # type: ignore[assignment]
+    for index in range(3):
+        cluster.defer("b", lambda index=index: cluster.send_frame("b", "a", index))
+    assert len(loop.ready) == 1
+    loop.run_once()
+    assert transport.written == [b"".join(frame(index, src="b") for index in range(3))]
+    assert cluster._in_turn is False
+    assert loop.ready == []  # flushed by the turn, not by a scheduled pass
+
+
+def test_a_pid_that_crashes_before_the_drain_never_runs_its_callback():
+    cluster, _inbound = accepted(Recorder("b"))
+    cluster.add_process(Recorder("c"))
+    loop = cluster.loop = Loop()  # type: ignore[assignment]
+    ran: List[str] = []
+    cluster.defer("b", lambda: ran.append("b"))
+    cluster.defer("c", lambda: ran.append("c"))
+    cluster.crash("b")
+    loop.run_once()
+    assert ran == ["c"]
+
+
+def test_a_raising_callback_strands_nothing_and_closes_the_turn():
+    cluster, _inbound, _conn, transport = echoing("b", "a")
+    loop = cluster.loop = Loop()  # type: ignore[assignment]
+    ran: List[str] = []
+
+    def first() -> None:
+        ran.append("first")
+        cluster.send_frame("b", "a", "sent before the bug")
+
+    def faulty() -> None:
+        raise RuntimeError("deferred bug")
+
+    cluster.defer("b", first)
+    cluster.defer("b", faulty)
+    cluster.defer("b", lambda: ran.append("third"))
+    with pytest.raises(RuntimeError, match="deferred bug"):
+        loop.run_once()
+    assert ran == ["first"]
+    assert cluster._in_turn is False
+    assert transport.written == [frame("sent before the bug", src="b")]
+    # The callback behind the faulty one has a drain of its own, ahead
+    # of anything deferred since.
+    cluster.defer("b", lambda: ran.append("fourth"))
+    assert len(loop.ready) == 1
+    loop.run_once()
+    assert ran == ["first", "third", "fourth"]
+    assert loop.ready == [] and cluster._deferred == []
+
+
+def test_work_deferred_during_a_drain_waits_for_the_next():
+    cluster, _inbound = accepted(Recorder("b"))
+    loop = cluster.loop = Loop()  # type: ignore[assignment]
+    ran: List[str] = []
+
+    def outer() -> None:
+        ran.append("outer")
+        cluster.defer("b", lambda: ran.append("inner"))
+
+    cluster.defer("b", outer)
+    loop.run_once()
+    assert ran == ["outer"] and len(loop.ready) == 1
+    loop.run_once()
+    assert ran == ["outer", "inner"] and loop.ready == []
