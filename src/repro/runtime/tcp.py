@@ -7,19 +7,24 @@ FIFO channel property of the paper's model.  This transport exists
 solely for loopback benchmarking of our own processes -- it is not a
 trust boundary.
 
-It is written on :class:`asyncio.Protocol`, not on streams: an
+It is written on asyncio protocols, not on streams: an
 established connection owns no task, future or reader, so a hop costs
 the loop callbacks its handlers need and nothing more.  The walk-through
 is in ``docs/ARCHITECTURE.md`` ("The TCP transport"); in short:
 
-* **Receive** -- the accepted side (:class:`_Inbound`) parses frames
-  straight out of the chunk ``data_received`` is handed and calls
-  ``process.on_message`` synchronously.  asyncio runs one callback at a
-  time, so handlers stay mutually exclusive and channels FIFO.
+* **Receive** -- the accepted side (:class:`_Inbound`) is a
+  :class:`asyncio.BufferedProtocol`: the transport reads
+  (``recv_into``) into the cluster's one standing buffer
+  (``_RECV_BYTES``), ``buffer_updated`` parses frames in place and calls
+  ``process.on_message`` synchronously, so a read allocates the decoded
+  objects and nothing else.  asyncio runs one callback at a time, so
+  handlers stay mutually exclusive, channels FIFO, and one buffer serves
+  every connection; only a split frame's ``tail`` outlives a read,
+  copied out to its connection.
 * **Send** -- ``send_frame`` buffers per connection and puts the
   connection on one cluster-wide dirty list, drained by one pass
   (:meth:`TcpCluster._flush_pass`).  By default the pass runs at the end
-  of the callback that produced the sends (a ``data_received``, a timer
+  of the callback that produced the sends (a ``buffer_updated``, a timer
   or driver step: a *turn*); only sends made outside a turn fall back
   to ``loop.call_soon``.  ``flush_interval`` instead writes a connection
   that long after its first buffered frame, one timer serving them all:
@@ -58,6 +63,9 @@ _NEVER = float("inf")
 #: flush as soon as a connection buffer holds this many bytes, rather
 #: than waiting for the flush pass (bounds memory under bursts).
 _FLUSH_BYTES = 64 * 1024
+#: the cluster's standing receive buffer: what one read can take.  (For
+#: a plain ``Protocol`` asyncio allocates a 256 KiB ``bytes`` per read.)
+_RECV_BYTES = 64 * 1024
 #: bound on ``shutdown`` letting the accepted sides read on to their EOF
 _LINGER = 1.0
 
@@ -93,8 +101,15 @@ class _Conn(asyncio.Protocol):
             self.cluster._flush(self)
 
 
-class _Inbound(asyncio.Protocol):
-    """Accepted side of a connection: each chunk is one turn of its process."""
+class _Inbound(asyncio.BufferedProtocol):
+    """Accepted side of a connection: each read is one turn of its process.
+
+    Reads land in the cluster's one standing buffer.  That is safe on a
+    selector loop, which runs ``get_buffer``, ``recv_into`` and
+    ``buffer_updated`` inside one callback: every complete frame is
+    consumed before the next connection's ``get_buffer``, and the bytes
+    of a split frame leave the buffer as this connection's ``tail``.
+    """
 
     __slots__ = ("cluster", "pid", "process", "transport", "tail")
 
@@ -103,7 +118,7 @@ class _Inbound(asyncio.Protocol):
         self.pid = pid
         self.process = cluster._processes[pid]
         self.transport: Optional[asyncio.BaseTransport] = None
-        self.tail = b""  #: the start of a frame the last chunk split
+        self.tail = b""  #: the start of a frame the last read split
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         self.transport = transport
@@ -111,14 +126,41 @@ class _Inbound(asyncio.Protocol):
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.cluster._inbound.discard(self)
+        # Frames the tail holds were counted as sent and will never be
+        # received: the one the peer died inside, or the ones behind a
+        # handler that raised.
+        tail, self.tail = self.tail, b""
+        pos = dropped = 0
+        while pos < len(tail):
+            dropped += 1
+            if len(tail) - pos < _HEADER_SIZE:
+                break
+            pos += _HEADER_SIZE + _unpack_from(tail, pos)[0]
+        self.cluster._stats["dropped_frames"] += dropped
 
-    def data_received(self, data: bytes) -> None:
+    def get_buffer(self, sizehint: int) -> memoryview:
         cluster = self.cluster
-        if self.tail:
-            data = self.tail + data
-            self.tail = b""
-        view = memoryview(data)
-        end = len(data)
+        view = cluster._recv
+        held = len(self.tail)
+        if not held:
+            return view
+        # The split frame goes back in front of what arrives next.  It
+        # may fill half the buffer: past that the buffer doubles, so the
+        # view handed out is never empty and a frame of any length
+        # arrives -- sized by the bytes that came, not by their header.
+        if 2 * held > len(view):
+            size = len(view)
+            while size < 2 * held:
+                size *= 2
+            view = cluster._recv = memoryview(bytearray(size))
+        view[:held] = self.tail
+        return view[held:]
+
+    def buffer_updated(self, nbytes: int) -> None:
+        cluster = self.cluster
+        view = cluster._recv
+        end = len(self.tail) + nbytes  # ``get_buffer`` put the tail in front
+        self.tail = b""
         decode_frame = cluster._decode_frame
         crashed = cluster._crashed
         pid = self.pid
@@ -127,7 +169,7 @@ class _Inbound(asyncio.Protocol):
         cluster._in_turn = True
         try:
             while end - pos >= _HEADER_SIZE:
-                frame_end = pos + _HEADER_SIZE + _unpack_from(data, pos)[0]
+                frame_end = pos + _HEADER_SIZE + _unpack_from(view, pos)[0]
                 if frame_end > end:
                     break
                 src, payload = decode_frame(view[pos + _HEADER_SIZE : frame_end])
@@ -140,7 +182,7 @@ class _Inbound(asyncio.Protocol):
             stats["wakeups"] += 1
             stats["frames_received"] += frames
             if pos < end:
-                self.tail = data[pos:]
+                self.tail = bytes(view[pos:end])
             cluster._end_turn()
 
 
@@ -165,13 +207,14 @@ class TcpCluster(RuntimeCluster):
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._conns: Dict[Tuple[str, str], _Conn] = {}
         self._inbound: Set[_Inbound] = set()
+        self._recv = memoryview(bytearray(_RECV_BYTES))  #: every connection reads into it
         self._connects: Set[asyncio.Task] = set()  #: the only tasks there are
         self._dirty: List[_Conn] = []
         #: ``env.defer`` callbacks, by pid; non-empty = a drain is on the loop
         self._deferred: List[Tuple[str, Callable[[], None]]] = []
         self._in_turn = False  #: the running callback ends with a flush pass
         self._scheduled = False  #: a flush pass is on the loop
-        self._stats = dict.fromkeys(  # "wakeups" are data_received calls
+        self._stats = dict.fromkeys(  # "wakeups" are buffer_updated calls
             ("frames_sent", "frames_received", "bytes_sent", "flushes", "reconnects",
              "dropped_frames", "encode_cache_hits", "wakeups"),
             0,
@@ -260,8 +303,8 @@ class TcpCluster(RuntimeCluster):
     def defer(self, pid: str, callback: Callable[[], None]) -> None:
         """``ProcessEnv.defer`` of ``pid``: queue ``callback`` behind
         every chunk this loop iteration found readable -- their
-        ``data_received`` calls are on the ready queue already, ahead of
-        the drain."""
+        read callbacks are on the ready queue already, ahead of the
+        drain."""
         self._deferred.append((pid, callback))
         if len(self._deferred) == 1:
             self.loop.call_soon(self._run_deferred)

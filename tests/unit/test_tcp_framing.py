@@ -1,19 +1,21 @@
 """Framing and turn discipline of the TCP transport, without sockets.
 
-The accepted side of a connection is an :class:`asyncio.Protocol`, so a
-test can hand ``data_received`` any chunking of the byte stream it
-likes -- no loop, no listener.  The connecting side is exercised the
-same way through a stand-in transport.
+The accepted side of a connection is an :class:`asyncio.BufferedProtocol`,
+so a test can play the transport (:func:`feed`: ``get_buffer``, copy
+in, ``buffer_updated``) with any chunking of the byte stream it likes
+-- no loop, no listener.  The connecting side is exercised the same way
+through a stand-in transport.
 """
 
 import struct
+import tracemalloc
 from typing import Any, List, Tuple
 
 import pytest
 
 from repro.core.messages import Request
 from repro.runtime.codec import BinaryCodec
-from repro.runtime.tcp import TcpCluster, _Conn, _Inbound
+from repro.runtime.tcp import _RECV_BYTES, TcpCluster, _Conn, _Inbound
 from repro.sim.process import Process
 
 pytestmark = pytest.mark.unit
@@ -46,10 +48,33 @@ def frame(payload: Any, src: str = "a") -> bytes:
     return struct.pack(">I", len(body)) + body
 
 
+def sized(size: int) -> Tuple[str, bytes]:
+    """A payload whose frame is ``size`` bytes long, header included."""
+    overhead = len(frame("x" * 1000)) - 1000
+    payload = "x" * (size - overhead)
+    data = frame(payload)
+    assert len(data) == size
+    return payload, data
+
+
 def accepted(process: Process) -> Tuple[TcpCluster, _Inbound]:
     cluster = TcpCluster(trace_level="off")
     cluster.add_process(process)
     return cluster, _Inbound(cluster, process.pid)
+
+
+def feed(inbound: _Inbound, chunk: bytes) -> None:
+    """Deliver ``chunk`` the way ``_SelectorSocketTransport.
+    _read_ready__get_buffer`` does: ask for a buffer, put in what fits
+    (``recv_into``), report how much -- until the socket is empty."""
+    pending = memoryview(chunk)
+    while pending:
+        view = inbound.get_buffer(-1)
+        assert len(view) > 0  # asyncio tears the connection down on an empty one
+        count = min(len(view), len(pending))
+        view[:count] = pending[:count]
+        pending = pending[count:]
+        inbound.buffer_updated(count)
 
 
 def test_header_split_across_chunks():
@@ -57,10 +82,10 @@ def test_header_split_across_chunks():
     cluster, inbound = accepted(b)
     data = frame("first") + frame(Request("c1:1", "c1", ("set", "k", 1)))
     cut = len(frame("first")) + 2  # two bytes into the second header
-    inbound.data_received(data[:cut])
+    feed(inbound, data[:cut])
     assert [payload for _src, payload in b.received] == ["first"]
     assert inbound.tail == data[cut - 2 : cut]
-    inbound.data_received(data[cut:])
+    feed(inbound, data[cut:])
     assert b.received == [("a", "first"), ("a", Request("c1:1", "c1", ("set", "k", 1)))]
     assert inbound.tail == b""
     assert cluster.stats()["frames_received"] == 2
@@ -73,7 +98,7 @@ def test_body_split_across_chunks():
     data = frame("x" * 1000)
     for start in range(0, len(data), 100):  # eleven chunks, one frame
         assert b.received == []
-        inbound.data_received(data[start : start + 100])
+        feed(inbound, data[start : start + 100])
     assert b.received == [("a", "x" * 1000)]
     assert inbound.tail == b""
 
@@ -81,7 +106,7 @@ def test_body_split_across_chunks():
 def test_a_thousand_frames_in_one_chunk_arrive_in_order():
     b = Recorder("b")
     cluster, inbound = accepted(b)
-    inbound.data_received(b"".join(frame(index) for index in range(1000)))
+    feed(inbound, b"".join(frame(index) for index in range(1000)))
     assert [payload for _src, payload in b.received] == list(range(1000))
     stats = cluster.stats()
     assert (stats["frames_received"], stats["wakeups"]) == (1000, 1)
@@ -90,11 +115,11 @@ def test_a_thousand_frames_in_one_chunk_arrive_in_order():
 def test_chunk_ending_on_a_frame_boundary_leaves_no_tail():
     b = Recorder("b")
     _cluster, inbound = accepted(b)
-    inbound.data_received(frame("one") + frame("two"))
+    feed(inbound, frame("one") + frame("two"))
     assert inbound.tail == b""
-    inbound.data_received(frame("three")[:-1])
+    feed(inbound, frame("three")[:-1])
     assert inbound.tail == frame("three")[:-1]
-    inbound.data_received(frame("three")[-1:])
+    feed(inbound, frame("three")[-1:])
     assert inbound.tail == b""
     assert [payload for _src, payload in b.received] == ["one", "two", "three"]
 
@@ -103,7 +128,7 @@ def test_frames_for_a_crashed_pid_are_counted_not_dispatched():
     b = Recorder("b")
     cluster, inbound = accepted(b)
     cluster.crash("b")
-    inbound.data_received(frame("one") + frame("two"))
+    feed(inbound, frame("one") + frame("two"))
     assert b.received == []
     assert cluster.stats()["frames_received"] == 2
 
@@ -117,7 +142,7 @@ def test_a_crash_mid_chunk_stops_dispatch_at_that_frame():
 
     b = Fragile("b")
     cluster, inbound = accepted(b)
-    inbound.data_received(frame("fine") + frame("fatal") + frame("too late"))
+    feed(inbound, frame("fine") + frame("fatal") + frame("too late"))
     assert [payload for _src, payload in b.received] == ["fine", "fatal"]
     assert cluster.stats()["frames_received"] == 3
 
@@ -129,9 +154,116 @@ def test_an_exception_in_a_handler_does_not_leave_the_turn_open():
 
     cluster, inbound = accepted(Faulty("b"))
     with pytest.raises(RuntimeError, match="handler bug"):
-        inbound.data_received(frame("boom") + frame("never parsed"))
+        feed(inbound, frame("boom") + frame("never parsed"))
     assert cluster._in_turn is False
     assert cluster.stats()["frames_received"] == 1
+    assert inbound.tail == frame("never parsed")  # out of the shared buffer
+
+
+# ----------------------------------------------------------------------
+# The standing receive buffer: one per cluster, every connection's reads
+# ----------------------------------------------------------------------
+
+
+def test_interleaved_connections_keep_their_own_tails():
+    b = Recorder("b")
+    cluster, first = accepted(b)
+    second = _Inbound(cluster, "b")
+    split = frame("split " * 50, src="a")
+    feed(first, frame("a1", src="a") + split[:40])
+    feed(second, frame("c1", src="c") + frame("c2" * 500, src="c"))  # over first's bytes
+    assert first.tail == split[:40] and second.tail == b""
+    feed(second, frame("c3", src="c")[:3])
+    feed(first, split[40:] + frame("a2", src="a"))
+    feed(second, frame("c3", src="c")[3:])
+    assert b.received == [
+        ("a", "a1"), ("c", "c1"), ("c", "c2" * 500),
+        ("a", "split " * 50), ("a", "a2"), ("c", "c3"),
+    ]
+    assert first.tail == second.tail == b""
+    assert len(cluster._recv) == _RECV_BYTES  # small tails never grow it
+
+
+@pytest.mark.parametrize(
+    "size", [_RECV_BYTES - 1, _RECV_BYTES, _RECV_BYTES + 1, 4 * _RECV_BYTES]
+)
+def test_a_frame_as_long_as_the_buffer_or_longer_arrives_intact(size):
+    b = Recorder("b")
+    cluster, inbound = accepted(b)
+    payload, data = sized(size)
+    feed(inbound, data + frame("behind it"))
+    assert b.received == [("a", payload), ("a", "behind it")]
+    assert inbound.tail == b""
+    assert cluster.stats()["frames_received"] == 2
+    # ... and the connection after it reads into the same (grown) buffer.
+    other = _Inbound(cluster, "b")
+    feed(other, frame("next"))
+    assert b.received[-1] == ("a", "next")
+
+
+@pytest.mark.parametrize(
+    "held", [1, _RECV_BYTES // 2, _RECV_BYTES // 2 + 1, _RECV_BYTES, 3 * _RECV_BYTES + 7]
+)
+def test_get_buffer_never_returns_an_empty_view(held):
+    cluster, inbound = accepted(Recorder("b"))
+    inbound.tail = (struct.pack(">I", 1 << 30) + bytes(range(256)) * (held // 256 + 1))[:held]
+    view = inbound.get_buffer(-1)
+    assert len(view) >= held  # room for as much again
+    assert bytes(cluster._recv[:held]) == inbound.tail  # right in front of the view
+    assert len(cluster._recv) == held + len(view)
+    # A read the socket then refuses (EAGAIN) repeats the call: same answer.
+    assert len(inbound.get_buffer(-1)) == len(view)
+
+
+def test_a_length_header_alone_allocates_nothing():
+    cluster, inbound = accepted(Recorder("b"))
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        feed(inbound, struct.pack(">I", 1 << 30) + b"ten bytes!")
+        feed(inbound, b"and a few more")
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    assert inbound.tail == struct.pack(">I", 1 << 30) + b"ten bytes!and a few more"
+    assert len(cluster._recv) == _RECV_BYTES
+    assert peak < 1 << 20
+
+
+def test_decoded_payloads_do_not_alias_the_buffer():
+    b = Recorder("b")
+    _cluster, inbound = accepted(b)
+    blob = bytes(range(256)) * 4
+    feed(inbound, frame(blob) + frame(("nested", blob, "text")) + frame({blob}))  # pickle escape
+    feed(inbound, b"\xff" * 16)  # the next read overwrites where they were decoded from
+    assert [payload for _src, payload in b.received] == [blob, ("nested", blob, "text"), {blob}]
+
+
+def test_a_connection_lost_inside_a_frame_counts_it_as_dropped():
+    cluster, inbound = accepted(Recorder("b"))
+    feed(inbound, frame("whole") + frame("cut short")[:-3])
+    inbound.connection_lost(None)  # the peer died inside its second frame
+    stats = cluster.stats()
+    assert (stats["frames_received"], stats["dropped_frames"]) == (1, 1)
+    assert inbound.tail == b""
+    inbound.connection_lost(None)  # nothing is counted twice
+    assert cluster.stats()["dropped_frames"] == 1
+
+
+def test_frames_stranded_behind_a_raising_handler_are_counted_as_dropped():
+    class Faulty(Recorder):
+        def on_message(self, src: str, payload: Any) -> None:
+            raise RuntimeError("handler bug")
+
+    cluster, inbound = accepted(Faulty("b"))
+    with pytest.raises(RuntimeError, match="handler bug"):
+        feed(inbound, frame("boom") + frame("one") + frame("two") + frame("three")[:2])
+    inbound.connection_lost(RuntimeError("handler bug"))  # what asyncio does next
+    stats = cluster.stats()
+    # Four frames were sent: one reached the handler, two whole ones and
+    # the two-byte start of a fourth did not.
+    assert (stats["frames_received"], stats["dropped_frames"]) == (1, 3)
 
 
 def echoing(pid: str, peer: str) -> Tuple[TcpCluster, _Inbound, _Conn, Transport]:
@@ -153,9 +285,9 @@ def echoing(pid: str, peer: str) -> Tuple[TcpCluster, _Inbound, _Conn, Transport
     return cluster, inbound, conn, transport
 
 
-def test_a_turns_sends_are_written_before_data_received_returns():
+def test_a_turns_sends_are_written_before_buffer_updated_returns():
     cluster, inbound, conn, transport = echoing("b", "a")
-    inbound.data_received(frame(1) + frame(2))
+    feed(inbound, frame(1) + frame(2))
     # Two deliveries, four sends, one write: the pass at the end of the turn.
     assert transport.written == [
         b"".join(frame(reply, src="b") for reply in
@@ -216,13 +348,13 @@ def test_work_deferred_while_handling_chunks_runs_once_they_are_consumed():
     b = Batcher("b")
     cluster, inbound = accepted(b)
     loop = cluster.loop = Loop()  # type: ignore[assignment]
-    inbound.data_received(frame(1) + frame(2))
-    inbound.data_received(frame(3))  # a second chunk, readable in the same iteration
+    feed(inbound, frame(1) + frame(2))
+    feed(inbound, frame(3))  # a second chunk, readable in the same iteration
     assert b.batches == [] and len(loop.ready) == 1  # one call_soon for the burst
     loop.run_once()
     assert b.batches == [[1, 2, 3]]
     assert loop.ready == [] and cluster._deferred == []
-    inbound.data_received(frame(4))
+    feed(inbound, frame(4))
     loop.run_once()
     assert b.batches == [[1, 2, 3], [4]]
 
