@@ -1,16 +1,17 @@
 """Smoke tests for the perf harness (catches harness bitrot in tier-1).
 
-These do not assert absolute speed -- machines differ -- only that every
-benchmark runs, produces sane numbers, and that the kernel fast path is
-actually faster than a trivially slow floor.  The determinism digest is
-asserted exactly (it is machine-independent).
+Nothing here asserts a speed: every benchmark runs and produces sane
+numbers, the determinism digest is asserted exactly, and the gates of
+``run_perf.check`` -- a pure function of the payload -- are shown to
+fire and to hold on synthetic payloads.
 """
 
 import json
+from typing import Any, Dict
 
 import pytest
 
-from benchmarks.perf import harness
+from benchmarks.perf import harness, run_perf
 
 pytestmark = pytest.mark.bench
 
@@ -19,7 +20,6 @@ def test_suite_runs_quick_and_payload_is_complete(tmp_path):
     # wallclock=False: the TCP cells take tens of seconds and are
     # covered by test_wallclock_cells below with tiny shapes.
     payload = harness.run_suite(quick=True, repeats=1, wallclock=False)
-    assert "wallclock" not in payload
     for bench in harness.BENCHES:
         assert payload["results"][bench.key] > 0
     assert payload["mode"] == "quick"
@@ -32,8 +32,18 @@ def test_suite_runs_quick_and_payload_is_complete(tmp_path):
     kernel = payload["kernel_vs_reference"]
     assert kernel["fast_lane_events_per_sec"] > 0
     assert kernel["reference_events_per_sec"] > 0
-    # No figure measured on another machine is carried along any more.
-    assert not {"baseline_pre_pr", "speedup_vs_pre_pr"} & set(payload)
+    # Nothing measured on another machine, nothing for another run to read.
+    assert set(payload) == {
+        "schema", "mode", "repeats", "results", "golden_digest",
+        "kernel_vs_reference", "history_scaling", "checker_scaling",
+    }
+    # The gates find every ratio where the suite put it (whatever they
+    # read here): all but the codec's, whose section this run left out.
+    failures, notes = run_perf.check(payload)
+    assert len(failures) + len(notes) == len(run_perf.GATES) + 1
+    assert [note for note in notes if "skipped" in note] == [
+        "codec binary/pickle skipped (suite ran without wallclock)"
+    ]
     # The payload is JSON-serializable and round-trips.
     out = tmp_path / "perf.json"
     harness.write_payload(payload, str(out))
@@ -77,8 +87,52 @@ def test_golden_digest_is_stable():
     assert harness.golden_scenario_digest() == harness.GOLDEN_DIGEST
 
 
-def test_kernel_dispatch_uses_fast_lane():
-    """The cascade must beat a conservative floor that even modest
-    hardware exceeds with the fast lane but not without it."""
-    rate = max(harness.kernel_dispatch(60_000) for _ in range(2))
-    assert rate > 500_000, f"kernel dispatch suspiciously slow: {rate:,.0f}/s"
+def _payload(readings: Dict[str, float], digest: str = harness.GOLDEN_DIGEST) -> Dict[str, Any]:
+    """A synthetic payload: ``readings`` by gate name, each put where
+    its gate looks for it."""
+    payload: Dict[str, Any] = {"golden_digest": digest}
+    for gate in run_perf.GATES:
+        if gate.name in readings:
+            node = payload
+            for key in gate.path[:-1]:
+                node = node.setdefault(key, {})
+            node[gate.path[-1]] = readings[gate.name]
+    return payload
+
+
+_LOW = {gate.name: gate.recorded[0] for gate in run_perf.GATES}
+_HIGH = {gate.name: gate.recorded[1] for gate in run_perf.GATES}
+
+
+@pytest.mark.parametrize("readings", [_LOW, _HIGH], ids=["low", "high"])
+def test_gates_hold_at_both_ends_of_their_recorded_ranges(readings):
+    failures, notes = run_perf.check(_payload(readings))
+    assert failures == []
+    assert len(notes) == len(run_perf.GATES) + 1 and notes[-1] == "digest matches"
+
+
+@pytest.mark.parametrize("gate", run_perf.GATES, ids=lambda gate: gate.path[0])
+def test_each_gate_fires_alone_and_names_itself_and_its_bound(gate):
+    past = gate.bound / 1.3 if gate.is_floor else gate.bound * 1.3
+    for reading in (past, gate.planted):
+        failures, notes = run_perf.check(_payload({**_LOW, gate.name: reading}))
+        assert len(failures) == 1 and len(notes) == len(run_perf.GATES)
+        assert failures[0].startswith(f"{gate.name} {reading:.2f} is past the {gate.bound:.2f} ")
+        assert gate.regression in failures[0]
+
+
+def test_digest_gate_fires_on_one_character():
+    drifted = harness.GOLDEN_DIGEST[:-1] + ("0" if harness.GOLDEN_DIGEST[-1] != "0" else "1")
+    failures, _notes = run_perf.check(_payload(_LOW, digest=drifted))
+    assert len(failures) == 1 and failures[0].startswith("determinism broken")
+    assert drifted in failures[0] and harness.GOLDEN_DIGEST in failures[0]
+
+
+def test_a_run_without_wallclock_skips_exactly_the_codec_gate():
+    readings = {name: value for name, value in _LOW.items() if name != "codec binary/pickle"}
+    failures, notes = run_perf.check(_payload(readings))
+    assert failures == []
+    assert [note for note in notes if "skipped" in note] == [
+        "codec binary/pickle skipped (suite ran without wallclock)"
+    ]
+    assert len(notes) == len(run_perf.GATES) + 1

@@ -70,6 +70,14 @@ class ScenarioRun(BaseRun):
     def correct_servers(self) -> List[Any]:
         return [s for s in self.servers if not s.crashed]
 
+    def submitted_rids(self) -> List[str]:
+        """The drivers' submissions; for a run scripted through
+        ``client.submit`` instead (the figures), the ``submit`` events
+        every client traces -- one group, so each is a logical request."""
+        return super().submitted_rids() or [
+            event["rid"] for event in self.trace.events(kind="submit")
+        ]
+
     def latencies(self) -> List[float]:
         return [event["latency"] for event in self.trace.events(kind="adopt")]
 

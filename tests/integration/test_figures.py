@@ -7,6 +7,7 @@ assert their semantics.
 """
 
 from repro.analysis import checkers
+from repro.broadcast.reliable import RMsg
 from repro.harness.figures import (
     run_figure_1a,
     run_figure_1b,
@@ -57,6 +58,25 @@ class TestFigure2:
     def test_full_checker_suite(self):
         run = run_figure_2()
         run_checks(run, group_size=3)
+
+    def test_check_all_sees_the_scripted_requests(self):
+        """The figure submits through ``client.submit``, not a driver;
+        at-least-once must range over those five requests all the same,
+        and fail for a sixth that p3 never receives (the client adopts
+        it from the majority {p1, p2}, so the run is quiescent)."""
+        run = run_figure_2()
+        assert run.submitted_rids() == ["c1-0", "c1-1", "c1-2", "c1-3", "c1-4"]
+        run.check_all()
+        run.network.add_interceptor(
+            lambda src, dst, payload: not (
+                dst == "p3" and isinstance(payload, RMsg) and payload.payload.rid == "c1-5"
+            )
+        )
+        assert run.clients[0].submit(("incr",)) == "c1-5"
+        run.sim.run(until=60.0, max_events=100_000)
+        assert run.all_done() and "c1-5" in run.adopted()
+        with pytest.raises(checkers.CheckFailure, match=r"p3: requests never delivered.*c1-5"):
+            run.check_all()
 
 
 class TestFigure3:
