@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -86,6 +87,13 @@ class AdoptedReply:
         return self.adopt_time - self.submit_time
 
 
+#: A continuation: what a request's adopted reply is handed to instead of
+#: the workload driver.  Every multi-step operation (a WrongShard retry,
+#: a 2PC branch, a scatter-read branch, a borrow, a migration stage) is a
+#: ``then`` on an ordinary request, so it acts only on committed outcomes.
+Then = Callable[[AdoptedReply], None]
+
+
 class _PendingRequest:
     """Reply bookkeeping for one in-flight request."""
 
@@ -93,17 +101,20 @@ class _PendingRequest:
         "op",
         "group",
         "submit_time",
+        "then",
         "replies_by_epoch",
         "weight_by_epoch",
         "retries",
     )
 
     def __init__(
-        self, op: Tuple[Any, ...], group: Tuple[str, ...], submit_time: float
+        self, op: Tuple[Any, ...], group: Tuple[str, ...], submit_time: float,
+        then: Optional[Then],
     ) -> None:
         self.op = op
         self.group = group
         self.submit_time = submit_time
+        self.then = then
         self.retries = 0
         # epoch -> {server pid -> Reply}; per server we keep the
         # heaviest reply seen for that epoch (a conservative reply
@@ -131,6 +142,8 @@ class _PendingRead:
         "shard",
         "mode",
         "submit_time",
+        "then",
+        "attempts",
         "replies",
         "target_index",
         "retries",
@@ -145,6 +158,8 @@ class _PendingRead:
         shard: Optional[int],
         mode: str,
         submit_time: float,
+        then: Optional[Then],
+        attempts: int,
         target_index: int,
     ) -> None:
         self.op = op
@@ -152,6 +167,10 @@ class _PendingRead:
         self.shard = shard
         self.mode = mode
         self.submit_time = submit_time
+        self.then = then
+        #: WrongShard redirects this logical read already spent (the
+        #: sharded client's ``_read_redirect`` reads it before the trace).
+        self.attempts = attempts
         self.target_index = target_index
         #: server pid -> its latest ReadReply *of the current round*.
         #: Every retransmit/re-poll bumps ``round`` and clears this, and
@@ -276,14 +295,21 @@ class OARClient(ComponentProcess):
     # ------------------------------------------------------------------
 
     def submit(
-        self, op: Tuple[Any, ...], servers: Optional[Sequence[str]] = None
+        self,
+        op: Tuple[Any, ...],
+        servers: Optional[Sequence[str]] = None,
+        then: Optional[Then] = None,
+        submit_time: Optional[float] = None,
     ) -> str:
         """OAR-multicast(m, Π): R-multicast the request, start collecting.
 
         ``servers`` overrides the target group for this request (the
         sharded client routes each request to its key's group).  Returns
         the request id; the adopted reply appears in :attr:`adopted` (and
-        via the ``on_adopt`` callback).
+        via the ``on_adopt`` callback) -- unless the caller passes the
+        continuation ``then``, which gets the adopted reply instead.
+        ``submit_time`` back-dates the request: a step of a longer
+        logical operation is timed from that operation's first submission.
 
         Read-only operations take the replica-local read path when
         :attr:`read_mode` enables it -- but only on the default-routed
@@ -292,11 +318,13 @@ class OARClient(ComponentProcess):
         probes), which must stay totally ordered.
         """
         if servers is None and self._wants_read_path(tuple(op)):
-            return self._submit_read(tuple(op), self.servers, None)
+            return self._submit_read(tuple(op), self.servers, None, then, submit_time)
         group = self.servers if servers is None else tuple(servers)
         rid = f"{self.pid}-{next(self._counter)}"
         request = Request(rid=rid, client=self.pid, op=tuple(op))
-        self._pending[rid] = _PendingRequest(request.op, group, self.env.now)
+        self._pending[rid] = _PendingRequest(
+            request.op, group, self.env.now if submit_time is None else submit_time, then
+        )
         self.env.trace("submit", rid=rid, op=request.op)
         self.rmc.multicast(request, group)
         if self.retry_interval is not None:
@@ -342,7 +370,9 @@ class OARClient(ComponentProcess):
         op: Tuple[Any, ...],
         group: Tuple[str, ...],
         shard: Optional[int],
+        then: Optional[Then] = None,
         submit_time: Optional[float] = None,
+        attempts: int = 0,
     ) -> str:
         """Send a read straight to replicas, bypassing the sequencer."""
         rid = f"{self.pid}-r{next(self._read_counter)}"
@@ -354,6 +384,8 @@ class OARClient(ComponentProcess):
             shard=shard,
             mode=self.read_mode,
             submit_time=self.env.now if submit_time is None else submit_time,
+            then=then,
+            attempts=attempts,
             target_index=target_index,
         )
         self._reads[rid] = pending
@@ -517,15 +549,17 @@ class OARClient(ComponentProcess):
             shard=pending.shard,
             latency=adopted.latency,
         )
-        self._record_adoption(adopted)
+        self._record_adoption(adopted, pending.then)
 
     def _read_redirect(
         self, rid: str, pending: _PendingRead, reply: ReadReply
     ) -> bool:
         """WrongShard hook: the sharded client syncs-and-retries.
 
-        An unsharded deployment owns every key, so the base client never
-        redirects a read.
+        The one step that cannot be a ``then``: it runs *before*
+        ``read_adopt`` is traced, because the read checker must never see
+        a WrongShard observation.  An unsharded deployment owns every
+        key, so the base client never redirects a read.
         """
         return False
 
@@ -632,17 +666,17 @@ class OARClient(ComponentProcess):
             conservative=reply.conservative,
             latency=adopted.latency,
         )
-        self._record_adoption(adopted)
+        self._record_adoption(adopted, pending.then)
 
     def _on_shed(self, src: str, notice: ShedNotice) -> None:
         """Surface an admission refusal as a deterministic failed result.
 
         The shed op resolves through :meth:`_record_adoption` like any
-        other outcome (so drivers see it via ``on_adopt`` and the
-        sharded client's transaction interception treats a shed branch
-        as a failed step), but it is traced as ``shed_adopt`` -- not
-        ``adopt`` -- because no delivery position backs it: the
-        external-consistency and total-order checkers must never see it.
+        other outcome (so drivers see it via ``on_adopt`` and a
+        transaction whose branch was shed sees a failed step), but it is
+        traced as ``shed_adopt`` -- not ``adopt`` -- because no delivery
+        position backs it: the external-consistency and total-order
+        checkers must never see it.
         A notice for an already-resolved rid (e.g. a successor sequencer
         ordered the op after a failover and the real reply won the race)
         counts as late, exactly like a stale reply.
@@ -653,17 +687,14 @@ class OARClient(ComponentProcess):
             value=Overloaded(cls=notice.cls, queue=notice.queue, limit=notice.limit),
             error="overloaded",
         )
-        pending = self._pending.pop(rid, None)
-        if pending is not None:
-            submit_time = pending.submit_time
-        else:
-            read = self._reads.pop(rid, None)
-            if read is None:
+        pending: Any = self._pending.pop(rid, None)
+        if pending is None:
+            pending = self._reads.pop(rid, None)
+            if pending is None:
                 self.late_replies += 1
                 return
-            if read.timer is not None:
-                read.timer.cancel()
-            submit_time = read.submit_time
+            if pending.timer is not None:
+                pending.timer.cancel()
         self.overloaded += 1
         self.shed_rids.add(rid)
         adopted = AdoptedReply(
@@ -673,7 +704,7 @@ class OARClient(ComponentProcess):
             epoch=-1,
             weight=(src,),
             conservative=False,
-            submit_time=submit_time,
+            submit_time=pending.submit_time,
             adopt_time=self.env.now,
         )
         self.env.trace(
@@ -684,14 +715,13 @@ class OARClient(ComponentProcess):
             limit=notice.limit,
             latency=adopted.latency,
         )
-        self._record_adoption(adopted)
+        self._record_adoption(adopted, pending.then)
 
-    def _record_adoption(self, adopted: AdoptedReply) -> None:
-        """Store the outcome and notify the workload driver.
-
-        Subclass hook: the sharded client intercepts transaction-branch
-        adoptions here and surfaces only whole-transaction outcomes.
-        """
+    def _record_adoption(self, adopted: AdoptedReply, then: Optional[Then]) -> None:
+        """Who gets this adoption: its continuation, else the driver."""
+        if then is not None:
+            then(adopted)
+            return
         self.adopted[adopted.rid] = adopted
         if self.on_adopt is not None:
             self.on_adopt(adopted)
@@ -714,6 +744,8 @@ class _CrossShardTx:
         "txid",
         "op",
         "submit_time",
+        "then",
+        "attempts",
         "shards",
         "prepare_rids",
         "prepared",
@@ -728,11 +760,15 @@ class _CrossShardTx:
         txid: str,
         op: Tuple[Any, ...],
         submit_time: float,
+        then: Optional[Then],
+        attempts: int,
         shards: Tuple[int, ...],
     ) -> None:
         self.txid = txid
         self.op = op
         self.submit_time = submit_time
+        self.then = then  # who gets the whole-transaction outcome
+        self.attempts = attempts  # redirects this logical op already spent
         self.shards = shards
         self.prepare_rids: Dict[str, int] = {}  # branch rid -> shard
         self.prepared: Dict[str, AdoptedReply] = {}
@@ -756,17 +792,19 @@ class _CrossShardTx:
 class _ScatterRead:
     """One merge-on-read over a split key's fragments (client-side)."""
 
-    __slots__ = ("op", "key", "order", "submit_time", "by_frag", "got",
-                 "error", "conservative")
+    __slots__ = ("sid", "op", "key", "order", "submit_time", "then", "by_frag",
+                 "got", "error", "conservative")
 
     def __init__(
-        self, op: Tuple[Any, ...], key: Any, order: Tuple[Any, ...],
-        submit_time: float,
+        self, sid: str, op: Tuple[Any, ...], key: Any, order: Tuple[Any, ...],
+        submit_time: float, then: Optional[Then],
     ) -> None:
+        self.sid = sid
         self.op = op
         self.key = key
         self.order = order  # fragment keys, in fragment-index order
         self.submit_time = submit_time
+        self.then = then
         self.by_frag: Dict[Any, Any] = {}
         self.got = 0
         self.error: Optional[str] = None
@@ -777,11 +815,12 @@ class _BudgetWithdraw:
     """One budget-limited op on a fragment, with its borrow bookkeeping."""
 
     __slots__ = ("op", "key", "frag", "frag_op", "frags", "submit_time",
-                 "attempts", "tried", "shortfall")
+                 "then", "attempts", "tried", "shortfall")
 
     def __init__(
         self, op: Tuple[Any, ...], key: Any, frag: Any,
         frag_op: Tuple[Any, ...], frags: Tuple[Any, ...], submit_time: float,
+        then: Optional[Then],
     ) -> None:
         self.op = op
         self.key = key
@@ -789,6 +828,7 @@ class _BudgetWithdraw:
         self.frag_op = frag_op
         self.frags = frags
         self.submit_time = submit_time
+        self.then = then
         self.attempts = 0
         self.tried: Set[Any] = set()
         self.shortfall = 0
@@ -926,8 +966,8 @@ class ShardedOARClient(OARClient):
         self.key_extractor = key_extractor
         self.tx_planner = tx_planner
         self._tx_counter = itertools.count()
+        #: Transactions between begin and finish (for :attr:`outstanding`).
         self._txs: Dict[str, _CrossShardTx] = {}
-        self._branch_to_tx: Dict[str, str] = {}
         #: Every physical request (single-shard ops and tx branches) and
         #: the shard it was routed to; per-shard checkers use this.
         self.routed: Dict[str, int] = {}
@@ -941,11 +981,6 @@ class ShardedOARClient(OARClient):
         self.key_load = DecayingKeyLoad(
             half_life=load_half_life, clock=lambda: self.env.now
         )
-        #: rid -> op for routed single-shard submissions, kept while the
-        #: request is in flight so a WrongShard reply can be retried.
-        self._op_of: Dict[str, Tuple[Any, ...]] = {}
-        #: rid/txid -> redirects already spent on that logical operation.
-        self._redirect_attempts: Dict[str, int] = {}
         self._redirect_pending = 0
         self.cross_shard_started = 0
         self.cross_shard_committed = 0
@@ -957,14 +992,6 @@ class ShardedOARClient(OARClient):
         #: key -> round-robin cursor over its fragments.
         self._split_rr: Dict[Any, int] = {}
         self._scatter_counter = itertools.count()
-        #: logical scatter-read id -> merge state.
-        self._scatter: Dict[str, _ScatterRead] = {}
-        #: physical branch rid -> (scatter id, fragment key).
-        self._scatter_branch: Dict[str, Tuple[str, Any]] = {}
-        #: budget-op rid -> its borrow context.
-        self._budget_of: Dict[str, _BudgetWithdraw] = {}
-        #: borrow-transfer rid/txid -> the budget context it serves.
-        self._borrows: Dict[str, _BudgetWithdraw] = {}
         self.split_rewrites = 0
         self.split_reads = 0
         self.borrows = 0
@@ -1000,7 +1027,11 @@ class ShardedOARClient(OARClient):
     # ------------------------------------------------------------------
 
     def submit(
-        self, op: Tuple[Any, ...], servers: Optional[Sequence[str]] = None
+        self,
+        op: Tuple[Any, ...],
+        servers: Optional[Sequence[str]] = None,
+        then: Optional[Then] = None,
+        submit_time: Optional[float] = None,
     ) -> str:
         """Route by key; fan a multi-shard op out as a 2PC transaction.
 
@@ -1008,14 +1039,23 @@ class ShardedOARClient(OARClient):
         (used by tests and by the coordinator's own branches).
         """
         if servers is not None:
-            return super().submit(op, servers)
-        op = tuple(op)
+            return super().submit(op, servers, then, submit_time)
+        return self._route(
+            tuple(op), then, self.env.now if submit_time is None else submit_time, 0
+        )
+
+    def _route(
+        self, op: Tuple[Any, ...], then: Optional[Then], submit_time: float, attempts: int
+    ) -> str:
+        """Submit one logical operation: ``then`` gets its final outcome;
+        ``submit_time`` and ``attempts`` (WrongShard redirects already
+        spent) are what a retry inherits from the first try."""
         keys = tuple(self.key_extractor(op))
         record = self.key_load.record
         for key in keys:
             record(key)
         if self.splitter is not None and self.router.splits:
-            handled = self._submit_split(op, keys)
+            handled = self._submit_split(op, keys, then, submit_time, attempts)
             if handled is not None:
                 return handled
         shards = self._shards_for_keys(keys)
@@ -1025,21 +1065,27 @@ class ShardedOARClient(OARClient):
                 # no sequencer involved.  (A hypothetical multi-shard
                 # read has no single group to quorum over and falls
                 # through to the ordered path below.)
-                return self._submit_read(op, self.shard_groups[shards[0]], shards[0])
-            return self.submit_to_shard(op, shards[0])
-        return self._begin_cross_shard(op, shards)
+                return self._submit_read(
+                    op, self.shard_groups[shards[0]], shards[0], then, submit_time, attempts
+                )
+            return self.submit_to_shard(
+                op, shards[0], partial(self._on_routed, op, attempts, then), submit_time
+            )
+        return self._begin_cross_shard(op, shards, then, submit_time, attempts)
 
-    def submit_to_shard(self, op: Tuple[Any, ...], shard: int) -> str:
+    def submit_to_shard(
+        self, op: Tuple[Any, ...], shard: int,
+        then: Optional[Then] = None, submit_time: Optional[float] = None,
+    ) -> str:
         """Submit ``op`` to one shard's group, recording the routing.
 
         The normal path routes by key; this entry point is for requests
-        whose shard is chosen by the caller -- transaction decision
-        branches and the rebalance coordinator's ``mig_*`` operations.
+        whose shard is chosen by the caller -- transaction branches and
+        the rebalance coordinator's ``mig_*`` operations -- and whose
+        outcome, WrongShard included, goes to ``then`` as it is.
         """
-        op = tuple(op)
-        rid = OARClient.submit(self, op, self.shard_groups[shard])
+        rid = OARClient.submit(self, op, self.shard_groups[shard], then, submit_time)
         self.routed[rid] = shard
-        self._op_of[rid] = op
         per_shard = self._routed_by_shard.get(shard)
         if per_shard is None:
             per_shard = self._routed_by_shard[shard] = []
@@ -1054,7 +1100,10 @@ class ShardedOARClient(OARClient):
     # Cross-shard two-phase commit (client as coordinator)
     # ------------------------------------------------------------------
 
-    def _begin_cross_shard(self, op: Tuple[Any, ...], shards: Tuple[int, ...]) -> str:
+    def _begin_cross_shard(
+        self, op: Tuple[Any, ...], shards: Tuple[int, ...],
+        then: Optional[Then], submit_time: float, attempts: int,
+    ) -> str:
         txid = f"{self.pid}-x{next(self._tx_counter)}"
         branches = None if self.tx_planner is None else self.tx_planner(op, txid)
         if branches is None:
@@ -1065,331 +1114,22 @@ class ShardedOARClient(OARClient):
         per_shard: Dict[int, List[Tuple[Any, ...]]] = {}
         for key, branch_op in branches.items():
             per_shard.setdefault(self.router.shard_of(key), []).append(branch_op)
-        tx = _CrossShardTx(txid, op, self.env.now, tuple(sorted(per_shard)))
+        tx = _CrossShardTx(txid, op, submit_time, then, attempts, tuple(sorted(per_shard)))
         self._txs[txid] = tx
         self.cross_shard_started += 1
         self.env.trace("tx_begin", txid=txid, op=op, shards=tx.shards)
+        on_branch = partial(self._on_branch, tx)
         for shard in sorted(per_shard):
             for branch_op in per_shard[shard]:
-                rid = self.submit_to_shard(branch_op, shard)
-                self._branch_to_tx[rid] = txid
+                rid = self.submit_to_shard(branch_op, shard, on_branch)
                 tx.prepare_rids[rid] = shard
                 tx.inflight += 1
         return txid
 
-    # ------------------------------------------------------------------
-    # Hot-key splitting (repro.statemachine.base.SplittableMachine)
-    # ------------------------------------------------------------------
-
-    def _submit_split(self, op: Tuple[Any, ...], keys: Tuple[Any, ...]) -> Optional[str]:
-        """Rewrite an op touching split keys; None when none are split."""
-        splits = self.router.splits
-        split_keys = [key for key in keys if key in splits]
-        if not split_keys:
-            return None
-        sp = self.splitter
-        if len(keys) == 1:
-            key = keys[0]
-            placements = self.router.fragments_of(key)
-            kind = sp.split_kind(op)
-            if kind == "read":
-                return self._scatter_read(op, key, placements)
-            if kind in ("local", "budget"):
-                frag = self._next_fragment(key, placements)
-                frag_op = sp.fragment_op(op, key, frag)
-                self.split_rewrites += 1
-                self.env.trace(
-                    "split_rewrite", op=op, frag=frag, rewrite=kind
-                )
-                rid = self.submit(frag_op)
-                if kind == "budget":
-                    self._budget_of[rid] = _BudgetWithdraw(
-                        op, key, frag, frag_op,
-                        tuple(f for f, _shard in placements), self.env.now,
-                    )
-                return rid
-            return None  # not rewritable: WrongShard until unsplit
-        # Multi-key op: substitute each split key with one of its
-        # fragments and route the rewritten op normally (possibly as a
-        # cross-shard transaction).  A budget-short fragment here just
-        # fails the op, like any overdraft.
-        new_op = op
-        for key in split_keys:
-            frag = self._next_fragment(key, self.router.fragments_of(key))
-            new_op = sp.fragment_op(new_op, key, frag)
-        self.split_rewrites += 1
-        self.env.trace("split_rewrite", op=op, rewritten=new_op, rewrite="multi")
-        return self.submit(new_op)
-
-    def _next_fragment(self, key: Any, placements: Tuple[Tuple[Any, int], ...]) -> Any:
-        """Round-robin fragment choice: spread commutative load evenly."""
-        cursor = self._split_rr.get(key, 0)
-        self._split_rr[key] = cursor + 1
-        frag, _shard = placements[cursor % len(placements)]
-        return frag
-
-    def _scatter_read(
-        self, op: Tuple[Any, ...], key: Any,
-        placements: Tuple[Tuple[Any, int], ...],
-    ) -> str:
-        """Merge-on-read: one branch per fragment, combined on adoption."""
-        sid = f"{self.pid}-sr{next(self._scatter_counter)}"
-        order = tuple(frag for frag, _shard in placements)
-        self._scatter[sid] = _ScatterRead(op, key, order, self.env.now)
-        self.split_reads += 1
-        self.env.trace("split_read", rid=sid, op=op, fragments=len(order))
-        sp = self.splitter
-        for frag in order:
-            branch_rid = self.submit(sp.fragment_op(op, key, frag))
-            self._scatter_branch[branch_rid] = (sid, frag)
-        return sid
-
-    def _on_scatter_branch(self, sid: str, frag: Any, adopted: AdoptedReply) -> None:
-        scatter = self._scatter[sid]
-        value = adopted.value
-        if isinstance(value, OpResult) and value.ok:
-            scatter.by_frag[frag] = value.value
-        elif scatter.error is None:
-            scatter.error = (
-                value.error if isinstance(value, OpResult) else repr(value)
-            )
-        scatter.got += 1
-        scatter.conservative = scatter.conservative and adopted.conservative
-        if scatter.got < len(scatter.order):
-            return
-        del self._scatter[sid]
-        if scatter.error is None:
-            values = tuple(scatter.by_frag[f] for f in scatter.order)
-            result = OpResult(
-                ok=True, value=self.splitter.merge_read(scatter.op, values)
-            )
-        else:
-            result = OpResult(ok=False, error=f"split read: {scatter.error}")
-        merged = AdoptedReply(
-            rid=sid,
-            value=result,
-            position=-1,
-            epoch=-1,
-            weight=(),
-            conservative=scatter.conservative,
-            submit_time=scatter.submit_time,
-            adopt_time=self.env.now,
-        )
-        self.env.trace(
-            "split_read_adopt",
-            rid=sid,
-            op=scatter.op,
-            value=result.value if result.ok else result.error,
-            latency=merged.latency,
-        )
-        OARClient._record_adoption(self, merged)
-
-    def _on_budget(self, ctx: _BudgetWithdraw, adopted: AdoptedReply) -> bool:
-        """Borrow-and-retry on a fragment shortfall; False = surface."""
-        value = adopted.value
-        short = (
-            isinstance(value, OpResult)
-            and not value.ok
-            and isinstance(value.value, tuple)
-            and value.value
-            and value.value[0] == "short"
-        )
-        if not short:
-            return False
-        amount = ctx.op[-1]
-        available = value.value[1]
-        if not isinstance(amount, int) or not isinstance(available, int):
-            return False
-        ctx.shortfall = amount - available
-        return self._try_borrow(ctx)
-
-    def _try_borrow(self, ctx: _BudgetWithdraw) -> bool:
-        donors = [f for f in ctx.frags if f != ctx.frag and f not in ctx.tried]
-        if not donors or ctx.attempts >= len(ctx.frags) - 1:
-            return False
-        donor = donors[0]
-        ctx.tried.add(donor)
-        ctx.attempts += 1
-        self.borrows += 1
-        self.env.trace(
-            "split_borrow",
-            key=ctx.key,
-            donor=donor,
-            frag=ctx.frag,
-            amount=ctx.shortfall,
-            attempt=ctx.attempts,
-        )
-        # An ordinary totally-ordered transfer between fragments: the
-        # routing layer turns it into a cross-shard 2PC when the donor
-        # lives on another shard, so borrow atomicity is the transfer's.
-        rid = self.submit(("transfer", donor, ctx.frag, ctx.shortfall))
-        self._borrows[rid] = ctx
-        return True
-
-    def _on_borrow(self, ctx: _BudgetWithdraw, adopted: AdoptedReply) -> None:
-        value = adopted.value
-        if isinstance(value, OpResult) and value.ok:
-            # Funds arrived: retry the original op on the same fragment.
-            # The ordered pipeline serializes the retry after the
-            # transfer's credit, so the retry sees the borrowed funds.
-            rid = self.submit(ctx.frag_op)
-            self._budget_of[rid] = ctx
-            pending = self._pending.get(rid)
-            if pending is not None:
-                # Latency continuity: the whole borrow chain is one
-                # logical operation, timed from its first submission.
-                pending.submit_time = ctx.submit_time
-            return
-        self.borrows_failed += 1
-        if self._try_borrow(ctx):
-            return  # rotate to the next donor
-        # Every donor was short too: run the op once more so the
-        # terminal overdraft surfaces through the normal adoption path.
-        rid = self.submit(ctx.frag_op)
-        pending = self._pending.get(rid)
-        if pending is not None:
-            pending.submit_time = ctx.submit_time
-
-    def _intercept_adoption(self, adopted: AdoptedReply) -> bool:
-        """Split bookkeeping hooks; True when the adoption was consumed."""
-        branch = self._scatter_branch.pop(adopted.rid, None)
-        if branch is not None:
-            self._on_scatter_branch(branch[0], branch[1], adopted)
-            return True
-        ctx = self._budget_of.pop(adopted.rid, None)
-        if ctx is not None and self._on_budget(ctx, adopted):
-            return True
-        borrow = self._borrows.pop(adopted.rid, None)
-        if borrow is not None:
-            self._on_borrow(borrow, adopted)
-            return True
-        return False
-
-    def _remap_logical(self, old_id: str, new_id: str) -> None:
-        """Carry split bookkeeping across a redirect's rid change."""
-        branch = self._scatter_branch.pop(old_id, None)
-        if branch is not None:
-            self._scatter_branch[new_id] = branch
-        ctx = self._budget_of.pop(old_id, None)
-        if ctx is not None:
-            self._budget_of[new_id] = ctx
-        borrow = self._borrows.pop(old_id, None)
-        if borrow is not None:
-            self._borrows[new_id] = borrow
-
-    # ------------------------------------------------------------------
-    # WrongShard redirects (live rebalancing, repro.sharding.rebalance)
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _wrong_shard_of(value: Any) -> Optional[WrongShard]:
-        """The WrongShard payload of a failed result, else None."""
-        if (
-            isinstance(value, OpResult)
-            and not value.ok
-            and isinstance(value.value, WrongShard)
-        ):
-            return value.value
-        return None
-
-    def _schedule_redirect(
-        self, old_id: str, op: Tuple[Any, ...], submit_time: float
-    ) -> bool:
-        """Sync-and-retry ``op`` after a WrongShard outcome on ``old_id``.
-
-        Returns False (caller surfaces the error as a terminal adoption)
-        when redirects are disabled or the retry budget for this logical
-        operation is spent.  The retry happens ``redirect_delay`` later
-        under a fresh request id that inherits the original submission
-        time, so client-perceived latency spans the whole redirect chain.
-        """
-        attempts = self._redirect_attempts.pop(old_id, 0)
-        if self.route_authority is None or attempts >= self.max_redirects:
-            if self.route_authority is not None:
-                self.redirects_exhausted += 1
-                self.env.trace(
-                    "redirect_exhausted", rid=old_id, op=op, attempts=attempts
-                )
-            return False
-        self.redirects += 1
-        self.env.trace(
-            "redirect",
-            rid=old_id,
-            op=op,
-            attempt=attempts + 1,
-            table_epoch=self.route_authority.epoch,
-        )
-        # Sync immediately, not just at retry time: a WrongShard reply is
-        # proof the local table is stale, and every operation submitted
-        # between now and the (delayed) retry would otherwise chase the
-        # same wrong shard and pile onto its queue.  The retry syncs
-        # again in case the authority moved during the pause.
-        self.router.sync_from(self.route_authority)
-        self._redirect_pending += 1
-
-        def retry() -> None:
-            self._redirect_pending -= 1
-            self.router.sync_from(self.route_authority)
-            new_id = self.submit(op)
-            self._remap_logical(old_id, new_id)
-            # submit() counted the op's keys into key_load again, but a
-            # retry is not new demand: left in, a key under migration
-            # (the one case that redirects) would look ever hotter to
-            # the rebalance planner and invite move oscillation.
-            for key in self.key_extractor(op):
-                self.key_load.unrecord(key)
-            self._redirect_attempts[new_id] = attempts + 1
-            pending = self._pending.get(new_id)
-            if pending is not None:
-                pending.submit_time = submit_time
-                return
-            read = self._reads.get(new_id)
-            if read is not None:
-                read.submit_time = submit_time
-                return
-            tx = self._txs.get(new_id)
-            if tx is not None:
-                tx.submit_time = submit_time
-
-        self.env.set_timer(self.redirect_delay, retry)
-        return True
-
-    def _read_redirect(
-        self, rid: str, pending: _PendingRead, reply: ReadReply
-    ) -> bool:
-        """A read that observed WrongShard syncs-and-retries like a write.
-
-        The read is re-routed by the refreshed table under a fresh read
-        id; the original submission time is inherited (the redirect
-        chain is one logical read).  Budget-exhausted reads surface the
-        WrongShard error as a terminal adoption, exactly like writes.
-        """
-        if self._wrong_shard_of(reply.value) is None:
-            return False
-        return self._schedule_redirect(rid, pending.op, pending.submit_time)
-
-    # ------------------------------------------------------------------
-
-    def _record_adoption(self, adopted: AdoptedReply) -> None:
-        txid = self._branch_to_tx.pop(adopted.rid, None)
-        if txid is None:
-            op = self._op_of.pop(adopted.rid, None)
-            if (
-                op is not None
-                and self._wrong_shard_of(adopted.value) is not None
-                and self._schedule_redirect(adopted.rid, op, adopted.submit_time)
-            ):
-                return  # retried; never surfaced to the driver
-            self._redirect_attempts.pop(adopted.rid, None)
-            if self._intercept_adoption(adopted):
-                return  # split scatter/borrow machinery consumed it
-            super()._record_adoption(adopted)
-            return
-        self._op_of.pop(adopted.rid, None)
-        tx = self._txs[txid]
+    def _on_branch(self, tx: _CrossShardTx, adopted: AdoptedReply) -> None:
         tx.inflight -= 1
         self.env.trace(
-            "tx_branch_adopt", txid=txid, rid=adopted.rid, phase=tx.phase
+            "tx_branch_adopt", txid=tx.txid, rid=adopted.rid, phase=tx.phase
         )
         if tx.phase == "prepare":
             tx.prepared[adopted.rid] = adopted
@@ -1420,10 +1160,9 @@ class ShardedOARClient(OARClient):
             shards=tuple(sorted(targets)),
         )
         decision_op = ("tx_commit" if commit else "tx_abort", tx.txid)
+        on_branch = partial(self._on_branch, tx)
         for shard in sorted(targets):
-            rid = self.submit_to_shard(decision_op, shard)
-            self._branch_to_tx[rid] = tx.txid
-            tx.decision_rids.add(rid)
+            tx.decision_rids.add(self.submit_to_shard(decision_op, shard, on_branch))
             tx.inflight += 1
         if not targets:
             self._finish_tx(tx)
@@ -1451,7 +1190,9 @@ class ShardedOARClient(OARClient):
                 self._wrong_shard_of(a.value) is not None
                 for a in tx.prepared.values()
             )
-            if stale and self._schedule_redirect(tx.txid, tx.op, tx.submit_time):
+            if stale and self._schedule_redirect(
+                tx.txid, tx.op, tx.submit_time, tx.attempts, tx.then
+            ):
                 self.env.trace(
                     "tx_adopt",
                     txid=tx.txid,
@@ -1460,7 +1201,6 @@ class ShardedOARClient(OARClient):
                     latency=self.env.now - tx.submit_time,
                 )
                 return  # retried; the aborted attempt is not surfaced
-        self._redirect_attempts.pop(tx.txid, None)
         branch_adoptions = list(tx.prepared.values()) + list(tx.decided.values())
         adopted = AdoptedReply(
             rid=tx.txid,
@@ -1479,6 +1219,263 @@ class ShardedOARClient(OARClient):
             shards=tx.shards,
             latency=adopted.latency,
         )
-        if self._intercept_adoption(adopted):
-            return  # a borrow transfer ran as a cross-shard tx
-        super()._record_adoption(adopted)
+        self._record_adoption(adopted, tx.then)
+
+    # ------------------------------------------------------------------
+    # Hot-key splitting (repro.statemachine.base.SplittableMachine)
+    # ------------------------------------------------------------------
+
+    def _submit_split(
+        self, op: Tuple[Any, ...], keys: Tuple[Any, ...],
+        then: Optional[Then], submit_time: float, attempts: int,
+    ) -> Optional[str]:
+        """Rewrite an op touching split keys; None when none are split."""
+        splits = self.router.splits
+        split_keys = [key for key in keys if key in splits]
+        if not split_keys:
+            return None
+        sp = self.splitter
+        if len(keys) == 1:
+            key = keys[0]
+            placements = self.router.fragments_of(key)
+            kind = sp.split_kind(op)
+            if kind == "read":
+                return self._scatter_read(op, key, placements, then, submit_time)
+            if kind in ("local", "budget"):
+                frag = self._next_fragment(key, placements)
+                frag_op = sp.fragment_op(op, key, frag)
+                self.split_rewrites += 1
+                self.env.trace(
+                    "split_rewrite", op=op, frag=frag, rewrite=kind
+                )
+                if kind == "budget":
+                    ctx = _BudgetWithdraw(
+                        op, key, frag, frag_op,
+                        tuple(f for f, _shard in placements), submit_time, then,
+                    )
+                    then = partial(self._on_budget, ctx)
+                return self._route(frag_op, then, submit_time, attempts)
+            return None  # not rewritable: WrongShard until unsplit
+        # Multi-key op: substitute each split key with one of its
+        # fragments and route the rewritten op normally (possibly as a
+        # cross-shard transaction).  A budget-short fragment here just
+        # fails the op, like any overdraft.
+        new_op = op
+        for key in split_keys:
+            frag = self._next_fragment(key, self.router.fragments_of(key))
+            new_op = sp.fragment_op(new_op, key, frag)
+        self.split_rewrites += 1
+        self.env.trace("split_rewrite", op=op, rewritten=new_op, rewrite="multi")
+        return self._route(new_op, then, submit_time, attempts)
+
+    def _next_fragment(self, key: Any, placements: Tuple[Tuple[Any, int], ...]) -> Any:
+        """Round-robin fragment choice: spread commutative load evenly."""
+        cursor = self._split_rr.get(key, 0)
+        self._split_rr[key] = cursor + 1
+        frag, _shard = placements[cursor % len(placements)]
+        return frag
+
+    def _scatter_read(
+        self, op: Tuple[Any, ...], key: Any,
+        placements: Tuple[Tuple[Any, int], ...], then: Optional[Then], submit_time: float,
+    ) -> str:
+        """Merge-on-read: one branch per fragment, combined on adoption."""
+        sid = f"{self.pid}-sr{next(self._scatter_counter)}"
+        order = tuple(frag for frag, _shard in placements)
+        scatter = _ScatterRead(sid, op, key, order, submit_time, then)
+        self.split_reads += 1
+        self.env.trace("split_read", rid=sid, op=op, fragments=len(order))
+        sp = self.splitter
+        for frag in order:
+            self._route(
+                sp.fragment_op(op, key, frag),
+                partial(self._on_scatter_part, scatter, frag), self.env.now, 0,
+            )
+        return sid
+
+    def _on_scatter_part(self, scatter: _ScatterRead, frag: Any, adopted: AdoptedReply) -> None:
+        value = adopted.value
+        if isinstance(value, OpResult) and value.ok:
+            scatter.by_frag[frag] = value.value
+        elif scatter.error is None:
+            scatter.error = (
+                value.error if isinstance(value, OpResult) else repr(value)
+            )
+        scatter.got += 1
+        scatter.conservative = scatter.conservative and adopted.conservative
+        if scatter.got < len(scatter.order):
+            return
+        if scatter.error is None:
+            values = tuple(scatter.by_frag[f] for f in scatter.order)
+            result = OpResult(
+                ok=True, value=self.splitter.merge_read(scatter.op, values)
+            )
+        else:
+            result = OpResult(ok=False, error=f"split read: {scatter.error}")
+        merged = AdoptedReply(
+            rid=scatter.sid,
+            value=result,
+            position=-1,
+            epoch=-1,
+            weight=(),
+            conservative=scatter.conservative,
+            submit_time=scatter.submit_time,
+            adopt_time=self.env.now,
+        )
+        self.env.trace(
+            "split_read_adopt",
+            rid=scatter.sid,
+            op=scatter.op,
+            value=result.value if result.ok else result.error,
+            latency=merged.latency,
+        )
+        self._record_adoption(merged, scatter.then)
+
+    def _on_budget(self, ctx: _BudgetWithdraw, adopted: AdoptedReply) -> None:
+        """Borrow-and-retry on a fragment shortfall, else surface."""
+        value = adopted.value
+        if (
+            isinstance(value, OpResult)
+            and not value.ok
+            and isinstance(value.value, tuple)
+            and value.value
+            and value.value[0] == "short"
+        ):
+            amount = ctx.op[-1]
+            available = value.value[1]
+            if isinstance(amount, int) and isinstance(available, int):
+                ctx.shortfall = amount - available
+                if self._try_borrow(ctx):
+                    return
+        self._record_adoption(adopted, ctx.then)
+
+    def _try_borrow(self, ctx: _BudgetWithdraw) -> bool:
+        donors = [f for f in ctx.frags if f != ctx.frag and f not in ctx.tried]
+        if not donors or ctx.attempts >= len(ctx.frags) - 1:
+            return False
+        donor = donors[0]
+        ctx.tried.add(donor)
+        ctx.attempts += 1
+        self.borrows += 1
+        self.env.trace(
+            "split_borrow",
+            key=ctx.key,
+            donor=donor,
+            frag=ctx.frag,
+            amount=ctx.shortfall,
+            attempt=ctx.attempts,
+        )
+        # An ordinary totally-ordered transfer between fragments: the
+        # routing layer turns it into a cross-shard 2PC when the donor
+        # lives on another shard, so borrow atomicity is the transfer's.
+        self._route(
+            ("transfer", donor, ctx.frag, ctx.shortfall),
+            partial(self._on_borrow, ctx), self.env.now, 0,
+        )
+        return True
+
+    def _on_borrow(self, ctx: _BudgetWithdraw, adopted: AdoptedReply) -> None:
+        value = adopted.value
+        if isinstance(value, OpResult) and value.ok:
+            # Funds arrived: retry the original op on the same fragment.
+            # The ordered pipeline serializes the retry after the
+            # transfer's credit, so the retry sees the borrowed funds.
+            # Latency continuity: the whole borrow chain is one logical
+            # operation, timed from its first submission.
+            self._route(ctx.frag_op, partial(self._on_budget, ctx), ctx.submit_time, 0)
+            return
+        self.borrows_failed += 1
+        if self._try_borrow(ctx):
+            return  # rotate to the next donor
+        # Every donor was short too: run the op once more so the
+        # terminal overdraft surfaces through the normal adoption path.
+        self._route(ctx.frag_op, ctx.then, ctx.submit_time, 0)
+
+    # ------------------------------------------------------------------
+    # WrongShard redirects (live rebalancing, repro.sharding.rebalance)
+    # ------------------------------------------------------------------
+
+    @staticmethod
+    def _wrong_shard_of(value: Any) -> Optional[WrongShard]:
+        """The WrongShard payload of a failed result, else None."""
+        if (
+            isinstance(value, OpResult)
+            and not value.ok
+            and isinstance(value.value, WrongShard)
+        ):
+            return value.value
+        return None
+
+    def _on_routed(
+        self, op: Tuple[Any, ...], attempts: int, then: Optional[Then], adopted: AdoptedReply
+    ) -> None:
+        """A key-routed write's outcome: WrongShard is retried (never
+        surfaced), anything else goes on to ``then``."""
+        if self._wrong_shard_of(adopted.value) is None or not self._schedule_redirect(
+            adopted.rid, op, adopted.submit_time, attempts, then
+        ):
+            self._record_adoption(adopted, then)
+
+    def _schedule_redirect(
+        self, old_id: str, op: Tuple[Any, ...],
+        submit_time: float, attempts: int, then: Optional[Then],
+    ) -> bool:
+        """Sync-and-retry ``op`` after a WrongShard outcome on ``old_id``.
+
+        Returns False (caller surfaces the error as a terminal adoption)
+        when redirects are disabled or the retry budget for this logical
+        operation is spent.  The retry happens ``redirect_delay`` later
+        under a fresh request id that inherits the original submission
+        time (client-perceived latency spans the whole redirect chain),
+        the continuation ``then`` and ``attempts + 1``.
+        """
+        if self.route_authority is None or attempts >= self.max_redirects:
+            if self.route_authority is not None:
+                self.redirects_exhausted += 1
+                self.env.trace(
+                    "redirect_exhausted", rid=old_id, op=op, attempts=attempts
+                )
+            return False
+        self.redirects += 1
+        self.env.trace(
+            "redirect",
+            rid=old_id,
+            op=op,
+            attempt=attempts + 1,
+            table_epoch=self.route_authority.epoch,
+        )
+        # Sync immediately, not just at retry time: a WrongShard reply is
+        # proof the local table is stale, and every operation submitted
+        # between now and the (delayed) retry would otherwise chase the
+        # same wrong shard and pile onto its queue.  The retry syncs
+        # again in case the authority moved during the pause.
+        self.router.sync_from(self.route_authority)
+        self._redirect_pending += 1
+
+        def retry() -> None:
+            self._redirect_pending -= 1
+            self.router.sync_from(self.route_authority)
+            self._route(op, then, submit_time, attempts + 1)
+            # _route() counted the op's keys into key_load again, but a
+            # retry is not new demand: left in, a key under migration
+            # (the one case that redirects) would look ever hotter to
+            # the rebalance planner and invite move oscillation.
+            for key in self.key_extractor(op):
+                self.key_load.unrecord(key)
+
+        self.env.set_timer(self.redirect_delay, retry)
+        return True
+
+    def _read_redirect(
+        self, rid: str, pending: _PendingRead, reply: ReadReply
+    ) -> bool:
+        """A read that observed WrongShard syncs-and-retries like a write.
+
+        The read is re-routed by the refreshed table under a fresh read
+        id; the original submission time is inherited (the redirect
+        chain is one logical read).  Budget-exhausted reads surface the
+        WrongShard error as a terminal adoption, exactly like writes.
+        """
+        return self._wrong_shard_of(reply.value) is not None and self._schedule_redirect(
+            rid, pending.op, pending.submit_time, pending.attempts, pending.then
+        )

@@ -198,6 +198,11 @@ def _wall_clock_scenario(config: RuntimeScenarioConfig) -> ShardedScenarioConfig
             "link-fault injection is sim-only; runtime runs exercise "
             "real sockets (crash processes via cluster.crash instead)"
         )
+    if scenario.arm is not None:
+        raise ValueError(
+            "the arm hook is sim-only: a runtime run has no control "
+            "surface to hand it yet, so it would never be called"
+        )
     scale = config.time_scale
 
     def scaled(value: Optional[float]) -> Optional[float]:

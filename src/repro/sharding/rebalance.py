@@ -60,6 +60,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -149,6 +150,11 @@ class UnsplitRecord:
         return self.phase in ("done", "aborted")
 
 
+#: A protocol stage: what the adopted result of one step is handed to,
+#: with the record that is active then.
+Stage = Callable[[Any, OpResult], None]
+
+
 class RebalanceCoordinator:
     """Drives key migrations through a dedicated sharded client.
 
@@ -159,9 +165,9 @@ class RebalanceCoordinator:
     Parameters
     ----------
     client:
-        A dedicated :class:`~repro.core.client.ShardedOARClient` (the
-        coordinator takes over its ``on_adopt`` callback); crash this
-        process to crash the coordinator.
+        A dedicated :class:`~repro.core.client.ShardedOARClient` (every
+        step is submitted with the next stage as its continuation);
+        crash this process to crash the coordinator.
     authority:
         The cluster's authoritative epoched routing table; mutated
         (epoch bump) when a migration's install is adopted.
@@ -206,9 +212,6 @@ class RebalanceCoordinator:
         self._counter = itertools.count()
         self._queue: Deque[Any] = deque()
         self._active: Optional[Any] = None
-        #: rid -> (protocol stage, stage context); the context carries the
-        #: fragment mid for the split fan-out stages, None elsewhere.
-        self._stage_of: Dict[str, Tuple[str, Any]] = {}
         self._resuming: Set[str] = set()  # mids adopted from a crashed peer
         #: Scheduled-but-not-yet-fired rebalances (attach_rebalancer's
         #: ``start_at``); the coordinator is not ``done`` while one is
@@ -218,7 +221,6 @@ class RebalanceCoordinator:
         self._auto: Optional[Dict[str, Any]] = None
         self._auto_strikes = 0
         self.auto_rebalances = 0
-        client.on_adopt = self._on_adopt
 
     # ------------------------------------------------------------------
     # Introspection
@@ -628,7 +630,7 @@ class RebalanceCoordinator:
                 "mig_resume", mid=record.mid, key=record.key, from_phase=record.phase
             )
             record.phase = "recovering"
-            self._submit(("mig_status", record.mid), record.src, "src_status")
+            self._submit(("mig_status", record.mid), record.src, self._on_src_status)
             return
         record.phase = "preparing"
         self.env.trace(
@@ -641,32 +643,25 @@ class RebalanceCoordinator:
         self._submit(
             ("mig_prepare", record.mid, record.key, record.dst),
             record.src,
-            "prepare",
+            self._on_prepare,
         )
 
-    def _submit(
-        self, op: Tuple[Any, ...], shard: int, stage: str, ctx: Any = None
-    ) -> None:
-        rid = self.client.submit_to_shard(op, shard)
-        self._stage_of[rid] = (stage, ctx)
+    def _submit(self, op: Tuple[Any, ...], shard: int, stage: Stage) -> None:
+        """Submit one protocol step; ``stage`` runs on its adoption."""
+        self.client.submit_to_shard(op, shard, partial(self._on_stage, stage))
 
-    def _on_adopt(self, adopted: AdoptedReply) -> None:
-        staged = self._stage_of.pop(adopted.rid, None)
+    def _on_stage(self, stage: Stage, adopted: AdoptedReply) -> None:
         record = self._active
-        if staged is None or record is None:
+        if record is None:
             return
-        stage, ctx = staged
         result = adopted.value
         if not isinstance(result, OpResult):
             raise RuntimeError(f"rebalancer: non-OpResult adoption {adopted!r}")
-        handler = getattr(self, f"_on_{stage}")
-        handler(record, result, ctx)
+        stage(record, result)
 
     # -- normal path ----------------------------------------------------
 
-    def _on_prepare(
-        self, record: MigrationRecord, result: OpResult, _ctx: Any = None
-    ) -> None:
+    def _on_prepare(self, record: MigrationRecord, result: OpResult) -> None:
         if result.ok:
             record.state = result.value[1]  # ("exported", state)
             record.phase = "installing"
@@ -674,7 +669,7 @@ class RebalanceCoordinator:
             self._submit(
                 ("mig_install", record.mid, record.key, record.state),
                 record.dst,
-                "install",
+                self._on_install,
             )
             return
         if "already prepared" in result.error:
@@ -683,7 +678,7 @@ class RebalanceCoordinator:
             # hand-off and got totally ordered after the status probe
             # answered "unknown".  The state is in the source's escrow;
             # re-probe and continue from there instead of aborting.
-            self._submit(("mig_status", record.mid), record.src, "src_status")
+            self._submit(("mig_status", record.mid), record.src, self._on_src_status)
             return
         record.attempts += 1
         record.error = result.error
@@ -706,9 +701,7 @@ class RebalanceCoordinator:
         )
         self._advance()
 
-    def _on_install(
-        self, record: MigrationRecord, result: OpResult, _ctx: Any = None
-    ) -> None:
+    def _on_install(self, record: MigrationRecord, result: OpResult) -> None:
         if not result.ok:
             # Install can only fail on ownership/config errors; surface
             # it as an abort (the exported state stays in the source's
@@ -740,11 +733,9 @@ class RebalanceCoordinator:
     def _commit(self, record: MigrationRecord) -> None:
         self._commit_table(record)
         record.phase = "forgetting"
-        self._submit(("mig_forget", record.mid), record.src, "forget")
+        self._submit(("mig_forget", record.mid), record.src, self._on_forget)
 
-    def _on_forget(
-        self, record: MigrationRecord, result: OpResult, _ctx: Any = None
-    ) -> None:
+    def _on_forget(self, record: MigrationRecord, result: OpResult) -> None:
         record.phase = "done"
         self.moves_committed += 1
         self.env.trace("mig_done", mid=record.mid, key=record.key)
@@ -768,12 +759,10 @@ class RebalanceCoordinator:
         self._submit(
             ("split_open", record.sid, record.key, record.frags, record.dsts),
             record.src,
-            "split_open",
+            self._on_split_open,
         )
 
-    def _on_split_open(
-        self, record: SplitRecord, result: OpResult, _ctx: Any = None
-    ) -> None:
+    def _on_split_open(self, record: SplitRecord, result: OpResult) -> None:
         if not result.ok:
             record.attempts += 1
             record.error = result.error
@@ -789,11 +778,11 @@ class RebalanceCoordinator:
         record.pending = {mid for mid, _frag, _dst, _state in record.shipped}
         self.env.trace("split_opened", sid=record.sid, key=record.key)
         for mid, frag, dst, state in record.shipped:
-            self._submit(("mig_install", mid, frag, state), dst, "split_install", ctx=mid)
+            self._submit(
+                ("mig_install", mid, frag, state), dst, partial(self._on_split_install, mid)
+            )
 
-    def _on_split_install(
-        self, record: SplitRecord, result: OpResult, mid: str
-    ) -> None:
+    def _on_split_install(self, mid: str, record: SplitRecord, result: OpResult) -> None:
         if not result.ok:
             # Ownership/config error: the fragment states stay parked in
             # the source's escrow, where the conservation checkers will
@@ -826,11 +815,9 @@ class RebalanceCoordinator:
             return
         record.pending = set(mids)
         for mid in mids:
-            self._submit(("mig_forget", mid), record.src, "split_forget", ctx=mid)
+            self._submit(("mig_forget", mid), record.src, partial(self._on_split_forget, mid))
 
-    def _on_split_forget(
-        self, record: SplitRecord, result: OpResult, mid: str
-    ) -> None:
+    def _on_split_forget(self, mid: str, record: SplitRecord, result: OpResult) -> None:
         record.pending.discard(mid)
         if not record.pending:
             self._finish_split(record)
@@ -857,12 +844,10 @@ class RebalanceCoordinator:
         self._submit(
             ("split_close", record.sid, record.key, record.frags),
             record.home,
-            "split_close",
+            self._on_split_close,
         )
 
-    def _on_split_close(
-        self, record: UnsplitRecord, result: OpResult, _ctx: Any = None
-    ) -> None:
+    def _on_split_close(self, record: UnsplitRecord, result: OpResult) -> None:
         if not result.ok:
             record.attempts += 1
             record.error = result.error
@@ -891,9 +876,7 @@ class RebalanceCoordinator:
 
     # -- recovery path --------------------------------------------------
 
-    def _on_src_status(
-        self, record: MigrationRecord, result: OpResult, _ctx: Any = None
-    ) -> None:
+    def _on_src_status(self, record: MigrationRecord, result: OpResult) -> None:
         status = result.value
         if status[0] == "prepared":
             _tag, _key, _dst, state = status
@@ -904,16 +887,14 @@ class RebalanceCoordinator:
             self._submit(
                 ("mig_install", record.mid, record.key, record.state),
                 record.dst,
-                "install",
+                self._on_install,
             )
             return
         # Unknown at the source: either never prepared, or already
         # forgotten (fully done).  The destination knows which.
-        self._submit(("mig_status", record.mid), record.dst, "dst_status")
+        self._submit(("mig_status", record.mid), record.dst, self._on_dst_status)
 
-    def _on_dst_status(
-        self, record: MigrationRecord, result: OpResult, _ctx: Any = None
-    ) -> None:
+    def _on_dst_status(self, record: MigrationRecord, result: OpResult) -> None:
         status = result.value
         self._resuming.discard(record.mid)
         if status[0] == "installed":

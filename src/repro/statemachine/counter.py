@@ -13,36 +13,13 @@ Operations::
     ("incr", n)     -> ok, new value (add n)
     ("decr",)       -> ok, new value
     ("read",)       -> ok, current value
-
-The counter is also the minimal demonstration of *commutative key
-splitting* (the sharded version lives in
-:class:`~repro.statemachine.base.SplittableMachine`): its value is a sum,
-so it can be decomposed into fragments with disjoint conflict footprints
-that the execution engine runs on separate lanes::
-
-    ("split", n)         -> ok, n; decompose the value into n fragments
-                            (error if already split or n < 2)
-    ("fincr", i)         -> ok, new fragment value (add 1 to fragment i)
-    ("fincr", i, amount) -> ok, new fragment value
-    ("unsplit",)         -> ok, merged value (error if not split)
-
-While split, ``incr``/``decr`` land on fragment 0 and ``read`` returns
-the sum of all fragments, so the logical value is always observable.
-``fincr`` ops on different fragments carry disjoint
-:meth:`~repro.statemachine.base.StateMachine.conflict_footprint`\\ s;
-everything else stays global.  Splitting conserves the value exactly:
-``sum(fragments) == value`` at every point, across undo/redo.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple, Union
+from typing import Any, Callable, Tuple
 
 from repro.statemachine.base import OpResult, StateMachine
-
-#: Snapshot shape: a plain int when unsplit (backward compatible), or
-#: ("split", (frag0, frag1, ...)) while split.
-CounterState = Union[int, Tuple[str, Tuple[int, ...]]]
 
 
 class CounterMachine(StateMachine):
@@ -50,48 +27,15 @@ class CounterMachine(StateMachine):
 
     def __init__(self, initial: int = 0) -> None:
         self._value = initial
-        self._frags: Optional[List[int]] = None
 
-    def state(self) -> CounterState:
-        if self._frags is None:
-            return self._value
-        return ("split", tuple(self._frags))
+    def state(self) -> int:
+        return self._value
 
-    def restore(self, snapshot: CounterState) -> None:
-        if snapshot.__class__ is tuple:
-            self._frags = list(snapshot[1])
-            self._value = 0
-        else:
-            self._value = snapshot
-            self._frags = None
+    def restore(self, snapshot: int) -> None:
+        self._value = snapshot
 
-    def fingerprint(self) -> CounterState:
-        return self.state()
-
-    def value(self) -> int:
-        """The logical value, regardless of split state."""
-        if self._frags is None:
-            return self._value
-        return sum(self._frags)
-
-    def fragments(self) -> Optional[Tuple[int, ...]]:
-        """Current fragment values, or None when unsplit."""
-        return None if self._frags is None else tuple(self._frags)
-
-    @staticmethod
-    def keys_of(op: Tuple[Any, ...]) -> Tuple[Any, ...]:
-        """Fragment increments are keyed by fragment; the rest is global.
-
-        The counter is unsharded, so these keys never route anywhere --
-        their only effect is the derived conflict footprint: two
-        ``fincr`` ops on different fragments commute and may run on
-        different execution lanes, while ``split``/``unsplit``/``read``
-        (and plain ``incr``) keep the global footprint and fence the
-        pipeline.
-        """
-        if op and op[0] == "fincr" and len(op) in (2, 3):
-            return (f"#f{op[1]}",)
-        return ()
+    def fingerprint(self) -> int:
+        return self._value
 
     def apply(self, op: Tuple[Any, ...]) -> OpResult:
         result, _undo = self.apply_with_undo(op)
@@ -104,92 +48,20 @@ class CounterMachine(StateMachine):
             amount = op[1] if len(op) == 2 else 1
             if not isinstance(amount, int):
                 return self.bad_op(op), _noop
-            return self._add(amount)
+            self._value += amount
+            return OpResult(ok=True, value=self._value), self._make_add(-amount)
 
         if name == "decr" and len(op) in (1, 2):
             amount = op[1] if len(op) == 2 else 1
             if not isinstance(amount, int):
                 return self.bad_op(op), _noop
-            return self._add(-amount)
+            self._value -= amount
+            return OpResult(ok=True, value=self._value), self._make_add(amount)
 
         if name == "read" and len(op) == 1:
-            return OpResult(ok=True, value=self.value()), _noop
-
-        if name == "split" and len(op) == 2:
-            return self._split(op[1])
-
-        if name == "fincr" and len(op) in (2, 3):
-            amount = op[2] if len(op) == 3 else 1
-            return self._fincr(op[1], amount)
-
-        if name == "unsplit" and len(op) == 1:
-            return self._unsplit()
+            return OpResult(ok=True, value=self._value), _noop
 
         return self.bad_op(op), _noop
-
-    # ------------------------------------------------------------------
-    # Split family
-    # ------------------------------------------------------------------
-
-    def _split(self, n: Any) -> Tuple[OpResult, Callable[[], None]]:
-        if not isinstance(n, int) or n < 2:
-            return OpResult(ok=False, error=f"split: need int n >= 2, got {n!r}"), _noop
-        if self._frags is not None:
-            return OpResult(ok=False, error="split: already split"), _noop
-        value = self._value
-        part, rem = divmod(value, n)
-        # Fragment 0 absorbs the remainder, so the parts sum exactly.
-        frags = [part + rem] + [part] * (n - 1)
-        self._frags = frags
-        self._value = 0
-
-        def undo_split() -> None:
-            self._frags = None
-            self._value = value
-
-        return OpResult(ok=True, value=n), undo_split
-
-    def _fincr(self, index: Any, amount: Any) -> Tuple[OpResult, Callable[[], None]]:
-        if not isinstance(amount, int):
-            return self.bad_op(("fincr", index, amount)), _noop
-        if self._frags is None:
-            return OpResult(ok=False, error="fincr: counter is not split"), _noop
-        if not isinstance(index, int) or not 0 <= index < len(self._frags):
-            return OpResult(ok=False, error=f"fincr: no fragment {index!r}"), _noop
-        self._frags[index] += amount
-
-        def undo_fincr() -> None:
-            self._frags[index] -= amount
-
-        return OpResult(ok=True, value=self._frags[index]), undo_fincr
-
-    def _unsplit(self) -> Tuple[OpResult, Callable[[], None]]:
-        if self._frags is None:
-            return OpResult(ok=False, error="unsplit: not split"), _noop
-        frags = self._frags
-        self._frags = None
-        self._value = sum(frags)
-
-        def undo_unsplit() -> None:
-            self._frags = frags
-            self._value = 0
-
-        return OpResult(ok=True, value=self._value), undo_unsplit
-
-    # ------------------------------------------------------------------
-
-    def _add(self, amount: int) -> Tuple[OpResult, Callable[[], None]]:
-        if self._frags is not None:
-            # While split, plain increments land on fragment 0 (any
-            # fragment would conserve the sum; 0 is the deterministic pick).
-            self._frags[0] += amount
-
-            def undo_frag() -> None:
-                self._frags[0] -= amount
-
-            return OpResult(ok=True, value=self.value()), undo_frag
-        self._value += amount
-        return OpResult(ok=True, value=self._value), self._make_add(-amount)
 
     def _make_add(self, amount: int) -> Callable[[], None]:
         def undo() -> None:

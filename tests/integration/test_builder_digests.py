@@ -31,7 +31,7 @@ this file holds them, with::
 import textwrap
 from collections import Counter
 from pathlib import Path
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import pytest
 
@@ -40,6 +40,7 @@ from repro.faults.injection import FaultSchedule
 from repro.harness import figures
 from repro.harness.scenario import ScenarioConfig, run_scenario
 from repro.sharding.cluster import ShardedScenarioConfig, run_sharded_scenario
+from repro.sharding.rebalance import RebalanceCoordinator, attach_rebalancer
 
 pytestmark = pytest.mark.integration
 
@@ -72,6 +73,44 @@ def _sharded(**fields: Any) -> Scenario:
     )
 
 
+def _rebalanced(plan: Callable[[Any, RebalanceCoordinator], None], **fields: Any) -> Scenario:
+    """A sharded scenario with a rebalance coordinator attached, which
+    ``plan`` schedules work on: every multi-step client path (redirect,
+    read redirect, scatter read, borrow, borrow as 2PC) runs here."""
+
+    def scenario(arm: Callable[[Any], None]) -> Any:
+        def arm_both(run: Any) -> None:
+            arm(run)
+            plan(run, attach_rebalancer(run))
+
+        return run_sharded_scenario(
+            ShardedScenarioConfig(n_servers=3, arm=arm_both, horizon=50_000.0, **fields)
+        )
+
+    return scenario
+
+
+def _split_hot_key(frags: int, unsplit_at: Optional[float] = None) -> Callable[..., None]:
+    def plan(run: Any, coordinator: RebalanceCoordinator) -> None:
+        hot = run.key_universe[0]
+        coordinator.schedule(0.0, lambda: coordinator.split_key(hot, frags))
+        if unsplit_at is not None:
+            coordinator.schedule(unsplit_at, lambda: coordinator.unsplit_key(hot))
+
+    return plan
+
+
+def _migrate_hottest(run: Any, coordinator: RebalanceCoordinator) -> None:
+    key = run.key_universe[0]
+    dst = (run.routing_table.shard_of(key) + 1) % run.config.n_shards
+    coordinator.schedule(20.0, lambda: coordinator.migrate(key, dst))
+
+
+_HOTKEY: Dict[str, Any] = dict(
+    n_shards=2, n_clients=2, machine="bank", workload="hotkey", hot_ratio=1.0,
+    accounts_per_shard=3, seed=7, grace=200.0,
+)
+
 SCENARIOS: Dict[str, Scenario] = {
     **{
         f"{protocol}-{driver}": _unsharded(protocol, driver)
@@ -92,6 +131,24 @@ SCENARIOS: Dict[str, Scenario] = {
         machine="kv", workload="zipf", requests_per_client=15, driver="open",
         open_rate=0.5, oar=OARConfig(order_cost=0.5), exec_cost=0.25, exec_lanes=2,
     ),
+    "sharded-bank-split4-borrow": _rebalanced(
+        _split_hot_key(4), initial_balance=30, requests_per_client=30, **_HOTKEY
+    ),
+    "sharded-bank-split-unsplit": _rebalanced(
+        _split_hot_key(2, unsplit_at=80.0), requests_per_client=25, **_HOTKEY
+    ),
+    "sharded-kv-readheavy-conservative-migration": _rebalanced(
+        _migrate_hottest, n_shards=2, n_clients=2, machine="kv", workload="readheavy",
+        zipf_s=1.5, read_ratio=0.85, read_mode="conservative", requests_per_client=40,
+        retry_interval=30.0, seed=7, grace=300.0,
+    ),
+    "sharded-kv-range-zipf-rebalance": _rebalanced(
+        lambda run, coordinator: coordinator.schedule(
+            80.0, lambda: coordinator.rebalance(max_moves=4)
+        ),
+        n_shards=4, n_clients=4, machine="kv", workload="zipf", zipf_s=1.5, router="range",
+        n_keys=32, requests_per_client=40, seed=2,
+    ),
 }
 
 DIGESTS: Dict[str, str] = {
@@ -110,7 +167,19 @@ DIGESTS: Dict[str, str] = {
     "sharded-bank-cross-sequencer-crash": (
         "c8286a5234475aed4d8867c601f33812bf6a3e9bc3cf5876c95ee1f14853ae4d"
     ),
+    "sharded-bank-split-unsplit": (
+        "6b59f400bf43c9ffc85d0c768b91bbcf589c9c34c8db9eaba44fa570fb3f3cab"
+    ),
+    "sharded-bank-split4-borrow": (
+        "1ab55bcb6cfa935093dcd953e9ea38133b86efc73e574f47da38757912d45f81"
+    ),
     "sharded-kv-exec-lanes": "bae4944b3ea2edfc23a3eaf625afae061c0a424ec1215915f4bad377797a9779",
+    "sharded-kv-range-zipf-rebalance": (
+        "9ecdf39228f12ab7577d61441d073de50b0958bd0a76e9e4443ba6bd7ad90c92"
+    ),
+    "sharded-kv-readheavy-conservative-migration": (
+        "e11d0df37ac58747bb008e596307e83a365e1bfd0c2cf2e827904133c3d9c6de"
+    ),
     "sharded-kv-readheavy-optimistic": (
         "a67a26dcc70dc1fb2af3321ab5da76c00d1bb91a9bdfb65cd41d28129215f12c"
     ),
@@ -207,11 +276,48 @@ COUNTS: Dict[str, Dict[str, int]] = {
         "trace:seq_order": 79, "trace:submit": 87, "trace:tx_adopt": 14, "trace:tx_begin": 14,
         "trace:tx_branch_adopt": 56, "trace:tx_decide": 14,
     },
+    "sharded-bank-split-unsplit": {
+        "adopted": 50, "events": 2021, "send:Heartbeat": 696, "send:RMsg": 585,
+        "send:Reply": 195, "send:SeqOrder": 130, "trace:adopt": 65, "trace:epoch_start": 6,
+        "trace:mig_begin": 1, "trace:mig_commit": 1, "trace:mig_done": 1,
+        "trace:mig_installed": 1, "trace:mig_prepared": 1, "trace:opt_deliver": 195,
+        "trace:r_deliver": 195, "trace:redirect": 3, "trace:seq_order": 65,
+        "trace:split_begin": 1, "trace:split_commit": 1, "trace:split_done": 1,
+        "trace:split_opened": 1, "trace:split_read": 5, "trace:split_read_adopt": 5,
+        "trace:split_rewrite": 43, "trace:submit": 65, "trace:unsplit_begin": 1,
+        "trace:unsplit_done": 1,
+    },
+    "sharded-bank-split4-borrow": {
+        "adopted": 60, "events": 3179, "send:Heartbeat": 828, "send:RMsg": 1197,
+        "send:Reply": 399, "send:SeqOrder": 266, "trace:adopt": 133, "trace:epoch_start": 6,
+        "trace:opt_deliver": 399, "trace:r_deliver": 399, "trace:redirect": 2,
+        "trace:seq_order": 133, "trace:split_begin": 1, "trace:split_borrow": 12,
+        "trace:split_commit": 1, "trace:split_done": 1, "trace:split_opened": 1,
+        "trace:split_read": 9, "trace:split_read_adopt": 9, "trace:split_rewrite": 49,
+        "trace:submit": 133, "trace:tx_adopt": 8, "trace:tx_begin": 8,
+        "trace:tx_branch_adopt": 27, "trace:tx_decide": 8,
+    },
     "sharded-kv-exec-lanes": {
         "adopted": 45, "events": 1185, "send:Heartbeat": 216, "send:RMsg": 405,
         "send:Reply": 135, "send:SeqOrder": 86, "trace:adopt": 45, "trace:epoch_start": 6,
         "trace:exec_done": 135, "trace:opt_deliver": 135, "trace:r_deliver": 135,
         "trace:seq_order": 43, "trace:submit": 45,
+    },
+    "sharded-kv-range-zipf-rebalance": {
+        "adopted": 160, "events": 3913, "send:Heartbeat": 840, "send:RMsg": 1584,
+        "send:Reply": 528, "send:SeqOrder": 352, "trace:adopt": 176, "trace:epoch_start": 12,
+        "trace:mig_begin": 4, "trace:mig_commit": 4, "trace:mig_done": 4,
+        "trace:mig_installed": 4, "trace:mig_prepared": 4, "trace:opt_deliver": 528,
+        "trace:r_deliver": 528, "trace:redirect": 4, "trace:seq_order": 176, "trace:submit": 176,
+    },
+    "sharded-kv-readheavy-conservative-migration": {
+        "adopted": 80, "events": 2171, "send:Heartbeat": 948, "send:RMsg": 144,
+        "send:ReadReply": 207, "send:ReadRequest": 207, "send:Reply": 48, "send:SeqOrder": 32,
+        "trace:adopt": 16, "trace:epoch_start": 6, "trace:mig_begin": 1, "trace:mig_commit": 1,
+        "trace:mig_done": 1, "trace:mig_installed": 1, "trace:mig_prepared": 1,
+        "trace:opt_deliver": 48, "trace:r_deliver": 48, "trace:read_adopt": 67,
+        "trace:read_exec": 207, "trace:read_submit": 69, "trace:redirect": 2,
+        "trace:seq_order": 16, "trace:submit": 16,
     },
     "sharded-kv-readheavy-optimistic": {
         "adopted": 60, "events": 702, "send:Heartbeat": 228, "send:RMsg": 126,

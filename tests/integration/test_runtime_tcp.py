@@ -27,6 +27,7 @@ from typing import Any, List
 
 import pytest
 
+from repro.core.client import OARClient, ShardedOARClient
 from repro.core.server import OARConfig
 from repro.failure.detector import HeartbeatFailureDetector
 from repro.runtime import scenario as runtime_scenario
@@ -39,8 +40,10 @@ from repro.runtime.tcp import _FLUSH_BYTES, TcpCluster
 from repro.sharding.cluster import (
     BaseScenarioConfig,
     ShardedScenarioConfig,
+    build_sharded_scenario,
     place_sharded_scenario,
 )
+from repro.sharding.rebalance import attach_rebalancer
 from repro.sim.process import Process, ProcessEnv
 
 pytestmark = pytest.mark.integration
@@ -122,6 +125,13 @@ class TestShardedParity:
             run_runtime_scenario(
                 RuntimeScenarioConfig(
                     scenario=_config(faults={"p1": 1.0}), backend="tcp"
+                )
+            )
+        with pytest.raises(ValueError, match="sim-only"):
+            # Silently never calling the hook would be worse than refusing it.
+            run_runtime_scenario(
+                RuntimeScenarioConfig(
+                    scenario=_config(arm=lambda run: None), backend="asyncio"
                 )
             )
         with pytest.raises(ValueError, match="unknown backend"):
@@ -343,6 +353,30 @@ def test_knob_budget():
     for field in fields(ShardedScenarioConfig):
         if field.name in restated:
             assert field.default != defaults[field.name], field.name
+
+
+def test_one_way_to_wait_for_an_adoption():
+    """The client's budget: who gets an adoption is the request's
+    ``then`` (``OARClient._record_adoption``), not a table keyed by
+    request id; a new side table or private-hook override has to argue
+    its way past this list."""
+    overridden = set(vars(ShardedOARClient)) & set(vars(OARClient))
+    assert overridden - {"__doc__", "__module__", "__annotations__"} == {
+        "__init__", "submit", "outstanding", "_read_redirect",
+    }
+    assert list(inspect.signature(OARClient.submit).parameters) == [
+        "self", "op", "servers", "then", "submit_time",
+    ]
+    assert inspect.signature(ShardedOARClient.submit) == inspect.signature(OARClient.submit)
+    run = build_sharded_scenario(ShardedScenarioConfig(requests_per_client=0))
+    coordinator = attach_rebalancer(run)
+    gone = {
+        "_branch_to_tx", "_op_of", "_redirect_attempts", "_scatter", "_scatter_branch",
+        "_budget_of", "_borrows", "_intercept_adoption", "_remap_logical", "_stage_of",
+    }
+    for thing in (run.clients[0], coordinator):
+        assert gone & set(dir(thing)) == set(), type(thing).__name__
+    assert coordinator.client.on_adopt is None  # stages are continuations
 
 
 class _Recorder(Process):

@@ -67,7 +67,7 @@ class _FakeShardClient:
 
     ``submit_to_shard`` synthesizes the deterministic reply the real
     shard would eventually adopt (prepare exports a token state, install
-    acks, forget acks), handed back through ``on_adopt`` synchronously --
+    acks, forget acks), handed to the step's continuation ``then`` --
     so a whole migration transaction completes within one policy tick
     and the *second* trigger can be tested without a simulator.
     """
@@ -77,11 +77,11 @@ class _FakeShardClient:
         self.env = env
         self.key_load = key_load
         self.crashed = False
-        self.on_adopt = None
+        self.answers = True  #: False: submitted steps are never adopted
         self._counter = 0
         self.submitted = []
 
-    def submit_to_shard(self, op, shard):
+    def submit_to_shard(self, op, shard, then):
         self._counter += 1
         rid = f"{self.pid}-{self._counter}"
         self.submitted.append((op, shard))
@@ -112,7 +112,8 @@ class _FakeShardClient:
         )
         # Deliver the adoption after the coordinator records the stage
         # (the real client adopts asynchronously too).
-        self.env.set_timer(0.0, lambda: self.on_adopt(reply))
+        if self.answers:
+            self.env.set_timer(0.0, lambda: then(reply))
         return rid
 
 
@@ -249,8 +250,8 @@ class TestAutoTriggerPolicy:
     def test_no_fire_while_a_migration_is_active(self):
         clock, env, load, _authority, coordinator = make_coordinator(sustain=1)
         # Hold the coordinator busy with a manually enqueued move that
-        # never completes (sever the adoption callback first).
-        coordinator.client.on_adopt = lambda reply: None
+        # never completes (its steps are never adopted).
+        coordinator.client.answers = False
         coordinator.migrate(KEYS[2], 1)
         env.fire_due()
         assert not coordinator.done

@@ -3,7 +3,7 @@
 from typing import Any, List
 
 from repro.core.client import OARClient
-from repro.core.messages import Reply
+from repro.core.messages import Reply, ShedNotice
 from repro.sim.latency import ConstantLatency
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
@@ -164,3 +164,36 @@ class TestReplyBookkeeping:
         sim.run(until=7.0)
         client.on_message("p2", reply(rid, {"p2", "p1"}))
         assert client.adopted[rid].latency == 7.0
+
+
+class TestThen:
+    """``submit(op, then=...)``: the continuation gets the adopted reply
+    *instead of* the driver; ``submit_time`` back-dates the request."""
+
+    def test_then_gets_the_adoption_instead_of_the_driver(self):
+        sim, network, client, group = build(3)
+        driver: List[Any] = []
+        handed: List[Any] = []
+        client.on_adopt = driver.append
+        rid = client.submit(("incr",), then=handed.append)
+        client.on_message("p2", reply(rid, {"p2", "p1"}))
+        assert [a.rid for a in handed] == [rid]
+        assert driver == [] and client.adopted == {}
+        assert client.outstanding == 0
+
+    def test_submit_time_back_dates_the_request(self):
+        sim, network, client, group = build(3)
+        sim.run(until=4.0)
+        rid = client.submit(("incr",), submit_time=1.5)
+        sim.run(until=7.0)
+        client.on_message("p2", reply(rid, {"p2", "p1"}))
+        assert client.adopted[rid].submit_time == 1.5
+        assert client.adopted[rid].latency == 5.5
+
+    def test_a_shed_request_resolves_through_its_continuation_too(self):
+        sim, network, client, group = build(3)
+        handed: List[Any] = []
+        rid = client.submit(("incr",), then=handed.append)
+        client.on_message("p1", ShedNotice(rid=rid, cls="default", queue=9, limit=8))
+        assert [a.rid for a in handed] == [rid] and not handed[0].value.ok
+        assert client.adopted == {}

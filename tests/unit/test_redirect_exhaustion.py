@@ -74,7 +74,6 @@ class TestRedirectExhaustion:
         assert client.outstanding == 0
         assert client._pending == {}
         assert client._redirect_pending == 0
-        assert client._redirect_attempts == {}
         assert client.redirects == 3
         assert client.redirects_exhausted == 1
         # Exactly one logical outcome surfaced: a deterministic

@@ -3,7 +3,7 @@
 The sharded end-to-end paths (client rewrite, borrowing, auto-split,
 conservation under traffic) live in
 ``tests/integration/test_key_split_cluster.py``; these tests pin the
-building blocks in isolation: the counter's inline split family, the
+building blocks in isolation: the
 :class:`~repro.statemachine.base.SplittableMachine` hook surface and
 ``split_open``/``split_close`` op semantics on a sharded bank, the
 routing table's split bookkeeping, and the per-op execution weights
@@ -18,76 +18,10 @@ from repro.sharding.router import RoutingTable, make_router
 from repro.sim.loop import Simulator
 from repro.statemachine.bank import BankMachine
 from repro.statemachine.base import SplittableMachine, StateMachine
-from repro.statemachine.counter import CounterMachine
 from repro.statemachine.kvstore import KVStoreMachine
 from repro.statemachine.undo import UndoLog
 
 pytestmark = pytest.mark.unit
-
-
-class TestCounterSplitFamily:
-    """The unsharded counter's inline split/fincr/unsplit demo."""
-
-    def test_split_partitions_and_conserves_the_value(self):
-        counter = CounterMachine(initial=10)
-        assert counter.apply(("split", 3)).ok
-        assert counter.fragments() == (4, 3, 3)  # remainder on fragment 0
-        assert counter.value() == 10
-
-    def test_fincr_targets_one_fragment(self):
-        counter = CounterMachine(initial=0)
-        counter.apply(("split", 2))
-        result = counter.apply(("fincr", 1, 5))
-        assert result.ok and result.value == 5
-        assert counter.fragments() == (0, 5)
-        assert counter.apply(("read",)).value == 5
-
-    def test_plain_incr_lands_on_fragment_zero_while_split(self):
-        counter = CounterMachine(initial=6)
-        counter.apply(("split", 2))
-        counter.apply(("incr", 4))
-        assert counter.fragments() == (7, 3)
-        assert counter.value() == 10
-
-    def test_unsplit_merges_exactly(self):
-        counter = CounterMachine(initial=7)
-        counter.apply(("split", 4))
-        counter.apply(("fincr", 2, 9))
-        result = counter.apply(("unsplit",))
-        assert result.ok and result.value == 16
-        assert counter.fragments() is None
-        assert counter.state() == 16
-
-    def test_split_family_round_trips_through_undo(self):
-        counter = CounterMachine(initial=11)
-        undos = []
-        for op in (("split", 2), ("fincr", 1, 3), ("incr",), ("unsplit",)):
-            result, undo = counter.apply_with_undo(op)
-            assert result.ok
-            undos.append(undo)
-            assert counter.value() in (11, 14, 15)  # conserved modulo the adds
-        assert counter.state() == 15
-        for undo in reversed(undos):
-            undo()
-        assert counter.state() == 11 and counter.fragments() is None
-
-    def test_split_errors(self):
-        counter = CounterMachine()
-        assert not counter.apply(("split", 1)).ok  # n < 2
-        assert not counter.apply(("fincr", 0)).ok  # not split
-        assert not counter.apply(("unsplit",)).ok  # not split
-        counter.apply(("split", 2))
-        assert not counter.apply(("split", 2)).ok  # already split
-        assert not counter.apply(("fincr", 5)).ok  # no such fragment
-
-    def test_fragment_footprints_are_disjoint(self):
-        # Two fincr ops on different fragments may share an execution
-        # lane pair; same fragment, split, and plain incr stay serial.
-        f0 = CounterMachine.conflict_footprint(("fincr", 0))
-        f1 = CounterMachine.conflict_footprint(("fincr", 1))
-        assert f0 and f1 and not (f0 & f1)
-        assert CounterMachine.conflict_footprint(("split", 2)) is None  # global
-        assert CounterMachine.conflict_footprint(("incr",)) is None
 
 
 class TestFragmentNaming:
