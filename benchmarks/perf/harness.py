@@ -30,6 +30,10 @@ substrate and the numbers stay comparable across PRs:
   The ``kernel_dispatch`` cascade through the real ``Simulator`` over
   the same cascade through :class:`ReferenceLoop`, the heap-only kernel
   the determinism property tests compare against, measured in turns.
+* ``calls_per_op``      -- how many Python functions run for one
+  simulated write?  Calls counted by ``sys.setprofile`` over a
+  fixed-seed sharded run, per adopted operation: a count, a function of
+  the code and the interpreter version and of nothing else.
 
 No number here is compared with one measured on another machine or in
 another run: rates are reported as measured, for information, and every
@@ -46,6 +50,7 @@ import gc
 import heapq
 import itertools
 import json
+import sys
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -53,7 +58,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.execution import ExecutionEngine
 from repro.core.server import OARConfig
 from repro.harness.scenario import ScenarioConfig, run_scenario
-from repro.sharding.cluster import ShardedScenarioConfig, run_sharded_scenario
+from repro.sharding.cluster import (
+    ShardedScenarioConfig,
+    build_sharded_scenario,
+    run_sharded_scenario,
+)
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
 from repro.sim.process import Process
@@ -568,6 +577,74 @@ def checker_scaling(quick: bool) -> Dict[str, float]:
     }
 
 
+def _calls_shape(requests_per_client: int) -> ShardedScenarioConfig:
+    """The ``sim_shard_write`` shape of ``benchmarks/e2e``, any size."""
+    return ShardedScenarioConfig(
+        n_shards=4,
+        n_servers=3,
+        n_clients=8,
+        requests_per_client=requests_per_client,
+        n_keys=64,
+        machine="kv",
+        workload="uniform",
+        driver="open",
+        open_rate=0.5,
+        oar=OARConfig(order_cost=0.5),
+        exec_cost=0.25,
+        exec_lanes=2,
+        trace_level="off",
+        seed=7,
+    )
+
+
+def calls_per_op() -> Dict[str, Any]:
+    """Python-level calls per adopted write of a fixed-seed sharded run.
+
+    The ``sim_shard_write`` shape at a fifteenth of its size -- 4 shards
+    x 3 replicas, 8 open-loop clients x 50 kv writes, costed ordering,
+    two execution lanes, trace off -- run to quiescence under
+    ``sys.setprofile``, counting ``call`` events: every Python function
+    (and generator) entered, nothing a C function does.  Same seed, same
+    events, same handlers, so the count repeats exactly on one
+    interpreter version and says the same on any machine at any speed;
+    it moves only when a frame is added to or taken off the path of a
+    message, a timer, a trace point or the run loop -- which is where
+    the simulator's host time goes once the protocol's own work is done.
+    """
+    # Once through uncounted: ``abc`` remembers each class it has
+    # answered ``isinstance`` for, so a process's first run makes four
+    # calls no later one does.
+    run_sharded_scenario(_calls_shape(2))
+    run = build_sharded_scenario(_calls_shape(50))
+    calls = 0
+
+    def count(_frame: Any, event: str, _arg: Any) -> None:
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    # The cyclic collector is off while counting: what it finds is other
+    # code's garbage, and a finaliser written in Python is a call.
+    gc.collect()
+    gc.disable()
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        run.execute()
+    finally:
+        sys.setprofile(previous)
+        gc.enable()
+    adopted = len(run.adopted())
+    assert run.all_done() and adopted == 8 * 50
+    return {
+        "python": f"{sys.version_info.major}.{sys.version_info.minor}",
+        "adopted": adopted,
+        "sim_events": run.sim.events_processed,
+        "python_calls": calls,
+        "calls_per_op": round(calls / adopted, 2),
+    }
+
+
 # ----------------------------------------------------------------------
 # Suite driver
 # ----------------------------------------------------------------------
@@ -687,6 +764,7 @@ def run_suite(
         "golden_digest": golden_scenario_digest(),
         "history_scaling": median_history_scaling(quick),
         "checker_scaling": checker_scaling(quick),
+        "calls_per_op": calls_per_op(),
     }
     if wallclock:
         from benchmarks.perf.wallclock import run_wallclock
@@ -730,6 +808,12 @@ def format_table(payload: Dict[str, Any]) -> str:
         f"{checker['check_all_sec_4x']:.4f} s / "
         f"{checker['check_all_sec_1x']:.4f} s = {checker['ratio']:.2f} "
         f"(linear is 4)"
+    )
+    calls = payload["calls_per_op"]
+    lines.append(
+        f"calls per op ({calls['adopted']} sharded writes, {calls['sim_events']} "
+        f"simulator events, Python {calls['python']}): {calls['python_calls']:,} "
+        f"Python-level calls = {calls['calls_per_op']:.2f} per adopted op"
     )
     lines.append("")
     lines.append(f"golden digest: {payload['golden_digest']}")

@@ -32,15 +32,22 @@ def test_suite_runs_quick_and_payload_is_complete(tmp_path):
     kernel = payload["kernel_vs_reference"]
     assert kernel["fast_lane_events_per_sec"] > 0
     assert kernel["reference_events_per_sec"] > 0
+    calls = payload["calls_per_op"]
+    assert calls["adopted"] == 400 and calls["python_calls"] > calls["sim_events"] > 0
+    # A count, not a rate: counting again gives the same number.
+    assert harness.calls_per_op() == calls
     # Nothing measured on another machine, nothing for another run to read.
     assert set(payload) == {
         "schema", "mode", "repeats", "results", "golden_digest",
-        "kernel_vs_reference", "history_scaling", "checker_scaling",
+        "kernel_vs_reference", "history_scaling", "checker_scaling", "calls_per_op",
     }
     # The gates find every ratio where the suite put it (whatever they
     # read here): all but the codec's, whose section this run left out.
     failures, notes = run_perf.check(payload)
-    assert len(failures) + len(notes) == len(run_perf.GATES) + 1
+    assert len(failures) + len(notes) == len(run_perf.GATES) + 2
+    # The count is exact, so this tree must be under its ceiling on any
+    # machine (on an interpreter nobody recorded, it is not judged).
+    assert not [failure for failure in failures if failure.startswith("calls per op")]
     assert [note for note in notes if "skipped" in note] == [
         "codec binary/pickle skipped (suite ran without wallclock)"
     ]
@@ -87,10 +94,18 @@ def test_golden_digest_is_stable():
     assert harness.golden_scenario_digest() == harness.GOLDEN_DIGEST
 
 
-def _payload(readings: Dict[str, float], digest: str = harness.GOLDEN_DIGEST) -> Dict[str, Any]:
+def _payload(
+    readings: Dict[str, float],
+    digest: str = harness.GOLDEN_DIGEST,
+    calls_per_op: float = 409.51,
+    python: str = "3.11",
+) -> Dict[str, Any]:
     """A synthetic payload: ``readings`` by gate name, each put where
     its gate looks for it."""
-    payload: Dict[str, Any] = {"golden_digest": digest}
+    payload: Dict[str, Any] = {
+        "golden_digest": digest,
+        "calls_per_op": {"calls_per_op": calls_per_op, "python": python},
+    }
     for gate in run_perf.GATES:
         if gate.name in readings:
             node = payload
@@ -108,7 +123,7 @@ _HIGH = {gate.name: gate.recorded[1] for gate in run_perf.GATES}
 def test_gates_hold_at_both_ends_of_their_recorded_ranges(readings):
     failures, notes = run_perf.check(_payload(readings))
     assert failures == []
-    assert len(notes) == len(run_perf.GATES) + 1 and notes[-1] == "digest matches"
+    assert len(notes) == len(run_perf.GATES) + 2 and notes[-1] == "digest matches"
 
 
 @pytest.mark.parametrize("gate", run_perf.GATES, ids=lambda gate: gate.path[0])
@@ -116,7 +131,7 @@ def test_each_gate_fires_alone_and_names_itself_and_its_bound(gate):
     past = gate.bound / 1.3 if gate.is_floor else gate.bound * 1.3
     for reading in (past, gate.planted):
         failures, notes = run_perf.check(_payload({**_LOW, gate.name: reading}))
-        assert len(failures) == 1 and len(notes) == len(run_perf.GATES)
+        assert len(failures) == 1 and len(notes) == len(run_perf.GATES) + 1
         assert failures[0].startswith(f"{gate.name} {reading:.2f} is past the {gate.bound:.2f} ")
         assert gate.regression in failures[0]
 
@@ -135,4 +150,39 @@ def test_a_run_without_wallclock_skips_exactly_the_codec_gate():
     assert [note for note in notes if "skipped" in note] == [
         "codec binary/pickle skipped (suite ran without wallclock)"
     ]
-    assert len(notes) == len(run_perf.GATES) + 1
+    assert len(notes) == len(run_perf.GATES) + 2
+
+
+#: What ``harness.calls_per_op`` read on CPython 3.11 with one of the
+#: old shapes back around the simulated request (scratch copies of the
+#: tree; ``docs/BENCHMARKS.md``, "Tracked performance"), and on the
+#: parent of the PR that took them out.
+_OLD_SHAPES = {
+    "a lambda and a second frame per hop": 473.67,
+    "all_done() after every event": 445.96,
+    "run_until as predicate(); step()": 430.70,
+    "the parent commit": 597.45,
+}
+
+
+@pytest.mark.parametrize("python, reading", [("3.10", 409.51), ("3.11", 409.51),
+                                              ("3.12", 407.58), ("3.13", 407.58)])
+def test_calls_per_op_gate_holds_at_this_trees_reading(python, reading):
+    failures, notes = run_perf.check(_payload(_LOW, calls_per_op=reading, python=python))
+    ceiling = run_perf.CALLS_PER_OP_CEILING[python]
+    assert failures == [] and 1.03 < ceiling / reading < 1.05
+    assert f"calls per op {reading:.2f} within the {ceiling:.2f} ceiling" in notes
+
+
+@pytest.mark.parametrize("shape", _OLD_SHAPES)
+def test_calls_per_op_gate_fires_on_each_old_shape_alone(shape):
+    reading = _OLD_SHAPES[shape]
+    failures, notes = run_perf.check(_payload(_LOW, calls_per_op=reading))
+    assert len(failures) == 1 and len(notes) == len(run_perf.GATES) + 1
+    assert failures[0].startswith(f"calls per op {reading:.2f} is past the 426.00 ceiling")
+
+
+def test_calls_per_op_is_not_judged_on_an_interpreter_nobody_recorded():
+    failures, notes = run_perf.check(_payload(_LOW, calls_per_op=9999.0, python="3.99"))
+    assert failures == []
+    assert "calls per op 9999.00 not judged (no ceiling for Python 3.99)" in notes

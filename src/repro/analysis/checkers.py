@@ -70,26 +70,88 @@ class DeliveryIndex:
     trace per epoch.  ``server_pids`` scopes the server-emitted events
     to one group of a sharded run (all groups share one trace);
     ``adopt`` events are kept whole, since a client talks to every group
-    and a rid it adopted elsewhere simply finds no delivery here.
+    and a rid it adopted elsewhere simply finds no delivery here
+    (:meth:`per_group`, which indexes every group of a run at once, can
+    tell and leaves those out).
 
     The replay enforces the paper's footnote 2 reverse-order discipline:
     ``opt_undeliver`` must remove the *last* delivered element.
     """
 
+    #: The scans an index is built from: the server-emitted kinds, each
+    #: tuple read in log order (only the three delivery kinds need their
+    #: order relative to one another).
+    _SCANS: Tuple[Tuple[str, ...], ...] = (
+        ("crash",),
+        ("opt_deliver", "a_deliver", "opt_undeliver"),
+        ("exec_done",),
+        ("cnsv_propose",),
+        ("cnsv_order",),
+    )
+
     def __init__(
         self, trace: TraceLog, server_pids: Optional[Iterable[str]] = None
     ) -> None:
-        self.trace = trace
         wanted = None if server_pids is None else frozenset(server_pids)
 
-        def scoped(*kinds: str) -> List[TraceEvent]:
+        def scoped(kinds: Tuple[str, ...]) -> List[TraceEvent]:
             events = trace.events_of_kinds(kinds)
             if wanted is None:
                 return events
             return [event for event in events if event.pid in wanted]
 
-        self.crashed: Set[str] = {event.pid for event in scoped("crash")}
-        self.adoptions: List[TraceEvent] = trace.events(kind="adopt")
+        self._build(
+            trace, [scoped(kinds) for kinds in self._SCANS], trace.events(kind="adopt")
+        )
+
+    @classmethod
+    def per_group(
+        cls, trace: TraceLog, groups: Sequence[Iterable[str]]
+    ) -> Iterator["DeliveryIndex"]:
+        """The index of each group of a sharded run, in order, from one
+        pass over the trace.
+
+        Each scan is read once and dealt out by the emitting pid's group,
+        where ``DeliveryIndex(trace, group)`` per group reads every
+        group's events once per group.  An ``adopt`` event goes to the
+        groups that delivered its rid -- the only ones in which
+        :func:`check_external_consistency` finds anything to compare it
+        with.  A group's events are replayed when its index is asked
+        for, so a history that does not replay fails where it would have.
+        """
+        group_of = {pid: i for i, group in enumerate(groups) for pid in group}
+        dealt: List[List[List[TraceEvent]]] = [
+            [[] for _ in cls._SCANS] for _ in groups
+        ]
+        delivered_in: Dict[str, Set[int]] = defaultdict(set)
+        for scan, kinds in enumerate(cls._SCANS):
+            deliveries = "opt_deliver" in kinds
+            for event in trace.events_of_kinds(kinds):
+                group = group_of.get(event.pid)
+                if group is not None:
+                    dealt[group][scan].append(event)
+                    if deliveries:
+                        delivered_in[event.fields["rid"]].add(group)
+        adoptions: List[List[TraceEvent]] = [[] for _ in groups]
+        for event in trace.events(kind="adopt"):
+            for group in delivered_in.get(event.fields["rid"], ()):
+                adoptions[group].append(event)
+        for scans, adopted in zip(dealt, adoptions):
+            index = cls.__new__(cls)
+            index._build(trace, scans, adopted)
+            yield index
+
+    def _build(
+        self,
+        trace: TraceLog,
+        scans: Sequence[List[TraceEvent]],
+        adoptions: List[TraceEvent],
+    ) -> None:
+        """Index one group's events, handed over scan by scan (``_SCANS``)."""
+        self.trace = trace
+        self.adoptions = adoptions
+        crashes, deliveries, executions, proposals, results = scans
+        self.crashed: Set[str] = {event.pid for event in crashes}
 
         #: pid -> final delivered sequence (the server's ``current_order``).
         self.final_orders: Dict[str, List[str]] = {}
@@ -100,7 +162,7 @@ class DeliveryIndex:
         self.a_delivers: Dict[str, List[TraceEvent]] = defaultdict(list)
         #: (pid, rid, epoch) of every Opt-undelivery.
         self.undone: Set[Tuple[str, str, int]] = set()
-        for event in scoped("opt_deliver", "a_deliver", "opt_undeliver"):
+        for event in deliveries:
             pid = event.pid
             kind = event.kind
             rid = event.fields["rid"]
@@ -128,7 +190,7 @@ class DeliveryIndex:
         #: ``exec_done`` carrying the result, keyed here by
         #: (pid, rid, epoch, conservative) to join the values back.
         self.exec_values: Dict[Tuple[str, str, int, bool], Any] = {}
-        for event in scoped("exec_done"):
+        for event in executions:
             fields = event.fields
             key = (event.pid, fields["rid"], fields["epoch"], fields["conservative"])
             self.exec_values[key] = fields["value"]
@@ -142,7 +204,7 @@ class DeliveryIndex:
         self.proposals: Dict[
             int, Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]]
         ] = defaultdict(dict)
-        for event in scoped("cnsv_propose"):
+        for event in proposals:
             self.proposals[event["epoch"]][event.pid] = (
                 tuple(event["o_delivered"]),
                 tuple(event["o_notdelivered"]),
@@ -155,7 +217,7 @@ class DeliveryIndex:
                 self.proposed[epoch].update(set(dlv).union(notdlv))
         #: epoch -> pid -> its ``cnsv_order`` result event.
         self.results: Dict[int, Dict[str, TraceEvent]] = defaultdict(dict)
-        for event in scoped("cnsv_order"):
+        for event in results:
             self.results[event["epoch"]][event.pid] = event
 
     @classmethod
@@ -535,7 +597,7 @@ def check_external_consistency(
 # ----------------------------------------------------------------------
 
 def check_single_shard_properties(
-    trace: TraceLog,
+    history: History,
     servers: Sequence[Any],
     submitted_rids: Iterable[str],
     strict: bool = True,
@@ -546,11 +608,16 @@ def check_single_shard_properties(
     The one list of paper properties both ``check_all`` bundles run: an
     unsharded run is its single group, a sharded run calls this once per
     shard.  The group's history is indexed once (:class:`DeliveryIndex`,
-    scoped to ``servers``) and shared by every trace-based member.
+    scoped to ``servers``) and shared by every trace-based member; a
+    sharded run hands in the group's index, cut from one pass over all
+    of them (:meth:`DeliveryIndex.per_group`).
     ``submitted_rids`` must contain only requests routed to this group
     (single-shard operations and transaction branches alike).
     """
-    index = DeliveryIndex(trace, [server.pid for server in servers])
+    if isinstance(history, DeliveryIndex):
+        index = history
+    else:
+        index = DeliveryIndex(history, [server.pid for server in servers])
     group_size = len(servers)
     check_cnsv_order_properties(index, group_size)
     check_majority_guarantee(index, group_size)

@@ -52,6 +52,7 @@ exactly -- no entries, no timers, no allocation beyond the call itself.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.statemachine.base import StateMachine
@@ -142,9 +143,10 @@ class ExecutionEngine:
         Service time per operation; ``0`` selects the inline fast path.
     timer:
         ``timer(delay, callback) -> handle`` with a ``cancel()`` method;
-        the server passes its environment's ``set_timer`` (which also
-        gives crash-stop suppression for free), standalone users pass
-        ``Simulator.schedule``.
+        standalone users pass ``Simulator.schedule``.  A server has no
+        environment yet when it builds its engine, so it assigns
+        :attr:`timer` when it starts: its environment's ``set_timer``
+        (which also gives crash-stop suppression for free).
     undo_log:
         Where optimistic executions register their inverses (pending at
         submit, resolved at completion).  May be omitted only when every
@@ -168,7 +170,9 @@ class ExecutionEngine:
         self.machine = machine
         self.lanes = lanes
         self.cost = cost
-        self._timer = timer
+        #: True when executions run synchronously at submit (cost 0).
+        self.inline = cost <= 0.0
+        self.timer = timer
         self.undo_log = undo_log
         self._conflict_footprint = type(machine).conflict_footprint
         self._exec_cost_of = type(machine).exec_cost_of
@@ -199,11 +203,6 @@ class ExecutionEngine:
     # ------------------------------------------------------------------
 
     @property
-    def inline(self) -> bool:
-        """True when executions run synchronously at submit (cost 0)."""
-        return self.cost <= 0.0
-
-    @property
     def backlog(self) -> int:
         """Write operations delivered but not yet executed (or cancelled)."""
         return self._live
@@ -232,7 +231,7 @@ class ExecutionEngine:
         ``on_done(result, lane)`` fires at completion -- synchronously,
         before ``submit`` returns, on the inline fast path.
         """
-        if self.cost <= 0.0:
+        if self.inline:
             if undoable:
                 result, undo = self.machine.apply_with_undo(op)
                 self.undo_log.push(rid, undo)
@@ -279,7 +278,7 @@ class ExecutionEngine:
         exists so callers can trace the charged completion -- does not
         fire.
         """
-        if self.cost <= 0.0:
+        if self.inline:
             undo()
             return
         entry = _Entry(
@@ -333,6 +332,8 @@ class ExecutionEngine:
         keys = self._conflict_footprint(op)
         if keys is None:
             return None
+        if len(keys) == 1:
+            return tuple(keys)  # one key: nothing to put in order
         return tuple(sorted(keys, key=repr))
 
     def _live_keyed(self, key: Any) -> Optional[_Entry]:
@@ -349,26 +350,9 @@ class ExecutionEngine:
             tail = tail.prev.get(None)
         return tail
 
-    def _newest_conflicting(self, key: Any) -> Optional[_Entry]:
-        """The newest live entry conflicting on ``key``.
-
-        Two chains can conflict on a key -- the key's own chain and the
-        global chain -- and either may carry the newer entry; the newer
-        one (by submission sequence) transitively covers the older, so
-        it alone is the dependency.  Done entries (completed *or*
-        cancelled) are walked past on both chains, which is what keeps
-        an Opt-undelivered suffix from hiding still-live older writes.
-        """
-        keyed = self._live_keyed(key)
-        glob = self._live_global()
-        if keyed is None:
-            return glob
-        if glob is None:
-            return keyed
-        return keyed if keyed.seq > glob.seq else glob
-
     def _deps_for(self, footprint: Optional[Tuple[Any, ...]]) -> List[_Entry]:
         deps: List[_Entry] = []
+        glob = self._live_global()
         if footprint is None:
             # Global: wait for every live chain.  Every live keyed entry
             # is an ancestor of the newest live entry on one of its
@@ -381,12 +365,22 @@ class ExecutionEngine:
                 if head is not None and id(head) not in seen:
                     seen.add(id(head))
                     deps.append(head)
-            glob = self._live_global()
             if glob is not None and id(glob) not in seen:
                 deps.append(glob)
             return deps
+        # Two chains can conflict on a key -- the key's own and the
+        # global one -- and either may carry the newer entry; the newer
+        # one (by submission sequence) transitively covers the older, so
+        # it alone is the dependency.  Done entries (completed *or*
+        # cancelled) are walked past on both chains, which is what keeps
+        # an Opt-undelivered suffix from hiding still-live older writes.
+        tails = self._tails
         for key in footprint:
-            head = self._newest_conflicting(key)
+            head = tails.get(key)
+            while head is not None and head.done:
+                head = head.prev.get(key)
+            if head is None or (glob is not None and glob.seq > head.seq):
+                head = glob
             if head is not None and head not in deps:
                 deps.append(head)
         return deps
@@ -422,8 +416,8 @@ class ExecutionEngine:
             self._in_service += 1
             if self._in_service > self.max_concurrency:
                 self.max_concurrency = self._in_service
-            entry.timer = self._timer(
-                self.cost * entry.weight, lambda e=entry: self._complete(e)
+            entry.timer = self.timer(
+                self.cost * entry.weight, partial(self._complete, entry)
             )
 
     def _complete(self, entry: _Entry) -> None:
@@ -493,7 +487,7 @@ class ExecutionEngine:
         dependents released), so there is no state to revert and the
         undo log's entry for it is still pending (a no-op to pop).
         """
-        if self.cost <= 0.0:
+        if self.inline:
             return True
         entry = self._by_rid.pop(rid, None)
         if entry is None:

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.consensus.chandra_toueg import ConsensusManager
@@ -291,7 +292,6 @@ class OARServer(ComponentProcess):
             machine,
             lanes=self.config.exec_lanes,
             cost=self.config.exec_cost,
-            timer=self._exec_timer,
             undo_log=self.undo_log,
         )
 
@@ -382,7 +382,7 @@ class OARServer(ComponentProcess):
     @property
     def is_sequencer(self) -> bool:
         """True when this process is the current epoch's sequencer s."""
-        return self.current_sequencer == self.pid
+        return self.group[self.sequencer_index] == self.pid
 
     @property
     def settled_order(self) -> MessageSequence:
@@ -408,16 +408,16 @@ class OARServer(ComponentProcess):
         """
         return self.engine.backlog
 
-    def _exec_timer(self, delay: float, callback: Any) -> Any:
-        """Lane-service timer; env-bound lazily (env binds at start)."""
-        return self.env.set_timer(delay, callback)
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
 
     def on_start(self) -> None:
         """Start components, batch/GC timers, and trace epoch 0."""
+        # Lane service runs on this process's own timers (which also
+        # gives it crash-stop suppression); there is an env to take
+        # them from only now.
+        self.engine.timer = self.env.set_timer
         super().on_start()
         if self.config.batch_interval > 0:
             self._schedule_batch_tick()
@@ -885,9 +885,7 @@ class OARServer(ComponentProcess):
         self.engine.submit(
             rid,
             request.op,
-            lambda result, lane: self._opt_executed(
-                request, result, position, weight, epoch, lane
-            ),
+            partial(self._opt_executed, request, position, weight, epoch),
             undoable=True,
         )
         if (
@@ -900,10 +898,10 @@ class OARServer(ComponentProcess):
     def _opt_executed(
         self,
         request: Request,
-        result: Any,
         position: int,
         weight: frozenset,
         epoch: int,
+        result: Any,
         lane: int,
     ) -> None:
         """An optimistic delivery left its execution lane: reply."""
@@ -1072,9 +1070,7 @@ class OARServer(ComponentProcess):
             self.engine.submit(
                 rid,
                 request.op,
-                lambda op_result, lane, request=request, position=position: (
-                    self._cons_executed(request, op_result, position, epoch, lane)
-                ),
+                partial(self._cons_executed, request, position, epoch),
                 undoable=False,
             )
 
@@ -1136,7 +1132,7 @@ class OARServer(ComponentProcess):
             )
 
     def _cons_executed(
-        self, request: Request, result: Any, position: int, epoch: int, lane: int
+        self, request: Request, position: int, epoch: int, result: Any, lane: int
     ) -> None:
         """A conservative (A-delivered) op left its lane: reply weight Π."""
         rid = request.rid

@@ -13,7 +13,7 @@ import random
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.process import Process, ProcessEnv
+from repro.sim.process import Process, ProcessEnv, _no_trace
 from repro.sim.trace import TraceLog
 
 
@@ -48,10 +48,6 @@ class AsyncioTimerHandle:
     @property
     def active(self) -> bool:
         return not self.cancelled and not self.fired
-
-
-def _no_trace(kind: str, **fields: Any) -> None:
-    """``env.trace`` of a cluster whose log is off."""
 
 
 class AsyncioEnv(ProcessEnv):

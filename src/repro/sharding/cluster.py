@@ -351,8 +351,6 @@ class BaseRun:
         Likewise crashed replicas never drain their execution lanes
         (crash-stop suppresses their timers) and are excluded.
         """
-        # Drivers first, returning at the first one still busy: while a
-        # run executes, this is evaluated after every simulator event.
         for driver in self.drivers:
             if not driver.done:
                 return False
@@ -379,11 +377,24 @@ class BaseRun:
             config.arm(self)
         sim = self.sim
         deadline = config.horizon
-        # Horizon first: one float compare vs a sweep over every driver.
-        sim.run_until(
-            lambda: sim._now >= deadline or self.all_done(),
-            max_events=config.max_events,
-        )
+        waiting = iter(self.drivers)
+        busy = next(waiting, None)  # the driver last seen busy
+
+        def quiescent() -> bool:
+            # Asked after every simulator event.  Horizon first (one
+            # float compare); then only the driver last seen busy:
+            # while it is, ``all_done()`` is false whatever the others
+            # do.  Once each driver has reported done, the full rule.
+            nonlocal busy
+            if sim._now >= deadline:
+                return True
+            while busy is not None:
+                if not busy.done:
+                    return False
+                busy = next(waiting, None)
+            return self.all_done()
+
+        sim.run_until(quiescent, max_events=config.max_events)
         sim.run(until=sim.now + config.grace, max_events=config.max_events)
         return self
 
@@ -410,6 +421,7 @@ class BaseRun:
         strict: bool,
         at_least_once: bool,
         shard: Optional[int] = None,
+        index: Optional[checkers.DeliveryIndex] = None,
     ) -> None:
         """The paper's properties over one OAR group.
 
@@ -417,9 +429,15 @@ class BaseRun:
         replica-local reads observe prefix-closed states of its adopted
         order, replayed on a fresh ``make_machine()`` (conservative
         reads must; optimistic staleness is counted, not failed).
+        ``index`` is the group's history where the caller already cut
+        it out of the trace.
         """
         checkers.check_single_shard_properties(
-            self.trace, servers, rids, strict=strict, at_least_once=at_least_once
+            self.trace if index is None else index,
+            servers,
+            rids,
+            strict=strict,
+            at_least_once=at_least_once,
         )
         checkers.check_read_consistency(self.trace, servers, make_machine, shard=shard)
 
@@ -473,7 +491,11 @@ class ShardedRun(BaseRun):
         shed_rids: set = set()
         for client in self.clients:
             shed_rids |= getattr(client, "shed_rids", set())
-        for shard, servers in enumerate(self.shards):
+        # Every group's events in one pass over the trace, not one each.
+        indexes = checkers.DeliveryIndex.per_group(
+            trace, [[server.pid for server in servers] for servers in self.shards]
+        )
+        for shard, (servers, index) in enumerate(zip(self.shards, indexes)):
             self._check_group(
                 servers,
                 [rid for rid in self.routed_to(shard) if rid not in shed_rids],
@@ -481,6 +503,7 @@ class ShardedRun(BaseRun):
                 strict,
                 at_least_once and quiescent,
                 shard,
+                index,
             )
         checkers.check_cross_shard_atomicity(
             trace,

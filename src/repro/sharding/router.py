@@ -54,6 +54,11 @@ class ShardRouter:
         return tuple(tuple(shard) for shard in shards)
 
 
+#: Distinct key strings a :class:`HashShardRouter` remembers the shard
+#: of; one more and it forgets them all and starts over.
+_SHARD_MEMO_LIMIT = 1 << 16
+
+
 class HashShardRouter(ShardRouter):
     """SHA-1 of the key's string form, modulo the shard count.
 
@@ -61,11 +66,27 @@ class HashShardRouter(ShardRouter):
     (``str`` keys are used verbatim so ``"1"`` and ``1`` route
     identically only if their string forms agree -- keys should be
     strings in practice).
+
+    A client routes every operation, mostly over the same few keys, so
+    the shard of each string form is computed once and remembered (the
+    shard count never changes, so an answer never goes stale).
     """
 
+    def __init__(self, n_shards: int) -> None:
+        super().__init__(n_shards)
+        self._shard_memo: Dict[str, int] = {}
+
     def shard_of(self, key: Any) -> int:
-        digest = hashlib.sha1(str(key).encode("utf-8")).digest()
-        return int.from_bytes(digest[:8], "big") % self.n_shards
+        text = str(key)
+        memo = self._shard_memo
+        shard = memo.get(text)
+        if shard is None:
+            digest = hashlib.sha1(text.encode("utf-8")).digest()
+            shard = int.from_bytes(digest[:8], "big") % self.n_shards
+            if len(memo) >= _SHARD_MEMO_LIMIT:
+                memo.clear()
+            memo[text] = shard
+        return shard
 
     def __repr__(self) -> str:
         return f"HashShardRouter(n_shards={self.n_shards})"

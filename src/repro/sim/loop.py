@@ -295,14 +295,39 @@ class Simulator:
             Stop after this many additional events (guards against
             non-terminating protocols in tests).
         """
+        self._drain(None, until, max_events if max_events is not None else (1 << 62))
+        if until is not None and self._now < until:
+            self._now = until
+
+    def run_until(self, predicate: Callable[[], bool], max_events: int = 1_000_000) -> bool:
+        """Run until ``predicate()`` is true; it is asked before every event.
+
+        Returns False if the events or the budget ran out first.
+        """
+        return self._drain(predicate, None, max_events)
+
+    def _drain(
+        self,
+        predicate: Optional[Callable[[], bool]],
+        until: Optional[float],
+        budget: int,
+    ) -> bool:
+        """The run loop; True when ``predicate`` (if there is one) ended it.
+
+        Picks each event exactly as :meth:`step` does.  The predicate is
+        asked once at entry and then after every event that *ran* -- a
+        cancelled entry is skipped without a question -- so it sees the
+        states a ``predicate(); step()`` loop would show it.
+        """
         queue = self._queue
         fast = self._fast
         fast_pop = fast.popleft
         heappop = heapq.heappop
         timer_cls = TimerHandle
-        budget = max_events if max_events is not None else (1 << 62)
         processed = 0
         try:
+            if predicate is not None and predicate():
+                return True
             while processed < budget:
                 if fast:
                     # Due-now heap events precede the fast lane (they
@@ -315,19 +340,16 @@ class Simulator:
                                 self._cancelled_fast -= 1
                                 continue
                             entry.fired = True
-                            processed += 1
-                            entry._callback()  # type: ignore[misc]
-                            continue
+                            entry = entry._callback
                         processed += 1
                         entry()  # type: ignore[operator]
+                        if predicate is not None and predicate():
+                            return True
                         continue
                 elif not queue:
                     break
-                when = queue[0][0]
-                if until is not None and when > until:
-                    if until > self._now:
-                        self._now = until
-                    return
+                if until is not None and queue[0][0] > until:
+                    break
                 when, _seq, handle, callback = heappop(queue)
                 if handle is not None:
                     if handle.cancelled:
@@ -337,19 +359,11 @@ class Simulator:
                 self._now = when
                 processed += 1
                 callback()
+                if predicate is not None and predicate():
+                    return True
         finally:
             self._events_processed += processed
-        if until is not None and self._now < until:
-            self._now = until
-
-    def run_until(self, predicate: Callable[[], bool], max_events: int = 1_000_000) -> bool:
-        """Run until ``predicate()`` is true.  Returns False if events ran out."""
-        executed = 0
-        while not predicate():
-            if executed >= max_events or not self.step():
-                return predicate()
-            executed += 1
-        return True
+        return False
 
     # ------------------------------------------------------------------
     # Lazy-cancellation bookkeeping

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -37,7 +38,7 @@ from typing import (
 
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.loop import Simulator, TimerHandle
-from repro.sim.process import Process, ProcessEnv
+from repro.sim.process import Process, ProcessEnv, _no_trace
 from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - circular-import guard
@@ -84,9 +85,18 @@ class _SimEnv(ProcessEnv):
         self._network = network
         self._pid = pid
         self._rng = network.sim.child_rng(f"proc/{pid}")
-        # Hot-path prebinds: every protocol action traces and most send.
         self._sim = network.sim
+        # What a protocol calls on every message and timer is the
+        # network's own method with this pid filled in -- no frame of
+        # ours in between.  Bound here, when the process starts, so a
+        # method patched on the class before then is the one called.
+        self.send = partial(network.transmit, pid)  # type: ignore[method-assign]
+        self.set_timer = partial(network.set_process_timer, pid)  # type: ignore[method-assign]
+        self.post = partial(network.post_process_event, pid)  # type: ignore[method-assign]
         self._trace_record = network.trace.record
+        if not network.trace.enabled:
+            # Dropped at the door: no kwargs packed, no clock read.
+            self.trace = _no_trace  # type: ignore[method-assign]
 
     @property
     def pid(self) -> str:
@@ -94,7 +104,7 @@ class _SimEnv(ProcessEnv):
 
     @property
     def now(self) -> float:
-        return self._network.sim.now
+        return self._sim._now
 
     @property
     def rng(self) -> random.Random:
@@ -103,15 +113,6 @@ class _SimEnv(ProcessEnv):
     @property
     def peers(self) -> Sequence[str]:
         return self._network.pids
-
-    def send(self, dst: str, payload: Any) -> None:
-        self._network.transmit(self._pid, dst, payload)
-
-    def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
-        return self._network.set_process_timer(self._pid, delay, callback)
-
-    def post(self, delay: float, callback: Callable[[], None]) -> None:
-        self._network.post_process_event(self._pid, delay, callback)
 
     def trace(self, kind: str, **fields: Any) -> None:
         self._trace_record(self._sim._now, self._pid, kind, **fields)
@@ -156,7 +157,10 @@ class SimNetwork:
         self._crashed: set = set()
         self._seq = itertools.count()
         self._last_arrival: Dict[Tuple[str, str], float] = {}
-        self._interceptors: List[SendInterceptor] = []
+        # A tuple, rebuilt on add/remove: ``transmit`` walks it as it
+        # is, and an interceptor that removes itself mid-walk leaves
+        # the walk on the tuple it started on.
+        self._interceptors: Tuple[SendInterceptor, ...] = ()
         self._group_of: Optional[Dict[str, int]] = None
         self._held: List[Envelope] = []
         self._messages_sent = 0
@@ -172,6 +176,9 @@ class SimNetwork:
         # never touch this set.
         self._in_flight_checksummed: set = set()
         self._fault_plane: Optional["FaultPlane"] = None
+        # Only the fault plane stamps checksums, so the function that
+        # verifies them arrives with it (``ensure_fault_plane``).
+        self._wire_checksum: Optional[Callable[[Any], int]] = None
         self._rng = sim.child_rng("network")
 
     # ------------------------------------------------------------------
@@ -211,9 +218,10 @@ class SimNetwork:
         tests can all compose policies onto the same plane.
         """
         if self._fault_plane is None:
-            from repro.sim.faultplane import FaultPlane
+            from repro.sim.faultplane import FaultPlane, wire_checksum
 
             self._fault_plane = FaultPlane(self)
+            self._wire_checksum = wire_checksum
         return self._fault_plane
 
     def stats(self) -> Dict[str, int]:
@@ -284,10 +292,12 @@ class SimNetwork:
     # ------------------------------------------------------------------
 
     def add_interceptor(self, interceptor: SendInterceptor) -> None:
-        self._interceptors.append(interceptor)
+        self._interceptors += (interceptor,)
 
     def remove_interceptor(self, interceptor: SendInterceptor) -> None:
-        self._interceptors.remove(interceptor)
+        kept = list(self._interceptors)
+        kept.remove(interceptor)
+        self._interceptors = tuple(kept)
 
     # ------------------------------------------------------------------
     # Partitions
@@ -342,19 +352,17 @@ class SimNetwork:
             return  # a crashed process cannot send
         if dst not in self._processes:
             raise KeyError(f"unknown destination: {dst}")
-        if self._interceptors:
-            for interceptor in list(self._interceptors):
-                if not interceptor(src, dst, payload):
-                    self._messages_dropped += 1
-                    if self.trace_messages:
-                        self.trace.record(
-                            self.sim.now, src, "msg_dropped", dst=dst, payload=payload,
-                        )
-                    return
+        now = self.sim._now
+        for interceptor in self._interceptors:
+            if not interceptor(src, dst, payload):
+                self._messages_dropped += 1
+                if self.trace_messages:
+                    self.trace.record(now, src, "msg_dropped", dst=dst, payload=payload)
+                return
         self._messages_sent += 1
-        envelope = Envelope(next(self._seq), src, dst, payload, self.sim.now)
+        envelope = Envelope(next(self._seq), src, dst, payload, now)
         if self.trace_messages:
-            self.trace.record(self.sim.now, src, "msg_send", dst=dst, payload=payload)
+            self.trace.record(now, src, "msg_send", dst=dst, payload=payload)
         if self._fault_plane is not None:
             # The plane re-enters via _dispatch_from_plane for every
             # copy it decides to put on the wire.
@@ -363,7 +371,19 @@ class SimNetwork:
         if self._group_of is not None and self._crosses_partition(src, dst):
             self._held.append(envelope)
             return
-        self._schedule_delivery(envelope)
+        # The fault-free hop, scheduled from here: _schedule_delivery
+        # with no extra delay, the FIFO floor on and no checksum.
+        if self._latency_is_const:
+            arrival = now + self.latency.delay
+        else:
+            arrival = now + self.latency.sample(self._rng, src, dst)
+        channel = (src, dst)
+        last_arrival = self._last_arrival
+        previous = last_arrival.get(channel, 0.0)
+        if previous > arrival:
+            arrival = previous
+        last_arrival[channel] = arrival
+        self.sim.post_at(arrival, partial(self._deliver, envelope))
 
     def _dispatch_from_plane(
         self, envelope: Envelope, extra_delay: float, fifo: bool
@@ -403,7 +423,7 @@ class SimNetwork:
         # TimerHandle allocation on every message.
         if envelope.checksum is not None:
             self._in_flight_checksummed.add(envelope)
-        self.sim.post_at(arrival, lambda: self._deliver(envelope))
+        self.sim.post_at(arrival, partial(self._deliver, envelope))
 
     def in_flight_checksummed(self):
         """Checksummed envelopes scheduled but not yet delivered/dropped."""
@@ -412,9 +432,7 @@ class SimNetwork:
     def _deliver(self, envelope: Envelope) -> None:
         if envelope.checksum is not None:
             self._in_flight_checksummed.discard(envelope)
-            from repro.sim.faultplane import wire_checksum
-
-            if wire_checksum(envelope.payload) != envelope.checksum:
+            if self._wire_checksum(envelope.payload) != envelope.checksum:
                 # Detected-and-dropped: corrupted payloads never reach
                 # the protocol.  Checked before the crashed-destination
                 # discard so the accounting is exact either way.
@@ -450,12 +468,7 @@ class SimNetwork:
         self, pid: str, delay: float, callback: Callable[[], None]
     ) -> TimerHandle:
         """A timer that is suppressed if its owner has crashed by fire time."""
-
-        def guarded() -> None:
-            if pid not in self._crashed:
-                callback()
-
-        return self.sim.schedule(delay, guarded)
+        return self.sim.schedule(delay, partial(self._fire, pid, callback))
 
     def post_process_event(
         self, pid: str, delay: float, callback: Callable[[], None]
@@ -465,9 +478,9 @@ class SimNetwork:
         Same crash suppression, but no :class:`TimerHandle` is allocated
         and zero-delay posts ride the simulator's same-instant fast lane.
         """
+        self.sim.post(delay, partial(self._fire, pid, callback))
 
-        def guarded() -> None:
-            if pid not in self._crashed:
-                callback()
-
-        self.sim.post(delay, guarded)
+    def _fire(self, pid: str, callback: Callable[[], None]) -> None:
+        """A process's timer or posted event came due."""
+        if pid not in self._crashed:
+            callback()

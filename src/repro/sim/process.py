@@ -16,6 +16,10 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 from repro.sim.loop import TimerHandle
 
 
+def _no_trace(kind: str, **fields: Any) -> None:
+    """``env.trace`` of a host whose log is off (sim and runtime alike)."""
+
+
 class ProcessEnv:
     """The narrow world a protocol process can see.
 

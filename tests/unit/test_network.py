@@ -33,10 +33,10 @@ class Echoer(Recorder):
         self.env.send(src, f"echo:{payload}")
 
 
-def build(n: int = 2, latency=None, seed: int = 1):
+def build(n: int = 2, latency=None, seed: int = 1, process=None):
     sim = Simulator(seed=seed)
     network = SimNetwork(sim, latency=latency or ConstantLatency(1.0))
-    processes = [Recorder(f"p{i + 1}") for i in range(n)]
+    processes = [(process or Recorder)(f"p{i + 1}") for i in range(n)]
     for process in processes:
         network.add_process(process)
     network.start_all()
@@ -293,3 +293,206 @@ class TestTraceIntegration:
         sim.run()
         assert network.trace.events(kind="msg_send")
         assert network.trace.events(kind="msg_recv")
+
+
+class Timed(Process):
+    """Records what it receives and when."""
+
+    def __init__(self, pid: str) -> None:
+        super().__init__(pid)
+        self.received: List[Tuple[float, str, Any]] = []
+
+    def on_message(self, src: str, payload: Any) -> None:
+        self.received.append((self.env.now, src, payload))
+
+
+def build_timed(n: int = 2, latency=None):
+    return build(n, latency, process=Timed)
+
+
+class TestHop:
+    """``transmit`` schedules the fault-free hop itself; every rule of
+    ``_schedule_delivery`` and ``_deliver`` still applies to it."""
+
+    def test_a_shortened_delay_still_waits_for_the_fifo_floor(self):
+        sim, network, (a, b) = build_timed(latency=ConstantLatency(5.0))
+        a.env.send("p2", "slow")
+        network.latency.delay = 1.0  # re-read per message
+        a.env.send("p2", "fast")
+        b.env.send("p1", "other channel")
+        sim.run()
+        assert b.received == [(5.0, "p1", "slow"), (5.0, "p1", "fast")]
+        assert a.received == [(1.0, "p2", "other channel")]
+
+    def test_a_receiver_crashed_in_flight_receives_nothing(self):
+        sim, network, (a, b) = build_timed()
+        a.env.send("p2", "lost")
+        sim.run(until=0.5)
+        network.crash("p2")
+        sim.run()
+        assert b.received == []
+        assert network.messages_sent == 1 and network.messages_delivered == 0
+
+    def test_a_sender_crashed_before_the_send_sends_nothing(self):
+        sim, network, (a, b) = build_timed()
+        network.crash("p1")
+        a.env.send("p2", "zombie")
+        assert network.messages_sent == 0 and sim.pending_events == 0
+
+    def test_a_partition_formed_in_flight_holds_and_heal_releases_in_send_order(self):
+        sim, network, (a, b, c) = build_timed(n=3)
+        a.env.send("p3", "a-in-flight")  # seq 0
+        b.env.send("p3", "b-in-flight")  # seq 1
+        sim.run(until=0.5)
+        network.set_partition([["p1", "p2"], ["p3"]])
+        b.env.send("p3", "b-held-at-send")  # seq 2, held before a's next
+        a.env.send("p3", "a-held-at-send")  # seq 3
+        sim.run(until=10.0)
+        assert c.received == []
+        # Held at delivery comes after held at send in the list ...
+        assert [envelope.seq for envelope in network._held] == [2, 3, 0, 1]
+        network.heal()
+        sim.run()
+        # ... and heal puts the wire back in send order.
+        assert c.received == [
+            (11.0, "p1", "a-in-flight"),
+            (11.0, "p2", "b-in-flight"),
+            (11.0, "p2", "b-held-at-send"),
+            (11.0, "p1", "a-held-at-send"),
+        ]
+        assert network.trace.events(kind="heal")[0]["released"] == 4
+
+    def test_an_idle_fault_plane_changes_nothing(self):
+        """A plane with no rules sends every envelope through
+        ``_dispatch_from_plane`` and ``_schedule_delivery``: the digest
+        must be the one the hop scheduled from ``transmit`` gives."""
+
+        def digest(with_plane: bool) -> str:
+            sim = Simulator(seed=7)
+            network = SimNetwork(sim, latency=UniformLatency(0.1, 3.0), trace_messages=True)
+            for pid in ("p1", "p2", "p3"):
+                network.add_process(Echoer(pid))
+            if with_plane:
+                network.ensure_fault_plane()
+            network.start_all()
+            for i in range(5):
+                network.process("p1").env.send("p2", i)
+                network.process("p3").env.send("p1", -i)
+            sim.run(max_events=300)
+            assert sim.events_processed == 300
+            return network.trace.digest()
+
+        assert digest(with_plane=True) == digest(with_plane=False)
+
+    def test_an_interceptor_may_remove_itself_mid_walk(self):
+        sim, network, (a, b) = build_timed()
+        seen: List[str] = []
+
+        def once(src: str, dst: str, payload: Any) -> bool:
+            seen.append(f"once:{payload}")
+            network.remove_interceptor(once)
+            return True
+
+        def always(src: str, dst: str, payload: Any) -> bool:
+            seen.append(f"always:{payload}")
+            return payload != "drop"
+
+        network.add_interceptor(once)
+        network.add_interceptor(always)
+        for payload in ("first", "drop", "last"):
+            a.env.send("p2", payload)
+        sim.run()
+        # The walk that ``once`` left still reached ``always``.
+        assert seen == ["once:first", "always:first", "always:drop", "always:last"]
+        assert [payload for _t, _s, payload in b.received] == ["first", "last"]
+        assert network.messages_dropped == 1
+        with pytest.raises(ValueError):
+            network.remove_interceptor(once)
+
+    def test_checksummed_envelopes_are_verified_at_delivery(self):
+        """The verifier arrives with the plane that stamps the checksums."""
+        from repro.sim.faultplane import LinkFaultPolicy
+
+        sim, network, (a, b) = build_timed()
+        assert network._wire_checksum is None
+        network.ensure_fault_plane().add_policy(LinkFaultPolicy(corrupt=1.0))
+        for i in range(4):
+            a.env.send("p2", i)
+        sim.run()
+        assert b.received == [] and network.corrupt_dropped == 4
+        assert not list(network.in_flight_checksummed())
+
+
+class TestPrebinding:
+    """A process's ``send``/``set_timer``/``post``/``trace`` are bound when
+    it starts, never at import: a method patched on the class before the
+    network is built is the one every call goes through (what
+    ``benchmarks/e2e/layers.py`` relies on)."""
+
+    @staticmethod
+    def _scenario(**changes):
+        from repro.core.server import OARConfig
+        from repro.sharding.cluster import ShardedScenarioConfig, run_sharded_scenario
+
+        return run_sharded_scenario(
+            ShardedScenarioConfig(
+                n_shards=2, n_servers=3, n_clients=2, requests_per_client=6, n_keys=8,
+                machine="kv", workload="uniform", driver="open", open_rate=0.5,
+                oar=OARConfig(order_cost=0.5), exec_cost=0.25, exec_lanes=2, seed=3,
+                **changes,
+            )
+        )
+
+    def test_class_level_patches_see_every_call(self, monkeypatch):
+        from repro.core.execution import ExecutionEngine
+        from repro.sim.trace import TraceLog
+
+        calls = {"transmit": 0, "submit": 0, "record": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(self, *args, **kwargs):
+                calls[name] += 1
+                return real(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(SimNetwork, "transmit")
+        counted(ExecutionEngine, "submit")
+        counted(TraceLog, "record")
+        run = self._scenario()
+        assert run.all_done() and len(run.adopted()) == 12
+        assert calls["transmit"] == run.network.messages_sent > 0
+        assert calls["submit"] == sum(s.engine.executed for s in run.servers) == 3 * 12
+        assert calls["record"] == len(run.trace) > 0
+
+    def test_a_trace_that_is_off_is_never_called(self, monkeypatch):
+        from repro.sim.trace import TraceLog
+
+        calls: List[str] = []
+        for name in ("record", "_drop_record"):
+            monkeypatch.setattr(
+                TraceLog, name, lambda self, *a, _name=name, **k: calls.append(_name)
+            )
+        run = self._scenario(trace_level="off")
+        assert run.all_done() and len(run.adopted()) == 12
+        assert len(run.trace) == 0 and calls == []
+        # The log itself still drops what reaches it directly.
+        run.network.crash("s0.p1")
+        assert calls == ["_drop_record"] and len(run.trace) == 0
+
+    def test_timers_and_posts_of_a_crashed_process_never_fire(self):
+        sim, network, (a, b) = build_timed()
+        fired: List[str] = []
+        handle = a.env.set_timer(2.0, lambda: fired.append("timer"))
+        a.env.post(2.0, lambda: fired.append("post"))
+        a.env.post(0.0, lambda: fired.append("post-now"))
+        b.env.set_timer(2.0, lambda: fired.append("b-timer"))
+        cancelled = b.env.set_timer(1.0, lambda: fired.append("cancelled"))
+        cancelled.cancel()
+        sim.run(until=1.0)
+        network.crash("p1")
+        sim.run()
+        assert fired == ["post-now", "b-timer"]
+        assert handle.fired and not cancelled.fired  # popped, then suppressed

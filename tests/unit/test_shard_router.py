@@ -1,5 +1,6 @@
 """Unit tests for deterministic key -> shard routing (repro.sharding)."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.sharding import router as router_module
 from repro.sharding import (
     HashShardRouter,
     RangeShardRouter,
@@ -77,6 +79,43 @@ class TestHashRouter:
     def test_rejects_bad_shard_count(self):
         with pytest.raises(ValueError):
             HashShardRouter(0)
+
+    def test_remembered_shards_equal_the_hash(self, monkeypatch):
+        """The memo answers what SHA-1 would, first time and every time,
+        for keys whose equality and string forms disagree (``1 == True
+        == 1.0`` as dict keys; ``1`` and ``"1"`` as strings)."""
+
+        def hashed(key, n_shards):
+            digest = hashlib.sha1(str(key).encode("utf-8")).digest()
+            return int.from_bytes(digest[:8], "big") % n_shards
+
+        keys = ["1", 1, True, 1.0, "", 0, "k7", 7, ("k", 7), "('k', 7)", None]
+        keys += [f"key{i}" for i in range(40)] + list(range(40))
+        router = HashShardRouter(7)
+        for _ in range(2):
+            assert [router.shard_of(k) for k in keys] == [hashed(k, 7) for k in keys]
+        assert router.shard_of(["unhashable"]) == hashed(["unhashable"], 7)
+        # Full means forget everything, never a wrong answer.
+        monkeypatch.setattr(router_module, "_SHARD_MEMO_LIMIT", 8)
+        small = HashShardRouter(7)
+        for _ in range(2):
+            assert [small.shard_of(k) for k in keys] == [hashed(k, 7) for k in keys]
+        assert 0 < len(small._shard_memo) <= 8
+
+    def test_moves_and_splits_still_win_over_remembered_shards(self):
+        table = RoutingTable(HashShardRouter(4))
+        home = table.shard_of("hot")
+        assert table.shard_of("hot") == home  # now remembered by the base
+        table.move("hot", (home + 1) % 4)
+        assert table.shard_of("hot") == (home + 1) % 4
+        table.split("wide", [("wide#0", 2), ("wide#1", 3)])
+        assert [table.shard_of("wide#0"), table.shard_of("wide#1")] == [2, 3]
+        table.unsplit("wide", 1)
+        assert table.shard_of("wide") == 1
+        assert table.shard_of("wide#0") == table.base.shard_of("wide#0")
+        # A copy shares the immutable base (and its memo), not the overrides.
+        stale = RoutingTable(table.base)
+        assert stale.shard_of("hot") == home
 
 
 class TestRangeRouter:
