@@ -29,11 +29,14 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import (
     Any,
+    Callable,
     Dict,
+    FrozenSet,
     Iterable,
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Set,
@@ -68,11 +71,10 @@ class DeliveryIndex:
     consensus events, then shared by every single-group checker: the
     bundle replays each server's history once and never rescans the
     trace per epoch.  ``server_pids`` scopes the server-emitted events
-    to one group of a sharded run (all groups share one trace);
-    ``adopt`` events are kept whole, since a client talks to every group
-    and a rid it adopted elsewhere simply finds no delivery here
-    (:meth:`per_group`, which indexes every group of a run at once, can
-    tell and leaves those out).
+    to one group of a sharded run (all groups share one trace); None
+    takes every process in the trace.  Every index is made by
+    :meth:`per_group`: ``DeliveryIndex(trace, pids)`` is that group
+    alone.
 
     The replay enforces the paper's footnote 2 reverse-order discipline:
     ``opt_undeliver`` must remove the *last* delivered element.
@@ -89,37 +91,30 @@ class DeliveryIndex:
         ("cnsv_order",),
     )
 
-    def __init__(
-        self, trace: TraceLog, server_pids: Optional[Iterable[str]] = None
-    ) -> None:
-        wanted = None if server_pids is None else frozenset(server_pids)
-
-        def scoped(kinds: Tuple[str, ...]) -> List[TraceEvent]:
-            events = trace.events_of_kinds(kinds)
-            if wanted is None:
-                return events
-            return [event for event in events if event.pid in wanted]
-
-        self._build(
-            trace, [scoped(kinds) for kinds in self._SCANS], trace.events(kind="adopt")
-        )
+    def __new__(
+        cls, trace: TraceLog, server_pids: Optional[Iterable[str]] = None
+    ) -> "DeliveryIndex":
+        return next(cls.per_group(trace, [server_pids]))
 
     @classmethod
     def per_group(
-        cls, trace: TraceLog, groups: Sequence[Iterable[str]]
+        cls, trace: TraceLog, groups: Sequence[Optional[Iterable[str]]]
     ) -> Iterator["DeliveryIndex"]:
-        """The index of each group of a sharded run, in order, from one
-        pass over the trace.
+        """The index of each group, in order, from one pass over the trace.
 
-        Each scan is read once and dealt out by the emitting pid's group,
-        where ``DeliveryIndex(trace, group)`` per group reads every
-        group's events once per group.  An ``adopt`` event goes to the
-        groups that delivered its rid -- the only ones in which
-        :func:`check_external_consistency` finds anything to compare it
-        with.  A group's events are replayed when its index is asked
-        for, so a history that does not replay fails where it would have.
+        Each scan is read once and dealt out by the emitting pid's group
+        (a None group takes every pid no other group names), where one
+        scoped scan per group would read every group's events once per
+        group.  An ``adopt`` event goes to the groups that delivered its
+        rid -- the only ones in which :func:`check_external_consistency`
+        finds anything to compare it with.  A group's events are
+        replayed when its index is asked for, so a history that does not
+        replay fails where it would have.
         """
-        group_of = {pid: i for i, group in enumerate(groups) for pid in group}
+        group_of = {
+            pid: i for i, group in enumerate(groups) if group is not None for pid in group
+        }
+        rest = next((i for i, group in enumerate(groups) if group is None), None)
         dealt: List[List[List[TraceEvent]]] = [
             [[] for _ in cls._SCANS] for _ in groups
         ]
@@ -127,7 +122,7 @@ class DeliveryIndex:
         for scan, kinds in enumerate(cls._SCANS):
             deliveries = "opt_deliver" in kinds
             for event in trace.events_of_kinds(kinds):
-                group = group_of.get(event.pid)
+                group = group_of.get(event.pid, rest)
                 if group is not None:
                     dealt[group][scan].append(event)
                     if deliveries:
@@ -137,7 +132,7 @@ class DeliveryIndex:
             for group in delivered_in.get(event.fields["rid"], ()):
                 adoptions[group].append(event)
         for scans, adopted in zip(dealt, adoptions):
-            index = cls.__new__(cls)
+            index = object.__new__(cls)
             index._build(trace, scans, adopted)
             yield index
 
@@ -614,10 +609,9 @@ def check_single_shard_properties(
     ``submitted_rids`` must contain only requests routed to this group
     (single-shard operations and transaction branches alike).
     """
-    if isinstance(history, DeliveryIndex):
-        index = history
-    else:
-        index = DeliveryIndex(history, [server.pid for server in servers])
+    index = history if isinstance(history, DeliveryIndex) else DeliveryIndex(
+        history, [server.pid for server in servers]
+    )
     group_size = len(servers)
     check_cnsv_order_properties(index, group_size)
     check_majority_guarantee(index, group_size)
@@ -637,7 +631,6 @@ def check_single_shard_properties(
 def check_cross_shard_atomicity(
     trace: TraceLog,
     shard_servers: Sequence[Sequence[Any]],
-    expected_total: Optional[int] = None,
     quiescent: bool = True,
 ) -> int:
     """Client-coordinated cross-shard transactions are atomic.
@@ -645,13 +638,13 @@ def check_cross_shard_atomicity(
     Always: decision branches for one transaction are homogeneous (all
     ``tx_commit`` or all ``tx_abort``) and match the reported outcome.
     With ``quiescent=True`` additionally: every begun transaction reached
-    a decision and completed; no correct server retains an escrow hold;
-    and, when ``expected_total`` is given (transfer-only workloads),
-    account balances plus escrow sum to it across shards -- no money is
-    created or destroyed by a transfer that commits on one shard and
-    aborts on the other.  Pass ``quiescent=False`` for runs cut off with
-    transactions still in flight (an undecided transaction is incomplete,
-    not non-atomic).  Returns the number of transactions examined.
+    a decision and completed, and no correct server retains an escrow
+    hold.  That no transfer creates or destroys money is the bank's
+    conservation law, stated once with both escrows in
+    :func:`check_migration_atomicity`.  Pass ``quiescent=False`` for runs
+    cut off with transactions still in flight (an undecided transaction
+    is incomplete, not non-atomic).  Returns the number of transactions
+    examined.
     """
     begun = {event["txid"]: event for event in trace.events(kind="tx_begin")}
     decisions: Dict[str, List[TraceEvent]] = defaultdict(list)
@@ -691,35 +684,79 @@ def check_cross_shard_atomicity(
                 f"cross-shard atomicity: decision for unknown tx {txid}"
             )
 
-    if not quiescent:
-        return len(begun)
-
-    observed_total = 0
-    have_bank_state = False
-    for shard_index, servers in enumerate(shard_servers):
-        correct = [server for server in servers if not server.crashed]
-        for server in correct:
-            machine = server.machine
-            if not hasattr(machine, "pending_holds"):
-                continue
-            have_bank_state = True
-            leftovers = machine.pending_holds()
-            if leftovers:
-                raise CheckFailure(
-                    f"cross-shard atomicity: {server.pid} (shard "
-                    f"{shard_index}) retains escrow holds at quiescence: "
-                    f"{sorted(leftovers)}"
-                )
-        if correct and hasattr(correct[0].machine, "conserved_total"):
-            observed_total += correct[0].machine.conserved_total()
-
-    if expected_total is not None and have_bank_state:
-        if observed_total != expected_total:
-            raise CheckFailure(
-                f"cross-shard conservation violated: balances + escrow sum "
-                f"to {observed_total}, expected {expected_total}"
-            )
+    if quiescent:
+        for shard, servers in enumerate(shard_servers):
+            for server in servers:
+                pending_holds = getattr(server.machine, "pending_holds", dict)
+                if not server.crashed and pending_holds():
+                    raise CheckFailure(
+                        f"cross-shard atomicity: {server.pid} (shard {shard}) "
+                        f"retains escrow holds at quiescence: {sorted(pending_holds())}"
+                    )
     return len(begun)
+
+
+class _ShardBooks(NamedTuple):
+    """One shard as its correct replicas agree it stands.
+
+    The migration and fragment checkers read every shard through this
+    one observation.  ``machine`` is the first correct replica's (the
+    group's replicas agree on state: :func:`check_replica_convergence`).
+    """
+
+    machine: Any
+    owned: FrozenSet[Any]
+    outbound: Dict[str, Tuple[Any, int, Any]]  #: mid -> (key, dst, state)
+    installed: Dict[str, Any]  #: mid -> key
+
+
+def _observe_shards(
+    shard_servers: Sequence[Sequence[Any]],
+) -> Optional[Dict[int, Optional[_ShardBooks]]]:
+    """Each shard's books, or None when the machine keeps none.
+
+    A machine with no ownership model (keyless, or unsharded: it owns
+    everything) has nothing to observe.  A fully-crashed shard maps to
+    None: its state is unobservable, not lost.  Replicas of one shard
+    that disagree on what they own raise.
+    """
+    shards: Dict[int, Optional[_ShardBooks]] = {}
+    for shard, servers in enumerate(shard_servers):
+        correct = [server for server in servers if not server.crashed]
+        if not correct:
+            shards[shard] = None
+            continue
+        machine = correct[0].machine
+        if not hasattr(machine, "owned_keys"):
+            return None
+        books = {server.pid: server.machine.owned_keys() for server in correct}
+        distinct = set(books.values())
+        if len(distinct) > 1:
+            raise CheckFailure(
+                f"migration atomicity: shard {shard} replicas disagree on "
+                f"ownership: {books!r}"
+            )
+        owned = distinct.pop()
+        if owned is None:
+            return None
+        shards[shard] = _ShardBooks(
+            machine, owned, machine.outbound_migrations(), machine.installed_migrations()
+        )
+    return shards
+
+
+def _installed_exports(books: Mapping[int, _ShardBooks]) -> Iterator[Tuple[Any, int]]:
+    """``(key, balance)`` of each export already installed at its destination.
+
+    A source keeps an exported balance in its outbound escrow until
+    ``mig_forget``; once the same mid is installed at the destination the
+    balance is in an account there too.  Both value laws count such an
+    export at the destination only, by taking these back out.
+    """
+    for book in books.values():
+        for mid, (key, dst, state) in book.outbound.items():
+            if isinstance(state, int) and dst in books and mid in books[dst].installed:
+                yield key, state
 
 
 def check_migration_atomicity(
@@ -744,10 +781,11 @@ def check_migration_atomicity(
       prepared, and committed (epoch bump) only after it installed;
     * **single install** -- each migration id is installed on at most
       one shard (no double execution of a move);
-    * **conservation** (bank, when ``expected_total`` given) -- account
-      balances + transfer escrow + migration escrow sum to the money
-      supply, compensating for the brief install-to-forget window where
-      an exported balance is counted on both shards.
+    * **money conservation** (bank, when ``expected_total`` given) --
+      account balances + transfer escrow + migration escrow sum to the
+      money supply, counting an export already installed at its
+      destination there only: no transfer and no migration creates or
+      destroys money.
 
     Additionally at quiescence: every begun migration reached ``done``
     or ``aborted``, no key is still in flight, no outbound escrow entry
@@ -769,9 +807,7 @@ def check_migration_atomicity(
     aborted = {event["mid"] for event in trace.events(kind="mig_abort")}
 
     for mid in installed - prepared:
-        raise CheckFailure(
-            f"migration atomicity: {mid} installed without a prepare"
-        )
+        raise CheckFailure(f"migration atomicity: {mid} installed without a prepare")
     for mid in committed - installed:
         raise CheckFailure(
             f"migration atomicity: {mid} bumped the routing epoch before "
@@ -785,37 +821,16 @@ def check_migration_atomicity(
                 f"{sorted(unfinished)}"
             )
 
-    # -- replicated ownership books ------------------------------------
-    owner_books: Dict[int, Any] = {}  # shard -> agreed owned-key set
-    outbound_by_shard: Dict[int, Dict[str, Any]] = {}
-    installed_by_shard: Dict[int, Dict[str, Any]] = {}
-    unknown_shards: Set[int] = set()  # fully crashed: ownership unknowable
-    for shard, servers in enumerate(shard_servers):
-        correct = [server for server in servers if not server.crashed]
-        if not correct:
-            unknown_shards.add(shard)
-            continue  # a fully-crashed shard has no authoritative state
-        machines = [server.machine for server in correct]
-        if not hasattr(machines[0], "owned_keys"):
-            return len(begun)  # keyless machines: no ownership model
-        books = {server.pid: server.machine.owned_keys() for server in correct}
-        distinct = set(books.values())
-        if len(distinct) > 1:
-            raise CheckFailure(
-                f"migration atomicity: shard {shard} replicas disagree on "
-                f"ownership: {books!r}"
-            )
-        agreed = distinct.pop()
-        if agreed is None:
-            return len(begun)  # unsharded machines own everything
-        owner_books[shard] = agreed
-        outbound_by_shard[shard] = machines[0].outbound_migrations()
-        installed_by_shard[shard] = machines[0].installed_migrations()
+    shards = _observe_shards(shard_servers)
+    if shards is None:
+        return len(begun)  # no ownership model: nothing migrates
+    books = {shard: book for shard, book in shards.items() if book is not None}
+    unknown_shards = len(books) < len(shards)  # ownership there unknowable
 
     # Single install: each migration id landed on at most one shard.
     seen_installs: Dict[str, int] = {}
-    for shard, installs in installed_by_shard.items():
-        for mid in installs:
+    for shard, book in books.items():
+        for mid in book.installed:
             if mid in seen_installs:
                 raise CheckFailure(
                     f"migration atomicity: {mid} installed on shards "
@@ -824,9 +839,7 @@ def check_migration_atomicity(
             seen_installs[mid] = shard
 
     in_flight_keys = {
-        key
-        for outbound in outbound_by_shard.values()
-        for key, _dst, _state in outbound.values()
+        key for book in books.values() for key, _dst, _state in book.outbound.values()
     }
 
     # Hot-key splits (repro.statemachine.base.SplittableMachine): once a
@@ -839,17 +852,10 @@ def check_migration_atomicity(
     # (split_close adopted, split not yet dropped -- the merged key is
     # owned again while the table still says "split").
     splits = dict(getattr(routing_table, "splits", None) or {})
-    owned_anywhere: Set[Any] = set()
-    for owned in owner_books.values():
-        owned_anywhere |= set(owned)
-
-    def fragments_alive(key: Any) -> bool:
-        prefix = f"{key}{SplittableMachine.SPLIT_SEP}"
-        for candidate in owned_anywhere | in_flight_keys:
-            text = str(candidate)
-            if text.startswith(prefix) and text[len(prefix):].isdigit():
-                return True
-        return False
+    owned_anywhere: Set[Any] = set().union(*(book.owned for book in books.values()))
+    split_parents = {
+        SplittableMachine.parent_key(key) for key in owned_anywhere | in_flight_keys
+    }
 
     checked: List[Tuple[Any, bool]] = []  # (key, is_fragment)
     for key in key_universe:
@@ -867,15 +873,12 @@ def check_migration_atomicity(
         checked.extend((frag, True) for frag, _dst in placements)
 
     for key, is_fragment in checked:
-        owners = [shard for shard, owned in owner_books.items() if key in owned]
+        owners = [shard for shard, book in books.items() if key in book.owned]
         if len(owners) > 1:
-            raise CheckFailure(
-                f"migration atomicity: {key!r} owned by multiple shards "
-                f"{owners}"
-            )
+            raise CheckFailure(f"migration atomicity: {key!r} owned by multiple shards {owners}")
         if not owners:
             if key not in in_flight_keys:
-                if not is_fragment and fragments_alive(key):
+                if not is_fragment and key in split_parents:
                     if quiescent:
                         raise CheckFailure(
                             f"migration atomicity: {key!r} was split into "
@@ -903,9 +906,7 @@ def check_migration_atomicity(
 
     if quiescent:
         leftovers = {
-            shard: sorted(outbound)
-            for shard, outbound in outbound_by_shard.items()
-            if outbound
+            shard: sorted(book.outbound) for shard, book in books.items() if book.outbound
         }
         if leftovers:
             raise CheckFailure(
@@ -913,33 +914,15 @@ def check_migration_atomicity(
                 f"quiescence: {leftovers}"
             )
 
-    # -- conservation (bank) -------------------------------------------
-    # A fully-crashed shard makes its balances unobservable, not lost;
-    # the sum below would come up short through no fault of the
-    # migrations, so (matching the ownership logic above) skip it.
-    if expected_total is not None and owner_books and not unknown_shards:
-        observed = 0
-        have_bank = False
-        for shard, servers in enumerate(shard_servers):
-            correct = [server for server in servers if not server.crashed]
-            if not correct or not hasattr(correct[0].machine, "conserved_total"):
-                continue
-            have_bank = True
-            observed += correct[0].machine.conserved_total()
-        # conserved_total counts an exported balance at the source until
-        # mig_forget; once the same mid is installed at the destination
-        # the balance also sits in an account there.  Subtract that
-        # double-counted window.
-        for shard, outbound in outbound_by_shard.items():
-            for mid, (key, dst, state) in outbound.items():
-                if not isinstance(state, int):
-                    continue
-                if mid in installed_by_shard.get(dst, ()):
-                    observed -= state
-        if have_bank and observed != expected_total:
+    # A fully-crashed shard makes its balances unobservable, not lost:
+    # the sum would come up short through no fault of the protocol.
+    if expected_total is not None and books and not unknown_shards:
+        observed = sum(book.machine.conserved_total() for book in books.values())
+        observed -= sum(state for _key, state in _installed_exports(books))
+        if observed != expected_total:
             raise CheckFailure(
-                f"migration conservation violated: balances + escrows sum "
-                f"to {observed}, expected {expected_total}"
+                f"money conservation violated: balances + transfer escrow + "
+                f"migration escrow sum to {observed}, expected {expected_total}"
             )
     return len(begun)
 
@@ -965,7 +948,8 @@ def check_fragment_conservation(
     cancel.  Exactness across undo/redo is inherited from adoption
     stability (Prop. 7): an operation that was Opt-delivered and later
     undone never surfaces an adopted reply, so it contributes neither a
-    delta nor final state.
+    delta nor final state.  The shards are read through the migration
+    checker's observation, so an export is counted once, as there.
 
     Single-shard operations are joined from ``submit`` + ``adopt``
     events; cross-shard transfers (which never emit a plain ``adopt``)
@@ -982,112 +966,76 @@ def check_fragment_conservation(
     families: Set[Any] = set(getattr(routing_table, "splits", None) or {})
     for event in trace.events(kind="split_commit"):
         families.add(event["key"])
-    if not families:
+    if not families or not quiescent:
         return 0
 
-    sep = SplittableMachine.SPLIT_SEP
-
     def family_of(key: Any) -> Optional[Any]:
-        if key in families:
-            return key
-        text = str(key)
-        cut = text.rfind(sep)
-        if cut > 0 and text[cut + len(sep):].isdigit():
-            parent = text[:cut]
-            if parent in families:
-                return parent
-        return None
+        family = key if key in families else SplittableMachine.parent_key(key)
+        return family if family in families else None
 
     # -- expected: initial placement + net adopted deltas ---------------
-    expected: Dict[Any, int] = {
-        key: int(initial_values.get(key, 0)) for key in families
-    }
+    expected = {key: int(initial_values.get(key, 0)) for key in families}
     op_of = {event["rid"]: tuple(event["op"]) for event in trace.events(kind="submit")}
-    for adoption in trace.events(kind="adopt"):
-        op = op_of.get(adoption["rid"])
+    tx_op = {event["txid"]: tuple(event["op"]) for event in trace.events(kind="tx_begin")}
+    adopted = [
+        op_of.get(event["rid"])
+        for event in trace.events(kind="adopt")
+        if getattr(event["value"], "ok", False)
+    ] + [
+        tx_op.get(event["txid"])
+        for event in trace.events(kind="tx_adopt")
+        if event["outcome"] == "commit"
+    ]
+    for op in adopted:
         if op is None:
             continue
-        result = adoption["value"]
-        if not getattr(result, "ok", False):
+        if op[0] == "deposit" and len(op) == 3:
+            src, dst, amount = None, op[1], op[2]
+        elif op[0] == "withdraw" and len(op) == 3:
+            src, dst, amount = op[1], None, op[2]
+        elif op[0] == "transfer" and len(op) == 4:
+            src, dst, amount = op[1:]
+        else:
             continue
-        name = op[0]
-        if name == "deposit" and len(op) == 3:
-            family = family_of(op[1])
-            if family is not None:
-                expected[family] += op[2]
-        elif name == "withdraw" and len(op) == 3:
-            family = family_of(op[1])
-            if family is not None:
-                expected[family] -= op[2]
-        elif name == "transfer" and len(op) == 4:
-            src_family, dst_family = family_of(op[1]), family_of(op[2])
-            if src_family != dst_family:
-                if src_family is not None:
-                    expected[src_family] -= op[3]
-                if dst_family is not None:
-                    expected[dst_family] += op[3]
-    tx_op = {event["txid"]: tuple(event["op"]) for event in trace.events(kind="tx_begin")}
-    for event in trace.events(kind="tx_adopt"):
-        if event["outcome"] != "commit":
-            continue
-        op = tx_op.get(event["txid"])
-        if op is None or op[0] != "transfer" or len(op) != 4:
-            continue
-        src_family, dst_family = family_of(op[1]), family_of(op[2])
+        src_family, dst_family = family_of(src), family_of(dst)
         if src_family != dst_family:
             if src_family is not None:
-                expected[src_family] -= op[3]
+                expected[src_family] -= amount
             if dst_family is not None:
-                expected[dst_family] += op[3]
+                expected[dst_family] += amount
 
     # -- observed: fragments + escrows, exactly once --------------------
-    machines: Dict[int, Any] = {}
-    installed_books: Dict[int, Any] = {}
-    for shard, servers in enumerate(shard_servers):
-        correct = [server for server in servers if not server.crashed]
-        if not correct:
-            return 0  # a fully-crashed shard hides its fragments
-        machine = correct[0].machine
-        if not hasattr(machine, "fragment_value"):
-            return 0  # machine has no splittable value model
-        machines[shard] = machine
-        installed_books[shard] = machine.installed_migrations()
-
+    books = _observe_shards(shard_servers)
+    if not books or None in books.values():
+        return 0  # no ownership model, or a fully-crashed shard hides fragments
+    if not hasattr(books[0].machine, "fragment_value"):
+        return 0  # machine has no splittable value model
     observed: Dict[Any, int] = {key: 0 for key in families}
-    for shard, machine in machines.items():
-        for key in machine.owned_keys() or ():
-            family = family_of(key)
-            if family is None:
-                continue
-            value = machine.fragment_value(key)
-            if isinstance(value, int):
-                observed[family] += value
-        for mid, (key, dst, state) in machine.outbound_migrations().items():
-            family = family_of(key)
-            if family is None or not isinstance(state, int):
-                continue
-            if mid in installed_books.get(dst, ()):
-                continue  # install-to-forget window: counted at dst
-            observed[family] += state
-        for _txid, (kind, account, amount) in machine.pending_holds().items():
-            if kind != "debit":
-                continue
-            family = family_of(account)
-            if family is not None:
-                observed[family] += amount
 
-    if quiescent:
-        mismatched = sorted(
-            (key for key in families if expected[key] != observed[key]),
-            key=repr,
+    def credit(key: Any, amount: Any) -> None:
+        family = family_of(key)
+        if family is not None and isinstance(amount, int):
+            observed[family] += amount
+
+    for book in books.values():
+        for key in book.owned:
+            credit(key, book.machine.fragment_value(key))
+        for key, _dst, state in book.outbound.values():
+            credit(key, state)
+        for kind, account, amount in book.machine.pending_holds().values():
+            if kind == "debit":
+                credit(account, amount)
+    for key, state in _installed_exports(books):
+        credit(key, -state)
+
+    mismatched = sorted((key for key in families if expected[key] != observed[key]), key=repr)
+    if mismatched:
+        detail = ", ".join(
+            f"{key!r}: fragments+escrow sum to {observed[key]}, adopted "
+            f"history implies {expected[key]}"
+            for key in mismatched
         )
-        if mismatched:
-            detail = ", ".join(
-                f"{key!r}: fragments+escrow sum to {observed[key]}, adopted "
-                f"history implies {expected[key]}"
-                for key in mismatched
-            )
-            raise CheckFailure(f"fragment conservation violated: {detail}")
+        raise CheckFailure(f"fragment conservation violated: {detail}")
     return len(families)
 
 
@@ -1188,144 +1136,148 @@ def check_read_consistency(
 
 
 # ----------------------------------------------------------------------
-# Fault-plane accounting (link faults beyond crash-stop)
+# Accounting: counters against the trace (link faults, admission)
 # ----------------------------------------------------------------------
 
-_FAULT_TRACE_KINDS = (
-    "msg_drop",
-    "msg_dup",
-    "msg_corrupt",
-    "msg_jitter",
-    "msg_held",
-    "msg_rewrite",
-    "msg_corrupt_drop",
-    "heal_storm",
-)
+#: The counter <-> trace ledger, per law: ``(holder, counter, kind,
+#: weight)`` rows.  Each increment of ``counter`` on a ``holder`` object
+#: is recorded as one ``kind`` trace event; ``weight`` (None: 1) says
+#: what an event counts for where that is not one.
+_LEDGER: Dict[str, Tuple[Tuple[str, str, str, Optional[Callable[[TraceEvent], int]]], ...]] = {
+    "fault accounting": (
+        ("plane", "dropped", "msg_drop", None),
+        ("plane", "duplicated", "msg_dup", None),
+        ("plane", "corrupted", "msg_corrupt", None),
+        ("plane", "jittered", "msg_jitter", None),
+        ("plane", "held", "msg_held", None),
+        ("plane", "rewritten", "msg_rewrite", None),
+        ("plane", "released", "heal_storm", lambda event: event["released"]),
+        ("network", "corrupt_dropped", "msg_corrupt_drop", None),
+    ),
+    "admission accounting": (
+        ("server", "shed", "shed", lambda event: event["cls"] == "write"),
+        ("server", "reads_shed", "shed", lambda event: event["cls"] == "read"),
+        ("client", "overloaded", "shed_adopt", None),
+        ("driver", "throttled", "throttle", None),
+    ),
+}
+
+
+def _check_ledger(
+    trace: TraceLog,
+    law: str,
+    holders: Mapping[str, Tuple[Sequence[Any], Optional[str]]],
+) -> None:
+    """Every counter of ``law`` equals what the trace records of it.
+
+    ``holders`` gives, per holder of :data:`_LEDGER`, the objects that
+    keep the counter and why its mechanism is off (None when it is on).
+    A holder with a pid is held to its own events; the holders' counters
+    together are held to every event of the kind, read as 0 where the
+    mechanism is off -- so a run with no fault plane or no admission
+    limit must trace none of its events.  Events are read through the
+    kind index; a run that kept no trace has nothing to compare.
+    """
+    if not trace.enabled:
+        return
+    for holder, counter, kind, weight in _LEDGER[law]:
+        objects, off = holders[holder]
+        traced: Counter = Counter()
+        for event in trace.events(kind=kind):
+            traced[event.pid] += 1 if weight is None else weight(event)
+        total = 0
+        for obj in objects:
+            value = getattr(obj, counter, 0)
+            pid = getattr(obj, "pid", None)
+            if pid is not None and value != traced[pid]:
+                raise CheckFailure(
+                    f"{law}: {pid} {counter}={value} but {traced[pid]} "
+                    f"{kind!r} trace events"
+                )
+            total += value
+        events = sum(traced.values())
+        if (0 if off else total) != events:
+            raise CheckFailure(
+                f"{law}: {off or f'counter {counter}={total}'} but {events} "
+                f"{kind!r} trace events"
+            )
+
+
+def _check_once(events: Iterable[TraceEvent], twice: str) -> None:
+    """No process traces one rid twice; ``twice`` formats (pid, rid) if one does."""
+    seen: Set[Tuple[str, str]] = set()
+    for event in events:
+        key = (event.pid, event["rid"])
+        if key in seen:
+            raise CheckFailure(twice.format(*key))
+        seen.add(key)
 
 
 def check_fault_plane_accounting(trace: TraceLog, network: Any) -> Dict[str, int]:
     """Every injected link fault is traced and accounted for.
 
-    Three families of assertion, all on quiescent runs:
-
-    * **Counter/trace agreement** -- each fault counter on the installed
-      :class:`~repro.sim.faultplane.FaultPlane` equals the number of its
-      trace events (a fault can never be injected silently), and held
-      messages are exactly the released ones plus the still-held ones.
+    * **Counter/trace agreement** -- each fault counter of the installed
+      :class:`~repro.sim.faultplane.FaultPlane` (and the network's
+      ``corrupt_dropped``) equals its trace events (:data:`_LEDGER`): a
+      fault can never be injected silently.  With no plane installed the
+      counters read 0, so a fault-free run traces no fault event at all
+      -- the golden-run guarantee that it is byte-identical to the
+      benign network.
+    * **Held conservation** -- held messages are exactly the released
+      ones plus the still-held ones.
     * **Nothing applied corrupt** -- every corrupted payload was either
-      detected-and-dropped at delivery (``msg_corrupt_drop``) or is
-      still held (one-way block or partition); re-verifies the checksum
-      of every held envelope to prove it.
+      detected-and-dropped at delivery (``msg_corrupt_drop``), is still
+      held (one-way block or partition) or was still in flight when the
+      run stopped; the checksum of every such envelope is re-verified to
+      prove it.
     * **Duplicates never double-execute** -- no server R-delivers (and
       therefore executes) the same rid twice, no matter how many copies
-      the links produced.  Checked whether or not a plane is installed.
+      the links produced.
 
-    When no plane is installed, asserts the zero baseline instead: no
-    fault trace events, no fault counters -- the golden-run guarantee
-    that fault-free behaviour is byte-identical to the benign network.
     Returns the fault counters for reporting.
     """
-    # Duplicate suppression: one r_deliver per (server, rid), always.
-    seen: Set[Tuple[str, str]] = set()
-    for event in trace.events(kind="r_deliver"):
-        key = (event.pid, event["rid"])
-        if key in seen:
-            raise CheckFailure(
-                f"duplicate execution: {event.pid} R-delivered "
-                f"{event['rid']!r} twice"
-            )
-        seen.add(key)
-
+    _check_once(
+        trace.events(kind="r_deliver"), "duplicate execution: {} R-delivered {!r} twice"
+    )
     plane = getattr(network, "fault_plane", None)
+    off = "no fault plane installed" if plane is None else None
+    _check_ledger(
+        trace,
+        "fault accounting",
+        {"plane": ([] if plane is None else [plane], off), "network": ([network], off)},
+    )
     corrupt_dropped = getattr(network, "corrupt_dropped", 0)
     if plane is None:
-        if corrupt_dropped:
+        stats = {}
+        corrupted = undelivered_corrupt = 0
+    else:
+        stats = plane.stats()
+        if stats["held"] != stats["released"] + stats["pending_held"]:
             raise CheckFailure(
-                f"no fault plane installed but {corrupt_dropped} payloads "
-                f"were dropped as corrupt"
+                f"fault accounting: held={stats['held']} != "
+                f"released={stats['released']} + pending={stats['pending_held']}"
             )
-        if trace.enabled:
-            for kind in _FAULT_TRACE_KINDS:
-                stray = trace.events(kind=kind)
-                if stray:
-                    raise CheckFailure(
-                        f"no fault plane installed but {len(stray)} "
-                        f"{kind!r} events are in the trace"
-                    )
-        return {"corrupt_dropped": 0}
-
-    stats = plane.stats()
-    if trace.enabled:
-        expected = {
-            "dropped": "msg_drop",
-            "duplicated": "msg_dup",
-            "corrupted": "msg_corrupt",
-            "jittered": "msg_jitter",
-            "held": "msg_held",
-            "rewritten": "msg_rewrite",
-        }
-        for counter, kind in expected.items():
-            traced = len(trace.events(kind=kind))
-            if stats[counter] != traced:
-                raise CheckFailure(
-                    f"fault accounting: counter {counter}={stats[counter]} "
-                    f"but {traced} {kind!r} trace events"
-                )
-        released = sum(
-            event["released"] for event in trace.events(kind="heal_storm")
-        )
-        if stats["released"] != released:
-            raise CheckFailure(
-                f"fault accounting: released={stats['released']} but "
-                f"heal_storm events account for {released}"
-            )
-        traced_drops = len(trace.events(kind="msg_corrupt_drop"))
-        if corrupt_dropped != traced_drops:
-            raise CheckFailure(
-                f"fault accounting: corrupt_dropped={corrupt_dropped} but "
-                f"{traced_drops} msg_corrupt_drop trace events"
-            )
-    if stats["held"] != stats["released"] + stats["pending_held"]:
-        raise CheckFailure(
-            f"fault accounting: held={stats['held']} != "
-            f"released={stats['released']} + pending={stats['pending_held']}"
-        )
-
-    # Nothing applied corrupt: every corrupted payload was dropped at
-    # delivery, is still held somewhere with a failing checksum, or was
-    # still in flight (scheduled past the run's cutoff) when the sim
-    # stopped.
-    from repro.sim.faultplane import wire_checksum
-
-    undelivered_corrupt = 0
-    undelivered = (
-        list(plane.held_envelopes())
-        + list(network._held)
-        + list(network.in_flight_checksummed())
-    )
-    for envelope in undelivered:
-        if (
+        corrupted = stats["corrupted"]
+        undelivered_corrupt = sum(
             envelope.checksum is not None
-            and wire_checksum(envelope.payload) != envelope.checksum
-        ):
-            undelivered_corrupt += 1
-    if stats["corrupted"] != corrupt_dropped + undelivered_corrupt:
+            and network._wire_checksum(envelope.payload) != envelope.checksum
+            for envelopes in (
+                plane.held_envelopes(),
+                network._held,
+                network.in_flight_checksummed(),
+            )
+            for envelope in envelopes
+        )
+    if corrupted != corrupt_dropped + undelivered_corrupt:
         raise CheckFailure(
-            f"corrupt payload escaped: {stats['corrupted']} injected, "
+            f"corrupt payload escaped: {corrupted} injected, "
             f"{corrupt_dropped} dropped at delivery, {undelivered_corrupt} "
             f"still held or in flight -- "
-            f"{stats['corrupted'] - corrupt_dropped - undelivered_corrupt} "
+            f"{corrupted - corrupt_dropped - undelivered_corrupt} "
             f"unaccounted for (applied?)"
         )
     stats["corrupt_dropped"] = corrupt_dropped
     return stats
-
-
-# ----------------------------------------------------------------------
-# Admission-control accounting (overload shedding, throttling)
-# ----------------------------------------------------------------------
-
-_ADMISSION_TRACE_KINDS = ("shed", "throttle", "shed_adopt")
 
 
 def check_admission_accounting(
@@ -1336,177 +1288,93 @@ def check_admission_accounting(
 ) -> Dict[str, int]:
     """Every admission decision is counted, traced, and conserved.
 
-    Four families of assertion:
-
     * **Counter/trace agreement** -- each server's ``shed`` /
       ``reads_shed`` counter equals its ``shed`` trace events of the
-      matching bulkhead class; each client's ``overloaded`` counter
-      equals its ``shed_adopt`` events and its ``shed_rids`` size (a
-      shed can never be decided or surfaced silently).
+      matching bulkhead class, each client's ``overloaded`` counter its
+      ``shed_adopt`` events, the drivers' ``throttled`` the ``throttle``
+      events (:data:`_LEDGER`): a shed can never be decided or surfaced
+      silently.  When no server config enables a limit the shed
+      counters read 0, so such a run traces no ``shed``/``shed_adopt``
+      event at all -- the idle-plane guarantee behind the
+      digest-identity acceptance criterion.
     * **At-most-once shedding** -- no server sheds the same write rid
       twice (the notice cache makes retransmissions hit the cached
-      notice, not a fresh decision), and no client surfaces a rid twice.
+      notice, not a fresh decision), and no client surfaces a rid twice
+      (nor counts more surfaced sheds than distinct shed rids).
+    * **Surfaced <= decided** -- a surfaced shed always stems from a
+      server-side decision; the reverse need not hold (a notice can lose
+      the race with a real reply after failover, or be counted late).
     * **The conservation law** -- for every driver that exposes the
       open-loop counters (``offered`` etc.), exactly:
       ``offered == throttled + admitted + shed + in_flight`` and
       ``offered == throttled + len(submitted)``.  At quiescence
-      ``in_flight == 0``, so the ISSUE's headline identity
-      ``admitted + shed + throttled == offered`` is exact.
-    * **The zero baseline** -- when no server config enables a limit:
-      zero counters, zero sheds surfaced, and no ``shed``/``shed_adopt``
-      trace events at all.  (``throttle`` events are client-side and
-      gated separately on the drivers' buckets.)  This is the
-      idle-plane guarantee behind the digest-identity acceptance
-      criterion.
+      ``in_flight == 0``, so ``admitted + shed + throttled == offered``
+      is exact.
 
     Returns the aggregate counters for reporting.
     """
     enabled = any(
-        getattr(server.config, "admission_limit", None) is not None
-        or getattr(server.config, "read_queue_limit", None) is not None
+        getattr(getattr(server, "config", None), limit, None) is not None
         for server in servers
+        for limit in ("admission_limit", "read_queue_limit")
     )
-    throttling = any(getattr(driver, "bucket", None) is not None for driver in drivers)
+    off = None if enabled else "no admission limit configured"
+    _check_ledger(
+        trace,
+        "admission accounting",
+        {"server": (servers, off), "client": (clients, off), "driver": (drivers, None)},
+    )
 
-    shed_events: Dict[str, Dict[str, int]] = defaultdict(lambda: {"write": 0, "read": 0})
-    surfaced_events: Dict[str, int] = defaultdict(int)
-    shed_write_rids: Set[Tuple[str, str]] = set()
-    surfaced_rids: Set[Tuple[str, str]] = set()
-    throttle_events = 0
-    if trace.enabled:
-        for event in trace.events(kind="shed"):
-            cls = event["cls"]
-            shed_events[event.pid][cls] += 1
-            if cls == "write":
-                key = (event.pid, event["rid"])
-                if key in shed_write_rids:
-                    raise CheckFailure(
-                        f"admission accounting: {event.pid} shed write "
-                        f"{event['rid']!r} twice"
-                    )
-                shed_write_rids.add(key)
-        for event in trace.events(kind="shed_adopt"):
-            key = (event.pid, event["rid"])
-            if key in surfaced_rids:
-                raise CheckFailure(
-                    f"admission accounting: {event.pid} surfaced shed "
-                    f"{event['rid']!r} twice"
-                )
-            surfaced_rids.add(key)
-            surfaced_events[event.pid] += 1
-        throttle_events = len(trace.events(kind="throttle"))
-
-    total_shed = 0
-    total_reads_shed = 0
-    for server in servers:
-        shed = getattr(server, "shed", 0)
-        reads_shed = getattr(server, "reads_shed", 0)
-        total_shed += shed
-        total_reads_shed += reads_shed
-        if trace.enabled:
-            counted = shed_events.get(server.pid, {"write": 0, "read": 0})
-            if shed != counted["write"]:
-                raise CheckFailure(
-                    f"admission accounting: {server.pid} shed={shed} "
-                    f"but {counted['write']} write 'shed' trace events"
-                )
-            if reads_shed != counted["read"]:
-                raise CheckFailure(
-                    f"admission accounting: {server.pid} "
-                    f"reads_shed={reads_shed} but {counted['read']} "
-                    f"read 'shed' trace events"
-                )
-
-    total_surfaced = 0
+    _check_once(
+        (event for event in trace.events(kind="shed") if event["cls"] == "write"),
+        "admission accounting: {} shed write {!r} twice",
+    )
+    _check_once(
+        trace.events(kind="shed_adopt"), "admission accounting: {} surfaced shed {!r} twice"
+    )
     for client in clients:
         overloaded = getattr(client, "overloaded", 0)
-        shed_rids = getattr(client, "shed_rids", set())
-        total_surfaced += overloaded
+        shed_rids = getattr(client, "shed_rids", ())
         if overloaded != len(shed_rids):
             raise CheckFailure(
                 f"admission accounting: {client.pid} overloaded={overloaded} "
                 f"but {len(shed_rids)} distinct shed rids"
             )
-        if trace.enabled and overloaded != surfaced_events.get(client.pid, 0):
-            raise CheckFailure(
-                f"admission accounting: {client.pid} overloaded={overloaded} "
-                f"but {surfaced_events.get(client.pid, 0)} 'shed_adopt' events"
-            )
 
-    # A surfaced shed always stems from a server-side decision; the
-    # reverse need not hold (a notice can lose the race with a real
-    # reply after failover, or be counted late).
-    if total_surfaced > total_shed + total_reads_shed:
+    totals = {
+        "shed": sum(getattr(server, "shed", 0) for server in servers),
+        "reads_shed": sum(getattr(server, "reads_shed", 0) for server in servers),
+        "surfaced": sum(getattr(client, "overloaded", 0) for client in clients),
+    }
+    decided = totals["shed"] + totals["reads_shed"]
+    if totals["surfaced"] > decided:
         raise CheckFailure(
-            f"admission accounting: clients surfaced {total_surfaced} sheds "
-            f"but servers only decided {total_shed + total_reads_shed}"
+            f"admission accounting: clients surfaced {totals['surfaced']} "
+            f"sheds but servers only decided {decided}"
         )
 
-    total_offered = 0
-    total_throttled = 0
-    total_admitted = 0
-    total_driver_shed = 0
-    for driver in drivers:
-        if not hasattr(driver, "offered"):
-            continue  # closed/plain-open drivers have no admission ledger
-        in_flight = driver.in_flight
+    ledgers = [driver for driver in drivers if hasattr(driver, "offered")]
+    for driver in ledgers:
         if driver.offered != driver.throttled + len(driver.submitted):
             raise CheckFailure(
                 f"admission accounting: driver offered={driver.offered} != "
                 f"throttled={driver.throttled} + "
                 f"submitted={len(driver.submitted)}"
             )
-        resolved = driver.throttled + driver.admitted + driver.shed + in_flight
+        resolved = driver.throttled + driver.admitted + driver.shed + driver.in_flight
         if driver.offered != resolved:
             raise CheckFailure(
                 f"admission accounting: driver offered={driver.offered} != "
                 f"throttled={driver.throttled} + admitted={driver.admitted} "
-                f"+ shed={driver.shed} + in_flight={in_flight}"
+                f"+ shed={driver.shed} + in_flight={driver.in_flight}"
             )
-        total_offered += driver.offered
-        total_throttled += driver.throttled
-        total_admitted += driver.admitted
-        total_driver_shed += driver.shed
-
-    if trace.enabled and (drivers or not throttling):
-        expected_throttles = sum(
-            getattr(driver, "throttled", 0) for driver in drivers
-        )
-        if throttle_events != expected_throttles:
-            raise CheckFailure(
-                f"admission accounting: {throttle_events} 'throttle' trace "
-                f"events but drivers throttled {expected_throttles}"
-            )
-
-    if not enabled:
-        if total_shed or total_reads_shed:
-            raise CheckFailure(
-                "admission accounting: no limits configured but servers "
-                f"shed {total_shed} writes / {total_reads_shed} reads"
-            )
-        if total_surfaced:
-            raise CheckFailure(
-                "admission accounting: no limits configured but clients "
-                f"surfaced {total_surfaced} sheds"
-            )
-        if trace.enabled:
-            for kind in ("shed", "shed_adopt"):
-                stray = trace.events(kind=kind)
-                if stray:
-                    raise CheckFailure(
-                        f"admission accounting: no limits configured but "
-                        f"{len(stray)} {kind!r} events are in the trace"
-                    )
-
-    return {
-        "shed": total_shed,
-        "reads_shed": total_reads_shed,
-        "surfaced": total_surfaced,
-        "offered": total_offered,
-        "throttled": total_throttled,
-        "admitted": total_admitted,
-        "driver_shed": total_driver_shed,
-    }
+    totals.update(
+        offered=sum(driver.offered for driver in ledgers),
+        throttled=sum(driver.throttled for driver in ledgers),
+        admitted=sum(driver.admitted for driver in ledgers),
+        driver_shed=sum(driver.shed for driver in ledgers),
+    )
+    return totals
 
 
 # ----------------------------------------------------------------------

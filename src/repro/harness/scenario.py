@@ -26,6 +26,7 @@ from repro.sharding.cluster import (
     MACHINE_CLASSES,
     BaseRun,
     BaseScenarioConfig,
+    CheckedGroup,
     fd_factory,
     make_driver,
     resolve_oar,
@@ -81,32 +82,18 @@ class ScenarioRun(BaseRun):
     def latencies(self) -> List[float]:
         return [event["latency"] for event in self.trace.events(kind="adopt")]
 
-    def check_all(self, strict: bool = True, at_least_once: bool = True) -> None:
-        """Assert every applicable paper property over this run's trace."""
-        trace = self._checkable_trace()
-        if self.config.protocol == "oar":
-            # Replica-local reads are never delivered by servers -- they
-            # are answered, not ordered -- so they are not subject to the
-            # delivery-based at-least-once property.  Shed requests
-            # likewise: refused deterministically, deliberately never
-            # ordered.
-            excluded = set()
-            for client in self.clients:
-                excluded |= getattr(client, "read_rids", set())
-                excluded |= getattr(client, "shed_rids", set())
-            self._check_group(
-                self.servers,
-                [rid for rid in self.submitted_rids() if rid not in excluded],
-                lambda: _make_machine(self.config.machine),
-                strict,
-                at_least_once and self.all_done(),
-            )
-            checkers.check_admission_accounting(
-                trace, self.servers, self.clients, self.drivers
-            )
-        else:
+    def _groups(self) -> List[CheckedGroup]:
+        if self.config.protocol != "oar":
+            return []
+        return [
+            (self.servers, self.submitted_rids(), lambda: _make_machine(self.config.machine), None)
+        ]
+
+    def _check_own(self, quiescent: bool) -> None:
+        if self.config.protocol != "oar":
+            # The baselines promise replicated state, not the paper's
+            # properties.
             checkers.check_replica_convergence(self.servers)
-        checkers.check_fault_plane_accounting(trace, self.network)
 
 
 def _make_machine(kind: str) -> Any:

@@ -16,7 +16,9 @@ Consistency contract:
   coordinated escrow 2PC (see :class:`~repro.core.client.ShardedOARClient`
   and the ``tx_*`` operations of
   :class:`~repro.statemachine.bank.BankMachine`) -- checked by
-  :func:`~repro.analysis.checkers.check_cross_shard_atomicity`.
+  :func:`~repro.analysis.checkers.check_cross_shard_atomicity`, with the
+  money it moves conserved per
+  :func:`~repro.analysis.checkers.check_migration_atomicity`.
 
 There is deliberately *no* global order across shards: operations on
 different shards are independent, which is exactly why throughput scales
@@ -37,6 +39,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Set,
     Tuple,
     TypeVar,
 )
@@ -94,6 +97,11 @@ DRIVERS = ("closed", "open", "session")
 #: key-ownership books and support live migration + the migration
 #: atomicity checker.
 MIGRATABLE_MACHINES = ("kv", "bank")
+
+#: One OAR group ``check_all`` puts through the paper's properties: its
+#: servers, the requests it was asked to order, a fresh replica machine
+#: to replay its reads on, and the shard tag its read events carry.
+CheckedGroup = Tuple[Sequence[Any], Sequence[str], Callable[[], StateMachine], Optional[int]]
 
 ConfigT = TypeVar("ConfigT", bound="BaseScenarioConfig")
 RunT = TypeVar("RunT", bound="BaseRun")
@@ -400,46 +408,61 @@ class BaseRun:
 
     # -- checking ------------------------------------------------------
 
-    def _checkable_trace(self) -> TraceLog:
-        """The trace, for a ``check_all``; refuses a run that kept none.
+    def check_all(self, strict: bool = True, at_least_once: bool = True) -> None:
+        """Assert every applicable property over this run's trace.
 
-        Every checker reads the trace; handed an empty one, the first to
-        run reports a protocol violation the run never committed.
+        The paper's properties over each OAR group (:meth:`_groups`),
+        whose conservative reads must observe prefix-closed states of
+        its adopted order (optimistic staleness is counted, not failed);
+        the fault-plane and admission ledgers; then the run's own laws
+        (:meth:`_check_own`).  Completeness
+        (at-least-once, every transaction decided, ...) only applies to
+        a quiescent run; a run cut off mid-flight is checked for safety.
+        ``strict=False`` tolerates optimistic deliveries in epochs still
+        unsettled at the end (see ``check_external_consistency``).
         """
-        if not self.trace.enabled:
+        trace = self.trace
+        if not trace.enabled:
+            # Handed an empty trace, the first checker would report a
+            # protocol violation the run never committed.
             raise ValueError(
                 'check_all() needs the protocol trace: build the run with '
                 'trace_level="full" (this one has trace_level="off")'
             )
-        return self.trace
-
-    def _check_group(
-        self,
-        servers: Sequence[Any],
-        rids: Sequence[str],
-        make_machine: Callable[[], StateMachine],
-        strict: bool,
-        at_least_once: bool,
-        shard: Optional[int] = None,
-        index: Optional[checkers.DeliveryIndex] = None,
-    ) -> None:
-        """The paper's properties over one OAR group.
-
-        ``rids`` are the requests the group was asked to order;
-        replica-local reads observe prefix-closed states of its adopted
-        order, replayed on a fresh ``make_machine()`` (conservative
-        reads must; optimistic staleness is counted, not failed).
-        ``index`` is the group's history where the caller already cut
-        it out of the trace.
-        """
-        checkers.check_single_shard_properties(
-            self.trace if index is None else index,
-            servers,
-            rids,
-            strict=strict,
-            at_least_once=at_least_once,
+        quiescent = self.all_done()
+        # Replica-local reads are answered, not ordered, and shed
+        # requests are refused, never ordered: neither is subject to the
+        # delivery-based properties.
+        excluded: Set[str] = set()
+        for client in self.clients:
+            excluded |= getattr(client, "read_rids", set())
+            excluded |= getattr(client, "shed_rids", set())
+        groups = self._groups()
+        # Every group's events in one pass over the trace, not one each.
+        indexes = checkers.DeliveryIndex.per_group(
+            trace, [[server.pid for server in servers] for servers, *_ in groups]
         )
-        checkers.check_read_consistency(self.trace, servers, make_machine, shard=shard)
+        for (servers, rids, make_machine, shard), index in zip(groups, indexes):
+            checkers.check_single_shard_properties(
+                index,
+                servers,
+                [rid for rid in rids if rid not in excluded],
+                strict=strict,
+                at_least_once=at_least_once and quiescent,
+            )
+            checkers.check_read_consistency(trace, servers, make_machine, shard=shard)
+        checkers.check_fault_plane_accounting(trace, self.network)
+        checkers.check_admission_accounting(
+            trace, self.servers, self.clients, self.drivers
+        )
+        self._check_own(quiescent)
+
+    def _groups(self) -> List[CheckedGroup]:
+        """Each OAR group the paper's properties hold over."""
+        raise NotImplementedError
+
+    def _check_own(self, quiescent: bool) -> None:
+        """The laws of this kind of run beyond the shared bundle."""
 
 
 @dataclass
@@ -475,46 +498,22 @@ class ShardedRun(BaseRun):
             rid for client in self.clients for rid in client.routed_to(shard)
         ]
 
-    def check_all(self, strict: bool = True, at_least_once: bool = True) -> None:
-        """Per-shard paper properties plus cross-shard and migration atomicity.
-
-        Completeness checks (at-least-once, every transaction decided,
-        every migration done, no leftover escrow, conservation) only
-        apply to quiescent runs; a run cut off mid-flight is checked for
-        safety only.
-        """
-        trace = self._checkable_trace()
-        quiescent = self.all_done()
-        initial_placement = self.router.placement(self.key_universe)
-        # Shed requests were routed but deterministically refused (never
-        # ordered); they are exempt from delivery-based properties.
-        shed_rids: set = set()
-        for client in self.clients:
-            shed_rids |= getattr(client, "shed_rids", set())
-        # Every group's events in one pass over the trace, not one each.
-        indexes = checkers.DeliveryIndex.per_group(
-            trace, [[server.pid for server in servers] for servers in self.shards]
-        )
-        for shard, (servers, index) in enumerate(zip(self.shards, indexes)):
-            self._check_group(
+    def _groups(self) -> List[CheckedGroup]:
+        placement = self.router.placement(self.key_universe)
+        return [
+            (
                 servers,
-                [rid for rid in self.routed_to(shard) if rid not in shed_rids],
-                lambda s=shard: _make_machine(self.config, initial_placement[s]),
-                strict,
-                at_least_once and quiescent,
+                self.routed_to(shard),
+                lambda s=shard: _make_machine(self.config, placement[s]),
                 shard,
-                index,
             )
-        checkers.check_cross_shard_atomicity(
-            trace,
-            self.shards,
-            expected_total=self.initial_total,
-            quiescent=quiescent,
-        )
-        checkers.check_fault_plane_accounting(trace, self.network)
-        checkers.check_admission_accounting(
-            trace, self.servers, self.clients, self.drivers
-        )
+            for shard, servers in enumerate(self.shards)
+        ]
+
+    def _check_own(self, quiescent: bool) -> None:
+        """Cross-shard transactions, migrations, splits, money."""
+        trace = self.trace
+        checkers.check_cross_shard_atomicity(trace, self.shards, quiescent=quiescent)
         # A coordinator crash strands its migrations without making the
         # run non-quiescent (all_done excludes crashed coordinators), so
         # completeness claims only hold once every journal record is
@@ -528,6 +527,7 @@ class ShardedRun(BaseRun):
             for record in coordinator.journal
         )
         if self.config.machine in MIGRATABLE_MACHINES:
+            # Also the bank's money conservation, across both escrows.
             checkers.check_migration_atomicity(
                 trace,
                 self.shards,

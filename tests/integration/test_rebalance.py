@@ -29,6 +29,39 @@ def _arm_single_move(run, start_at=30.0, key_index=0):
     return coordinator
 
 
+def _stranded_bank_migration():
+    """A bank run whose coordinator crashes between the destination's
+    ``mig_install`` and adopting it (it adopts the prepare at t=33 and
+    would have adopted the install at t=36; it crashes at t=34).
+
+    Returns the run, the migrating account and its destination shard.
+    """
+    state = {}
+
+    def arm(run):
+        coordinator = attach_rebalancer(run)
+        key = run.key_universe[5]
+        dst = (run.routing_table.shard_of(key) + 1) % run.config.n_shards
+        state.update(key=key, dst=dst)
+        run.sim.schedule_at(30.0, lambda: coordinator.migrate(key, dst))
+        run.sim.schedule_at(34.0, lambda: run.network.crash(coordinator.client.pid))
+
+    run = run_sharded_scenario(
+        ShardedScenarioConfig(
+            n_shards=2,
+            n_clients=2,
+            requests_per_client=10,
+            machine="bank",
+            workload="cross",
+            cross_ratio=0.3,
+            seed=8,
+            arm=arm,
+            horizon=50_000.0,
+        )
+    )
+    return run, state["key"], state["dst"]
+
+
 class TestSingleMigration:
     def test_key_moves_and_clients_redirect(self):
         state = {}
@@ -369,6 +402,28 @@ class TestCoordinatorCrash:
         coordinator = run.rebalancers[0]
         assert any(not record.terminal for record in coordinator.journal)
         run.check_all()  # safety holds; completeness is correctly waived
+
+    def test_check_all_tolerates_stranded_bank_migration(self):
+        # The bank twin, stranded one step later: the install reached
+        # the destination but the crashed coordinator never adopted it
+        # and never forgot the export, so the balance sits both in the
+        # source escrow and in a destination account.  Money is counted
+        # there once, wherever the conservation law is checked.
+        run, key, dst = _stranded_bank_migration()
+        assert run.all_done()
+        (record,) = run.rebalancers[0].journal
+        assert record.phase == "installing"
+        source = run.correct_servers(record.src)[0].machine
+        assert [entry[0] for entry in source.outbound_migrations().values()] == [key]
+        assert run.correct_servers(dst)[0].machine.owns(key)
+        run.check_all()
+
+    def test_money_created_inside_the_install_to_forget_window_is_caught(self):
+        run, key, dst = _stranded_bank_migration()
+        for server in run.correct_servers(dst):
+            server.machine._accounts[key] += 7
+        with pytest.raises(checkers.CheckFailure, match="sum to 8007, expected 8000"):
+            run.check_all()
 
     def test_duplicate_prepare_reprobes_status_instead_of_aborting(self):
         # Recovery race: a restarted migration's prepare can lose to the
