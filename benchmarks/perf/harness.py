@@ -34,6 +34,9 @@ substrate and the numbers stay comparable across PRs:
   simulated write?  Calls counted by ``sys.setprofile`` over a
   fixed-seed sharded run, per adopted operation: a count, a function of
   the code and the interpreter version and of nothing else.
+* ``bytes_per_op``      -- how much does one simulated write leave
+  behind?  Bytes ``tracemalloc`` finds still held after the same run,
+  per adopted operation.
 
 No number here is compared with one measured on another machine or in
 another run: rates are reported as measured, for information, and every
@@ -52,6 +55,7 @@ import itertools
 import json
 import sys
 import time
+import tracemalloc
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -645,6 +649,42 @@ def calls_per_op() -> Dict[str, Any]:
     }
 
 
+def bytes_per_op() -> Dict[str, Any]:
+    """Bytes a simulated write leaves behind, per adopted write.
+
+    The run of :func:`calls_per_op`, traced by ``tracemalloc`` instead:
+    what the run allocated and still holds once it is over and the
+    cyclic collector has had a full pass -- the reply caches, undo logs,
+    order certificates and ordering logs of an epoch that never settles
+    -- divided by the adopted writes.  Blocks the build allocated are
+    not traced, so only what executing the writes left behind counts.
+    Same seed, same objects, so the reading repeats to a fraction of a
+    byte on one interpreter version; it moves when a write keeps more
+    (or fewer) objects alive.
+    """
+    run_sharded_scenario(_calls_shape(2))
+    run = build_sharded_scenario(_calls_shape(50))
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run.execute()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    adopted = len(run.adopted())
+    assert run.all_done() and adopted == 8 * 50
+    return {
+        "python": f"{sys.version_info.major}.{sys.version_info.minor}",
+        "adopted": adopted,
+        "retained_bytes": retained,
+        "bytes_per_op": round(retained / adopted, 1),
+    }
+
+
 # ----------------------------------------------------------------------
 # Suite driver
 # ----------------------------------------------------------------------
@@ -765,6 +805,7 @@ def run_suite(
         "history_scaling": median_history_scaling(quick),
         "checker_scaling": checker_scaling(quick),
         "calls_per_op": calls_per_op(),
+        "bytes_per_op": bytes_per_op(),
     }
     if wallclock:
         from benchmarks.perf.wallclock import run_wallclock
@@ -814,6 +855,11 @@ def format_table(payload: Dict[str, Any]) -> str:
         f"calls per op ({calls['adopted']} sharded writes, {calls['sim_events']} "
         f"simulator events, Python {calls['python']}): {calls['python_calls']:,} "
         f"Python-level calls = {calls['calls_per_op']:.2f} per adopted op"
+    )
+    kept = payload["bytes_per_op"]
+    lines.append(
+        f"bytes per op (the same run under tracemalloc, Python {kept['python']}): "
+        f"{kept['retained_bytes']:,} B retained = {kept['bytes_per_op']:.1f} per adopted op"
     )
     lines.append("")
     lines.append(f"golden digest: {payload['golden_digest']}")

@@ -13,10 +13,11 @@ no gate reads a number measured in another run or on another machine.
 ratio of two costs measured in this run, in turns or seconds apart, in
 ``time.process_time`` -- so the machine cancels -- against a bound chosen
 from recorded runs; the fixed-seed determinism digest is compared with
-``harness.GOLDEN_DIGEST``; and the Python-level calls one simulated
-write takes -- a count, exact per interpreter version -- with
-``CALLS_PER_OP_CEILING``.  What a request costs in messages, events and
-trace records is exact, and pinned with ``==`` in
+``harness.GOLDEN_DIGEST``; and two counts of one fixed-seed simulated
+run, per interpreter version (``COUNTS``): the Python-level calls a
+write takes, with ``CALLS_PER_OP_CEILING``, and the bytes a write leaves
+behind, with ``BYTES_PER_OP_CEILING``.  What a request costs in
+messages, events and trace records is exact, and pinned with ``==`` in
 ``tests/integration/test_builder_digests.py``; what a change does to
 end-to-end rates is judged parent against change on one machine by
 ``python -m benchmarks.e2e compare``.
@@ -98,27 +99,54 @@ GATES = (
 #: Ceiling on ``harness.calls_per_op``'s reading, by the interpreter
 #: that counted.  The count is a function of the code and of how the
 #: interpreter makes calls (3.12 inlines comprehensions), so it repeats
-#: to the last call on any machine; this tree reads 409.51 on CPython
-#: 3.10 and 3.11 and 407.58 on 3.12 and 3.13, and the ceilings sit 4 %
-#: above.  Any one of the shapes that used to surround a simulated
-#: message goes through it (``docs/BENCHMARKS.md`` lists their readings:
-#: a lambda and a second frame per hop 473.67, ``all_done()`` after
-#: every event 445.96, ``run_until`` as ``predicate(); step()`` 430.70).
+#: to the last call on any machine.  The ceilings sit 4 % above the
+#: 409.51 (CPython 3.10 and 3.11) and 407.58 (3.12 and 3.13) they were
+#: set at; this tree reads 403.51 and 401.58.  Any one of the shapes
+#: that used to surround a simulated message goes through it
+#: (``docs/BENCHMARKS.md`` lists their readings: a lambda and a second
+#: frame per hop 473.67, ``all_done()`` after every event 445.96,
+#: ``run_until`` as ``predicate(); step()`` 430.70).
 CALLS_PER_OP_CEILING = {"3.10": 426.0, "3.11": 426.0, "3.12": 424.0, "3.13": 424.0}
 
+#: Ceiling on ``harness.bytes_per_op``'s reading, by the interpreter that
+#: measured it (object sizes differ between versions).  The same run, so
+#: the reading repeats within 0.2 B under one hash seed and within 2 B
+#: across seeds; this tree reads 3 161.8 B on CPython 3.10, 2 693.0 on
+#: 3.11, 2 636.4 on 3.12 and 2 668.5 on 3.13, and the ceilings sit 3 %
+#: above.  A frozenset per optimistic reply put back reads 3 341.0 on
+#: 3.11 (``docs/BENCHMARKS.md``, "Tracked performance").
+BYTES_PER_OP_CEILING = {"3.10": 3260.0, "3.11": 2775.0, "3.12": 2715.0, "3.13": 2750.0}
 
-def check_calls_per_op(payload: Dict[str, Any]) -> Tuple[bool, str]:
-    """``(holds, what to say)`` about the payload's calls-per-op count."""
-    cell = payload["calls_per_op"]
-    reading, python = cell["calls_per_op"], cell["python"]
-    ceiling = CALLS_PER_OP_CEILING.get(python)
+#: The exact counts ``check`` judges: payload key (which is also the
+#: reading's field in its cell), ceilings by interpreter, and what a
+#: reading past its ceiling means.
+COUNTS = (
+    (
+        "calls_per_op", CALLS_PER_OP_CEILING,
+        "frames came back around a simulated message, timer, trace point or run-loop turn",
+    ),
+    (
+        "bytes_per_op", BYTES_PER_OP_CEILING,
+        "a write leaves more objects behind in the reply cache, undo log or certificates",
+    ),
+)
+
+
+def check_count(
+    payload: Dict[str, Any], key: str, ceilings: Dict[str, float], regression: str
+) -> Tuple[bool, str]:
+    """``(holds, what to say)`` about one of the payload's exact counts."""
+    cell = payload[key]
+    reading, python = cell[key], cell["python"]
+    name = key.replace("_", " ")
+    ceiling = ceilings.get(python)
     if ceiling is None:
-        return True, f"calls per op {reading:.2f} not judged (no ceiling for Python {python})"
+        return True, f"{name} {reading:.2f} not judged (no ceiling for Python {python})"
     if reading <= ceiling:
-        return True, f"calls per op {reading:.2f} within the {ceiling:.2f} ceiling"
+        return True, f"{name} {reading:.2f} within the {ceiling:.2f} ceiling"
     return False, (
-        f"calls per op {reading:.2f} is past the {ceiling:.2f} ceiling (Python {python}): "
-        "frames came back around a simulated message, timer, trace point or run-loop turn"
+        f"{name} {reading:.2f} is past the {ceiling:.2f} ceiling (Python {python}): "
+        f"{regression}"
     )
 
 
@@ -141,8 +169,9 @@ def check(payload: Dict[str, Any]) -> Tuple[List[str], List[str]]:
                 f"{gate.name} {ratio:.2f} is past the {gate.bound:.2f} {side}: "
                 f"{gate.regression}"
             )
-    holds, said = check_calls_per_op(payload)
-    (notes if holds else failures).append(said)
+    for count in COUNTS:
+        holds, said = check_count(payload, *count)
+        (notes if holds else failures).append(said)
     if payload["golden_digest"] == GOLDEN_DIGEST:
         notes.append("digest matches")
     else:

@@ -36,18 +36,21 @@ def test_suite_runs_quick_and_payload_is_complete(tmp_path):
     assert calls["adopted"] == 400 and calls["python_calls"] > calls["sim_events"] > 0
     # A count, not a rate: counting again gives the same number.
     assert harness.calls_per_op() == calls
+    kept = payload["bytes_per_op"]
+    assert kept["adopted"] == 400 and kept["retained_bytes"] > 0
     # Nothing measured on another machine, nothing for another run to read.
     assert set(payload) == {
         "schema", "mode", "repeats", "results", "golden_digest",
         "kernel_vs_reference", "history_scaling", "checker_scaling", "calls_per_op",
+        "bytes_per_op",
     }
     # The gates find every ratio where the suite put it (whatever they
     # read here): all but the codec's, whose section this run left out.
     failures, notes = run_perf.check(payload)
-    assert len(failures) + len(notes) == len(run_perf.GATES) + 2
-    # The count is exact, so this tree must be under its ceiling on any
-    # machine (on an interpreter nobody recorded, it is not judged).
-    assert not [failure for failure in failures if failure.startswith("calls per op")]
+    assert len(failures) + len(notes) == len(run_perf.GATES) + 3
+    # The counts are exact, so this tree must be under its ceilings on
+    # any machine (on an interpreter nobody recorded, they are not judged).
+    assert not [failure for failure in failures if " per op " in failure]
     assert [note for note in notes if "skipped" in note] == [
         "codec binary/pickle skipped (suite ran without wallclock)"
     ]
@@ -99,12 +102,14 @@ def _payload(
     digest: str = harness.GOLDEN_DIGEST,
     calls_per_op: float = 409.51,
     python: str = "3.11",
+    bytes_per_op: float = 2693.0,
 ) -> Dict[str, Any]:
     """A synthetic payload: ``readings`` by gate name, each put where
     its gate looks for it."""
     payload: Dict[str, Any] = {
         "golden_digest": digest,
         "calls_per_op": {"calls_per_op": calls_per_op, "python": python},
+        "bytes_per_op": {"bytes_per_op": bytes_per_op, "python": python},
     }
     for gate in run_perf.GATES:
         if gate.name in readings:
@@ -123,7 +128,7 @@ _HIGH = {gate.name: gate.recorded[1] for gate in run_perf.GATES}
 def test_gates_hold_at_both_ends_of_their_recorded_ranges(readings):
     failures, notes = run_perf.check(_payload(readings))
     assert failures == []
-    assert len(notes) == len(run_perf.GATES) + 2 and notes[-1] == "digest matches"
+    assert len(notes) == len(run_perf.GATES) + 3 and notes[-1] == "digest matches"
 
 
 @pytest.mark.parametrize("gate", run_perf.GATES, ids=lambda gate: gate.path[0])
@@ -131,7 +136,7 @@ def test_each_gate_fires_alone_and_names_itself_and_its_bound(gate):
     past = gate.bound / 1.3 if gate.is_floor else gate.bound * 1.3
     for reading in (past, gate.planted):
         failures, notes = run_perf.check(_payload({**_LOW, gate.name: reading}))
-        assert len(failures) == 1 and len(notes) == len(run_perf.GATES) + 1
+        assert len(failures) == 1 and len(notes) == len(run_perf.GATES) + 2
         assert failures[0].startswith(f"{gate.name} {reading:.2f} is past the {gate.bound:.2f} ")
         assert gate.regression in failures[0]
 
@@ -150,7 +155,7 @@ def test_a_run_without_wallclock_skips_exactly_the_codec_gate():
     assert [note for note in notes if "skipped" in note] == [
         "codec binary/pickle skipped (suite ran without wallclock)"
     ]
-    assert len(notes) == len(run_perf.GATES) + 2
+    assert len(notes) == len(run_perf.GATES) + 3
 
 
 #: What ``harness.calls_per_op`` read on CPython 3.11 with one of the
@@ -165,10 +170,16 @@ _OLD_SHAPES = {
 }
 
 
+#: The readings the calls-per-op ceilings were set from.  Packing what a
+#: write leaves behind into fewer objects took six more calls per write
+#: off (403.51 on 3.10 / 3.11, 401.58 on 3.12 / 3.13); the ceilings stayed.
 @pytest.mark.parametrize("python, reading", [("3.10", 409.51), ("3.11", 409.51),
                                               ("3.12", 407.58), ("3.13", 407.58)])
 def test_calls_per_op_gate_holds_at_this_trees_reading(python, reading):
-    failures, notes = run_perf.check(_payload(_LOW, calls_per_op=reading, python=python))
+    failures, notes = run_perf.check(
+        _payload(_LOW, calls_per_op=reading, python=python,
+                 bytes_per_op=_BYTES_READINGS[python])
+    )
     ceiling = run_perf.CALLS_PER_OP_CEILING[python]
     assert failures == [] and 1.03 < ceiling / reading < 1.05
     assert f"calls per op {reading:.2f} within the {ceiling:.2f} ceiling" in notes
@@ -178,11 +189,64 @@ def test_calls_per_op_gate_holds_at_this_trees_reading(python, reading):
 def test_calls_per_op_gate_fires_on_each_old_shape_alone(shape):
     reading = _OLD_SHAPES[shape]
     failures, notes = run_perf.check(_payload(_LOW, calls_per_op=reading))
-    assert len(failures) == 1 and len(notes) == len(run_perf.GATES) + 1
+    assert len(failures) == 1 and len(notes) == len(run_perf.GATES) + 2
     assert failures[0].startswith(f"calls per op {reading:.2f} is past the 426.00 ceiling")
 
 
 def test_calls_per_op_is_not_judged_on_an_interpreter_nobody_recorded():
-    failures, notes = run_perf.check(_payload(_LOW, calls_per_op=9999.0, python="3.99"))
+    failures, notes = run_perf.check(
+        _payload(_LOW, calls_per_op=9999.0, python="3.99", bytes_per_op=99999.0)
+    )
     assert failures == []
     assert "calls per op 9999.00 not judged (no ceiling for Python 3.99)" in notes
+    assert "bytes per op 99999.00 not judged (no ceiling for Python 3.99)" in notes
+
+
+#: What ``harness.bytes_per_op`` reads on this tree, by interpreter.
+_BYTES_READINGS = {"3.10": 3161.8, "3.11": 2693.0, "3.12": 2636.4, "3.13": 2668.5}
+
+
+@pytest.mark.parametrize("python", sorted(_BYTES_READINGS))
+def test_bytes_per_op_gate_holds_at_this_trees_reading(python):
+    reading = _BYTES_READINGS[python]
+    failures, notes = run_perf.check(_payload(_LOW, python=python, bytes_per_op=reading))
+    ceiling = run_perf.BYTES_PER_OP_CEILING[python]
+    assert failures == [] and 1.02 < ceiling / reading < 1.04
+    assert f"bytes per op {reading:.2f} within the {ceiling:.2f} ceiling" in notes
+
+
+class _FreshWeights(tuple):
+    """A server's reply weights, handing out a new frozenset per lookup:
+    the per-delivery weight the server used to build, put back."""
+
+    def __getitem__(self, index):
+        return frozenset([*tuple.__getitem__(self, index)])
+
+
+def test_bytes_per_op_repeats_and_fires_on_a_weight_per_delivery(monkeypatch):
+    reading = harness.bytes_per_op()
+    # Same seed, same objects: measuring again gives the same bytes.
+    assert abs(harness.bytes_per_op()["bytes_per_op"] - reading["bytes_per_op"]) <= 0.2
+    failures, _notes = run_perf.check(
+        _payload(_LOW, python=reading["python"], bytes_per_op=reading["bytes_per_op"])
+    )
+    assert failures == []
+
+    from repro.core.server import OARServer
+
+    build = OARServer.__init__
+
+    def planted(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        self._opt_weights = _FreshWeights(self._opt_weights)
+
+    monkeypatch.setattr(OARServer, "__init__", planted)
+    regressed = harness.bytes_per_op()
+    # Three replicas each keep one more frozenset per write.
+    assert regressed["bytes_per_op"] > reading["bytes_per_op"] + 500
+    failures, _notes = run_perf.check(
+        _payload(_LOW, python=regressed["python"], bytes_per_op=regressed["bytes_per_op"])
+    )
+    if regressed["python"] in run_perf.BYTES_PER_OP_CEILING:
+        assert len(failures) == 1
+        assert failures[0].startswith(f"bytes per op {regressed['bytes_per_op']:.2f} is past")

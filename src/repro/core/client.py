@@ -93,6 +93,9 @@ class AdoptedReply:
 #: ``then`` on an ordinary request, so it acts only on committed outcomes.
 Then = Callable[[AdoptedReply], None]
 
+#: An order certificate as first seen: (rid, slot, replying server).
+_Cert = Tuple[str, int, str]
+
 
 class _PendingRequest:
     """Reply bookkeeping for one in-flight request."""
@@ -276,10 +279,11 @@ class OARClient(ComponentProcess):
         # divergent one typically lands after adoption) against two
         # indices; a conflict means the sequencer told two replicas two
         # different orders, which message loss cannot fake (slots are
-        # sequencer-assigned, not replica positions).  Keyed per scope
-        # (the server-group prefix) so sharded groups never cross-talk.
-        self._slot_certs: Dict[Tuple[str, int, int], Tuple[str, str]] = {}
-        self._rid_certs: Dict[Tuple[str, int, str], Tuple[int, str]] = {}
+        # sequencer-assigned, not replica positions).  One pair of indices
+        # per (scope, epoch) -- the scope is the server-group prefix, so
+        # sharded groups never cross-talk -- keyed by slot and by rid,
+        # both holding the first certificate seen, (rid, slot, src).
+        self._certs: Dict[Tuple[str, int], Tuple[Dict[int, _Cert], Dict[str, _Cert]]] = {}
         self.equivocations_detected = 0
 
     @property
@@ -579,14 +583,13 @@ class OARClient(ComponentProcess):
         slot = reply.slot
         if slot is None or reply.conservative:
             return
-        scope = src.rpartition(".")[0]  # shard prefix; "" when unsharded
         epoch = reply.epoch
+        scope = (src.rpartition(".")[0], epoch)  # shard prefix; "" when unsharded
+        by_slot, by_rid = self._certs.get(scope) or self._certs.setdefault(scope, ({}, {}))
         rid = reply.rid
-        slot_key = (scope, epoch, slot)
-        claimed = self._slot_certs.get(slot_key)
-        if claimed is None:
-            self._slot_certs[slot_key] = (rid, src)
-        elif claimed[0] != rid:
+        cert = (rid, slot, src)
+        claimed = by_slot.setdefault(slot, cert)
+        if claimed[0] != rid:
             self.equivocations_detected += 1
             self.env.trace(
                 "equivocation_alarm",
@@ -595,13 +598,10 @@ class OARClient(ComponentProcess):
                 slot=slot,
                 src=src,
                 other_rid=claimed[0],
-                other_src=claimed[1],
+                other_src=claimed[2],
             )
-        rid_key = (scope, epoch, rid)
-        known = self._rid_certs.get(rid_key)
-        if known is None:
-            self._rid_certs[rid_key] = (slot, src)
-        elif known[0] != slot:
+        known = by_rid.setdefault(rid, cert)
+        if known[1] != slot:
             self.equivocations_detected += 1
             self.env.trace(
                 "equivocation_alarm",
@@ -609,8 +609,8 @@ class OARClient(ComponentProcess):
                 epoch=epoch,
                 slot=slot,
                 src=src,
-                other_slot=known[0],
-                other_src=known[1],
+                other_slot=known[1],
+                other_src=known[2],
             )
 
     def _on_reply(self, src: str, reply: Reply) -> None:

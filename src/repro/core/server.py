@@ -259,6 +259,15 @@ class OARServer(ComponentProcess):
         #: Fan-out targets (everyone but us), precomputed once: the
         #: ordering path sends to the same peers for every batch.
         self.peers: Tuple[str, ...] = tuple(m for m in self.group if m != pid)
+        # Reply weights (Fig. 6), built once: every optimistic reply under
+        # sequencer group[i] carries _opt_weights[i] -- {s} at the
+        # sequencer, {p, s} elsewhere -- and every conservative one Π.
+        # Replies stay in the reply cache for good, so a set built per
+        # delivery would be kept for every write.
+        self._opt_weights: Tuple[frozenset, ...] = tuple(
+            frozenset({pid, s}) for s in self.group
+        )
+        self._group_weight = frozenset(self.group)
         self.machine = machine
         self.fd = resolve_fd(fd, self)
         fd = self.fd
@@ -318,7 +327,8 @@ class OARServer(ComponentProcess):
         # by the anti-entropy tick); `_order_slots` maps each accepted
         # rid to its sequencer-assigned slot -- the order certificate
         # optimistic replies carry for client-side equivocation
-        # cross-checking.  All reset at every epoch settle.
+        # cross-checking -- until that reply is built.  All reset at
+        # every epoch settle.
         self._epoch_order: List[str] = []
         self._epoch_accepted = 0
         self._order_gaps: Dict[int, SeqOrder] = {}
@@ -869,11 +879,7 @@ class OARServer(ComponentProcess):
         splits into ``opt_deliver`` (delivery instant, no value) plus
         ``exec_done`` (completion instant, with the result).
         """
-        sequencer = self.current_sequencer
-        if self.pid == sequencer:
-            weight = frozenset({sequencer})
-        else:
-            weight = frozenset({self.pid, sequencer})
+        weight = self._opt_weights[self.sequencer_index]
         request = self.requests[rid]
         self.o_delivered.append(rid)
         self._unordered.pop(rid, None)
@@ -934,8 +940,9 @@ class OARServer(ComponentProcess):
             # The order certificate: the sequencer-assigned epoch slot
             # this replica learned for the rid (clients cross-check
             # certificates for equivocation).  None if the slots were
-            # already reset by an epoch settle.
-            slot=self._order_slots.get(rid),
+            # already reset by an epoch settle.  Nothing reads the slot
+            # after this reply, so it leaves the map here.
+            slot=self._order_slots.pop(rid, None),
         )
         self._reply_cache[rid] = reply
         self.env.send(request.client, reply)
@@ -1154,7 +1161,7 @@ class OARServer(ComponentProcess):
             rid=rid,
             value=result,
             position=position,
-            weight=frozenset(self.group),
+            weight=self._group_weight,
             epoch=epoch,
             conservative=True,
         )

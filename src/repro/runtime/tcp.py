@@ -214,6 +214,7 @@ class TcpCluster(RuntimeCluster):
         self._deferred: List[Tuple[str, Callable[[], None]]] = []
         self._in_turn = False  #: the running callback ends with a flush pass
         self._scheduled = False  #: a flush pass is on the loop
+        self._closed = False  #: ``shutdown`` has closed the connections
         self._stats = dict.fromkeys(  # "wakeups" are buffer_updated calls
             ("frames_sent", "frames_received", "bytes_sent", "flushes", "reconnects",
              "dropped_frames", "encode_cache_hits", "wakeups"),
@@ -258,6 +259,8 @@ class TcpCluster(RuntimeCluster):
     def send_frame(self, src: str, dst: str, payload: Any) -> None:
         crashed = self._crashed
         if src in crashed or dst not in self._addresses:
+            if self._closed and src not in crashed:
+                self._stats["dropped_frames"] += 1
             return
         stats = self._stats
         if dst in crashed:
@@ -412,17 +415,26 @@ class TcpCluster(RuntimeCluster):
             self._flush(conn)
 
     async def shutdown(self) -> None:
-        # Frames buffered in the last turn are not lost to teardown:
-        # they are written, a closed transport drains before its FIN,
-        # and the accepted sides get to read up to that EOF.
-        for conn in self._conns.values():
+        # A ``defer`` drain still waiting on the loop is the last turn:
+        # it runs now, while its sends have somewhere to go.  Frames
+        # buffered in the last turn are not lost to teardown: they are
+        # written, a closed transport drains before its FIN, and the
+        # accepted sides get to read up to that EOF.
+        if self._deferred:
+            self._run_deferred()
+        conns = list(self._conns.values())
+        for conn in conns:
             self._close(conn)
         self._conns.clear()
-        self._addresses.clear()  # a late send has no destination
+        self._addresses.clear()  # a late send has no destination ...
+        self._closed = True  # ... and is counted as dropped
         connects = list(self._connects)
         for task in connects:
             task.cancel()
         await asyncio.gather(*connects, return_exceptions=True)
+        for conn in conns:
+            if conn.buf:  # never written: its connect was cut short, or paused
+                self._drop(conn)
         for server in self._servers.values():
             server.close()
         await self.run_until(lambda: not self._inbound, timeout=_LINGER, poll=0.001)

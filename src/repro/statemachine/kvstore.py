@@ -123,7 +123,7 @@ class KVStoreMachine(MigratableMachine):
             self._data[key] = value
             return (
                 OpResult(ok=True, value=None if previous is _ABSENT else previous),
-                self._make_restore(key, previous),
+                _Restore(self, key, previous),
             )
 
         if name == "get" and len(op) == 2:
@@ -137,7 +137,7 @@ class KVStoreMachine(MigratableMachine):
             if key not in self._data:
                 return OpResult(ok=False, error=f"delete: no such key {key!r}"), _noop
             previous = self._data.pop(key)
-            return OpResult(ok=True, value=previous), self._make_restore(key, previous)
+            return OpResult(ok=True, value=previous), _Restore(self, key, previous)
 
         if name == "cas" and len(op) == 4:
             key, old, new = op[1], op[2], op[3]
@@ -145,7 +145,7 @@ class KVStoreMachine(MigratableMachine):
             if current is _ABSENT or current != old:
                 return OpResult(ok=True, value=False), _noop
             self._data[key] = new
-            return OpResult(ok=True, value=True), self._make_restore(key, old)
+            return OpResult(ok=True, value=True), _Restore(self, key, old)
 
         if name == "keys" and len(op) == 1:
             return (
@@ -155,14 +155,29 @@ class KVStoreMachine(MigratableMachine):
 
         return self.bad_op(op), _noop
 
-    def _make_restore(self, key: Any, previous: Any) -> Callable[[], None]:
-        def undo() -> None:
-            if previous is _ABSENT:
-                self._data.pop(key, None)
-            else:
-                self._data[key] = previous
 
-        return undo
+class _Restore:
+    """Undo of a write: rebind ``key`` to ``previous``, or unbind it.
+
+    A slotted callable rather than a closure: an optimistic write keeps
+    its inverse until the epoch settles, and this is about a sixth of
+    the size of a closure with its cells.  It reads the machine's data
+    dict at undo time, as the closure did (``restore`` may have replaced
+    the dict since).
+    """
+
+    __slots__ = ("machine", "key", "previous")
+
+    def __init__(self, machine: KVStoreMachine, key: Any, previous: Any) -> None:
+        self.machine = machine
+        self.key = key
+        self.previous = previous
+
+    def __call__(self) -> None:
+        if self.previous is _ABSENT:
+            self.machine._data.pop(self.key, None)
+        else:
+            self.machine._data[self.key] = self.previous
 
 
 def _noop() -> None:

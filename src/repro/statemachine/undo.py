@@ -20,6 +20,9 @@ its execution lane.  Undoing a still-pending entry is a no-op on state
 log no longer holds (the epoch settled while the op was in a lane) is
 silently ignored: settled entries can never be undone, so their inverses
 are dead weight.
+
+An epoch that never settles keeps every entry, so the log holds them in
+two parallel lists (tags, inverses) rather than one object per entry.
 """
 
 from __future__ import annotations
@@ -27,36 +30,32 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 
-class _Entry:
-    """One (tag, undo) record; ``undo`` is None while execution is pending."""
-
-    __slots__ = ("tag", "undo")
-
-    def __init__(self, tag: str, undo: Optional[Callable[[], None]]) -> None:
-        self.tag = tag
-        self.undo = undo
-
-
 class UndoLog:
     """A LIFO log of (tag, undo_closure) entries."""
 
     def __init__(self) -> None:
-        self._entries: List[_Entry] = []
-        # Pending (unresolved) entries by tag; tags are unique within an
-        # epoch, and the index is cleared with the entries on commit.
-        self._pending: Dict[str, _Entry] = {}
+        self._tags: List[str] = []
+        # The inverse of each entry, index-aligned with _tags; None while
+        # the entry's execution is pending.
+        self._undos: List[Optional[Callable[[], None]]] = []
+        # Pending (unresolved) entries: tag -> index.  Tags are unique
+        # within an epoch, every pop removes its tag, and the index is
+        # cleared with the entries on commit, so an index always names
+        # its tag's entry.
+        self._pending: Dict[str, int] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._tags)
 
     @property
     def tags(self) -> List[str]:
-        """Tags of pending entries, oldest first."""
-        return [entry.tag for entry in self._entries]
+        """Tags of every entry, pending or resolved, oldest first."""
+        return list(self._tags)
 
     def push(self, tag: str, undo: Callable[[], None]) -> None:
         """Record that ``tag`` (a request id) was applied and can be undone."""
-        self._entries.append(_Entry(tag, undo))
+        self._tags.append(tag)
+        self._undos.append(undo)
 
     def push_pending(self, tag: str) -> None:
         """Record that ``tag`` was *delivered* but not yet executed.
@@ -65,9 +64,9 @@ class UndoLog:
         in (or occupies) an execution lane; :meth:`resolve` fills in the
         inverse when the execution completes.
         """
-        entry = _Entry(tag, None)
-        self._entries.append(entry)
-        self._pending[tag] = entry
+        self._pending[tag] = len(self._tags)
+        self._tags.append(tag)
+        self._undos.append(None)
 
     def resolve(self, tag: str, undo: Callable[[], None]) -> None:
         """Attach the real inverse to a pending entry.
@@ -76,9 +75,9 @@ class UndoLog:
         the suffix was undone while the op was still in flight; either
         way the inverse can never legally run.
         """
-        entry = self._pending.pop(tag, None)
-        if entry is not None:
-            entry.undo = undo
+        index = self._pending.pop(tag, None)
+        if index is not None:
+            self._undos[index] = undo
 
     def undo_last(self, expected_tag: str) -> bool:
         """Undo the most recent entry, verifying it matches ``expected_tag``.
@@ -90,17 +89,10 @@ class UndoLog:
         pending (the op never executed, so there is nothing to revert --
         the execution engine cancelled it).
         """
-        if not self._entries:
-            raise RuntimeError(f"undo of {expected_tag!r} with empty undo log")
-        entry = self._entries.pop()
-        if entry.tag != expected_tag:
-            raise RuntimeError(
-                f"out-of-order undo: expected {expected_tag!r}, found {entry.tag!r}"
-            )
-        self._pending.pop(entry.tag, None)
-        if entry.undo is None:
+        undo = self.pop_last(expected_tag)
+        if undo is None:
             return False
-        entry.undo()
+        undo()
         return True
 
     def pop_last(self, expected_tag: str) -> Optional[Callable[[], None]]:
@@ -112,17 +104,19 @@ class UndoLog:
         the engine's lane model.  Returns ``None`` when the entry was
         still pending (the op never executed -- nothing to revert).
         """
-        if not self._entries:
+        if not self._tags:
             raise RuntimeError(f"undo of {expected_tag!r} with empty undo log")
-        entry = self._entries.pop()
-        if entry.tag != expected_tag:
+        tag = self._tags[-1]
+        if tag != expected_tag:
             raise RuntimeError(
-                f"out-of-order undo: expected {expected_tag!r}, found {entry.tag!r}"
+                f"out-of-order undo: expected {expected_tag!r}, found {tag!r}"
             )
-        self._pending.pop(entry.tag, None)
-        return entry.undo
+        self._tags.pop()
+        self._pending.pop(tag, None)
+        return self._undos.pop()
 
     def commit(self) -> None:
         """Settle all pending entries (end of epoch): they can never be undone."""
-        self._entries.clear()
+        self._tags.clear()
+        self._undos.clear()
         self._pending.clear()

@@ -222,6 +222,59 @@ class TestAutoTriggeredRebalance:
         assert len(run.trace.events(kind="rebalance_auto")) >= 1
         run.check_all()
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_near_equal_shards_after_the_first_settle_never_move_a_key_back(self, seed):
+        # The full loop, not just the planner (TestPlanStability): a
+        # packed Zipf head fires one multi-move plan, after which the two
+        # shards are near-equal while the policy keeps ticking until the
+        # run is quiescent.  Nothing may be planned after that first
+        # settle, and no key may return to a shard it left.  (The guard
+        # is the trigger ratio standing above the load counters' sampling
+        # noise: at auto_ratio=1.2 this shape re-plans, and at Zipf 1.0
+        # it moves a key back.)
+        state = {}
+
+        def arm(run):
+            state["coordinator"] = attach_rebalancer(
+                run,
+                auto=True,
+                auto_interval=20.0,
+                auto_ratio=1.5,
+                auto_sustain=2,
+                auto_min_load=5.0,
+                max_moves=4,
+            )
+
+        run = run_sharded_scenario(
+            ShardedScenarioConfig(
+                n_shards=2,
+                n_clients=4,
+                requests_per_client=120,
+                machine="kv",
+                workload="zipf",
+                zipf_s=1.2,
+                router="range",
+                n_keys=32,
+                seed=seed,
+                arm=arm,
+                horizon=50_000.0,
+            )
+        )
+        assert run.all_done()
+        coordinator = state["coordinator"]
+        (plan,) = run.trace.events(kind="rebalance_auto")
+        assert coordinator.auto_rebalances == 1
+        assert len(coordinator.journal) == plan.fields["moves"]
+        assert all(record.phase == "done" for record in coordinator.journal)
+        left = {}
+        for record in coordinator.journal:
+            assert record.dst not in left.get(record.key, ()), record
+            left.setdefault(record.key, set()).add(record.src)
+        # The policy kept polling after the settle, and it stayed quiet.
+        settled = max(event.time for event in run.trace.events(kind="mig_done"))
+        assert run.sim.now > settled + 2 * 20.0
+        run.check_all()
+
     def test_balanced_uniform_load_never_fires(self):
         state = {}
 

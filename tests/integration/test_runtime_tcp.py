@@ -604,6 +604,34 @@ class TestTransport:
         received = asyncio.run(scenario())
         assert [payload for _src, payload in received] == ["hello", 0, 1, 2]
 
+    def test_shutdown_runs_a_pending_defer_drain_and_counts_what_it_refuses(self):
+        """A ``defer`` drain still on the loop at ``shutdown`` is the last
+        turn: its send is delivered.  What a later drain sends meets
+        closed connections and is counted as dropped, so every frame
+        shows up in the books."""
+
+        async def scenario():
+            cluster = TcpCluster(trace_level="off")
+            a, b = _Recorder("a"), _Recorder("b")
+            cluster.add_process(a)
+            cluster.add_process(b)
+            await cluster.start()
+            a.env.send("b", "hello")
+            await cluster.run_until(lambda: len(b.received) == 1, timeout=5)
+
+            def last_turn() -> None:
+                a.env.send("b", "deferred")
+                a.env.defer(lambda: a.env.send("b", "too late"))
+
+            cluster.turn(lambda: a.env.defer(last_turn))
+            await cluster.shutdown()
+            return b.received, cluster.stats()
+
+        received, stats = asyncio.run(scenario())
+        assert [payload for _src, payload in received] == ["hello", "deferred"]
+        assert (stats["frames_sent"], stats["frames_received"]) == (2, 2)
+        assert stats["dropped_frames"] == 1
+
     def test_backpressure_holds_frames_until_the_transport_resumes(self):
         """Over a real socket: while the transport says pause, flushes
         leave the frames in ``conn.buf``; resume writes them in order."""
