@@ -129,11 +129,11 @@ def test_b7_report(benchmark):
         ["config", "final epoch", "conservative adoption fraction"],
     )
     rot_table.add_row(
-        "rotating (paper)", rot_run.correct_servers[0].epoch,
+        "rotating (paper)", rot_run.correct_servers()[0].epoch,
         conservative_fraction(rot_run),
     )
     rot_table.add_row(
-        "fixed sequencer", fixed_run.correct_servers[0].epoch,
+        "fixed sequencer", fixed_run.correct_servers()[0].epoch,
         conservative_fraction(fixed_run),
     )
 
@@ -151,4 +151,4 @@ def test_b7_report(benchmark):
 
     assert max_proposal(gc_run) < max_proposal(nogc_run)
     assert conservative_fraction(rot_run) < 1.0
-    assert fixed_run.correct_servers[0].epoch >= rot_run.correct_servers[0].epoch
+    assert fixed_run.correct_servers()[0].epoch >= rot_run.correct_servers()[0].epoch

@@ -53,10 +53,10 @@ def test_b6_report(benchmark):
     oar_stats = summarize(oar_clean.latencies())
     seq_stats = summarize(seq_clean.latencies())
     seq_bad = checkers.count_baseline_inconsistencies(
-        seq_crash.trace, seq_crash.correct_servers
+        seq_crash.trace, seq_crash.correct_servers()
     )
     oar_bad = checkers.count_baseline_inconsistencies(
-        oar_crash.trace, oar_crash.correct_servers
+        oar_crash.trace, oar_crash.correct_servers()
     )
 
     table = Table(

@@ -73,7 +73,7 @@ def sweep(protocol: str):
         if run.all_done():
             finished += 1
         inconsistent += checkers.count_baseline_inconsistencies(
-            run.trace, run.correct_servers
+            run.trace, run.correct_servers()
         )
         if protocol == "oar":
             checkers.check_external_consistency(run.trace, strict=False)

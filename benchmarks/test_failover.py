@@ -87,7 +87,7 @@ def test_b4_report(benchmark):
                 timeout,
                 blackout(run),
                 len(run.trace.events(kind="phase2_start")),
-                run.correct_servers[0].epoch,
+                run.correct_servers()[0].epoch,
             )
         )
     benchmark.pedantic(run_failover, args=(TIMEOUTS[0],), rounds=1, iterations=1)
@@ -109,7 +109,7 @@ def test_b4_report(benchmark):
         for seed in range(3):
             run = run_aggressive(timeout, seed)
             run.check_all(strict=False, at_least_once=False)
-            epochs += run.correct_servers[0].epoch
+            epochs += run.correct_servers()[0].epoch
             adopts = run.trace.events(kind="adopt")
             adoptions += len(adopts)
             conservative += sum(1 for a in adopts if a["conservative"])

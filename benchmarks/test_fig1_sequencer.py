@@ -25,7 +25,7 @@ def test_fig1a_good_run(benchmark):
     assert all(s.delivered_order == ("c2-0", "c1-0") for s in run.servers)
     assert run.adopted()["c2-0"].value.value == "y"
     assert (
-        checkers.count_baseline_inconsistencies(run.trace, run.correct_servers)
+        checkers.count_baseline_inconsistencies(run.trace, run.correct_servers())
         == 0
     )
 
@@ -35,10 +35,10 @@ def test_fig1b_inconsistent_run(benchmark):
     # The client's adopted pop -> y contradicts the surviving replicas'
     # (push; pop) order whose pop returned x.
     assert run.adopted()["c2-0"].value.value == "y"
-    for server in run.correct_servers:
+    for server in run.correct_servers():
         assert server.delivered_order == ("c1-0", "c2-0")
     assert (
-        checkers.count_baseline_inconsistencies(run.trace, run.correct_servers)
+        checkers.count_baseline_inconsistencies(run.trace, run.correct_servers())
         == 1
     )
 
@@ -50,7 +50,7 @@ def test_fig1b_scenario_under_oar(benchmark):
     assert run.adopted()["c2-0"].value.value == "x"
     checkers.check_external_consistency(run.trace)
     assert (
-        checkers.count_baseline_inconsistencies(run.trace, run.correct_servers)
+        checkers.count_baseline_inconsistencies(run.trace, run.correct_servers())
         == 0
     )
 
@@ -71,7 +71,7 @@ def test_fig1_report(benchmark):
                 return server.delivered_order
             return tuple(server.current_order.items)
 
-        orders = {order_of(s) for s in run.correct_servers}
+        orders = {order_of(s) for s in run.correct_servers()}
         order = next(iter(orders))
         return "y" if order[0] == "c2-0" else "x"
 
@@ -84,7 +84,7 @@ def test_fig1_report(benchmark):
         ("fig1b OAR (same crash)", oar),
     ]:
         inconsistent = checkers.count_baseline_inconsistencies(
-            run.trace, run.correct_servers
+            run.trace, run.correct_servers()
         )
         table.add_row(name, adopted_pop(run), group_pop(run), inconsistent)
 

@@ -30,7 +30,7 @@ def test_fig4_crash_with_undo(benchmark):
     assert epoch0["p2"] == ((M3, M4), (M4, M3))
     assert epoch0["p3"] == ((), (M4, M3))
     assert epoch0["p4"] == ((), (M4, M3))
-    for server in run.correct_servers:
+    for server in run.correct_servers():
         assert tuple(server.settled_order.items)[:4] == (M1, M2, M4, M3)
     checkers.check_external_consistency(run.trace)
     checkers.check_cnsv_order_properties(run.trace, 4)
@@ -62,7 +62,7 @@ def test_fig4_report(benchmark):
     lines = [
         table.render(),
         "",
-        f"agreed epoch-0 order: {';'.join(run.correct_servers[0].settled_order.items[:4])}",
+        f"agreed epoch-0 order: {';'.join(run.correct_servers()[0].settled_order.items[:4])}",
         f"adoptions (rid -> position, conservative?): {adoptions}",
         "paper outcome: Bad={m3;m4}, New={m4;m3} at p2; Bad=ε, New={m4;m3} at"
         " p3/p4; clients adopt only the agreed replies  -- matched",

@@ -98,7 +98,7 @@ def goodputs(run):
 
 def read_stats(run):
     return checkers.check_read_consistency(
-        run.trace, run.servers, KVStoreMachine
+        run.trace, run.servers, KVStoreMachine, shard=0
     )
 
 

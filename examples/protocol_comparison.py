@@ -61,7 +61,7 @@ def main() -> None:
         clean = run_case(protocol, crash=False)
         crashed = run_case(protocol, crash=True)
         inconsistent = checkers.count_baseline_inconsistencies(
-            crashed.trace, crashed.correct_servers
+            crashed.trace, crashed.correct_servers()
         )
         table.add_row(
             LABELS[protocol],

@@ -50,12 +50,12 @@ def main() -> None:
     print(f"opt-undeliveries: {len(run.trace.events(kind='opt_undeliver'))}")
 
     print("\nsurviving replica ledgers (identical by Proposition 5):")
-    for server in run.correct_servers:
+    for server in run.correct_servers():
         balances = dict(server.machine.fingerprint())
         total = server.machine.total_balance()
         print(f"  {server.pid}: {balances}  (total={total})")
 
-    totals = {s.machine.total_balance() for s in run.correct_servers}
+    totals = {s.machine.total_balance() for s in run.correct_servers()}
     assert len(totals) == 1, "replicas disagree on total balance"
     print("\nmoney conserved and replicas identical -- the transactional")
     print("save-point discipline of Section 6 in action.")

@@ -29,7 +29,7 @@ def describe(run, protocol: str) -> int:
         stack = server.machine.fingerprint()
         print(f"  {server.pid}: delivered {order}  stack={list(stack)}")
     inconsistencies = checkers.count_baseline_inconsistencies(
-        run.trace, run.correct_servers
+        run.trace, run.correct_servers()
     )
     print(f"client-visible inconsistencies: {inconsistencies}\n")
     return inconsistencies

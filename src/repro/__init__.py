@@ -36,6 +36,10 @@ Quickstart::
                                       n_clients=2, requests_per_client=10))
     run.check_all()                  # assert the paper's guarantees
     print(run.latencies())           # client-perceived latencies
+
+``ScenarioConfig`` is one replication group -- the paper's service --
+as a ``ShardedScenarioConfig`` with ``n_shards=1``; every scenario, one
+group or N, is built by the same builder into the same ``ShardedRun``.
 """
 
 from repro.core import (
@@ -51,7 +55,6 @@ from repro.core import (
 )
 from repro.harness import (
     ScenarioConfig,
-    ScenarioRun,
     ShardedRun,
     ShardedScenarioConfig,
     run_scenario,
@@ -67,7 +70,6 @@ __all__ = [
     "OARConfig",
     "OARServer",
     "ScenarioConfig",
-    "ScenarioRun",
     "ShardedOARClient",
     "ShardedRun",
     "ShardedScenarioConfig",

@@ -58,12 +58,12 @@ def cmd_figures() -> None:
     print(f"client adopted pop -> "
           f"{fig1a.adopted()['c2-0'].value.value!r}; group agrees; "
           f"inconsistencies: "
-          f"{checkers.count_baseline_inconsistencies(fig1a.trace, fig1a.correct_servers)}")
+          f"{checkers.count_baseline_inconsistencies(fig1a.trace, fig1a.correct_servers())}")
 
     heading("Figure 1(b): sequencer ABcast, inconsistent run")
     fig1b = run_figure_1b()
     bad = checkers.count_baseline_inconsistencies(
-        fig1b.trace, fig1b.correct_servers
+        fig1b.trace, fig1b.correct_servers()
     )
     print(f"client adopted pop -> {fig1b.adopted()['c2-0'].value.value!r} "
           f"from the crashed sequencer; survivors' pop returned 'x'")
@@ -73,7 +73,7 @@ def cmd_figures() -> None:
     print(f"same crash under OAR: client adopts "
           f"{oar1b.adopted()['c2-0'].value.value!r} (consistent); "
           f"inconsistencies: "
-          f"{checkers.count_baseline_inconsistencies(oar1b.trace, oar1b.correct_servers)}")
+          f"{checkers.count_baseline_inconsistencies(oar1b.trace, oar1b.correct_servers())}")
 
     heading("Figure 2: OAR, no failure nor suspicion")
     fig2 = run_figure_2()
@@ -126,7 +126,7 @@ def cmd_compare() -> None:
             summarize(clean.latencies()).mean,
             "yes" if crashed.all_done() else "NO",
             checkers.count_baseline_inconsistencies(
-                crashed.trace, crashed.correct_servers
+                crashed.trace, crashed.correct_servers()
             ),
         )
     print(table.render())

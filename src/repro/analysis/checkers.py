@@ -1068,16 +1068,20 @@ def check_read_consistency(
       was later undone); it is counted, not failed, so staleness is a
       measurable quantity rather than a correctness bug.
 
-    ``shard`` filters read events in a sharded run (clients tag each
-    read with the shard it was routed to); ``None`` checks unsharded
-    runs.  Returns ``{"reads", "optimistic", "conservative",
+    ``shard`` filters read events by the shard their client routed them
+    to; ``None`` takes the untagged reads of a client that names no
+    shard, and is refused when every adopted read names one (it would
+    check nothing).  Returns ``{"reads", "optimistic", "conservative",
     "stale_optimistic"}`` counts.
     """
-    reads = [
-        event
-        for event in trace.events(kind="read_adopt")
-        if event.get("shard") == shard
-    ]
+    adoptions = trace.events(kind="read_adopt")
+    reads = [event for event in adoptions if event.get("shard") == shard]
+    if shard is None and adoptions and not reads:
+        tags = sorted({event["shard"] for event in adoptions})
+        raise ValueError(
+            f"check_read_consistency: every adopted read names its shard "
+            f"(tags {tags}); pass shard= to check one"
+        )
     stats = {
         "reads": len(reads),
         "optimistic": 0,

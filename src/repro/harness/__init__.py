@@ -2,16 +2,17 @@
 
 :func:`~repro.harness.scenario.run_scenario` assembles a full simulated
 deployment (servers, clients, failure detectors, workload drivers, fault
-schedule) from a declarative :class:`~repro.harness.scenario.ScenarioConfig`,
-runs it to quiescence, and returns a :class:`~repro.harness.scenario.
-ScenarioRun` exposing the trace, the protocol objects and one-call access
-to every correctness checker.  All benchmarks, integration tests and
-examples are built on it.
+schedule) from a declarative scenario config --
+:func:`~repro.harness.scenario.ScenarioConfig` for one replication
+group, :class:`~repro.sharding.cluster.ShardedScenarioConfig` for N --
+runs it to quiescence, and returns a
+:class:`~repro.sharding.cluster.ShardedRun` exposing the trace, the
+protocol objects and one-call access to every correctness checker.  All
+benchmarks, integration tests and examples are built on it.
 """
 
 from repro.harness.scenario import (
     ScenarioConfig,
-    ScenarioRun,
     build_scenario,
     run_scenario,
 )
@@ -25,7 +26,6 @@ from repro.sharding import (
 
 __all__ = [
     "ScenarioConfig",
-    "ScenarioRun",
     "ShardedRun",
     "ShardedScenarioConfig",
     "Table",

@@ -3,9 +3,9 @@
 Each ``run_figure_*`` function builds the precise scenario of the
 corresponding figure -- same group size, same message arrival orders, same
 crash/suspicion timing -- on the deterministic simulator, executes it and
-returns the :class:`~repro.harness.scenario.ScenarioRun` whose trace
+returns the :class:`~repro.sharding.cluster.ShardedRun` whose trace
 queries the tests and benchmarks assert against the figure's outcome.  A
-figure is an ordinary :class:`~repro.harness.scenario.ScenarioConfig`
+figure is an ordinary :func:`~repro.harness.scenario.ScenarioConfig`
 with a scripted failure detector and no workload (``_scripted``); the
 function scripts only the figure's submissions, faults and suspicions:
 
@@ -40,11 +40,12 @@ from repro.broadcast.sequencer import OrderMsg
 from repro.core.messages import SeqOrder
 from repro.core.server import OARConfig
 from repro.faults.injection import crash_during_multicast
-from repro.harness.scenario import ScenarioConfig, ScenarioRun, build_scenario
+from repro.harness.scenario import ScenarioConfig, build_scenario
+from repro.sharding.cluster import ShardedRun
 from repro.sim.latency import ConstantLatency, PerLinkLatency
 
 
-def _scripted(**deployment: Any) -> ScenarioRun:
+def _scripted(**deployment: Any) -> ShardedRun:
     """Build a figure's deployment: suspicions are scripted and the
     workload drivers submit nothing, so the figure drives every step.
     The config's defaults -- OAR replicating a counter -- are the
@@ -58,7 +59,7 @@ def _scripted(**deployment: Any) -> ScenarioRun:
 # OAR scenarios (Figures 2, 3, 4)
 # ----------------------------------------------------------------------
 
-def run_figure_2(seed: int = 0) -> ScenarioRun:
+def run_figure_2(seed: int = 0) -> ShardedRun:
     """OAR with no failure nor suspicion (Figure 2).
 
     Five requests in two sequencer batches ({m1;m2} then {m3;m4;m5});
@@ -79,7 +80,7 @@ def run_figure_2(seed: int = 0) -> ScenarioRun:
     return run
 
 
-def run_figure_3(seed: int = 0) -> ScenarioRun:
+def run_figure_3(seed: int = 0) -> ShardedRun:
     """OAR with the crash of the sequencer, but no Opt-undelivery (Figure 3).
 
     Three servers.  p1 orders {m1;m2} (delivered everywhere), then orders
@@ -117,7 +118,7 @@ def run_figure_3(seed: int = 0) -> ScenarioRun:
     return run
 
 
-def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> ScenarioRun:
+def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> ShardedRun:
     """OAR with the crash of the sequencer and Opt-undelivery (Figure 4).
 
     Four servers.  Only p2 receives the ordering of {m3;m4}; the network
@@ -184,7 +185,7 @@ def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> ScenarioR
 # Sequencer-baseline scenarios (Figure 1)
 # ----------------------------------------------------------------------
 
-def _stack_y(**deployment: Any) -> ScenarioRun:
+def _stack_y(**deployment: Any) -> ShardedRun:
     """Figure 1's service: a replicated stack holding [y], two clients."""
     run = _scripted(machine="stack", n_servers=3, n_clients=2, **deployment)
     for server in run.servers:
@@ -192,7 +193,7 @@ def _stack_y(**deployment: Any) -> ScenarioRun:
     return run
 
 
-def run_figure_1a(seed: int = 0) -> ScenarioRun:
+def run_figure_1a(seed: int = 0) -> ShardedRun:
     """Sequencer-based Atomic Broadcast, good run (Figure 1(a)).
 
     Initial stack [y].  c2's pop and c1's push(x) are sequenced
@@ -207,7 +208,7 @@ def run_figure_1a(seed: int = 0) -> ScenarioRun:
     return run
 
 
-def run_figure_1b(seed: int = 0) -> ScenarioRun:
+def run_figure_1b(seed: int = 0) -> ShardedRun:
     """Sequencer-based Atomic Broadcast, inconsistent run (Figure 1(b)).
 
     The sequencer p1 delivers pop (reply y to c2), but crashes before its
@@ -242,7 +243,7 @@ def run_figure_1b(seed: int = 0) -> ScenarioRun:
     return run
 
 
-def run_figure_1b_with_oar(seed: int = 0) -> ScenarioRun:
+def run_figure_1b_with_oar(seed: int = 0) -> ShardedRun:
     """The Figure 1(b) scenario executed by OAR instead of the baseline.
 
     Same service (stack [y]), same request interleaving, same sequencer

@@ -17,7 +17,8 @@ keys between groups as escrow-style migration transactions whose steps
 are ordinary totally-ordered requests, with WrongShard redirect/retry on
 the clients and crash recovery for the coordinator itself.
 
-Entry points mirror the unsharded harness:
+Entry points, for one group (``n_shards=1``, see
+:func:`~repro.harness.scenario.ScenarioConfig`) or N:
 :func:`~repro.sharding.cluster.run_sharded_scenario` builds and runs a
 full deployment from a declarative
 :class:`~repro.sharding.cluster.ShardedScenarioConfig`;

@@ -8,6 +8,11 @@ failure detectors and epochs -- per shard, all hosted on one
 deterministic simulator so every existing checker and fault-injection
 tool applies unchanged.
 
+The paper's own service is the one-group case, ``n_shards=1``: every
+scenario -- one group or N, OAR or a baseline protocol -- is one
+:class:`ShardedScenarioConfig`, placed by :func:`place_sharded_scenario`
+and answered by one :class:`ShardedRun`.
+
 Consistency contract:
 
 * per shard, everything the paper guarantees (total order, at-most/least
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -41,10 +47,11 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    TypeVar,
 )
 
 from repro.analysis import checkers
+from repro.broadcast.ct_abcast import CTAtomicBroadcastServer
+from repro.broadcast.sequencer import SequencerAtomicBroadcastServer
 from repro.core.admission import TokenBucket
 from repro.core.client import ShardedOARClient
 from repro.core.server import OARConfig, OARServer
@@ -54,6 +61,8 @@ from repro.failure.detector import (
     ScriptedFailureDetector,
 )
 from repro.faults.injection import FaultSchedule
+from repro.replication.active import FirstReplyClient
+from repro.replication.passive import PassiveReplicationServer
 from repro.sharding.router import RoutingTable, ShardRouter, make_router
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.loop import Simulator
@@ -71,6 +80,7 @@ from repro.statemachine import (
 from repro.workload.drivers import ClosedLoopDriver, OpenLoopDriver
 from repro.workload.openloop import PoissonProcess, SessionedOpenLoopDriver
 from repro.workload.generators import (
+    bank_ops,
     counter_ops,
     cross_shard_bank_ops,
     hot_key_bank_ops,
@@ -90,37 +100,50 @@ MACHINE_CLASSES = {
     "stack": StackMachine,
 }
 SHARDED_MACHINES = tuple(MACHINE_CLASSES)
-WORKLOADS = ("uniform", "zipf", "hotshift", "cross", "readheavy", "hotkey")
+WORKLOADS = ("uniform", "zipf", "hotshift", "cross", "readheavy", "hotkey", "single")
 DRIVERS = ("closed", "open", "session")
+
+#: The baseline protocols the paper measures OAR against, by server
+#: class (each built as ``cls(pid, group, machine, build_fd)`` and
+#: served to :class:`~repro.replication.active.FirstReplyClient`s).
+BASELINE_SERVERS = {
+    "sequencer": SequencerAtomicBroadcastServer,
+    "ct": CTAtomicBroadcastServer,
+    "passive": PassiveReplicationServer,
+}
+PROTOCOLS = ("oar", *BASELINE_SERVERS)
+
+#: The single-group mix's key universe (``workload="single"``): the keys
+#: of ``kv_ops`` and the accounts of ``bank_ops``.
+SINGLE_GROUP_KEYS = {"kv": ("a", "b", "c", "d"), "bank": ("alice", "bob", "carol")}
 
 #: Machines with per-key state: their sharded deployments carry the
 #: key-ownership books and support live migration + the migration
 #: atomicity checker.
 MIGRATABLE_MACHINES = ("kv", "bank")
 
-#: One OAR group ``check_all`` puts through the paper's properties: its
-#: servers, the requests it was asked to order, a fresh replica machine
-#: to replay its reads on, and the shard tag its read events carry.
-CheckedGroup = Tuple[Sequence[Any], Sequence[str], Callable[[], StateMachine], Optional[int]]
-
-ConfigT = TypeVar("ConfigT", bound="BaseScenarioConfig")
-RunT = TypeVar("RunT", bound="BaseRun")
-
 
 @dataclass
-class BaseScenarioConfig:
-    """What every sim scenario says about its deployment, declared once.
+class ShardedScenarioConfig:
+    """Everything needed to reproduce one experiment run.
 
-    :class:`~repro.harness.scenario.ScenarioConfig` (one replication
-    group) and :class:`ShardedScenarioConfig` extend it; a subclass
-    restates a field only where its default differs.
+    ``n_shards`` replication groups of ``n_servers`` replicas behind a
+    key router; the paper's own service is ``n_shards=1``, whose
+    defaults :func:`~repro.harness.scenario.ScenarioConfig` fills in.
     """
 
+    n_shards: int = 2
     n_servers: int = 3  #: replicas per replication group
-    n_clients: int = 1
+    n_clients: int = 2
     requests_per_client: int = 20
-    machine: str = "counter"
+    machine: str = "kv"
     seed: int = 0
+
+    #: "oar" (the paper's protocol) or a baseline it is measured
+    #: against: "sequencer" or "ct" Atomic Broadcast, "passive"
+    #: replication.  The baselines replicate one group (``n_shards=1``).
+    protocol: str = "oar"
+    router: str = "hash"  #: "hash" or "range"
 
     #: One-way link delay model; None = constant 1.0 (one phase per hop).
     latency: Optional[LatencyModel] = None
@@ -145,15 +168,32 @@ class BaseScenarioConfig:
     exec_cost: Optional[float] = None
     exec_lanes: Optional[int] = None
 
-    #: ``read_ratio`` is the read fraction of the Zipf-skewed read-heavy
-    #: mix (``read_heavy_kv_ops``, the B12 read-scaling workload) over a
-    #: universe of ``n_keys`` kv keys with exponent ``zipf_s``.  A
-    #: single group runs that mix when ``read_ratio`` is set; a sharded
-    #: run when its ``workload`` is "readheavy" (its other kv workloads
-    #: draw from the same universe).
-    read_ratio: Optional[float] = None
-    n_keys: int = 16
+    #: Workload family: "uniform" (kv over a flat key universe), "zipf"
+    #: (kv, skewed), "hotshift" (kv, skewed with a hotspot that moves
+    #: across the key space every 150 ops -- the live-rebalancing
+    #: stress), "cross" (bank transfers, cross-shard mix), "readheavy"
+    #: (kv or bank, Zipf-skewed, ``read_ratio`` reads -- the
+    #: replica-local read-path mix of benchmark B12), "hotkey" (bank
+    #: deposits/withdrawals/balances with ``hot_ratio`` of all traffic
+    #: on one account -- the key-splitting stress of B14), "single" (the
+    #: paper's one-group mix: kv sets/cas/gets over keys a-d, bank
+    #: transfers/deposits/withdrawals/balances over alice/bob/carol).
+    #: The deposits of "hotkey" and "single" change the money supply, so
+    #: their runs have no conserved total (``check_fragment_conservation``
+    #: covers split accounts instead).  Counter and stack machines have
+    #: one mix each, whatever the workload.
+    workload: str = "uniform"
+    #: ``read_ratio`` is the read fraction of the read-heavy mix
+    #: (``read_heavy_kv_ops``) over a universe of ``n_keys`` kv keys with
+    #: exponent ``zipf_s``; every kv workload but "single" draws from
+    #: that universe.
+    read_ratio: float = 0.9
+    n_keys: int = 32
     zipf_s: float = 1.2
+    cross_ratio: float = 0.3
+    hot_ratio: float = 0.8
+    accounts_per_shard: int = 4
+    initial_balance: int = 1_000
 
     #: "closed" (latency-oriented), "open" (Poisson arrivals at
     #: ``open_rate`` requests/time-unit per client) or "session" (the
@@ -185,60 +225,6 @@ class BaseScenarioConfig:
     #: targets); None disables retransmission.
     retry_interval: Optional[float] = None
 
-    fault_schedule: Optional[FaultSchedule] = None
-
-    #: Link-fault-plane installer; called with the built
-    #: :class:`~repro.sim.network.SimNetwork` right after construction
-    #: (e.g. ``lambda net: install_uniform_faults(net, drop=0.05)``).
-    faults: Optional[Callable[[SimNetwork], None]] = None
-
-    #: Hook for surgical fault injection; called with the built run
-    #: before the simulation starts (e.g. to arm a crash-during-multicast
-    #: interceptor).
-    arm: Optional[Callable[[BaseRun], None]] = None
-
-    #: Simulated-time and event budget.
-    horizon: float = 10_000.0
-    max_events: int = 2_000_000
-    grace: float = 50.0
-    trace_messages: bool = False
-    #: "full" keeps the checker-grade protocol trace; "off" disables all
-    #: tracing (zero-waste mode for throughput/soak runs -- ``check_all``
-    #: and trace-based metrics need "full").
-    trace_level: str = "full"
-
-    def with_changes(self: ConfigT, **changes: Any) -> ConfigT:
-        """A copy of this config with some fields replaced."""
-        return replace(self, **changes)
-
-
-@dataclass
-class ShardedScenarioConfig(BaseScenarioConfig):
-    """Everything needed to reproduce one sharded experiment run."""
-
-    n_shards: int = 2
-    n_clients: int = 2
-    machine: str = "kv"
-    router: str = "hash"  #: "hash" or "range"
-
-    #: Workload family: "uniform" (kv over a flat key universe), "zipf"
-    #: (kv, skewed), "hotshift" (kv, skewed with a hotspot that moves
-    #: across the key space every 150 ops -- the live-rebalancing
-    #: stress), "cross" (bank transfers, cross-shard mix), "readheavy"
-    #: (kv or bank, Zipf-skewed, ``read_ratio`` reads -- the
-    #: replica-local read-path mix of benchmark B12), "hotkey" (bank
-    #: deposits/withdrawals/balances with ``hot_ratio`` of all traffic
-    #: on one account -- the key-splitting stress of B14; its deposits
-    #: break money-supply conservation, so the run swaps the
-    #: conserved-total checks for ``check_fragment_conservation``).
-    workload: str = "uniform"
-    n_keys: int = 32
-    cross_ratio: float = 0.3
-    read_ratio: float = 0.9
-    hot_ratio: float = 0.8
-    accounts_per_shard: int = 4
-    initial_balance: int = 1_000
-
     #: Half-life of the clients' per-key load counters (the rebalance
     #: planner's statistic); None disables decay (all-time totals).
     load_half_life: Optional[float] = 250.0
@@ -251,11 +237,34 @@ class ShardedScenarioConfig(BaseScenarioConfig):
     #: error is surfaced as a terminal adoption.
     max_redirects: int = 100
 
+    fault_schedule: Optional[FaultSchedule] = None
+
+    #: Link-fault-plane installer; called with the built
+    #: :class:`~repro.sim.network.SimNetwork` right after construction
+    #: (e.g. ``lambda net: install_uniform_faults(net, drop=0.05)``).
+    faults: Optional[Callable[[SimNetwork], None]] = None
+
+    #: Hook for surgical fault injection; called with the built run
+    #: before the simulation starts (e.g. to arm a crash-during-multicast
+    #: interceptor).
+    arm: Optional[Callable[["ShardedRun"], None]] = None
+
+    #: Simulated-time and event budget.
     horizon: float = 20_000.0
     max_events: int = 4_000_000
+    grace: float = 50.0
+    trace_messages: bool = False
+    #: "full" keeps the checker-grade protocol trace; "off" disables all
+    #: tracing (zero-waste mode for throughput/soak runs -- ``check_all``
+    #: and trace-based metrics need "full").
+    trace_level: str = "full"
+
+    def with_changes(self, **changes: Any) -> "ShardedScenarioConfig":
+        """A copy of this config with some fields replaced."""
+        return replace(self, **changes)
 
 
-def resolve_oar(config: BaseScenarioConfig) -> OARConfig:
+def resolve_oar(config: ShardedScenarioConfig) -> OARConfig:
     """The OAR knobs a scenario's servers and clients are built with.
 
     ``config.oar`` with every scenario-level override that is set
@@ -288,40 +297,65 @@ class Host(Protocol):
 
 
 @dataclass
-class BaseRun:
-    """What every built scenario is and answers, whatever it deploys.
+class ShardedRun:
+    """A built (and, after ``execute``, completed) deployment: one
+    replication group or N, on the simulator or on a wall-clock host."""
 
-    :class:`~repro.harness.scenario.ScenarioRun` (one replication group)
-    and :class:`ShardedRun` extend it with their own topology and their
-    own ``check_all`` bundle; both expose ``servers``.
-    """
-
-    config: BaseScenarioConfig
+    config: ShardedScenarioConfig
     sim: Optional[Simulator]  #: None when a wall-clock backend hosts the run
     network: Host
+    router: ShardRouter  #: the static base placement (epoch 0)
+    routing_table: RoutingTable  #: the authoritative epoched view
+    shard_groups: Tuple[Tuple[str, ...], ...]
+    shards: List[List[Any]]  #: servers, indexed by shard
     clients: List[Any]
     drivers: List[Any]
     detectors: Dict[str, FailureDetector]
-
-    #: Rebalance coordinators the run waits for; only a sharded run has any.
-    rebalancers = ()
+    key_universe: Tuple[str, ...]
+    initial_total: Optional[int]  #: bank only: conserved money supply
+    #: Rebalance coordinators attached to this run (see
+    #: :func:`~repro.sharding.rebalance.attach_rebalancer`).
+    rebalancers: List[Any] = field(default_factory=list)
 
     @property
     def trace(self) -> TraceLog:
         return self.network.trace
 
+    @property
+    def servers(self) -> List[Any]:
+        """All servers across shards (shard-major order)."""
+        return [server for shard in self.shards for server in shard]
+
+    @property
+    def server_pids(self) -> List[str]:
+        return [server.pid for server in self.servers]
+
     def server(self, pid: str) -> Any:
         return next(s for s in self.servers if s.pid == pid)
 
+    def correct_servers(self, shard: int = 0) -> List[Any]:
+        return [s for s in self.shards[shard] if not s.crashed]
+
     def submitted_rids(self) -> List[str]:
-        """Logical submissions (cross-shard txids count once)."""
+        """The drivers' logical submissions (cross-shard txids count once)."""
         return [rid for driver in self.drivers for rid in driver.submitted]
+
+    def routed_to(self, shard: int) -> List[str]:
+        """Physical rids (ops and tx branches) routed to one shard,
+        scripted ``client.submit`` calls included."""
+        return [
+            rid for client in self.clients for rid in client.routed_to(shard)
+        ]
 
     def adopted(self) -> Dict[str, Any]:
         merged: Dict[str, Any] = {}
         for client in self.clients:
             merged.update(client.adopted)
         return merged
+
+    def latencies(self) -> List[float]:
+        """Client-perceived logical latencies (whole transactions)."""
+        return [adopted.latency for adopted in self.adopted().values()]
 
     # -- trace queries (what the figure-exact scenarios assert on) -----
 
@@ -370,7 +404,7 @@ class BaseRun:
                 return False
         return True
 
-    def execute(self: RunT) -> RunT:
+    def execute(self) -> "ShardedRun":
         """Run to quiescence (+ grace period); returns self for chaining.
 
         Applies the fault schedule and the ``arm`` hook, runs the
@@ -411,15 +445,17 @@ class BaseRun:
     def check_all(self, strict: bool = True, at_least_once: bool = True) -> None:
         """Assert every applicable property over this run's trace.
 
-        The paper's properties over each OAR group (:meth:`_groups`),
-        whose conservative reads must observe prefix-closed states of
-        its adopted order (optimistic staleness is counted, not failed);
-        the fault-plane and admission ledgers; then the run's own laws
-        (:meth:`_check_own`).  Completeness
-        (at-least-once, every transaction decided, ...) only applies to
-        a quiescent run; a run cut off mid-flight is checked for safety.
-        ``strict=False`` tolerates optimistic deliveries in epochs still
-        unsettled at the end (see ``check_external_consistency``).
+        An OAR run: the paper's properties over each group, whose
+        conservative reads must observe prefix-closed states of its
+        adopted order (optimistic staleness is counted, not failed); the
+        fault-plane and admission ledgers; then cross-shard transactions,
+        migrations, splits and money.  A baseline run: the two ledgers
+        and replica convergence, which is all the baselines promise.
+        Completeness (at-least-once, every transaction decided, ...)
+        only applies to a quiescent run; a run cut off mid-flight is
+        checked for safety.  ``strict=False`` tolerates optimistic
+        deliveries in epochs still unsettled at the end (see
+        ``check_external_consistency``).
         """
         trace = self.trace
         if not trace.enabled:
@@ -430,89 +466,40 @@ class BaseRun:
                 'trace_level="full" (this one has trace_level="off")'
             )
         quiescent = self.all_done()
-        # Replica-local reads are answered, not ordered, and shed
-        # requests are refused, never ordered: neither is subject to the
-        # delivery-based properties.
-        excluded: Set[str] = set()
-        for client in self.clients:
-            excluded |= getattr(client, "read_rids", set())
-            excluded |= getattr(client, "shed_rids", set())
-        groups = self._groups()
-        # Every group's events in one pass over the trace, not one each.
-        indexes = checkers.DeliveryIndex.per_group(
-            trace, [[server.pid for server in servers] for servers, *_ in groups]
-        )
-        for (servers, rids, make_machine, shard), index in zip(groups, indexes):
-            checkers.check_single_shard_properties(
-                index,
-                servers,
-                [rid for rid in rids if rid not in excluded],
-                strict=strict,
-                at_least_once=at_least_once and quiescent,
-            )
-            checkers.check_read_consistency(trace, servers, make_machine, shard=shard)
+        oar = self.config.protocol == "oar"
+        if oar:
+            # Replica-local reads are answered, not ordered, and shed
+            # requests are refused, never ordered: neither is subject to
+            # the delivery-based properties.
+            excluded: Set[str] = set()
+            for client in self.clients:
+                excluded |= client.read_rids
+                excluded |= client.shed_rids
+            placement = self.router.placement(self.key_universe)
+            # Every group's events in one pass over the trace, not one each.
+            indexes = checkers.DeliveryIndex.per_group(trace, self.shard_groups)
+            for shard, index in enumerate(indexes):
+                servers = self.shards[shard]
+                checkers.check_single_shard_properties(
+                    index,
+                    servers,
+                    [rid for rid in self.routed_to(shard) if rid not in excluded],
+                    strict=strict,
+                    at_least_once=at_least_once and quiescent,
+                )
+                checkers.check_read_consistency(
+                    trace,
+                    servers,
+                    partial(_make_machine, self.config, placement[shard]),
+                    shard=shard,
+                )
         checkers.check_fault_plane_accounting(trace, self.network)
         checkers.check_admission_accounting(
             trace, self.servers, self.clients, self.drivers
         )
-        self._check_own(quiescent)
-
-    def _groups(self) -> List[CheckedGroup]:
-        """Each OAR group the paper's properties hold over."""
-        raise NotImplementedError
-
-    def _check_own(self, quiescent: bool) -> None:
-        """The laws of this kind of run beyond the shared bundle."""
-
-
-@dataclass
-class ShardedRun(BaseRun):
-    """A built (and, after ``execute``, completed) sharded deployment."""
-
-    config: ShardedScenarioConfig
-    router: ShardRouter  #: the static base placement (epoch 0)
-    routing_table: RoutingTable  #: the authoritative epoched view
-    shard_groups: Tuple[Tuple[str, ...], ...]
-    shards: List[List[OARServer]]  #: servers, indexed by shard
-    key_universe: Tuple[str, ...]
-    initial_total: Optional[int]  #: bank only: conserved money supply
-    #: Rebalance coordinators attached to this run (see
-    #: :func:`~repro.sharding.rebalance.attach_rebalancer`).
-    rebalancers: List[Any] = field(default_factory=list)
-
-    @property
-    def servers(self) -> List[OARServer]:
-        """All servers across shards (shard-major order)."""
-        return [server for shard in self.shards for server in shard]
-
-    def correct_servers(self, shard: int) -> List[OARServer]:
-        return [s for s in self.shards[shard] if not s.crashed]
-
-    def latencies(self) -> List[float]:
-        """Client-perceived logical latencies (whole transactions)."""
-        return [adopted.latency for adopted in self.adopted().values()]
-
-    def routed_to(self, shard: int) -> List[str]:
-        """Physical rids (ops and tx branches) routed to one shard."""
-        return [
-            rid for client in self.clients for rid in client.routed_to(shard)
-        ]
-
-    def _groups(self) -> List[CheckedGroup]:
-        placement = self.router.placement(self.key_universe)
-        return [
-            (
-                servers,
-                self.routed_to(shard),
-                lambda s=shard: _make_machine(self.config, placement[s]),
-                shard,
-            )
-            for shard, servers in enumerate(self.shards)
-        ]
-
-    def _check_own(self, quiescent: bool) -> None:
-        """Cross-shard transactions, migrations, splits, money."""
-        trace = self.trace
+        if not oar:
+            checkers.check_replica_convergence(self.servers)
+            return
         checkers.check_cross_shard_atomicity(trace, self.shards, quiescent=quiescent)
         # A coordinator crash strands its migrations without making the
         # run non-quiescent (all_done excludes crashed coordinators), so
@@ -558,6 +545,8 @@ class ShardedRun(BaseRun):
 # ----------------------------------------------------------------------
 
 def _key_universe(config: ShardedScenarioConfig) -> Tuple[str, ...]:
+    if config.workload == "single" and config.machine in SINGLE_GROUP_KEYS:
+        return SINGLE_GROUP_KEYS[config.machine]
     if config.machine == "bank":
         count = config.accounts_per_shard * config.n_shards
         return tuple(f"a{i:03d}" for i in range(count))
@@ -569,13 +558,16 @@ def _make_machine(
 ) -> StateMachine:
     """One shard's replica state machine; ``placed_keys`` is the shard's
     epoch-0 key ownership (migratable machines enforce it and support
-    live migration; keyless machines ignore placement)."""
+    live migration; keyless machines ignore placement).  The single-group
+    mix's machines own every key (``owned=None``), as the paper's one
+    service does: no ownership books, no WrongShard, nothing to migrate."""
+    owned = None if config.workload == "single" else placed_keys
     if config.machine == "kv":
-        return KVStoreMachine(owned=placed_keys)
+        return KVStoreMachine(owned=owned)
     if config.machine == "bank":
         return BankMachine(
             {account: config.initial_balance for account in placed_keys},
-            owned=placed_keys,
+            owned=owned,
         )
     return MACHINE_CLASSES[config.machine]()
 
@@ -604,6 +596,8 @@ def _make_ops(
             # 20% read mix applies (config.read_ratio is the readheavy
             # knob and defaults far too read-heavy for a write stress).
             return hot_key_bank_ops(rng, key_universe, hot_ratio=config.hot_ratio)
+        if config.workload == "single":
+            return bank_ops(rng, key_universe)
         return cross_shard_bank_ops(rng, accounts_by_shard, cross_ratio=0.0)
     if config.workload == "zipf":
         return zipfian_kv_ops(rng, key_universe, s=config.zipf_s)
@@ -618,6 +612,15 @@ def _make_ops(
 
 def _validate(config: ShardedScenarioConfig) -> None:
     """Reject what no backend can build, before any host is touched."""
+    if config.protocol not in PROTOCOLS:
+        raise ValueError(
+            f"unknown protocol: {config.protocol} (choose from {PROTOCOLS})"
+        )
+    if config.protocol != "oar" and config.n_shards != 1:
+        raise ValueError(
+            f"the {config.protocol} baseline replicates one group: it needs "
+            f"n_shards=1, not {config.n_shards}"
+        )
     if config.machine not in SHARDED_MACHINES:
         raise ValueError(
             f"unknown machine kind: {config.machine} "
@@ -744,56 +747,72 @@ def place_sharded_scenario(
     routing_table = RoutingTable(router)
     accounts_by_shard = routing_table.placement(key_universe)
 
+    # One group is the paper's service and names its replicas as the
+    # paper does; N groups prefix each replica with its shard.
     shard_groups = tuple(
-        tuple(f"s{shard}.p{i + 1}" for i in range(config.n_servers))
+        tuple(
+            f"p{i + 1}" if config.n_shards == 1 else f"s{shard}.p{i + 1}"
+            for i in range(config.n_servers)
+        )
         for shard in range(config.n_shards)
     )
 
     detectors: Dict[str, FailureDetector] = {}
     oar_config = resolve_oar(config)
-    shards: List[List[OARServer]] = []
+    baseline = BASELINE_SERVERS.get(config.protocol)
+    shards: List[List[Any]] = []
     for shard, group in enumerate(shard_groups):
-        servers: List[OARServer] = []
+        servers: List[Any] = []
         build_fd = fd_factory(config, group, detectors)
         for pid in group:
             machine = _make_machine(config, accounts_by_shard[shard])
-            server = OARServer(pid, group, machine, build_fd, oar_config)
+            if baseline is None:
+                server: Any = OARServer(pid, group, machine, build_fd, oar_config)
+            else:
+                server = baseline(pid, group, machine, build_fd)
             servers.append(server)
             host.add_process(server)
         shards.append(servers)
 
     machine_cls = MACHINE_CLASSES[config.machine]
-    clients: List[ShardedOARClient] = []
+    clients: List[Any] = []
     for index in range(config.n_clients):
-        # Each client routes by its own (possibly stale) copy of the
-        # table and re-syncs from the authority on WrongShard redirects.
-        client = ShardedOARClient(
-            f"c{index + 1}",
-            shard_groups,
-            routing_table.copy(),
-            key_extractor=machine_cls.keys_of,
-            tx_planner=machine_cls.tx_branches,
-            retry_interval=config.retry_interval,
-            route_authority=routing_table,
-            redirect_delay=config.redirect_delay,
-            max_redirects=config.max_redirects,
-            read_mode=oar_config.read_mode,
-            is_read_only=machine_cls.is_read_only,
-            load_half_life=config.load_half_life,
-            splitter=(
-                machine_cls
-                if issubclass(machine_cls, SplittableMachine)
-                else None
-            ),
-        )
+        if baseline is not None:
+            # Adopt the first reply; only the CT replicas need their
+            # requests R-multicast.
+            client: Any = FirstReplyClient(
+                f"c{index + 1}", shard_groups[0], reliable=config.protocol == "ct"
+            )
+        else:
+            # Each client routes by its own (possibly stale) copy of the
+            # table and re-syncs from the authority on WrongShard redirects.
+            client = ShardedOARClient(
+                f"c{index + 1}",
+                shard_groups,
+                routing_table.copy(),
+                key_extractor=machine_cls.keys_of,
+                tx_planner=machine_cls.tx_branches,
+                retry_interval=config.retry_interval,
+                route_authority=routing_table,
+                redirect_delay=config.redirect_delay,
+                max_redirects=config.max_redirects,
+                read_mode=oar_config.read_mode,
+                is_read_only=machine_cls.is_read_only,
+                load_half_life=config.load_half_life,
+                splitter=(
+                    machine_cls
+                    if issubclass(machine_cls, SplittableMachine)
+                    else None
+                ),
+            )
         clients.append(client)
         host.add_process(client)
 
     initial_total = None
-    if config.machine == "bank" and config.workload != "hotkey":
-        # The hot-key workload's deposits/withdrawals change the money
-        # supply, so the conserved-total checks do not apply there --
-        # check_fragment_conservation covers its split accounts instead.
+    if config.machine == "bank" and config.workload not in ("hotkey", "single"):
+        # The hot-key and single-group mixes' deposits/withdrawals change
+        # the money supply, so the conserved-total checks do not apply
+        # there -- check_fragment_conservation covers split accounts.
         initial_total = config.initial_balance * len(key_universe)
 
     return ShardedRun(

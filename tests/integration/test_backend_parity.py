@@ -5,7 +5,9 @@ What is compared is what the builder decides, not what the schedule
 does with it: pids and their placement order, each shard's replica state
 before any traffic, the routing epoch, and -- from a closed-loop run,
 where the next op is submitted only when the previous one was adopted --
-every client's sequence of submitted rids and ops.
+every client's sequence of submitted rids and ops.  One replication
+group (``n_shards=1``) is placed under the paper's replica names, and a
+baseline protocol's group runs on the real backends as on the simulator.
 """
 
 from typing import Any, Dict, List, Tuple
@@ -14,8 +16,10 @@ import pytest
 
 from repro.runtime.host import AsyncioCluster
 from repro.runtime.scenario import RuntimeScenarioConfig, run_runtime_scenario
+from repro.harness.scenario import ScenarioConfig
 from repro.runtime.tcp import TcpCluster
 from repro.sharding.cluster import (
+    BASELINE_SERVERS,
     ShardedRun,
     ShardedScenarioConfig,
     place_sharded_scenario,
@@ -33,15 +37,16 @@ _HOSTS = {
 }
 
 _SCENARIOS = {
-    "kv": dict(machine="kv", workload="uniform", n_keys=32),
-    "bank": dict(machine="bank", workload="cross", cross_ratio=0.4),
+    "kv": dict(n_shards=2, machine="kv", workload="uniform", n_keys=32),
+    "bank": dict(n_shards=2, machine="bank", workload="cross", cross_ratio=0.4),
+    "one-group-kv": dict(n_shards=1, machine="kv", workload="uniform", n_keys=32),
 }
 
 
-def _config(machine: str) -> ShardedScenarioConfig:
+def _config(scenario: str) -> ShardedScenarioConfig:
     return ShardedScenarioConfig(
-        seed=17, n_shards=2, n_servers=3, n_clients=3, requests_per_client=12,
-        driver="closed", **_SCENARIOS[machine],
+        seed=17, n_servers=3, n_clients=3, requests_per_client=12,
+        driver="closed", **_SCENARIOS[scenario],
     )
 
 
@@ -69,10 +74,13 @@ def _submitted(view: ShardedRun) -> Dict[str, List[Tuple[str, Tuple[Any, ...]]]]
 
 
 @pytest.mark.parametrize("backend", ["asyncio", "tcp"])
-@pytest.mark.parametrize("machine", sorted(_SCENARIOS))
-def test_real_backend_deploys_what_the_simulator_deploys(machine, backend):
-    config = _config(machine)
-    assert _placement(backend, config) == _placement("sim", config)
+@pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
+def test_real_backend_deploys_what_the_simulator_deploys(scenario, backend):
+    config = _config(scenario)
+    placed = _placement(backend, config)
+    assert placed == _placement("sim", config)
+    if config.n_shards == 1:  # one group: the paper's replica names
+        assert placed["shard_groups"] == (("p1", "p2", "p3"),)
 
     reference = run_sharded_scenario(config)
     run = run_runtime_scenario(RuntimeScenarioConfig(scenario=config, backend=backend))
@@ -81,3 +89,19 @@ def test_real_backend_deploys_what_the_simulator_deploys(machine, backend):
     assert submitted == _submitted(reference)
     assert all(len(ops) >= config.requests_per_client for ops in submitted.values())
     assert run.view.routing_table.epoch == reference.routing_table.epoch == 0
+
+
+@pytest.mark.parametrize("backend", ["asyncio", "tcp"])
+@pytest.mark.parametrize("protocol", sorted(BASELINE_SERVERS))
+def test_a_baseline_group_runs_on_the_real_backends_as_on_the_simulator(protocol, backend):
+    config = ScenarioConfig(
+        protocol=protocol, machine="kv", seed=17, n_clients=3, requests_per_client=12
+    )
+    reference = run_sharded_scenario(config)
+    run = run_runtime_scenario(RuntimeScenarioConfig(scenario=config, backend=backend))
+    assert reference.all_done() and run.completed
+    assert run.view.server_pids == reference.server_pids == ["p1", "p2", "p3"]
+    submitted = _submitted(run.view)
+    assert submitted == _submitted(reference)
+    assert all(len(ops) == config.requests_per_client for ops in submitted.values())
+    run.check_all()  # the two ledgers and replica convergence, over sockets

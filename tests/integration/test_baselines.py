@@ -63,7 +63,7 @@ class TestSequencerBaselineFailureFree:
         checkers.check_total_order(run.servers)
         checkers.check_replica_convergence(run.servers)
         assert checkers.count_baseline_inconsistencies(
-            run.trace, run.correct_servers
+            run.trace, run.correct_servers()
         ) == 0
 
     def test_two_phase_latency(self):
@@ -95,8 +95,8 @@ class TestSequencerBaselineCrash:
         )
         assert run.all_done()
         # Survivors still agree among themselves...
-        checkers.check_total_order(run.correct_servers)
-        checkers.check_replica_convergence(run.correct_servers)
+        checkers.check_total_order(run.correct_servers())
+        checkers.check_replica_convergence(run.correct_servers())
 
     def test_anomaly_is_possible_under_crashes(self):
         # Across seeds, sequencer-crash runs must produce client-visible
@@ -112,7 +112,7 @@ class TestSequencerBaselineCrash:
                 make_anomaly_config(seed)
             )
             total += checkers.count_baseline_inconsistencies(
-                run.trace, run.correct_servers
+                run.trace, run.correct_servers()
             )
         assert total >= 1
 
@@ -151,8 +151,8 @@ class TestCTAtomicBroadcast:
             )
         )
         assert run.all_done()
-        checkers.check_total_order(run.correct_servers)
-        checkers.check_replica_convergence(run.correct_servers)
+        checkers.check_total_order(run.correct_servers())
+        checkers.check_replica_convergence(run.correct_servers())
 
     def test_never_inconsistent_even_under_crash(self):
         for seed in range(4):
@@ -170,7 +170,7 @@ class TestCTAtomicBroadcast:
             )
             assert run.all_done()
             assert checkers.count_baseline_inconsistencies(
-                run.trace, run.correct_servers
+                run.trace, run.correct_servers()
             ) == 0
 
 
@@ -207,4 +207,4 @@ class TestPassiveReplication:
             )
         )
         assert run.all_done()
-        checkers.check_replica_convergence(run.correct_servers)
+        checkers.check_replica_convergence(run.correct_servers())

@@ -65,7 +65,7 @@ class TestFigure2:
         and fail for a sixth that p3 never receives (the client adopts
         it from the majority {p1, p2}, so the run is quiescent)."""
         run = run_figure_2()
-        assert run.submitted_rids() == ["c1-0", "c1-1", "c1-2", "c1-3", "c1-4"]
+        assert run.routed_to(0) == ["c1-0", "c1-1", "c1-2", "c1-3", "c1-4"]
         run.check_all()
         run.network.add_interceptor(
             lambda src, dst, payload: not (
@@ -110,7 +110,7 @@ class TestFigure3:
     def test_survivors_agree_on_final_order(self):
         run = run_figure_3()
         orders = {
-            tuple(s.current_order.items) for s in run.correct_servers
+            tuple(s.current_order.items) for s in run.correct_servers()
         }
         assert orders == {(M1, M2, M3, M4)}
 
@@ -157,7 +157,7 @@ class TestFigure4:
     def test_agreed_epoch_order_is_m1_m2_m4_m3(self):
         run = run_figure_4()
         expected = (self.M1, self.M2, self.M4, self.M3)
-        for server in run.correct_servers:
+        for server in run.correct_servers():
             assert tuple(server.settled_order.items)[:4] == expected
 
     def test_clients_adopt_only_consistent_replies(self):
@@ -184,7 +184,7 @@ class TestFigure1:
         adopted = run.adopted()
         assert adopted["c2-0"].value.value == "y"
         assert checkers.count_baseline_inconsistencies(
-            run.trace, run.correct_servers
+            run.trace, run.correct_servers()
         ) == 0
         run.check_all()
 
@@ -194,11 +194,11 @@ class TestFigure1:
         # The client adopted pop -> y from the doomed sequencer...
         assert adopted["c2-0"].value.value == "y"
         # ...but the surviving replicas delivered (push; pop): pop -> x.
-        for server in run.correct_servers:
+        for server in run.correct_servers():
             assert server.delivered_order == ("c1-0", "c2-0")
             assert server.machine.fingerprint() == ("y",)
         assert checkers.count_baseline_inconsistencies(
-            run.trace, run.correct_servers
+            run.trace, run.correct_servers()
         ) == 1
         # The anomaly is external: the survivors themselves converge.
         run.check_all()
@@ -211,7 +211,7 @@ class TestFigure1:
         assert adopted["c2-0"].conservative
         checkers.check_external_consistency(run.trace)
         assert checkers.count_baseline_inconsistencies(
-            run.trace, run.correct_servers
+            run.trace, run.correct_servers()
         ) == 0
         run.check_all()
 
@@ -220,7 +220,7 @@ def run_checks(run, group_size):
     checkers.check_cnsv_order_properties(run.trace, group_size)
     checkers.check_majority_guarantee(run.trace, group_size)
     checkers.check_at_most_once(run.trace, run.servers)
-    checkers.check_total_order(run.correct_servers)
-    checkers.check_replica_convergence(run.correct_servers)
+    checkers.check_total_order(run.correct_servers())
+    checkers.check_replica_convergence(run.correct_servers())
     checkers.check_external_consistency(run.trace)
     run.check_all()

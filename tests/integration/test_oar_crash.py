@@ -33,7 +33,7 @@ class TestSequencerCrash:
 
     def test_epoch_advances_and_sequencer_rotates(self):
         run = run_scenario(crash_config(3, "p1", 10.0, seed=2))
-        survivors = run.correct_servers
+        survivors = run.correct_servers()
         assert all(server.epoch >= 1 for server in survivors)
         assert all(server.current_sequencer != "p1" for server in survivors)
 
@@ -112,6 +112,6 @@ class TestFixedSequencerAblation:
         )
         assert run.all_done()
         run.check_all(at_least_once=False)
-        survivors = run.correct_servers
+        survivors = run.correct_servers()
         assert all(server.current_sequencer == "p1" for server in survivors)
         assert all(server.epoch >= 2 for server in survivors)

@@ -87,6 +87,6 @@ class TestParanoidMode:
         run = run_figure_4()
         # run_figure_4 builds its own servers; re-check their final state
         # explicitly (they were built without paranoid mode).
-        for server in run.correct_servers:
+        for server in run.correct_servers():
             assert isinstance(server, OARServer)
             server.check_invariants()

@@ -64,7 +64,7 @@ class TestRandomizedSchedules:
         # Bank invariant: transfers conserve the total balance; deposits
         # and withdrawals applied identically everywhere (convergence is
         # checked by check_all; here we pin the invariant run-wide).
-        totals = {s.machine.total_balance() for s in run.correct_servers}
+        totals = {s.machine.total_balance() for s in run.correct_servers()}
         assert len(totals) == 1
 
 
@@ -108,7 +108,7 @@ class TestProposition4:
         run = run_with_schedule(seed=104)
         assert run.all_done()
         checkers.check_at_least_once(
-            run.trace, run.correct_servers, run.submitted_rids()
+            run.trace, run.correct_servers(), run.submitted_rids()
         )
 
 

@@ -74,7 +74,7 @@ class TestFailureFreeReads:
         # Conservative mode fans every read out to the whole group.
         assert sum(s.reads_served for s in run.servers) >= 3 * reads
         stats = checkers.check_read_consistency(
-            run.trace, run.servers, KVStoreMachine
+            run.trace, run.servers, KVStoreMachine, shard=0
         )
         assert stats["conservative"] == reads
         assert stats["stale_optimistic"] == 0
@@ -226,3 +226,34 @@ class TestReadCostScaling:
         ordered_3 = makespan(3, "sequencer")
         # More replicas, faster drain; the ordered path is the slowest.
         assert local_7 < local_3 < ordered_3
+
+
+class TestReadCheckerScope:
+    def test_a_checker_told_no_shard_refuses_a_trace_whose_reads_all_name_one(self):
+        # Every read a scenario client adopts names the shard it was
+        # routed to.  Asked for the untagged reads only, the checker used
+        # to find none, report ``reads: 0`` and pass having checked
+        # nothing.
+        run = run_sharded_scenario(
+            ShardedScenarioConfig(
+                n_shards=2,
+                n_clients=2,
+                requests_per_client=30,
+                machine="kv",
+                workload="readheavy",
+                read_ratio=0.85,
+                read_mode="conservative",
+                seed=3,
+            )
+        )
+        adopted = run.trace.count("read_adopt")
+        assert adopted > 0
+        with pytest.raises(ValueError, match=r"names its shard \(tags \[0, 1\]\)"):
+            checkers.check_read_consistency(run.trace, run.shards[0], KVStoreMachine)
+        checked = [
+            checkers.check_read_consistency(
+                run.trace, servers, KVStoreMachine, shard=shard
+            )["reads"]
+            for shard, servers in enumerate(run.shards)
+        ]
+        assert sum(checked) == adopted

@@ -38,7 +38,6 @@ from repro.runtime.scenario import (
 from repro.harness.scenario import ScenarioConfig
 from repro.runtime.tcp import _FLUSH_BYTES, TcpCluster
 from repro.sharding.cluster import (
-    BaseScenarioConfig,
     ShardedScenarioConfig,
     build_sharded_scenario,
     place_sharded_scenario,
@@ -321,38 +320,22 @@ def test_knob_budget():
         "trace",
     }
 
-    # The sim scenarios' surface: every shared knob is declared once, in
-    # the base; a config adds only what is its own and restates a base
-    # field only where its default differs.
-    base = {field.name for field in fields(BaseScenarioConfig)}
-    assert len(base) == 35
-    assert {field.name for field in fields(ScenarioConfig)} - base == {"protocol"}
-    assert {field.name for field in fields(ShardedScenarioConfig)} - base == {
-        "n_shards",
-        "router",
-        "workload",
-        "cross_ratio",
-        "hot_ratio",
-        "accounts_per_shard",
-        "initial_balance",
-        "load_half_life",
-        "redirect_delay",
-        "max_redirects",
+    # The sim scenarios' surface: one config dataclass, every knob
+    # declared once.  One replication group is not a second type:
+    # ScenarioConfig only fills that case's defaults in.
+    assert {field.name for field in fields(ShardedScenarioConfig)} == {
+        "n_shards", "n_servers", "n_clients", "requests_per_client", "machine", "seed",
+        "protocol", "router", "latency", "fd_kind", "fd_interval", "fd_timeout", "oar",
+        "read_mode", "exec_cost", "exec_lanes", "workload", "read_ratio", "n_keys",
+        "zipf_s", "cross_ratio", "hot_ratio", "accounts_per_shard", "initial_balance",
+        "driver", "open_rate", "think_time", "driver_start_at", "arrival", "n_sessions",
+        "client_rate", "measure_from", "admission_limit", "read_queue_limit",
+        "retry_interval", "load_half_life", "redirect_delay", "max_redirects",
+        "fault_schedule", "faults", "arm", "horizon", "max_events", "grace",
+        "trace_messages", "trace_level",
     }
-    assert base & set(vars(ScenarioConfig).get("__annotations__", {})) == set()
-    restated = base & set(vars(ShardedScenarioConfig)["__annotations__"])
-    assert restated == {
-        "n_clients",
-        "machine",
-        "read_ratio",
-        "n_keys",
-        "horizon",
-        "max_events",
-    }
-    defaults = {field.name: field.default for field in fields(BaseScenarioConfig)}
-    for field in fields(ShardedScenarioConfig):
-        if field.name in restated:
-            assert field.default != defaults[field.name], field.name
+    assert len(fields(ShardedScenarioConfig)) == 46
+    assert type(ScenarioConfig()) is ShardedScenarioConfig
 
 
 def test_one_way_to_wait_for_an_adoption():

@@ -49,7 +49,7 @@ class TestLargeGroups:
         )
         assert run.all_done()
         run.check_all(strict=False)
-        assert len(run.correct_servers) == 6
+        assert len(run.correct_servers()) == 6
 
     def test_majority_weight_scales(self):
         # n=9: majority weight is 5; a single opt reply (weight 2) can

@@ -261,7 +261,7 @@ class TestOrderCostPipeline:
         )
         assert run.all_done()
         run.check_all(strict=False)
-        assert all(server.epoch >= 1 for server in run.correct_servers)
+        assert all(server.epoch >= 1 for server in run.correct_servers())
 
     def test_non_quiescent_run_checks_safety_only(self):
         # Cut a cross-shard run off mid-flight: check_all must not flag

@@ -149,7 +149,7 @@ def test_figure4_undo_fences_lanes(exec_cost, expect_cancelled):
     p2 = run.server("p2")
     assert run.opt_undelivered("p2") == ("c2-1", "c1-1")  # reverse order
     assert p2.engine.cancelled_in_flight == expect_cancelled
-    for server in run.correct_servers:
+    for server in run.correct_servers():
         assert tuple(server.settled_order.items)[:4] == (
             "c1-0", "c2-0", "c2-1", "c1-1",
         )
@@ -157,7 +157,7 @@ def test_figure4_undo_fences_lanes(exec_cost, expect_cancelled):
         assert server.engine.idle
     checkers.check_external_consistency(run.trace)
     checkers.check_cnsv_order_properties(run.trace, 4)
-    checkers.check_replica_convergence(run.correct_servers)
+    checkers.check_replica_convergence(run.correct_servers())
 
 
 @given(

@@ -27,6 +27,22 @@ class TestScenarioConfig:
         with pytest.raises(ValueError, match="unknown protocol"):
             build_scenario(ScenarioConfig(protocol="carrier-pigeon"))
 
+    def test_a_baseline_replicates_one_group_only(self):
+        with pytest.raises(ValueError, match="sequencer baseline replicates one group"):
+            build_scenario(ScenarioConfig(protocol="sequencer", n_shards=2))
+
+    def test_one_group_is_the_one_shard_case_of_the_one_builder(self):
+        assert run_scenario is run_sharded_scenario
+        config = ScenarioConfig(machine="kv")
+        assert type(config) is ShardedScenarioConfig
+        assert (config.n_shards, config.n_clients, config.workload) == (1, 1, "single")
+        assert ScenarioConfig(machine="kv", read_ratio=0.5).workload == "readheavy"
+        assert ScenarioConfig(machine="bank", read_ratio=0.5).workload == "single"
+        # One group keeps the paper's replica names; N groups prefix them.
+        assert build_scenario(config).server_pids == ["p1", "p2", "p3"]
+        sharded = build_scenario(config.with_changes(n_shards=2, workload="uniform"))
+        assert sharded.server_pids[:2] == ["s0.p1", "s0.p2"]
+
     def test_unknown_machine_rejected(self):
         with pytest.raises(ValueError, match="unknown machine"):
             build_scenario(ScenarioConfig(machine="turing"))

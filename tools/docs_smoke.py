@@ -4,9 +4,15 @@ Scans ``README.md`` and every markdown file under ``docs/`` and fails
 (nonzero exit) unless:
 
 * every fenced ```python code block executes cleanly in a fresh
-  subprocess (repo root as cwd, ``src/`` on ``PYTHONPATH``), and
+  subprocess (repo root as cwd, ``src/`` on ``PYTHONPATH``),
 * every intra-repo markdown link ``[text](target)`` resolves to an
-  existing file or directory.
+  existing file or directory, and
+* every repo path written in backticks outside a fence -- a path with a
+  directory part ending in ``.py``, ``.md``, ``.json``, ``.yml`` or
+  ``.toml``, alone or inside a command -- names an existing file under
+  the repo root, ``src/`` or ``src/repro/`` (docs write
+  ``sharding/cluster.py`` for ``src/repro/sharding/cluster.py``).  A
+  bare filename is skipped: the text around it names its directory.
 
 External links (http/https/mailto) and pure-anchor links are skipped;
 a ``#fragment`` suffix on a repo path is stripped before resolving.
@@ -27,6 +33,10 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 # [text](target) -- skip images' extra ! is harmless (same syntax).
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+# `...` spans may wrap a line; fenced blocks are blanked out first.
+CODE_SPAN_RE = re.compile(r"`([^`]+)`")
+REPO_PATH_RE = re.compile(r"(?<![\w./-])((?:[\w.-]+/)+[\w.-]+\.(?:py|md|json|yml|toml))\b")
+PATH_ROOTS = ("", "src", os.path.join("src", "repro"))
 SNIPPET_TIMEOUT = 120  # seconds per snippet
 
 
@@ -95,10 +105,38 @@ def check_links(path):
     return broken
 
 
+def backticked_paths(path):
+    """Yield (lineno, repo path) for every path written in backticks."""
+    with open(path, encoding="utf-8") as handle:
+        lines = handle.read().split("\n")
+    prose, fenced = [], False
+    for line in lines:  # blank out fences, keep the line numbers
+        if FENCE_RE.match(line.strip()):
+            fenced = not fenced
+            line = ""
+        prose.append("" if fenced else line)
+    text = "\n".join(prose)
+    for span in CODE_SPAN_RE.finditer(text):
+        for match in REPO_PATH_RE.finditer(span.group(1)):
+            lineno = text.count("\n", 0, span.start(1) + match.start()) + 1
+            yield lineno, match.group(1)
+
+
+def check_paths(path):
+    """Return (paths checked, [(lineno, path)] that name no file)."""
+    checked, unresolved = 0, []
+    for lineno, target in backticked_paths(path):
+        checked += 1
+        if not any(os.path.isfile(os.path.join(REPO, root, target)) for root in PATH_ROOTS):
+            unresolved.append((lineno, target))
+    return checked, unresolved
+
+
 def main():
     failures = 0
     snippets_run = 0
     links_checked = 0
+    paths_checked = 0
     for path in doc_files():
         rel = os.path.relpath(path, REPO)
         if not os.path.exists(path):
@@ -109,6 +147,11 @@ def main():
             print(f"FAIL {rel}:{lineno}: broken link -> {target}")
             failures += 1
         links_checked += 1
+        checked, unresolved = check_paths(path)
+        paths_checked += checked
+        for lineno, target in unresolved:
+            print(f"FAIL {rel}:{lineno}: no such repo path -> {target}")
+            failures += 1
         for start, source in python_snippets(path):
             snippets_run += 1
             try:
@@ -124,7 +167,8 @@ def main():
             else:
                 print(f"ok   {rel}:{start}: snippet ran")
     print(f"docs-smoke: {snippets_run} snippet(s) executed, "
-          f"{links_checked} file(s) link-checked, {failures} failure(s)")
+          f"{links_checked} file(s) link-checked, {paths_checked} backticked "
+          f"repo path(s) checked, {failures} failure(s)")
     return 1 if failures else 0
 
 
