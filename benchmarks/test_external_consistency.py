@@ -17,7 +17,7 @@ import pytest
 from repro.analysis import checkers
 from repro.broadcast.sequencer import OrderMsg
 from repro.core.messages import SeqOrder
-from repro.faults import crash_during_multicast
+from repro.faults import CrashDuringMulticast
 from repro.harness import ScenarioConfig, Table, run_scenario, write_result
 from repro.sim.latency import UniformLatency
 
@@ -41,9 +41,7 @@ def arm_for(protocol: str, n_servers: int):
             counter["n"] += 1
             return counter["n"] > threshold
 
-        crash_during_multicast(
-            run.network, "p1", match, deliver_to=set(), crash=True
-        )
+        CrashDuringMulticast(run.network, "p1", match, deliver_to=set())
 
     return arm
 

@@ -25,9 +25,9 @@ from repro.core.client import OARClient
 from repro.core.messages import SeqOrder
 from repro.core.server import OARConfig, OARServer
 from repro.failure.detector import ScriptedFailureDetector
+from repro.faults import FaultSchedule
 from repro.harness import Table, write_result
 from repro.harness.scenario import ScenarioConfig, run_scenario
-from repro.sim.faultplane import install_uniform_faults
 from repro.sim.latency import ConstantLatency
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
@@ -56,11 +56,9 @@ def run_lossy(drop: float, duplicate: float, seed: int = 0):
     is the optimistic path's job -- retransmission for requests and
     replies, the sync tick for ordering messages.
     """
-    faults = None
+    schedule = None
     if drop > 0.0 or duplicate > 0.0:
-        faults = lambda net: install_uniform_faults(
-            net, drop=drop, duplicate=duplicate
-        )
+        schedule = FaultSchedule().links(drop=drop, duplicate=duplicate)
     run = run_scenario(
         ScenarioConfig(
             protocol="oar",
@@ -71,7 +69,7 @@ def run_lossy(drop: float, duplicate: float, seed: int = 0):
             fd_kind="scripted",
             retry_interval=RETRY_INTERVAL,
             oar=OARConfig(sync_interval=SYNC_INTERVAL),
-            faults=faults,
+            fault_schedule=schedule,
             grace=100.0,
             horizon=50_000.0,
             seed=seed,
@@ -133,7 +131,7 @@ class TestB15FaultTolerance:
                 fd_kind="scripted",
                 retry_interval=RETRY_INTERVAL,
                 oar=OARConfig(sync_interval=SYNC_INTERVAL),
-                faults=lambda net: install_uniform_faults(net, corrupt=0.04),
+                fault_schedule=FaultSchedule().links(corrupt=0.04),
                 grace=100.0,
                 horizon=50_000.0,
                 seed=2,

@@ -56,8 +56,7 @@ def run_cell(rate: float, limit, seed: int = SEED):
         open_rate=rate,
         n_sessions=50,
         measure_from=WARMUP,
-        oar=OARConfig(order_cost=ORDER_COST),
-        admission_limit=limit,
+        oar=OARConfig(order_cost=ORDER_COST, admission_limit=limit),
         horizon=50_000.0,
         grace=100.0,
     )

@@ -19,7 +19,7 @@ import pytest
 
 from repro.core.messages import SeqOrder
 from repro.core.server import OARConfig
-from repro.faults import FaultSchedule, crash_during_multicast
+from repro.faults import FaultSchedule
 from repro.harness import ScenarioConfig, Table, run_scenario, write_result
 from repro.sim.latency import UniformLatency
 
@@ -32,23 +32,19 @@ SEEDS = range(8)
 def make_config(condition: str, seed: int) -> ScenarioConfig:
     collect = "unsuspected" if condition == "partial+isolated" else "majority"
     schedule = FaultSchedule()
-    arm = None
 
     if condition == "crash":
         schedule.crash(8.0, "p1")
     else:
-        def arm(run) -> None:
-            counter = {"n": 0}
+        counter = {"n": 0}
 
-            def match(payload) -> bool:
-                if not isinstance(payload, SeqOrder):
-                    return False
-                counter["n"] += 1
-                return counter["n"] > 2 * 3  # lose the 3rd ordering multicast
+        def match(payload) -> bool:
+            if not isinstance(payload, SeqOrder):
+                return False
+            counter["n"] += 1
+            return counter["n"] > 2 * 3  # lose the 3rd ordering multicast
 
-            crash_during_multicast(
-                run.network, "p1", match, deliver_to={"p2"}, crash=True
-            )
+        schedule.crash_during_multicast("p1", match, deliver_to={"p2"})
 
     if condition == "partial+isolated":
         # The isolation starts well after the partial multicast (~t=9)
@@ -78,7 +74,6 @@ def make_config(condition: str, seed: int) -> ScenarioConfig:
         fd_interval=1.5,
         fd_timeout=5.0,
         fault_schedule=schedule,
-        arm=arm,
         grace=300.0,
         horizon=3_000.0,
         seed=seed,

@@ -1156,6 +1156,7 @@ _LEDGER: Dict[str, Tuple[Tuple[str, str, str, Optional[Callable[[TraceEvent], in
         ("plane", "held", "msg_held", None),
         ("plane", "rewritten", "msg_rewrite", None),
         ("plane", "released", "heal_storm", lambda event: event["released"]),
+        ("plane", "partition_released", "heal", lambda event: event["released"]),
         ("network", "corrupt_dropped", "msg_corrupt_drop", None),
     ),
     "admission accounting": (
@@ -1228,7 +1229,7 @@ def check_fault_plane_accounting(trace: TraceLog, network: Any) -> Dict[str, int
       -- the golden-run guarantee that it is byte-identical to the
       benign network.
     * **Held conservation** -- held messages are exactly the released
-      ones plus the still-held ones.
+      ones plus the still-held ones, one-way and partition holds alike.
     * **Nothing applied corrupt** -- every corrupted payload was either
       detected-and-dropped at delivery (``msg_corrupt_drop``), is still
       held (one-way block or partition) or was still in flight when the
@@ -1256,20 +1257,20 @@ def check_fault_plane_accounting(trace: TraceLog, network: Any) -> Dict[str, int
         corrupted = undelivered_corrupt = 0
     else:
         stats = plane.stats()
-        if stats["held"] != stats["released"] + stats["pending_held"]:
-            raise CheckFailure(
-                f"fault accounting: held={stats['held']} != "
-                f"released={stats['released']} + pending={stats['pending_held']}"
-            )
+        for held, released, pending in (
+            ("held", "released", "pending_held"),
+            ("partition_held", "partition_released", "pending_partition_held"),
+        ):
+            if stats[held] != stats[released] + stats[pending]:
+                raise CheckFailure(
+                    f"fault accounting: {held}={stats[held]} != "
+                    f"{released}={stats[released]} + {pending}={stats[pending]}"
+                )
         corrupted = stats["corrupted"]
         undelivered_corrupt = sum(
             envelope.checksum is not None
             and network._wire_checksum(envelope.payload) != envelope.checksum
-            for envelopes in (
-                plane.held_envelopes(),
-                network._held,
-                network.in_flight_checksummed(),
-            )
+            for envelopes in (plane.held_envelopes(), network.in_flight_checksummed())
             for envelope in envelopes
         )
     if corrupted != corrupt_dropped + undelivered_corrupt:

@@ -1,11 +1,11 @@
 """Fault-injection scripting for scenario-exact and randomized runs.
 
-* :func:`~repro.faults.injection.crash_during_multicast` -- the surgical
+* :class:`~repro.faults.injection.CrashDuringMulticast` -- the surgical
   tool behind Figures 1(b), 3 and 4: crash a process *while* it multicasts
   a particular message so that only a chosen subset of destinations
   receives it.
-* :class:`~repro.faults.injection.FaultSchedule` -- a declarative list of
-  timed crash/partition/heal/suspect actions, applied to a simulation.
+* :class:`~repro.faults.injection.FaultSchedule` -- a scenario's one fault
+  description: standing link rules and timed crash/partition/... actions.
 * :func:`~repro.faults.injection.random_fault_schedule` -- seeded random
   schedules for soak and property testing.
 """
@@ -14,7 +14,6 @@ from repro.faults.injection import (
     CrashDuringMulticast,
     FaultAction,
     FaultSchedule,
-    crash_during_multicast,
     random_fault_schedule,
 )
 
@@ -22,6 +21,5 @@ __all__ = [
     "CrashDuringMulticast",
     "FaultAction",
     "FaultSchedule",
-    "crash_during_multicast",
     "random_fault_schedule",
 ]

@@ -1,20 +1,23 @@
 """Fault-injection primitives over the simulated network.
 
-The key scenario tool is :func:`crash_during_multicast`: the paper's
+The key scenario tool is :class:`CrashDuringMulticast`: the paper's
 interesting runs all hinge on a process crashing *partway through* a
 multicast -- the sequencer's ordering message reaching only some replicas
 (Figures 3, 4) or nobody (Figure 1(b)).  A multicast in this codebase is a
 plain loop of sends (see :meth:`repro.sim.process.ProcessEnv.send_to_all`),
-so an interceptor can deliver the message to a chosen subset and then
-crash the sender the instant the handler finishes.
+so a fault-plane drop rule can deliver the message to a chosen subset and
+then crash the sender the instant the handler finishes.  A scenario
+declares it, like every other fault, in its :class:`FaultSchedule`.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Set
 
+from repro.sim.faultplane import LinkFaultPolicy
 from repro.sim.network import SimNetwork
 
 #: Predicate over message payloads selecting the multicast to disrupt.
@@ -22,7 +25,7 @@ PayloadMatch = Callable[[Any], bool]
 
 
 class CrashDuringMulticast:
-    """Interceptor: crash ``sender`` mid-multicast of a matching message.
+    """Drop rule: crash ``sender`` mid-multicast of a matching message.
 
     Once armed, the first send from ``sender`` whose payload satisfies
     ``match`` triggers: sends of that payload to destinations outside
@@ -37,43 +40,24 @@ class CrashDuringMulticast:
         sender: str,
         match: PayloadMatch,
         deliver_to: Iterable[str],
-        crash: bool = True,
     ) -> None:
         self.network = network
         self.sender = sender
         self.match = match
         self.deliver_to: Set[str] = set(deliver_to)
-        self.crash = crash
         self.triggered_at: Optional[float] = None
-        self._armed = True
-        network.add_interceptor(self)
+        network.ensure_fault_plane().add_drop_rule(self)
 
     def __call__(self, src: str, dst: str, payload: Any) -> bool:
-        if not self._armed or src != self.sender or not self.match(payload):
-            return True
+        # A crashed sender sends nothing: once it is gone, no call here.
+        if src != self.sender or not self.match(payload):
+            return False
         if self.triggered_at is None:
             self.triggered_at = self.network.sim.now
-            if self.crash:
-                # After the multicast loop finishes (same instant, later
-                # event), the sender is gone.
-                self.network.sim.call_soon(self._finish)
-        return dst in self.deliver_to
-
-    def _finish(self) -> None:
-        self._armed = False
-        if self.crash:
-            self.network.crash(self.sender)
-
-
-def crash_during_multicast(
-    network: SimNetwork,
-    sender: str,
-    match: PayloadMatch,
-    deliver_to: Iterable[str],
-    crash: bool = True,
-) -> CrashDuringMulticast:
-    """Arm a :class:`CrashDuringMulticast` interceptor and return it."""
-    return CrashDuringMulticast(network, sender, match, deliver_to, crash)
+            # After the multicast loop finishes (same instant, later
+            # event), the sender is gone.
+            self.network.sim.call_soon(partial(self.network.crash, self.sender))
+        return dst not in self.deliver_to
 
 
 @dataclass(frozen=True)
@@ -98,9 +82,11 @@ class FaultAction:
 
 @dataclass
 class FaultSchedule:
-    """A declarative, reproducible schedule of fault events."""
+    """Every fault of a run: standing rules (:meth:`install`) and timed actions (:meth:`apply`)."""
 
     actions: List[FaultAction] = field(default_factory=list)
+    #: Standing rules, in the order added: each installs itself on a network.
+    rules: List[Callable[[SimNetwork], Any]] = field(default_factory=list)
 
     def crash(self, time: float, pid: str) -> "FaultSchedule":
         """Add a crash of ``pid`` at ``time``; returns self for chaining."""
@@ -148,8 +134,41 @@ class FaultSchedule:
         self.actions.append(FaultAction(time, "unsuspect", pid))
         return self
 
+    def links(
+        self, src: str = "*", dst: str = "*", kind: str = "*", **probabilities: float
+    ) -> "FaultSchedule":
+        """Add a standing rule: ``src -> dst`` messages of payload kind
+        ``kind`` (each ``"*"`` or exact) roll ``LinkFaultPolicy(**probabilities)``;
+        the first added matching rule wins."""
+        policy = LinkFaultPolicy(**probabilities)
+        self.rules.append(lambda net: net.ensure_fault_plane().add_policy(policy, src, dst, kind))
+        return self
+
+    def crash_during_multicast(
+        self, sender: str, match: PayloadMatch, deliver_to: Iterable[str]
+    ) -> "FaultSchedule":
+        """Add a standing :class:`CrashDuringMulticast` rule."""
+        deliver_to = frozenset(deliver_to)  # the rule may be installed on many runs
+        self.rules.append(lambda net: CrashDuringMulticast(net, sender, match, deliver_to))
+        return self
+
+    def install(self, network: SimNetwork) -> None:
+        """Install the standing rules; call before any process starts."""
+        for rule in self.rules:
+            rule(network)
+
     def apply(self, network: SimNetwork, detectors: Sequence[Any] = ()) -> None:
-        """Schedule every action on the network's simulator."""
+        """Schedule every timed action on the network's simulator.
+
+        ``ValueError`` first if an action has an unknown kind or names a
+        pid (``"*"`` aside) the network lacks: it would do nothing.
+        """
+        known = set(network.pids)
+        for action in self.actions:
+            unknown = sorted(set(_named_pids(action)) - known)
+            if unknown:
+                raise ValueError(f"fault action {action.kind!r} at t={action.time} names "
+                                 f"{unknown}, which this deployment lacks; it has {sorted(known)}")
         for action in self.actions:
             network.sim.schedule_at(
                 action.time, _make_action(network, detectors, action)
@@ -160,6 +179,18 @@ class FaultSchedule:
         return [a.time for a in self.actions if a.kind == "crash"]
 
 
+def _named_pids(action: FaultAction) -> List[str]:
+    """The pids ``action`` names; ``ValueError`` for an unknown kind."""
+    kind, target = action.kind, action.target
+    if kind in ("crash", "suspect", "unsuspect"):
+        return [target]
+    if kind in ("partition", "oneway"):  # groups / (src, dst) pairs
+        return [pid for group in target for pid in group if pid != "*"]
+    if kind in ("heal", "heal_oneway"):
+        return []
+    raise ValueError(f"unknown fault action: {kind}")
+
+
 def _make_action(
     network: SimNetwork, detectors: Sequence[Any], action: FaultAction
 ) -> Callable[[], None]:
@@ -167,11 +198,12 @@ def _make_action(
         if action.kind == "crash":
             network.crash(action.target)
         elif action.kind == "partition":
-            network.set_partition(action.target)
+            network.ensure_fault_plane().partition(action.target)
         elif action.kind == "heal":
-            network.heal()
+            network.ensure_fault_plane().heal_partition()
         elif action.kind == "oneway":
-            network.ensure_fault_plane().block_links(action.target)
+            for src, dst in action.target:
+                network.ensure_fault_plane().block(src, dst)
         elif action.kind == "heal_oneway":
             network.ensure_fault_plane().heal()
         elif action.kind == "suspect":

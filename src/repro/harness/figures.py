@@ -39,7 +39,7 @@ from typing import Any, Optional
 from repro.broadcast.sequencer import OrderMsg
 from repro.core.messages import SeqOrder
 from repro.core.server import OARConfig
-from repro.faults.injection import crash_during_multicast
+from repro.faults.injection import FaultSchedule
 from repro.harness.scenario import ScenarioConfig, build_scenario
 from repro.sharding.cluster import ShardedRun
 from repro.sim.latency import ConstantLatency, PerLinkLatency
@@ -88,26 +88,24 @@ def run_figure_3(seed: int = 0) -> ShardedRun:
     The majority {p1, p2} Opt-delivered m3 before m4, so Cnsv-order
     returns Bad = ε everywhere; p3 A-delivers {m3;m4}.
     """
-    run = _scripted(
-        n_servers=3,
-        n_clients=1,
-        seed=seed,
-        oar=OARConfig(batch_interval=2.0, consensus_collect="majority"),
-    )
-    client = run.clients[0]
-    run.sim.schedule_at(0.2, lambda: client.submit(("incr",)))  # m1
-    run.sim.schedule_at(0.3, lambda: client.submit(("incr",)))  # m2
-    run.sim.schedule_at(2.2, lambda: client.submit(("incr",)))  # m3
-    run.sim.schedule_at(2.3, lambda: client.submit(("incr",)))  # m4
 
     def is_second_batch(payload: Any) -> bool:
         return isinstance(payload, SeqOrder) and len(payload.rids) == 2 and (
             payload.rids[0].endswith("-2")
         )
 
-    crash_during_multicast(
-        run.network, "p1", is_second_batch, deliver_to={"p2"}, crash=True
+    run = _scripted(
+        n_servers=3,
+        n_clients=1,
+        seed=seed,
+        oar=OARConfig(batch_interval=2.0, consensus_collect="majority"),
+        fault_schedule=FaultSchedule().crash_during_multicast("p1", is_second_batch, {"p2"}),
     )
+    client = run.clients[0]
+    run.sim.schedule_at(0.2, lambda: client.submit(("incr",)))  # m1
+    run.sim.schedule_at(0.3, lambda: client.submit(("incr",)))  # m2
+    run.sim.schedule_at(2.2, lambda: client.submit(("incr",)))  # m3
+    run.sim.schedule_at(2.3, lambda: client.submit(("incr",)))  # m4
 
     def suspect_p1() -> None:
         for pid in ("p2", "p3"):
@@ -138,6 +136,12 @@ def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> ShardedRu
     latency = PerLinkLatency(
         ConstantLatency(1.0), {("c1", "p3"): ConstantLatency(3.0)}
     )
+
+    def is_second_batch(payload: Any) -> bool:
+        return isinstance(payload, SeqOrder) and len(payload.rids) == 2 and (
+            "c1-1" in payload.rids
+        )
+
     run = _scripted(
         n_servers=4,
         n_clients=2,
@@ -148,6 +152,7 @@ def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> ShardedRu
             batch_interval=2.0,
             consensus_collect="unsuspected",
         ),
+        fault_schedule=FaultSchedule().crash_during_multicast("p1", is_second_batch, {"p2"}),
     )
     c1, c2 = run.clients
     run.sim.schedule_at(0.20, lambda: c1.submit(("incr",)))  # m1
@@ -155,17 +160,8 @@ def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> ShardedRu
     run.sim.schedule_at(2.20, lambda: c1.submit(("incr",)))  # m3
     run.sim.schedule_at(2.25, lambda: c2.submit(("incr",)))  # m4
 
-    def is_second_batch(payload: Any) -> bool:
-        return isinstance(payload, SeqOrder) and len(payload.rids) == 2 and (
-            "c1-1" in payload.rids
-        )
-
-    crash_during_multicast(
-        run.network, "p1", is_second_batch, deliver_to={"p2"}, crash=True
-    )
-
     def isolate_minority() -> None:
-        run.network.set_partition([
+        run.network.fault_plane.partition([
             ["p1", "p2"],
             ["p3", "p4", "c1", "c2"],
         ])
@@ -176,7 +172,7 @@ def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> ShardedRu
         run.detectors["p2"].force_suspect("p1")
 
     run.sim.schedule_at(8.0, isolate_minority)
-    run.sim.schedule_at(40.0, run.network.heal)
+    run.sim.schedule_at(40.0, run.network.fault_plane.heal_partition)
     run.sim.run(until=120.0, max_events=400_000)
     return run
 
@@ -221,18 +217,16 @@ def run_figure_1b(seed: int = 0) -> ShardedRun:
     latency = PerLinkLatency(
         ConstantLatency(1.0), {("c2", "p2"): ConstantLatency(2.5)}
     )
-    run = _stack_y(protocol="sequencer", seed=seed, latency=latency)
-    c1, c2 = run.clients
     pop_rid = "c2-0"
-    run.sim.schedule_at(0.10, lambda: c2.submit(("pop",)))
-    run.sim.schedule_at(0.30, lambda: c1.submit(("push", "x")))
 
     def is_pop_order(payload: Any) -> bool:
         return isinstance(payload, OrderMsg) and payload.rid == pop_rid
 
-    crash_during_multicast(
-        run.network, "p1", is_pop_order, deliver_to=set(), crash=True
-    )
+    lost_order = FaultSchedule().crash_during_multicast("p1", is_pop_order, ())
+    run = _stack_y(protocol="sequencer", seed=seed, latency=latency, fault_schedule=lost_order)
+    c1, c2 = run.clients
+    run.sim.schedule_at(0.10, lambda: c2.submit(("pop",)))
+    run.sim.schedule_at(0.30, lambda: c1.submit(("push", "x")))
 
     def suspect_p1() -> None:
         for pid in ("p2", "p3"):
@@ -255,18 +249,16 @@ def run_figure_1b_with_oar(seed: int = 0) -> ShardedRun:
     latency = PerLinkLatency(
         ConstantLatency(1.0), {("c2", "p2"): ConstantLatency(2.5)}
     )
-    run = _stack_y(seed=seed, latency=latency)
-    c1, c2 = run.clients
     pop_rid = "c2-0"
-    run.sim.schedule_at(0.10, lambda: c2.submit(("pop",)))
-    run.sim.schedule_at(0.30, lambda: c1.submit(("push", "x")))
 
     def is_pop_order(payload: Any) -> bool:
         return isinstance(payload, SeqOrder) and pop_rid in payload.rids
 
-    crash_during_multicast(
-        run.network, "p1", is_pop_order, deliver_to=set(), crash=True
-    )
+    lost_order = FaultSchedule().crash_during_multicast("p1", is_pop_order, ())
+    run = _stack_y(seed=seed, latency=latency, fault_schedule=lost_order)
+    c1, c2 = run.clients
+    run.sim.schedule_at(0.10, lambda: c2.submit(("pop",)))
+    run.sim.schedule_at(0.30, lambda: c1.submit(("push", "x")))
 
     def suspect_p1() -> None:
         for pid in ("p2", "p3"):

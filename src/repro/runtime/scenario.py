@@ -193,9 +193,9 @@ def _wall_clock_scenario(config: RuntimeScenarioConfig) -> ShardedScenarioConfig
             "runtime scenarios support the closed/open drivers "
             "(the session driver is sim-only)"
         )
-    if scenario.faults is not None or scenario.fault_schedule is not None:
+    if scenario.fault_schedule is not None:
         raise ValueError(
-            "link-fault injection is sim-only; runtime runs exercise "
+            "fault schedules are sim-only; runtime runs exercise "
             "real sockets (crash processes via cluster.crash instead)"
         )
     if scenario.arm is not None:

@@ -217,10 +217,6 @@ class ShardedScenarioConfig:
     n_sessions: int = 64
     client_rate: Optional[float] = None
     measure_from: float = 0.0
-    #: Admission-control overrides: None defers to the ``oar`` config
-    #: (default: disabled; see ``OARConfig.admission_limit``).
-    admission_limit: Optional[int] = None
-    read_queue_limit: Optional[int] = None
     #: Client retransmission pacing (lost replies / crashed read
     #: targets); None disables retransmission.
     retry_interval: Optional[float] = None
@@ -237,16 +233,12 @@ class ShardedScenarioConfig:
     #: error is surfaced as a terminal adoption.
     max_redirects: int = 100
 
+    #: Every fault of the run: standing rules (installed before any
+    #: process starts) and timed actions (applied by ``execute``).
     fault_schedule: Optional[FaultSchedule] = None
 
-    #: Link-fault-plane installer; called with the built
-    #: :class:`~repro.sim.network.SimNetwork` right after construction
-    #: (e.g. ``lambda net: install_uniform_faults(net, drop=0.05)``).
-    faults: Optional[Callable[[SimNetwork], None]] = None
-
-    #: Hook for surgical fault injection; called with the built run
-    #: before the simulation starts (e.g. to arm a crash-during-multicast
-    #: interceptor).
+    #: Called with the built run before the simulation starts (e.g. to
+    #: attach a rebalancer and schedule its work).
     arm: Optional[Callable[["ShardedRun"], None]] = None
 
     #: Simulated-time and event budget.
@@ -274,13 +266,7 @@ def resolve_oar(config: ShardedScenarioConfig) -> OARConfig:
     """
     overrides = {
         name: value
-        for name in (
-            "read_mode",
-            "exec_cost",
-            "exec_lanes",
-            "admission_limit",
-            "read_queue_limit",
-        )
+        for name in ("read_mode", "exec_cost", "exec_lanes")
         if (value := getattr(config, name)) is not None
     }
     return replace(config.oar, **overrides) if overrides else config.oar
@@ -872,8 +858,8 @@ def sim_network(config: Any) -> SimNetwork:
         trace_messages=config.trace_messages,
         trace_level=config.trace_level,
     )
-    if config.faults is not None:
-        config.faults(network)
+    if config.fault_schedule is not None:
+        config.fault_schedule.install(network)
     return network
 
 

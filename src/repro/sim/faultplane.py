@@ -1,16 +1,20 @@
-"""Composable per-link fault plane for :class:`~repro.sim.network.SimNetwork`.
+"""Composable fault plane for :class:`~repro.sim.network.SimNetwork`.
 
 The base network implements the paper's benign model: reliable FIFO
-channels where partitions *delay* rather than drop.  Everything beyond
-crash-stop -- probabilistic loss, duplication, reorder/jitter, payload
-corruption, asymmetric (one-way) partitions, heal storms -- lives here,
-behind a single hook in ``SimNetwork.transmit``.  A network without a
-plane installed pays nothing (one attribute check per send) and behaves
+channels and crash-stop.  Every other fault -- scripted drops, partitions
+that *delay* messages, probabilistic loss, duplication, reorder/jitter,
+payload corruption, asymmetric (one-way) partitions, heal storms -- lives
+here, behind a single hook in ``SimNetwork.transmit``.  A network without
+a plane installed pays nothing (one attribute check per send) and behaves
 byte-identically to the benign model.
 
 Composition model
 -----------------
 
+* **Drop rules** suppress a send before anything else sees it (the
+  scripted :class:`~repro.faults.injection.CrashDuringMulticast`).
+* **Partitions** hold every message between two groups until
+  :meth:`FaultPlane.heal_partition` releases it behind the FIFO floor.
 * **Policies** (:class:`LinkFaultPolicy`) are matched per message by
   ``(src, dst, payload-kind)`` patterns, first match wins; ``"*"``
   matches anything.  The payload kind set of a message includes its
@@ -35,7 +39,7 @@ Composition model
 
 Every injected fault is counted *and* traced (``msg_drop``, ``msg_dup``,
 ``msg_corrupt``, ``msg_jitter``, ``msg_held``, ``msg_rewrite``,
-``heal_storm``); :func:`repro.analysis.checkers.check_fault_plane_accounting`
+``heal_storm``, ``heal``); :func:`repro.analysis.checkers.check_fault_plane_accounting`
 cross-checks the two so a fault can never silently vanish.
 
 All randomness draws from ``sim.child_rng("faultplane")``: runs stay
@@ -47,14 +51,20 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+)
+
+from repro.sim.network import Envelope
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (network hooks us)
-    from repro.sim.network import Envelope, SimNetwork
+    from repro.sim.network import SimNetwork
 
 #: Rewrite signature: ``(src, dst, payload) -> replacement | None``.
 #: Returning ``None`` leaves the payload untouched.
 RewriteHook = Callable[[str, str, Any], Optional[Any]]
+
+DropRule = Callable[[str, str, Any], bool]  #: ``(src, dst, payload) -> drop?``
 
 
 def wire_checksum(payload: Any) -> int:
@@ -133,22 +143,27 @@ def payload_kinds(payload: Any) -> Set[str]:
 
 
 class FaultPlane:
-    """The per-link fault injector installed on a :class:`SimNetwork`.
+    """The fault injector installed on a :class:`SimNetwork`.
 
     Construct via ``network.ensure_fault_plane()`` (idempotent) rather
-    than directly; the network routes every post-interceptor send
-    through :meth:`process` once a plane is installed.
+    than directly; the network routes every send through :meth:`process`
+    once a plane is installed.  The plane owns every held envelope.
     """
 
     def __init__(self, network: "SimNetwork") -> None:
         self.network = network
         self.rng = network.sim.child_rng("faultplane")
+        #: Scripted drops, asked first about every send (any True drops).
+        self._drop_rules: List[DropRule] = []
         #: First-match-wins policy rules: (src, dst, kind, policy).
         self._rules: List[Tuple[str, str, str, LinkFaultPolicy]] = []
         self._rewrites: List[RewriteHook] = []
         #: One-way blocked links; "*" wildcards either side.
         self._blocked: Set[Tuple[str, str]] = set()
-        self._held: List["Envelope"] = []
+        self._held: List[Envelope] = []
+        #: The symmetric partition: group index per pid, None when healed.
+        self._group_of: Optional[Dict[str, int]] = None
+        self._partition_held: List[Envelope] = []
         self._checksums = False
         # Fault accounting (cross-checked against the trace by
         # check_fault_plane_accounting).
@@ -159,10 +174,16 @@ class FaultPlane:
         self.held = 0
         self.released = 0
         self.rewritten = 0
+        self.partition_held = 0
+        self.partition_released = 0
 
     # ------------------------------------------------------------------
     # Configuration
     # ------------------------------------------------------------------
+
+    def add_drop_rule(self, rule: DropRule) -> None:
+        """Drop every message ``rule`` returns True for (checked first)."""
+        self._drop_rules.append(rule)
 
     def add_policy(
         self,
@@ -193,10 +214,6 @@ class FaultPlane:
                 src=src, dst=dst,
             )
 
-    def block_links(self, pairs: Iterable[Tuple[str, str]]) -> None:
-        for src, dst in pairs:
-            self.block(src, dst)
-
     def unblock(self, src: str, dst: str) -> None:
         self._blocked.discard((src, dst))
 
@@ -212,9 +229,8 @@ class FaultPlane:
         held, self._held = self._held, []
         held.sort(key=lambda envelope: envelope.seq)
         self.released += len(held)
-        dispatch = self.network._dispatch_from_plane
         for envelope in held:
-            dispatch(envelope, 0.0, False)
+            self._dispatch(envelope, 0.0, False)
         trace = self.network.trace
         if trace.enabled:
             trace.record(
@@ -222,14 +238,51 @@ class FaultPlane:
                 released=len(held),
             )
 
+    def partition(self, groups: Sequence[Iterable[str]]) -> None:
+        """Partition the network into the given groups.
+
+        Messages crossing group boundaries are held and released on
+        :meth:`heal_partition` (delayed, not lost -- channels stay
+        reliable).  Processes not named in any group form one implicit
+        extra group.
+        """
+        group_of: Dict[str, int] = {}
+        for index, group in enumerate(groups):
+            for pid in group:
+                if pid in group_of:
+                    raise ValueError(f"{pid} appears in two partition groups")
+                group_of[pid] = index
+        self._group_of = group_of
+        self.network.trace.record(
+            self.network.sim.now, "*network*", "partition",
+            groups=[sorted(g) for g in map(list, groups)],
+        )
+
+    def heal_partition(self) -> None:
+        """Remove the partition and release all held messages.
+
+        Held messages are released in global send order (their ``seq``):
+        a message that was already in flight when the partition formed
+        was *sent* before anything held at send time, and FIFO is defined
+        by send order.
+        """
+        self._group_of = None
+        held, self._partition_held = self._partition_held, []
+        held.sort(key=lambda envelope: envelope.seq)
+        self.partition_released += len(held)
+        network = self.network
+        for envelope in held:
+            network._schedule_delivery(envelope)
+        network.trace.record(network.sim.now, "*network*", "heal", released=len(held))
+
     @property
     def pending_held(self) -> int:
         """Messages currently held by one-way blocks."""
         return len(self._held)
 
-    def held_envelopes(self) -> List["Envelope"]:
-        """The currently held envelopes (accounting checker introspection)."""
-        return list(self._held)
+    def held_envelopes(self) -> List[Envelope]:
+        """Every envelope held now, by one-way blocks or the partition."""
+        return self._held + self._partition_held
 
     def stats(self) -> dict:
         return {
@@ -241,11 +294,28 @@ class FaultPlane:
             "released": self.released,
             "rewritten": self.rewritten,
             "pending_held": len(self._held),
+            "partition_held": self.partition_held,
+            "partition_released": self.partition_released,
+            "pending_partition_held": len(self._partition_held),
         }
 
     # ------------------------------------------------------------------
-    # The per-message path (called by SimNetwork.transmit)
+    # The per-message path (called by SimNetwork.transmit and _deliver)
     # ------------------------------------------------------------------
+
+    def held_by_partition(self, envelope: Envelope) -> bool:
+        """Hold ``envelope`` if the partition separates its ends (asked on
+        the wire and again on arrival, for a partition formed in flight)."""
+        group_of = self._group_of
+        if group_of is None or group_of.get(envelope.src, -1) == group_of.get(envelope.dst, -1):
+            return False
+        self._partition_held.append(envelope)
+        self.partition_held += 1
+        return True
+
+    def _dispatch(self, envelope: Envelope, extra_delay: float, fifo: bool) -> None:
+        if not self.held_by_partition(envelope):
+            self.network._schedule_delivery(envelope, extra_delay, fifo)
 
     def _blocked_link(self, src: str, dst: str) -> bool:
         blocked = self._blocked
@@ -272,13 +342,18 @@ class FaultPlane:
             return policy
         return None
 
-    def process(self, envelope: "Envelope") -> None:
-        """Apply rewrites, checksums, blocks, and the matched policy."""
+    def process(self, envelope: Envelope) -> None:
+        """Apply drop rules, rewrites, checksums, blocks, and the matched policy."""
         network = self.network
         trace = network.trace
         traced = trace.enabled
         now = network.sim.now
         src, dst = envelope.src, envelope.dst
+        for rule in self._drop_rules:
+            if rule(src, dst, envelope.payload):
+                if network.trace_messages:
+                    trace.record(now, src, "msg_dropped", dst=dst, payload=envelope.payload)
+                return
         if self._rewrites:
             for hook in self._rewrites:
                 replacement = hook(src, dst, envelope.payload)
@@ -304,16 +379,14 @@ class FaultPlane:
                 )
             return
         policy = self._match(src, dst, envelope.payload)
-        dispatch = network._dispatch_from_plane
+        dispatch = self._dispatch
         if policy is None:
             dispatch(envelope, 0.0, True)
             return
         rng = self.rng
         copies = [envelope]
         if policy.duplicate > 0.0 and rng.random() < policy.duplicate:
-            from repro.sim.network import Envelope as _Envelope
-
-            clone = _Envelope(
+            clone = Envelope(
                 next(network._seq), src, dst, envelope.payload,
                 envelope.send_time,
             )
@@ -347,27 +420,3 @@ class FaultPlane:
                         dst=dst, extra=extra, payload=copy.payload,
                     )
             dispatch(copy, extra, fifo)
-
-
-def install_uniform_faults(
-    network: "SimNetwork",
-    drop: float = 0.0,
-    duplicate: float = 0.0,
-    corrupt: float = 0.0,
-    jitter: float = 0.0,
-    jitter_span: float = 5.0,
-    kind: str = "*",
-) -> FaultPlane:
-    """Install one policy on every link (the chaos/benchmark helper)."""
-    plane = network.ensure_fault_plane()
-    plane.add_policy(
-        LinkFaultPolicy(
-            drop=drop,
-            duplicate=duplicate,
-            corrupt=corrupt,
-            jitter=jitter,
-            jitter_span=jitter_span,
-        ),
-        kind=kind,
-    )
-    return plane

@@ -1,4 +1,4 @@
-"""Simulated network: reliable FIFO channels, partitions, crash injection.
+"""Simulated network: reliable FIFO channels and crash injection.
 
 The channel semantics implement the system model of the paper (Section 3):
 
@@ -14,9 +14,9 @@ The channel semantics implement the system model of the paper (Section 3):
   already in flight *from* it are still delivered (they left the sender
   before the crash), messages *to* it are discarded at delivery time.
 
-Fault injection that needs to interact with individual sends (e.g. "crash
-the sequencer so that only p2 receives the ordering message", Figures 3
-and 4) is done through *send interceptors*; see :mod:`repro.faults`.
+Partitions, scripted drops (e.g. "crash the sequencer so that only p2
+receives the ordering message", Figures 3 and 4) and every other fault
+live on the send path's one hook, :mod:`repro.sim.faultplane`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -43,11 +42,6 @@ from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - circular-import guard
     from repro.sim.faultplane import FaultPlane
-
-#: Interceptor signature: (src, dst, payload) -> deliver?  Returning False
-#: drops the message (used only by fault-injection scenarios; the normal
-#: network never drops).
-SendInterceptor = Callable[[str, str, Any], bool]
 
 
 class Envelope:
@@ -157,15 +151,8 @@ class SimNetwork:
         self._crashed: set = set()
         self._seq = itertools.count()
         self._last_arrival: Dict[Tuple[str, str], float] = {}
-        # A tuple, rebuilt on add/remove: ``transmit`` walks it as it
-        # is, and an interceptor that removes itself mid-walk leaves
-        # the walk on the tuple it started on.
-        self._interceptors: Tuple[SendInterceptor, ...] = ()
-        self._group_of: Optional[Dict[str, int]] = None
-        self._held: List[Envelope] = []
         self._messages_sent = 0
         self._messages_delivered = 0
-        self._messages_dropped = 0
         #: Corrupted payloads detected (checksum mismatch) and dropped
         #: at delivery instead of being handed to the protocol.
         self.corrupt_dropped = 0
@@ -203,19 +190,14 @@ class SimNetwork:
         return self._messages_delivered
 
     @property
-    def messages_dropped(self) -> int:
-        """Sends suppressed by interceptors (scripted fault injection)."""
-        return self._messages_dropped
-
-    @property
     def fault_plane(self) -> Optional["FaultPlane"]:
         return self._fault_plane
 
     def ensure_fault_plane(self) -> "FaultPlane":
         """The installed fault plane, creating one on first use.
 
-        Idempotent: fault schedules, scenario ``faults`` hooks, and
-        tests can all compose policies onto the same plane.
+        Idempotent: a fault schedule's rules and actions and tests can
+        all compose onto the same plane.
         """
         if self._fault_plane is None:
             from repro.sim.faultplane import FaultPlane, wire_checksum
@@ -234,7 +216,6 @@ class SimNetwork:
         stats = {
             "sent": self._messages_sent,
             "delivered": self._messages_delivered,
-            "intercepted": self._messages_dropped,
             "corrupt_dropped": self.corrupt_dropped,
         }
         if self._fault_plane is not None:
@@ -288,61 +269,6 @@ class SimNetwork:
         return [p for p in self._processes if p not in self._crashed]
 
     # ------------------------------------------------------------------
-    # Send interception (fault scripting)
-    # ------------------------------------------------------------------
-
-    def add_interceptor(self, interceptor: SendInterceptor) -> None:
-        self._interceptors += (interceptor,)
-
-    def remove_interceptor(self, interceptor: SendInterceptor) -> None:
-        kept = list(self._interceptors)
-        kept.remove(interceptor)
-        self._interceptors = tuple(kept)
-
-    # ------------------------------------------------------------------
-    # Partitions
-    # ------------------------------------------------------------------
-
-    def set_partition(self, groups: Sequence[Iterable[str]]) -> None:
-        """Partition the network into the given groups.
-
-        Messages crossing group boundaries are held and released on
-        :meth:`heal` (delayed, not lost -- channels stay reliable).
-        Processes not named in any group form one implicit extra group.
-        """
-        group_of: Dict[str, int] = {}
-        for index, group in enumerate(groups):
-            for pid in group:
-                if pid in group_of:
-                    raise ValueError(f"{pid} appears in two partition groups")
-                group_of[pid] = index
-        self._group_of = group_of
-        self.trace.record(
-            self.sim.now, "*network*", "partition",
-            groups=[sorted(g) for g in map(list, groups)],
-        )
-
-    def heal(self) -> None:
-        """Remove the partition and release all held messages.
-
-        Held messages are released in global send order (their ``seq``):
-        a message that was already in flight when the partition formed
-        was *sent* before anything held at send time, and FIFO is defined
-        by send order.
-        """
-        self._group_of = None
-        held, self._held = self._held, []
-        held.sort(key=lambda envelope: envelope.seq)
-        for envelope in held:
-            self._schedule_delivery(envelope)
-        self.trace.record(self.sim.now, "*network*", "heal", released=len(held))
-
-    def _crosses_partition(self, src: str, dst: str) -> bool:
-        if self._group_of is None:
-            return False
-        return self._group_of.get(src, -1) != self._group_of.get(dst, -1)
-
-    # ------------------------------------------------------------------
     # Message transmission
     # ------------------------------------------------------------------
 
@@ -353,23 +279,14 @@ class SimNetwork:
         if dst not in self._processes:
             raise KeyError(f"unknown destination: {dst}")
         now = self.sim._now
-        for interceptor in self._interceptors:
-            if not interceptor(src, dst, payload):
-                self._messages_dropped += 1
-                if self.trace_messages:
-                    self.trace.record(now, src, "msg_dropped", dst=dst, payload=payload)
-                return
         self._messages_sent += 1
         envelope = Envelope(next(self._seq), src, dst, payload, now)
         if self.trace_messages:
             self.trace.record(now, src, "msg_send", dst=dst, payload=payload)
         if self._fault_plane is not None:
-            # The plane re-enters via _dispatch_from_plane for every
-            # copy it decides to put on the wire.
+            # The plane puts every copy it lets through on the wire
+            # itself, via _schedule_delivery.
             self._fault_plane.process(envelope)
-            return
-        if self._group_of is not None and self._crosses_partition(src, dst):
-            self._held.append(envelope)
             return
         # The fault-free hop, scheduled from here: _schedule_delivery
         # with no extra delay, the FIFO floor on and no checksum.
@@ -384,21 +301,6 @@ class SimNetwork:
             arrival = previous
         last_arrival[channel] = arrival
         self.sim.post_at(arrival, partial(self._deliver, envelope))
-
-    def _dispatch_from_plane(
-        self, envelope: Envelope, extra_delay: float, fifo: bool
-    ) -> None:
-        """Put one plane-approved envelope on the wire.
-
-        Group partitions still apply (the fault plane *composes* with
-        scripted symmetric partitions, it does not replace them).
-        """
-        if self._group_of is not None and self._crosses_partition(
-            envelope.src, envelope.dst
-        ):
-            self._held.append(envelope)
-            return
-        self._schedule_delivery(envelope, extra_delay, fifo)
 
     def _schedule_delivery(
         self, envelope: Envelope, extra_delay: float = 0.0, fifo: bool = True
@@ -445,10 +347,8 @@ class SimNetwork:
                 return
         if envelope.dst in self._crashed:
             return
-        if self._group_of is not None and self._crosses_partition(envelope.src, envelope.dst):
-            # A partition formed while the message was in flight: hold it.
-            self._held.append(envelope)
-            return
+        if self._fault_plane is not None and self._fault_plane.held_by_partition(envelope):
+            return  # a partition formed while the message was in flight
         process = self._processes.get(envelope.dst)
         if process is None:
             return

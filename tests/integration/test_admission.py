@@ -21,8 +21,7 @@ def saturated(limit, **changes):
         driver="session",
         requests_per_client=200,
         open_rate=4.0,
-        oar=OARConfig(order_cost=0.5),
-        admission_limit=limit,
+        oar=OARConfig(order_cost=0.5, admission_limit=limit),
         horizon=50_000.0,
         grace=100.0,
     )
@@ -79,8 +78,7 @@ class TestReadBulkhead:
             read_ratio=0.9,
             read_mode="optimistic",
             n_servers=3,
-            oar=OARConfig(read_cost=1.0, order_cost=0.1),
-            read_queue_limit=4,
+            oar=OARConfig(read_cost=1.0, order_cost=0.1, read_queue_limit=4),
             horizon=50_000.0,
             grace=100.0,
         )
@@ -112,8 +110,7 @@ class TestControlPlaneBulkhead:
                 base_rate=1.0, peak_rate=8.0, at=10.0, ramp=10.0,
                 hold=120.0, decay=20.0,
             ),
-            oar=OARConfig(order_cost=0.5),
-            admission_limit=6,
+            oar=OARConfig(order_cost=0.5, admission_limit=6),
             seed=21,
             horizon=50_000.0,
             grace=100.0,
@@ -150,7 +147,7 @@ class TestIdlePlaneZeroOverhead:
         )
         off = run_scenario(base)
         armed = run_scenario(
-            base.with_changes(admission_limit=10**9, read_queue_limit=10**9)
+            base.with_changes(oar=OARConfig(admission_limit=10**9, read_queue_limit=10**9))
         )
         assert off.trace.digest() == armed.trace.digest()
         assert all(s.shed == 0 and s.reads_shed == 0 for s in armed.servers)

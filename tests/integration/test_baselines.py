@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import checkers
 from repro.broadcast.sequencer import OrderMsg
-from repro.faults import FaultSchedule, crash_during_multicast
+from repro.faults import CrashDuringMulticast, FaultSchedule
 from repro.harness import ScenarioConfig, run_scenario
 
 pytestmark = pytest.mark.integration
@@ -32,9 +32,7 @@ def make_anomaly_config(seed: int, lost_order_index: int = 4) -> ScenarioConfig:
                 run.config.n_servers - 1
             )
 
-        crash_during_multicast(
-            run.network, "p1", match, deliver_to=set(), crash=True
-        )
+        CrashDuringMulticast(run.network, "p1", match, deliver_to=set())
 
     return ScenarioConfig(
         protocol="sequencer",

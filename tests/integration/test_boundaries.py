@@ -11,7 +11,7 @@ import pytest
 from repro.analysis import checkers
 from repro.core.messages import Request
 from repro.broadcast.reliable import RMsg
-from repro.faults import crash_during_multicast
+from repro.faults import CrashDuringMulticast
 from repro.harness import ScenarioConfig, run_scenario
 from repro.harness.scenario import build_scenario
 
@@ -76,7 +76,7 @@ class TestClientCrash:
                            seed=5, grace=30.0)
         )
         client = run.clients[0]
-        crash_during_multicast(
+        CrashDuringMulticast(
             run.network,
             client.pid,
             lambda payload: isinstance(payload, RMsg)
@@ -96,7 +96,7 @@ class TestClientCrash:
                            seed=6, grace=30.0)
         )
         client = run.clients[0]
-        crash_during_multicast(
+        CrashDuringMulticast(
             run.network,
             client.pid,
             lambda payload: isinstance(payload, RMsg),

@@ -18,8 +18,8 @@ them exactly on any machine, so a change that adds one message per
 request fails here with the kind named and ``old → new`` per adopted op
 -- also where no digest looks: the sharded scenarios run with
 ``trace_messages`` off, so their traces hold no send.  (The sends are
-counted by a pass-through interceptor installed by the config's ``arm``
-hook, i.e. after ``start_all``: each detector's first heartbeat round is
+counted by a fault-plane drop rule that drops nothing, installed by the
+config's ``arm`` hook, i.e. after ``start_all``: each detector's first heartbeat round is
 sent before that and is not in ``send:Heartbeat``.)
 
 A deliberate protocol change regenerates all three tables, in the form
@@ -355,9 +355,9 @@ def measure(name: str) -> Pin:
     def count_sends(run: Any) -> None:
         def count(src: str, dst: str, payload: Any) -> bool:
             sends[type(payload).__name__] += 1
-            return True  # pass every message on
+            return False  # drop nothing
 
-        run.network.add_interceptor(count)
+        run.network.ensure_fault_plane().add_drop_rule(count)
 
     run = SCENARIOS[name](count_sends)
     assert run.all_done()

@@ -1,7 +1,9 @@
 """Chaos matrix: crash/failover + live migration under seed x latency sweeps.
 
 This module is the workload behind the CI ``chaos-matrix`` job (nightly
-``schedule:`` and the ``chaos`` PR label): every cell of the matrix runs
+``schedule:`` and the ``chaos`` PR label; its ``lossdup`` seed-3 and
+``asym`` seed-4 cells at constant latency also gate every PR in the
+``integration`` job): every cell of the matrix runs
 it with a different ``CHAOS_SEED`` and ``CHAOS_LATENCY`` so the same
 scenarios are exercised across many timings::
 
@@ -46,7 +48,6 @@ from repro.sharding import (
 )
 from repro.core.messages import SeqOrder
 from repro.core.server import OARConfig
-from repro.sim.faultplane import LinkFaultPolicy, install_uniform_faults
 from repro.sim.latency import ConstantLatency, NormalLatency, UniformLatency
 from repro.workload.openloop import FlashCrowdProcess
 
@@ -77,7 +78,7 @@ def make_latency():
     )
 
 
-def install_client_link_faults(network, drop=0.04, duplicate=0.04, server_dup=0.03):
+def client_link_faults(schedule, drop=0.04, duplicate=0.04, server_dup=0.03):
     """Drop + duplicate on every client<->server link, dup-only between servers.
 
     The consensus layer (phase 2) assumes reliable server channels, so
@@ -85,14 +86,12 @@ def install_client_link_faults(network, drop=0.04, duplicate=0.04, server_dup=0.
     round forever -- duplication, however, is provably absorbed
     everywhere (R-multicast mid-dedup, per-src consensus buckets,
     idempotent request/order paths), so it is injected on every link.
+    Added to ``schedule``, which is returned.
     """
-    plane = network.ensure_fault_plane()
-    lossy = LinkFaultPolicy(drop=drop, duplicate=duplicate)
     for pid in CLIENT_PIDS:
-        plane.add_policy(lossy, src=pid)
-        plane.add_policy(lossy, dst=pid)
-    plane.add_policy(LinkFaultPolicy(duplicate=server_dup))
-    return plane
+        schedule.links(src=pid, drop=drop, duplicate=duplicate)
+        schedule.links(dst=pid, drop=drop, duplicate=duplicate)
+    return schedule.links(duplicate=server_dup)
 
 
 def with_chaos_faults(config):
@@ -100,15 +99,8 @@ def with_chaos_faults(config):
     if FAULTS == "off":
         return config
     if FAULTS == "lossdup":
-        base = config.faults
-
-        def faults(network, base=base):
-            if base is not None:
-                base(network)
-            install_client_link_faults(network)
-
         return config.with_changes(
-            faults=faults,
+            fault_schedule=client_link_faults(config.fault_schedule or FaultSchedule()),
             oar=replace(config.oar, sync_interval=15.0),
         )
     if FAULTS == "asym":
@@ -489,8 +481,7 @@ class TestChaosMatrix:
                 ramp=10.0, hold=120.0, decay=20.0,
             ),
             n_sessions=40,
-            oar=OARConfig(order_cost=0.5),
-            admission_limit=6,
+            oar=OARConfig(order_cost=0.5, admission_limit=6),
             latency=make_latency(),
             fd_interval=1.0,
             fd_timeout=8.0,
@@ -542,8 +533,9 @@ class TestChaosLinkFaults:
             fd_timeout=8.0,
             retry_interval=30.0,
             oar=OARConfig(sync_interval=15.0),
-            faults=install_client_link_faults,
-            fault_schedule=FaultSchedule().crash(12.0 + (SEED % 3), "s0.p1"),
+            fault_schedule=client_link_faults(
+                FaultSchedule().crash(12.0 + (SEED % 3), "s0.p1")
+            ),
             grace=300.0,
             horizon=50_000.0,
             seed=SEED + 700,
@@ -621,9 +613,9 @@ class TestChaosLinkFaults:
             coordinator.schedule(12.0, kick)
             run.network.crash_at(18.0 + (SEED % 4), "s1.p2")
 
-        def faults(net):
-            for kind in ("mig_install", "split_open", "split_close"):
-                install_uniform_faults(net, duplicate=1.0, kind=kind)
+        faults = FaultSchedule()
+        for kind in ("mig_install", "split_open", "split_close"):
+            faults.links(kind=kind, duplicate=1.0)
 
         config = ShardedScenarioConfig(
             n_shards=2,
@@ -637,7 +629,7 @@ class TestChaosLinkFaults:
             fd_interval=1.0,
             fd_timeout=8.0,
             retry_interval=30.0,
-            faults=faults,
+            fault_schedule=faults,
             arm=arm,
             grace=300.0,
             horizon=50_000.0,
@@ -682,7 +674,7 @@ class TestChaosLinkFaults:
             fd_timeout=8.0,
             retry_interval=30.0,
             oar=OARConfig(sync_interval=15.0),
-            faults=lambda net: install_uniform_faults(net, corrupt=0.03),
+            fault_schedule=FaultSchedule().links(corrupt=0.03),
             arm=arm,
             grace=300.0,
             horizon=50_000.0,
@@ -714,10 +706,11 @@ class TestChaosLinkFaults:
             fd_interval=1.0,
             fd_timeout=8.0,
             retry_interval=30.0,
-            faults=lambda net: install_uniform_faults(
-                net, jitter=0.3, jitter_span=4.0
+            fault_schedule=(
+                FaultSchedule()
+                .links(jitter=0.3, jitter_span=4.0)
+                .crash(14.0 + (SEED % 3), "s0.p1")
             ),
-            fault_schedule=FaultSchedule().crash(14.0 + (SEED % 3), "s0.p1"),
             grace=300.0,
             horizon=50_000.0,
             seed=SEED + 1100,

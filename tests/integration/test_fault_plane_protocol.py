@@ -21,9 +21,9 @@ from repro.core.client import OARClient
 from repro.core.messages import SeqOrder
 from repro.core.server import OARConfig, OARServer
 from repro.failure.detector import ScriptedFailureDetector
+from repro.faults import FaultSchedule
 from repro.harness.scenario import ScenarioConfig, run_scenario
 from repro.sharding import ShardedScenarioConfig, attach_rebalancer, run_sharded_scenario
-from repro.sim.faultplane import install_uniform_faults
 from repro.sim.latency import ConstantLatency
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
@@ -50,9 +50,7 @@ class TestConvergenceUnderLoss:
             fd_kind="scripted",
             retry_interval=25.0,
             oar=LOSSY,
-            faults=lambda net: install_uniform_faults(
-                net, drop=0.05, duplicate=0.05
-            ),
+            fault_schedule=FaultSchedule().links(drop=0.05, duplicate=0.05),
             seed=0,
         )
         run = run_scenario(config)
@@ -74,9 +72,7 @@ class TestConvergenceUnderLoss:
                 fd_kind="scripted",
                 retry_interval=25.0,
                 oar=LOSSY,
-                faults=lambda net: install_uniform_faults(
-                    net, drop=0.08, duplicate=0.04
-                ),
+                fault_schedule=FaultSchedule().links(drop=0.08, duplicate=0.04),
                 seed=seed,
             )
             run = run_scenario(config)
@@ -93,7 +89,7 @@ class TestConvergenceUnderLoss:
             fd_kind="scripted",
             retry_interval=25.0,
             oar=LOSSY,
-            faults=lambda net: install_uniform_faults(net, corrupt=0.05),
+            fault_schedule=FaultSchedule().links(corrupt=0.05),
             seed=4,
         )
         run = run_scenario(config)
@@ -112,9 +108,7 @@ class TestConvergenceUnderLoss:
             fd_kind="scripted",
             retry_interval=25.0,
             oar=LOSSY,
-            faults=lambda net: install_uniform_faults(
-                net, jitter=0.3, jitter_span=4.0
-            ),
+            fault_schedule=FaultSchedule().links(jitter=0.3, jitter_span=4.0),
             seed=5,
         )
         run = run_scenario(config)
@@ -138,15 +132,16 @@ class TestGoldenRunStaysClean:
         assert "dropped" not in stats  # no plane was ever installed
 
     def test_idle_plane_changes_nothing(self):
-        # Installing a plane with no rules must not perturb the run: the
-        # trace digest matches a plane-free twin (same seed).
+        # Installing a plane whose one rule injects nothing must not
+        # perturb the run: the trace digest matches a plane-free twin
+        # (same seed).
         base = ScenarioConfig(
             protocol="oar", n_servers=3, n_clients=2,
             requests_per_client=10, machine="kv", seed=7,
         )
         bare = run_scenario(base)
         planed = run_scenario(
-            base.with_changes(faults=lambda net: net.ensure_fault_plane())
+            base.with_changes(fault_schedule=FaultSchedule().links())
         )
         assert bare.trace.digest() == planed.trace.digest()
         planed.check_all()
@@ -190,9 +185,7 @@ class TestDuplicateIdempotence:
 
     def test_duplicated_mig_install_is_idempotent(self):
         config = self._migration_config(
-            faults=lambda net: install_uniform_faults(
-                net, duplicate=1.0, kind="mig_install"
-            ),
+            fault_schedule=FaultSchedule().links(kind="mig_install", duplicate=1.0),
         )
         run = run_sharded_scenario(config)
         assert run.all_done()
@@ -208,10 +201,6 @@ class TestDuplicateIdempotence:
             hot = run.key_universe[0]
             coordinator.schedule(10.0, lambda: coordinator.split_key(hot, 2))
 
-        def faults(net):
-            install_uniform_faults(net, duplicate=1.0, kind="split_open")
-            install_uniform_faults(net, duplicate=1.0, kind="split_close")
-
         config = ShardedScenarioConfig(
             n_shards=2,
             n_servers=3,
@@ -222,7 +211,11 @@ class TestDuplicateIdempotence:
             hot_ratio=0.7,
             retry_interval=30.0,
             arm=arm,
-            faults=faults,
+            fault_schedule=(
+                FaultSchedule()
+                .links(kind="split_open", duplicate=1.0)
+                .links(kind="split_close", duplicate=1.0)
+            ),
             grace=200.0,
             horizon=50_000.0,
             seed=12,
@@ -245,9 +238,7 @@ class TestDuplicateIdempotence:
             workload="cross",
             cross_ratio=0.6,
             retry_interval=30.0,
-            faults=lambda net: install_uniform_faults(
-                net, duplicate=1.0, kind="tx_commit"
-            ),
+            fault_schedule=FaultSchedule().links(kind="tx_commit", duplicate=1.0),
             grace=200.0,
             horizon=50_000.0,
             seed=13,
@@ -337,10 +328,8 @@ class TestAntiEntropy:
         client = OARClient("c1", group, retry_interval=30.0)
         network.add_process(client)
         network.start_all()
-        network.add_interceptor(
-            lambda src, dst, payload: not (
-                isinstance(payload, SeqOrder) and sim.now < 10.0
-            )
+        network.ensure_fault_plane().add_drop_rule(
+            lambda src, dst, payload: isinstance(payload, SeqOrder) and sim.now < 10.0
         )
         sim.schedule_at(0.0, lambda: client.submit(("incr",)))
         sim.run(until=200.0, max_events=200_000)

@@ -67,8 +67,8 @@ class TestFigure2:
         run = run_figure_2()
         assert run.routed_to(0) == ["c1-0", "c1-1", "c1-2", "c1-3", "c1-4"]
         run.check_all()
-        run.network.add_interceptor(
-            lambda src, dst, payload: not (
+        run.network.ensure_fault_plane().add_drop_rule(
+            lambda src, dst, payload: (
                 dst == "p3" and isinstance(payload, RMsg) and payload.payload.rid == "c1-5"
             )
         )

@@ -52,6 +52,11 @@ def _faulty_network():
     sim.run()
     plane.heal()
     sim.run()
+    plane.partition([["p1"], ["p2"]])
+    b.env.send("p1", "held")
+    sim.run()
+    plane.heal_partition()
+    sim.run()
     return network, {"plane": [plane], "network": [network]}
 
 
@@ -67,9 +72,7 @@ def _admission_run():
             machine="kv",
             read_ratio=0.6,
             read_mode="optimistic",
-            oar=OARConfig(order_cost=0.5, read_cost=2.0),
-            admission_limit=4,
-            read_queue_limit=2,
+            oar=OARConfig(order_cost=0.5, read_cost=2.0, admission_limit=4, read_queue_limit=2),
             horizon=50_000.0,
             grace=100.0,
         )

@@ -44,10 +44,8 @@ class TestRetransmission:
     def test_lost_replies_recovered_by_retry(self):
         sim, network, servers, client = build(retry_interval=10.0)
         # Drop every reply for the first 5 time units.
-        network.add_interceptor(
-            lambda src, dst, payload: not (
-                isinstance(payload, Reply) and sim.now < 5.0
-            )
+        network.ensure_fault_plane().add_drop_rule(
+            lambda src, dst, payload: isinstance(payload, Reply) and sim.now < 5.0
         )
         sim.schedule_at(0.0, lambda: client.submit(("incr",)))
         sim.run(until=60.0, max_events=100_000)

@@ -30,6 +30,7 @@ import pytest
 from repro.core.client import OARClient, ShardedOARClient
 from repro.core.server import OARConfig
 from repro.failure.detector import HeartbeatFailureDetector
+from repro.faults import FaultSchedule
 from repro.runtime import scenario as runtime_scenario
 from repro.runtime.scenario import (
     RuntimeScenarioConfig,
@@ -123,7 +124,8 @@ class TestShardedParity:
         with pytest.raises(ValueError, match="sim-only"):
             run_runtime_scenario(
                 RuntimeScenarioConfig(
-                    scenario=_config(faults={"p1": 1.0}), backend="tcp"
+                    scenario=_config(fault_schedule=FaultSchedule().links(drop=0.1)),
+                    backend="tcp",
                 )
             )
         with pytest.raises(ValueError, match="sim-only"):
@@ -329,12 +331,11 @@ def test_knob_budget():
         "read_mode", "exec_cost", "exec_lanes", "workload", "read_ratio", "n_keys",
         "zipf_s", "cross_ratio", "hot_ratio", "accounts_per_shard", "initial_balance",
         "driver", "open_rate", "think_time", "driver_start_at", "arrival", "n_sessions",
-        "client_rate", "measure_from", "admission_limit", "read_queue_limit",
-        "retry_interval", "load_half_life", "redirect_delay", "max_redirects",
-        "fault_schedule", "faults", "arm", "horizon", "max_events", "grace",
-        "trace_messages", "trace_level",
+        "client_rate", "measure_from", "retry_interval", "load_half_life",
+        "redirect_delay", "max_redirects", "fault_schedule", "arm", "horizon",
+        "max_events", "grace", "trace_messages", "trace_level",
     }
-    assert len(fields(ShardedScenarioConfig)) == 46
+    assert len(fields(ShardedScenarioConfig)) == 43
     assert type(ScenarioConfig()) is ShardedScenarioConfig
 
 

@@ -167,7 +167,8 @@ class TestUnsuspectedCollection:
         # p3/p4's values only -- the Figure 4 precondition.
         sim, network, parts = build(n=4, collect="unsuspected")
         network.crash("p1")
-        network.set_partition([["p2"], ["p3", "p4"]])
+        plane = network.ensure_fault_plane()
+        plane.partition([["p2"], ["p3", "p4"]])
         for part in parts[1:]:
             part.propose("k0", f"v-{part.pid}")
         for pid in ("p3", "p4"):
@@ -175,7 +176,7 @@ class TestUnsuspectedCollection:
             proc.fd.force_suspect("p1")
             proc.fd.force_suspect("p2")
         next(p for p in parts if p.pid == "p2").fd.force_suspect("p1")
-        sim.schedule_at(30.0, network.heal)
+        sim.schedule_at(30.0, plane.heal_partition)
         sim.run(max_events=200_000)
         for part in parts[1:]:
             assert "k0" in part.decisions

@@ -6,6 +6,7 @@ from repro.failure.detector import (
     HeartbeatFailureDetector,
     ScriptedFailureDetector,
 )
+from repro.faults import FaultSchedule
 from repro.sim.component import ComponentProcess
 from repro.sim.latency import ConstantLatency
 from repro.sim.loop import Simulator
@@ -67,8 +68,7 @@ class TestEventualAccuracy:
         # suspected; after healing the heartbeat recants the suspicion
         # and the timeout grows (eventual accuracy mechanism).
         sim, network, procs = build(interval=2.0, timeout=5.0)
-        sim.schedule_at(10.0, lambda: network.set_partition([["p1"], ["p2", "p3"]]))
-        sim.schedule_at(30.0, network.heal)
+        FaultSchedule().partition(10.0, [["p1"], ["p2", "p3"]]).heal(30.0).apply(network)
         sim.run(until=40.0)
         p2 = procs[1]
         assert ("p1", True) in p2.transitions  # was suspected

@@ -10,7 +10,6 @@ from repro.faults.injection import FaultSchedule
 from repro.sim.faultplane import (
     CorruptedPayload,
     LinkFaultPolicy,
-    install_uniform_faults,
     payload_kinds,
     wire_checksum,
 )
@@ -99,7 +98,7 @@ class TestPolicyMatching:
 class TestDropDupCorrupt:
     def test_certain_drop_counts_and_traces(self):
         sim, network, (a, b) = build()
-        install_uniform_faults(network, drop=1.0)
+        FaultSchedule().links(drop=1.0).install(network)
         for i in range(5):
             a.env.send("p2", i)
         sim.run()
@@ -111,7 +110,7 @@ class TestDropDupCorrupt:
 
     def test_certain_duplicate_delivers_twice(self):
         sim, network, (a, b) = build()
-        install_uniform_faults(network, duplicate=1.0)
+        FaultSchedule().links(duplicate=1.0).install(network)
         a.env.send("p2", "x")
         sim.run()
         assert [p for _s, p in b.received] == ["x", "x"]
@@ -120,7 +119,7 @@ class TestDropDupCorrupt:
 
     def test_corruption_detected_and_dropped(self):
         sim, network, (a, b) = build()
-        install_uniform_faults(network, corrupt=1.0)
+        FaultSchedule().links(corrupt=1.0).install(network)
         a.env.send("p2", "precious")
         sim.run()
         # The corrupted payload never reaches the process.
@@ -138,7 +137,7 @@ class TestDropDupCorrupt:
     def test_probabilistic_faults_deterministic_per_seed(self):
         def run(seed: int) -> List[Any]:
             sim, network, (a, b) = build(seed=seed)
-            install_uniform_faults(network, drop=0.3, duplicate=0.3)
+            FaultSchedule().links(drop=0.3, duplicate=0.3).install(network)
             for i in range(40):
                 a.env.send("p2", i)
             sim.run()
@@ -151,7 +150,7 @@ class TestDropDupCorrupt:
 class TestJitter:
     def test_jitter_reorders_channel(self):
         sim, network, (a, b) = build(seed=2)
-        install_uniform_faults(network, jitter=1.0, jitter_span=20.0)
+        FaultSchedule().links(jitter=1.0, jitter_span=20.0).install(network)
         for i in range(30):
             a.env.send("p2", i)
         sim.run()
@@ -258,7 +257,7 @@ class TestAccountingChecker:
 
     def test_counter_tampering_detected(self):
         sim, network, (a, b) = build()
-        install_uniform_faults(network, drop=1.0)
+        FaultSchedule().links(drop=1.0).install(network)
         a.env.send("p2", "x")
         sim.run()
         network.fault_plane.dropped += 1  # silent fault: counter w/o trace
@@ -275,9 +274,24 @@ class TestAccountingChecker:
         with pytest.raises(CheckFailure):
             check_fault_plane_accounting(network.trace, network)
 
+    def test_a_message_lost_from_a_partition_hold_is_detected(self):
+        sim, network, (a, b) = build()
+        plane = network.ensure_fault_plane()
+        plane.partition([["p1"], ["p2"]])
+        for i in range(3):
+            a.env.send("p2", i)
+        sim.run()
+        check_fault_plane_accounting(network.trace, network)  # 3 held, 3 pending
+        plane._partition_held.pop()  # lose a held message without releasing it
+        plane.heal_partition()
+        sim.run()
+        assert [p for _s, p in b.received] == [0, 1]
+        with pytest.raises(CheckFailure, match="partition_held=3"):
+            check_fault_plane_accounting(network.trace, network)
+
     def test_stats_surface_on_network(self):
         sim, network, (a, b) = build()
-        install_uniform_faults(network, drop=1.0)
+        FaultSchedule().links(drop=1.0).install(network)
         a.env.send("p2", "x")
         sim.run()
         stats = network.stats()

@@ -1,10 +1,10 @@
-"""Unit tests for the simulated network: FIFO, crashes, partitions, interceptors."""
+"""Unit tests for the simulated network: FIFO, crashes, partitions, drop rules."""
 
 from typing import Any, List, Tuple
 
 import pytest
 
-from repro.faults.injection import FaultSchedule, crash_during_multicast
+from repro.faults.injection import CrashDuringMulticast, FaultSchedule
 from repro.sim.latency import ConstantLatency, UniformLatency
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
@@ -151,11 +151,12 @@ class TestDefer:
 class TestPartition:
     def test_partition_holds_and_heal_releases(self):
         sim, network, (a, b) = build()
-        network.set_partition([["p1"], ["p2"]])
+        plane = network.ensure_fault_plane()
+        plane.partition([["p1"], ["p2"]])
         a.env.send("p2", "delayed")
         sim.run(until=10.0)
         assert b.received == []
-        network.heal()
+        plane.heal_partition()
         sim.run()
         assert [p for _s, p in b.received] == ["delayed"]
 
@@ -163,17 +164,18 @@ class TestPartition:
         sim, network, (a, b) = build()
         a.env.send("p2", "first")
         sim.run(until=0.5)  # first is in flight
-        network.set_partition([["p1"], ["p2"]])
+        plane = network.ensure_fault_plane()
+        plane.partition([["p1"], ["p2"]])
         a.env.send("p2", "second")
         a.env.send("p2", "third")
         sim.run(until=5.0)
-        network.heal()
+        plane.heal_partition()
         sim.run()
         assert [p for _s, p in b.received] == ["first", "second", "third"]
 
     def test_same_group_communication_unaffected(self):
         sim, network, (a, b, c) = build(n=3)
-        network.set_partition([["p1", "p2"], ["p3"]])
+        network.ensure_fault_plane().partition([["p1", "p2"], ["p3"]])
         a.env.send("p2", "intra")
         a.env.send("p3", "inter")
         sim.run(until=10.0)
@@ -182,7 +184,7 @@ class TestPartition:
 
     def test_unlisted_processes_share_implicit_group(self):
         sim, network, (a, b, c) = build(n=3)
-        network.set_partition([["p1"]])
+        network.ensure_fault_plane().partition([["p1"]])
         b.env.send("p3", "rest-to-rest")
         sim.run(until=10.0)
         assert [p for _s, p in c.received] == ["rest-to-rest"]
@@ -190,42 +192,49 @@ class TestPartition:
     def test_duplicate_group_membership_rejected(self):
         sim, network, _ = build(n=2)
         with pytest.raises(ValueError):
-            network.set_partition([["p1"], ["p1", "p2"]])
+            network.ensure_fault_plane().partition([["p1"], ["p1", "p2"]])
 
     def test_message_in_flight_when_partition_forms_is_held(self):
         sim, network, (a, b) = build()
         a.env.send("p2", "caught")
-        network.set_partition([["p1"], ["p2"]])
+        plane = network.ensure_fault_plane()
+        plane.partition([["p1"], ["p2"]])
         sim.run(until=10.0)
         assert b.received == []
-        network.heal()
+        plane.heal_partition()
         sim.run()
         assert [p for _s, p in b.received] == ["caught"]
 
 
 class TestInterceptors:
-    def test_interceptor_can_drop(self):
-        sim, network, (a, b) = build()
-        network.add_interceptor(lambda src, dst, payload: payload != "drop-me")
-        a.env.send("p2", "drop-me")
-        a.env.send("p2", "keep-me")
-        sim.run()
-        assert [p for _s, p in b.received] == ["keep-me"]
+    """Sends intercepted on the fault plane: drop rules and the scripted
+    mid-multicast crash built on one."""
 
-    def test_interceptor_removal(self):
+    def test_a_drop_rule_drops_before_any_other_fault(self):
         sim, network, (a, b) = build()
-        block = lambda src, dst, payload: False
-        network.add_interceptor(block)
-        a.env.send("p2", 1)
-        network.remove_interceptor(block)
-        a.env.send("p2", 2)
+        seen: List[Any] = []
+
+        def rule(src: str, dst: str, payload: Any) -> bool:
+            seen.append(payload)
+            return payload == "drop-me"
+
+        plane = network.ensure_fault_plane()
+        plane.add_drop_rule(rule)
+        plane.add_drop_rule(lambda src, dst, payload: payload == "and-me")
+        rewrites_saw: List[Any] = []
+        plane.add_rewrite(lambda src, dst, payload: rewrites_saw.append(payload))
+        for payload in ("drop-me", "keep-me", "and-me"):
+            a.env.send("p2", payload)
         sim.run()
-        assert [p for _s, p in b.received] == [2]
+        assert seen == ["drop-me", "keep-me", "and-me"]  # the first rule sees all
+        assert rewrites_saw == ["keep-me"]  # the rest of the plane only what passed
+        assert [p for _s, p in b.received] == ["keep-me"]
+        assert plane.dropped == plane.rewritten == 0  # a scripted drop is no link fault
 
     def test_crash_during_multicast_partial_delivery(self):
         sim, network, procs = build(n=4)
         a = procs[0]
-        injector = crash_during_multicast(
+        injector = CrashDuringMulticast(
             network, "p1", lambda p: p == "batch", deliver_to={"p2"}
         )
         a.env.send_to_all(["p2", "p3", "p4"], "batch")
@@ -239,7 +248,7 @@ class TestInterceptors:
     def test_crash_during_multicast_ignores_other_messages(self):
         sim, network, procs = build(n=3)
         a = procs[0]
-        crash_during_multicast(
+        CrashDuringMulticast(
             network, "p1", lambda p: p == "target", deliver_to=set()
         )
         a.env.send_to_all(["p2", "p3"], "innocent")
@@ -263,6 +272,39 @@ class TestFaultSchedule:
         assert [p for _s, p in b.received] == ["held"]
         assert network.is_crashed("p2")
         assert schedule.crash_times == [8.0]
+
+    def test_a_pid_the_deployment_lacks_is_rejected_before_anything_runs(self):
+        sim, network, _ = build()
+        for schedule in (
+            FaultSchedule().crash(1.0, "p9"),
+            FaultSchedule().suspect(1.0, "p9"),
+            FaultSchedule().unsuspect(1.0, "p9"),
+            FaultSchedule().partition(1.0, [["p1"], ["p2", "p9"]]),
+            FaultSchedule().heal(1.0).oneway(2.0, [("p9", "*")]),
+        ):
+            with pytest.raises(ValueError, match=r"names \['p9'\].*has \['p1', 'p2'\]"):
+                schedule.apply(network)
+        assert sim.pending_events == 0
+        # "*" is no pid, and link-rule patterns are not checked.
+        FaultSchedule().oneway(1.0, [("*", "p2")]).links(src="rb1", drop=1.0).apply(network)
+        assert sim.pending_events == 1
+
+    def test_an_unknown_kind_is_rejected_at_apply_not_when_due(self):
+        from repro.faults.injection import FaultAction
+
+        sim, network, _ = build()
+        with pytest.raises(ValueError, match="unknown fault action: explode"):
+            FaultSchedule([FaultAction(50.0, "explode")]).apply(network)
+        assert sim.pending_events == 0
+
+    def test_a_one_group_pid_in_a_sharded_run_is_rejected(self):
+        from repro.sharding.cluster import ShardedScenarioConfig, run_sharded_scenario
+
+        config = ShardedScenarioConfig(
+            n_shards=2, requests_per_client=2, fault_schedule=FaultSchedule().crash(5.0, "p1")
+        )
+        with pytest.raises(ValueError, match=r"names \['p1'\].*'s0\.p1'"):
+            run_sharded_scenario(config)
 
     def test_unknown_action_rejected(self):
         from repro.faults.injection import FaultAction, _make_action
@@ -344,14 +386,15 @@ class TestHop:
         a.env.send("p3", "a-in-flight")  # seq 0
         b.env.send("p3", "b-in-flight")  # seq 1
         sim.run(until=0.5)
-        network.set_partition([["p1", "p2"], ["p3"]])
+        plane = network.ensure_fault_plane()
+        plane.partition([["p1", "p2"], ["p3"]])
         b.env.send("p3", "b-held-at-send")  # seq 2, held before a's next
         a.env.send("p3", "a-held-at-send")  # seq 3
         sim.run(until=10.0)
         assert c.received == []
         # Held at delivery comes after held at send in the list ...
-        assert [envelope.seq for envelope in network._held] == [2, 3, 0, 1]
-        network.heal()
+        assert [envelope.seq for envelope in plane.held_envelopes()] == [2, 3, 0, 1]
+        plane.heal_partition()
         sim.run()
         # ... and heal puts the wire back in send order.
         assert c.received == [
@@ -364,7 +407,7 @@ class TestHop:
 
     def test_an_idle_fault_plane_changes_nothing(self):
         """A plane with no rules sends every envelope through
-        ``_dispatch_from_plane`` and ``_schedule_delivery``: the digest
+        ``FaultPlane.process`` and ``_schedule_delivery``: the digest
         must be the one the hop scheduled from ``transmit`` gives."""
 
         def digest(with_plane: bool) -> str:
@@ -383,31 +426,6 @@ class TestHop:
             return network.trace.digest()
 
         assert digest(with_plane=True) == digest(with_plane=False)
-
-    def test_an_interceptor_may_remove_itself_mid_walk(self):
-        sim, network, (a, b) = build_timed()
-        seen: List[str] = []
-
-        def once(src: str, dst: str, payload: Any) -> bool:
-            seen.append(f"once:{payload}")
-            network.remove_interceptor(once)
-            return True
-
-        def always(src: str, dst: str, payload: Any) -> bool:
-            seen.append(f"always:{payload}")
-            return payload != "drop"
-
-        network.add_interceptor(once)
-        network.add_interceptor(always)
-        for payload in ("first", "drop", "last"):
-            a.env.send("p2", payload)
-        sim.run()
-        # The walk that ``once`` left still reached ``always``.
-        assert seen == ["once:first", "always:first", "always:drop", "always:last"]
-        assert [payload for _t, _s, payload in b.received] == ["first", "last"]
-        assert network.messages_dropped == 1
-        with pytest.raises(ValueError):
-            network.remove_interceptor(once)
 
     def test_checksummed_envelopes_are_verified_at_delivery(self):
         """The verifier arrives with the plane that stamps the checksums."""

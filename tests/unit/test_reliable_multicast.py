@@ -3,7 +3,7 @@
 from typing import Any, List, Tuple
 
 from repro.broadcast.reliable import ReliableMulticast, RMsg
-from repro.faults.injection import crash_during_multicast
+from repro.faults.injection import CrashDuringMulticast
 from repro.sim.component import ComponentProcess
 from repro.sim.latency import ConstantLatency
 from repro.sim.loop import Simulator
@@ -88,7 +88,7 @@ class TestAgreement:
         # The defining scenario: the sender crashes so that only p2
         # receives the original send; p2's relay completes delivery.
         sim, network, members, group = build(n=4)
-        crash_during_multicast(
+        CrashDuringMulticast(
             network,
             "p1",
             lambda payload: isinstance(payload, RMsg) and payload.payload == "crashy",
@@ -104,7 +104,7 @@ class TestAgreement:
         # Integrity direction: if no correct process received it, none
         # delivers it (the message simply never happened).
         sim, network, members, group = build(n=4)
-        crash_during_multicast(
+        CrashDuringMulticast(
             network,
             "p1",
             lambda payload: isinstance(payload, RMsg),
@@ -120,7 +120,7 @@ class TestAgreement:
         # the (already crashed) origin: relays already in flight complete
         # the dissemination.
         sim, network, members, group = build(n=4)
-        crash_during_multicast(
+        CrashDuringMulticast(
             network,
             "p1",
             lambda payload: isinstance(payload, RMsg),
