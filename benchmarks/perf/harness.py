@@ -37,6 +37,8 @@ substrate and the numbers stay comparable across PRs:
 * ``bytes_per_op``      -- how much does one simulated write leave
   behind?  Bytes ``tracemalloc`` finds still held after the same run,
   per adopted operation.
+* ``bytes_per_read_op`` -- the same for the ``tcp_read_heavy`` shape on
+  the simulator: what an adopted read (nine in ten ops) leaves behind.
 
 No number here is compared with one measured on another machine or in
 another run: rates are reported as measured, for information, and every
@@ -649,6 +651,33 @@ def calls_per_op() -> Dict[str, Any]:
     }
 
 
+def _retained_per_op(
+    shape: Callable[[int], ShardedScenarioConfig], requests: int
+) -> Dict[str, Any]:
+    """Bytes a fixed-seed run of ``shape(requests)`` still holds, per adopted op."""
+    run_sharded_scenario(shape(2))
+    run = build_sharded_scenario(shape(requests))
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run.execute()
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    adopted = len(run.adopted())
+    assert run.all_done() and adopted == run.config.n_clients * requests
+    return {
+        "python": f"{sys.version_info.major}.{sys.version_info.minor}",
+        "adopted": adopted,
+        "retained_bytes": retained,
+        "bytes_per_op": round(retained / adopted, 1),
+    }
+
+
 def bytes_per_op() -> Dict[str, Any]:
     """Bytes a simulated write leaves behind, per adopted write.
 
@@ -662,27 +691,42 @@ def bytes_per_op() -> Dict[str, Any]:
     byte on one interpreter version; it moves when a write keeps more
     (or fewer) objects alive.
     """
-    run_sharded_scenario(_calls_shape(2))
-    run = build_sharded_scenario(_calls_shape(50))
-    gc.collect()
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        run.execute()
-        gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    adopted = len(run.adopted())
-    assert run.all_done() and adopted == 8 * 50
-    return {
-        "python": f"{sys.version_info.major}.{sys.version_info.minor}",
-        "adopted": adopted,
-        "retained_bytes": retained,
-        "bytes_per_op": round(retained / adopted, 1),
-    }
+    return _retained_per_op(_calls_shape, 50)
+
+
+def _read_shape(requests_per_client: int) -> ShardedScenarioConfig:
+    """The ``tcp_read_heavy`` shape of ``benchmarks/e2e`` on the simulator."""
+    return ShardedScenarioConfig(
+        n_shards=1,
+        n_servers=3,
+        n_clients=4,
+        requests_per_client=requests_per_client,
+        machine="kv",
+        workload="readheavy",
+        read_ratio=0.9,
+        zipf_s=1.2,
+        read_mode="optimistic",
+        driver="closed",
+        trace_level="off",
+        seed=7,
+    )
+
+
+def bytes_per_read_op() -> Dict[str, Any]:
+    """Bytes a read-heavy run leaves behind, per adopted op.
+
+    :func:`bytes_per_op`'s method on a fixed-seed simulated copy of the
+    ``tcp_read_heavy`` shape -- one group of 3, 4 closed-loop clients x
+    100 kv ops, nine in ten of them Zipf-1.2 replica-local optimistic
+    reads, trace off.  What an adopted read keeps is its adopted reply
+    (rid, result, position, weight) in the client's book; a write adds
+    its reply cache, undo and ordering entries.  It moves when an
+    adoption keeps more objects alive: a result with a ``__dict__``, a
+    weight tuple of its own.
+    """
+    cell = _retained_per_op(_read_shape, 100)
+    cell["bytes_per_read_op"] = cell.pop("bytes_per_op")
+    return cell
 
 
 # ----------------------------------------------------------------------
@@ -806,6 +850,7 @@ def run_suite(
         "checker_scaling": checker_scaling(quick),
         "calls_per_op": calls_per_op(),
         "bytes_per_op": bytes_per_op(),
+        "bytes_per_read_op": bytes_per_read_op(),
     }
     if wallclock:
         from benchmarks.perf.wallclock import run_wallclock
@@ -860,6 +905,12 @@ def format_table(payload: Dict[str, Any]) -> str:
     lines.append(
         f"bytes per op (the same run under tracemalloc, Python {kept['python']}): "
         f"{kept['retained_bytes']:,} B retained = {kept['bytes_per_op']:.1f} per adopted op"
+    )
+    kept = payload["bytes_per_read_op"]
+    lines.append(
+        f"bytes per read op ({kept['adopted']} ops of the read-heavy shape, 90 % reads, "
+        f"Python {kept['python']}): {kept['retained_bytes']:,} B retained = "
+        f"{kept['bytes_per_read_op']:.1f} per adopted op"
     )
     lines.append("")
     lines.append(f"golden digest: {payload['golden_digest']}")

@@ -13,10 +13,11 @@ no gate reads a number measured in another run or on another machine.
 ratio of two costs measured in this run, in turns or seconds apart, in
 ``time.process_time`` -- so the machine cancels -- against a bound chosen
 from recorded runs; the fixed-seed determinism digest is compared with
-``harness.GOLDEN_DIGEST``; and two counts of one fixed-seed simulated
-run, per interpreter version (``COUNTS``): the Python-level calls a
-write takes, with ``CALLS_PER_OP_CEILING``, and the bytes a write leaves
-behind, with ``BYTES_PER_OP_CEILING``.  What a request costs in
+``harness.GOLDEN_DIGEST``; and three counts of fixed-seed simulated
+runs, per interpreter version (``COUNTS``): the Python-level calls a
+write takes, with ``CALLS_PER_OP_CEILING``, the bytes a write leaves
+behind, with ``BYTES_PER_OP_CEILING``, and the bytes an op of a
+read-heavy run leaves behind, with ``BYTES_PER_READ_OP_CEILING``.  What a request costs in
 messages, events and trace records is exact, and pinned with ``==`` in
 ``tests/integration/test_builder_digests.py``; what a change does to
 end-to-end rates is judged parent against change on one machine by
@@ -111,11 +112,18 @@ CALLS_PER_OP_CEILING = {"3.10": 426.0, "3.11": 426.0, "3.12": 424.0, "3.13": 424
 #: Ceiling on ``harness.bytes_per_op``'s reading, by the interpreter that
 #: measured it (object sizes differ between versions).  The same run, so
 #: the reading repeats within 0.2 B under one hash seed and within 2 B
-#: across seeds; this tree reads 3 161.8 B on CPython 3.10, 2 693.0 on
-#: 3.11, 2 636.4 on 3.12 and 2 668.5 on 3.13, and the ceilings sit 3 %
-#: above.  A frozenset per optimistic reply put back reads 3 341.0 on
-#: 3.11 (``docs/BENCHMARKS.md``, "Tracked performance").
-BYTES_PER_OP_CEILING = {"3.10": 3260.0, "3.11": 2775.0, "3.12": 2715.0, "3.13": 2750.0}
+#: across seeds; this tree reads 2 656.0 B on CPython 3.10, 2 438.1 on
+#: 3.11 and 2 413.5 on 3.12 and 3.13, and the ceilings sit 3 % above.
+#: A frozenset per optimistic reply put back reads 3 086.1 on 3.11
+#: (``docs/BENCHMARKS.md``, "Tracked performance").
+BYTES_PER_OP_CEILING = {"3.10": 2736.0, "3.11": 2511.0, "3.12": 2486.0, "3.13": 2486.0}
+
+#: Ceiling on ``harness.bytes_per_read_op``'s reading, by interpreter:
+#: this tree reads 730.4 B on CPython 3.10, 687.2 on 3.11 and 675.9 on
+#: 3.12 and 3.13 (the same under every hash seed tried), and the
+#: ceilings sit 3 % above.  A fresh ``(src,)`` weight tuple per adopted
+#: read put back reads 730.6 on 3.11.
+BYTES_PER_READ_OP_CEILING = {"3.10": 752.0, "3.11": 708.0, "3.12": 696.0, "3.13": 696.0}
 
 #: The exact counts ``check`` judges: payload key (which is also the
 #: reading's field in its cell), ceilings by interpreter, and what a
@@ -128,6 +136,10 @@ COUNTS = (
     (
         "bytes_per_op", BYTES_PER_OP_CEILING,
         "a write leaves more objects behind in the reply cache, undo log or certificates",
+    ),
+    (
+        "bytes_per_read_op", BYTES_PER_READ_OP_CEILING,
+        "an adopted op keeps more objects: a result with a __dict__, a weight tuple of its own",
     ),
 )
 

@@ -38,16 +38,18 @@ def test_suite_runs_quick_and_payload_is_complete(tmp_path):
     assert harness.calls_per_op() == calls
     kept = payload["bytes_per_op"]
     assert kept["adopted"] == 400 and kept["retained_bytes"] > 0
+    kept = payload["bytes_per_read_op"]
+    assert kept["adopted"] == 400 and kept["retained_bytes"] > 0
     # Nothing measured on another machine, nothing for another run to read.
     assert set(payload) == {
         "schema", "mode", "repeats", "results", "golden_digest",
         "kernel_vs_reference", "history_scaling", "checker_scaling", "calls_per_op",
-        "bytes_per_op",
+        "bytes_per_op", "bytes_per_read_op",
     }
     # The gates find every ratio where the suite put it (whatever they
     # read here): all but the codec's, whose section this run left out.
     failures, notes = run_perf.check(payload)
-    assert len(failures) + len(notes) == len(run_perf.GATES) + 3
+    assert len(failures) + len(notes) == len(run_perf.GATES) + 4
     # The counts are exact, so this tree must be under its ceilings on
     # any machine (on an interpreter nobody recorded, they are not judged).
     assert not [failure for failure in failures if " per op " in failure]
@@ -64,6 +66,7 @@ def test_suite_runs_quick_and_payload_is_complete(tmp_path):
         assert bench.label in table
     assert "kernel fast lane" in table
     assert "history scaling" in table and "checker scaling" in table
+    assert "bytes per read op" in table
 
 
 def test_wallclock_cells():
@@ -102,7 +105,8 @@ def _payload(
     digest: str = harness.GOLDEN_DIGEST,
     calls_per_op: float = 409.51,
     python: str = "3.11",
-    bytes_per_op: float = 2693.0,
+    bytes_per_op: float = 2438.1,
+    bytes_per_read_op: float = 687.2,
 ) -> Dict[str, Any]:
     """A synthetic payload: ``readings`` by gate name, each put where
     its gate looks for it."""
@@ -110,6 +114,7 @@ def _payload(
         "golden_digest": digest,
         "calls_per_op": {"calls_per_op": calls_per_op, "python": python},
         "bytes_per_op": {"bytes_per_op": bytes_per_op, "python": python},
+        "bytes_per_read_op": {"bytes_per_read_op": bytes_per_read_op, "python": python},
     }
     for gate in run_perf.GATES:
         if gate.name in readings:
@@ -128,7 +133,7 @@ _HIGH = {gate.name: gate.recorded[1] for gate in run_perf.GATES}
 def test_gates_hold_at_both_ends_of_their_recorded_ranges(readings):
     failures, notes = run_perf.check(_payload(readings))
     assert failures == []
-    assert len(notes) == len(run_perf.GATES) + 3 and notes[-1] == "digest matches"
+    assert len(notes) == len(run_perf.GATES) + 4 and notes[-1] == "digest matches"
 
 
 @pytest.mark.parametrize("gate", run_perf.GATES, ids=lambda gate: gate.path[0])
@@ -136,7 +141,7 @@ def test_each_gate_fires_alone_and_names_itself_and_its_bound(gate):
     past = gate.bound / 1.3 if gate.is_floor else gate.bound * 1.3
     for reading in (past, gate.planted):
         failures, notes = run_perf.check(_payload({**_LOW, gate.name: reading}))
-        assert len(failures) == 1 and len(notes) == len(run_perf.GATES) + 2
+        assert len(failures) == 1 and len(notes) == len(run_perf.GATES) + 3
         assert failures[0].startswith(f"{gate.name} {reading:.2f} is past the {gate.bound:.2f} ")
         assert gate.regression in failures[0]
 
@@ -155,7 +160,7 @@ def test_a_run_without_wallclock_skips_exactly_the_codec_gate():
     assert [note for note in notes if "skipped" in note] == [
         "codec binary/pickle skipped (suite ran without wallclock)"
     ]
-    assert len(notes) == len(run_perf.GATES) + 3
+    assert len(notes) == len(run_perf.GATES) + 4
 
 
 #: What ``harness.calls_per_op`` read on CPython 3.11 with one of the
@@ -178,7 +183,8 @@ _OLD_SHAPES = {
 def test_calls_per_op_gate_holds_at_this_trees_reading(python, reading):
     failures, notes = run_perf.check(
         _payload(_LOW, calls_per_op=reading, python=python,
-                 bytes_per_op=_BYTES_READINGS[python])
+                 bytes_per_op=_BYTES_READINGS[python],
+                 bytes_per_read_op=_READ_BYTES_READINGS[python])
     )
     ceiling = run_perf.CALLS_PER_OP_CEILING[python]
     assert failures == [] and 1.03 < ceiling / reading < 1.05
@@ -189,13 +195,14 @@ def test_calls_per_op_gate_holds_at_this_trees_reading(python, reading):
 def test_calls_per_op_gate_fires_on_each_old_shape_alone(shape):
     reading = _OLD_SHAPES[shape]
     failures, notes = run_perf.check(_payload(_LOW, calls_per_op=reading))
-    assert len(failures) == 1 and len(notes) == len(run_perf.GATES) + 2
+    assert len(failures) == 1 and len(notes) == len(run_perf.GATES) + 3
     assert failures[0].startswith(f"calls per op {reading:.2f} is past the 426.00 ceiling")
 
 
 def test_calls_per_op_is_not_judged_on_an_interpreter_nobody_recorded():
     failures, notes = run_perf.check(
-        _payload(_LOW, calls_per_op=9999.0, python="3.99", bytes_per_op=99999.0)
+        _payload(_LOW, calls_per_op=9999.0, python="3.99", bytes_per_op=99999.0,
+                 bytes_per_read_op=99999.0)
     )
     assert failures == []
     assert "calls per op 9999.00 not judged (no ceiling for Python 3.99)" in notes
@@ -203,13 +210,19 @@ def test_calls_per_op_is_not_judged_on_an_interpreter_nobody_recorded():
 
 
 #: What ``harness.bytes_per_op`` reads on this tree, by interpreter.
-_BYTES_READINGS = {"3.10": 3161.8, "3.11": 2693.0, "3.12": 2636.4, "3.13": 2668.5}
+_BYTES_READINGS = {"3.10": 2656.0, "3.11": 2438.1, "3.12": 2413.5, "3.13": 2413.5}
+
+#: What ``harness.bytes_per_read_op`` reads on this tree, by interpreter.
+_READ_BYTES_READINGS = {"3.10": 730.4, "3.11": 687.2, "3.12": 675.9, "3.13": 675.9}
 
 
 @pytest.mark.parametrize("python", sorted(_BYTES_READINGS))
 def test_bytes_per_op_gate_holds_at_this_trees_reading(python):
     reading = _BYTES_READINGS[python]
-    failures, notes = run_perf.check(_payload(_LOW, python=python, bytes_per_op=reading))
+    failures, notes = run_perf.check(
+        _payload(_LOW, python=python, bytes_per_op=reading,
+                 bytes_per_read_op=_READ_BYTES_READINGS[python])
+    )
     ceiling = run_perf.BYTES_PER_OP_CEILING[python]
     assert failures == [] and 1.02 < ceiling / reading < 1.04
     assert f"bytes per op {reading:.2f} within the {ceiling:.2f} ceiling" in notes
@@ -250,3 +263,48 @@ def test_bytes_per_op_repeats_and_fires_on_a_weight_per_delivery(monkeypatch):
     if regressed["python"] in run_perf.BYTES_PER_OP_CEILING:
         assert len(failures) == 1
         assert failures[0].startswith(f"bytes per op {regressed['bytes_per_op']:.2f} is past")
+
+
+@pytest.mark.parametrize("python", sorted(_READ_BYTES_READINGS))
+def test_bytes_per_read_op_gate_holds_at_this_trees_reading(python):
+    reading = _READ_BYTES_READINGS[python]
+    failures, notes = run_perf.check(
+        _payload(_LOW, python=python, bytes_per_op=_BYTES_READINGS[python],
+                 bytes_per_read_op=reading)
+    )
+    ceiling = run_perf.BYTES_PER_READ_OP_CEILING[python]
+    assert failures == [] and 1.02 < ceiling / reading < 1.04
+    assert f"bytes per read op {reading:.2f} within the {ceiling:.2f} ceiling" in notes
+
+
+def test_bytes_per_read_op_repeats_and_fires_on_a_weight_tuple_per_read(monkeypatch):
+    reading = harness.bytes_per_read_op()
+    # Same seed, same objects: measuring again gives the same bytes.
+    again = harness.bytes_per_read_op()
+    assert abs(again["bytes_per_read_op"] - reading["bytes_per_read_op"]) <= 0.2
+    failures, _notes = run_perf.check(
+        _payload(_LOW, python=reading["python"], bytes_per_read_op=reading["bytes_per_read_op"])
+    )
+    assert failures == []
+
+    from repro.core.client import OARClient
+
+    adopt_read = OARClient._adopt_read
+
+    def planted(self, pending, reply, weight):
+        # A fresh ``(src,)`` per adopted read: the weight before interning.
+        adopt_read(self, pending, reply, tuple([*weight]))
+
+    monkeypatch.setattr(OARClient, "_adopt_read", planted)
+    regressed = harness.bytes_per_read_op()
+    # Nine ops in ten are reads, each keeping one more 1-tuple.
+    assert regressed["bytes_per_read_op"] > reading["bytes_per_read_op"] + 30
+    failures, _notes = run_perf.check(
+        _payload(_LOW, python=regressed["python"],
+                 bytes_per_read_op=regressed["bytes_per_read_op"])
+    )
+    if regressed["python"] in run_perf.BYTES_PER_READ_OP_CEILING:
+        assert len(failures) == 1
+        assert failures[0].startswith(
+            f"bytes per read op {regressed['bytes_per_read_op']:.2f} is past"
+        )

@@ -20,14 +20,14 @@ crashes at the worst moment.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Any, Callable, Sequence, Set, Tuple
 
 from repro.sim.component import Component
 from repro.sim.process import Process
+from repro.values import frozen_value
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class RMsg:
     """The relay envelope of the reliable-multicast protocol."""
 
@@ -82,8 +82,11 @@ class ReliableMulticast(Component):
         mid = f"{self.host.pid}:{next(self._counter)}"
         group_tuple = tuple(group)
         message = RMsg(mid=mid, origin=self.host.pid, payload=payload, group=group_tuple)
-        self._seen.add(mid)
         peers, self_member = self._group_fanout(group_tuple)
+        if self_member:
+            # Relays reach members only: an origin outside the group (a
+            # client) never sees its own mid again, so it keeps none.
+            self._seen.add(mid)
         env = self.env
         send = env.send
         for member in peers:

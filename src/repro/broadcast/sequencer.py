@@ -28,7 +28,6 @@ versus the structurally-zero rate of OAR.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Sequence, Set, Tuple
 
 from repro.core.messages import Reply, Request
@@ -39,9 +38,10 @@ from repro.failure.detector import (
 )
 from repro.sim.component import ComponentProcess
 from repro.statemachine.base import StateMachine
+from repro.values import frozen_value
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class OrderMsg:
     """An incremental ordering assignment from the view's sequencer."""
 
@@ -50,7 +50,7 @@ class OrderMsg:
     rid: str
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class OrderBatch:
     """One multi-assignment ordering message: contiguous seqnos for many rids.
 
@@ -66,7 +66,7 @@ class OrderBatch:
     rids: Tuple[str, ...]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ViewOrder:
     """A new sequencer's takeover: its full history is the view's order."""
 

@@ -33,12 +33,12 @@ epoch k before it has itself entered phase 2 of epoch k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.failure.detector import FailureDetector
 from repro.sim.component import Component
 from repro.sim.process import Process
+from repro.values import frozen_value
 
 #: Estimate tags: an estimate is either the process's own initial value or
 #: an aggregated vector adopted from some round's proposal.
@@ -52,7 +52,7 @@ DecisionVector = Tuple[Tuple[str, Any], ...]
 DecisionCallback = Callable[[Any, DecisionVector], None]
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class CEstimate:
     """Phase 1: a participant's current estimate, sent to the coordinator."""
 
@@ -63,7 +63,7 @@ class CEstimate:
     ts: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class CProposal:
     """Phase 2: the coordinator's proposal for one round."""
 
@@ -72,7 +72,7 @@ class CProposal:
     value: DecisionVector
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class CAck:
     """Phase 3: acceptance of the round's proposal."""
 
@@ -80,7 +80,7 @@ class CAck:
     round: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class CNack:
     """Phase 3: rejection after suspecting the round's coordinator."""
 
@@ -88,7 +88,7 @@ class CNack:
     round: int
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class CDecide:
     """The decision, disseminated by relay-on-first-receipt."""
 

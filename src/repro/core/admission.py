@@ -35,8 +35,9 @@ workload/analysis layers can depend on it without cycles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Tuple
+
+from repro.values import frozen_value
 
 #: Operation-name prefixes routed to the "control" bulkhead class.
 #: These are the escrow-style multi-step protocols (live migration,
@@ -64,7 +65,7 @@ def traffic_class(op: Tuple[Any, ...]) -> str:
     return "write"
 
 
-@dataclass(frozen=True)
+@frozen_value
 class Overloaded:
     """Deterministic shed payload: *why* the request was refused.
 

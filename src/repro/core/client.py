@@ -39,7 +39,6 @@ workload driver.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import partial
 from typing import (
     Any,
@@ -59,9 +58,10 @@ from repro.core.messages import ReadReply, ReadRequest, Reply, Request, ShedNoti
 from repro.core.server import READ_MODES
 from repro.sim.component import ComponentProcess
 from repro.statemachine.base import OpResult, WrongShard
+from repro.values import frozen_value
 
 
-@dataclass(frozen=True)
+@frozen_value
 class AdoptedReply:
     """The client's final outcome for one request.
 
@@ -101,6 +101,7 @@ class _PendingRequest:
     """Reply bookkeeping for one in-flight request."""
 
     __slots__ = (
+        "rid",
         "op",
         "group",
         "submit_time",
@@ -111,9 +112,12 @@ class _PendingRequest:
     )
 
     def __init__(
-        self, op: Tuple[Any, ...], group: Tuple[str, ...], submit_time: float,
+        self, rid: str, op: Tuple[Any, ...], group: Tuple[str, ...], submit_time: float,
         then: Optional[Then],
     ) -> None:
+        #: The rid as this client minted it: adoptions are keyed and
+        #: stamped with this object, not with a reply's decoded copy.
+        self.rid = rid
         self.op = op
         self.group = group
         self.submit_time = submit_time
@@ -140,6 +144,7 @@ class _PendingRead:
     """Reply bookkeeping for one in-flight replica-local read."""
 
     __slots__ = (
+        "rid",
         "op",
         "group",
         "shard",
@@ -156,6 +161,7 @@ class _PendingRead:
 
     def __init__(
         self,
+        rid: str,
         op: Tuple[Any, ...],
         group: Tuple[str, ...],
         shard: Optional[int],
@@ -165,6 +171,7 @@ class _PendingRead:
         attempts: int,
         target_index: int,
     ) -> None:
+        self.rid = rid  #: as minted, like ``_PendingRequest.rid``
         self.op = op
         self.group = group
         self.shard = shard
@@ -285,6 +292,10 @@ class OARClient(ComponentProcess):
         # both holding the first certificate seen, (rid, slot, src).
         self._certs: Dict[Tuple[str, int], Tuple[Dict[int, _Cert], Dict[str, _Cert]]] = {}
         self.equivocations_detected = 0
+        # Adoption weights, interned: a reply's weight set (a frozenset),
+        # a single replying pid and each sorted tuple all map to the one
+        # tuple every adoption of that set shares.
+        self._weights: Dict[Any, Tuple[str, ...]] = {}
 
     @property
     def majority_weight(self) -> int:
@@ -327,7 +338,7 @@ class OARClient(ComponentProcess):
         rid = f"{self.pid}-{next(self._counter)}"
         request = Request(rid=rid, client=self.pid, op=tuple(op))
         self._pending[rid] = _PendingRequest(
-            request.op, group, self.env.now if submit_time is None else submit_time, then
+            rid, request.op, group, self.env.now if submit_time is None else submit_time, then
         )
         self.env.trace("submit", rid=rid, op=request.op)
         self.rmc.multicast(request, group)
@@ -383,6 +394,7 @@ class OARClient(ComponentProcess):
         target_index = self._read_rr
         self._read_rr += 1
         pending = _PendingRead(
+            rid=rid,
             op=op,
             group=tuple(group),
             shard=shard,
@@ -473,7 +485,10 @@ class OARClient(ComponentProcess):
             return
         if pending.mode == "optimistic":
             # Any round's reply is a valid single-replica observation.
-            self._adopt_read(reply.rid, pending, reply, weight=(src,))
+            weight = self._weights.get(src)
+            if weight is None:
+                weight = self._weights[src] = self._weights.setdefault((src,), (src,))
+            self._adopt_read(pending, reply, weight)
             return
         if reply.round != pending.round:
             # A straggler from a superseded round: mixing it into the
@@ -493,9 +508,10 @@ class OARClient(ComponentProcess):
             if len(matching) >= pending.majority:
                 matching.sort(key=lambda item: item[0])
                 weight = tuple(pid for pid, _r in matching)
+                weight = self._weights.setdefault(weight, weight)
                 # Report the freshest matching observation's position.
                 best = max(matching, key=lambda item: item[1].position)[1]
-                self._adopt_read(reply.rid, pending, best, weight=weight)
+                self._adopt_read(pending, best, weight)
                 return
         if len(pending.replies) >= len(pending.group):
             # Everyone answered and no value has a majority: the
@@ -520,12 +536,9 @@ class OARClient(ComponentProcess):
         self._send_read(rid, pending)
 
     def _adopt_read(
-        self,
-        rid: str,
-        pending: _PendingRead,
-        reply: ReadReply,
-        weight: Tuple[str, ...],
+        self, pending: _PendingRead, reply: ReadReply, weight: Tuple[str, ...]
     ) -> None:
+        rid = pending.rid
         del self._reads[rid]
         if pending.timer is not None:
             pending.timer.cancel()
@@ -569,7 +582,7 @@ class OARClient(ComponentProcess):
 
     # ------------------------------------------------------------------
 
-    def _record_order_certificate(self, src: str, reply: Reply) -> None:
+    def _record_order_certificate(self, src: str, reply: Reply, rid: str) -> None:
         """Cross-check an optimistic reply's sequencer order certificate.
 
         The certificate claims "the epoch-``k`` sequencer assigned slot
@@ -586,7 +599,6 @@ class OARClient(ComponentProcess):
         epoch = reply.epoch
         scope = (src.rpartition(".")[0], epoch)  # shard prefix; "" when unsharded
         by_slot, by_rid = self._certs.get(scope) or self._certs.setdefault(scope, ({}, {}))
-        rid = reply.rid
         cert = (rid, slot, src)
         claimed = by_slot.setdefault(slot, cert)
         if claimed[0] != rid:
@@ -614,8 +626,8 @@ class OARClient(ComponentProcess):
             )
 
     def _on_reply(self, src: str, reply: Reply) -> None:
-        self._record_order_certificate(src, reply)
         pending = self._pending.get(reply.rid)
+        self._record_order_certificate(src, reply, reply.rid if pending is None else pending.rid)
         if pending is None:
             self.late_replies += 1
             return
@@ -627,11 +639,9 @@ class OARClient(ComponentProcess):
         if union is None:
             union = pending.weight_by_epoch[reply.epoch] = set()
         union |= reply.weight
-        self._check_adoption(reply.rid, pending, reply.epoch)
+        self._check_adoption(pending, reply.epoch)
 
-    def _check_adoption(
-        self, rid: str, pending: _PendingRequest, epoch: int
-    ) -> None:
+    def _check_adoption(self, pending: _PendingRequest, epoch: int) -> None:
         """Fig. 5, lines 3-6: wait for majority weight, adopt heaviest.
 
         Only ``epoch`` (the one the just-arrived reply belongs to) can
@@ -642,15 +652,22 @@ class OARClient(ComponentProcess):
             return
         replies = pending.replies_by_epoch[epoch]
         heaviest = max(replies.values(), key=lambda r: len(r.weight))
-        self._adopt(rid, pending, heaviest)
+        self._adopt(pending, heaviest)
 
-    def _adopt(self, rid: str, pending: _PendingRequest, reply: Reply) -> None:
+    def _adopt(self, pending: _PendingRequest, reply: Reply) -> None:
+        rid = pending.rid
+        # One tuple per distinct weight set, shared by every adoption
+        # (and by reads that adopted the same set): interned inline.
+        weight = self._weights.get(reply.weight)
+        if weight is None:
+            weight = tuple(sorted(reply.weight))
+            weight = self._weights[reply.weight] = self._weights.setdefault(weight, weight)
         adopted = AdoptedReply(
             rid=rid,
             value=reply.value,
             position=reply.position,
             epoch=reply.epoch,
-            weight=tuple(sorted(reply.weight)),
+            weight=weight,
             conservative=reply.conservative,
             submit_time=pending.submit_time,
             adopt_time=self.env.now,
@@ -681,20 +698,23 @@ class OARClient(ComponentProcess):
         ordered the op after a failover and the real reply won the race)
         counts as late, exactly like a stale reply.
         """
-        rid = notice.rid
         result = OpResult(
             ok=False,
             value=Overloaded(cls=notice.cls, queue=notice.queue, limit=notice.limit),
             error="overloaded",
         )
-        pending: Any = self._pending.pop(rid, None)
+        pending: Any = self._pending.pop(notice.rid, None)
         if pending is None:
-            pending = self._reads.pop(rid, None)
+            pending = self._reads.pop(notice.rid, None)
             if pending is None:
                 self.late_replies += 1
                 return
             if pending.timer is not None:
                 pending.timer.cancel()
+        rid = pending.rid
+        weight = self._weights.get(src)
+        if weight is None:
+            weight = self._weights[src] = self._weights.setdefault((src,), (src,))
         self.overloaded += 1
         self.shed_rids.add(rid)
         adopted = AdoptedReply(
@@ -702,7 +722,7 @@ class OARClient(ComponentProcess):
             value=result,
             position=-1,
             epoch=-1,
-            weight=(src,),
+            weight=weight,
             conservative=False,
             submit_time=pending.submit_time,
             adopt_time=self.env.now,

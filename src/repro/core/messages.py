@@ -8,11 +8,12 @@ serializable without a registry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, FrozenSet, Optional, Tuple
 
+from repro.values import frozen_value
 
-@dataclass(frozen=True, slots=True)
+
+@frozen_value
 class Request:
     """A client request, R-multicast to the server group Π (Fig. 5, line 2).
 
@@ -28,7 +29,7 @@ class Request:
         return f"Request({self.rid}, {self.op})"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class Reply:
     """A server's reply to a request (Fig. 6, lines 19 and 29).
 
@@ -68,7 +69,7 @@ class Reply:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ReadRequest:
     """A replica-local read (never ordered by the sequencer).
 
@@ -95,7 +96,7 @@ class ReadRequest:
         return f"ReadRequest({self.rid}, {self.op})"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ReadReply:
     """A replica's answer to a :class:`ReadRequest`.
 
@@ -121,7 +122,7 @@ class ReadReply:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class ShedNotice:
     """The sequencer's refusal under overload: a deterministic answer.
 
@@ -143,7 +144,7 @@ class ShedNotice:
         return f"ShedNotice({self.rid}, {self.cls}, q={self.queue}/{self.limit})"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class SeqOrder:
     """The sequencer's ordering message ``(k, O_notdelivered)`` (Fig. 6, line 10).
 
@@ -165,7 +166,7 @@ class SeqOrder:
         return f"SeqOrder(k={self.epoch}, {{{';'.join(self.rids)}}})"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class OrderNack:
     """Anti-entropy: "I hold order slots for rids whose bodies I miss".
 
@@ -183,7 +184,7 @@ class OrderNack:
         return f"OrderNack(k={self.epoch}, {{{';'.join(self.rids)}}})"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class BodyBatch:
     """The answer to an :class:`OrderNack`: the requested request bodies.
 
@@ -199,7 +200,7 @@ class BodyBatch:
         return f"BodyBatch({{{rids}}})"
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class PhaseII:
     """The ``(k, PhaseII)`` notification (Fig. 6, line 21).
 

@@ -881,6 +881,9 @@ class OARServer(ComponentProcess):
         """
         weight = self._opt_weights[self.sequencer_index]
         request = self.requests[rid]
+        # Deliver under the body's rid object: ``rid`` came from a
+        # SeqOrder, which over a real backend is a second decoded copy.
+        rid = request.rid
         self.o_delivered.append(rid)
         self._unordered.pop(rid, None)
         self._opt_delivery_count_this_epoch += 1

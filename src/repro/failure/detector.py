@@ -5,11 +5,11 @@ See :mod:`repro.failure` for the ◇S properties these provide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Set
 
 from repro.sim.component import Component
 from repro.sim.process import Process
+from repro.values import frozen_value
 
 #: Listener signature: (pid, suspected) -- called on every transition.
 SuspicionListener = Callable[[str, bool], None]
@@ -30,7 +30,7 @@ def resolve_fd(fd_or_factory: object, host: Process) -> "FailureDetector":
     raise TypeError(f"not a failure detector or factory: {fd_or_factory!r}")
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class Heartbeat:
     """Periodic liveness message exchanged between group members."""
 

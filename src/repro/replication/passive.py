@@ -27,7 +27,6 @@ primary-backup at-most-once bookkeeping.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.core.messages import Reply, Request
@@ -38,9 +37,10 @@ from repro.failure.detector import (
 )
 from repro.sim.component import ComponentProcess
 from repro.statemachine.base import StateMachine
+from repro.values import frozen_value
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class StateUpdate:
     """Primary-to-backup state propagation."""
 
@@ -51,7 +51,7 @@ class StateUpdate:
     snapshot: Any
 
 
-@dataclass(frozen=True, slots=True)
+@frozen_value
 class UpdateAck:
     seqno: int
 

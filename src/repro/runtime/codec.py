@@ -22,7 +22,11 @@ so the wire format is a registry-driven binary codec:
 * decode rebuilds each node into its frozen dataclass by hoisted slot
   descriptor ``__set__`` calls on an ``object.__new__`` instance --
   bypassing ``__init__`` (and ``object.__setattr__``'s name lookup) is
-  what makes decode cheaper than pickle's reduce machinery;
+  what makes decode cheaper than pickle's reduce machinery.  Every
+  registered class is a slotted value (:func:`repro.values.frozen_value`,
+  whose ``__init__`` sets its slots the same way), and ``_register``
+  refuses one that is not, so a decoded message never carries a
+  per-instance ``__dict__``;
 * anything unregistered rides a pickle *escape hatch*: unknown objects
   become pickled leaf nodes, and a payload marshal cannot serialize at
   all (e.g. a mis-annotated field holding an open file) falls back to
@@ -58,6 +62,7 @@ import marshal
 import pickle
 from dataclasses import fields as _dc_fields
 from functools import partial
+from types import MemberDescriptorType
 from typing import Any, Callable, Dict, List, Tuple, Type
 
 from ..broadcast.reliable import RMsg
@@ -241,19 +246,23 @@ def _register(cls: type, tag: int) -> None:
         raise ValueError(f"duplicate codec registration: {cls.__name__}/{tag}")
     field_list = [(f.name, f.type) for f in _dc_fields(cls)]
 
+    slots = [cls.__dict__.get(name) for name, _t in field_list]
+    unslotted = [
+        name for (name, _t), slot in zip(field_list, slots)
+        if not isinstance(slot, MemberDescriptorType)
+    ]
+    if unslotted:
+        raise TypeError(
+            f"codec registers slotted dataclasses only: {cls.__name__}.{unslotted[0]} "
+            "is not a slot (declare the class with repro.values.frozen_value)"
+        )
     ns: Dict[str, Any] = {
         "_w": _walk,
         "_u": _unwalk,
         "_mk": partial(object.__new__, cls),
     }
-    slot_setters = all(
-        hasattr(cls.__dict__.get(n), "__set__") for n, _ in field_list
-    )
-    if slot_setters:
-        for i, (name, _t) in enumerate(field_list):
-            ns[f"_s{i}"] = cls.__dict__[name].__set__
-    else:
-        ns["_og"] = object.__getattribute__
+    for i, slot in enumerate(slots):
+        ns[f"_s{i}"] = slot.__set__
 
     # -- encoder: one flat list literal ------------------------------------
     items = [str(tag)]
@@ -275,18 +284,10 @@ def _register(cls: type, tag: int) -> None:
         return f"_u(x[{i}])"
 
     body: List[str] = ["    m = _mk()"]
-    if slot_setters:
-        for i, (name, typ) in enumerate(field_list):
-            body.append(f"    _s{i}(m, {_get(i + 1, typ)})")
-        setter_args = ", ".join(f"_s{i}=_s{i}" for i in range(len(field_list)))
-        dec_args = f"x, _mk=_mk, _u=_u, {setter_args}"
-    else:
-        pairs = ", ".join(
-            f"'{name}': {_get(i + 1, typ)}"
-            for i, (name, typ) in enumerate(field_list)
-        )
-        body.append(f"    _og(m, '__dict__').update({{{pairs}}})")
-        dec_args = "x, _mk=_mk, _u=_u, _og=_og"
+    for i, (_name, typ) in enumerate(field_list):
+        body.append(f"    _s{i}(m, {_get(i + 1, typ)})")
+    setter_args = ", ".join(f"_s{i}=_s{i}" for i in range(len(field_list)))
+    dec_args = f"x, _mk=_mk, _u=_u, {setter_args}"
     body.append("    return m")
     dec_src = f"def _dec({dec_args}):\n" + "\n".join(body) + "\n"
 

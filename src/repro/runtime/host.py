@@ -112,6 +112,9 @@ class RuntimeCluster:
         self._processes: Dict[str, Process] = {}
         self._crashed: set = set()
         self._started = False
+        #: ``shutdown`` has run: a send from then on goes nowhere
+        #: (counted as dropped where the transport keeps counts)
+        self._closed = False
         self._epoch = time.monotonic()
         self._stats: Dict[str, int] = {}
 
@@ -198,16 +201,20 @@ class AsyncioCluster(RuntimeCluster):
         self._pumps: List[asyncio.Task] = []
 
     def route(self, src: str, dst: str, payload: Any) -> None:
-        if src in self._crashed or dst not in self._inboxes:
+        if src in self._crashed:
             return
+        inbox = self._inboxes.get(dst)
+        if inbox is None:
+            if self._closed:
+                return
+            # As on the simulator: a pid nobody hosts is a wiring bug.
+            raise KeyError(f"unknown destination: {dst}")
         if self.link_delay > 0:
             # Constant delay keeps per-channel FIFO (asyncio call_later
             # with equal delays fires in scheduling order).
-            self.loop.call_later(
-                self.link_delay, self._inboxes[dst].put_nowait, (src, payload)
-            )
+            self.loop.call_later(self.link_delay, inbox.put_nowait, (src, payload))
         else:
-            self._inboxes[dst].put_nowait((src, payload))
+            inbox.put_nowait((src, payload))
 
     async def start(self) -> None:
         await super().start()
@@ -227,6 +234,7 @@ class AsyncioCluster(RuntimeCluster):
             process.on_message(src, payload)
 
     async def shutdown(self) -> None:
+        self._closed = True
         for pump in self._pumps:
             pump.cancel()
         await asyncio.gather(*self._pumps, return_exceptions=True)

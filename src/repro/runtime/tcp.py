@@ -214,7 +214,6 @@ class TcpCluster(RuntimeCluster):
         self._deferred: List[Tuple[str, Callable[[], None]]] = []
         self._in_turn = False  #: the running callback ends with a flush pass
         self._scheduled = False  #: a flush pass is on the loop
-        self._closed = False  #: ``shutdown`` has closed the connections
         self._stats = dict.fromkeys(  # "wakeups" are buffer_updated calls
             ("frames_sent", "frames_received", "bytes_sent", "flushes", "reconnects",
              "dropped_frames", "encode_cache_hits", "wakeups"),
@@ -259,7 +258,10 @@ class TcpCluster(RuntimeCluster):
     def send_frame(self, src: str, dst: str, payload: Any) -> None:
         crashed = self._crashed
         if src in crashed or dst not in self._addresses:
-            if self._closed and src not in crashed:
+            if src not in crashed:
+                if not self._closed:
+                    # As on the simulator: a pid nobody hosts is a wiring bug.
+                    raise KeyError(f"unknown destination: {dst}")
                 self._stats["dropped_frames"] += 1
             return
         stats = self._stats

@@ -22,16 +22,18 @@ Two performance features keep tracing off the hot path:
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import field
 from heapq import merge as _heapq_merge
 from typing import Any, Dict, Iterator, List, Optional, Sequence
+
+from repro.values import frozen_value
 
 #: Recognized trace levels: "full" records everything, "off" records
 #: nothing (zero-waste mode for soak/throughput runs).
 TRACE_LEVELS = ("full", "off")
 
 
-@dataclass(frozen=True)
+@frozen_value
 class TraceEvent:
     """One timestamped, structured event emitted by a process."""
 

@@ -11,11 +11,12 @@ one replica but not another would be non-determinism.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Optional, Set, Tuple
 
+from repro.values import frozen_value
 
-@dataclass(frozen=True)
+
+@frozen_value
 class WrongShard:
     """Deterministic "this shard does not own that key" redirect payload.
 
@@ -32,7 +33,7 @@ class WrongShard:
     hint: Optional[int] = None
 
 
-@dataclass(frozen=True)
+@frozen_value
 class OpResult:
     """The deterministic outcome of applying one operation.
 

@@ -10,6 +10,7 @@ group (``n_shards=1``) is placed under the paper's replica names, and a
 baseline protocol's group runs on the real backends as on the simulator.
 """
 
+import asyncio
 from typing import Any, Dict, List, Tuple
 
 import pytest
@@ -27,6 +28,7 @@ from repro.sharding.cluster import (
 )
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
+from repro.sim.process import Process
 
 pytestmark = pytest.mark.integration
 
@@ -105,3 +107,35 @@ def test_a_baseline_group_runs_on_the_real_backends_as_on_the_simulator(protocol
     assert submitted == _submitted(reference)
     assert all(len(ops) == config.requests_per_client for ops in submitted.values())
     run.check_all()  # the two ledgers and replica convergence, over sockets
+
+
+class _Sender(Process):
+    def on_message(self, src: str, payload: Any) -> None:
+        pass
+
+
+def test_a_send_to_a_pid_nobody_hosts_raises_on_every_backend():
+    """The simulator refuses a destination it does not host; the real
+    backends do the same while they run, and once shut down a late send
+    goes nowhere (TCP counts it as dropped)."""
+    network = SimNetwork(Simulator(seed=0))
+    sender = _Sender("a")
+    network.start(sender)
+    with pytest.raises(KeyError, match="unknown destination: nobody"):
+        sender.env.send("nobody", "hello")
+
+    async def real(cluster: Any) -> Dict[str, int]:
+        sender = _Sender("a")
+        cluster.add_process(sender)
+        await cluster.start()
+        try:
+            with pytest.raises(KeyError, match="unknown destination: nobody"):
+                sender.env.send("nobody", "hello")
+        finally:
+            await cluster.shutdown()
+        sender.env.send("nobody", "too late")
+        return cluster.stats()
+
+    asyncio.run(real(AsyncioCluster(trace_level="off")))
+    stats = asyncio.run(real(TcpCluster(trace_level="off")))
+    assert stats["dropped_frames"] == 1 and stats["frames_sent"] == 0
