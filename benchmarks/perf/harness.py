@@ -39,6 +39,8 @@ substrate and the numbers stay comparable across PRs:
   per adopted operation.
 * ``bytes_per_read_op`` -- the same for the ``tcp_read_heavy`` shape on
   the simulator: what an adopted read (nine in ten ops) leaves behind.
+* ``bytes_per_tcp_write`` -- the same for the ``tcp_write_sat`` shape
+  over real sockets: what a decoded write leaves behind.
 
 No number here is compared with one measured on another machine or in
 another run: rates are reported as measured, for information, and every
@@ -64,6 +66,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.core.execution import ExecutionEngine
 from repro.core.server import OARConfig
 from repro.harness.scenario import ScenarioConfig, run_scenario
+from repro.runtime.scenario import RuntimeScenarioConfig, run_runtime_scenario
 from repro.sharding.cluster import (
     ShardedScenarioConfig,
     build_sharded_scenario,
@@ -651,30 +654,40 @@ def calls_per_op() -> Dict[str, Any]:
     }
 
 
-def _retained_per_op(
-    shape: Callable[[int], ShardedScenarioConfig], requests: int
-) -> Dict[str, Any]:
-    """Bytes a fixed-seed run of ``shape(requests)`` still holds, per adopted op."""
-    run_sharded_scenario(shape(2))
-    run = build_sharded_scenario(shape(requests))
+def _held_after(execute: Callable[[], Any]) -> Tuple[Any, int]:
+    """What ``execute()`` returns, and the bytes it leaves held once the
+    cyclic collector has run."""
     gc.collect()
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        run.execute()
+        result = execute()
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        return result, tracemalloc.get_traced_memory()[0] - before
     finally:
         if not tracing:
             tracemalloc.stop()
+
+
+def _retained_per_op(
+    shape: Callable[[int], ShardedScenarioConfig], requests: int, key: str
+) -> Dict[str, Any]:
+    """Bytes a fixed-seed run of ``shape(requests)`` still holds, per adopted op."""
+    run_sharded_scenario(shape(2))
+    run = build_sharded_scenario(shape(requests))
+    _, retained = _held_after(run.execute)
     adopted = len(run.adopted())
     assert run.all_done() and adopted == run.config.n_clients * requests
+    return _retained_cell(key, adopted, retained)
+
+
+def _retained_cell(key: str, adopted: int, retained: int) -> Dict[str, Any]:
     return {
         "python": f"{sys.version_info.major}.{sys.version_info.minor}",
         "adopted": adopted,
         "retained_bytes": retained,
-        "bytes_per_op": round(retained / adopted, 1),
+        key: round(retained / adopted, 1),
     }
 
 
@@ -691,7 +704,7 @@ def bytes_per_op() -> Dict[str, Any]:
     byte on one interpreter version; it moves when a write keeps more
     (or fewer) objects alive.
     """
-    return _retained_per_op(_calls_shape, 50)
+    return _retained_per_op(_calls_shape, 50, "bytes_per_op")
 
 
 def _read_shape(requests_per_client: int) -> ShardedScenarioConfig:
@@ -724,9 +737,48 @@ def bytes_per_read_op() -> Dict[str, Any]:
     adoption keeps more objects alive: a result with a ``__dict__``, a
     weight tuple of its own.
     """
-    cell = _retained_per_op(_read_shape, 100)
-    cell["bytes_per_read_op"] = cell.pop("bytes_per_op")
-    return cell
+    return _retained_per_op(_read_shape, 100, "bytes_per_read_op")
+
+
+def _tcp_write_shape(requests_per_client: int) -> RuntimeScenarioConfig:
+    """The ``tcp_write_sat`` shape of ``benchmarks/e2e``, any size."""
+    return RuntimeScenarioConfig(
+        scenario=ShardedScenarioConfig(
+            n_shards=1,
+            n_servers=3,
+            n_clients=4,
+            requests_per_client=requests_per_client,
+            machine="kv",
+            workload="uniform",
+            driver="open",
+            open_rate=500.0,
+            trace_level="off",
+            seed=1000,
+        ),
+        backend="tcp",
+        time_scale=0.04,
+        tcp_flush_interval=0.002,
+    )
+
+
+def bytes_per_tcp_write() -> Dict[str, Any]:
+    """Bytes a write over real sockets leaves behind, per adopted write.
+
+    :func:`bytes_per_op`'s method on the ``tcp_write_sat`` shape -- one
+    group of 3 on localhost TCP, 4 open-loop clients x 250 kv writes
+    offered far above capacity, 2 ms flush window, fixed seed, trace off
+    -- with the build inside the traced region (a runtime run builds,
+    drives and tears down in one call).  Over sockets every replica
+    keeps the bodies it decoded, so a decoded name that is not the
+    process's own string is a copy per body per replica.  How writes
+    batch into orders follows the wall clock, so the reading moves a
+    little from run to run.
+    """
+    run_runtime_scenario(_tcp_write_shape(2))
+    run, retained = _held_after(lambda: run_runtime_scenario(_tcp_write_shape(250)))
+    adopted = len(run.adopted())
+    assert run.completed and adopted == 4 * 250
+    return _retained_cell("bytes_per_tcp_write", adopted, retained)
 
 
 # ----------------------------------------------------------------------
@@ -830,7 +882,8 @@ def run_suite(
     gate) appends the real-backend section from
     :mod:`benchmarks.perf.wallclock` -- TCP cells take tens of seconds,
     so the in-tier smoke test passes ``wallclock=False`` and covers the
-    section with tiny shapes separately.
+    section with tiny shapes separately.  ``bytes_per_tcp_write`` is a
+    count, not a rate, and runs either way (about three seconds).
     """
     if repeats is None:
         repeats = 2 if quick else 3
@@ -851,6 +904,7 @@ def run_suite(
         "calls_per_op": calls_per_op(),
         "bytes_per_op": bytes_per_op(),
         "bytes_per_read_op": bytes_per_read_op(),
+        "bytes_per_tcp_write": bytes_per_tcp_write(),
     }
     if wallclock:
         from benchmarks.perf.wallclock import run_wallclock
@@ -911,6 +965,12 @@ def format_table(payload: Dict[str, Any]) -> str:
         f"bytes per read op ({kept['adopted']} ops of the read-heavy shape, 90 % reads, "
         f"Python {kept['python']}): {kept['retained_bytes']:,} B retained = "
         f"{kept['bytes_per_read_op']:.1f} per adopted op"
+    )
+    kept = payload["bytes_per_tcp_write"]
+    lines.append(
+        f"bytes per TCP write ({kept['adopted']} writes over localhost sockets, "
+        f"Python {kept['python']}): {kept['retained_bytes']:,} B retained = "
+        f"{kept['bytes_per_tcp_write']:.1f} per adopted write"
     )
     lines.append("")
     lines.append(f"golden digest: {payload['golden_digest']}")

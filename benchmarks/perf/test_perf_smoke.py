@@ -7,6 +7,7 @@ fire and to hold on synthetic payloads.
 """
 
 import json
+import sys
 from typing import Any, Dict
 
 import pytest
@@ -40,16 +41,18 @@ def test_suite_runs_quick_and_payload_is_complete(tmp_path):
     assert kept["adopted"] == 400 and kept["retained_bytes"] > 0
     kept = payload["bytes_per_read_op"]
     assert kept["adopted"] == 400 and kept["retained_bytes"] > 0
+    kept = payload["bytes_per_tcp_write"]
+    assert kept["adopted"] == 1000 and kept["retained_bytes"] > 0
     # Nothing measured on another machine, nothing for another run to read.
     assert set(payload) == {
         "schema", "mode", "repeats", "results", "golden_digest",
         "kernel_vs_reference", "history_scaling", "checker_scaling", "calls_per_op",
-        "bytes_per_op", "bytes_per_read_op",
+        "bytes_per_op", "bytes_per_read_op", "bytes_per_tcp_write",
     }
     # The gates find every ratio where the suite put it (whatever they
     # read here): all but the codec's, whose section this run left out.
     failures, notes = run_perf.check(payload)
-    assert len(failures) + len(notes) == len(run_perf.GATES) + 4
+    assert len(failures) + len(notes) == len(run_perf.GATES) + len(run_perf.COUNTS) + 1
     # The counts are exact, so this tree must be under its ceilings on
     # any machine (on an interpreter nobody recorded, they are not judged).
     assert not [failure for failure in failures if " per op " in failure]
@@ -66,7 +69,7 @@ def test_suite_runs_quick_and_payload_is_complete(tmp_path):
         assert bench.label in table
     assert "kernel fast lane" in table
     assert "history scaling" in table and "checker scaling" in table
-    assert "bytes per read op" in table
+    assert "bytes per read op" in table and "bytes per TCP write" in table
 
 
 def test_wallclock_cells():
@@ -105,8 +108,9 @@ def _payload(
     digest: str = harness.GOLDEN_DIGEST,
     calls_per_op: float = 409.51,
     python: str = "3.11",
-    bytes_per_op: float = 2438.1,
-    bytes_per_read_op: float = 687.2,
+    bytes_per_op: float = 2387.2,
+    bytes_per_read_op: float = 682.4,
+    bytes_per_tcp_write: float = 2734.5,
 ) -> Dict[str, Any]:
     """A synthetic payload: ``readings`` by gate name, each put where
     its gate looks for it."""
@@ -115,6 +119,7 @@ def _payload(
         "calls_per_op": {"calls_per_op": calls_per_op, "python": python},
         "bytes_per_op": {"bytes_per_op": bytes_per_op, "python": python},
         "bytes_per_read_op": {"bytes_per_read_op": bytes_per_read_op, "python": python},
+        "bytes_per_tcp_write": {"bytes_per_tcp_write": bytes_per_tcp_write, "python": python},
     }
     for gate in run_perf.GATES:
         if gate.name in readings:
@@ -133,7 +138,8 @@ _HIGH = {gate.name: gate.recorded[1] for gate in run_perf.GATES}
 def test_gates_hold_at_both_ends_of_their_recorded_ranges(readings):
     failures, notes = run_perf.check(_payload(readings))
     assert failures == []
-    assert len(notes) == len(run_perf.GATES) + 4 and notes[-1] == "digest matches"
+    assert len(notes) == len(run_perf.GATES) + len(run_perf.COUNTS) + 1
+    assert notes[-1] == "digest matches"
 
 
 @pytest.mark.parametrize("gate", run_perf.GATES, ids=lambda gate: gate.path[0])
@@ -141,7 +147,7 @@ def test_each_gate_fires_alone_and_names_itself_and_its_bound(gate):
     past = gate.bound / 1.3 if gate.is_floor else gate.bound * 1.3
     for reading in (past, gate.planted):
         failures, notes = run_perf.check(_payload({**_LOW, gate.name: reading}))
-        assert len(failures) == 1 and len(notes) == len(run_perf.GATES) + 3
+        assert len(failures) == 1 and len(notes) == len(run_perf.GATES) + len(run_perf.COUNTS)
         assert failures[0].startswith(f"{gate.name} {reading:.2f} is past the {gate.bound:.2f} ")
         assert gate.regression in failures[0]
 
@@ -160,7 +166,7 @@ def test_a_run_without_wallclock_skips_exactly_the_codec_gate():
     assert [note for note in notes if "skipped" in note] == [
         "codec binary/pickle skipped (suite ran without wallclock)"
     ]
-    assert len(notes) == len(run_perf.GATES) + 4
+    assert len(notes) == len(run_perf.GATES) + len(run_perf.COUNTS) + 1
 
 
 #: What ``harness.calls_per_op`` read on CPython 3.11 with one of the
@@ -184,7 +190,8 @@ def test_calls_per_op_gate_holds_at_this_trees_reading(python, reading):
     failures, notes = run_perf.check(
         _payload(_LOW, calls_per_op=reading, python=python,
                  bytes_per_op=_BYTES_READINGS[python],
-                 bytes_per_read_op=_READ_BYTES_READINGS[python])
+                 bytes_per_read_op=_READ_BYTES_READINGS[python],
+                 bytes_per_tcp_write=_TCP_BYTES_READINGS[python])
     )
     ceiling = run_perf.CALLS_PER_OP_CEILING[python]
     assert failures == [] and 1.03 < ceiling / reading < 1.05
@@ -195,25 +202,31 @@ def test_calls_per_op_gate_holds_at_this_trees_reading(python, reading):
 def test_calls_per_op_gate_fires_on_each_old_shape_alone(shape):
     reading = _OLD_SHAPES[shape]
     failures, notes = run_perf.check(_payload(_LOW, calls_per_op=reading))
-    assert len(failures) == 1 and len(notes) == len(run_perf.GATES) + 3
+    assert len(failures) == 1 and len(notes) == len(run_perf.GATES) + len(run_perf.COUNTS)
     assert failures[0].startswith(f"calls per op {reading:.2f} is past the 426.00 ceiling")
 
 
 def test_calls_per_op_is_not_judged_on_an_interpreter_nobody_recorded():
     failures, notes = run_perf.check(
         _payload(_LOW, calls_per_op=9999.0, python="3.99", bytes_per_op=99999.0,
-                 bytes_per_read_op=99999.0)
+                 bytes_per_read_op=99999.0, bytes_per_tcp_write=99999.0)
     )
     assert failures == []
     assert "calls per op 9999.00 not judged (no ceiling for Python 3.99)" in notes
     assert "bytes per op 99999.00 not judged (no ceiling for Python 3.99)" in notes
+    assert "bytes per tcp write 99999.00 not judged (no ceiling for Python 3.99)" in notes
 
 
 #: What ``harness.bytes_per_op`` reads on this tree, by interpreter.
-_BYTES_READINGS = {"3.10": 2656.0, "3.11": 2438.1, "3.12": 2413.5, "3.13": 2413.5}
+_BYTES_READINGS = {"3.10": 2605.2, "3.11": 2387.2, "3.12": 2362.6, "3.13": 2362.6}
 
 #: What ``harness.bytes_per_read_op`` reads on this tree, by interpreter.
-_READ_BYTES_READINGS = {"3.10": 730.4, "3.11": 687.2, "3.12": 675.9, "3.13": 675.9}
+_READ_BYTES_READINGS = {"3.10": 721.9, "3.11": 682.4, "3.12": 671.2, "3.13": 671.2}
+
+#: The highest of five ``harness.bytes_per_tcp_write`` readings on this
+#: tree, by interpreter (the reading follows how writes batch, so it
+#: moves a little from run to run).
+_TCP_BYTES_READINGS = {"3.10": 2878.4, "3.11": 2734.5, "3.12": 2648.7, "3.13": 2654.4}
 
 
 @pytest.mark.parametrize("python", sorted(_BYTES_READINGS))
@@ -221,7 +234,8 @@ def test_bytes_per_op_gate_holds_at_this_trees_reading(python):
     reading = _BYTES_READINGS[python]
     failures, notes = run_perf.check(
         _payload(_LOW, python=python, bytes_per_op=reading,
-                 bytes_per_read_op=_READ_BYTES_READINGS[python])
+                 bytes_per_read_op=_READ_BYTES_READINGS[python],
+                 bytes_per_tcp_write=_TCP_BYTES_READINGS[python])
     )
     ceiling = run_perf.BYTES_PER_OP_CEILING[python]
     assert failures == [] and 1.02 < ceiling / reading < 1.04
@@ -270,7 +284,7 @@ def test_bytes_per_read_op_gate_holds_at_this_trees_reading(python):
     reading = _READ_BYTES_READINGS[python]
     failures, notes = run_perf.check(
         _payload(_LOW, python=python, bytes_per_op=_BYTES_READINGS[python],
-                 bytes_per_read_op=reading)
+                 bytes_per_read_op=reading, bytes_per_tcp_write=_TCP_BYTES_READINGS[python])
     )
     ceiling = run_perf.BYTES_PER_READ_OP_CEILING[python]
     assert failures == [] and 1.02 < ceiling / reading < 1.04
@@ -307,4 +321,40 @@ def test_bytes_per_read_op_repeats_and_fires_on_a_weight_tuple_per_read(monkeypa
         assert len(failures) == 1
         assert failures[0].startswith(
             f"bytes per read op {regressed['bytes_per_read_op']:.2f} is past"
+        )
+
+
+@pytest.mark.parametrize("python", sorted(_TCP_BYTES_READINGS))
+def test_bytes_per_tcp_write_gate_holds_at_this_trees_reading(python):
+    reading = _TCP_BYTES_READINGS[python]
+    failures, notes = run_perf.check(
+        _payload(_LOW, python=python, bytes_per_op=_BYTES_READINGS[python],
+                 bytes_per_read_op=_READ_BYTES_READINGS[python], bytes_per_tcp_write=reading)
+    )
+    ceiling = run_perf.BYTES_PER_TCP_WRITE_CEILING[python]
+    assert failures == [] and 1.02 < ceiling / reading < 1.04
+    assert f"bytes per tcp write {reading:.2f} within the {ceiling:.2f} ceiling" in notes
+
+
+def test_bytes_per_tcp_write_fires_on_names_decoded_per_body(monkeypatch):
+    reading = harness.bytes_per_tcp_write()
+    failures, _notes = run_perf.check(
+        _payload(_LOW, python=reading["python"],
+                 bytes_per_tcp_write=reading["bytes_per_tcp_write"])
+    )
+    assert failures == []
+
+    # Pids and keys minted as plain strings: marshal does not flag them,
+    # so every replica decodes a copy of each into every body it keeps.
+    monkeypatch.setattr(sys, "intern", lambda name: name)
+    regressed = harness.bytes_per_tcp_write()
+    assert regressed["bytes_per_tcp_write"] > reading["bytes_per_tcp_write"] + 300
+    failures, _notes = run_perf.check(
+        _payload(_LOW, python=regressed["python"],
+                 bytes_per_tcp_write=regressed["bytes_per_tcp_write"])
+    )
+    if regressed["python"] in run_perf.BYTES_PER_TCP_WRITE_CEILING:
+        assert len(failures) == 1
+        assert failures[0].startswith(
+            f"bytes per tcp write {regressed['bytes_per_tcp_write']:.2f} is past"
         )

@@ -26,7 +26,9 @@ by one message at a time (``R_delivered``, and ``O_delivered`` within an
 epoch) is kept as an append-only log, so that delivering a message costs
 the same whatever the length of the history, and is turned into a
 :class:`MessageSequence` value (:meth:`SequenceLog.snapshot`) only where
-an operator of the algebra is applied to it.
+an operator of the algebra is applied to it.  A log is one
+insertion-ordered dict and keeps no positions: a replica holds it until
+its epoch settles, and the settle reads R_delivered's order by iterating.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from typing import (
     Hashable,
     Iterable,
     Iterator,
-    List,
     Tuple,
     TypeVar,
     Union,
@@ -166,10 +167,8 @@ class MessageSequence:
         (a sequence, a log, a set or a dict); any other iterable is
         copied into a set first.
         """
-        if isinstance(other, MessageSequence):
+        if isinstance(other, (MessageSequence, SequenceLog)):
             exclude = other._index
-        elif isinstance(other, SequenceLog):
-            exclude = other._position
         elif isinstance(other, (AbstractSet, dict)):
             exclude = other
         else:
@@ -224,42 +223,40 @@ class SequenceLog:
 
     The mutable counterpart of :class:`MessageSequence` for the
     sequences Fig. 6 only ever extends one message at a time: append,
-    membership, position and length cost the same at any length.  Like
-    the value type, appending an item already present changes nothing
-    (first occurrence wins).  :attr:`items` and :meth:`snapshot` copy
-    the log out as a value; they are O(n) and meant for the places that
-    compute with the whole sequence (once per epoch, never per message).
+    membership and length cost the same at any length.  It is one
+    insertion-ordered dict (item -> ``None``, the ordered set a
+    :class:`MessageSequence` indexes by), so an entry costs one dict
+    slot.  Like the value type, appending an item already present
+    changes nothing (first occurrence wins).  :attr:`items` and
+    :meth:`snapshot` copy the log out as a value; they are O(n) and
+    meant for the places that compute with the whole sequence (once per
+    epoch, never per message).
     """
 
-    __slots__ = ("_items", "_position")
+    __slots__ = ("_index",)
 
     def __init__(self) -> None:
-        self._items: List[Hashable] = []
-        self._position: Dict[Hashable, int] = {}
+        self._index: Dict[Hashable, None] = {}
 
     def append(self, item: Hashable) -> None:
         """self <- self ⊕ {item}."""
-        position = self._position
-        if item not in position:
-            position[item] = len(self._items)
-            self._items.append(item)
+        self._index.setdefault(item)
 
     def clear(self) -> None:
         """self <- ε."""
-        self._items.clear()
-        self._position.clear()
+        self._index.clear()
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._index)
 
     def __iter__(self) -> Iterator[Hashable]:
-        return iter(self._items)
+        return iter(self._index)
 
     def __contains__(self, item: Hashable) -> bool:
-        return item in self._position
+        return item in self._index
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return bool(self._index)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (SequenceLog, MessageSequence)):
@@ -274,15 +271,11 @@ class SequenceLog:
     @property
     def items(self) -> Tuple[Hashable, ...]:
         """The current contents as a tuple (an O(n) copy)."""
-        return tuple(self._items)
+        return tuple(self._index)
 
     def snapshot(self) -> MessageSequence:
         """The current contents as a value of the Section 5.1 algebra."""
-        return MessageSequence._of_distinct(tuple(self._items))
-
-    def index_of(self, item: Hashable) -> int:
-        """Position of ``item`` (0-based), O(1).  Raises KeyError if absent."""
-        return self._position[item]
+        return MessageSequence._of_distinct(tuple(self._index))
 
 
 def as_sequence(value: SequenceLike) -> MessageSequence:

@@ -1126,19 +1126,20 @@ class OARServer(ComponentProcess):
         *ahead* of everything R-delivered since.  (A rid this replica
         shed was never R-delivered here and stays out, as the definition
         says.)  Re-entry is the only step that is not an append, so the
-        set is re-sorted by R-position, and only when it happens.
+        set is rebuilt in R_delivered's order, one pass over the log, and
+        only when it happens.
         """
         unordered = self._unordered
         new = result.new
         for rid in new:
             unordered.pop(rid, None)
         r_delivered = self.r_delivered
-        undone = [
+        undone = {
             rid for rid in result.bad if rid not in new and rid in r_delivered
-        ]
+        }
         if undone:
             self._unordered = dict.fromkeys(
-                sorted([*unordered, *undone], key=r_delivered.index_of)
+                rid for rid in r_delivered if rid in unordered or rid in undone
             )
 
     def _cons_executed(

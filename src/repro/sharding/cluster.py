@@ -34,6 +34,7 @@ different shards are independent, which is exactly why throughput scales
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import (
@@ -531,12 +532,13 @@ class ShardedRun:
 # ----------------------------------------------------------------------
 
 def _key_universe(config: ShardedScenarioConfig) -> Tuple[str, ...]:
+    # Interned, as pids are (see place_sharded_scenario).
     if config.workload == "single" and config.machine in SINGLE_GROUP_KEYS:
         return SINGLE_GROUP_KEYS[config.machine]
     if config.machine == "bank":
         count = config.accounts_per_shard * config.n_shards
-        return tuple(f"a{i:03d}" for i in range(count))
-    return tuple(f"k{i:03d}" for i in range(config.n_keys))
+        return tuple(sys.intern(f"a{i:03d}") for i in range(count))
+    return tuple(sys.intern(f"k{i:03d}") for i in range(config.n_keys))
 
 
 def _make_machine(
@@ -734,10 +736,12 @@ def place_sharded_scenario(
     accounts_by_shard = routing_table.placement(key_universe)
 
     # One group is the paper's service and names its replicas as the
-    # paper does; N groups prefix each replica with its shard.
+    # paper does; N groups prefix each replica with its shard.  Pids and
+    # keys are interned, so marshal decodes them to this process's own
+    # strings (not rids or values: interned strings are never freed).
     shard_groups = tuple(
         tuple(
-            f"p{i + 1}" if config.n_shards == 1 else f"s{shard}.p{i + 1}"
+            sys.intern(f"p{i + 1}" if config.n_shards == 1 else f"s{shard}.p{i + 1}")
             for i in range(config.n_servers)
         )
         for shard in range(config.n_shards)
@@ -763,17 +767,18 @@ def place_sharded_scenario(
     machine_cls = MACHINE_CLASSES[config.machine]
     clients: List[Any] = []
     for index in range(config.n_clients):
+        pid = sys.intern(f"c{index + 1}")
         if baseline is not None:
             # Adopt the first reply; only the CT replicas need their
             # requests R-multicast.
             client: Any = FirstReplyClient(
-                f"c{index + 1}", shard_groups[0], reliable=config.protocol == "ct"
+                pid, shard_groups[0], reliable=config.protocol == "ct"
             )
         else:
             # Each client routes by its own (possibly stale) copy of the
             # table and re-syncs from the authority on WrongShard redirects.
             client = ShardedOARClient(
-                f"c{index + 1}",
+                pid,
                 shard_groups,
                 routing_table.copy(),
                 key_extractor=machine_cls.keys_of,

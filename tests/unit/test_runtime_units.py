@@ -1,11 +1,14 @@
 """Unit tests for the asyncio runtime plumbing (timers, crash, routing)."""
 
 import asyncio
+import sys
 from typing import Any, List
 
 import pytest
 
 from repro.runtime.host import AsyncioCluster
+from repro.runtime.scenario import RuntimeScenarioConfig, run_runtime_scenario
+from repro.sharding.cluster import ShardedScenarioConfig
 from repro.sim.process import Process
 
 pytestmark = pytest.mark.unit
@@ -168,3 +171,28 @@ class TestAsyncioCluster:
         third = asyncio.run(draws(8))
         assert first == second
         assert first != third
+
+
+class TestDecodedNames:
+    def test_bodies_name_clients_and_keys_by_the_processs_strings(self):
+        """Over TCP every replica keeps the request bodies it decoded.
+        Pids and keys are interned where they are minted, so ``marshal``
+        decodes them to this process's one string; rids are not (their
+        vocabulary has no bound), so each body keeps its own."""
+        run = run_runtime_scenario(RuntimeScenarioConfig(
+            scenario=ShardedScenarioConfig(
+                n_shards=1, n_servers=3, n_clients=2, requests_per_client=5,
+                machine="kv", workload="uniform", trace_level="off", seed=5,
+            ),
+            backend="tcp",
+        ))
+        assert run.completed and len(run.adopted()) == 10
+        for server in run.view.servers:
+            bodies = list(server.requests.values())
+            assert len(bodies) == 10
+            for body in bodies:
+                assert sys.intern(body.client) is body.client
+                assert sys.intern(body.op[1]) is body.op[1]
+                # An equal string built here interns to itself, not to
+                # the body's rid: nothing interned that rid.
+                assert sys.intern("".join(body.rid)) is not body.rid
