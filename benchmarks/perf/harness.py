@@ -1,54 +1,44 @@
-"""Perf harness: workload definitions, measurement, reporting.
+"""Perf harness: the gated cells of ``BENCH_perf.json``.
 
-Every benchmark here is defined by its *workload semantics*, not by the
-API used to implement it, so the same harness measures any version of the
-substrate and the numbers stay comparable across PRs:
+Every cell here is read by a gate of ``run_perf.check``; none is a rate
+to be compared with one measured in another run or on another machine.
+How fast a whole request is, is judged parent against change on one
+machine by ``python -m benchmarks.e2e compare``.  Two kinds of cells:
 
-* ``kernel_dispatch``   -- same-instant event cascade through the raw
-  :class:`~repro.sim.loop.Simulator` (the ``call_soon``/zero-delay
-  delivery path: one event fires, posts the next at the same instant).
-* ``kernel_timers``     -- delayed one-shot events (the heap path).
-* ``kernel_cancels``    -- schedule/cancel churn (heartbeat-style timer
-  re-arming; exercises lazy-cancellation compaction).
-* ``network_pingpong``  -- messages/second through :class:`SimNetwork`
-  (two processes bouncing one message).
-* ``exec_engine_throughput`` -- ops/second through the conflict-aware
-  execution engine (4 lanes, costed, disjoint keys): the scheduler's
-  own overhead.
-* ``b5_scenario``       -- end-to-end wall-clock of the B5 shape: one
-  OAR group, 2 clients, open-loop Poisson load (tracing off -- the
-  zero-waste throughput mode).
-* ``b10_scenario``      -- end-to-end wall-clock of the B10 shape: the
-  4-shard cluster under overload with a costed sequencer (tracing off).
-* ``history_scaling``   -- does a request cost the same late in a run as
-  early?  Adopted writes per CPU second over the last quarter of one
-  long run, divided by the same over its first quarter.
-* ``checker_scaling``   -- is the checker bundle linear in the trace?
-  ``check_all()`` CPU seconds on a full-trace run with 4x the requests,
-  divided by the same on the 1x run.
-* ``kernel_vs_reference`` -- does the same-instant fast lane still pay?
-  The ``kernel_dispatch`` cascade through the real ``Simulator`` over
-  the same cascade through :class:`ReferenceLoop`, the heap-only kernel
-  the determinism property tests compare against, measured in turns.
-* ``calls_per_op``      -- how many Python functions run for one
-  simulated write?  Calls counted by ``sys.setprofile`` over a
-  fixed-seed sharded run, per adopted operation: a count, a function of
-  the code and the interpreter version and of nothing else.
-* ``bytes_per_op``      -- how much does one simulated write leave
-  behind?  Bytes ``tracemalloc`` finds still held after the same run,
-  per adopted operation.
-* ``bytes_per_read_op`` -- the same for the ``tcp_read_heavy`` shape on
-  the simulator: what an adopted read (nine in ten ops) leaves behind.
-* ``bytes_per_tcp_write`` -- the same for the ``tcp_write_sat`` shape
-  over real sockets: what a decoded write leaves behind.
+* **Same-run ratios**, each a quotient of two costs measured in this
+  run, in ``time.process_time`` (what the process computed, not how long
+  it waited to be scheduled):
 
-No number here is compared with one measured on another machine or in
-another run: rates are reported as measured, for information, and every
-gate in ``run_perf.py`` is a ratio of two costs measured in this run, in
-``time.process_time`` (what the process computed, not how long it
-waited to be scheduled).  What a request costs in messages, events and
-trace records is exact on the simulator and pinned, with ``==``, in
-``tests/integration/test_builder_digests.py``.
+  * ``kernel_vs_reference`` -- does the same-instant fast lane still
+    pay?  A same-instant cascade through the real ``Simulator`` over
+    the same cascade through :class:`ReferenceLoop`, the heap-only
+    kernel the determinism property tests compare against, in turns.
+  * ``history_scaling`` -- does a request cost the same late in a run
+    as early?  Adopted writes per CPU second over the last quarter of
+    one long run, divided by the same over its first quarter.
+  * ``checker_scaling`` -- is the checker bundle linear in the trace?
+    ``check_all()`` CPU seconds on a full-trace run with 4x the
+    requests, divided by the same on the 1x run.
+  * the codec ratio of :mod:`benchmarks.perf.wallclock`.
+
+* **Counts** of fixed-seed runs, per interpreter version:
+
+  * ``calls_per_op`` -- how many Python functions run for one simulated
+    write?  Calls counted by ``sys.setprofile`` over a fixed-seed
+    sharded run, per adopted operation: a function of the code and the
+    interpreter version and of nothing else.
+  * ``bytes_per_op`` -- how much does one simulated write leave behind?
+    Bytes ``tracemalloc`` finds still held after the same run, per
+    adopted operation.
+  * ``bytes_per_read_op`` -- the same for the ``tcp_read_heavy`` shape
+    on the simulator: what an adopted read (nine in ten ops) leaves
+    behind.
+  * ``bytes_per_tcp_write`` -- the same for the ``tcp_write_sat`` shape
+    over real sockets: what a decoded write leaves behind.
+
+Beside them, the fixed-seed determinism digest.  What a request costs in
+messages, events and trace records is exact on the simulator and pinned,
+with ``==``, in ``tests/integration/test_builder_digests.py``.
 """
 
 from __future__ import annotations
@@ -60,10 +50,8 @@ import json
 import sys
 import time
 import tracemalloc
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
-from repro.core.execution import ExecutionEngine
 from repro.core.server import OARConfig
 from repro.harness.scenario import ScenarioConfig, run_scenario
 from repro.runtime.scenario import RuntimeScenarioConfig, run_runtime_scenario
@@ -73,11 +61,6 @@ from repro.sharding.cluster import (
     run_sharded_scenario,
 )
 from repro.sim.loop import Simulator
-from repro.sim.network import SimNetwork
-from repro.sim.process import Process
-from repro.statemachine.kvstore import KVStoreMachine
-from repro.statemachine.undo import UndoLog
-from repro.workload.openloop import DiurnalProcess, LatencyRecorder
 
 #: Fixed-seed determinism scenario (full tracing, message-level events
 #: included): its trace digest must never change under a semantics-
@@ -106,7 +89,7 @@ def golden_scenario_digest() -> str:
 
 
 # ----------------------------------------------------------------------
-# Kernel micros
+# Same-run ratios
 # ----------------------------------------------------------------------
 
 class ReferenceLoop:
@@ -150,14 +133,6 @@ def _cascade(loop: Any, n: int) -> float:
     start = time.process_time()
     loop.run()
     return n / (time.process_time() - start)
-
-
-def kernel_dispatch(n: int) -> float:
-    """Events/sec: same-instant cascade (each event posts the next)."""
-    sim = Simulator(seed=0)
-    rate = _cascade(sim, n)
-    assert sim.events_processed == n
-    return rate
 
 
 def median_pair(
@@ -205,231 +180,6 @@ def kernel_vs_reference(quick: bool) -> Dict[str, float]:
         "reference_events_per_sec": round(reference, 1),
         "ratio": round(fast_lane / reference, 3),
     }
-
-
-def kernel_timers(n: int) -> float:
-    """Events/sec: chain of delayed one-shot events (heap path)."""
-    sim = Simulator(seed=0)
-    remaining = [n]
-
-    def pump() -> None:
-        remaining[0] -= 1
-        if remaining[0] > 0:
-            sim.schedule(1.0, pump)
-
-    sim.schedule(1.0, pump)
-    start = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - start
-    return n / elapsed
-
-
-def kernel_cancels(n: int) -> float:
-    """Cancel ops/sec: schedule a timer, cancel the previous one (FD-style)."""
-    sim = Simulator(seed=0)
-    fired = [0]
-
-    def noop() -> None:
-        fired[0] += 1
-
-    start = time.perf_counter()
-    live = None
-    for _ in range(n):
-        if live is not None:
-            live.cancel()
-        live = sim.schedule(10.0, noop)
-        sim.run(max_events=0)  # keep loop shape comparable across versions
-    sim.run()
-    elapsed = time.perf_counter() - start
-    assert fired[0] == 1  # only the last timer survives
-    return n / elapsed
-
-
-def exec_engine_throughput(n: int) -> float:
-    """Ops/sec through the conflict-aware execution engine (costed path).
-
-    A bare :class:`~repro.core.execution.ExecutionEngine` (4 lanes,
-    cost 1.0) on a raw simulator, fed waves of writes cycling over 64
-    disjoint keys: measures the scheduler's own overhead -- footprint
-    linking, dependency bookkeeping, lane dispatch, undo-log
-    pending/resolve -- with the kernel timer per completion as the only
-    other cost.  The log is committed between waves, mirroring epoch
-    settles, so it stays bounded.
-    """
-    sim = Simulator(seed=0)
-    machine = KVStoreMachine()
-    undo_log = UndoLog()
-    engine = ExecutionEngine(
-        machine, lanes=4, cost=1.0, timer=sim.schedule, undo_log=undo_log
-    )
-    completed = [0]
-
-    def on_done(result: Any, lane: int) -> None:
-        completed[0] += 1
-
-    keys = [f"k{i:02d}" for i in range(64)]
-    wave = 512
-    submitted = 0
-    start = time.perf_counter()
-    while submitted < n:
-        count = min(wave, n - submitted)
-        for i in range(submitted, submitted + count):
-            engine.submit(f"r{i}", ("set", keys[i % 64], i), on_done, True)
-        submitted += count
-        sim.run()
-        undo_log.commit()
-    elapsed = time.perf_counter() - start
-    assert completed[0] == n and engine.idle
-    return n / elapsed
-
-
-def openloop_arrivals(n: int) -> float:
-    """Arrivals/sec through the overload harness's per-op CPU work.
-
-    The open-loop driver's cost per offered arrival is one thinned
-    sample from the arrival process plus one streaming-recorder insert
-    (the token bucket and session pick are O(1) arithmetic on top).
-    This micro runs that pair -- a non-homogeneous
-    :class:`~repro.workload.openloop.DiurnalProcess` (the thinning loop
-    rejects ~half its candidates at mid rate, so it is the expensive
-    arrival shape) feeding a bucketed
-    :class:`~repro.workload.openloop.LatencyRecorder` -- so B16-style
-    sweeps stay dominated by protocol simulation, not harness overhead.
-    """
-    import random as _random
-
-    process = DiurnalProcess(base_rate=1.0, peak_rate=3.0, period=100.0)
-    recorder = LatencyRecorder(exact_limit=256)
-    rng = _random.Random(0)
-    t = 0.0
-    start = time.perf_counter()
-    for _ in range(n):
-        gap = process.next_gap(t, rng)
-        t += gap
-        recorder.record(gap + 0.5)
-    elapsed = time.perf_counter() - start
-    assert recorder.count == n
-    return n / elapsed
-
-
-# ----------------------------------------------------------------------
-# Network micro
-# ----------------------------------------------------------------------
-
-class _Pinger(Process):
-    """Bounces one message back and forth until the budget is spent."""
-
-    def __init__(self, pid: str, peer: str, budget: int) -> None:
-        super().__init__(pid)
-        self.peer = peer
-        self.budget = budget
-
-    def on_start(self) -> None:
-        if self.pid == "a":
-            self.env.send(self.peer, ("ball", self.budget))
-
-    def on_message(self, src: str, payload: Any) -> None:
-        _tag, remaining = payload
-        if remaining > 0:
-            self.env.send(src, ("ball", remaining - 1))
-
-
-def network_pingpong(n: int) -> float:
-    """Messages/sec through SimNetwork (default latency, no msg tracing)."""
-    sim = Simulator(seed=0)
-    network = SimNetwork(sim)
-    network.add_process(_Pinger("a", "b", n))
-    network.add_process(_Pinger("b", "a", n))
-    network.start_all()
-    start = time.perf_counter()
-    sim.run()
-    elapsed = time.perf_counter() - start
-    assert network.messages_delivered == n + 1
-    return network.messages_delivered / elapsed
-
-
-# ----------------------------------------------------------------------
-# Scenario wall-clocks (zero-waste mode: tracing off)
-# ----------------------------------------------------------------------
-
-def b5_scenario(requests_per_client: int) -> float:
-    """Wall-clock seconds for the B5 shape (single OAR group, open loop)."""
-    start = time.perf_counter()
-    run = run_scenario(
-        ScenarioConfig(
-            n_servers=3,
-            n_clients=2,
-            requests_per_client=requests_per_client,
-            machine="kv",
-            driver="open",
-            open_rate=2.0,
-            grace=100.0,
-            horizon=50_000.0,
-            seed=0,
-            trace_level="off",
-        )
-    )
-    elapsed = time.perf_counter() - start
-    assert run.all_done()
-    return elapsed
-
-
-def read_path_scenario(total_reads: int) -> float:
-    """Reads/sec through the replica-local read path (optimistic mode).
-
-    Two closed-loop clients issue a pure-get Zipf stream against one
-    3-replica group with tracing off: every request takes the
-    sequencer-free path (round-robin replica, one hop each way), so this
-    measures the read fast lane end to end -- classification, routing,
-    the replica's serve-and-reply, and client adoption.
-    """
-    start = time.perf_counter()
-    run = run_scenario(
-        ScenarioConfig(
-            n_servers=3,
-            n_clients=2,
-            requests_per_client=total_reads // 2,
-            machine="kv",
-            read_mode="optimistic",
-            read_ratio=1.0,
-            driver="closed",
-            grace=50.0,
-            horizon=10_000_000.0,
-            seed=0,
-            trace_level="off",
-        )
-    )
-    elapsed = time.perf_counter() - start
-    assert run.all_done()
-    served = sum(client.reads_adopted for client in run.clients)
-    assert served == 2 * (total_reads // 2)
-    return served / elapsed
-
-
-def b10_scenario(requests_per_client: int) -> float:
-    """Wall-clock seconds for the B10 shape (4-shard overload, order_cost)."""
-    start = time.perf_counter()
-    run = run_sharded_scenario(
-        ShardedScenarioConfig(
-            n_shards=4,
-            n_servers=3,
-            n_clients=8,
-            requests_per_client=requests_per_client,
-            machine="kv",
-            workload="uniform",
-            n_keys=64,
-            driver="open",
-            open_rate=1.5,
-            oar=OARConfig(order_cost=0.5),
-            grace=200.0,
-            horizon=50_000.0,
-            seed=0,
-            trace_level="off",
-        )
-    )
-    elapsed = time.perf_counter() - start
-    assert run.all_done()
-    return elapsed
 
 
 #: Writes in the history-scaling run (quick mode / full mode).
@@ -585,6 +335,10 @@ def checker_scaling(quick: bool) -> Dict[str, float]:
         "ratio": round(sec_4x / sec_1x, 2),
     }
 
+
+# ----------------------------------------------------------------------
+# Counts
+# ----------------------------------------------------------------------
 
 def _calls_shape(requests_per_client: int) -> ShardedScenarioConfig:
     """The ``sim_shard_write`` shape of ``benchmarks/e2e``, any size."""
@@ -785,118 +539,17 @@ def bytes_per_tcp_write() -> Dict[str, Any]:
 # Suite driver
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Bench:
-    """One tracked benchmark: how to run it and how to compare it."""
-
-    key: str
-    label: str
-    unit: str
-    higher_is_better: bool
-    run: Callable[[bool], float]  # quick -> measurement
-
-
-def _best(fn: Callable[[], float], repeats: int, higher_is_better: bool) -> float:
-    results = []
-    for _ in range(repeats):
-        gc.collect()  # garbage from earlier benchmarks must not bill here
-        results.append(fn())
-    return max(results) if higher_is_better else min(results)
-
-
-BENCHES: List[Bench] = [
-    Bench(
-        "kernel_events_per_sec",
-        "kernel dispatch (same-instant cascade)",
-        "events/s",
-        True,
-        lambda quick: kernel_dispatch(60_000 if quick else 200_000),
-    ),
-    Bench(
-        "kernel_timer_events_per_sec",
-        "kernel timers (heap path)",
-        "events/s",
-        True,
-        lambda quick: kernel_timers(60_000 if quick else 200_000),
-    ),
-    Bench(
-        "kernel_cancel_ops_per_sec",
-        "kernel cancel churn (lazy compaction)",
-        "ops/s",
-        True,
-        lambda quick: kernel_cancels(20_000 if quick else 50_000),
-    ),
-    Bench(
-        "network_messages_per_sec",
-        "SimNetwork ping-pong",
-        "msgs/s",
-        True,
-        lambda quick: network_pingpong(30_000 if quick else 100_000),
-    ),
-    Bench(
-        "read_ops_per_sec",
-        "replica-local read path (optimistic)",
-        "reads/s",
-        True,
-        lambda quick: read_path_scenario(3_000 if quick else 10_000),
-    ),
-    Bench(
-        "exec_ops_per_sec",
-        "execution engine (4 lanes, costed, disjoint)",
-        "ops/s",
-        True,
-        lambda quick: exec_engine_throughput(30_000 if quick else 100_000),
-    ),
-    Bench(
-        "openloop_arrivals_per_sec",
-        "open-loop harness (diurnal thinning + recorder)",
-        "arrivals/s",
-        True,
-        lambda quick: openloop_arrivals(50_000 if quick else 200_000),
-    ),
-    Bench(
-        "b5_wallclock_sec",
-        "B5 scenario (1 group, open loop, trace off)",
-        "s",
-        False,
-        lambda quick: b5_scenario(150 if quick else 600),
-    ),
-    Bench(
-        "b10_wallclock_sec",
-        "B10 scenario (4 shards, overload, trace off)",
-        "s",
-        False,
-        lambda quick: b10_scenario(80 if quick else 160),
-    ),
-]
-
-
-def run_suite(
-    quick: bool = False,
-    repeats: Optional[int] = None,
-    wallclock: bool = True,
-) -> Dict[str, Any]:
-    """Run every benchmark; returns the BENCH_perf.json payload.
+def run_suite(quick: bool = False, wallclock: bool = True) -> Dict[str, Any]:
+    """Run every cell; returns the BENCH_perf.json payload.
 
     ``wallclock=True`` (the default, used by ``run_perf.py`` and the CI
-    gate) appends the real-backend section from
-    :mod:`benchmarks.perf.wallclock` -- TCP cells take tens of seconds,
-    so the in-tier smoke test passes ``wallclock=False`` and covers the
-    section with tiny shapes separately.  ``bytes_per_tcp_write`` is a
-    count, not a rate, and runs either way (about three seconds).
+    gate) appends the codec section from
+    :mod:`benchmarks.perf.wallclock`; the in-tier smoke test passes
+    ``wallclock=False`` and covers that section with a tiny shape
+    separately.
     """
-    if repeats is None:
-        repeats = 2 if quick else 3
-    results: Dict[str, float] = {}
-    for bench in BENCHES:
-        best = _best(lambda: bench.run(quick), repeats, bench.higher_is_better)
-        # Rates round to whole units; wall-clocks keep sub-ms precision.
-        results[bench.key] = round(best, 1 if bench.higher_is_better else 4)
     payload: Dict[str, Any] = {
-        "schema": 1,
-        "mode": "quick" if quick else "full",
-        "repeats": repeats,
-        "results": results,
+        "schema": 2,
         "kernel_vs_reference": kernel_vs_reference(quick),
         "golden_digest": golden_scenario_digest(),
         "history_scaling": median_history_scaling(quick),
@@ -914,27 +567,14 @@ def run_suite(
 
 
 def format_table(payload: Dict[str, Any]) -> str:
-    """Human-readable before/after table for one suite run."""
-    lines = [
-        f"Perf suite ({payload['mode']} mode, best of {payload['repeats']})",
-        "",
-        f"{'benchmark':<48} {'measured':>14}",
-        "-" * 63,
-    ]
-    for bench in BENCHES:
-        precision = 1 if bench.higher_is_better else 4
-        lines.append(
-            f"{bench.label:<48} {payload['results'][bench.key]:>14,.{precision}f}"
-            f"  ({bench.unit})"
-        )
+    """Human-readable rendering of one suite run."""
     kernel = payload["kernel_vs_reference"]
-    lines.append("")
-    lines.append(
+    lines = [
         f"kernel fast lane ({kernel['events']} same-instant events, in turns): "
         f"{kernel['fast_lane_events_per_sec']:,.0f} events/s / "
         f"{kernel['reference_events_per_sec']:,.0f} on the heap-only "
         f"reference loop = {kernel['ratio']:.2f}"
-    )
+    ]
     history = payload["history_scaling"]
     lines.append(
         f"history scaling ({history['writes']} writes, median run of five): "

@@ -6,8 +6,9 @@ Usage::
     PYTHONPATH=src python benchmarks/perf/run_perf.py --quick --check   # CI gate
 
 A full run rewrites ``BENCH_perf.json``; a quick run prints, and writes
-only where ``--output`` says.  The rates in the payload are information:
-no gate reads a number measured in another run or on another machine.
+only where ``--output`` says.  Every section of the payload is read by
+``check``, and no gate reads a number measured in another run or on
+another machine.
 
 ``--check`` decides from the payload alone.  Each entry of ``GATES`` is a
 ratio of two costs measured in this run, in turns or seconds apart, in
@@ -215,9 +216,6 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="smaller workloads (CI smoke)"
     )
     parser.add_argument(
-        "--repeats", type=int, default=None, help="best-of-N repeats per benchmark"
-    )
-    parser.add_argument(
         "--output",
         default=None,
         help="where to write the JSON payload (default: BENCH_perf.json at the "
@@ -231,7 +229,7 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    payload = run_suite(quick=args.quick, repeats=args.repeats)
+    payload = run_suite(quick=args.quick)
     print(format_table(payload))
 
     output = args.output

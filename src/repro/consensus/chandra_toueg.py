@@ -384,11 +384,6 @@ class ConsensusManager(Component):
         for src, payload in self._buffered.pop(instance_id, []):
             instance.on_message(src, payload)
 
-    def has_decided(self, instance_id: Any) -> bool:
-        """True once the local instance has a decision."""
-        instance = self._instances.get(instance_id)
-        return instance is not None and instance.decided
-
     def on_message(self, src: str, payload: Any) -> None:
         """Route to the instance; buffer/store traffic for unknown ones."""
         instance = self._instances.get(payload.instance)

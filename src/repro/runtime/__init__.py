@@ -3,7 +3,8 @@
 The deterministic simulator answers every correctness question; this
 runtime answers the "does it actually run as a networked program"
 question and carries the wall-clock throughput story (benchmark B8 and
-the ``wallclock`` section of ``BENCH_perf.json``).  Two transports:
+the TCP workloads of ``python -m benchmarks.e2e compare``).  Two
+transports:
 
 * :class:`~repro.runtime.host.AsyncioCluster` -- in-process message
   passing over asyncio queues with optional injected delay (the honest

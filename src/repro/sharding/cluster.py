@@ -85,7 +85,6 @@ from repro.workload.generators import (
     counter_ops,
     cross_shard_bank_ops,
     hot_key_bank_ops,
-    hot_shift_kv_ops,
     kv_ops,
     read_heavy_bank_ops,
     read_heavy_kv_ops,
@@ -101,7 +100,7 @@ MACHINE_CLASSES = {
     "stack": StackMachine,
 }
 SHARDED_MACHINES = tuple(MACHINE_CLASSES)
-WORKLOADS = ("uniform", "zipf", "hotshift", "cross", "readheavy", "hotkey", "single")
+WORKLOADS = ("uniform", "zipf", "cross", "readheavy", "hotkey", "single")
 DRIVERS = ("closed", "open", "session")
 
 #: The baseline protocols the paper measures OAR against, by server
@@ -170,9 +169,7 @@ class ShardedScenarioConfig:
     exec_lanes: Optional[int] = None
 
     #: Workload family: "uniform" (kv over a flat key universe), "zipf"
-    #: (kv, skewed), "hotshift" (kv, skewed with a hotspot that moves
-    #: across the key space every 150 ops -- the live-rebalancing
-    #: stress), "cross" (bank transfers, cross-shard mix), "readheavy"
+    #: (kv, skewed), "cross" (bank transfers, cross-shard mix), "readheavy"
     #: (kv or bank, Zipf-skewed, ``read_ratio`` reads -- the
     #: replica-local read-path mix of benchmark B12), "hotkey" (bank
     #: deposits/withdrawals/balances with ``hot_ratio`` of all traffic
@@ -589,8 +586,6 @@ def _make_ops(
         return cross_shard_bank_ops(rng, accounts_by_shard, cross_ratio=0.0)
     if config.workload == "zipf":
         return zipfian_kv_ops(rng, key_universe, s=config.zipf_s)
-    if config.workload == "hotshift":
-        return hot_shift_kv_ops(rng, key_universe, s=config.zipf_s)
     if config.workload == "readheavy":
         return read_heavy_kv_ops(
             rng, key_universe, s=config.zipf_s, read_ratio=config.read_ratio

@@ -28,7 +28,7 @@ from repro.sim.latency import (
 from repro.sim.loop import Simulator, TimerHandle
 from repro.sim.network import Envelope, SimNetwork
 from repro.sim.process import Process, ProcessEnv
-from repro.sim.trace import NullTrace, TraceEvent, TraceLog
+from repro.sim.trace import TraceEvent, TraceLog
 
 __all__ = [
     "ConstantLatency",
@@ -36,7 +36,6 @@ __all__ = [
     "LanProfile",
     "LatencyModel",
     "NormalLatency",
-    "NullTrace",
     "PerLinkLatency",
     "Process",
     "ProcessEnv",

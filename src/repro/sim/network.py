@@ -178,10 +178,6 @@ class SimNetwork:
         return list(self._processes)
 
     @property
-    def processes(self) -> Dict[str, Process]:
-        return dict(self._processes)
-
-    @property
     def messages_sent(self) -> int:
         return self._messages_sent
 

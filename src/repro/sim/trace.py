@@ -13,10 +13,9 @@ Two performance features keep tracing off the hot path:
   so ``events(kind=...)`` is O(matches) instead of O(log length).  The
   checkers issue dozens of kind-filtered queries per run; on large traces
   the index turns quadratic checker passes into linear ones.
-* **Level gate** -- ``TraceLog(level="off")`` (or the :class:`NullTrace`
-  singleton-style subclass) drops every record at the door.  Soak runs
-  and throughput benchmarks run with tracing off; checker-backed tests
-  keep the default full-fidelity log.
+* **Level gate** -- ``TraceLog(level="off")`` drops every record at the
+  door.  Soak runs and throughput benchmarks run with tracing off;
+  checker-backed tests keep the default full-fidelity log.
 """
 
 from __future__ import annotations
@@ -199,14 +198,3 @@ class TraceLog:
         """Human-readable rendering (for debugging and example scripts)."""
         events = self._events if limit is None else self._events[:limit]
         return "\n".join(repr(e) for e in events)
-
-
-class NullTrace(TraceLog):
-    """A :class:`TraceLog` that drops everything (``level="off"``).
-
-    Exists so call sites can say ``NullTrace()`` instead of the stringly
-    ``TraceLog(level="off")``; both behave identically.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(level="off")

@@ -127,51 +127,6 @@ def read_heavy_bank_ops(
     )
 
 
-def hot_shift_kv_ops(
-    rng: random.Random,
-    keys: Sequence[str],
-    s: float = 1.2,
-    shift_every: int = 150,
-    write_ratio: float = 0.7,
-) -> Iterator[Op]:
-    """Zipf-skewed ops whose hot set *moves* through the key space.
-
-    The popularity ranking is a Zipf(s) law, but after every
-    ``shift_every`` operations the ranking rotates by a quarter of the
-    key space, so yesterday's cold keys become today's hot ones.  This
-    is the live-rebalancing stress: any static placement eventually has
-    the wrong shard hot, so only online migration (``repro.sharding.
-    rebalance``) can keep shard loads level over time.
-    """
-    if not keys:
-        raise ValueError("hot-shift workload needs at least one key")
-    if s < 0:
-        raise ValueError("zipf exponent must be >= 0")
-    if shift_every < 1:
-        raise ValueError("shift_every must be >= 1")
-    weights = [1.0 / (rank ** s) for rank in range(1, len(keys) + 1)]
-    total = sum(weights)
-    cdf = []
-    acc = 0.0
-    for weight in weights:
-        acc += weight
-        cdf.append(acc / total)
-    stride = max(1, len(keys) // 4)
-    counter = itertools.count()
-    emitted = 0
-
-    while True:
-        rank = bisect.bisect_left(cdf, rng.random())
-        rank = min(rank, len(keys) - 1)
-        shift = (emitted // shift_every) * stride
-        key = keys[(rank + shift) % len(keys)]
-        emitted += 1
-        if rng.random() < write_ratio:
-            yield ("set", key, f"v{next(counter)}")
-        else:
-            yield ("get", key)
-
-
 def cross_shard_bank_ops(
     rng: random.Random,
     accounts_by_shard: Sequence[Sequence[str]],

@@ -17,8 +17,9 @@ tests pin the hardening that keeps the protocol's guarantees standing:
 
 import pytest
 
+from repro.broadcast.reliable import RMsg
 from repro.core.client import OARClient
-from repro.core.messages import SeqOrder
+from repro.core.messages import BodyBatch, Request, SeqOrder
 from repro.core.server import OARConfig, OARServer
 from repro.failure.detector import ScriptedFailureDetector
 from repro.faults import FaultSchedule
@@ -337,3 +338,59 @@ class TestAntiEntropy:
         for server in servers:
             assert server.machine.fingerprint() == 1
         assert network.trace.events(kind="seq_sync")
+
+    def test_sync_tick_repairs_a_body_lost_on_every_link_to_one_replica(self):
+        # Every R-multicast copy of one request to p3 is dropped -- the
+        # client's own and every relay -- so p3 first hears of the rid
+        # from the sequencer's SeqOrder and holds an order slot without
+        # a body.  Its sync tick NACKs the rid, a peer answers with a
+        # BodyBatch, and p3 Opt-delivers the rid in the sequencer's slot.
+        lost = "c1-1"
+
+        def drop_body_to_p3(src, dst, payload):
+            return (
+                dst == "p3"
+                and isinstance(payload, RMsg)
+                and isinstance(payload.payload, Request)
+                and payload.payload.rid == lost
+            )
+
+        def arm(run):
+            run.network.ensure_fault_plane().add_drop_rule(drop_body_to_p3)
+
+        run = run_scenario(
+            ScenarioConfig(
+                protocol="oar",
+                n_servers=3,
+                n_clients=1,
+                requests_per_client=3,
+                machine="kv",
+                fd_kind="scripted",
+                oar=OARConfig(sync_interval=20.0),
+                arm=arm,
+                trace_messages=True,
+                seed=0,
+            )
+        )
+        assert run.all_done()
+        trace = run.trace
+        nacks = [event for event in trace.events(kind="order_nack") if event.pid == "p3"]
+        assert nacks and all(lost in event["rids"] for event in nacks)
+        assert not [
+            event for event in trace.events(kind="order_nack") if event.pid != "p3"
+        ]
+        repairs = [
+            event for event in trace.events(kind="msg_recv")
+            if event.pid == "p3" and isinstance(event["payload"], BodyBatch)
+        ]
+        assert [request.rid for request in repairs[0]["payload"].requests] == [lost]
+        positions = {
+            event.pid: event["position"]
+            for event in trace.events(kind="opt_deliver")
+            if event["rid"] == lost
+        }
+        assert set(positions) == {"p1", "p2", "p3"}
+        assert positions["p3"] == positions["p1"]
+        states = {server.pid: server.machine.state() for server in run.servers}
+        assert states["p3"] == states["p1"] == states["p2"]
+        run.check_all()

@@ -552,3 +552,88 @@ class TestCoordinatorCrash:
         assert state["recovery"].done
         assert run.routing_table.epoch == 1  # bumped exactly once
         run.check_all()
+
+
+class TestRefusals:
+    """A step the shards refuse every time ends the record ``aborted``,
+    after the retries, and the coordinator goes on with its queue."""
+
+    def test_prepare_refused_by_a_non_owner_aborts_and_the_queue_moves_on(self):
+        state = {}
+
+        def arm(run):
+            coordinator = attach_rebalancer(run, retry_delay=6.0, max_attempts=2)
+            key, other = run.key_universe[0], run.key_universe[1]
+            owner = run.routing_table.shard_of(key)
+            n = run.config.n_shards
+            state.update(coordinator=coordinator, key=key, owner=owner)
+
+            def kick():
+                # The prepare goes to a shard that does not own the key.
+                state["refused"] = coordinator.migrate(key, (owner + 2) % n, src=(owner + 1) % n)
+                state["queued"] = coordinator.migrate(
+                    other, (run.routing_table.shard_of(other) + 1) % n
+                )
+
+            coordinator.schedule(20.0, kick)
+
+        run = run_sharded_scenario(
+            ShardedScenarioConfig(
+                n_shards=3,
+                n_clients=2,
+                requests_per_client=10,
+                machine="kv",
+                workload="uniform",
+                seed=3,
+                arm=arm,
+                horizon=50_000.0,
+            )
+        )
+        assert run.all_done()
+        coordinator, refused, queued = state["coordinator"], state["refused"], state["queued"]
+        assert refused.phase == "aborted" and refused.attempts == 2
+        assert refused.error.startswith("mig_prepare: ")
+        begins = [e.time for e in run.trace.events(kind="mig_begin") if e["mid"] == refused.mid]
+        assert len(begins) == 2 and begins[1] - begins[0] >= 6.0
+        aborts = run.trace.events(kind="mig_abort")
+        assert [(e["mid"], e["reason"]) for e in aborts] == [(refused.mid, refused.error)]
+        assert coordinator.moves_aborted == 1 and coordinator.moves_committed == 1
+        assert queued.phase == "done" and coordinator.done
+        assert run.routing_table.shard_of(state["key"]) == state["owner"]
+        run.check_all()
+
+    def test_split_open_refused_every_time_aborts_the_split(self):
+        state = {}
+
+        def arm(run):
+            coordinator = attach_rebalancer(run, retry_delay=6.0, max_attempts=2)
+            key = run.key_universe[0]
+            state.update(coordinator=coordinator, key=key)
+            coordinator.schedule(
+                20.0, lambda: state.update(split=coordinator.split_key(key, 2))
+            )
+
+        run = run_sharded_scenario(
+            ShardedScenarioConfig(
+                n_shards=2,
+                n_clients=2,
+                requests_per_client=10,
+                machine="kv",
+                workload="uniform",
+                seed=4,
+                arm=arm,
+                horizon=50_000.0,
+            )
+        )
+        assert run.all_done()
+        coordinator, split = state["coordinator"], state["split"]
+        assert split.phase == "aborted" and split.attempts == 2
+        # The kv machine has no split_open: it refuses the op outright.
+        assert split.error.startswith("unknown operation: ('split_open'")
+        begins = [e.time for e in run.trace.events(kind="split_begin") if e["sid"] == split.sid]
+        assert len(begins) == 2 and begins[1] - begins[0] >= 6.0
+        aborts = run.trace.events(kind="split_abort")
+        assert [(e["sid"], e["reason"]) for e in aborts] == [(split.sid, split.error)]
+        assert coordinator.splits_aborted == 1 and coordinator.splits_committed == 0
+        assert coordinator.done and state["key"] not in run.routing_table.splits
+        run.check_all()

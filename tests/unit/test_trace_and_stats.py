@@ -9,7 +9,7 @@ from repro.analysis.stats import (
     summarize,
 )
 from repro.harness.tables import Table, write_result
-from repro.sim.trace import NullTrace, TraceEvent, TraceLog
+from repro.sim.trace import TraceEvent, TraceLog
 
 pytestmark = pytest.mark.unit
 
@@ -90,13 +90,13 @@ class TestTraceLog:
         assert [e.kind for e in log.events(kind="b")] == ["b"]
 
     def test_level_off_drops_everything(self):
-        for log in (TraceLog(level="off"), NullTrace()):
-            log.record(1.0, "p", "a", x=1)
-            log.append(TraceEvent(2.0, "p", "b", {}))
-            assert len(log) == 0
-            assert log.events() == []
-            assert log.events(kind="a") == []
-            assert not log.enabled
+        log = TraceLog(level="off")
+        log.record(1.0, "p", "a", x=1)
+        log.append(TraceEvent(2.0, "p", "b", {}))
+        assert len(log) == 0
+        assert log.events() == []
+        assert log.events(kind="a") == []
+        assert not log.enabled
         assert TraceLog().enabled
 
     def test_unknown_level_rejected(self):
