@@ -1,9 +1,9 @@
-"""Experiment B8: wall-clock latency on the asyncio runtimes.
+"""Experiment B8: wall-clock latency on the TCP runtime.
 
 Sanity check that the *shape* of the simulator results carries over to a
-real networked execution: the same protocol objects run over in-process
-asyncio queues and over localhost TCP sockets; all requests are adopted,
-total order holds, and the latency distribution is reported.
+real networked execution: the same protocol objects run over localhost
+TCP sockets; all requests are adopted, total order holds, and the
+latency distribution is reported.
 
 Absolute numbers here are loopback-scale (microseconds-milliseconds),
 not the paper's LAN-scale; the honest comparison is the *ratio* between
@@ -20,7 +20,7 @@ from repro.core.client import OARClient
 from repro.core.server import OARConfig, OARServer
 from repro.failure.detector import HeartbeatFailureDetector
 from repro.harness import Table, write_result
-from repro.runtime import AsyncioCluster, TcpCluster
+from repro.runtime import TcpCluster
 from repro.statemachine import CounterMachine
 
 pytestmark = pytest.mark.bench
@@ -29,15 +29,12 @@ pytestmark = pytest.mark.bench
 REQUESTS = 30
 
 
-def run_cluster(cluster_kind: str, n_servers: int = 3, trace_level: str = "off"):
+def run_cluster(n_servers: int = 3, trace_level: str = "off"):
     # trace_level defaults to "off": these are wall-clock latency cells,
     # and full tracing is a hot-path cost the checker-less runs must not
     # pay.  The consistency test below opts back into "full".
     async def scenario():
-        if cluster_kind == "tcp":
-            cluster = TcpCluster(trace_level=trace_level)
-        else:
-            cluster = AsyncioCluster(link_delay=0.0005, trace_level=trace_level)
+        cluster = TcpCluster(trace_level=trace_level)
         group = [f"p{i + 1}" for i in range(n_servers)]
         servers = []
         for pid in group:
@@ -74,11 +71,9 @@ def run_cluster(cluster_kind: str, n_servers: int = 3, trace_level: str = "off")
     return asyncio.run(scenario())
 
 
-@pytest.mark.parametrize("cluster_kind", ["inmemory", "tcp"])
-def test_runtime_completes_consistently(benchmark, cluster_kind):
+def test_runtime_completes_consistently(benchmark):
     cluster, servers, client, done = benchmark.pedantic(
         run_cluster,
-        args=(cluster_kind,),
         kwargs={"trace_level": "full"},  # the external-consistency check reads it
         rounds=1,
         iterations=1,
@@ -94,27 +89,24 @@ def test_runtime_completes_consistently(benchmark, cluster_kind):
 
 def test_b8_report(benchmark):
     rows = []
-    for kind in ("inmemory", "tcp"):
-        for n_servers in (3, 5):
-            _cluster, _servers, client, done = run_cluster(kind, n_servers)
-            assert done
-            stats = summarize(
-                [a.latency * 1000.0 for a in client.adopted.values()]
-            )
-            rows.append((kind, n_servers, stats.mean, stats.median, stats.p95))
-    benchmark.pedantic(run_cluster, args=("inmemory",), rounds=1, iterations=1)
+    for n_servers in (3, 5):
+        _cluster, _servers, client, done = run_cluster(n_servers)
+        assert done
+        stats = summarize([a.latency * 1000.0 for a in client.adopted.values()])
+        rows.append((n_servers, stats.mean, stats.median, stats.p95))
+    benchmark.pedantic(run_cluster, rounds=1, iterations=1)
 
     table = Table(
-        "B8 -- OAR wall-clock latency on the asyncio runtimes (ms)",
-        ["transport", "servers", "mean", "p50", "p95"],
+        "B8 -- OAR wall-clock latency over localhost TCP (ms)",
+        ["servers", "mean", "p50", "p95"],
     )
     for row in rows:
         table.add_row(*row)
     lines = [
         table.render(),
         "",
-        "shape: all requests adopt with zero inconsistencies on both",
-        "transports; latency is loopback-scale and grows mildly with the",
-        "group size (more weight-bearing replies in flight).",
+        "shape: all requests adopt with zero inconsistencies; latency is",
+        "loopback-scale and grows mildly with the group size (more",
+        "weight-bearing replies in flight).",
     ]
     write_result("B8_asyncio_runtime", "\n".join(lines))

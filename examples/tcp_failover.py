@@ -2,12 +2,12 @@
 """Run the OAR protocol as a real asyncio program over localhost TCP.
 
 The exact same protocol classes that power the deterministic simulator
-are hosted on sockets: three replica processes, one client, pickled
-length-prefixed frames, a live heartbeat failure detector.  The script
-measures wall-clock latency, then crashes the sequencer and shows the
-fail-over happening in real time.
+are hosted on sockets: three replica processes, one client,
+length-prefixed frames from the binary codec, a live heartbeat failure
+detector.  The script measures wall-clock latency, then crashes the
+sequencer and shows the fail-over happening in real time.
 
-Run:  python examples/asyncio_cluster.py
+Run:  python examples/tcp_failover.py
 """
 
 import asyncio

@@ -27,7 +27,7 @@ def main() -> None:
             workload="uniform",
             n_keys=32,
         ),
-        backend="tcp",  # or "asyncio" for in-process queues
+        backend="tcp",
     )
     print("Running: 2 shards x 3 replicas + 4 clients over TCP sockets...\n")
     run = run_runtime_scenario(config)

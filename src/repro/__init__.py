@@ -25,7 +25,7 @@ entirely in Python:
 * :mod:`repro.analysis` -- trace checkers for the paper's propositions.
 * :mod:`repro.workload`, :mod:`repro.harness` -- workload generation and
   the experiment harness behind every benchmark.
-* :mod:`repro.runtime` -- an asyncio host for the same protocol code
+* :mod:`repro.runtime` -- a TCP host for the same protocol code
   (wall-clock measurements).
 
 Quickstart::

@@ -795,9 +795,11 @@ def check_migration_atomicity(
     coordinator crash before recovery): an in-flight migration is
     incomplete, not non-atomic.  Keys split into fragments
     (``routing_table.splits``) delegate every per-key obligation to
-    their fragments; see :func:`check_fragment_conservation` for the
-    value-conservation side of splitting.  Returns the number of
-    distinct migrations begun.
+    their fragments; a split that aborted after it opened (``split_abort``)
+    leaves its fragments stranded, which quiescence tolerates as it does
+    a crashed coordinator's migration.  See
+    :func:`check_fragment_conservation` for the value-conservation side
+    of splitting.  Returns the number of distinct migrations begun.
     """
     begun = {event["mid"]: event for event in trace.events(kind="mig_begin")}
     prepared = {event["mid"] for event in trace.events(kind="mig_prepared")}
@@ -850,8 +852,12 @@ def check_migration_atomicity(
     # authority's epoch not yet bumped -- the fragments already exist in
     # owner books and escrow under fragment names) and mid-merge
     # (split_close adopted, split not yet dropped -- the merged key is
-    # owned again while the table still says "split").
+    # owned again while the table still says "split").  A split that
+    # aborted after split_open (a refused install, a coordinator crash
+    # before the table commit) strands its fragments there for good:
+    # incomplete, not lost -- check_fragment_conservation counts them.
     splits = dict(getattr(routing_table, "splits", None) or {})
+    abandoned = {event["key"] for event in trace.events(kind="split_abort")}
     owned_anywhere: Set[Any] = set().union(*(book.owned for book in books.values()))
     split_parents = {
         SplittableMachine.parent_key(key) for key in owned_anywhere | in_flight_keys
@@ -879,13 +885,13 @@ def check_migration_atomicity(
         if not owners:
             if key not in in_flight_keys:
                 if not is_fragment and key in split_parents:
-                    if quiescent:
+                    if quiescent and key not in abandoned:
                         raise CheckFailure(
                             f"migration atomicity: {key!r} was split into "
                             f"fragments but the split never committed to "
                             f"the routing table"
                         )
-                    continue  # mid-split window: split_open in flight
+                    continue  # mid-split window, or an abandoned split
                 if unknown_shards:
                     continue  # the key may live on a fully-crashed shard
                 raise CheckFailure(
@@ -905,9 +911,14 @@ def check_migration_atomicity(
             )
 
     if quiescent:
-        leftovers = {
-            shard: sorted(book.outbound) for shard, book in books.items() if book.outbound
-        }
+        leftovers = {}
+        for shard, book in books.items():
+            mids = sorted(
+                mid for mid, (key, _dst, _state) in book.outbound.items()
+                if SplittableMachine.parent_key(key) not in abandoned
+            )
+            if mids:
+                leftovers[shard] = mids
         if leftovers:
             raise CheckFailure(
                 f"migration atomicity: outbound escrow entries survive "
@@ -937,7 +948,8 @@ def check_fragment_conservation(
     """Splitting a hot key never creates or destroys value.
 
     For every key that was ever split
-    (:class:`~repro.statemachine.base.SplittableMachine`), the logical
+    (:class:`~repro.statemachine.base.SplittableMachine`) -- the split
+    committed, or it aborted and left its fragments stranded -- the logical
     value observable at the end of the run -- the sum of its fragment
     balances across shards, plus fragment value parked in migration or
     split escrow, plus fragment debits held by in-flight transfers --
@@ -964,8 +976,9 @@ def check_fragment_conservation(
     return without raising.  Returns the number of families checked.
     """
     families: Set[Any] = set(getattr(routing_table, "splits", None) or {})
-    for event in trace.events(kind="split_commit"):
-        families.add(event["key"])
+    for kind in ("split_commit", "split_abort"):
+        for event in trace.events(kind=kind):
+            families.add(event["key"])
     if not families or not quiescent:
         return 0
 

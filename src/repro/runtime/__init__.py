@@ -3,34 +3,28 @@
 The deterministic simulator answers every correctness question; this
 runtime answers the "does it actually run as a networked program"
 question and carries the wall-clock throughput story (benchmark B8 and
-the TCP workloads of ``python -m benchmarks.e2e compare``).  Two
-transports:
+the TCP workloads of ``python -m benchmarks.e2e compare``).  It has one
+host, :class:`~repro.runtime.tcp.TcpCluster`: every process served on a
+real localhost TCP socket.  Frames are length-prefixed bodies from the
+compact tagged binary codec (:mod:`repro.runtime.codec`).  Sends
+coalesce into per-connection buffers; see the module docs for the flush
+and reconnect rules.
 
-* :class:`~repro.runtime.host.AsyncioCluster` -- in-process message
-  passing over asyncio queues with optional injected delay (the honest
-  laptop-scale equivalent of a LAN: the paper's latencies were LAN
-  round-trips, ours are event-loop hops plus the configured delay).
-* :class:`~repro.runtime.tcp.TcpCluster` -- every process served on a
-  real localhost TCP socket.  Frames are length-prefixed bodies from
-  the compact tagged binary codec (:mod:`repro.runtime.codec`).  Sends
-  coalesce into per-connection buffers; see the module docs for the
-  flush and reconnect rules.
-
-Both share :class:`~repro.runtime.host.RuntimeCluster` (processes,
-crash-stop, clock, ``run_until``, ``stats``) and host the **same**
-:class:`~repro.sim.process.Process` subclasses as the simulator -- the
+Each process sees the cluster through an
+:class:`~repro.runtime.host.AsyncioEnv` (clock, event-loop timers,
+``send``/``defer``), and the processes are the **same**
+:class:`~repro.sim.process.Process` subclasses as the simulator's -- the
 protocol code has no idea which world it lives in.  Full sharded
 scenarios (router, sharded clients, replica-local reads) run over
-either transport through
-:func:`~repro.runtime.scenario.run_runtime_scenario`, which places the
-deployment with the simulator's own builder
+sockets through :func:`~repro.runtime.scenario.run_runtime_scenario`,
+which places the deployment with the simulator's own builder
 (:func:`~repro.sharding.cluster.place_sharded_scenario`) and returns a
 genuine :class:`~repro.sharding.cluster.ShardedRun` view, so the entire
 ``check_all`` checker bundle applies to wall-clock runs unchanged.
 """
 
 from repro.runtime.codec import WIRE_TAGS, BinaryCodec, registered_types
-from repro.runtime.host import AsyncioCluster, AsyncioEnv, RuntimeCluster
+from repro.runtime.host import AsyncioEnv
 from repro.runtime.scenario import (
     RuntimeScenarioConfig,
     RuntimeShardedRun,
@@ -40,10 +34,8 @@ from repro.runtime.scenario import (
 from repro.runtime.tcp import TcpCluster
 
 __all__ = [
-    "AsyncioCluster",
     "AsyncioEnv",
     "BinaryCodec",
-    "RuntimeCluster",
     "RuntimeScenarioConfig",
     "RuntimeShardedRun",
     "TcpCluster",

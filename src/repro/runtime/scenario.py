@@ -1,12 +1,11 @@
-"""Sharded-scenario parity for the real backends (asyncio queues / TCP).
+"""Sharded-scenario parity for the real backend (TCP sockets).
 
 The simulator is the correctness oracle; this module is the proof that
 the *same* protocol objects -- ``OARServer``, ``ShardedOARClient``, the
 router, the replica-local read paths, the closed/open-loop drivers --
 run unmodified over real event loops and real sockets.  Construction is
 :mod:`repro.sharding.cluster`'s, not a copy of it: the deployment is
-placed by :func:`~repro.sharding.cluster.place_sharded_scenario` on an
-:class:`~repro.runtime.host.AsyncioCluster` or
+placed by :func:`~repro.sharding.cluster.place_sharded_scenario` on a
 :class:`~repro.runtime.tcp.TcpCluster` instead of a ``SimNetwork``, and
 driven by :func:`~repro.sharding.cluster.start_drivers` on a wall
 clock instead of the ``Simulator``.
@@ -50,7 +49,6 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.core.client import ShardedOARClient
 from repro.core.server import OARConfig
-from repro.runtime.host import AsyncioCluster, RuntimeCluster
 from repro.runtime.tcp import TcpCluster
 from repro.sharding.cluster import (
     ShardedRun,
@@ -60,7 +58,7 @@ from repro.sharding.cluster import (
 )
 from repro.workload.drivers import ClosedLoopDriver, OpenLoopDriver
 
-BACKENDS = ("asyncio", "tcp")
+BACKENDS = ("tcp",)
 
 
 class _WallClock:
@@ -69,13 +67,13 @@ class _WallClock:
     Delays arrive in simulated time units and are scaled to wall-clock
     seconds; ``schedule_at`` is relative to this clock's construction
     (the drivers' time zero).  Every callback runs as one
-    :meth:`~repro.runtime.host.RuntimeCluster.turn` of the cluster, so
+    :meth:`~repro.runtime.tcp.TcpCluster.turn` of the cluster, so
     what a driver step sends is flushed when the step returns.
     """
 
     __slots__ = ("_loop", "_turn", "_scale", "_epoch")
 
-    def __init__(self, cluster: RuntimeCluster, scale: float) -> None:
+    def __init__(self, cluster: TcpCluster, scale: float) -> None:
         self._loop = cluster.loop
         self._turn = cluster.turn
         self._scale = scale
@@ -94,7 +92,7 @@ class _WallClock:
 
 @dataclass(frozen=True)
 class RuntimeScenarioConfig:
-    """A sharded scenario bound to a real backend.
+    """A sharded scenario bound to the real backend.
 
     ``scenario`` is the same description the simulator runs (its
     ``trace_level`` included: ``check_all`` needs "full", throughput
@@ -103,8 +101,7 @@ class RuntimeScenarioConfig:
     """
 
     scenario: ShardedScenarioConfig
-    backend: str = "tcp"  #: "asyncio" (in-process queues) or "tcp"
-    link_delay: float = 0.0005  #: asyncio backend's per-hop delay (s)
+    backend: str = "tcp"  #: the one wall-clock host: "tcp"
     time_scale: float = 0.04  #: wall-clock seconds per simulated unit
     #: Wall-clock failure detector cadence (not scaled from the
     #: scenario: see module docstring).
@@ -116,6 +113,10 @@ class RuntimeScenarioConfig:
     tcp_flush_interval: Optional[float] = None
     timeout: float = 60.0  #: wall-clock quiescence deadline (s)
     grace: float = 0.05  #: settle window after quiescence (s)
+
+    def __post_init__(self) -> None:
+        if self.backend not in BACKENDS:
+            raise ValueError(f"unknown backend: {self.backend} (choose from {BACKENDS})")
 
     def with_changes(self, **changes: Any) -> "RuntimeScenarioConfig":
         return replace(self, **changes)
@@ -133,7 +134,7 @@ class RuntimeShardedRun:
     """
 
     config: RuntimeScenarioConfig
-    cluster: RuntimeCluster
+    cluster: TcpCluster
     view: ShardedRun
     completed: bool = False
     elapsed: float = 0.0  #: wall-clock seconds of the drive phase
@@ -219,21 +220,13 @@ def _wall_clock_scenario(config: RuntimeScenarioConfig) -> ShardedScenarioConfig
     )
 
 
-def _make_cluster(config: RuntimeScenarioConfig) -> RuntimeCluster:
+def _make_cluster(config: RuntimeScenarioConfig) -> TcpCluster:
     scenario = config.scenario
-    if config.backend == "tcp":
-        return TcpCluster(
-            seed=scenario.seed,
-            trace_level=scenario.trace_level,
-            flush_interval=config.tcp_flush_interval,
-        )
-    if config.backend == "asyncio":
-        return AsyncioCluster(
-            link_delay=config.link_delay,
-            seed=scenario.seed,
-            trace_level=scenario.trace_level,
-        )
-    raise ValueError(f"unknown backend: {config.backend} (choose from {BACKENDS})")
+    return TcpCluster(
+        seed=scenario.seed,
+        trace_level=scenario.trace_level,
+        flush_interval=config.tcp_flush_interval,
+    )
 
 
 async def execute_runtime_scenario(

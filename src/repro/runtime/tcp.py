@@ -49,11 +49,14 @@ from __future__ import annotations
 
 import asyncio
 import struct
+import time
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.runtime.codec import BinaryCodec
-from repro.runtime.host import AsyncioEnv, RuntimeCluster
+from repro.runtime.host import AsyncioEnv
+from repro.sim.process import Process
+from repro.sim.trace import TraceLog
 
 _HEADER = struct.Struct(">I")
 _HEADER_SIZE = _HEADER.size
@@ -186,10 +189,9 @@ class _Inbound(asyncio.BufferedProtocol):
             cluster._end_turn()
 
 
-class TcpCluster(RuntimeCluster):
-    """Hosts processes on localhost TCP sockets.
+class TcpCluster:
+    """Hosts processes on localhost TCP sockets: the wall-clock host.
 
-    Used like :class:`~repro.runtime.host.AsyncioCluster`:
     ``add_process`` everything, ``await start()``, drive the scenario,
     ``await shutdown()``.  ``trace_level`` is forwarded to the
     :class:`~repro.sim.trace.TraceLog` (benchmarks run ``"off"``: at
@@ -198,11 +200,22 @@ class TcpCluster(RuntimeCluster):
     turns (see the module docstring).
     """
 
+    #: The event loop everything runs on, bound by :meth:`start`.
+    loop: asyncio.AbstractEventLoop
+
     def __init__(
         self, seed: int = 0, trace_level: str = "full", flush_interval: Optional[float] = None
     ) -> None:
-        super().__init__(seed, trace_level)
+        self.seed = seed
+        self.trace = TraceLog(level=trace_level)
         self.flush_interval = flush_interval
+        self._processes: Dict[str, Process] = {}
+        self._crashed: Set[str] = set()
+        self._started = False
+        #: ``shutdown`` has run: a send from then on goes nowhere (counted
+        #: as dropped)
+        self._closed = False
+        self._epoch = time.monotonic()
         self._servers: Dict[str, asyncio.AbstractServer] = {}
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._conns: Dict[Tuple[str, str], _Conn] = {}
@@ -229,8 +242,35 @@ class TcpCluster(RuntimeCluster):
         self._enc_obj: Any = None
         self._enc_frame: bytes = b""
 
+    @property
+    def now(self) -> float:
+        return time.monotonic() - self._epoch
+
+    @property
+    def pids(self) -> List[str]:
+        return list(self._processes)
+
+    def add_process(self, process: Process) -> None:
+        if self._started:
+            raise RuntimeError("cluster already started")
+        if process.pid in self._processes:
+            raise ValueError(f"duplicate pid: {process.pid}")
+        self._processes[process.pid] = process
+
+    def is_crashed(self, pid: str) -> bool:
+        return pid in self._crashed
+
     def crash(self, pid: str) -> None:
-        super().crash(pid)
+        """Crash-stop ``pid``: its handlers, timers and deferred work never
+        run again, and its listener and transports close."""
+        if pid in self._crashed:
+            return
+        self._crashed.add(pid)
+        process = self._processes.get(pid)
+        if process is not None:
+            process.crashed = True
+            process.on_crash()
+        self.trace.record(self.now, pid, "crash")
         server = self._servers.pop(pid, None)
         if server is not None:
             server.close()
@@ -241,19 +281,36 @@ class TcpCluster(RuntimeCluster):
             if conn.key[0] == pid:
                 self._close(conn)
 
+    def stats(self) -> Dict[str, int]:
+        """Transport counters."""
+        return dict(self._stats)
+
     async def start(self) -> None:
-        await super().start()
+        """Bind the running loop, restart the clock, open a listener per
+        process and hand every process its env."""
+        self._started = True
+        self._epoch = time.monotonic()
+        self.loop = asyncio.get_running_loop()
         for pid in self._processes:
             server = await self.loop.create_server(partial(_Inbound, self, pid), "127.0.0.1", 0)
             self._servers[pid] = server
             self._addresses[pid] = server.sockets[0].getsockname()[:2]
         for pid, process in self._processes.items():
-            env = AsyncioEnv(self, pid, self.seed)
-            # one call per frame: ``send_frame`` with the pid bound
-            # (and ``defer``, which here waits for the loop)
-            env.send = partial(self.send_frame, pid)  # type: ignore[method-assign]
-            env.defer = partial(self.defer, pid)  # type: ignore[method-assign]
-            process.start(env)
+            process.start(AsyncioEnv(self, pid, self.seed))
+
+    async def run_until(
+        self,
+        predicate: Callable[[], bool],
+        timeout: float = 30.0,
+        poll: float = 0.002,
+    ) -> bool:
+        """Poll ``predicate`` until true or ``timeout`` wall-clock seconds."""
+        deadline = time.monotonic() + timeout
+        while time.monotonic() < deadline:
+            if predicate():
+                return True
+            await asyncio.sleep(poll)
+        return predicate()
 
     def send_frame(self, src: str, dst: str, payload: Any) -> None:
         crashed = self._crashed

@@ -271,9 +271,9 @@ def resolve_oar(config: ShardedScenarioConfig) -> OARConfig:
 
 
 class Host(Protocol):
-    """What a deployment is placed on: ``SimNetwork``, ``AsyncioCluster``
-    or ``TcpCluster``.  Starting it is the one step the backends do
-    differently, so that stays with the caller."""
+    """What a deployment is placed on: ``SimNetwork`` or ``TcpCluster``.
+    Starting it is the one step the backends do differently, so that
+    stays with the caller."""
 
     trace: TraceLog
 

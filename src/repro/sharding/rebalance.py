@@ -595,6 +595,9 @@ class RebalanceCoordinator:
                     record.phase = "aborted"
                     record.error = "coordinator crashed mid-split"
                     self.splits_aborted += 1
+                    self.env.trace(
+                        "split_abort", sid=record.sid, key=record.key, reason=record.error
+                    )
                 continue
             if isinstance(record, UnsplitRecord):
                 record.phase = "planned"

@@ -3,8 +3,8 @@
 A protocol implementation (OAR server, consensus participant, ...) is a
 :class:`Process` subclass.  It never touches the simulator or sockets
 directly; it only calls methods on its :class:`ProcessEnv`.  The
-deterministic simulator (:mod:`repro.sim.network`) and the asyncio runtime
-(:mod:`repro.runtime`) both provide the same interface, so the exact same
+deterministic simulator (:mod:`repro.sim.network`) and the TCP host of
+:mod:`repro.runtime` both provide the same interface, so the exact same
 protocol code runs under both.
 """
 
@@ -81,8 +81,8 @@ class ProcessEnv:
         Work that is better done once per burst of input than once per
         message (the sequencer's Task 1a) goes through here.  A host
         that hands a process one message per event has nothing more to
-        consume, so the default -- the simulator's and the asyncio
-        host's -- is a plain synchronous call.  The TCP host reads many
+        consume, so the default -- the simulator's -- is a plain
+        synchronous call.  The TCP host reads many
         frames per wake-up and runs the callback when the event loop has
         handled everything that was readable; a process that crashes in
         between never sees it run (the rule timers follow).

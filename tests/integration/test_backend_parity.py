@@ -1,5 +1,5 @@
 """One description, one deployment: the builder places and drives the
-same thing on the simulator, on asyncio queues and on TCP sockets.
+same thing on the simulator and on TCP sockets.
 
 What is compared is what the builder decides, not what the schedule
 does with it: pids and their placement order, each shard's replica state
@@ -7,7 +7,7 @@ before any traffic, the routing epoch, and -- from a closed-loop run,
 where the next op is submitted only when the previous one was adopted --
 every client's sequence of submitted rids and ops.  One replication
 group (``n_shards=1``) is placed under the paper's replica names, and a
-baseline protocol's group runs on the real backends as on the simulator.
+baseline protocol's group runs over sockets as on the simulator.
 """
 
 import asyncio
@@ -15,7 +15,6 @@ from typing import Any, Dict, List, Tuple
 
 import pytest
 
-from repro.runtime.host import AsyncioCluster
 from repro.runtime.scenario import RuntimeScenarioConfig, run_runtime_scenario
 from repro.harness.scenario import ScenarioConfig
 from repro.runtime.tcp import TcpCluster
@@ -34,7 +33,6 @@ pytestmark = pytest.mark.integration
 
 _HOSTS = {
     "sim": lambda: SimNetwork(Simulator(seed=0)),
-    "asyncio": AsyncioCluster,
     "tcp": TcpCluster,
 }
 
@@ -75,7 +73,7 @@ def _submitted(view: ShardedRun) -> Dict[str, List[Tuple[str, Tuple[Any, ...]]]]
     return by_client
 
 
-@pytest.mark.parametrize("backend", ["asyncio", "tcp"])
+@pytest.mark.parametrize("backend", ["tcp"])
 @pytest.mark.parametrize("scenario", sorted(_SCENARIOS))
 def test_real_backend_deploys_what_the_simulator_deploys(scenario, backend):
     config = _config(scenario)
@@ -93,7 +91,7 @@ def test_real_backend_deploys_what_the_simulator_deploys(scenario, backend):
     assert run.view.routing_table.epoch == reference.routing_table.epoch == 0
 
 
-@pytest.mark.parametrize("backend", ["asyncio", "tcp"])
+@pytest.mark.parametrize("backend", ["tcp"])
 @pytest.mark.parametrize("protocol", sorted(BASELINE_SERVERS))
 def test_a_baseline_group_runs_on_the_real_backends_as_on_the_simulator(protocol, backend):
     config = ScenarioConfig(
@@ -115,16 +113,16 @@ class _Sender(Process):
 
 
 def test_a_send_to_a_pid_nobody_hosts_raises_on_every_backend():
-    """The simulator refuses a destination it does not host; the real
-    backends do the same while they run, and once shut down a late send
-    goes nowhere (TCP counts it as dropped)."""
+    """The simulator refuses a destination it does not host; the TCP
+    host does the same while it runs, and once shut down a late send
+    goes nowhere (counted as dropped)."""
     network = SimNetwork(Simulator(seed=0))
     sender = _Sender("a")
     network.start(sender)
     with pytest.raises(KeyError, match="unknown destination: nobody"):
         sender.env.send("nobody", "hello")
 
-    async def real(cluster: Any) -> Dict[str, int]:
+    async def real(cluster: TcpCluster) -> Dict[str, int]:
         sender = _Sender("a")
         cluster.add_process(sender)
         await cluster.start()
@@ -136,6 +134,5 @@ def test_a_send_to_a_pid_nobody_hosts_raises_on_every_backend():
         sender.env.send("nobody", "too late")
         return cluster.stats()
 
-    asyncio.run(real(AsyncioCluster(trace_level="off")))
     stats = asyncio.run(real(TcpCluster(trace_level="off")))
     assert stats["dropped_frames"] == 1 and stats["frames_sent"] == 0

@@ -553,6 +553,63 @@ class TestCoordinatorCrash:
         assert run.routing_table.epoch == 1  # bumped exactly once
         run.check_all()
 
+    def test_crash_mid_split_is_resumed_as_an_abort_that_conserves(self):
+        # Crash the coordinator after split_open ran at the source and
+        # before it adopted the result: fragment 0 is installed there and
+        # fragment 1 sits in its escrow, while the routing table still
+        # knows only the whole key.  Recovery surfaces the split as an
+        # abort; the stranded fragments still sum to the account's value.
+        state = {}
+
+        def arm(run):
+            coordinator = attach_rebalancer(run)
+            key = run.key_universe[0]
+            state.update(coordinator=coordinator, key=key, src=run.routing_table.shard_of(key))
+            run.sim.schedule_at(30.0, lambda: state.update(split=coordinator.split_key(key, 2)))
+            run.sim.schedule_at(32.5, lambda: run.network.crash(coordinator.client.pid))
+
+            def recover():
+                state["escrow"] = run.correct_servers(state["src"])[0].machine.outbound_migrations()
+                recovery = attach_rebalancer(run, pid="rb2")
+                recovery.resume(coordinator.journal)
+                state["recovery"] = recovery
+
+            run.sim.schedule_at(80.0, recover)
+
+        run = run_sharded_scenario(
+            ShardedScenarioConfig(
+                n_shards=2,
+                n_clients=2,
+                requests_per_client=30,
+                machine="bank",
+                workload="cross",
+                cross_ratio=0.0,
+                seed=11,
+                arm=arm,
+                horizon=50_000.0,
+                grace=100.0,
+            )
+        )
+        assert run.all_done()
+        split, recovery, key = state["split"], state["recovery"], state["key"]
+        # The crash really hit between split_open and the table commit.
+        assert [entry[0] for entry in state["escrow"].values()] == [f"{key}#f1"]
+        assert not run.trace.events(kind="split_commit")
+        assert split.phase == "aborted" and split.error == "coordinator crashed mid-split"
+        assert recovery.splits_aborted == 1 and recovery.done
+        aborts = run.trace.events(kind="split_abort")
+        assert [(e.pid, e["sid"], e["reason"]) for e in aborts] == [
+            ("rb2", split.sid, split.error)
+        ]
+        assert key not in run.routing_table.splits
+        run.check_all()
+        # The stranded family is checked, not skipped: fragment 0 plus
+        # the escrowed fragment 1 equal the adopted history.
+        initial = {account: run.config.initial_balance for account in run.key_universe}
+        assert checkers.check_fragment_conservation(
+            run.trace, run.shards, run.routing_table, initial
+        ) == 1
+
 
 class TestRefusals:
     """A step the shards refuse every time ends the record ``aborted``,
@@ -636,4 +693,51 @@ class TestRefusals:
         assert [(e["sid"], e["reason"]) for e in aborts] == [(split.sid, split.error)]
         assert coordinator.splits_aborted == 1 and coordinator.splits_committed == 0
         assert coordinator.done and state["key"] not in run.routing_table.splits
+        run.check_all()
+
+    def test_split_close_refused_every_time_aborts_the_unsplit(self):
+        state = {}
+
+        def arm(run):
+            coordinator = attach_rebalancer(run, retry_delay=6.0, max_attempts=2)
+            hot = run.key_universe[0]
+            state.update(coordinator=coordinator, hot=hot)
+            coordinator.schedule(10.0, lambda: coordinator.split_key(hot, 2))
+
+            def kick():
+                # Fragment 0 moves away just before the merge is planned
+                # around it: the strays go to where it was, and the home
+                # shard's split_close finds fragment 0 gone every time.
+                (f0, _home), (_f1, away) = run.routing_table.fragments_of(hot)
+                coordinator.migrate(f0, away)
+                state["unsplit"] = coordinator.unsplit_key(hot)
+
+            coordinator.schedule(60.0, kick)
+
+        run = run_sharded_scenario(
+            ShardedScenarioConfig(
+                n_shards=2,
+                n_clients=2,
+                requests_per_client=25,
+                machine="bank",
+                workload="hotkey",
+                hot_ratio=0.5,
+                accounts_per_shard=3,
+                seed=7,
+                arm=arm,
+                horizon=50_000.0,
+                grace=200.0,
+            )
+        )
+        assert run.all_done()
+        coordinator, unsplit = state["coordinator"], state["unsplit"]
+        assert unsplit.phase == "aborted" and unsplit.attempts == 2
+        assert unsplit.error.startswith("split_close: wrong_shard: ")
+        begins = [e.time for e in run.trace.events(kind="unsplit_begin")]
+        assert len(begins) == 2 and begins[1] - begins[0] >= 6.0
+        aborts = run.trace.events(kind="unsplit_abort")
+        assert [(e["sid"], e["reason"]) for e in aborts] == [(unsplit.sid, unsplit.error)]
+        assert coordinator.unsplits_committed == 0 and coordinator.moves_committed == 2
+        assert coordinator.done and state["hot"] in run.routing_table.splits
+        assert not run.trace.events(kind="unsplit_done")
         run.check_all()

@@ -7,7 +7,8 @@ run (single-shard safety, read consistency, cross-shard atomicity,
 fault-plane and admission accounting, fragment conservation).  The
 runtime scenario builder wraps a genuine
 :class:`~repro.sharding.cluster.ShardedRun` view, so nothing here is a
-weakened parity mode.
+weakened parity mode.  One OAR group placed by hand, without the
+builder, runs failure-free and through a sequencer crash.
 
 The transport-level tests pin the throughput mechanisms directly:
 write coalescing (one flush per connection and turn), encode-once
@@ -23,12 +24,13 @@ import inspect
 import tracemalloc
 import warnings
 from dataclasses import fields
-from typing import Any, List
+from typing import Any, Callable, List, Tuple
 
 import pytest
 
+from repro.analysis import checkers
 from repro.core.client import OARClient, ShardedOARClient
-from repro.core.server import OARConfig
+from repro.core.server import OARConfig, OARServer
 from repro.failure.detector import HeartbeatFailureDetector
 from repro.faults import FaultSchedule
 from repro.runtime import scenario as runtime_scenario
@@ -45,6 +47,7 @@ from repro.sharding.cluster import (
 )
 from repro.sharding.rebalance import attach_rebalancer
 from repro.sim.process import Process, ProcessEnv
+from repro.statemachine import CounterMachine
 
 pytestmark = pytest.mark.integration
 
@@ -103,17 +106,10 @@ class TestShardedParity:
         run.check_all()
         assert sum(c.reads_adopted for c in run.clients) > 0
 
-    def test_asyncio_backend_parity(self):
-        run = run_runtime_scenario(
-            RuntimeScenarioConfig(scenario=_config(seed=5), backend="asyncio")
-        )
-        assert run.completed
-        run.check_all()
-
     def test_check_all_refuses_a_run_without_a_trace(self):
         run = run_runtime_scenario(
             RuntimeScenarioConfig(
-                scenario=_config(trace_level="off"), backend="asyncio"
+                scenario=_config(trace_level="off"), backend="tcp"
             )
         )
         assert run.completed
@@ -132,13 +128,19 @@ class TestShardedParity:
             # Silently never calling the hook would be worse than refusing it.
             run_runtime_scenario(
                 RuntimeScenarioConfig(
-                    scenario=_config(arm=lambda run: None), backend="asyncio"
+                    scenario=_config(arm=lambda run: None), backend="tcp"
                 )
             )
-        with pytest.raises(ValueError, match="unknown backend"):
+        with pytest.raises(ValueError, match="sim-only"):
             run_runtime_scenario(
-                RuntimeScenarioConfig(scenario=_config(), backend="carrier-pigeon")
+                RuntimeScenarioConfig(scenario=_config(driver="session"), backend="tcp")
             )
+        # One wall-clock host: the in-process queue transport is gone too.
+        for backend in ("carrier-pigeon", "asyncio"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                run_runtime_scenario(
+                    RuntimeScenarioConfig(scenario=_config(), backend=backend)
+                )
 
 
 class TestOrderBatching:
@@ -147,9 +149,8 @@ class TestOrderBatching:
 
     def test_batch_interval_stays_zero_unless_the_scenario_sets_one(self):
         scaled = runtime_scenario._scaled_oar
-        for backend in ("tcp", "asyncio"):
-            config = RuntimeScenarioConfig(scenario=_config(), backend=backend)
-            assert scaled(config).batch_interval == 0.0
+        config = RuntimeScenarioConfig(scenario=_config(), backend="tcp")
+        assert scaled(config).batch_interval == 0.0
         explicit = RuntimeScenarioConfig(
             scenario=_config(oar=OARConfig(batch_interval=0.5)), time_scale=0.04
         )
@@ -240,6 +241,111 @@ class TestOrderBatching:
         assert not any(server._order_deferred for server in run.view.servers)
 
 
+def build_group(
+    cluster: TcpCluster, n_servers: int = 3, fd_interval: float = 0.2, fd_timeout: float = 1.0
+) -> Tuple[List[OARServer], OARClient]:
+    """One OAR group of counters and one client, added to ``cluster`` by hand."""
+    group = [f"p{i + 1}" for i in range(n_servers)]
+    servers = []
+    for pid in group:
+        server = OARServer(
+            pid,
+            group,
+            CounterMachine(),
+            lambda host: HeartbeatFailureDetector(
+                host, group, interval=fd_interval, timeout=fd_timeout
+            ),
+            OARConfig(),
+        )
+        servers.append(server)
+        cluster.add_process(server)
+    client = OARClient("c1", group)
+    cluster.add_process(client)
+    return servers, client
+
+
+def closed_loop(client: OARClient, total: int) -> Callable[..., None]:
+    """Submit one increment per adoption, ``total`` in all; returns the
+    first step (call it once the cluster is started)."""
+    submitted = {"n": 0}
+
+    def submit_next(_adopted: Any = None) -> None:
+        if submitted["n"] < total:
+            submitted["n"] += 1
+            client.submit(("incr",))
+
+    client.on_adopt = submit_next
+    return submit_next
+
+
+class TestTcpRuntime:
+    """The same OAR protocol objects, hosted by hand on sockets."""
+
+    def test_failure_free_run_over_sockets(self):
+        async def scenario():
+            cluster = TcpCluster()
+            servers, client = build_group(cluster)
+            first = closed_loop(client, total=10)
+            await cluster.start()
+            first()
+            done = await cluster.run_until(lambda: len(client.adopted) >= 10, timeout=20)
+            await cluster.shutdown()
+            return cluster, servers, client, done
+
+        cluster, servers, client, done = asyncio.run(scenario())
+        assert done
+        assert len(client.adopted) == 10
+        values = sorted(a.value.value for a in client.adopted.values())
+        assert values == list(range(1, 11))
+        checkers.check_total_order(servers)
+        checkers.check_replica_convergence(servers)
+        checkers.check_external_consistency(cluster.trace, strict=False)
+        checkers.check_majority_guarantee(cluster.trace, len(servers))
+
+    def test_crash_failover_over_sockets(self):
+        async def scenario():
+            cluster = TcpCluster()
+            servers, client = build_group(cluster, fd_interval=0.05, fd_timeout=0.3)
+            first = closed_loop(client, total=10)
+            await cluster.start()
+            first()
+            await cluster.run_until(lambda: len(client.adopted) >= 3, timeout=10)
+            cluster.crash("p1")
+            done = await cluster.run_until(lambda: len(client.adopted) >= 10, timeout=25)
+            await cluster.shutdown()
+            return cluster, servers, client, done
+
+        cluster, servers, client, done = asyncio.run(scenario())
+        assert done
+        survivors = [s for s in servers if not s.crashed]
+        checkers.check_total_order(survivors)
+        checkers.check_replica_convergence(survivors)
+        checkers.check_external_consistency(cluster.trace, strict=False)
+        assert all(server.epoch >= 1 for server in survivors)
+
+    def test_latency_is_wall_clock_positive(self):
+        """Latencies are read off the cluster's monotonic clock: each is
+        positive and fits inside the wall-clock span of the run."""
+
+        async def scenario():
+            cluster = TcpCluster()
+            _servers, client = build_group(cluster)
+            first = closed_loop(client, total=5)
+            await cluster.start()
+            begun = cluster.now
+            first()
+            await cluster.run_until(lambda: len(client.adopted) >= 5, timeout=20)
+            span = cluster.now - begun
+            await cluster.shutdown()
+            return client, span
+
+        client, span = asyncio.run(scenario())
+        assert len(client.adopted) == 5
+        for adopted in client.adopted.values():
+            assert 0.0 < adopted.latency <= span
+        assert sum(a.latency for a in client.adopted.values()) <= span
+
+
 def _opened_servers(monkeypatch) -> List[Any]:
     """Every ``asyncio.Server`` a ``TcpCluster`` opens from here on."""
     opened: List[Any] = []
@@ -298,7 +404,6 @@ def test_knob_budget():
         "tcp_flush_interval",
         "fd_interval",
         "fd_timeout",
-        "link_delay",
         "grace",
     }
     assert list(inspect.signature(TcpCluster).parameters) == [

@@ -81,3 +81,29 @@ class TestEscapeHatches:
         assert encoded[0] == 0  # pickle discriminator
         src, out = BinaryCodec.decode_frame(encoded)
         assert src == "c1" and out == request
+
+
+_A = Request("c1:1", "c1", ("set", "k1", 1))
+_B = Request("c2:1", "c2", ("get", "k2"))
+
+
+@pytest.mark.parametrize(
+    "value, members",
+    [
+        (frozenset({_A, _B}), lambda out: out),
+        ({_A: 1, _B: 2}, lambda out: out.keys()),
+        ({"a": _A, "b": _B}, lambda out: out.values()),
+    ],
+    ids=["frozenset-items", "dict-keys", "dict-values"],
+)
+def test_container_of_registered_values_roundtrips(value, members):
+    """Containers whose members are registered values cannot go to
+    marshal as they are: the codec lowers them to marked nodes and
+    rebuilds the container type on the way back."""
+    encoded = BinaryCodec.encode(value)
+    assert encoded[0] == 1  # binary discriminator: no pickle escape
+    src, framed = BinaryCodec.decode_frame(BinaryCodec.encode_frame("p1", value))
+    assert src == "p1"
+    for out in (BinaryCodec.decode(encoded), framed):
+        assert out == value and type(out) is type(value)
+        assert {type(member) for member in members(out)} == {Request}

@@ -1,4 +1,4 @@
-"""Unit tests for the asyncio runtime plumbing (timers, crash, routing)."""
+"""Unit tests for the wall-clock host's plumbing (timers, crash, routing)."""
 
 import asyncio
 import sys
@@ -6,13 +6,12 @@ from typing import Any, List
 
 import pytest
 
-from repro.runtime.host import AsyncioCluster
 from repro.runtime.scenario import RuntimeScenarioConfig, run_runtime_scenario
+from repro.runtime.tcp import TcpCluster
 from repro.sharding.cluster import ShardedScenarioConfig
 from repro.sim.process import Process
 
 pytestmark = pytest.mark.unit
-
 
 
 class Recorder(Process):
@@ -24,10 +23,10 @@ class Recorder(Process):
         self.received.append((src, payload))
 
 
-class TestAsyncioCluster:
+class TestTcpCluster:
     def test_route_and_mutual_exclusion(self):
         async def scenario():
-            cluster = AsyncioCluster()
+            cluster = TcpCluster()
             a, b = Recorder("a"), Recorder("b")
             cluster.add_process(a)
             cluster.add_process(b)
@@ -41,25 +40,9 @@ class TestAsyncioCluster:
         received = asyncio.run(scenario())
         assert [payload for _src, payload in received] == list(range(20))
 
-    def test_link_delay_preserves_fifo(self):
-        async def scenario():
-            cluster = AsyncioCluster(link_delay=0.001)
-            a, b = Recorder("a"), Recorder("b")
-            cluster.add_process(a)
-            cluster.add_process(b)
-            await cluster.start()
-            for index in range(30):
-                a.env.send("b", index)
-            await cluster.run_until(lambda: len(b.received) == 30, timeout=5)
-            await cluster.shutdown()
-            return b.received
-
-        received = asyncio.run(scenario())
-        assert [payload for _src, payload in received] == list(range(30))
-
     def test_crashed_process_neither_sends_nor_receives(self):
         async def scenario():
-            cluster = AsyncioCluster()
+            cluster = TcpCluster()
             a, b = Recorder("a"), Recorder("b")
             cluster.add_process(a)
             cluster.add_process(b)
@@ -78,7 +61,7 @@ class TestAsyncioCluster:
 
     def test_timer_fires_and_cancel_prevents(self):
         async def scenario():
-            cluster = AsyncioCluster()
+            cluster = TcpCluster()
             a = Recorder("a")
             cluster.add_process(a)
             await cluster.start()
@@ -97,7 +80,7 @@ class TestAsyncioCluster:
 
     def test_timers_suppressed_after_crash(self):
         async def scenario():
-            cluster = AsyncioCluster()
+            cluster = TcpCluster()
             a = Recorder("a")
             cluster.add_process(a)
             await cluster.start()
@@ -110,27 +93,9 @@ class TestAsyncioCluster:
 
         assert asyncio.run(scenario()) == []
 
-    def test_defer_is_a_plain_call_on_the_queue_host(self):
-        """One message per pump step: there is no further input to wait
-        for, so deferred work runs before ``defer`` returns (as in the
-        simulator -- which is what keeps the three hosts' traces equal)."""
-
-        async def scenario():
-            cluster = AsyncioCluster()
-            a = Recorder("a")
-            cluster.add_process(a)
-            await cluster.start()
-            ran = []
-            a.env.defer(lambda: ran.append("now"))
-            synchronous = list(ran)
-            await cluster.shutdown()
-            return synchronous
-
-        assert asyncio.run(scenario()) == ["now"]
-
     def test_duplicate_pid_rejected(self):
         async def scenario():
-            cluster = AsyncioCluster()
+            cluster = TcpCluster()
             cluster.add_process(Recorder("a"))
             with pytest.raises(ValueError, match="duplicate"):
                 cluster.add_process(Recorder("a"))
@@ -143,7 +108,7 @@ class TestAsyncioCluster:
 
     def test_trace_records_with_cluster_clock(self):
         async def scenario():
-            cluster = AsyncioCluster()
+            cluster = TcpCluster()
             a = Recorder("a")
             cluster.add_process(a)
             await cluster.start()
@@ -158,7 +123,7 @@ class TestAsyncioCluster:
 
     def test_per_process_rng_deterministic_by_seed(self):
         async def draws(seed):
-            cluster = AsyncioCluster(seed=seed)
+            cluster = TcpCluster(seed=seed)
             a = Recorder("a")
             cluster.add_process(a)
             await cluster.start()
