@@ -1,16 +1,14 @@
 #!/usr/bin/env python
-"""Run the OAR protocol as a real asyncio program over localhost TCP.
+"""Run the OAR protocol as a real networked program over localhost TCP.
 
 The exact same protocol classes that power the deterministic simulator
 are hosted on sockets: three replica processes, one client,
 length-prefixed frames from the binary codec, a live heartbeat failure
-detector.  The script measures wall-clock latency, then crashes the
+detector, all on the cluster's own event loop.  The script measures wall-clock latency, then crashes the
 sequencer and shows the fail-over happening in real time.
 
 Run:  python examples/tcp_failover.py
 """
-
-import asyncio
 
 from repro.analysis import checkers
 from repro.analysis.stats import summarize
@@ -24,7 +22,7 @@ REQUESTS_BEFORE_CRASH = 10
 REQUESTS_TOTAL = 20
 
 
-async def scenario() -> None:
+def scenario() -> None:
     cluster = TcpCluster()
     group = ["p1", "p2", "p3"]
     servers = []
@@ -54,12 +52,10 @@ async def scenario() -> None:
     client.on_adopt = submit_next
 
     print("starting 3 replicas on localhost TCP sockets...")
-    await cluster.start()
+    cluster.start()
     submit_next()
 
-    await cluster.run_until(
-        lambda: len(client.adopted) >= REQUESTS_BEFORE_CRASH, timeout=15
-    )
+    cluster.run_until(lambda: len(client.adopted) >= REQUESTS_BEFORE_CRASH, timeout=15)
     before = summarize(
         [a.latency * 1000 for a in client.adopted.values()]
     )
@@ -67,10 +63,8 @@ async def scenario() -> None:
 
     print("\ncrashing the sequencer p1 ...")
     cluster.crash("p1")
-    done = await cluster.run_until(
-        lambda: len(client.adopted) >= REQUESTS_TOTAL, timeout=20
-    )
-    await cluster.shutdown()
+    done = cluster.run_until(lambda: len(client.adopted) >= REQUESTS_TOTAL, timeout=20)
+    cluster.shutdown()
     assert done, "fail-over did not complete"
 
     survivors = [s for s in servers if not s.crashed]
@@ -89,4 +83,4 @@ async def scenario() -> None:
 
 
 if __name__ == "__main__":
-    asyncio.run(scenario())
+    scenario()

@@ -3,7 +3,7 @@
 Every checker takes the run's :class:`~repro.sim.trace.TraceLog` (plus
 whatever protocol objects it needs) and raises :class:`CheckFailure` with
 a precise description on violation.  Checkers are pure functions of the
-trace so they work identically for simulator and asyncio runs.  The
+trace so they work identically for simulator and TCP runs.  The
 per-group ones also take a :class:`DeliveryIndex`, the one-pass digest
 of a group's history that :func:`check_single_shard_properties` builds
 once and shares, which keeps the whole bundle linear in the trace.

@@ -9,7 +9,7 @@ detector ◇S [CT96], which provides:
   suspected by any correct process.
 
 :class:`~repro.failure.detector.HeartbeatFailureDetector` realizes these
-properties in the simulated (and asyncio) network through periodic
+properties in the simulated (and TCP) network through periodic
 heartbeats with an adaptively increasing timeout.
 :class:`~repro.failure.detector.ScriptedFailureDetector` gives experiments
 byte-exact control over *when* suspicions happen, which is how the

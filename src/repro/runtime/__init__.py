@@ -1,17 +1,18 @@
-"""asyncio runtime: the same protocol code on real (wall-clock) time.
+"""Wall-clock runtime: the same protocol code on real time and real sockets.
 
 The deterministic simulator answers every correctness question; this
 runtime answers the "does it actually run as a networked program"
 question and carries the wall-clock throughput story (benchmark B8 and
 the TCP workloads of ``python -m benchmarks.e2e compare``).  It has one
 host, :class:`~repro.runtime.tcp.TcpCluster`: every process served on a
-real localhost TCP socket.  Frames are length-prefixed bodies from the
+real localhost TCP socket, on one ``select.epoll`` loop the cluster owns
+(Linux only).  Frames are length-prefixed bodies from the
 compact tagged binary codec (:mod:`repro.runtime.codec`).  Sends
 coalesce into per-connection buffers; see the module docs for the flush
 and reconnect rules.
 
 Each process sees the cluster through an
-:class:`~repro.runtime.host.AsyncioEnv` (clock, event-loop timers,
+:class:`~repro.runtime.host.WallClockEnv` (clock, the loop's timers,
 ``send``/``defer``), and the processes are the **same**
 :class:`~repro.sim.process.Process` subclasses as the simulator's -- the
 protocol code has no idea which world it lives in.  Full sharded
@@ -24,23 +25,21 @@ genuine :class:`~repro.sharding.cluster.ShardedRun` view, so the entire
 """
 
 from repro.runtime.codec import WIRE_TAGS, BinaryCodec, registered_types
-from repro.runtime.host import AsyncioEnv
+from repro.runtime.host import WallClockEnv
 from repro.runtime.scenario import (
     RuntimeScenarioConfig,
     RuntimeShardedRun,
-    execute_runtime_scenario,
     run_runtime_scenario,
 )
 from repro.runtime.tcp import TcpCluster
 
 __all__ = [
-    "AsyncioEnv",
     "BinaryCodec",
     "RuntimeScenarioConfig",
     "RuntimeShardedRun",
     "TcpCluster",
     "WIRE_TAGS",
-    "execute_runtime_scenario",
+    "WallClockEnv",
     "registered_types",
     "run_runtime_scenario",
 ]

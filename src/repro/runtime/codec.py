@@ -1,4 +1,4 @@
-"""Compact binary wire codec for the real (asyncio/TCP) runtime.
+"""Compact binary wire codec for the real (TCP) runtime.
 
 The simulator passes Python objects by reference, so serialization cost
 is invisible there -- but over real sockets every message is encoded

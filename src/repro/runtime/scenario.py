@@ -22,7 +22,7 @@ Two impedance mismatches are bridged here:
 * **Scheduling.**  The workload drivers only use the simulator's
   ``schedule_at`` / ``schedule`` / ``call_soon`` surface, so a thin
   :class:`_WallClock` adapter lets ``ClosedLoopDriver`` and
-  ``OpenLoopDriver`` run verbatim over the asyncio loop.
+  ``OpenLoopDriver`` run verbatim over the cluster's event loop.
 
 The result object wraps a genuine
 :class:`~repro.sharding.cluster.ShardedRun` whose ``network`` is the
@@ -32,8 +32,8 @@ simulated ones.
 
 Over TCP the sequencer's order batching needs no window: with
 ``OARConfig.batch_interval`` left at 0 the sequencer orders through
-``ProcessEnv.defer``, i.e. once the event loop has handled every chunk
-that was readable, so one ``SeqOrder`` carries one rid when requests
+``ProcessEnv.defer``, i.e. once the loop iteration has handled every
+chunk that was readable, so one ``SeqOrder`` carries one rid when requests
 arrive alone and many when they arrive faster than they are ordered.
 An explicit ``batch_interval`` is scaled like every other time knob and
 gives the paper's periodic Task 1a.
@@ -41,7 +41,6 @@ gives the paper's periodic Task 1a.
 
 from __future__ import annotations
 
-import asyncio
 import random
 import time
 from dataclasses import dataclass, replace
@@ -62,32 +61,31 @@ BACKENDS = ("tcp",)
 
 
 class _WallClock:
-    """Duck-type of the Simulator's scheduling surface over asyncio.
+    """Duck-type of the Simulator's scheduling surface over the cluster's loop.
 
     Delays arrive in simulated time units and are scaled to wall-clock
     seconds; ``schedule_at`` is relative to this clock's construction
-    (the drivers' time zero).  Every callback runs as one
-    :meth:`~repro.runtime.tcp.TcpCluster.turn` of the cluster, so
-    what a driver step sends is flushed when the step returns.
+    (the drivers' time zero).  Every callback is a timer of no process,
+    run as one turn of the cluster, so what a driver step sends is
+    flushed when the step returns.
     """
 
-    __slots__ = ("_loop", "_turn", "_scale", "_epoch")
+    __slots__ = ("_cluster", "_scale", "_epoch")
 
     def __init__(self, cluster: TcpCluster, scale: float) -> None:
-        self._loop = cluster.loop
-        self._turn = cluster.turn
+        self._cluster = cluster
         self._scale = scale
-        self._epoch = self._loop.time()
+        self._epoch = cluster.now
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
-        delay = self._epoch + when * self._scale - self._loop.time()
-        self._loop.call_later(max(0.0, delay), self._turn, callback)
+        cluster = self._cluster
+        cluster.post(None, self._epoch + when * self._scale - cluster.now, callback)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        self._loop.call_later(delay * self._scale, self._turn, callback)
+        self._cluster.post(None, delay * self._scale, callback)
 
     def call_soon(self, callback: Callable[[], None]) -> None:
-        self._loop.call_soon(self._turn, callback)
+        self._cluster.post(None, 0.0, callback)
 
 
 @dataclass(frozen=True)
@@ -229,17 +227,16 @@ def _make_cluster(config: RuntimeScenarioConfig) -> TcpCluster:
     )
 
 
-async def execute_runtime_scenario(
-    config: RuntimeScenarioConfig,
-) -> RuntimeShardedRun:
-    """Build, drive to quiescence, and tear down -- inside a running loop."""
+def run_runtime_scenario(config: RuntimeScenarioConfig) -> RuntimeShardedRun:
+    """Build, drive to quiescence, and tear down; the one-call entry point.
+    An error raised by a turn propagates once the cluster is shut down."""
     scenario = _wall_clock_scenario(config)
     cluster = _make_cluster(config)
     view = place_sharded_scenario(scenario, cluster)
     run = RuntimeShardedRun(config=config, cluster=cluster, view=view)
     seed = scenario.seed
     try:
-        await cluster.start()
+        cluster.start()
         # The two driver classes are read from this module's globals
         # here, at build time, so a caller that rebinds them (the repo
         # benchmark's due-time open loop) drives the run with its own.
@@ -251,15 +248,10 @@ async def execute_runtime_scenario(
             OpenLoopDriver,
         )
         started = time.perf_counter()
-        run.completed = await cluster.run_until(view.all_done, timeout=config.timeout)
+        run.completed = cluster.run_until(view.all_done, timeout=config.timeout)
         run.elapsed = time.perf_counter() - started
         if config.grace > 0:
-            await asyncio.sleep(config.grace)
+            cluster.run_until(lambda: False, timeout=config.grace)
     finally:
-        await cluster.shutdown()
+        cluster.shutdown()
     return run
-
-
-def run_runtime_scenario(config: RuntimeScenarioConfig) -> RuntimeShardedRun:
-    """Build and execute a wall-clock scenario; the one-call entry point."""
-    return asyncio.run(execute_runtime_scenario(config))

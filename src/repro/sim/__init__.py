@@ -13,7 +13,7 @@ The main entry points are:
   registered processes, with latency models, partitions and crash injection.
 * :class:`~repro.sim.process.Process` -- base class for protocol actors.
 * :class:`~repro.sim.process.ProcessEnv` -- the narrow environment interface
-  protocol cores are written against (also implemented by the asyncio
+  protocol cores are written against (also implemented by the TCP
   runtime in :mod:`repro.runtime`).
 """
 

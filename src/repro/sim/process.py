@@ -83,9 +83,10 @@ class ProcessEnv:
         that hands a process one message per event has nothing more to
         consume, so the default -- the simulator's -- is a plain
         synchronous call.  The TCP host reads many
-        frames per wake-up and runs the callback when the event loop has
-        handled everything that was readable; a process that crashes in
-        between never sees it run (the rule timers follow).
+        frames per wake-up and runs the callback at the end of its loop
+        iteration, once every chunk that was readable and every due
+        timer has been handled; a process that crashes in between never
+        sees it run (the rule timers follow).
         """
         callback()
 

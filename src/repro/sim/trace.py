@@ -4,7 +4,7 @@ Every protocol-relevant action (Opt-deliver, A-deliver, Opt-undeliver,
 reply adoption, consensus decision, ...) is recorded as a
 :class:`TraceEvent`.  The correctness checkers in :mod:`repro.analysis`
 operate purely on these traces, which keeps them independent of protocol
-internals and lets them validate both the simulator and the asyncio
+internals and lets them validate both the simulator and the TCP
 runtime.
 
 Two performance features keep tracing off the hot path:

@@ -10,7 +10,6 @@ group (``n_shards=1``) is placed under the paper's replica names, and a
 baseline protocol's group runs over sockets as on the simulator.
 """
 
-import asyncio
 from typing import Any, Dict, List, Tuple
 
 import pytest
@@ -122,17 +121,15 @@ def test_a_send_to_a_pid_nobody_hosts_raises_on_every_backend():
     with pytest.raises(KeyError, match="unknown destination: nobody"):
         sender.env.send("nobody", "hello")
 
-    async def real(cluster: TcpCluster) -> Dict[str, int]:
-        sender = _Sender("a")
-        cluster.add_process(sender)
-        await cluster.start()
-        try:
-            with pytest.raises(KeyError, match="unknown destination: nobody"):
-                sender.env.send("nobody", "hello")
-        finally:
-            await cluster.shutdown()
-        sender.env.send("nobody", "too late")
-        return cluster.stats()
-
-    stats = asyncio.run(real(TcpCluster(trace_level="off")))
+    cluster = TcpCluster(trace_level="off")
+    sender = _Sender("a")
+    cluster.add_process(sender)
+    cluster.start()
+    try:
+        with pytest.raises(KeyError, match="unknown destination: nobody"):
+            sender.env.send("nobody", "hello")
+    finally:
+        cluster.shutdown()
+    sender.env.send("nobody", "too late")
+    stats = cluster.stats()
     assert stats["dropped_frames"] == 1 and stats["frames_sent"] == 0

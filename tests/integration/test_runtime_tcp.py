@@ -12,15 +12,15 @@ builder, runs failure-free and through a sequencer crash.
 
 The transport-level tests pin the throughput mechanisms directly:
 write coalescing (one flush per connection and turn), encode-once
-fan-out, dead-peer reconnect and crash accounting, the task-free
-steady state, teardown that loses no frame, and the trace-level
-hot-path gate.  Framing and the turn discipline are pinned without
+fan-out, dead-peer reconnect and crash accounting, the idle steady
+state, backpressure, teardown that loses no frame and closes every fd,
+and the trace-level hot-path gate.  Framing and the turn discipline are pinned without
 sockets in ``tests/unit/test_tcp_framing.py``.
 """
 
-import asyncio
 import gc
 import inspect
+import socket
 import tracemalloc
 import warnings
 from dataclasses import fields
@@ -34,6 +34,7 @@ from repro.core.server import OARConfig, OARServer
 from repro.failure.detector import HeartbeatFailureDetector
 from repro.faults import FaultSchedule
 from repro.runtime import scenario as runtime_scenario
+from repro.runtime import tcp
 from repro.runtime.scenario import (
     RuntimeScenarioConfig,
     run_runtime_scenario,
@@ -182,49 +183,36 @@ class TestOrderBatching:
         times = [order.time for order in orders]
         assert min(b - a for a, b in zip(times, times[1:])) > 0.9 * interval
 
-    def test_an_idle_cluster_arms_heartbeat_timers_only(self):
+    def test_an_idle_cluster_arms_heartbeat_timers_only(self, monkeypatch):
         """No ordering tick, on any replica: what an idle cluster puts on
-        the loop's timer heap is its failure detectors' and nothing else."""
+        its timer heap is its failure detectors' and nothing else."""
+        config = RuntimeScenarioConfig(
+            scenario=_config(n_shards=1, n_clients=1, fd_kind="heartbeat"),
+            backend="tcp",
+            fd_interval=0.02,
+        )
+        cluster = runtime_scenario._make_cluster(config)
+        place_sharded_scenario(runtime_scenario._wall_clock_scenario(config), cluster)
+        armed: List[Any] = []
+        try:
+            cluster.start()
+            push = tcp.heappush  # every timer goes through it
 
-        async def scenario() -> List[Any]:
-            config = RuntimeScenarioConfig(
-                scenario=_config(n_shards=1, n_clients=1, fd_kind="heartbeat"),
-                backend="tcp",
-                fd_interval=0.02,
-            )
-            cluster = runtime_scenario._make_cluster(config)
-            place_sharded_scenario(runtime_scenario._wall_clock_scenario(config), cluster)
-            armed: List[Any] = []
-            try:
-                await cluster.start()
-                loop = cluster.loop
-                call_at = loop.call_at  # call_later goes through it
+            def recording(heap: List[Any], entry: Any) -> None:
+                armed.append(entry[3])
+                push(heap, entry)
 
-                def recording(when: float, callback: Any, *args: Any, **kwargs: Any) -> Any:
-                    armed.append(callback)
-                    return call_at(when, callback, *args, **kwargs)
-
-                loop.call_at = recording  # type: ignore[method-assign]
-                try:
-                    await asyncio.sleep(0.1)
-                finally:
-                    del loop.call_at
-            finally:
-                await cluster.shutdown()
-            return armed
-
-        armed = asyncio.run(scenario())
-        owners = [getattr(callback, "_callback", callback) for callback in armed]
+            monkeypatch.setattr(tcp, "heappush", recording)
+            cluster.run_until(lambda: False, timeout=0.1)
+            monkeypatch.undo()
+        finally:
+            cluster.shutdown()
         ticks = [
-            owner for owner in owners
+            owner for owner in armed
             if isinstance(getattr(owner, "__self__", None), HeartbeatFailureDetector)
         ]
         assert len(ticks) >= 3 * 3  # three replicas, 20 ms cadence, 100 ms
-        others = [owner for owner in owners if owner not in ticks]
-        # The test's own sleep(0.1) is the one timer that is not a heartbeat's.
-        assert [getattr(owner, "__qualname__", "") for owner in others] == [
-            "_set_result_unless_cancelled"
-        ], others
+        assert [owner for owner in armed if owner not in ticks] == []
 
     def test_closed_loop_writes_pass_check_all_with_load_following_batches(self):
         run = run_runtime_scenario(
@@ -282,17 +270,13 @@ class TestTcpRuntime:
     """The same OAR protocol objects, hosted by hand on sockets."""
 
     def test_failure_free_run_over_sockets(self):
-        async def scenario():
-            cluster = TcpCluster()
-            servers, client = build_group(cluster)
-            first = closed_loop(client, total=10)
-            await cluster.start()
-            first()
-            done = await cluster.run_until(lambda: len(client.adopted) >= 10, timeout=20)
-            await cluster.shutdown()
-            return cluster, servers, client, done
-
-        cluster, servers, client, done = asyncio.run(scenario())
+        cluster = TcpCluster()
+        servers, client = build_group(cluster)
+        first = closed_loop(client, total=10)
+        cluster.start()
+        first()
+        done = cluster.run_until(lambda: len(client.adopted) >= 10, timeout=20)
+        cluster.shutdown()
         assert done
         assert len(client.adopted) == 10
         values = sorted(a.value.value for a in client.adopted.values())
@@ -303,19 +287,15 @@ class TestTcpRuntime:
         checkers.check_majority_guarantee(cluster.trace, len(servers))
 
     def test_crash_failover_over_sockets(self):
-        async def scenario():
-            cluster = TcpCluster()
-            servers, client = build_group(cluster, fd_interval=0.05, fd_timeout=0.3)
-            first = closed_loop(client, total=10)
-            await cluster.start()
-            first()
-            await cluster.run_until(lambda: len(client.adopted) >= 3, timeout=10)
-            cluster.crash("p1")
-            done = await cluster.run_until(lambda: len(client.adopted) >= 10, timeout=25)
-            await cluster.shutdown()
-            return cluster, servers, client, done
-
-        cluster, servers, client, done = asyncio.run(scenario())
+        cluster = TcpCluster()
+        servers, client = build_group(cluster, fd_interval=0.05, fd_timeout=0.3)
+        first = closed_loop(client, total=10)
+        cluster.start()
+        first()
+        cluster.run_until(lambda: len(client.adopted) >= 3, timeout=10)
+        cluster.crash("p1")
+        done = cluster.run_until(lambda: len(client.adopted) >= 10, timeout=25)
+        cluster.shutdown()
         assert done
         survivors = [s for s in servers if not s.crashed]
         checkers.check_total_order(survivors)
@@ -326,36 +306,31 @@ class TestTcpRuntime:
     def test_latency_is_wall_clock_positive(self):
         """Latencies are read off the cluster's monotonic clock: each is
         positive and fits inside the wall-clock span of the run."""
-
-        async def scenario():
-            cluster = TcpCluster()
-            _servers, client = build_group(cluster)
-            first = closed_loop(client, total=5)
-            await cluster.start()
-            begun = cluster.now
-            first()
-            await cluster.run_until(lambda: len(client.adopted) >= 5, timeout=20)
-            span = cluster.now - begun
-            await cluster.shutdown()
-            return client, span
-
-        client, span = asyncio.run(scenario())
+        cluster = TcpCluster()
+        _servers, client = build_group(cluster)
+        first = closed_loop(client, total=5)
+        cluster.start()
+        begun = cluster.now
+        first()
+        cluster.run_until(lambda: len(client.adopted) >= 5, timeout=20)
+        span = cluster.now - begun
+        cluster.shutdown()
         assert len(client.adopted) == 5
         for adopted in client.adopted.values():
             assert 0.0 < adopted.latency <= span
         assert sum(a.latency for a in client.adopted.values()) <= span
 
 
-def _opened_servers(monkeypatch) -> List[Any]:
-    """Every ``asyncio.Server`` a ``TcpCluster`` opens from here on."""
+def _opened_listeners(monkeypatch) -> List[Any]:
+    """Every listening socket a ``TcpCluster`` opens from here on."""
     opened: List[Any] = []
     real_start = TcpCluster.start
 
-    async def start(self):
+    def start(self):
         try:
-            await real_start(self)
+            real_start(self)
         finally:
-            opened.extend(self._servers.values())
+            opened.extend(self._listeners.values())
 
     monkeypatch.setattr(TcpCluster, "start", start)
     return opened
@@ -363,7 +338,7 @@ def _opened_servers(monkeypatch) -> List[Any]:
 
 class TestTeardown:
     def test_bad_open_rate_is_rejected_before_any_socket_opens(self, monkeypatch):
-        opened = _opened_servers(monkeypatch)
+        opened = _opened_listeners(monkeypatch)
         with pytest.raises(ValueError, match="rate must be positive"):
             run_runtime_scenario(
                 RuntimeScenarioConfig(
@@ -375,7 +350,7 @@ class TestTeardown:
     def test_failure_after_start_still_closes_every_socket(self, monkeypatch):
         """Whatever raises once the listening sockets are open -- here a
         driver that refuses to be built -- the cluster is shut down."""
-        opened = _opened_servers(monkeypatch)
+        opened = _opened_listeners(monkeypatch)
 
         def refuse(*_args: Any, **_kwargs: Any) -> Any:
             raise ValueError("no driver today")
@@ -389,7 +364,37 @@ class TestTeardown:
                 )
             gc.collect()
         assert len(opened) == 2 * 3 + 4  # every server and client had a socket
-        assert not any(server.is_serving() for server in opened)
+        assert all(listener.fileno() == -1 for listener in opened)  # closed
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_an_error_in_a_turn_ends_the_run_after_shutdown(self, monkeypatch):
+        """A handler that raises does not leave the run to time out: the
+        error propagates from ``run_runtime_scenario``, and every socket
+        and the epoll fd are closed first."""
+        opened = _opened_listeners(monkeypatch)
+        clusters: List[TcpCluster] = []
+        real_make = runtime_scenario._make_cluster
+
+        def make(config: RuntimeScenarioConfig) -> TcpCluster:
+            clusters.append(real_make(config))
+            return clusters[-1]
+
+        def faulty(self: OARServer, src: str, payload: Any) -> None:
+            raise RuntimeError("handler bug")
+
+        monkeypatch.setattr(runtime_scenario, "_make_cluster", make)
+        monkeypatch.setattr(OARServer, "on_message", faulty)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(RuntimeError, match="handler bug"):
+                run_runtime_scenario(
+                    RuntimeScenarioConfig(scenario=_config(), backend="tcp", timeout=30)
+                )
+            gc.collect()
+        (cluster,) = clusters
+        assert cluster.now < 10  # not the deadline: the first request raised
+        assert cluster._epoll is None and cluster._handlers == {}
+        assert all(listener.fileno() == -1 for listener in opened)
         assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
@@ -490,73 +495,67 @@ class _PingPong(Process):
             self.env.send(src, payload + 1)
 
 
+def started(*processes: Process, **kwargs: Any) -> TcpCluster:
+    cluster = TcpCluster(trace_level="off", **kwargs)
+    for process in processes:
+        cluster.add_process(process)
+    cluster.start()
+    return cluster
+
+
+def settle(cluster: TcpCluster, seconds: float) -> None:
+    """Run the loop for ``seconds``, whatever happens."""
+    cluster.run_until(lambda: False, timeout=seconds)
+
+
 class TestTransport:
     def test_a_read_allocates_no_receive_buffer(self):
-        """The allocation pin.  For a plain ``asyncio.Protocol`` the
-        selector transport calls ``sock.recv(256 KiB)`` and CPython
-        allocates that ``bytes`` for every read of a ten-byte frame;
-        reads into the cluster's standing buffer allocate the decoded
-        objects only.  Counted in bytes, so it needs no reference
-        machine: ~264 KB with ``data_received``, 2-12 KB without."""
+        """The allocation pin.  A ``sock.recv(n)`` allocates an n-byte
+        ``bytes`` for every read of a ten-byte frame (asyncio's plain
+        ``Protocol`` asks for 256 KiB); reads into the cluster's standing
+        buffer allocate the decoded objects only.  Counted in bytes, so
+        it needs no reference machine: ~264 KB with a 256 KiB ``recv``,
+        2-12 KB without."""
+        a, b = _PingPong("a"), _PingPong("b")
+        cluster = started(a, b)
 
-        async def scenario():
-            cluster = TcpCluster(trace_level="off")
-            a, b = _PingPong("a"), _PingPong("b")
-            cluster.add_process(a)
-            cluster.add_process(b)
-            await cluster.start()
+        def volley(messages: int) -> None:
+            a.limit = b.limit = max(a.last, b.last) + messages
+            a.env.send("b", a.limit - messages + 1)
+            assert cluster.run_until(lambda: max(a.last, b.last) == a.limit, timeout=10)
 
-            async def volley(messages: int) -> None:
-                a.limit = b.limit = max(a.last, b.last) + messages
-                a.env.send("b", a.limit - messages + 1)
-                assert await cluster.run_until(
-                    lambda: max(a.last, b.last) == a.limit, timeout=10
-                )
-
+        try:
+            volley(64)  # connections made, caches and free lists warm
+            reads = cluster.stats()["wakeups"]
+            tracemalloc.start()
             try:
-                await volley(64)  # connections made, caches and free lists warm
-                reads = cluster.stats()["wakeups"]
-                tracemalloc.start()
-                try:
-                    baseline = tracemalloc.get_traced_memory()[0]
-                    tracemalloc.reset_peak()
-                    await volley(1000)
-                    peak = tracemalloc.get_traced_memory()[1] - baseline
-                finally:
-                    tracemalloc.stop()
-                return peak, cluster.stats()["wakeups"] - reads
+                baseline = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                volley(1000)
+                peak = tracemalloc.get_traced_memory()[1] - baseline
             finally:
-                await cluster.shutdown()
-
-        peak, reads = asyncio.run(scenario())
+                tracemalloc.stop()
+            reads = cluster.stats()["wakeups"] - reads
+        finally:
+            cluster.shutdown()
         assert reads == 1000  # strict alternation: one frame per read
         assert peak < 64 * 1024
 
     def test_coalescing_shares_writes_and_fanout_encodes_once(self):
-        async def scenario():
-            cluster = TcpCluster(trace_level="off")
-            a = _Recorder("a")
-            receivers = [_Recorder(f"r{i}") for i in range(3)]
-            cluster.add_process(a)
+        a = _Recorder("a")
+        receivers = [_Recorder(f"r{i}") for i in range(3)]
+        cluster = started(a, *receivers)
+        payload = ("broadcast", "x" * 64)
+        for _ in range(20):  # same object, fan-out to all receivers
             for receiver in receivers:
-                cluster.add_process(receiver)
-            await cluster.start()
-            payload = ("broadcast", "x" * 64)
-            for _ in range(20):  # same object, fan-out to all receivers
-                for receiver in receivers:
-                    a.env.send(receiver.pid, payload)
-            await cluster.run_until(
-                lambda: all(len(r.received) == 20 for r in receivers), timeout=5
-            )
-            stats = cluster.stats()
-            await cluster.shutdown()
-            return stats
-
-        stats = asyncio.run(scenario())
+                a.env.send(receiver.pid, payload)
+        cluster.run_until(lambda: all(len(r.received) == 20 for r in receivers), timeout=5)
+        stats = cluster.stats()
+        cluster.shutdown()
         assert stats["frames_sent"] == 60
-        # All frames to one destination were emitted in one turn: they
-        # share a single flush per connection, not one write per frame
-        # -- and a single wakeup on the other side.
+        # All frames to one destination were emitted outside any turn:
+        # they share a single flush per connection, not one write per
+        # frame -- and a single wakeup on the other side.
         assert stats["flushes"] == 3
         assert stats["wakeups"] == 3
         # The identity cache only re-encodes when the object changes:
@@ -565,50 +564,34 @@ class TestTransport:
         assert stats["encode_cache_hits"] == 59
 
     def test_dead_writer_reconnects_once_and_redelivers(self):
-        async def scenario():
-            cluster = TcpCluster(trace_level="off")
-            a, b = _Recorder("a"), _Recorder("b")
-            cluster.add_process(a)
-            cluster.add_process(b)
-            await cluster.start()
-            a.env.send("b", "first")
-            await cluster.run_until(lambda: len(b.received) == 1, timeout=5)
-            # Kill the cached writer out from under the cluster (as if
-            # the peer's end dropped): the next flush must reconnect
-            # once and still deliver.
-            conn = cluster._conns[("a", "b")]
-            conn.writer.close()
-            await asyncio.sleep(0.01)
-            a.env.send("b", "second")
-            delivered = await cluster.run_until(
-                lambda: len(b.received) == 2, timeout=5
-            )
-            stats = cluster.stats()
-            await cluster.shutdown()
-            return delivered, stats
-
-        delivered, stats = asyncio.run(scenario())
+        a, b = _Recorder("a"), _Recorder("b")
+        cluster = started(a, b)
+        a.env.send("b", "first")
+        cluster.run_until(lambda: len(b.received) == 1, timeout=5)
+        # Drop the connection at the peer's end: the cached socket sees
+        # EOF, and the next flush must reconnect once and still deliver.
+        conn = cluster._conns[("a", "b")]
+        (accepted_by_b,) = cluster._inbound
+        accepted_by_b.close()
+        assert cluster.run_until(lambda: conn.sock is None, timeout=5)
+        a.env.send("b", "second")
+        delivered = cluster.run_until(lambda: len(b.received) == 2, timeout=5)
+        stats = cluster.stats()
+        cluster.shutdown()
         assert delivered
         assert stats["reconnects"] == 1
         assert stats["dropped_frames"] == 0
 
     def test_frames_to_crashed_peer_are_dropped_not_raised(self):
-        async def scenario():
-            cluster = TcpCluster(trace_level="off")
-            a, b = _Recorder("a"), _Recorder("b")
-            cluster.add_process(a)
-            cluster.add_process(b)
-            await cluster.start()
-            cluster.crash("b")  # server closed; no connection exists yet
-            a.env.send("b", "into the void")
-            await asyncio.sleep(0.05)
-            stats = cluster.stats()
-            attempts = list(cluster._conns)
-            await cluster.shutdown()
-            return stats, attempts, b.received
-
-        stats, attempts, received = asyncio.run(scenario())
-        assert received == []
+        a, b = _Recorder("a"), _Recorder("b")
+        cluster = started(a, b)
+        cluster.crash("b")  # listener closed; no connection exists yet
+        a.env.send("b", "into the void")
+        settle(cluster, 0.05)
+        stats = cluster.stats()
+        attempts = list(cluster._conns)
+        cluster.shutdown()
+        assert b.received == []
         # Dropped at the door: counted, never encoded, and no connection
         # (so no connect attempt) was ever made for it.
         assert stats["dropped_frames"] == 1
@@ -616,33 +599,25 @@ class TestTransport:
         assert attempts == []
 
     def test_crash_closes_the_pids_transports_and_later_frames_are_dropped(self):
-        async def scenario():
-            cluster = TcpCluster(trace_level="off")
-            a, b = _Recorder("a"), _Recorder("b")
-            cluster.add_process(a)
-            cluster.add_process(b)
-            await cluster.start()
-            a.env.send("b", "ping")
-            b.env.send("a", "pong")
-            await cluster.run_until(
-                lambda: len(a.received) == 1 and len(b.received) == 1, timeout=5
-            )
-            (accepted_by_b,) = [i for i in cluster._inbound if i.pid == "b"]
-            b.env.send("a", "last words")  # buffered when the crash hits
-            cluster.crash("b")
-            assert accepted_by_b.transport.is_closing()
-            assert cluster._conns["b", "a"].writer.is_closing()
-            await cluster.run_until(lambda: len(a.received) == 2, timeout=5)
-            before = cluster.stats()
-            a.env.send("b", "anyone there?")
-            await asyncio.sleep(0.05)
-            after = cluster.stats()
-            await cluster.shutdown()
-            return a.received, before, after
-
-        received, before, after = asyncio.run(scenario())
+        a, b = _Recorder("a"), _Recorder("b")
+        cluster = started(a, b)
+        a.env.send("b", "ping")
+        b.env.send("a", "pong")
+        cluster.run_until(lambda: len(a.received) == 1 and len(b.received) == 1, timeout=5)
+        (accepted_by_b,) = [i for i in cluster._inbound if i.pid == "b"]
+        b.env.send("a", "last words")  # buffered when the crash hits
+        cluster.crash("b")
+        assert accepted_by_b.sock is None and accepted_by_b not in cluster._inbound
+        assert cluster._conns["b", "a"].sock is None  # written, then closed
+        assert "b" not in cluster._listeners
+        cluster.run_until(lambda: len(a.received) == 2, timeout=5)
+        before = cluster.stats()
+        a.env.send("b", "anyone there?")
+        settle(cluster, 0.05)
+        after = cluster.stats()
+        cluster.shutdown()
         # What b sent before it crashed is still delivered ...
-        assert [payload for _src, payload in received] == ["pong", "last words"]
+        assert [payload for _src, payload in a.received] == ["pong", "last words"]
         # ... and a frame for it afterwards goes nowhere: no encode, no
         # write down the half-dead connection, no reconnect.
         assert after["dropped_frames"] == before["dropped_frames"] + 1
@@ -650,163 +625,137 @@ class TestTransport:
         assert after["reconnects"] == 0
 
     def test_an_established_mesh_owns_no_tasks(self):
-        """Nothing reads, drains or lingers: once the connects are done
-        the only task alive is the caller's."""
-
-        async def scenario():
-            cluster = TcpCluster(trace_level="off")
-            processes = [_Recorder(f"p{i}") for i in range(3)]
-            for process in processes:
-                cluster.add_process(process)
-            await cluster.start()
-            for src in processes:
-                for dst in processes:
-                    src.env.send(dst.pid, f"from {src.pid}")
-            delivered = await cluster.run_until(
-                lambda: all(len(p.received) == 3 for p in processes), timeout=5
-            )
-            tasks = asyncio.all_tasks()
-            connects = set(cluster._connects)
-            await cluster.shutdown()
-            return delivered, tasks == {asyncio.current_task()}, connects
-
-        delivered, only_the_caller, connects = asyncio.run(scenario())
+        """Nothing polls, drains or lingers: once the connects are done
+        there is no task, timer or write interest -- the loop watches its
+        sockets for input and nothing else."""
+        processes = [_Recorder(f"p{i}") for i in range(3)]
+        cluster = started(*processes)
+        for src in processes:
+            for dst in processes:
+                src.env.send(dst.pid, f"from {src.pid}")
+        delivered = cluster.run_until(
+            lambda: all(len(p.received) == 3 for p in processes), timeout=5
+        )
+        conns = list(cluster._conns.values())
+        idle = [not (c.connecting or c.pending or c.buf) for c in conns]
+        fds = len(cluster._handlers)
+        timers = list(cluster._timers)
+        cluster.shutdown()
         assert delivered
-        assert only_the_caller
-        assert connects == set()
+        assert len(conns) == 9 and all(idle)
+        assert fds == 3 + 9 + 9  # listeners, accepted sides, connecting sides
+        assert timers == []
 
     def test_shutdown_delivers_frames_buffered_in_the_last_turn(self):
-        async def scenario():
-            cluster = TcpCluster(trace_level="off")
-            a, b = _Recorder("a"), _Recorder("b")
-            cluster.add_process(a)
-            cluster.add_process(b)
-            await cluster.start()
-            a.env.send("b", "hello")
-            await cluster.run_until(lambda: len(b.received) == 1, timeout=5)
-            for index in range(3):
-                a.env.send("b", index)  # still in conn.buf: no turn has ended
-            assert len(cluster._conns["a", "b"].buf) == 3
-            await cluster.shutdown()
-            return b.received
+        a, b = _Recorder("a"), _Recorder("b")
+        cluster = started(a, b)
+        a.env.send("b", "hello")
+        cluster.run_until(lambda: len(b.received) == 1, timeout=5)
+        for index in range(3):
+            a.env.send("b", index)  # still in conn.buf: no turn has ended
+        assert len(cluster._conns["a", "b"].buf) == 3
+        cluster.shutdown()
+        assert [payload for _src, payload in b.received] == ["hello", 0, 1, 2]
 
-        received = asyncio.run(scenario())
-        assert [payload for _src, payload in received] == ["hello", 0, 1, 2]
+    def test_shutdown_closes_every_socket_and_the_epoll_fd(self):
+        a, b = _Recorder("a"), _Recorder("b")
+        cluster = started(a, b)
+        a.env.send("b", "hello")
+        b.env.send("a", "hello")
+        cluster.run_until(lambda: len(b.received) == len(a.received) == 1, timeout=5)
+        epoll = cluster._epoll
+        socks = [c.sock for c in cluster._conns.values()]
+        socks += [i.sock for i in cluster._inbound] + list(cluster._listeners.values())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cluster.shutdown()
+            gc.collect()
+        assert len(socks) == 2 + 2 + 2
+        assert all(sock.fileno() == -1 for sock in socks)
+        assert epoll.closed and cluster._handlers == {}
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_shutdown_runs_a_pending_defer_drain_and_counts_what_it_refuses(self):
-        """A ``defer`` drain still on the loop at ``shutdown`` is the last
+        """A ``defer`` drain still pending at ``shutdown`` is the last
         turn: its send is delivered.  What a later drain sends meets
         closed connections and is counted as dropped, so every frame
         shows up in the books."""
+        a, b = _Recorder("a"), _Recorder("b")
+        cluster = started(a, b)
+        a.env.send("b", "hello")
+        cluster.run_until(lambda: len(b.received) == 1, timeout=5)
 
-        async def scenario():
-            cluster = TcpCluster(trace_level="off")
-            a, b = _Recorder("a"), _Recorder("b")
-            cluster.add_process(a)
-            cluster.add_process(b)
-            await cluster.start()
-            a.env.send("b", "hello")
-            await cluster.run_until(lambda: len(b.received) == 1, timeout=5)
+        def last_turn() -> None:
+            a.env.send("b", "deferred")
+            a.env.defer(lambda: a.env.send("b", "too late"))
 
-            def last_turn() -> None:
-                a.env.send("b", "deferred")
-                a.env.defer(lambda: a.env.send("b", "too late"))
-
-            cluster.turn(lambda: a.env.defer(last_turn))
-            await cluster.shutdown()
-            return b.received, cluster.stats()
-
-        received, stats = asyncio.run(scenario())
-        assert [payload for _src, payload in received] == ["hello", "deferred"]
+        cluster.turn(lambda: a.env.defer(last_turn))
+        cluster.shutdown()
+        stats = cluster.stats()
+        assert [payload for _src, payload in b.received] == ["hello", "deferred"]
         assert (stats["frames_sent"], stats["frames_received"]) == (2, 2)
         assert stats["dropped_frames"] == 1
 
     def test_backpressure_holds_frames_until_the_transport_resumes(self):
-        """Over a real socket: while the transport says pause, flushes
-        leave the frames in ``conn.buf``; resume writes them in order."""
-
-        async def scenario():
-            cluster = TcpCluster(trace_level="off")
-            a, b = _Recorder("a"), _Recorder("b")
-            cluster.add_process(a)
-            cluster.add_process(b)
-            await cluster.start()
-            a.env.send("b", "hello")
-            await cluster.run_until(lambda: len(b.received) == 1, timeout=5)
-            conn = cluster._conns["a", "b"]
-            conn.pause_writing()
-            for index in range(5):
-                a.env.send("b", index)
-                await asyncio.sleep(0)  # a flush pass per frame, all held
-            held = (len(conn.buf), len(b.received))
-            conn.resume_writing()
-            await cluster.run_until(lambda: len(b.received) == 6, timeout=5)
-            await cluster.shutdown()
-            return held, b.received
-
-        held, received = asyncio.run(scenario())
-        assert held == (5, 1)
-        assert [payload for _src, payload in received] == ["hello", 0, 1, 2, 3, 4]
+        """Over a real socket: while a partial write's remainder waits for
+        ``EPOLLOUT``, flushes leave the frames in ``conn.buf``; once the
+        peer reads, they are written in order."""
+        a, b = _Recorder("a"), _Recorder("b")
+        cluster = started(a, b)
+        a.env.send("b", "hello")
+        cluster.run_until(lambda: len(b.received) == 1, timeout=5)
+        conn = cluster._conns["a", "b"]
+        conn.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        big = "x" * (4 << 20)  # more than the peer's window and our buffer
+        a.env.send("b", big)  # past ``_FLUSH_BYTES``: written inside the send
+        assert conn.pending  # ... in part: b has not read
+        for index in range(5):
+            cluster.turn(lambda index=index: a.env.send("b", index))  # a flush pass each
+        held = len(conn.buf)
+        cluster.run_until(lambda: len(b.received) == 7, timeout=10)
+        cluster.shutdown()
+        assert held == 5
+        assert [payload for _src, payload in b.received] == ["hello", big, 0, 1, 2, 3, 4]
 
     def test_trace_level_off_disables_recording(self):
-        async def scenario():
-            cluster = TcpCluster(trace_level="off")
-            a = _Recorder("a")
-            cluster.add_process(a)
-            await cluster.start()
-            a.env.trace("custom", x=1)
-            await cluster.shutdown()
-            return cluster.trace.events()
-
-        assert asyncio.run(scenario()) == []
+        a = _Recorder("a")
+        cluster = started(a)
+        a.env.trace("custom", x=1)
+        cluster.shutdown()
+        assert cluster.trace.events() == []
 
     def test_oversized_payload_flushes_inside_send(self):
         """The size trigger: a connection buffer past ``_FLUSH_BYTES`` is
         written by ``send_frame`` itself, before the turn boundary."""
-
-        async def scenario():
-            cluster = TcpCluster(trace_level="off")
-            a, b = _Recorder("a"), _Recorder("b")
-            cluster.add_process(a)
-            cluster.add_process(b)
-            await cluster.start()
-            # Establish the connection first: frames buffered while the
-            # connect is in flight wait for it whatever their size.
-            a.env.send("b", "hello")
-            await cluster.run_until(lambda: len(b.received) == 1, timeout=5)
-            before = cluster.stats()["flushes"]
-            a.env.send("b", "small")
-            after_small = cluster.stats()["flushes"]
-            a.env.send("b", "x" * (_FLUSH_BYTES + 1))
-            after_big = cluster.stats()["flushes"]  # no await since the sends
-            delivered = await cluster.run_until(lambda: len(b.received) == 3, timeout=5)
-            await cluster.shutdown()
-            return before, after_small, after_big, delivered
-
-        before, after_small, after_big, delivered = asyncio.run(scenario())
-        assert after_small == before  # under the trigger: waits for the turn
+        a, b = _Recorder("a"), _Recorder("b")
+        cluster = started(a, b)
+        # Establish the connection first: frames buffered while the
+        # connect is in flight wait for it whatever their size.
+        a.env.send("b", "hello")
+        cluster.run_until(lambda: len(b.received) == 1, timeout=5)
+        before = cluster.stats()["flushes"]
+        a.env.send("b", "small")
+        after_small = cluster.stats()["flushes"]
+        a.env.send("b", "x" * (_FLUSH_BYTES + 1))
+        after_big = cluster.stats()["flushes"]  # the loop has not run since the sends
+        delivered = cluster.run_until(lambda: len(b.received) == 3, timeout=5)
+        cluster.shutdown()
+        assert after_small == before  # under the trigger: waits for the pass
         assert after_big == before + 1  # both frames, one write, synchronously
         assert delivered
 
     def test_flush_interval_batches_across_turns(self):
         """With a timed flush window, frames sent in *separate* turns
         still share one write (turn-boundary flushing cannot)."""
-
-        async def scenario():
-            cluster = TcpCluster(trace_level="off", flush_interval=0.05)
-            a, b = _Recorder("a"), _Recorder("b")
-            cluster.add_process(a)
-            cluster.add_process(b)
-            await cluster.start()
-            a.env.send("b", "hello")
-            await cluster.run_until(lambda: len(b.received) == 1, timeout=5)
-            baseline = cluster.stats()["flushes"]
-            for index in range(5):
-                a.env.send("b", index)
-                await asyncio.sleep(0)  # a fresh event-loop turn per frame
-            await cluster.run_until(lambda: len(b.received) == 6, timeout=5)
-            stats = cluster.stats()
-            await cluster.shutdown()
-            return stats["flushes"] - baseline
-
-        assert asyncio.run(scenario()) == 1
+        a, b = _Recorder("a"), _Recorder("b")
+        cluster = started(a, b, flush_interval=0.05)
+        a.env.send("b", "hello")
+        cluster.run_until(lambda: len(b.received) == 1, timeout=5)
+        baseline = cluster.stats()["flushes"]
+        for index in range(5):
+            a.env.send("b", index)
+            cluster._run_once(0.0)  # a fresh loop iteration per frame
+        cluster.run_until(lambda: len(b.received) == 6, timeout=5)
+        stats = cluster.stats()
+        cluster.shutdown()
+        assert stats["flushes"] - baseline == 1

@@ -1,11 +1,15 @@
-"""Unit tests for the wall-clock host's plumbing (timers, crash, routing)."""
+"""Unit tests for the wall-clock host's plumbing (timers, crash, routing)
+and for the event loop it runs."""
 
-import asyncio
+import os
+import subprocess
 import sys
 from typing import Any, List
 
 import pytest
 
+import repro
+from repro.runtime import tcp
 from repro.runtime.scenario import RuntimeScenarioConfig, run_runtime_scenario
 from repro.runtime.tcp import TcpCluster
 from repro.sharding.cluster import ShardedScenarioConfig
@@ -23,119 +27,234 @@ class Recorder(Process):
         self.received.append((src, payload))
 
 
+def started(*pids: str, **kwargs: Any) -> TcpCluster:
+    cluster = TcpCluster(**kwargs)
+    for pid in pids:
+        cluster.add_process(Recorder(pid))
+    cluster.start()
+    return cluster
+
+
+def settle(cluster: TcpCluster, seconds: float) -> None:
+    """Run the loop for ``seconds``, whatever happens."""
+    cluster.run_until(lambda: False, timeout=seconds)
+
+
 class TestTcpCluster:
     def test_route_and_mutual_exclusion(self):
-        async def scenario():
-            cluster = TcpCluster()
-            a, b = Recorder("a"), Recorder("b")
-            cluster.add_process(a)
-            cluster.add_process(b)
-            await cluster.start()
-            for index in range(20):
-                a.env.send("b", index)
-            await cluster.run_until(lambda: len(b.received) == 20, timeout=5)
-            await cluster.shutdown()
-            return b.received
-
-        received = asyncio.run(scenario())
-        assert [payload for _src, payload in received] == list(range(20))
+        cluster = TcpCluster()
+        a, b = Recorder("a"), Recorder("b")
+        cluster.add_process(a)
+        cluster.add_process(b)
+        cluster.start()
+        for index in range(20):
+            a.env.send("b", index)
+        cluster.run_until(lambda: len(b.received) == 20, timeout=5)
+        cluster.shutdown()
+        assert [payload for _src, payload in b.received] == list(range(20))
 
     def test_crashed_process_neither_sends_nor_receives(self):
-        async def scenario():
-            cluster = TcpCluster()
-            a, b = Recorder("a"), Recorder("b")
-            cluster.add_process(a)
-            cluster.add_process(b)
-            await cluster.start()
-            cluster.crash("b")
-            a.env.send("b", "into the void")
-            b.env.send("a", "from the grave")
-            await asyncio.sleep(0.05)
-            await cluster.shutdown()
-            return a.received, b.received, b.crashed
-
-        a_received, b_received, b_crashed = asyncio.run(scenario())
-        assert b_crashed
-        assert b_received == []
-        assert a_received == []
+        cluster = TcpCluster()
+        a, b = Recorder("a"), Recorder("b")
+        cluster.add_process(a)
+        cluster.add_process(b)
+        cluster.start()
+        cluster.crash("b")
+        a.env.send("b", "into the void")
+        b.env.send("a", "from the grave")
+        settle(cluster, 0.05)
+        cluster.shutdown()
+        assert b.crashed
+        assert b.received == []
+        assert a.received == []
 
     def test_timer_fires_and_cancel_prevents(self):
-        async def scenario():
-            cluster = TcpCluster()
-            a = Recorder("a")
-            cluster.add_process(a)
-            await cluster.start()
-            fired = []
-            handle1 = a.env.set_timer(0.01, lambda: fired.append("one"))
-            handle2 = a.env.set_timer(0.01, lambda: fired.append("two"))
-            handle2.cancel()
-            await asyncio.sleep(0.05)
-            await cluster.shutdown()
-            return fired, handle1, handle2
-
-        fired, handle1, handle2 = asyncio.run(scenario())
+        cluster = started("a")
+        env = cluster._processes["a"].env
+        fired = []
+        handle1 = env.set_timer(0.01, lambda: fired.append("one"))
+        handle2 = env.set_timer(0.01, lambda: fired.append("two"))
+        handle2.cancel()
+        settle(cluster, 0.05)
+        cluster.shutdown()
         assert fired == ["one"]
         assert handle1.fired and handle1.active is False
         assert handle2.cancelled and not handle2.fired
 
     def test_timers_suppressed_after_crash(self):
-        async def scenario():
-            cluster = TcpCluster()
-            a = Recorder("a")
-            cluster.add_process(a)
-            await cluster.start()
-            fired = []
-            a.env.set_timer(0.02, lambda: fired.append("x"))
-            cluster.crash("a")
-            await asyncio.sleep(0.05)
-            await cluster.shutdown()
-            return fired
-
-        assert asyncio.run(scenario()) == []
+        cluster = started("a")
+        fired = []
+        cluster._processes["a"].env.set_timer(0.02, lambda: fired.append("x"))
+        cluster.crash("a")
+        settle(cluster, 0.05)
+        cluster.shutdown()
+        assert fired == []
 
     def test_duplicate_pid_rejected(self):
-        async def scenario():
-            cluster = TcpCluster()
+        cluster = TcpCluster()
+        cluster.add_process(Recorder("a"))
+        with pytest.raises(ValueError, match="duplicate"):
             cluster.add_process(Recorder("a"))
-            with pytest.raises(ValueError, match="duplicate"):
-                cluster.add_process(Recorder("a"))
-            await cluster.start()
-            with pytest.raises(RuntimeError, match="already started"):
-                cluster.add_process(Recorder("b"))
-            await cluster.shutdown()
-
-        asyncio.run(scenario())
+        cluster.start()
+        with pytest.raises(RuntimeError, match="already started"):
+            cluster.add_process(Recorder("b"))
+        cluster.shutdown()
 
     def test_trace_records_with_cluster_clock(self):
-        async def scenario():
-            cluster = TcpCluster()
-            a = Recorder("a")
-            cluster.add_process(a)
-            await cluster.start()
-            a.env.trace("custom", x=1)
-            await cluster.shutdown()
-            return cluster.trace.events(kind="custom")
-
-        events = asyncio.run(scenario())
+        cluster = started("a")
+        cluster._processes["a"].env.trace("custom", x=1)
+        cluster.shutdown()
+        events = cluster.trace.events(kind="custom")
         assert len(events) == 1
         assert events[0].pid == "a"
         assert events[0].time >= 0.0
 
     def test_per_process_rng_deterministic_by_seed(self):
-        async def draws(seed):
-            cluster = TcpCluster(seed=seed)
-            a = Recorder("a")
-            cluster.add_process(a)
-            await cluster.start()
-            values = [a.env.rng.random() for _ in range(5)]
-            await cluster.shutdown()
+        def draws(seed):
+            cluster = started("a", seed=seed)
+            values = [cluster._processes["a"].env.rng.random() for _ in range(5)]
+            cluster.shutdown()
             return values
 
-        first = asyncio.run(draws(7))
-        second = asyncio.run(draws(7))
-        third = asyncio.run(draws(8))
-        assert first == second
-        assert first != third
+        assert draws(7) == draws(7)
+        assert draws(7) != draws(8)
+
+
+class TestLoop:
+    """The cluster's own loop: poll, ready handlers, due timers, drain."""
+
+    def test_cancelled_timers_do_not_pile_up_on_the_heap(self):
+        # A read-retry timer is long and cancelled almost at once; the
+        # heap is rebuilt once more than half of it is dead.
+        cluster = started("a")
+        env = cluster._processes["a"].env
+        keep = env.set_timer(60.0, lambda: None)
+        for _ in range(10_000):
+            env.set_timer(4.0, lambda: None).cancel()
+        assert len(cluster._timers) <= 3
+        assert cluster._timers[0][2] is keep
+        cluster.shutdown()
+
+    def test_timers_fire_in_deadline_order_and_ties_in_scheduling_order(self, monkeypatch):
+        cluster = started("a")
+        env = cluster._processes["a"].env
+        fired: List[str] = []
+        now = tcp._monotonic()
+        monkeypatch.setattr(tcp, "_monotonic", lambda: now)  # every deadline exact
+        for name, delay in [("late", 0.03), ("tie-1", 0.01), ("early", 0.0),
+                            ("tie-2", 0.01), ("tie-3", 0.01)]:
+            env.post(delay, lambda name=name: fired.append(name))
+        monkeypatch.undo()
+        assert cluster.run_until(lambda: len(fired) == 5, timeout=1)
+        cluster.shutdown()
+        assert fired == ["early", "tie-1", "tie-2", "tie-3", "late"]
+
+    def test_a_chain_of_late_timers_does_not_starve_the_others(self):
+        # An open-loop driver behind schedule re-arms itself already due;
+        # what it arms waits for the next iteration, behind the rest.
+        cluster = started("a")
+        env = cluster._processes["a"].env
+        ran: List[str] = []
+
+        def chain() -> None:
+            ran.append("chain")
+            env.post(-1.0, chain)
+
+        env.post(0.0, chain)
+        env.post(0.0, lambda: ran.append("other"))
+        assert cluster.run_until(lambda: "other" in ran, timeout=1)
+        cluster.shutdown()
+        assert ran == ["chain", "other"]
+
+    def test_a_crashed_pids_timers_and_deferred_work_never_run(self):
+        cluster = started("a", "b")
+        a, b = cluster._processes["a"].env, cluster._processes["b"].env
+        ran: List[str] = []
+        for env in (a, b):
+            env.set_timer(0.0, lambda pid=env.pid: ran.append(f"timer {pid}"))
+            env.post(0.0, lambda pid=env.pid: ran.append(f"post {pid}"))
+            env.defer(lambda pid=env.pid: ran.append(f"defer {pid}"))
+        cluster.crash("a")
+        settle(cluster, 0.02)
+        cluster.shutdown()
+        assert ran == ["timer b", "post b", "defer b"]
+        assert cluster.stats()["timers_fired"] == 2
+
+    def test_an_idle_cluster_does_not_wake_itself(self):
+        class Counting:
+            """The cluster's epoll, counting the polls."""
+
+            def __init__(self, epoll: Any) -> None:
+                self.epoll, self.polls = epoll, 0
+
+            def poll(self, timeout: float) -> Any:
+                self.polls += 1
+                return self.epoll.poll(timeout)
+
+            def __getattr__(self, name: str) -> Any:
+                return getattr(self.epoll, name)
+
+        cluster = started("a", "b")
+        counting = cluster._epoll = Counting(cluster._epoll)
+        before = cluster.stats()["iterations"]
+        settle(cluster, 0.2)
+        iterations = cluster.stats()["iterations"] - before
+        cluster.shutdown()
+        assert iterations <= 2
+        assert counting.polls <= 2  # blocked until the deadline: no 2 ms tick
+
+    def test_a_turn_that_raises_is_closed_and_ends_run_until(self):
+        cluster = started("a", "b")
+        a = cluster._processes["a"].env
+
+        def faulty() -> None:
+            a.send("b", "sent before the bug")
+            raise RuntimeError("timer bug")
+
+        a.post(0.0, faulty)
+        with pytest.raises(RuntimeError, match="timer bug"):
+            settle(cluster, 1.0)
+        assert cluster._in_turn is False
+        # The turn's send was flushed on its way out, and the loop goes on.
+        b = cluster._processes["b"]
+        assert cluster.run_until(lambda: len(b.received) == 1, timeout=5)
+        cluster.shutdown()
+
+    def test_loop_counters_are_in_stats(self):
+        cluster = started("a", "b")
+        a, b = cluster._processes["a"], cluster._processes["b"]
+        a.env.post(0.0, lambda: a.env.send("b", "hello"))
+        assert cluster.run_until(lambda: len(b.received) == 1, timeout=5)
+        stats = cluster.stats()
+        cluster.shutdown()
+        assert stats["timers_fired"] == 1
+        # the timer's iteration, then the connect, the accept and the read
+        assert 2 <= stats["iterations"] <= 6
+
+    def test_start_says_the_host_needs_epoll(self, monkeypatch):
+        monkeypatch.delattr(tcp.select, "epoll")
+        cluster = TcpCluster()
+        cluster.add_process(Recorder("a"))
+        with pytest.raises(RuntimeError, match="select.epoll: the TCP host runs on Linux only"):
+            cluster.start()
+        cluster.shutdown()  # nothing was opened: nothing to close
+        assert cluster._listeners == {}
+
+    def test_nothing_under_repro_imports_asyncio(self):
+        # The TCP host runs its own loop: a fresh interpreter that
+        # imports the package, the runtime and its scenario runner has
+        # not loaded asyncio (nor the ssl and concurrent.futures it drags
+        # in).
+        code = (
+            "import sys, repro, repro.runtime, repro.runtime.scenario\n"
+            "print(sorted(m for m in ('asyncio', 'ssl', 'concurrent.futures')"
+            " if m in sys.modules))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))},
+        )
+        assert out.stdout.strip() == "[]"
 
 
 class TestDecodedNames:

@@ -1,10 +1,11 @@
 """Framing and turn discipline of the TCP transport, without sockets.
 
-The accepted side of a connection is an :class:`asyncio.BufferedProtocol`,
-so a test can play the transport (:func:`feed`: ``get_buffer``, copy
-in, ``buffer_updated``) with any chunking of the byte stream it likes
--- no loop, no listener.  The connecting side is exercised the same way
-through a stand-in transport.
+The accepted side of a connection reads in two halves (``get_buffer``,
+then ``buffer_updated`` with the byte count), so a test can play the
+socket (:func:`feed`: ``get_buffer``, copy in, ``buffer_updated``) with
+any chunking of the byte stream it likes -- no loop, no listener.  The
+connecting side is exercised the same way through a stand-in socket,
+and the ``defer`` drain by calling it where the loop would.
 """
 
 import struct
@@ -30,17 +31,16 @@ class Recorder(Process):
         self.received.append((src, payload))
 
 
-class Transport:
-    """What ``_flush`` needs of a transport: ``write`` and ``is_closing``."""
+class Sock:
+    """What ``_flush`` needs of a connected socket: a ``send`` that takes
+    everything."""
 
     def __init__(self) -> None:
         self.written: List[bytes] = []
 
-    def is_closing(self) -> bool:
-        return False
-
-    def write(self, data: bytes) -> None:
+    def send(self, data: bytes) -> int:
         self.written.append(data)
+        return len(data)
 
 
 def frame(payload: Any, src: str = "a") -> bytes:
@@ -64,13 +64,13 @@ def accepted(process: Process) -> Tuple[TcpCluster, _Inbound]:
 
 
 def feed(inbound: _Inbound, chunk: bytes) -> None:
-    """Deliver ``chunk`` the way ``_SelectorSocketTransport.
-    _read_ready__get_buffer`` does: ask for a buffer, put in what fits
-    (``recv_into``), report how much -- until the socket is empty."""
+    """Deliver ``chunk`` the way ``_Inbound.on_readable`` does, one read
+    per poll: ask for a buffer, put in what fits (``recv_into``), report
+    how much -- until the socket is empty."""
     pending = memoryview(chunk)
     while pending:
         view = inbound.get_buffer(-1)
-        assert len(view) > 0  # asyncio tears the connection down on an empty one
+        assert len(view) > 0  # a read into an empty view returns 0: taken as EOF
         count = min(len(view), len(pending))
         view[:count] = pending[:count]
         pending = pending[count:]
@@ -243,11 +243,11 @@ def test_decoded_payloads_do_not_alias_the_buffer():
 def test_a_connection_lost_inside_a_frame_counts_it_as_dropped():
     cluster, inbound = accepted(Recorder("b"))
     feed(inbound, frame("whole") + frame("cut short")[:-3])
-    inbound.connection_lost(None)  # the peer died inside its second frame
+    inbound.close()  # the peer died inside its second frame: EOF
     stats = cluster.stats()
     assert (stats["frames_received"], stats["dropped_frames"]) == (1, 1)
     assert inbound.tail == b""
-    inbound.connection_lost(None)  # nothing is counted twice
+    inbound.close()  # nothing is counted twice
     assert cluster.stats()["dropped_frames"] == 1
 
 
@@ -259,18 +259,18 @@ def test_frames_stranded_behind_a_raising_handler_are_counted_as_dropped():
     cluster, inbound = accepted(Faulty("b"))
     with pytest.raises(RuntimeError, match="handler bug"):
         feed(inbound, frame("boom") + frame("one") + frame("two") + frame("three")[:2])
-    inbound.connection_lost(RuntimeError("handler bug"))  # what asyncio does next
+    inbound.close()  # what ``shutdown`` does once the error has ended the run
     stats = cluster.stats()
     # Four frames were sent: one reached the handler, two whole ones and
     # the two-byte start of a fourth did not.
     assert (stats["frames_received"], stats["dropped_frames"]) == (1, 3)
 
 
-def echoing(pid: str, peer: str) -> Tuple[TcpCluster, _Inbound, _Conn, Transport]:
+def echoing(pid: str, peer: str) -> Tuple[TcpCluster, _Inbound, _Conn, Sock]:
     """``pid`` answers every frame with two frames to ``peer``, over an
-    established connection whose transport is a stand-in.  The cluster
-    is never started, so it has no loop: a flush that needed
-    ``call_soon`` would raise."""
+    established connection whose socket is a stand-in.  The cluster is
+    never started, so it has no loop: a flush that waited for the next
+    iteration would sit on its timer heap."""
 
     class Echo(Process):
         def on_message(self, src: str, payload: Any) -> None:
@@ -279,52 +279,37 @@ def echoing(pid: str, peer: str) -> Tuple[TcpCluster, _Inbound, _Conn, Transport
 
     cluster, inbound = accepted(Echo(pid))
     cluster._addresses[peer] = ("127.0.0.1", 0)
-    conn = cluster._conns[pid, peer] = _Conn(cluster, (pid, peer))
-    transport = Transport()
-    conn.connection_made(transport)  # type: ignore[arg-type]
-    return cluster, inbound, conn, transport
+    conn = cluster._conns[pid, peer] = _Conn((pid, peer))
+    sock = conn.sock = Sock()  # type: ignore[assignment]
+    return cluster, inbound, conn, sock
 
 
 def test_a_turns_sends_are_written_before_buffer_updated_returns():
-    cluster, inbound, conn, transport = echoing("b", "a")
+    cluster, inbound, conn, sock = echoing("b", "a")
     feed(inbound, frame(1) + frame(2))
     # Two deliveries, four sends, one write: the pass at the end of the turn.
-    assert transport.written == [
+    assert sock.written == [
         b"".join(frame(reply, src="b") for reply in
                  (("ack", 1), ("done", 1), ("ack", 2), ("done", 2)))
     ]
     assert conn.buf == [] and not conn.dirty and cluster._dirty == []
+    assert cluster._timers == []  # no pass was left for the next iteration
     stats = cluster.stats()
     assert (stats["frames_sent"], stats["flushes"]) == (4, 1)
-    assert stats["bytes_sent"] == len(transport.written[0])
+    assert stats["bytes_sent"] == len(sock.written[0])
 
 
 def test_a_single_frame_flush_writes_the_frame_itself():
-    cluster, _inbound, _conn, transport = echoing("b", "a")
+    cluster, _inbound, _conn, sock = echoing("b", "a")
     payload = ("solo",)
     cluster.turn(lambda: cluster.send_frame("b", "a", payload))
-    (written,) = transport.written
+    (written,) = sock.written
     assert written is cluster._enc_frame  # no join, no copy
 
 
 # ----------------------------------------------------------------------
 # Deferred work (``ProcessEnv.defer`` on the TCP host)
 # ----------------------------------------------------------------------
-
-
-class Loop:
-    """What ``defer`` needs of a loop: ``call_soon``, run here by hand."""
-
-    def __init__(self) -> None:
-        self.ready: List[Any] = []
-
-    def call_soon(self, callback: Any, *args: Any) -> None:
-        self.ready.append((callback, args))
-
-    def run_once(self) -> None:
-        ready, self.ready = self.ready, []
-        for callback, args in ready:
-            callback(*args)
 
 
 def test_work_deferred_while_handling_chunks_runs_once_they_are_consumed():
@@ -347,45 +332,40 @@ def test_work_deferred_while_handling_chunks_runs_once_they_are_consumed():
 
     b = Batcher("b")
     cluster, inbound = accepted(b)
-    loop = cluster.loop = Loop()  # type: ignore[assignment]
     feed(inbound, frame(1) + frame(2))
     feed(inbound, frame(3))  # a second chunk, readable in the same iteration
-    assert b.batches == [] and len(loop.ready) == 1  # one call_soon for the burst
-    loop.run_once()
+    assert b.batches == [] and len(cluster._deferred) == 1  # one deferral for the burst
+    cluster._run_deferred()  # the end of the iteration
     assert b.batches == [[1, 2, 3]]
-    assert loop.ready == [] and cluster._deferred == []
+    assert cluster._deferred == []
     feed(inbound, frame(4))
-    loop.run_once()
+    cluster._run_deferred()
     assert b.batches == [[1, 2, 3], [4]]
 
 
 def test_a_batch_of_deferred_callbacks_is_one_turn_with_one_flush():
-    cluster, _inbound, _conn, transport = echoing("b", "a")
-    loop = cluster.loop = Loop()  # type: ignore[assignment]
+    cluster, _inbound, _conn, sock = echoing("b", "a")
     for index in range(3):
         cluster.defer("b", lambda index=index: cluster.send_frame("b", "a", index))
-    assert len(loop.ready) == 1
-    loop.run_once()
-    assert transport.written == [b"".join(frame(index, src="b") for index in range(3))]
+    cluster._run_deferred()
+    assert sock.written == [b"".join(frame(index, src="b") for index in range(3))]
     assert cluster._in_turn is False
-    assert loop.ready == []  # flushed by the turn, not by a scheduled pass
+    assert cluster._timers == []  # flushed by the turn, not by a scheduled pass
 
 
 def test_a_pid_that_crashes_before_the_drain_never_runs_its_callback():
     cluster, _inbound = accepted(Recorder("b"))
     cluster.add_process(Recorder("c"))
-    loop = cluster.loop = Loop()  # type: ignore[assignment]
     ran: List[str] = []
     cluster.defer("b", lambda: ran.append("b"))
     cluster.defer("c", lambda: ran.append("c"))
     cluster.crash("b")
-    loop.run_once()
+    cluster._run_deferred()
     assert ran == ["c"]
 
 
 def test_a_raising_callback_strands_nothing_and_closes_the_turn():
-    cluster, _inbound, _conn, transport = echoing("b", "a")
-    loop = cluster.loop = Loop()  # type: ignore[assignment]
+    cluster, _inbound, _conn, sock = echoing("b", "a")
     ran: List[str] = []
 
     def first() -> None:
@@ -399,22 +379,21 @@ def test_a_raising_callback_strands_nothing_and_closes_the_turn():
     cluster.defer("b", faulty)
     cluster.defer("b", lambda: ran.append("third"))
     with pytest.raises(RuntimeError, match="deferred bug"):
-        loop.run_once()
+        cluster._run_deferred()
     assert ran == ["first"]
     assert cluster._in_turn is False
-    assert transport.written == [frame("sent before the bug", src="b")]
-    # The callback behind the faulty one has a drain of its own, ahead
-    # of anything deferred since.
+    assert sock.written == [frame("sent before the bug", src="b")]
+    # The callback behind the faulty one goes first in the next drain,
+    # ahead of anything deferred since.
     cluster.defer("b", lambda: ran.append("fourth"))
-    assert len(loop.ready) == 1
-    loop.run_once()
+    assert len(cluster._deferred) == 2
+    cluster._run_deferred()
     assert ran == ["first", "third", "fourth"]
-    assert loop.ready == [] and cluster._deferred == []
+    assert cluster._deferred == []
 
 
 def test_work_deferred_during_a_drain_waits_for_the_next():
     cluster, _inbound = accepted(Recorder("b"))
-    loop = cluster.loop = Loop()  # type: ignore[assignment]
     ran: List[str] = []
 
     def outer() -> None:
@@ -422,7 +401,7 @@ def test_work_deferred_during_a_drain_waits_for_the_next():
         cluster.defer("b", lambda: ran.append("inner"))
 
     cluster.defer("b", outer)
-    loop.run_once()
-    assert ran == ["outer"] and len(loop.ready) == 1
-    loop.run_once()
-    assert ran == ["outer", "inner"] and loop.ready == []
+    cluster._run_deferred()
+    assert ran == ["outer"] and len(cluster._deferred) == 1
+    cluster._run_deferred()
+    assert ran == ["outer", "inner"] and cluster._deferred == []
