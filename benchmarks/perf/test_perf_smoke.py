@@ -13,6 +13,8 @@ from typing import Any, Dict
 
 import pytest
 
+from repro.analysis.timeline import stage_latencies
+
 from benchmarks.perf import harness, run_perf
 
 pytestmark = pytest.mark.bench
@@ -78,11 +80,13 @@ def test_wallclock_cells():
 
     rates = wallclock.codec_rates(300)
     assert rates["binary"] > rates["pickle"] > 0
-    # The stage cell reads all of its requests; its ratio is gated in
+    # The stage cell reads all of its requests; its ratios are gated in
     # the runtime-smoke job, at full size.
-    stages = wallclock.tcp_paced_stages(5)
+    run = wallclock.tcp_paced_run(5)
+    stages = stage_latencies(run.view.trace)
     assert len(stages.per_rid) == 4 * 5
     assert wallclock.order_wait_ratio(stages) > 0
+    assert wallclock.timer_lateness_ratio(run) >= 0
     section = {
         "codec_roundtrips_per_sec": {k: round(v, 1) for k, v in rates.items()},
         "ratios": {

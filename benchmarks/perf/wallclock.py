@@ -5,14 +5,15 @@
   codec and, as the same-run reference the gate divides by, by plain
   stdlib ``pickle`` of the same frames.  The ``wallclock`` section of
   ``BENCH_perf.json`` carries both and their ratio.
-* **Stage cell** -- :func:`tcp_paced_stages`: one OAR group over
+* **Stage cell** -- :func:`tcp_paced_run`: one OAR group over
   localhost TCP offered a third of its capacity with a full trace, read
   as the four stages of a write
-  (:func:`repro.analysis.timeline.stage_latencies`).  Its gate,
-  :func:`order_wait_ratio`, divides two medians of one run; the
-  runtime-smoke CI job runs it.
+  (:func:`repro.analysis.timeline.stage_latencies`).  Its two gates
+  divide costs of that one run: :func:`order_wait_ratio` two medians,
+  :func:`timer_lateness_ratio` the loop's mean timer lateness by the
+  median first hop.  The runtime-smoke CI job runs them.
 
-Both gates divide two costs measured in one run, so they need no
+Every gate divides two costs measured in one run, so none needs a
 reference machine.  What a change does to rates over real sockets is
 judged parent against change on one machine by
 ``python -m benchmarks.e2e compare`` (see ``docs/BENCHMARKS.md``).
@@ -29,7 +30,7 @@ from repro.broadcast.reliable import RMsg
 from repro.core.messages import Reply, Request, SeqOrder
 from repro.failure.detector import Heartbeat
 from repro.runtime.codec import BinaryCodec
-from repro.runtime.scenario import RuntimeScenarioConfig, run_runtime_scenario
+from repro.runtime.scenario import RuntimeScenarioConfig, RuntimeShardedRun, run_runtime_scenario
 from repro.sharding.cluster import ShardedScenarioConfig
 from repro.statemachine.base import OpResult
 
@@ -124,12 +125,20 @@ def codec_rates(n: int) -> Dict[str, float]:
 #: (~1); behind a 2 ms ordering tick the same cell reads ~6.5.
 ORDER_WAIT_CEILING = 3.0
 
+#: Ceiling of :func:`timer_lateness_ratio` in the runtime-smoke job.  The
+#: loop waits in ``select`` to the microsecond, so a paced run's timers
+#: fire 0.75-1.65 first hops late on average (22 runs, in both of
+#: a shared 2-core container's speed states); waiting in ``epoll.poll``,
+#: which rounds its timeout up to a whole millisecond, the same cell
+#: reads 3.7-6.8 (eleven runs).
+TIMER_LATENESS_CEILING = 2.5
 
-def tcp_paced_stages(requests_per_client: int) -> StageLatencies:
+
+def tcp_paced_run(requests_per_client: int) -> RuntimeShardedRun:
     """Where a write's time goes when nothing queues: one group of 3
     replicas, 4 open-loop clients writing kv keys at 4 x 50 ops/s (2 per
     unit x ``time_scale`` 0.04), turn-boundary flush, full trace,
-    checked."""
+    checked; ``stage_latencies(run.view.trace)`` is its stage table."""
     run = run_runtime_scenario(
         RuntimeScenarioConfig(
             scenario=ShardedScenarioConfig(
@@ -150,7 +159,7 @@ def tcp_paced_stages(requests_per_client: int) -> StageLatencies:
     )
     assert run.completed, "the paced run did not reach quiescence"
     run.check_all()
-    return stage_latencies(run.view.trace)
+    return run
 
 
 def order_wait_ratio(stages: StageLatencies) -> float:
@@ -158,6 +167,15 @@ def order_wait_ratio(stages: StageLatencies) -> float:
     R-deliver@sequencer: the wait for Task 1a in units of one hop."""
     first_hop, order_wait = stages.medians()[:2]
     return order_wait / first_hop
+
+
+def timer_lateness_ratio(run: RuntimeShardedRun) -> float:
+    """Mean lateness of the run's fired timers (``timer_late_us`` over
+    ``timers_fired``) over its median submit -> R-deliver@sequencer:
+    what the loop oversleeps a due time, in units of one hop."""
+    stats = run.transport_stats()
+    mean_late = stats["timer_late_us"] / 1e6 / stats["timers_fired"]
+    return mean_late / stage_latencies(run.view.trace).medians()[0]
 
 
 # ----------------------------------------------------------------------

@@ -105,9 +105,10 @@ class RuntimeScenarioConfig:
     #: scenario: see module docstring).
     fd_interval: float = 0.2
     fd_timeout: float = 1.5
-    #: Timed coalescing window forwarded to :class:`TcpCluster`
-    #: (``None`` = flush at the turn boundary; throughput cells set a
-    #: small window to trade per-hop latency for fewer syscalls).
+    #: Timed coalescing window forwarded to :class:`TcpCluster`, one for
+    #: all connections: the first frame buffered since the last pass
+    #: arms it (``None`` = flush at the turn boundary; throughput cells
+    #: set a small window to trade per-hop latency for fewer syscalls).
     tcp_flush_interval: Optional[float] = None
     timeout: float = 60.0  #: wall-clock quiescence deadline (s)
     grace: float = 0.05  #: settle window after quiescence (s)

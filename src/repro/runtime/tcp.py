@@ -9,9 +9,11 @@ trust boundary.
 
 The cluster runs its own loop (Linux ``select.epoll``): an fd table, a
 timer heap, the ``defer`` drain and plain non-blocking sockets.  One
-iteration (:meth:`TcpCluster._run_once`) polls until a socket is ready,
-a timer is due or the caller's deadline passes, then runs each ready
-fd's handler, each due timer and the drain, every one a *turn*;
+iteration (:meth:`TcpCluster._run_once`) waits until a socket is ready,
+a timer is due or the caller's deadline passes -- ``select.select`` on
+the epoll fd, to the microsecond, since ``epoll.poll`` rounds its
+timeout up to a whole millisecond -- then runs each ready fd's handler,
+each due timer and the drain, every one a *turn*;
 ``run_until`` asks its predicate between iterations.  The walk-through
 is in ``docs/ARCHITECTURE.md`` ("The TCP transport"); in short:
 
@@ -25,8 +27,9 @@ is in ``docs/ARCHITECTURE.md`` ("The TCP transport"); in short:
 * **Send** -- ``send_frame`` buffers per connection and puts the
   connection on one dirty list, drained by one pass
   (:meth:`TcpCluster._flush_pass`) at the end of the turn that sent;
-  ``flush_interval`` instead writes a connection that long after its
-  first buffered frame, one timer serving them all.  A multicast sends
+  ``flush_interval`` instead makes one window for every connection: the
+  first frame buffered since the last pass arms one timer that long
+  out, and that pass writes every dirty connection.  A multicast sends
   one payload object back to back, so a one-entry identity cache makes
   it one encode plus n appends.
 * **Deferred work** -- ``env.defer(callback)`` (the sequencer's
@@ -63,7 +66,6 @@ from repro.sim.trace import TraceLog
 _HEADER = struct.Struct(">I")
 _HEADER_SIZE = _HEADER.size
 _unpack_from = _HEADER.unpack_from
-_NEVER = float("inf")
 
 #: flush as soon as a connection buffer holds this many bytes, rather
 #: than waiting for the flush pass (bounds memory under bursts).
@@ -83,7 +85,7 @@ _monotonic = time.monotonic
 class _Conn:
     """Connecting side of a (src, dst) channel: its socket and send buffer."""
 
-    __slots__ = ("key", "sock", "buf", "size", "dirty", "due", "pending",
+    __slots__ = ("key", "sock", "buf", "size", "dirty", "pending",
                  "connecting", "closing", "failures")
 
     def __init__(self, key: Tuple[str, str]) -> None:
@@ -92,7 +94,6 @@ class _Conn:
         self.buf: List[bytes] = []
         self.size = 0
         self.dirty = False  #: on the cluster's dirty list
-        self.due = 0.0  #: under ``flush_interval``: when its window runs out
         self.pending: Any = b""  #: what a partial write left: ``EPOLLOUT`` is armed
         self.connecting = False  #: the connect is in flight: ``EPOLLOUT`` is armed
         self.closing = False  #: close once drained (crash, shutdown)
@@ -222,6 +223,7 @@ class TcpCluster:
         self._closed = False
         self._epoch = _monotonic()
         self._epoll: Any = None  #: ``select.epoll``, opened by :meth:`start`
+        self._epoll_fds: Tuple[int, ...] = ()  #: its fd, what the loop waits on
         self._handlers: Dict[int, Callable[[int], None]] = {}  #: fd -> ready handler
         #: ``(when, seq, handle or None, callback, pid or None)``, a heap
         self._timers: List[Tuple[float, int, Optional[TimerHandle], Callable[[], None], Any]] = []
@@ -240,7 +242,7 @@ class TcpCluster:
         self._stats = dict.fromkeys(  # "wakeups" are buffer_updated calls
             ("frames_sent", "frames_received", "bytes_sent", "flushes", "reconnects",
              "dropped_frames", "encode_cache_hits", "wakeups", "iterations",
-             "timers_fired"),
+             "timers_fired", "timer_late_us"),
             0,
         )
         # Looked up per cluster, not at import: the repo benchmark's
@@ -304,9 +306,19 @@ class TcpCluster:
         process its env."""
         if not hasattr(select, "epoll"):
             raise RuntimeError("TcpCluster needs select.epoll: the TCP host runs on Linux only")
+        epoll = select.epoll()
+        try:
+            select.select((epoll.fileno(),), (), (), 0.0)
+        except ValueError:  # the fd is past what ``select`` takes
+            epoll.close()
+            raise RuntimeError(
+                "TcpCluster waits on its epoll fd with select.select, which takes "
+                "only fds below FD_SETSIZE (1024): this process has too many fds open"
+            ) from None
         self._started = True
         self._epoch = _monotonic()
-        self._epoll = select.epoll()
+        self._epoll = epoll
+        self._epoll_fds = (epoll.fileno(),)
         for pid in self._processes:
             listener = self._listeners[pid] = socket.create_server(("127.0.0.1", 0), backlog=128)
             listener.setblocking(False)
@@ -327,14 +339,16 @@ class TcpCluster:
         return True
 
     def _run_once(self, deadline: float) -> None:
-        """One iteration: poll, ready handlers, due timers, the drain."""
+        """One iteration: wait and poll, ready handlers, due timers, the drain."""
         timers = self._timers
         if self._deferred:
             timeout = 0.0
         else:
             wake = timers[0][0] if timers and timers[0][0] < deadline else deadline
             timeout = max(wake - _monotonic(), 0.0)
-        events = self._epoll.poll(timeout)
+        if timeout:  # to the microsecond: ``epoll.poll`` rounds up to a ms
+            select.select(self._epoll_fds, (), (), timeout)
+        events = self._epoll.poll(0.0)
         handlers = self._handlers
         for fd, mask in events:
             handler = handlers.get(fd)  # an earlier handler may have closed it
@@ -353,7 +367,7 @@ class TcpCluster:
             stats = self._stats
             batch = iter(due)
             try:
-                for _when, _seq, handle, callback, pid in batch:
+                for when, _seq, handle, callback, pid in batch:
                     if handle is not None:
                         if handle.cancelled:
                             self._cancelled -= 1
@@ -362,6 +376,7 @@ class TcpCluster:
                     if pid not in crashed:  # crash-stop: never after a crash
                         ran = True
                         stats["timers_fired"] += 1
+                        stats["timer_late_us"] += int((now - when) * 1e6)
                         self.turn(callback)
             finally:
                 for entry in batch:  # one raised: the rest stay due
@@ -483,14 +498,11 @@ class TcpCluster:
         if not conn.dirty:
             conn.dirty = True
             self._dirty.append(conn)
-            if self.flush_interval is not None:
-                conn.due = _monotonic() + self.flush_interval
-                if not self._scheduled:
-                    self._scheduled = True
-                    self._call_at(conn.due, self._flush_pass)
-            elif not self._in_turn and not self._scheduled:
+            window = self.flush_interval
+            if not self._scheduled and (window is not None or not self._in_turn):
+                # One window for every connection (at once outside a turn).
                 self._scheduled = True
-                self._call_at(0.0, self._flush_pass)
+                self._call_at(_monotonic() + (window or 0.0), self._flush_pass)
         if conn.size >= _FLUSH_BYTES:
             self._flush(conn)
 
@@ -504,24 +516,15 @@ class TcpCluster:
 
     def _flush_pass(self) -> None:
         """The one place buffered sends reach the sockets (besides the
-        ``_FLUSH_BYTES`` trigger).  At a turn boundary every dirty
-        connection is written; under ``flush_interval`` those whose
-        window has run out -- the head's has, the timer was set for it
-        -- and the timer is set again for the next."""
-        now = _NEVER if self.flush_interval is None else _monotonic()
+        ``_FLUSH_BYTES`` trigger): every dirty connection is written, at
+        a turn boundary or when the window runs out."""
         dirty = self._dirty
-        count = 0
+        self._scheduled = False
         for conn in dirty:
-            if conn.due > now and count:
-                break
-            count += 1
             conn.dirty = False
             if conn.buf:
                 self._flush(conn)
-        del dirty[:count]
-        self._scheduled = bool(dirty)
-        if dirty:
-            self._call_at(dirty[0].due, self._flush_pass)
+        dirty.clear()
 
     def _flush(self, conn: _Conn) -> None:
         sock = conn.sock

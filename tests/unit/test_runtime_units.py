@@ -2,8 +2,10 @@
 and for the event loop it runs."""
 
 import os
+import statistics
 import subprocess
 import sys
+import time
 from typing import Any, List
 
 import pytest
@@ -38,6 +40,32 @@ def started(*pids: str, **kwargs: Any) -> TcpCluster:
 def settle(cluster: TcpCluster, seconds: float) -> None:
     """Run the loop for ``seconds``, whatever happens."""
     cluster.run_until(lambda: False, timeout=seconds)
+
+
+class Waits:
+    """The loop's waits: the timeout of every ``epoll.poll`` (through the
+    cluster's epoll) and of every ``select.select`` (patched in the
+    module)."""
+
+    def __init__(self, cluster: TcpCluster, monkeypatch: Any) -> None:
+        self.polls: List[float] = []
+        self.selects: List[float] = []
+        waits, epoll, real_select = self, cluster._epoll, tcp.select.select
+
+        class Epoll:
+            def poll(self, timeout: float) -> Any:
+                waits.polls.append(timeout)
+                return epoll.poll(timeout)
+
+            def __getattr__(self, name: str) -> Any:
+                return getattr(epoll, name)
+
+        def select(rlist: Any, wlist: Any, xlist: Any, timeout: float) -> Any:
+            waits.selects.append(timeout)
+            return real_select(rlist, wlist, xlist, timeout)
+
+        cluster._epoll = Epoll()
+        monkeypatch.setattr(tcp.select, "select", select)
 
 
 class TestTcpCluster:
@@ -180,28 +208,56 @@ class TestLoop:
         assert ran == ["timer b", "post b", "defer b"]
         assert cluster.stats()["timers_fired"] == 2
 
-    def test_an_idle_cluster_does_not_wake_itself(self):
-        class Counting:
-            """The cluster's epoll, counting the polls."""
-
-            def __init__(self, epoll: Any) -> None:
-                self.epoll, self.polls = epoll, 0
-
-            def poll(self, timeout: float) -> Any:
-                self.polls += 1
-                return self.epoll.poll(timeout)
-
-            def __getattr__(self, name: str) -> Any:
-                return getattr(self.epoll, name)
-
+    def test_an_idle_cluster_does_not_wake_itself(self, monkeypatch):
         cluster = started("a", "b")
-        counting = cluster._epoll = Counting(cluster._epoll)
+        waits = Waits(cluster, monkeypatch)
         before = cluster.stats()["iterations"]
         settle(cluster, 0.2)
         iterations = cluster.stats()["iterations"] - before
         cluster.shutdown()
         assert iterations <= 2
-        assert counting.polls <= 2  # blocked until the deadline: no 2 ms tick
+        # blocked until the deadline: no 2 ms tick
+        assert len(waits.selects) <= 2 and len(waits.polls) <= 2
+
+    def test_a_timer_is_waited_for_to_the_microsecond(self, monkeypatch):
+        """``epoll.poll`` rounds its timeout up to a whole millisecond,
+        so the loop blocks in ``select`` on the epoll fd for exactly the
+        time left, and polls only without waiting."""
+        cluster = started("a")
+        waits = Waits(cluster, monkeypatch)
+        fired: List[bool] = []
+        now = tcp._monotonic()
+        monkeypatch.setattr(tcp, "_monotonic", lambda: now)
+        cluster._processes["a"].env.post(0.0003, lambda: fired.append(True))
+        cluster._run_once(now + 1.0)  # the clock held: not due after the wait
+        assert fired == []
+        monkeypatch.setattr(tcp, "_monotonic", lambda: now + 0.0003)
+        cluster._run_once(now + 1.0)  # due: fires, without a wait
+        cluster.shutdown()
+        assert fired == [True]
+        assert waits.selects == [pytest.approx(0.0003, abs=1e-6)]
+        assert set(waits.polls) == {0.0}
+
+    def test_no_timer_fires_early_and_few_fire_late(self, monkeypatch):
+        """50 timers 0.1-0.9 ms out, on the real clock: none fires before
+        its deadline, and the median is late by well under the 0.5 ms
+        that waits rounded up to a millisecond make it."""
+        cluster = started("a")
+        env = cluster._processes["a"].env
+        late: List[float] = []
+        now = tcp._monotonic()
+        monkeypatch.setattr(tcp, "_monotonic", lambda: now)
+        for index in range(50):
+            delay = 0.0001 + 0.0008 * index / 49
+            env.post(delay, lambda due=now + delay: late.append(time.monotonic() - due))
+        monkeypatch.undo()
+        assert cluster.run_until(lambda: len(late) == 50, timeout=1)
+        stats = cluster.stats()
+        cluster.shutdown()
+        assert min(late) >= 0.0
+        assert statistics.median(late) < 0.0004
+        # counted when the batch is taken, before each callback runs
+        assert 0 <= stats["timer_late_us"] <= sum(late) * 1e6
 
     def test_a_turn_that_raises_is_closed_and_ends_run_until(self):
         cluster = started("a", "b")
@@ -228,6 +284,7 @@ class TestLoop:
         stats = cluster.stats()
         cluster.shutdown()
         assert stats["timers_fired"] == 1
+        assert stats["timer_late_us"] >= 0
         # the timer's iteration, then the connect, the accept and the read
         assert 2 <= stats["iterations"] <= 6
 
@@ -238,6 +295,27 @@ class TestLoop:
         with pytest.raises(RuntimeError, match="select.epoll: the TCP host runs on Linux only"):
             cluster.start()
         cluster.shutdown()  # nothing was opened: nothing to close
+        assert cluster._listeners == {}
+
+    def test_start_says_select_takes_fds_below_fd_setsize(self, monkeypatch):
+        def out_of_range(*_args: Any) -> None:
+            raise ValueError("filedescriptor out of range in select()")
+
+        opened: List[Any] = []
+        real_epoll = tcp.select.epoll
+
+        def epoll() -> Any:
+            opened.append(real_epoll())
+            return opened[-1]
+
+        monkeypatch.setattr(tcp.select, "epoll", epoll)
+        monkeypatch.setattr(tcp.select, "select", out_of_range)
+        cluster = TcpCluster()
+        cluster.add_process(Recorder("a"))
+        with pytest.raises(RuntimeError, match=r"FD_SETSIZE \(1024\)"):
+            cluster.start()
+        assert len(opened) == 1 and opened[0].closed  # what it opened is closed
+        cluster.shutdown()
         assert cluster._listeners == {}
 
     def test_nothing_under_repro_imports_asyncio(self):
