@@ -122,11 +122,11 @@ CALLS_PER_OP_CEILING = {"3.10": 426.0, "3.11": 426.0, "3.12": 424.0, "3.13": 424
 BYTES_PER_OP_CEILING = {"3.10": 2684.0, "3.11": 2459.0, "3.12": 2434.0, "3.13": 2434.0}
 
 #: Ceiling on ``harness.bytes_per_read_op``'s reading, by interpreter:
-#: this tree reads 721.9 B on CPython 3.10, 682.4 on 3.11 and 671.2 on
-#: 3.12 and 3.13 (the same under every hash seed tried), and the
-#: ceilings sit 3 % above.  A fresh ``(src,)`` weight tuple per adopted
-#: read put back reads 725.8 on 3.11.
-BYTES_PER_READ_OP_CEILING = {"3.10": 744.0, "3.11": 703.0, "3.12": 692.0, "3.13": 692.0}
+#: this tree reads 658.9 B on CPython 3.10 (651-655 after other cells
+#: ran in the same process), 616.1 on 3.11 and 604.0 on 3.12 and 3.13,
+#: and the ceilings sit 3 % above.  A fresh ``(src,)`` weight tuple per adopted read put
+#: back reads 696.9 on 3.10, 659.4 on 3.11 and 647.3 on 3.12 and 3.13.
+BYTES_PER_READ_OP_CEILING = {"3.10": 679.0, "3.11": 635.0, "3.12": 623.0, "3.13": 623.0}
 
 #: Ceiling on ``harness.bytes_per_tcp_write``'s reading, by interpreter.
 #: How writes batch into orders follows the wall clock, so the reading

@@ -126,7 +126,7 @@ def _payload(
     calls_per_op: float = 409.51,
     python: str = "3.11",
     bytes_per_op: float = 2387.2,
-    bytes_per_read_op: float = 682.4,
+    bytes_per_read_op: float = 616.1,
     bytes_per_tcp_write: float = 2734.5,
 ) -> Dict[str, Any]:
     """A synthetic payload: ``readings`` by gate name, each put where
@@ -238,7 +238,7 @@ def test_calls_per_op_is_not_judged_on_an_interpreter_nobody_recorded():
 _BYTES_READINGS = {"3.10": 2605.2, "3.11": 2387.2, "3.12": 2362.6, "3.13": 2362.6}
 
 #: What ``harness.bytes_per_read_op`` reads on this tree, by interpreter.
-_READ_BYTES_READINGS = {"3.10": 721.9, "3.11": 682.4, "3.12": 671.2, "3.13": 671.2}
+_READ_BYTES_READINGS = {"3.10": 658.9, "3.11": 616.1, "3.12": 604.0, "3.13": 604.0}
 
 #: The highest of five ``harness.bytes_per_tcp_write`` readings on this
 #: tree, by interpreter (the reading follows how writes batch, so it

@@ -11,9 +11,9 @@ compact tagged binary codec (:mod:`repro.runtime.codec`).  Sends
 coalesce into per-connection buffers; see the module docs for the flush
 and reconnect rules.
 
-Each process sees the cluster through an
-:class:`~repro.runtime.host.WallClockEnv` (clock, the loop's timers,
-``send``/``defer``), and the processes are the **same**
+Each process sees the cluster through the simulator's own
+:class:`~repro.sim.process.HostEnv` (the cluster's clock, its loop's
+timers, ``send``/``defer``), and the processes are the **same**
 :class:`~repro.sim.process.Process` subclasses as the simulator's -- the
 protocol code has no idea which world it lives in.  Full sharded
 scenarios (router, sharded clients, replica-local reads) run over
@@ -25,7 +25,6 @@ genuine :class:`~repro.sharding.cluster.ShardedRun` view, so the entire
 """
 
 from repro.runtime.codec import WIRE_TAGS, BinaryCodec, registered_types
-from repro.runtime.host import WallClockEnv
 from repro.runtime.scenario import (
     RuntimeScenarioConfig,
     RuntimeShardedRun,
@@ -39,7 +38,6 @@ __all__ = [
     "RuntimeShardedRun",
     "TcpCluster",
     "WIRE_TAGS",
-    "WallClockEnv",
     "registered_types",
     "run_runtime_scenario",
 ]

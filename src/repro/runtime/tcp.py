@@ -7,8 +7,9 @@ FIFO channel property of the paper's model.  This transport exists
 solely for loopback benchmarking of our own processes -- it is not a
 trust boundary.
 
-The cluster runs its own loop (Linux ``select.epoll``): an fd table, a
-timer heap, the ``defer`` drain and plain non-blocking sockets.  One
+The cluster runs its own loop (Linux ``select.epoll``): an fd table, the
+simulator's :class:`~repro.sim.loop.TimerQueue` on the monotonic clock,
+the ``defer`` drain and plain non-blocking sockets.  One
 iteration (:meth:`TcpCluster._run_once`) waits until a socket is ready,
 a timer is due or the caller's deadline passes -- ``select.select`` on
 the epoll fd, to the microsecond, since ``epoll.poll`` rounds its
@@ -48,19 +49,18 @@ is in ``docs/ARCHITECTURE.md`` ("The TCP transport"); in short:
 from __future__ import annotations
 
 import errno
-import itertools
+import random
 import select
 import socket
 import struct
 import time
 from functools import partial
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.runtime.codec import BinaryCodec
-from repro.runtime.host import WallClockEnv
-from repro.sim.loop import TimerHandle
-from repro.sim.process import Process
+from repro.sim.loop import TimerHandle, TimerQueue
+from repro.sim.process import HostEnv, Process
 from repro.sim.trace import TraceLog
 
 _HEADER = struct.Struct(">I")
@@ -198,7 +198,7 @@ class _Inbound:
             cluster._end_turn()
 
 
-class TcpCluster:
+class TcpCluster(TimerQueue):
     """Hosts processes on localhost TCP sockets: the wall-clock host.
 
     ``add_process`` everything, ``start()``, drive the scenario with
@@ -212,6 +212,9 @@ class TcpCluster:
     def __init__(
         self, seed: int = 0, trace_level: str = "full", flush_interval: Optional[float] = None
     ) -> None:
+        # The timer heap: ``(when, seq, handle or None, callback, pid or
+        # None)`` entries, ``when`` on the monotonic clock.
+        super().__init__()
         self.seed = seed
         self.trace = TraceLog(level=trace_level)
         self.flush_interval = flush_interval
@@ -225,10 +228,6 @@ class TcpCluster:
         self._epoll: Any = None  #: ``select.epoll``, opened by :meth:`start`
         self._epoll_fds: Tuple[int, ...] = ()  #: its fd, what the loop waits on
         self._handlers: Dict[int, Callable[[int], None]] = {}  #: fd -> ready handler
-        #: ``(when, seq, handle or None, callback, pid or None)``, a heap
-        self._timers: List[Tuple[float, int, Optional[TimerHandle], Callable[[], None], Any]] = []
-        self._seq = itertools.count()
-        self._cancelled = 0  #: cancelled handles still on the heap
         self._listeners: Dict[str, socket.socket] = {}
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._conns: Dict[Tuple[str, str], _Conn] = {}
@@ -325,7 +324,8 @@ class TcpCluster:
             self._addresses[pid] = listener.getsockname()[:2]
             self._register(listener, _IN, partial(self._accept, pid, listener))
         for pid, process in self._processes.items():
-            process.start(WallClockEnv(self, pid, self.seed))
+            rng = random.Random(f"{self.seed}/{pid}")
+            process.start(HostEnv(self, self, pid, rng, self.send_frame))
 
     def run_until(self, predicate: Callable[[], bool], timeout: float = 30.0) -> bool:
         """Run the loop until ``predicate()`` -- asked between iterations
@@ -340,7 +340,7 @@ class TcpCluster:
 
     def _run_once(self, deadline: float) -> None:
         """One iteration: wait and poll, ready handlers, due timers, the drain."""
-        timers = self._timers
+        timers = self._queue
         if self._deferred:
             timeout = 0.0
         else:
@@ -370,7 +370,7 @@ class TcpCluster:
                 for when, _seq, handle, callback, pid in batch:
                     if handle is not None:
                         if handle.cancelled:
-                            self._cancelled -= 1
+                            self._cancelled_heap -= 1
                             continue
                         handle.fired = True
                     if pid not in crashed:  # crash-stop: never after a crash
@@ -391,26 +391,14 @@ class TcpCluster:
         """``ProcessEnv.set_timer`` of ``pid``: one turn ``delay`` seconds
         from now, unless cancelled or ``pid`` crashes first."""
         when = _monotonic() + delay
-        handle = TimerHandle(when - self._epoch, self)  # type: ignore[arg-type]
-        heappush(self._timers, (when, next(self._seq), handle, callback, pid))
+        handle = TimerHandle(when - self._epoch, self)
+        heappush(self._queue, (when, next(self._counter), handle, callback, pid))
         return handle
 
     def post(self, pid: Optional[str], delay: float, callback: Callable[[], None]) -> None:
         """Handle-free :meth:`set_timer`; ``pid`` None is a driver step,
         owned by no process."""
-        heappush(self._timers, (_monotonic() + delay, next(self._seq), None, callback, pid))
-
-    def _note_cancel(self, in_fast_lane: bool) -> None:
-        """Called by :meth:`TimerHandle.cancel` (the cluster is its
-        ``sim``): the entry stays on the heap until it is due, unless more
-        than half the heap is dead -- then the heap is rebuilt without
-        them, in place (``_run_once`` holds it)."""
-        self._cancelled += 1
-        timers = self._timers
-        if 2 * self._cancelled > len(timers):
-            timers[:] = [entry for entry in timers if entry[2] is None or not entry[2].cancelled]
-            heapify(timers)
-            self._cancelled = 0
+        heappush(self._queue, (_monotonic() + delay, next(self._counter), None, callback, pid))
 
     def turn(self, callback: Callable[[], None]) -> None:
         self._in_turn = True
@@ -502,12 +490,9 @@ class TcpCluster:
             if not self._scheduled and (window is not None or not self._in_turn):
                 # One window for every connection (at once outside a turn).
                 self._scheduled = True
-                self._call_at(_monotonic() + (window or 0.0), self._flush_pass)
+                self.post(None, window or 0.0, self._flush_pass)
         if conn.size >= _FLUSH_BYTES:
             self._flush(conn)
-
-    def _call_at(self, when: float, callback: Callable[[], None]) -> None:
-        heappush(self._timers, (when, next(self._seq), None, callback, None))
 
     def _end_turn(self) -> None:
         self._in_turn = False

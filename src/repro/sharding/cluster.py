@@ -412,7 +412,7 @@ class ShardedRun:
             # while it is, ``all_done()`` is false whatever the others
             # do.  Once each driver has reported done, the full rule.
             nonlocal busy
-            if sim._now >= deadline:
+            if sim.now >= deadline:
                 return True
             while busy is not None:
                 if not busy.done:

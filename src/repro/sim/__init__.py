@@ -13,8 +13,9 @@ The main entry points are:
   registered processes, with latency models, partitions and crash injection.
 * :class:`~repro.sim.process.Process` -- base class for protocol actors.
 * :class:`~repro.sim.process.ProcessEnv` -- the narrow environment interface
-  protocol cores are written against (also implemented by the TCP
-  runtime in :mod:`repro.runtime`).
+  protocol cores are written against; its one implementation,
+  :class:`~repro.sim.process.HostEnv`, serves the TCP runtime in
+  :mod:`repro.runtime` too.
 """
 
 from repro.sim.latency import (

@@ -26,10 +26,13 @@ Scheduling comes in two flavours:
   cancel, so the network schedules through these and the per-message
   allocation disappears from the hot path.
 
-Cancellation is lazy (the entry stays queued and is skipped when popped),
-but the simulator counts dead entries and compacts the heap when more
-than half of it is cancelled, so cancel-heavy workloads (heartbeat
-failure detectors re-arming timeouts) cannot bloat the queue.
+The heap and its cancel bookkeeping are a :class:`TimerQueue`, the one
+timer queue of both hosts: the simulator builds on it, and so does the
+TCP host's loop (:class:`~repro.runtime.tcp.TcpCluster`).  Cancellation
+is lazy (the entry stays queued and is skipped when popped), but the
+queue counts dead entries and compacts the heap when more than half of
+it is cancelled, so cancel-heavy workloads (heartbeat failure detectors
+re-arming timeouts, read retries) cannot bloat it.
 
 All randomness used anywhere in a simulation must come from
 :attr:`Simulator.rng` (or a child generator obtained via
@@ -41,24 +44,25 @@ from __future__ import annotations
 import heapq
 import itertools
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple, Union
+from typing import Any, Callable, Deque, List, Optional, Tuple, Union
 
 import random
 
-#: Heap entries: (when, tie-break counter, handle-or-None, callback).
-#: ``handle`` is None for handle-free posts -- nothing to allocate, check
-#: or cancel.
-_HeapEntry = Tuple[float, int, Optional["TimerHandle"], Callable[[], None]]
+#: Heap entries: (when, tie-break counter, handle-or-None, callback),
+#: and whatever more a host keeps per entry (the TCP host: the owning
+#: pid).  ``handle`` is None for handle-free posts -- nothing to
+#: allocate, check or cancel.
+_HeapEntry = Tuple[Any, ...]
 
 #: Fast-lane entries are bare callbacks (handle-free posts) or the
 #: TimerHandle itself (cancellable same-instant timers); the run loop
 #: dispatches on the entry's class.
 _FastEntry = Union[Callable[[], None], "TimerHandle"]
 
-#: Compaction threshold: rebuild the heap once more than half of at least
-#: this many queued entries are cancelled.  Small queues are never worth
-#: compacting.
-_COMPACT_MIN = 64
+#: Compaction threshold: rebuild the heap once more than half of it, and
+#: more than this many entries, are cancelled.  One dead entry is left
+#: for the pop to skip.
+_COMPACT_MIN = 1
 
 
 class TimerHandle:
@@ -68,18 +72,18 @@ class TimerHandle:
     it reaches the front.  ``fired`` reports whether the callback ran.
     """
 
-    __slots__ = ("cancelled", "fired", "deadline", "_sim", "_callback")
+    __slots__ = ("cancelled", "fired", "deadline", "_owner", "_callback")
 
     def __init__(
         self,
         deadline: float,
-        sim: Optional["Simulator"] = None,
+        owner: "TimerQueue",
         callback: Optional[Callable[[], None]] = None,
     ) -> None:
         self.cancelled = False
         self.fired = False
         self.deadline = deadline
-        self._sim = sim
+        self._owner = owner
         self._callback = callback
 
     def cancel(self) -> None:
@@ -87,9 +91,13 @@ class TimerHandle:
         if self.cancelled or self.fired:
             return
         self.cancelled = True
-        if self._sim is not None:
-            # Fast-lane handles carry their callback; heap handles don't.
-            self._sim._note_cancel(in_fast_lane=self._callback is not None)
+        if self._callback is None:
+            self._owner._note_cancel()
+        else:
+            # Only the simulator's same-instant handles carry their
+            # callback.  The lane drains within the instant: there is
+            # nothing to compact, so the cancel is only counted.
+            self._owner._cancelled_fast += 1  # type: ignore[attr-defined]
 
     @property
     def active(self) -> bool:
@@ -97,7 +105,52 @@ class TimerHandle:
         return not self.cancelled and not self.fired
 
 
-class Simulator:
+class TimerQueue:
+    """A timer heap with lazy cancellation: what both hosts build on.
+
+    ``_queue`` is a binary heap of ``(when, seq, handle or None,
+    callback, ...)`` entries; ``seq`` (from ``_counter``) breaks ties in
+    scheduling order.  A host pushes and pops entries itself, on its own
+    clock; a cancelled handle's entry stays until it is popped (the host
+    then decrements ``_cancelled_heap`` and skips it) or a compaction
+    drops it.
+    """
+
+    def __init__(self) -> None:
+        self._queue: List[_HeapEntry] = []
+        self._counter = itertools.count()
+        #: cancelled handles whose entries are still on the heap
+        self._cancelled_heap = 0
+
+    def _note_cancel(self) -> None:
+        """Called by :meth:`TimerHandle.cancel` for a heap entry;
+        compacts when mostly dead."""
+        self._cancelled_heap += 1
+        if (
+            self._cancelled_heap > _COMPACT_MIN
+            and self._cancelled_heap * 2 > len(self._queue)
+        ):
+            self._compact()
+
+    def _compact(self) -> None:
+        """Drop cancelled entries from the heap and re-heapify.
+
+        Runs in O(live entries); triggered when more than half the heap
+        is dead so the amortized cost per cancellation is O(1).  Mutates
+        ``self._queue`` in place: the run loops hold a local alias to
+        the list across callbacks, so rebinding the attribute would
+        silently strand events scheduled after a mid-run compaction.
+        """
+        self._queue[:] = [
+            entry
+            for entry in self._queue
+            if entry[2] is None or not entry[2].cancelled
+        ]
+        heapq.heapify(self._queue)
+        self._cancelled_heap = 0
+
+
+class Simulator(TimerQueue):
     """Deterministic discrete-event loop with a virtual clock.
 
     Parameters
@@ -109,23 +162,16 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._queue: List[_HeapEntry] = []
+        super().__init__()
         self._fast: Deque[_FastEntry] = deque()
-        self._counter = itertools.count()
-        self._now = 0.0
-        self._events_processed = 0
-        # Lazily-cancelled entries still physically queued, tracked per
-        # store so the heap-compaction trigger never rescans the fast
-        # lane (which drains by itself within the current instant).
-        self._cancelled_heap = 0
+        # Counted apart from the heap's, so the compaction trigger never
+        # rescans the lane (which drains by itself within the instant).
         self._cancelled_fast = 0
+        #: current simulated time (a plain attribute: read on every hop)
+        self.now = 0.0
+        self._events_processed = 0
         self.rng = random.Random(seed)
         self._seed = seed
-
-    @property
-    def now(self) -> float:
-        """Current simulated time."""
-        return self._now
 
     @property
     def seed(self) -> int:
@@ -189,7 +235,7 @@ class Simulator:
         """Run ``callback`` after ``delay`` simulated time units."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        now = self._now
+        now = self.now
         when = now + delay
         if when <= now:  # delay == 0 (or rounds to nothing): same instant
             handle = TimerHandle(when, self, callback)
@@ -201,7 +247,7 @@ class Simulator:
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> TimerHandle:
         """Run ``callback`` at absolute simulated time ``when``."""
-        now = self._now
+        now = self.now
         if when <= now:
             if when < now:
                 raise ValueError(f"cannot schedule in the past: {when} < {now}")
@@ -220,11 +266,11 @@ class Simulator:
         """Handle-free :meth:`schedule`: the event cannot be cancelled."""
         if delay < 0:
             raise ValueError(f"negative delay: {delay}")
-        self.post_at(self._now + delay, callback)
+        self.post_at(self.now + delay, callback)
 
     def post_at(self, when: float, callback: Callable[[], None]) -> None:
         """Handle-free :meth:`schedule_at`: the event cannot be cancelled."""
-        now = self._now
+        now = self.now
         if when <= now:
             if when < now:
                 raise ValueError(f"cannot schedule in the past: {when} < {now}")
@@ -253,7 +299,7 @@ class Simulator:
             if fast:
                 # Heap events stamped exactly `now` were scheduled before
                 # the clock reached `now`, so they precede the fast lane.
-                if not queue or queue[0][0] != self._now:
+                if not queue or queue[0][0] != self.now:
                     entry = fast.popleft()
                     if entry.__class__ is TimerHandle:
                         if entry.cancelled:
@@ -274,7 +320,7 @@ class Simulator:
                     self._cancelled_heap -= 1
                     continue
                 handle.fired = True
-            self._now = when
+            self.now = when
             self._events_processed += 1
             callback()
             return True
@@ -296,8 +342,8 @@ class Simulator:
             non-terminating protocols in tests).
         """
         self._drain(None, until, max_events if max_events is not None else (1 << 62))
-        if until is not None and self._now < until:
-            self._now = until
+        if until is not None and self.now < until:
+            self.now = until
 
     def run_until(self, predicate: Callable[[], bool], max_events: int = 1_000_000) -> bool:
         """Run until ``predicate()`` is true; it is asked before every event.
@@ -333,7 +379,7 @@ class Simulator:
                     # Due-now heap events precede the fast lane (they
                     # carry older scheduling counters); otherwise drain
                     # the lane in append order.
-                    if not queue or queue[0][0] != self._now:
+                    if not queue or queue[0][0] != self.now:
                         entry = fast_pop()
                         if entry.__class__ is timer_cls:
                             if entry.cancelled:
@@ -356,7 +402,7 @@ class Simulator:
                         self._cancelled_heap -= 1
                         continue
                     handle.fired = True
-                self._now = when
+                self.now = when
                 processed += 1
                 callback()
                 if predicate is not None and predicate():
@@ -364,42 +410,3 @@ class Simulator:
         finally:
             self._events_processed += processed
         return False
-
-    # ------------------------------------------------------------------
-    # Lazy-cancellation bookkeeping
-    # ------------------------------------------------------------------
-
-    def _note_cancel(self, in_fast_lane: bool) -> None:
-        """Called by :meth:`TimerHandle.cancel`; compacts when mostly dead.
-
-        Fast-lane cancellations only bump their counter: the lane drains
-        within the current instant, so there is nothing to compact and
-        they must not trip (or be rescanned by) the heap trigger.
-        """
-        if in_fast_lane:
-            self._cancelled_fast += 1
-            return
-        self._cancelled_heap += 1
-        if (
-            self._cancelled_heap > _COMPACT_MIN
-            and self._cancelled_heap * 2 > len(self._queue)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries from the heap and re-heapify.
-
-        Runs in O(live entries); triggered when more than half the heap
-        is dead so the amortized cost per cancellation is O(1).  Mutates
-        ``self._queue`` in place: ``run()``/``step()`` hold a local
-        alias to the list across callbacks, so rebinding the attribute
-        would silently strand events scheduled after a mid-run
-        compaction.
-        """
-        self._queue[:] = [
-            entry
-            for entry in self._queue
-            if entry[2] is None or not entry[2].cancelled
-        ]
-        heapq.heapify(self._queue)
-        self._cancelled_heap = 0

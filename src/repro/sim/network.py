@@ -22,7 +22,6 @@ live on the send path's one hook, :mod:`repro.sim.faultplane`.
 from __future__ import annotations
 
 import itertools
-import random
 from functools import partial
 from typing import (
     TYPE_CHECKING,
@@ -31,13 +30,12 @@ from typing import (
     Dict,
     List,
     Optional,
-    Sequence,
     Tuple,
 )
 
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.loop import Simulator, TimerHandle
-from repro.sim.process import Process, ProcessEnv, _no_trace
+from repro.sim.process import HostEnv, Process
 from repro.sim.trace import TraceLog
 
 if TYPE_CHECKING:  # pragma: no cover - circular-import guard
@@ -70,46 +68,6 @@ class Envelope:
             f"Envelope(seq={self.seq}, src={self.src!r}, dst={self.dst!r}, "
             f"payload={self.payload!r}, send_time={self.send_time})"
         )
-
-
-class _SimEnv(ProcessEnv):
-    """The ProcessEnv implementation backed by :class:`SimNetwork`."""
-
-    def __init__(self, network: "SimNetwork", pid: str) -> None:
-        self._network = network
-        self._pid = pid
-        self._rng = network.sim.child_rng(f"proc/{pid}")
-        self._sim = network.sim
-        # What a protocol calls on every message and timer is the
-        # network's own method with this pid filled in -- no frame of
-        # ours in between.  Bound here, when the process starts, so a
-        # method patched on the class before then is the one called.
-        self.send = partial(network.transmit, pid)  # type: ignore[method-assign]
-        self.set_timer = partial(network.set_process_timer, pid)  # type: ignore[method-assign]
-        self.post = partial(network.post_process_event, pid)  # type: ignore[method-assign]
-        self._trace_record = network.trace.record
-        if not network.trace.enabled:
-            # Dropped at the door: no kwargs packed, no clock read.
-            self.trace = _no_trace  # type: ignore[method-assign]
-
-    @property
-    def pid(self) -> str:
-        return self._pid
-
-    @property
-    def now(self) -> float:
-        return self._sim._now
-
-    @property
-    def rng(self) -> random.Random:
-        return self._rng
-
-    @property
-    def peers(self) -> Sequence[str]:
-        return self._network.pids
-
-    def trace(self, kind: str, **fields: Any) -> None:
-        self._trace_record(self._sim._now, self._pid, kind, **fields)
 
 
 class SimNetwork:
@@ -228,12 +186,16 @@ class SimNetwork:
         """Bind environments and run every process's initialization hook."""
         for pid, process in self._processes.items():
             if process.env is None:
-                process.start(_SimEnv(self, pid))
+                process.start(self._env(pid))
 
     def start(self, process: Process) -> None:
         """Register and immediately start one process."""
         self.add_process(process)
-        process.start(_SimEnv(self, process.pid))
+        process.start(self._env(process.pid))
+
+    def _env(self, pid: str) -> HostEnv:
+        sim = self.sim
+        return HostEnv(self, sim, pid, sim.child_rng(f"proc/{pid}"), self.transmit)
 
     def process(self, pid: str) -> Process:
         return self._processes[pid]
@@ -274,7 +236,7 @@ class SimNetwork:
             return  # a crashed process cannot send
         if dst not in self._processes:
             raise KeyError(f"unknown destination: {dst}")
-        now = self.sim._now
+        now = self.sim.now
         self._messages_sent += 1
         envelope = Envelope(next(self._seq), src, dst, payload, now)
         if self.trace_messages:
@@ -360,21 +322,25 @@ class SimNetwork:
     # Timers
     # ------------------------------------------------------------------
 
-    def set_process_timer(
+    def set_timer(
         self, pid: str, delay: float, callback: Callable[[], None]
     ) -> TimerHandle:
-        """A timer that is suppressed if its owner has crashed by fire time."""
+        """``ProcessEnv.set_timer`` of ``pid``: suppressed if ``pid`` has
+        crashed by fire time."""
         return self.sim.schedule(delay, partial(self._fire, pid, callback))
 
-    def post_process_event(
-        self, pid: str, delay: float, callback: Callable[[], None]
-    ) -> None:
-        """Handle-free :meth:`set_process_timer` for uncancellable events.
+    def post(self, pid: str, delay: float, callback: Callable[[], None]) -> None:
+        """Handle-free :meth:`set_timer` for uncancellable events.
 
         Same crash suppression, but no :class:`TimerHandle` is allocated
         and zero-delay posts ride the simulator's same-instant fast lane.
         """
         self.sim.post(delay, partial(self._fire, pid, callback))
+
+    def defer(self, pid: str, callback: Callable[[], None]) -> None:
+        """``ProcessEnv.defer`` of ``pid``: a plain call, since a process
+        is handed one message per event and has nothing more to consume."""
+        callback()
 
     def _fire(self, pid: str, callback: Callable[[], None]) -> None:
         """A process's timer or posted event came due."""

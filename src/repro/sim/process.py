@@ -4,13 +4,14 @@ A protocol implementation (OAR server, consensus participant, ...) is a
 :class:`Process` subclass.  It never touches the simulator or sockets
 directly; it only calls methods on its :class:`ProcessEnv`.  The
 deterministic simulator (:mod:`repro.sim.network`) and the TCP host of
-:mod:`repro.runtime` both provide the same interface, so the exact same
-protocol code runs under both.
+:mod:`repro.runtime` both hand their processes a :class:`HostEnv`, the
+one implementation, so the exact same protocol code runs under both.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Any, Callable, Iterable, Optional, Sequence
 
 from repro.sim.loop import TimerHandle
@@ -69,30 +70,83 @@ class ProcessEnv:
     def post(self, delay: float, callback: Callable[[], None]) -> None:
         """Handle-free :meth:`set_timer` for events that never cancel.
 
-        Substrates override this to skip per-event handle allocation
-        (the simulator routes zero-delay posts onto its same-instant
-        fast lane); the default just discards the handle.
+        No handle is allocated (the simulator routes zero-delay posts
+        onto its same-instant fast lane).
         """
-        self.set_timer(delay, callback)
+        raise NotImplementedError
 
     def defer(self, callback: Callable[[], None]) -> None:
         """Run ``callback`` once the input being handled now is consumed.
 
         Work that is better done once per burst of input than once per
-        message (the sequencer's Task 1a) goes through here.  A host
-        that hands a process one message per event has nothing more to
-        consume, so the default -- the simulator's -- is a plain
-        synchronous call.  The TCP host reads many
-        frames per wake-up and runs the callback at the end of its loop
-        iteration, once every chunk that was readable and every due
-        timer has been handled; a process that crashes in between never
-        sees it run (the rule timers follow).
+        message (the sequencer's Task 1a) goes through here.  The
+        simulator hands a process one message per event and has nothing
+        more to consume, so it makes a plain synchronous call.  The TCP
+        host reads many frames per wake-up and runs the callback at the
+        end of its loop iteration, once every chunk that was readable and
+        every due timer has been handled; a process that crashes in
+        between never sees it run (the rule timers follow).
         """
-        callback()
+        raise NotImplementedError
 
     def trace(self, kind: str, **fields: Any) -> None:
         """Record a structured trace event (see :mod:`repro.analysis.trace`)."""
         raise NotImplementedError
+
+
+class HostEnv(ProcessEnv):
+    """The one :class:`ProcessEnv`, of both hosts.
+
+    ``host`` (a :class:`~repro.sim.network.SimNetwork` or a
+    :class:`~repro.runtime.tcp.TcpCluster`) offers ``set_timer``,
+    ``post`` and ``defer`` taking the pid first, ``pids`` and ``trace``;
+    ``clock.now`` is the time (the simulator's, or the cluster's) and
+    ``send(src, dst, payload)`` the host's send.  What a protocol calls
+    on every message and timer is the host's own method with this pid
+    filled in -- no frame of ours in between -- bound when the process
+    starts, so a method patched on the class before then is the one
+    called.
+    """
+
+    def __init__(
+        self,
+        host: Any,
+        clock: Any,
+        pid: str,
+        rng: random.Random,
+        send: Callable[[str, str, Any], None],
+    ) -> None:
+        self._host = host
+        self._clock = clock
+        self._pid = pid
+        self._rng = rng
+        self.send = partial(send, pid)  # type: ignore[method-assign]
+        self.set_timer = partial(host.set_timer, pid)  # type: ignore[method-assign]
+        self.post = partial(host.post, pid)  # type: ignore[method-assign]
+        self.defer = partial(host.defer, pid)  # type: ignore[method-assign]
+        self._trace_record = host.trace.record
+        if not host.trace.enabled:
+            # Dropped at the door: no kwargs packed, no clock read.
+            self.trace = _no_trace  # type: ignore[method-assign]
+
+    @property
+    def pid(self) -> str:
+        return self._pid
+
+    @property
+    def now(self) -> float:
+        return self._clock.now
+
+    @property
+    def rng(self) -> random.Random:
+        return self._rng
+
+    @property
+    def peers(self) -> Sequence[str]:
+        return self._host.pids
+
+    def trace(self, kind: str, **fields: Any) -> None:
+        self._trace_record(self._clock.now, self._pid, kind, **fields)
 
 
 class Process:

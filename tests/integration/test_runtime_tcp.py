@@ -639,7 +639,7 @@ class TestTransport:
         conns = list(cluster._conns.values())
         idle = [not (c.connecting or c.pending or c.buf) for c in conns]
         fds = len(cluster._handlers)
-        timers = list(cluster._timers)
+        timers = list(cluster._queue)
         cluster.shutdown()
         assert delivered
         assert len(conns) == 9 and all(idle)

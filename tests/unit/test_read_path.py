@@ -111,7 +111,7 @@ class TestServerReadServing:
         sim.run()
         assert [r.rid for _s, r in sink.replies] == ["c1-r0", "c1-r1"]
         exec_times = [
-            event.time for event in server.env._network.trace.events(kind="read_exec")
+            event.time for event in server.env._host.trace.events(kind="read_exec")
         ]
         assert exec_times == [4.0, 8.0]
 

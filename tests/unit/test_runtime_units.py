@@ -1,7 +1,9 @@
 """Unit tests for the wall-clock host's plumbing (timers, crash, routing)
 and for the event loop it runs."""
 
+import importlib
 import os
+import pkgutil
 import statistics
 import subprocess
 import sys
@@ -15,7 +17,9 @@ from repro.runtime import tcp
 from repro.runtime.scenario import RuntimeScenarioConfig, run_runtime_scenario
 from repro.runtime.tcp import TcpCluster
 from repro.sharding.cluster import ShardedScenarioConfig
-from repro.sim.process import Process
+from repro.sim.loop import Simulator
+from repro.sim.network import SimNetwork
+from repro.sim.process import Process, ProcessEnv
 
 pytestmark = pytest.mark.unit
 
@@ -151,17 +155,24 @@ class TestTcpCluster:
 class TestLoop:
     """The cluster's own loop: poll, ready handlers, due timers, drain."""
 
-    def test_cancelled_timers_do_not_pile_up_on_the_heap(self):
-        # A read-retry timer is long and cancelled almost at once; the
-        # heap is rebuilt once more than half of it is dead.
-        cluster = started("a")
-        env = cluster._processes["a"].env
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_cancelled_timers_do_not_pile_up_on_the_heap(self, backend):
+        # A read-retry timer is long and cancelled almost at once; on
+        # either host the heap is rebuilt once more than half of it is
+        # dead.
+        if backend == "sim":
+            network = SimNetwork(Simulator())
+            network.start(Recorder("a"))
+            env, queue, close = network.process("a").env, network.sim, lambda: None
+        else:
+            cluster = started("a")
+            env, queue, close = cluster._processes["a"].env, cluster, cluster.shutdown
         keep = env.set_timer(60.0, lambda: None)
         for _ in range(10_000):
             env.set_timer(4.0, lambda: None).cancel()
-        assert len(cluster._timers) <= 3
-        assert cluster._timers[0][2] is keep
-        cluster.shutdown()
+        assert len(queue._queue) <= 3
+        assert queue._queue[0][2] is keep
+        close()
 
     def test_timers_fire_in_deadline_order_and_ties_in_scheduling_order(self, monkeypatch):
         cluster = started("a")
@@ -317,6 +328,27 @@ class TestLoop:
         assert len(opened) == 1 and opened[0].closed  # what it opened is closed
         cluster.shutdown()
         assert cluster._listeners == {}
+
+    def test_both_hosts_hand_out_the_one_env(self):
+        """The sim and TCP hosts share one ``ProcessEnv``: a second
+        env class (or the wall-clock host module) coming back fails."""
+        network = SimNetwork(Simulator())
+        network.start(Recorder("a"))
+        cluster = started("a")
+        env_classes = {type(network.process("a").env), type(cluster._processes["a"].env)}
+        cluster.shutdown()
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            if not module.name.endswith("__main__"):
+                importlib.import_module(module.name)
+        subclasses, todo = set(), [ProcessEnv]
+        while todo:
+            for cls in todo.pop().__subclasses__():
+                todo.append(cls)
+                if cls.__module__.split(".")[0] == "repro":
+                    subclasses.add(cls)
+        assert len(env_classes) == 1 and subclasses == env_classes
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.runtime.host")
 
     def test_nothing_under_repro_imports_asyncio(self):
         # The TCP host runs its own loop: a fresh interpreter that

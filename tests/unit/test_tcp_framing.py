@@ -293,7 +293,7 @@ def test_a_turns_sends_are_written_before_buffer_updated_returns():
                  (("ack", 1), ("done", 1), ("ack", 2), ("done", 2)))
     ]
     assert conn.buf == [] and not conn.dirty and cluster._dirty == []
-    assert cluster._timers == []  # no pass was left for the next iteration
+    assert cluster._queue == []  # no pass was left for the next iteration
     stats = cluster.stats()
     assert (stats["frames_sent"], stats["flushes"]) == (4, 1)
     assert stats["bytes_sent"] == len(sock.written[0])
@@ -350,7 +350,7 @@ def test_a_batch_of_deferred_callbacks_is_one_turn_with_one_flush():
     cluster._run_deferred()
     assert sock.written == [b"".join(frame(index, src="b") for index in range(3))]
     assert cluster._in_turn is False
-    assert cluster._timers == []  # flushed by the turn, not by a scheduled pass
+    assert cluster._queue == []  # flushed by the turn, not by a scheduled pass
 
 
 def test_a_pid_that_crashes_before_the_drain_never_runs_its_callback():

@@ -1,6 +1,7 @@
 """Docs smoke checker: the documentation must actually work.
 
-Scans ``README.md`` and every markdown file under ``docs/`` and fails
+Scans ``README.md`` and every markdown file under ``docs/`` and
+``.claude/skills/`` (the repo's verify notes name files too) and fails
 (nonzero exit) unless:
 
 * every fenced ```python code block executes cleanly in a fresh
@@ -27,6 +28,7 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -42,11 +44,12 @@ SNIPPET_TIMEOUT = 120  # seconds per snippet
 
 def doc_files():
     files = [os.path.join(REPO, "README.md")]
-    docs = os.path.join(REPO, "docs")
-    for dirpath, _dirnames, filenames in os.walk(docs):
-        for name in sorted(filenames):
-            if name.endswith(".md"):
-                files.append(os.path.join(dirpath, name))
+    for tree in ("docs", os.path.join(".claude", "skills")):
+        for dirpath, dirnames, filenames in os.walk(os.path.join(REPO, tree)):
+            dirnames.sort()
+            for name in sorted(filenames):
+                if name.endswith(".md"):
+                    files.append(os.path.join(dirpath, name))
     return files
 
 
@@ -65,8 +68,8 @@ def python_snippets(path):
             if lang is None:  # opening fence
                 lang, start, lines = match.group(1).lower(), lineno, []
             else:  # closing fence
-                if lang == "python":
-                    snippets.append((start, "\n".join(lines) + "\n"))
+                if lang == "python":  # a fence inside a list item is indented
+                    snippets.append((start, textwrap.dedent("\n".join(lines) + "\n")))
                 lang = None
     return snippets
 
