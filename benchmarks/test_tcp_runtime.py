@@ -57,7 +57,7 @@ def run_cluster(n_servers: int = 3, trace_level: str = "off"):
             client.submit(("incr",))
 
     client.on_adopt = submit_next
-    cluster.start()
+    cluster.start_all()
     submit_next()
     done = cluster.run_until(lambda: len(client.adopted) >= REQUESTS, timeout=30)
     cluster.shutdown()

@@ -52,7 +52,7 @@ def scenario() -> None:
     client.on_adopt = submit_next
 
     print("starting 3 replicas on localhost TCP sockets...")
-    cluster.start()
+    cluster.start_all()
     submit_next()
 
     cluster.run_until(lambda: len(client.adopted) >= REQUESTS_BEFORE_CRASH, timeout=15)

@@ -4,7 +4,7 @@ The key scenario tool is :class:`CrashDuringMulticast`: the paper's
 interesting runs all hinge on a process crashing *partway through* a
 multicast -- the sequencer's ordering message reaching only some replicas
 (Figures 3, 4) or nobody (Figure 1(b)).  A multicast in this codebase is a
-plain loop of sends (see :meth:`repro.sim.process.ProcessEnv.send_to_all`),
+plain loop of sends (e.g. :meth:`repro.core.server.OARServer._send_order`),
 so a fault-plane drop rule can deliver the message to a chosen subset and
 then crash the sender the instant the handler finishes.  A scenario
 declares it, like every other fault, in its :class:`FaultSchedule`.

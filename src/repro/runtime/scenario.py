@@ -20,9 +20,9 @@ Two impedance mismatches are bridged here:
   a scaled sim timeout can land under the event loop's scheduling
   jitter and manufacture false suspicions that the sim never sees.
 * **Scheduling.**  The workload drivers only use the simulator's
-  ``schedule_at`` / ``schedule`` / ``call_soon`` surface, so a thin
-  :class:`_WallClock` adapter lets ``ClosedLoopDriver`` and
-  ``OpenLoopDriver`` run verbatim over the cluster's event loop.
+  ``now`` and ``schedule_at`` / ``schedule`` / ``call_soon`` surface, so
+  a thin :class:`_WallClock` adapter lets all three drivers -- closed,
+  open and session -- run verbatim over the cluster's event loop.
 
 The result object wraps a genuine
 :class:`~repro.sharding.cluster.ShardedRun` whose ``network`` is the
@@ -64,10 +64,10 @@ class _WallClock:
     """Duck-type of the Simulator's scheduling surface over the cluster's loop.
 
     Delays arrive in simulated time units and are scaled to wall-clock
-    seconds; ``schedule_at`` is relative to this clock's construction
-    (the drivers' time zero).  Every callback is a timer of no process,
-    run as one turn of the cluster, so what a driver step sends is
-    flushed when the step returns.
+    seconds; ``now`` and ``schedule_at`` are in those units too, since
+    this clock's construction (the drivers' time zero).  Every callback
+    is a timer of no process, run as one turn of the cluster, so what a
+    driver step sends is flushed when the step returns.
     """
 
     __slots__ = ("_cluster", "_scale", "_epoch")
@@ -76,6 +76,10 @@ class _WallClock:
         self._cluster = cluster
         self._scale = scale
         self._epoch = cluster.now
+
+    @property
+    def now(self) -> float:
+        return (self._cluster.now - self._epoch) / self._scale
 
     def schedule_at(self, when: float, callback: Callable[[], None]) -> None:
         cluster = self._cluster
@@ -188,11 +192,6 @@ def _wall_clock_scenario(config: RuntimeScenarioConfig) -> ShardedScenarioConfig
     """The scenario as it is placed: time-valued knobs in wall-clock
     seconds.  Rejects the sim-only features, which have no placed form."""
     scenario = config.scenario
-    if scenario.driver == "session":
-        raise ValueError(
-            "runtime scenarios support the closed/open drivers "
-            "(the session driver is sim-only)"
-        )
     if scenario.fault_schedule is not None:
         raise ValueError(
             "fault schedules are sim-only; runtime runs exercise "
@@ -220,12 +219,7 @@ def _wall_clock_scenario(config: RuntimeScenarioConfig) -> ShardedScenarioConfig
 
 
 def _make_cluster(config: RuntimeScenarioConfig) -> TcpCluster:
-    scenario = config.scenario
-    return TcpCluster(
-        seed=scenario.seed,
-        trace_level=scenario.trace_level,
-        flush_interval=config.tcp_flush_interval,
-    )
+    return TcpCluster(config.scenario.trace_level, config.tcp_flush_interval)
 
 
 def run_runtime_scenario(config: RuntimeScenarioConfig) -> RuntimeShardedRun:
@@ -237,7 +231,7 @@ def run_runtime_scenario(config: RuntimeScenarioConfig) -> RuntimeShardedRun:
     run = RuntimeShardedRun(config=config, cluster=cluster, view=view)
     seed = scenario.seed
     try:
-        cluster.start()
+        cluster.start_all()
         # The two driver classes are read from this module's globals
         # here, at build time, so a caller that rebinds them (the repo
         # benchmark's due-time open loop) drives the run with its own.

@@ -49,7 +49,6 @@ is in ``docs/ARCHITECTURE.md`` ("The TCP transport"); in short:
 from __future__ import annotations
 
 import errno
-import random
 import select
 import socket
 import struct
@@ -60,8 +59,7 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.runtime.codec import BinaryCodec
 from repro.sim.loop import TimerHandle, TimerQueue
-from repro.sim.process import HostEnv, Process
-from repro.sim.trace import TraceLog
+from repro.sim.process import Host, Process
 
 _HEADER = struct.Struct(">I")
 _HEADER_SIZE = _HEADER.size
@@ -75,7 +73,7 @@ _RECV_BYTES = 64 * 1024
 #: bound on ``shutdown`` letting the accepted sides read on to their EOF
 _LINGER = 1.0
 #: ``select.EPOLLIN`` / ``select.EPOLLOUT``, spelled out so the module
-#: imports where ``select.epoll`` is missing and ``start`` can say so.
+#: imports where ``select.epoll`` is missing and ``start_all`` can say so.
 _IN, _OUT = 0x001, 0x004
 #: the clock of the cluster and its timers (read through the module, so
 #: a test can hold it still while it schedules)
@@ -198,10 +196,10 @@ class _Inbound:
             cluster._end_turn()
 
 
-class TcpCluster(TimerQueue):
+class TcpCluster(TimerQueue, Host):
     """Hosts processes on localhost TCP sockets: the wall-clock host.
 
-    ``add_process`` everything, ``start()``, drive the scenario with
+    ``add_process`` everything, ``start_all()``, drive the scenario with
     ``run_until``, ``shutdown()``.  ``trace_level`` is forwarded to the
     :class:`~repro.sim.trace.TraceLog` (benchmarks run ``"off"``: at
     six-digit message rates full tracing is the bottleneck);
@@ -209,23 +207,20 @@ class TcpCluster(TimerQueue):
     the module docstring).
     """
 
-    def __init__(
-        self, seed: int = 0, trace_level: str = "full", flush_interval: Optional[float] = None
-    ) -> None:
+    _send_name = "send_frame"
+
+    def __init__(self, trace_level: str = "full", flush_interval: Optional[float] = None) -> None:
         # The timer heap: ``(when, seq, handle or None, callback, pid or
         # None)`` entries, ``when`` on the monotonic clock.
-        super().__init__()
-        self.seed = seed
-        self.trace = TraceLog(level=trace_level)
+        TimerQueue.__init__(self)
+        Host.__init__(self, self, trace_level)
         self.flush_interval = flush_interval
-        self._processes: Dict[str, Process] = {}
-        self._crashed: Set[str] = set()
         self._started = False
         #: ``shutdown`` has run: a send from then on goes nowhere (counted
         #: as dropped)
         self._closed = False
         self._epoch = _monotonic()
-        self._epoll: Any = None  #: ``select.epoll``, opened by :meth:`start`
+        self._epoll: Any = None  #: ``select.epoll``, opened by :meth:`start_all`
         self._epoll_fds: Tuple[int, ...] = ()  #: its fd, what the loop waits on
         self._handlers: Dict[int, Callable[[int], None]] = {}  #: fd -> ready handler
         self._listeners: Dict[str, socket.socket] = {}
@@ -258,32 +253,16 @@ class TcpCluster(TimerQueue):
     def now(self) -> float:
         return _monotonic() - self._epoch
 
-    @property
-    def pids(self) -> List[str]:
-        return list(self._processes)
-
     def add_process(self, process: Process) -> None:
         if self._started:
             raise RuntimeError("cluster already started")
-        if process.pid in self._processes:
-            raise ValueError(f"duplicate pid: {process.pid}")
-        self._processes[process.pid] = process
-
-    def is_crashed(self, pid: str) -> bool:
-        return pid in self._crashed
+        super().add_process(process)
 
     def crash(self, pid: str) -> None:
         """Crash-stop ``pid``: its handlers, timers and deferred work never
         run again, and its listener and sockets close (what it had
-        buffered is written first)."""
-        if pid in self._crashed:
-            return
-        self._crashed.add(pid)
-        process = self._processes.get(pid)
-        if process is not None:
-            process.crashed = True
-            process.on_crash()
-        self.trace.record(self.now, pid, "crash")
+        buffered is written first).  Closing twice closes nothing more."""
+        super().crash(pid)
         listener = self._listeners.pop(pid, None)
         if listener is not None:
             self._release(listener)
@@ -300,9 +279,9 @@ class TcpCluster(TimerQueue):
 
     # -- the loop --------------------------------------------------------
 
-    def start(self) -> None:
-        """Restart the clock, open a listener per process and hand every
-        process its env."""
+    def start_all(self) -> None:
+        """Restart the clock, open epoll and a listener per process, and
+        hand every process its env."""
         if not hasattr(select, "epoll"):
             raise RuntimeError("TcpCluster needs select.epoll: the TCP host runs on Linux only")
         epoll = select.epoll()
@@ -323,9 +302,7 @@ class TcpCluster(TimerQueue):
             listener.setblocking(False)
             self._addresses[pid] = listener.getsockname()[:2]
             self._register(listener, _IN, partial(self._accept, pid, listener))
-        for pid, process in self._processes.items():
-            rng = random.Random(f"{self.seed}/{pid}")
-            process.start(HostEnv(self, self, pid, rng, self.send_frame))
+        super().start_all()
 
     def run_until(self, predicate: Callable[[], bool], timeout: float = 30.0) -> bool:
         """Run the loop until ``predicate()`` -- asked between iterations

@@ -44,7 +44,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Protocol,
     Sequence,
     Set,
     Tuple,
@@ -68,7 +67,7 @@ from repro.sharding.router import RoutingTable, ShardRouter, make_router
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
-from repro.sim.process import Process
+from repro.sim.process import Host, Process
 from repro.sim.trace import TraceLog
 from repro.statemachine import (
     BankMachine,
@@ -268,16 +267,6 @@ def resolve_oar(config: ShardedScenarioConfig) -> OARConfig:
         if (value := getattr(config, name)) is not None
     }
     return replace(config.oar, **overrides) if overrides else config.oar
-
-
-class Host(Protocol):
-    """What a deployment is placed on: ``SimNetwork`` or ``TcpCluster``.
-    Starting it is the one step the backends do differently, so that
-    stays with the caller."""
-
-    trace: TraceLog
-
-    def add_process(self, process: Process) -> None: ...
 
 
 @dataclass
@@ -719,8 +708,8 @@ def place_sharded_scenario(
 
     The backend-neutral half of construction: routing, replica state
     machines, servers and clients, added to ``host`` shard-major, servers
-    before clients.  The caller starts the host (the one step the
-    backends do differently) and then calls :func:`start_drivers`.
+    before clients.  The caller then runs ``host.start_all()`` and
+    :func:`start_drivers`.
     """
     _validate(config)
     key_universe = _key_universe(config)

@@ -11,6 +11,8 @@ The main entry points are:
 * :class:`~repro.sim.loop.Simulator` -- the event loop (clock, timers, RNG).
 * :class:`~repro.sim.network.SimNetwork` -- reliable FIFO channels between
   registered processes, with latency models, partitions and crash injection.
+* :class:`~repro.sim.process.Host` -- the process table and crash-stop
+  rule both hosts (the network above, the TCP runtime) inherit.
 * :class:`~repro.sim.process.Process` -- base class for protocol actors.
 * :class:`~repro.sim.process.ProcessEnv` -- the narrow environment interface
   protocol cores are written against; its one implementation,
@@ -28,12 +30,13 @@ from repro.sim.latency import (
 )
 from repro.sim.loop import Simulator, TimerHandle
 from repro.sim.network import Envelope, SimNetwork
-from repro.sim.process import Process, ProcessEnv
+from repro.sim.process import Host, Process, ProcessEnv
 from repro.sim.trace import TraceEvent, TraceLog
 
 __all__ = [
     "ConstantLatency",
     "Envelope",
+    "Host",
     "LanProfile",
     "LatencyModel",
     "NormalLatency",

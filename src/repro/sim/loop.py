@@ -34,9 +34,9 @@ queue counts dead entries and compacts the heap when more than half of
 it is cancelled, so cancel-heavy workloads (heartbeat failure detectors
 re-arming timeouts, read retries) cannot bloat it.
 
-All randomness used anywhere in a simulation must come from
-:attr:`Simulator.rng` (or a child generator obtained via
-:meth:`Simulator.child_rng`), so a run is fully determined by its seed.
+All randomness used anywhere in a simulation must come from a named
+child generator, :meth:`Simulator.child_rng`, so a run is fully
+determined by its seed and no component's draws perturb another's.
 """
 
 from __future__ import annotations
@@ -156,9 +156,9 @@ class Simulator(TimerQueue):
     Parameters
     ----------
     seed:
-        Seed for the master random generator.  Two simulations constructed
-        with the same seed and fed the same schedule of events produce
-        identical traces.
+        Seed of every :meth:`child_rng` stream.  Two simulations
+        constructed with the same seed and fed the same schedule of
+        events produce identical traces.
     """
 
     def __init__(self, seed: int = 0) -> None:
@@ -170,13 +170,7 @@ class Simulator(TimerQueue):
         #: current simulated time (a plain attribute: read on every hop)
         self.now = 0.0
         self._events_processed = 0
-        self.rng = random.Random(seed)
         self._seed = seed
-
-    @property
-    def seed(self) -> int:
-        """The master seed this simulator was constructed with."""
-        return self._seed
 
     @property
     def events_processed(self) -> int:
@@ -219,12 +213,9 @@ class Simulator(TimerQueue):
         return self._cancelled_heap + self._cancelled_fast
 
     def child_rng(self, name: str) -> random.Random:
-        """Derive an independent, deterministic generator for a component.
-
-        Components that consume randomness at data-dependent rates should
-        each use their own child generator so their draws do not perturb
-        each other across configuration changes.
-        """
+        """An independent, deterministic generator for the component
+        ``name``: a function of the seed and the name alone, so draws at
+        data-dependent rates never perturb another component's."""
         return random.Random(f"{self._seed}/{name}")
 
     # ------------------------------------------------------------------

@@ -23,20 +23,11 @@ from __future__ import annotations
 
 import itertools
 from functools import partial
-from typing import (
-    TYPE_CHECKING,
-    Any,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Tuple,
-)
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.sim.latency import ConstantLatency, LatencyModel
 from repro.sim.loop import Simulator, TimerHandle
-from repro.sim.process import HostEnv, Process
-from repro.sim.trace import TraceLog
+from repro.sim.process import Host, HostEnv, Process
 
 if TYPE_CHECKING:  # pragma: no cover - circular-import guard
     from repro.sim.faultplane import FaultPlane
@@ -70,7 +61,7 @@ class Envelope:
         )
 
 
-class SimNetwork:
+class SimNetwork(Host):
     """Hosts processes on a :class:`Simulator` and routes messages.
 
     Parameters
@@ -90,6 +81,8 @@ class SimNetwork:
         per event (the checkers need ``"full"``).
     """
 
+    _send_name = "transmit"
+
     def __init__(
         self,
         sim: Simulator,
@@ -97,16 +90,14 @@ class SimNetwork:
         trace_messages: bool = False,
         trace_level: str = "full",
     ) -> None:
+        super().__init__(sim, trace_level)
         self.sim = sim
         self.latency = latency if latency is not None else ConstantLatency(1.0)
         # Constant models skip the per-message sample() call (the common
         # configuration; delay is re-read per message so mutating
         # latency.delay still works).
         self._latency_is_const = type(self.latency) is ConstantLatency
-        self.trace = TraceLog(level=trace_level)
         self.trace_messages = trace_messages and self.trace.enabled
-        self._processes: Dict[str, Process] = {}
-        self._crashed: set = set()
         self._seq = itertools.count()
         self._last_arrival: Dict[Tuple[str, str], float] = {}
         self._messages_sent = 0
@@ -127,13 +118,17 @@ class SimNetwork:
         self._rng = sim.child_rng("network")
 
     # ------------------------------------------------------------------
-    # Registration and lifecycle
+    # Lifecycle (the process table and crash are the Host's)
     # ------------------------------------------------------------------
 
-    @property
-    def pids(self) -> List[str]:
-        """All registered process identifiers, in registration order."""
-        return list(self._processes)
+    def start(self, process: Process) -> None:
+        """Register and immediately start one process."""
+        self.add_process(process)
+        process.start(HostEnv(self, process.pid))
+
+    def crash_at(self, when: float, pid: str) -> TimerHandle:
+        """Schedule a crash of ``pid`` at absolute time ``when``."""
+        return self.sim.schedule_at(when, lambda: self.crash(pid))
 
     @property
     def messages_sent(self) -> int:
@@ -175,56 +170,6 @@ class SimNetwork:
         if self._fault_plane is not None:
             stats.update(self._fault_plane.stats())
         return stats
-
-    def add_process(self, process: Process) -> None:
-        """Register a process.  Call :meth:`start_all` (or start it yourself)."""
-        if process.pid in self._processes:
-            raise ValueError(f"duplicate pid: {process.pid}")
-        self._processes[process.pid] = process
-
-    def start_all(self) -> None:
-        """Bind environments and run every process's initialization hook."""
-        for pid, process in self._processes.items():
-            if process.env is None:
-                process.start(self._env(pid))
-
-    def start(self, process: Process) -> None:
-        """Register and immediately start one process."""
-        self.add_process(process)
-        process.start(self._env(process.pid))
-
-    def _env(self, pid: str) -> HostEnv:
-        sim = self.sim
-        return HostEnv(self, sim, pid, sim.child_rng(f"proc/{pid}"), self.transmit)
-
-    def process(self, pid: str) -> Process:
-        return self._processes[pid]
-
-    # ------------------------------------------------------------------
-    # Crash injection
-    # ------------------------------------------------------------------
-
-    def crash(self, pid: str) -> None:
-        """Crash ``pid`` now (crash-stop: it never executes again)."""
-        if pid in self._crashed:
-            return
-        self._crashed.add(pid)
-        process = self._processes.get(pid)
-        if process is not None:
-            process.crashed = True
-            process.on_crash()
-        self.trace.record(self.sim.now, pid, "crash")
-
-    def crash_at(self, when: float, pid: str) -> TimerHandle:
-        """Schedule a crash of ``pid`` at absolute time ``when``."""
-        return self.sim.schedule_at(when, lambda: self.crash(pid))
-
-    def is_crashed(self, pid: str) -> bool:
-        return pid in self._crashed
-
-    def correct_pids(self) -> List[str]:
-        """Registered processes that have not crashed."""
-        return [p for p in self._processes if p not in self._crashed]
 
     # ------------------------------------------------------------------
     # Message transmission

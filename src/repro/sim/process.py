@@ -4,17 +4,18 @@ A protocol implementation (OAR server, consensus participant, ...) is a
 :class:`Process` subclass.  It never touches the simulator or sockets
 directly; it only calls methods on its :class:`ProcessEnv`.  The
 deterministic simulator (:mod:`repro.sim.network`) and the TCP host of
-:mod:`repro.runtime` both hand their processes a :class:`HostEnv`, the
+:mod:`repro.runtime` are both a :class:`Host` -- one process table, one
+crash-stop rule -- and both hand their processes a :class:`HostEnv`, the
 one implementation, so the exact same protocol code runs under both.
 """
 
 from __future__ import annotations
 
-import random
 from functools import partial
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.sim.loop import TimerHandle
+from repro.sim.trace import TraceLog
 
 
 def _no_trace(kind: str, **fields: Any) -> None:
@@ -39,29 +40,14 @@ class ProcessEnv:
         """Current time (simulated or wall-clock seconds)."""
         raise NotImplementedError
 
-    @property
-    def rng(self) -> random.Random:
-        """Deterministic per-process random generator."""
-        raise NotImplementedError
-
-    @property
-    def peers(self) -> Sequence[str]:
-        """All process identifiers known to the hosting network."""
-        raise NotImplementedError
-
     def send(self, dst: str, payload: Any) -> None:
-        """Send ``payload`` to ``dst`` over the reliable FIFO channel."""
-        raise NotImplementedError
+        """Send ``payload`` to ``dst`` over the reliable FIFO channel.
 
-    def send_to_all(self, dsts: Iterable[str], payload: Any) -> None:
-        """Send ``payload`` to each destination, in iteration order.
-
-        This is a plain loop of :meth:`send` calls -- *not* an atomic
-        multicast.  A crash can interrupt it partway, which is exactly the
-        behaviour the paper's Figures 3 and 4 depend on.
+        A multicast is a loop of these -- *not* an atomic one.  A crash
+        can interrupt it partway, which is exactly the behaviour the
+        paper's Figures 3 and 4 depend on.
         """
-        for dst in dsts:
-            self.send(dst, payload)
+        raise NotImplementedError
 
     def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle:
         """Schedule ``callback`` after ``delay``; cancellable via the handle."""
@@ -97,30 +83,17 @@ class ProcessEnv:
 class HostEnv(ProcessEnv):
     """The one :class:`ProcessEnv`, of both hosts.
 
-    ``host`` (a :class:`~repro.sim.network.SimNetwork` or a
-    :class:`~repro.runtime.tcp.TcpCluster`) offers ``set_timer``,
-    ``post`` and ``defer`` taking the pid first, ``pids`` and ``trace``;
-    ``clock.now`` is the time (the simulator's, or the cluster's) and
-    ``send(src, dst, payload)`` the host's send.  What a protocol calls
-    on every message and timer is the host's own method with this pid
-    filled in -- no frame of ours in between -- bound when the process
-    starts, so a method patched on the class before then is the one
-    called.
+    ``host`` is the :class:`Host` (the sim's network or the TCP
+    cluster) the process runs on.  What a protocol calls on every message
+    and timer is the host's own method with this pid filled in -- no
+    frame of ours in between -- bound when the process starts, so a
+    method patched on the class before then is the one called.
     """
 
-    def __init__(
-        self,
-        host: Any,
-        clock: Any,
-        pid: str,
-        rng: random.Random,
-        send: Callable[[str, str, Any], None],
-    ) -> None:
-        self._host = host
-        self._clock = clock
+    def __init__(self, host: Host, pid: str) -> None:
+        self._clock = host._clock
         self._pid = pid
-        self._rng = rng
-        self.send = partial(send, pid)  # type: ignore[method-assign]
+        self.send = partial(getattr(host, host._send_name), pid)  # type: ignore[method-assign]
         self.set_timer = partial(host.set_timer, pid)  # type: ignore[method-assign]
         self.post = partial(host.post, pid)  # type: ignore[method-assign]
         self.defer = partial(host.defer, pid)  # type: ignore[method-assign]
@@ -137,16 +110,68 @@ class HostEnv(ProcessEnv):
     def now(self) -> float:
         return self._clock.now
 
-    @property
-    def rng(self) -> random.Random:
-        return self._rng
-
-    @property
-    def peers(self) -> Sequence[str]:
-        return self._host.pids
-
     def trace(self, kind: str, **fields: Any) -> None:
         self._trace_record(self._clock.now, self._pid, kind, **fields)
+
+
+class Host:
+    """What processes run on, under the paper's system model (Section 3).
+
+    The base of both hosts, :class:`~repro.sim.network.SimNetwork` and
+    :class:`~repro.runtime.tcp.TcpCluster`: the process table, the
+    crash-stop rule and the trace.  ``clock.now`` is the host's time
+    (the simulator's, or the cluster's own); a subclass names its
+    ``send(src, dst, payload)`` in ``_send_name``, and that method, with
+    ``set_timer``, ``post`` and ``defer`` (each taking the pid first), is
+    what :class:`HostEnv` binds.  Each host filters crashed pids inline
+    at its own input points (deliveries, timers, sends), on the one
+    ``_crashed`` set: a shared call there would cost a frame per event.
+    """
+
+    #: looked up by name when a process starts, so a method wrapped on
+    #: the class before then is the one every send goes through
+    _send_name: str
+
+    def __init__(self, clock: Any, trace_level: str = "full") -> None:
+        self._clock = clock
+        self.trace = TraceLog(level=trace_level)
+        self._processes: Dict[str, Process] = {}
+        self._crashed: Set[str] = set()
+
+    @property
+    def pids(self) -> List[str]:
+        """All registered process identifiers, in registration order."""
+        return list(self._processes)
+
+    def process(self, pid: str) -> Process:
+        return self._processes[pid]
+
+    def add_process(self, process: Process) -> None:
+        """Register a process; :meth:`start_all` starts it."""
+        if process.pid in self._processes:
+            raise ValueError(f"duplicate pid: {process.pid}")
+        self._processes[process.pid] = process
+
+    def is_crashed(self, pid: str) -> bool:
+        return pid in self._crashed
+
+    def crash(self, pid: str) -> None:
+        """Crash ``pid`` now (crash-stop: it never executes again)."""
+        if pid in self._crashed:
+            return
+        self._crashed.add(pid)
+        process = self._processes.get(pid)
+        if process is not None:
+            process.crashed = True
+            process.on_crash()
+        self.trace.record(self._clock.now, pid, "crash")
+
+    def start_all(self) -> None:
+        """Hand every process not started yet its env and run its
+        initialization hook."""
+        for pid, process in self._processes.items():
+            if process.env is None:
+                process.start(HostEnv(self, pid))
 
 
 class Process:

@@ -124,7 +124,7 @@ def test_a_send_to_a_pid_nobody_hosts_raises_on_every_backend():
     cluster = TcpCluster(trace_level="off")
     sender = _Sender("a")
     cluster.add_process(sender)
-    cluster.start()
+    cluster.start_all()
     try:
         with pytest.raises(KeyError, match="unknown destination: nobody"):
             sender.env.send("nobody", "hello")

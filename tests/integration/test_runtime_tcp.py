@@ -117,6 +117,28 @@ class TestShardedParity:
         with pytest.raises(ValueError, match='trace_level="full"'):
             run.check_all()
 
+    def test_session_driver_runs_over_tcp(self):
+        # The overload harness over sockets: sessions behind a client-side
+        # token bucket, offered twice what the bucket lets through, into a
+        # sequencer that sheds past a backlog of 4.
+        run = run_runtime_scenario(
+            RuntimeScenarioConfig(
+                scenario=_config(
+                    n_shards=1, n_clients=2, requests_per_client=60, driver="session",
+                    n_sessions=8, open_rate=3.0, client_rate=1.5,
+                    oar=OARConfig(admission_limit=4), seed=1,
+                ),
+                backend="tcp",
+            )
+        )
+        assert run.completed
+        run.check_all()
+        for driver in run.drivers:
+            assert driver.offered == 60
+            assert driver.offered == driver.throttled + driver.admitted + driver.shed
+            assert driver.in_flight == 0
+        assert sum(driver.throttled for driver in run.drivers) > 0
+
     def test_sim_only_features_are_rejected(self):
         with pytest.raises(ValueError, match="sim-only"):
             run_runtime_scenario(
@@ -131,10 +153,6 @@ class TestShardedParity:
                 RuntimeScenarioConfig(
                     scenario=_config(arm=lambda run: None), backend="tcp"
                 )
-            )
-        with pytest.raises(ValueError, match="sim-only"):
-            run_runtime_scenario(
-                RuntimeScenarioConfig(scenario=_config(driver="session"), backend="tcp")
             )
         # One wall-clock host: the in-process queue transport is gone too.
         for backend in ("carrier-pigeon", "asyncio"):
@@ -195,7 +213,7 @@ class TestOrderBatching:
         place_sharded_scenario(runtime_scenario._wall_clock_scenario(config), cluster)
         armed: List[Any] = []
         try:
-            cluster.start()
+            cluster.start_all()
             push = tcp.heappush  # every timer goes through it
 
             def recording(heap: List[Any], entry: Any) -> None:
@@ -273,7 +291,7 @@ class TestTcpRuntime:
         cluster = TcpCluster()
         servers, client = build_group(cluster)
         first = closed_loop(client, total=10)
-        cluster.start()
+        cluster.start_all()
         first()
         done = cluster.run_until(lambda: len(client.adopted) >= 10, timeout=20)
         cluster.shutdown()
@@ -290,7 +308,7 @@ class TestTcpRuntime:
         cluster = TcpCluster()
         servers, client = build_group(cluster, fd_interval=0.05, fd_timeout=0.3)
         first = closed_loop(client, total=10)
-        cluster.start()
+        cluster.start_all()
         first()
         cluster.run_until(lambda: len(client.adopted) >= 3, timeout=10)
         cluster.crash("p1")
@@ -309,7 +327,7 @@ class TestTcpRuntime:
         cluster = TcpCluster()
         _servers, client = build_group(cluster)
         first = closed_loop(client, total=5)
-        cluster.start()
+        cluster.start_all()
         begun = cluster.now
         first()
         cluster.run_until(lambda: len(client.adopted) >= 5, timeout=20)
@@ -324,15 +342,15 @@ class TestTcpRuntime:
 def _opened_listeners(monkeypatch) -> List[Any]:
     """Every listening socket a ``TcpCluster`` opens from here on."""
     opened: List[Any] = []
-    real_start = TcpCluster.start
+    real_start = TcpCluster.start_all
 
-    def start(self):
+    def start_all(self):
         try:
             real_start(self)
         finally:
             opened.extend(self._listeners.values())
 
-    monkeypatch.setattr(TcpCluster, "start", start)
+    monkeypatch.setattr(TcpCluster, "start_all", start_all)
     return opened
 
 
@@ -411,21 +429,14 @@ def test_knob_budget():
         "fd_timeout",
         "grace",
     }
-    assert list(inspect.signature(TcpCluster).parameters) == [
-        "seed",
-        "trace_level",
-        "flush_interval",
-    ]
+    assert list(inspect.signature(TcpCluster).parameters) == ["trace_level", "flush_interval"]
     # No module switch either: the TCP-only order window is gone.
     assert not hasattr(runtime_scenario, "TCP_BATCH_INTERVAL")
     # What a protocol process may ask of its host (``defer`` since PR 17).
     assert {name for name in vars(ProcessEnv) if not name.startswith("_")} == {
         "pid",
         "now",
-        "rng",
-        "peers",
         "send",
-        "send_to_all",
         "set_timer",
         "post",
         "defer",
@@ -499,7 +510,7 @@ def started(*processes: Process, **kwargs: Any) -> TcpCluster:
     cluster = TcpCluster(trace_level="off", **kwargs)
     for process in processes:
         cluster.add_process(process)
-    cluster.start()
+    cluster.start_all()
     return cluster
 
 

@@ -116,25 +116,6 @@ class TestCrash:
         sim.run()
         assert fired == []
 
-    def test_on_crash_hook_runs_once(self):
-        class Crashable(Recorder):
-            def __init__(self, pid):
-                super().__init__(pid)
-                self.crash_count = 0
-
-            def on_crash(self):
-                self.crash_count += 1
-
-        sim = Simulator()
-        network = SimNetwork(sim)
-        p = Crashable("p1")
-        network.start(p)
-        network.crash("p1")
-        network.crash("p1")
-        assert p.crash_count == 1
-        assert network.is_crashed("p1")
-        assert network.correct_pids() == []
-
 
 class TestDefer:
     def test_deferred_work_runs_before_defer_returns(self):
@@ -237,7 +218,8 @@ class TestInterceptors:
         injector = CrashDuringMulticast(
             network, "p1", lambda p: p == "batch", deliver_to={"p2"}
         )
-        a.env.send_to_all(["p2", "p3", "p4"], "batch")
+        for dst in ("p2", "p3", "p4"):
+            a.env.send(dst, "batch")
         sim.run()
         assert [p for _s, p in procs[1].received] == ["batch"]
         assert procs[2].received == []
@@ -251,7 +233,8 @@ class TestInterceptors:
         CrashDuringMulticast(
             network, "p1", lambda p: p == "target", deliver_to=set()
         )
-        a.env.send_to_all(["p2", "p3"], "innocent")
+        for dst in ("p2", "p3"):
+            a.env.send(dst, "innocent")
         sim.run()
         assert [p for _s, p in procs[1].received] == ["innocent"]
         assert not network.is_crashed("p1")

@@ -77,15 +77,15 @@ def build_server(config: OARConfig = None):
     network.add_process(server)
     network.add_process(sink)
     network.start_all()
-    return sim, server, sink
+    return network, server, sink
 
 
 class TestServerReadServing:
     def test_read_observes_current_state_and_positions(self):
-        sim, server, sink = build_server()
+        network, server, sink = build_server()
         server.machine.apply(("set", "k", "v1"))
         server.on_message("c1", ReadRequest("c1-r0", "c1", ("get", "k")))
-        sim.run()
+        network.sim.run()
         (_src, reply), = sink.replies
         assert isinstance(reply, ReadReply)
         assert reply.value.ok and reply.value.value == "v1"
@@ -93,9 +93,9 @@ class TestServerReadServing:
         assert server.reads_served == 1
 
     def test_non_read_only_op_is_rejected_deterministically(self):
-        sim, server, sink = build_server()
+        network, server, sink = build_server()
         server.on_message("c1", ReadRequest("c1-r0", "c1", ("set", "k", "v")))
-        sim.run()
+        network.sim.run()
         (_src, reply), = sink.replies
         assert not reply.value.ok
         assert "not read-only" in reply.value.error
@@ -104,14 +104,14 @@ class TestServerReadServing:
     def test_read_cost_serializes_service(self):
         # Two reads arriving together leave the replica one read_cost
         # apart: the replica is a serial read pipeline at rate 1/cost.
-        sim, server, sink = build_server(OARConfig(read_cost=4.0))
+        network, server, sink = build_server(OARConfig(read_cost=4.0))
         server.machine.apply(("set", "k", "v1"))
         server.on_message("c1", ReadRequest("c1-r0", "c1", ("get", "k")))
         server.on_message("c1", ReadRequest("c1-r1", "c1", ("get", "k")))
-        sim.run()
+        network.sim.run()
         assert [r.rid for _s, r in sink.replies] == ["c1-r0", "c1-r1"]
         exec_times = [
-            event.time for event in server.env._host.trace.events(kind="read_exec")
+            event.time for event in network.trace.events(kind="read_exec")
         ]
         assert exec_times == [4.0, 8.0]
 

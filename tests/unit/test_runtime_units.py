@@ -19,7 +19,7 @@ from repro.runtime.tcp import TcpCluster
 from repro.sharding.cluster import ShardedScenarioConfig
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
-from repro.sim.process import Process, ProcessEnv
+from repro.sim.process import Host, Process, ProcessEnv
 
 pytestmark = pytest.mark.unit
 
@@ -37,7 +37,7 @@ def started(*pids: str, **kwargs: Any) -> TcpCluster:
     cluster = TcpCluster(**kwargs)
     for pid in pids:
         cluster.add_process(Recorder(pid))
-    cluster.start()
+    cluster.start_all()
     return cluster
 
 
@@ -78,7 +78,7 @@ class TestTcpCluster:
         a, b = Recorder("a"), Recorder("b")
         cluster.add_process(a)
         cluster.add_process(b)
-        cluster.start()
+        cluster.start_all()
         for index in range(20):
             a.env.send("b", index)
         cluster.run_until(lambda: len(b.received) == 20, timeout=5)
@@ -90,7 +90,7 @@ class TestTcpCluster:
         a, b = Recorder("a"), Recorder("b")
         cluster.add_process(a)
         cluster.add_process(b)
-        cluster.start()
+        cluster.start_all()
         cluster.crash("b")
         a.env.send("b", "into the void")
         b.env.send("a", "from the grave")
@@ -122,16 +122,6 @@ class TestTcpCluster:
         cluster.shutdown()
         assert fired == []
 
-    def test_duplicate_pid_rejected(self):
-        cluster = TcpCluster()
-        cluster.add_process(Recorder("a"))
-        with pytest.raises(ValueError, match="duplicate"):
-            cluster.add_process(Recorder("a"))
-        cluster.start()
-        with pytest.raises(RuntimeError, match="already started"):
-            cluster.add_process(Recorder("b"))
-        cluster.shutdown()
-
     def test_trace_records_with_cluster_clock(self):
         cluster = started("a")
         cluster._processes["a"].env.trace("custom", x=1)
@@ -141,15 +131,51 @@ class TestTcpCluster:
         assert events[0].pid == "a"
         assert events[0].time >= 0.0
 
-    def test_per_process_rng_deterministic_by_seed(self):
-        def draws(seed):
-            cluster = started("a", seed=seed)
-            values = [cluster._processes["a"].env.rng.random() for _ in range(5)]
-            cluster.shutdown()
-            return values
 
-        assert draws(7) == draws(7)
-        assert draws(7) != draws(8)
+class Crashable(Recorder):
+    def __init__(self, pid: str) -> None:
+        super().__init__(pid)
+        self.crash_count = 0
+
+    def on_crash(self) -> None:
+        self.crash_count += 1
+
+
+def unstarted(backend: str) -> Host:
+    return SimNetwork(Simulator()) if backend == "sim" else TcpCluster()
+
+
+class TestHost:
+    """The process table and crash-stop, written once on ``Host``, as
+    each host sees them."""
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_on_crash_hook_runs_once(self, backend):
+        host = unstarted(backend)
+        process = Crashable("p1")
+        host.add_process(process)
+        host.start_all()
+        host.crash("p1")
+        host.crash("p1")
+        if backend == "tcp":
+            host.shutdown()
+        assert process.crash_count == 1
+        assert process.crashed and host.is_crashed("p1")
+        assert [event.pid for event in host.trace.events(kind="crash")] == ["p1"]
+
+    @pytest.mark.parametrize("backend", ["sim", "tcp"])
+    def test_duplicate_pid_rejected(self, backend):
+        host = unstarted(backend)
+        host.add_process(Recorder("a"))
+        with pytest.raises(ValueError, match="duplicate"):
+            host.add_process(Recorder("a"))
+        host.start_all()
+        if backend == "tcp":
+            # Its listeners are open: the cluster takes no one after start.
+            with pytest.raises(RuntimeError, match="already started"):
+                host.add_process(Recorder("b"))
+            host.shutdown()
+        assert host.pids == ["a"]
 
 
 class TestLoop:
@@ -304,7 +330,7 @@ class TestLoop:
         cluster = TcpCluster()
         cluster.add_process(Recorder("a"))
         with pytest.raises(RuntimeError, match="select.epoll: the TCP host runs on Linux only"):
-            cluster.start()
+            cluster.start_all()
         cluster.shutdown()  # nothing was opened: nothing to close
         assert cluster._listeners == {}
 
@@ -324,14 +350,18 @@ class TestLoop:
         cluster = TcpCluster()
         cluster.add_process(Recorder("a"))
         with pytest.raises(RuntimeError, match=r"FD_SETSIZE \(1024\)"):
-            cluster.start()
+            cluster.start_all()
         assert len(opened) == 1 and opened[0].closed  # what it opened is closed
         cluster.shutdown()
         assert cluster._listeners == {}
 
     def test_both_hosts_hand_out_the_one_env(self):
-        """The sim and TCP hosts share one ``ProcessEnv``: a second
-        env class (or the wall-clock host module) coming back fails."""
+        """The sim and TCP hosts share one ``ProcessEnv`` and one ``Host``
+        base: a second env class (or the wall-clock host module), or a
+        host redefining the process table, coming back fails."""
+        for host in (SimNetwork, TcpCluster):
+            assert issubclass(host, Host)
+            assert not {"pids", "process", "is_crashed"} & set(vars(host))
         network = SimNetwork(Simulator())
         network.start(Recorder("a"))
         cluster = started("a")
