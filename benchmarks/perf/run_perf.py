@@ -105,7 +105,7 @@ GATES = (
 #: interpreter makes calls (3.12 inlines comprehensions), so it repeats
 #: to the last call on any machine.  The ceilings sit 4 % above the
 #: 409.51 (CPython 3.10 and 3.11) and 407.58 (3.12 and 3.13) they were
-#: set at; this tree reads 403.51 and 401.58.  Any one of the shapes
+#: set at; this tree reads 402.51 and 400.58.  Any one of the shapes
 #: that used to surround a simulated message goes through it
 #: (``docs/BENCHMARKS.md`` lists their readings: a lambda and a second
 #: frame per hop 473.67, ``all_done()`` after every event 445.96,

@@ -12,6 +12,9 @@
   divide costs of that one run: :func:`order_wait_ratio` two medians,
   :func:`timer_lateness_ratio` the loop's mean timer lateness by the
   median first hop.  The runtime-smoke CI job runs them.
+* **Timer burst** -- :func:`timer_burst`: 50 timers due 0.1-0.9 ms
+  out on an idle loop, gated on their median lateness
+  (:data:`TIMER_MEDIAN_CEILING`) in the same job.
 
 Every gate divides two costs measured in one run, so none needs a
 reference machine.  What a change does to rates over real sockets is
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import pickle
 import time
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.analysis.timeline import StageLatencies, stage_latencies
 from repro.broadcast.reliable import RMsg
@@ -31,7 +34,9 @@ from repro.core.messages import Reply, Request, SeqOrder
 from repro.failure.detector import Heartbeat
 from repro.runtime.codec import BinaryCodec
 from repro.runtime.scenario import RuntimeScenarioConfig, RuntimeShardedRun, run_runtime_scenario
+from repro.runtime.tcp import TcpCluster
 from repro.sharding.cluster import ShardedScenarioConfig
+from repro.sim.process import Process
 from repro.statemachine.base import OpResult
 
 from benchmarks.perf.harness import median_pair
@@ -176,6 +181,41 @@ def timer_lateness_ratio(run: RuntimeShardedRun) -> float:
     stats = run.transport_stats()
     mean_late = stats["timer_late_us"] / 1e6 / stats["timers_fired"]
     return mean_late / stage_latencies(run.view.trace).medians()[0]
+
+
+#: Ceiling of the median lateness (s) of :func:`timer_burst` in the
+#: runtime-smoke job.  The loop sleeps to the microsecond, so half the
+#: timers fire well under the 0.5 ms late that waits rounded up to a
+#: whole millisecond make them.  A median of the real clock on a shared
+#: machine, so it is gated in that job alone, where loopback timing
+#: flakiness is quarantined.
+TIMER_MEDIAN_CEILING = 0.0004
+
+
+class _Idle(Process):
+    def on_message(self, src: str, payload: Any) -> None:
+        pass
+
+
+def timer_burst(n: int) -> Tuple[List[float], Dict[str, int]]:
+    """``n`` timers due 0.1-0.9 ms after they are armed, on an idle TCP
+    loop over the real clock: how late each fired (seconds, counted from
+    an instant taken just before it was armed, so never less than the
+    loop's own lateness), and the cluster's ``stats()`` once all have."""
+    cluster = TcpCluster()
+    cluster.add_process(_Idle("a"))
+    cluster.start_all()
+    try:
+        env = cluster.process("a").env
+        late: List[float] = []
+        for index in range(n):
+            delay = 0.0001 + 0.0008 * index / (n - 1)
+            due = time.monotonic() + delay
+            env.post(delay, lambda due=due: late.append(time.monotonic() - due))
+        assert cluster.run_until(lambda: len(late) == n, timeout=1)
+        return late, cluster.stats()
+    finally:
+        cluster.shutdown()
 
 
 # ----------------------------------------------------------------------

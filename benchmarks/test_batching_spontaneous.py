@@ -20,7 +20,6 @@ import pytest
 
 from repro.analysis.stats import summarize
 from repro.core.server import OARConfig
-from repro.faults import FaultSchedule
 from repro.harness import ScenarioConfig, Table, run_scenario, write_result
 from repro.sim.latency import LanProfile
 

@@ -46,7 +46,7 @@ def run_cluster(n_servers: int = 3, trace_level: str = "off"):
         )
         servers.append(server)
         cluster.add_process(server)
-    client = OARClient("c1", group)
+    client = OARClient("c1", [group])
     cluster.add_process(client)
 
     submitted = {"n": 0}

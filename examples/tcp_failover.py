@@ -38,7 +38,7 @@ def scenario() -> None:
         )
         servers.append(server)
         cluster.add_process(server)
-    client = OARClient("c1", group)
+    client = OARClient("c1", [group])
     cluster.add_process(client)
 
     submitted = {"n": 0}

@@ -48,7 +48,6 @@ from repro.core import (
     OARClient,
     OARConfig,
     OARServer,
-    ShardedOARClient,
     common_prefix,
     compute_bad_new,
     merge_dedup,
@@ -70,7 +69,6 @@ __all__ = [
     "OARConfig",
     "OARServer",
     "ScenarioConfig",
-    "ShardedOARClient",
     "ShardedRun",
     "ShardedScenarioConfig",
     "common_prefix",

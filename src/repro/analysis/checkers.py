@@ -1060,7 +1060,7 @@ def check_read_consistency(
     trace: TraceLog,
     servers: Sequence[Any],
     machine_factory: Any,
-    shard: Optional[int] = None,
+    shard: int,
 ) -> Dict[str, int]:
     """Replica-local reads observe prefix-closed states of the final order.
 
@@ -1081,20 +1081,12 @@ def check_read_consistency(
       was later undone); it is counted, not failed, so staleness is a
       measurable quantity rather than a correctness bug.
 
-    ``shard`` filters read events by the shard their client routed them
-    to; ``None`` takes the untagged reads of a client that names no
-    shard, and is refused when every adopted read names one (it would
-    check nothing).  Returns ``{"reads", "optimistic", "conservative",
-    "stale_optimistic"}`` counts.
+    ``shard`` selects the read events of the group ``servers`` form: a
+    read is traced with the shard its client routed it to.  Returns
+    ``{"reads", "optimistic", "conservative", "stale_optimistic"}``
+    counts.
     """
-    adoptions = trace.events(kind="read_adopt")
-    reads = [event for event in adoptions if event.get("shard") == shard]
-    if shard is None and adoptions and not reads:
-        tags = sorted({event["shard"] for event in adoptions})
-        raise ValueError(
-            f"check_read_consistency: every adopted read names its shard "
-            f"(tags {tags}); pass shard= to check one"
-        )
+    reads = [event for event in trace.events(kind="read_adopt") if event["shard"] == shard]
     stats = {
         "reads": len(reads),
         "optimistic": 0,

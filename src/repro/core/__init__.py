@@ -10,7 +10,7 @@ Public entry points:
   operators (⊕ ⊖ ⊓ ⊎)
 """
 
-from repro.core.client import AdoptedReply, OARClient, ShardedOARClient
+from repro.core.client import AdoptedReply, OARClient
 from repro.core.cnsv_order import (
     CnsvDecision,
     CnsvOrderResult,
@@ -42,7 +42,6 @@ __all__ = [
     "Reply",
     "Request",
     "SeqOrder",
-    "ShardedOARClient",
     "as_sequence",
     "common_prefix",
     "compute_bad_new",

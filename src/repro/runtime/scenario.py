@@ -1,7 +1,7 @@
 """Sharded-scenario parity for the real backend (TCP sockets).
 
 The simulator is the correctness oracle; this module is the proof that
-the *same* protocol objects -- ``OARServer``, ``ShardedOARClient``, the
+the *same* protocol objects -- ``OARServer``, ``OARClient``, the
 router, the replica-local read paths, the closed/open-loop drivers --
 run unmodified over real event loops and real sockets.  Construction is
 :mod:`repro.sharding.cluster`'s, not a copy of it: the deployment is
@@ -46,7 +46,7 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.core.client import ShardedOARClient
+from repro.core.client import OARClient
 from repro.core.server import OARConfig
 from repro.runtime.tcp import TcpCluster
 from repro.sharding.cluster import (
@@ -143,7 +143,7 @@ class RuntimeShardedRun:
     elapsed: float = 0.0  #: wall-clock seconds of the drive phase
 
     @property
-    def clients(self) -> List[ShardedOARClient]:
+    def clients(self) -> List[OARClient]:
         return self.view.clients
 
     @property

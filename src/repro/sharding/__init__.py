@@ -4,11 +4,11 @@ One OAR group totally orders everything through a single sequencer; this
 package multiplies that pipeline.  A deterministic
 :class:`~repro.sharding.router.ShardRouter` maps every key to one of N
 independent replication groups (each a complete OAR deployment with its
-own sequencer, replicas, epochs and undo log), the sharded client
-(:class:`~repro.core.client.ShardedOARClient`) fans requests out by key,
-and multi-key operations that straddle groups run a client-coordinated
-two-phase escrow commit whose branches are ordinary totally-ordered
-requests -- no new consensus machinery.
+own sequencer, replicas, epochs and undo log), the client
+(:class:`~repro.core.client.OARClient`, given one group per shard) fans
+requests out by key, and multi-key operations that straddle groups run
+a client-coordinated two-phase escrow commit whose branches are ordinary
+totally-ordered requests -- no new consensus machinery.
 
 Routing is **epoch-versioned** (:class:`~repro.sharding.router.
 RoutingTable`) so placement can change while the cluster serves traffic:

@@ -18,7 +18,7 @@ Consistency contract:
 * per shard, everything the paper guarantees (total order, at-most/least
   once, external consistency of adopted replies);
 * across shards, *atomicity* of multi-key operations via the client-
-  coordinated escrow 2PC (see :class:`~repro.core.client.ShardedOARClient`
+  coordinated escrow 2PC (see :class:`~repro.core.client.OARClient`
   and the ``tx_*`` operations of
   :class:`~repro.statemachine.bank.BankMachine`) -- checked by
   :func:`~repro.analysis.checkers.check_cross_shard_atomicity`, with the
@@ -53,7 +53,7 @@ from repro.analysis import checkers
 from repro.broadcast.ct_abcast import CTAtomicBroadcastServer
 from repro.broadcast.sequencer import SequencerAtomicBroadcastServer
 from repro.core.admission import TokenBucket
-from repro.core.client import ShardedOARClient
+from repro.core.client import OARClient
 from repro.core.server import OARConfig, OARServer
 from repro.failure.detector import (
     FailureDetector,
@@ -761,7 +761,7 @@ def place_sharded_scenario(
         else:
             # Each client routes by its own (possibly stale) copy of the
             # table and re-syncs from the authority on WrongShard redirects.
-            client = ShardedOARClient(
+            client = OARClient(
                 pid,
                 shard_groups,
                 routing_table.copy(),

@@ -38,7 +38,7 @@ accumulate majority weight, hence can never be acted upon.
 In-flight client requests are safe throughout: a stale client that still
 routes the key to the source gets a deterministic ``WrongShard`` reply
 and retries after syncing its table copy (see
-:class:`~repro.core.client.ShardedOARClient`); between prepare and
+:class:`~repro.core.client.OARClient`); between prepare and
 install the key is owned by *no* shard and every request is redirected
 until the migration lands.
 
@@ -74,7 +74,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.client import AdoptedReply, ShardedOARClient
+from repro.core.client import AdoptedReply, OARClient
 from repro.sharding.router import RoutingTable
 from repro.statemachine.base import OpResult, SplittableMachine
 
@@ -165,7 +165,7 @@ class RebalanceCoordinator:
     Parameters
     ----------
     client:
-        A dedicated :class:`~repro.core.client.ShardedOARClient` (every
+        A dedicated :class:`~repro.core.client.OARClient` (every
         step is submitted with the next stage as its continuation);
         crash this process to crash the coordinator.
     authority:
@@ -187,7 +187,7 @@ class RebalanceCoordinator:
 
     def __init__(
         self,
-        client: ShardedOARClient,
+        client: OARClient,
         authority: RoutingTable,
         observed_clients: Iterable[Any] = (),
         retry_delay: float = 10.0,
@@ -959,7 +959,7 @@ def attach_rebalancer(
     from repro.sharding.cluster import MACHINE_CLASSES
 
     machine_cls = MACHINE_CLASSES[run.config.machine]
-    client = ShardedOARClient(
+    client = OARClient(
         pid,
         run.shard_groups,
         run.routing_table.copy(),

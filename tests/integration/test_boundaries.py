@@ -48,7 +48,8 @@ class TestGroupSizeBoundaries:
         )
         assert run.all_done()
         run.check_all()
-        assert run.clients[0].majority_weight == 3
+        client = run.clients[0]
+        assert client._pending[client.submit(("incr",))].majority_weight == 3
 
 
 class TestClientCrash:

@@ -743,7 +743,7 @@ class TestChaosLinkFaults:
                     OARConfig(batch_interval=5.0),
                 )
             )
-        clients = [OARClient(f"c{i + 1}", group) for i in range(2)]
+        clients = [OARClient(f"c{i + 1}", [group]) for i in range(2)]
         for client in clients:
             network.add_process(client)
         network.start_all()

@@ -263,7 +263,7 @@ class TestEquivocationDetection:
             )
             servers.append(server)
             network.add_process(server)
-        clients = [OARClient(f"c{i + 1}", group) for i in range(2)]
+        clients = [OARClient(f"c{i + 1}", [group]) for i in range(2)]
         for client in clients:
             network.add_process(client)
         network.start_all()
@@ -326,7 +326,7 @@ class TestAntiEntropy:
             )
             servers.append(server)
             network.add_process(server)
-        client = OARClient("c1", group, retry_interval=30.0)
+        client = OARClient("c1", [group], retry_interval=30.0)
         network.add_process(client)
         network.start_all()
         network.ensure_fault_plane().add_drop_rule(

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from repro.analysis import checkers
-from repro.faults import FaultSchedule, random_fault_schedule
+from repro.faults import random_fault_schedule
 from repro.harness import ScenarioConfig, run_scenario
 
 pytestmark = pytest.mark.integration

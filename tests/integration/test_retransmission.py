@@ -6,8 +6,6 @@ delivered and executed.  Retransmitting the same request must never
 re-execute it (at-most-once) but must re-produce the cached reply.
 """
 
-from typing import Any, List
-
 from repro.core.client import OARClient
 from repro.core.messages import Reply, Request
 from repro.core.server import OARConfig, OARServer
@@ -34,7 +32,7 @@ def build(retry_interval=10.0):
         )
         servers.append(server)
         network.add_process(server)
-    client = OARClient("c1", group, retry_interval=retry_interval)
+    client = OARClient("c1", [group], retry_interval=retry_interval)
     network.add_process(client)
     network.start_all()
     return sim, network, servers, client

@@ -19,7 +19,9 @@ sockets in ``tests/unit/test_tcp_framing.py``.
 """
 
 import gc
+import importlib
 import inspect
+import pkgutil
 import socket
 import tracemalloc
 import warnings
@@ -28,8 +30,11 @@ from typing import Any, Callable, List, Tuple
 
 import pytest
 
+import repro
 from repro.analysis import checkers
-from repro.core.client import OARClient, ShardedOARClient
+from repro.core import client as client_module
+from repro.core.client import OARClient
+from repro.core.messages import ReadReply
 from repro.core.server import OARConfig, OARServer
 from repro.failure.detector import HeartbeatFailureDetector
 from repro.faults import FaultSchedule
@@ -49,6 +54,7 @@ from repro.sharding.cluster import (
 from repro.sharding.rebalance import attach_rebalancer
 from repro.sim.process import Process, ProcessEnv
 from repro.statemachine import CounterMachine
+from repro.statemachine.base import OpResult
 
 pytestmark = pytest.mark.integration
 
@@ -162,6 +168,50 @@ class TestShardedParity:
                 )
 
 
+class _TimerLog:
+    """A stand-in env that records the delay of every timer armed."""
+
+    pid = "c1"
+    now = 0.0
+
+    def __init__(self) -> None:
+        self.delays: List[float] = []
+
+    def send(self, dst: str, payload: Any) -> None:
+        pass
+
+    def trace(self, kind: str, **fields: Any) -> None:
+        pass
+
+    def set_timer(self, delay: float, callback: Callable[[], None]) -> None:
+        self.delays.append(delay)
+
+
+def _read_pauses(client: OARClient) -> List[float]:
+    """The pauses of one conservative read: the unanswered-read re-send
+    armed at submit, then the re-poll armed when every replica has
+    answered and no value has a majority."""
+    env = client.env = _TimerLog()
+    rid = client.submit(("get", "k1"))
+    for index, pid in enumerate(client.shard_groups[0]):
+        client.on_message(pid, ReadReply(rid, OpResult(True, index), 0, 0, 0))
+    return env.delays
+
+
+def test_read_pauses_reach_the_wall_clock_scaled():
+    """Like every other time knob, a read's pauses are sim units times
+    ``time_scale`` on the placed client: 5 and 100 units stay 0.2 and
+    4 seconds, not 5 and 100 seconds."""
+    scenario = _config(n_shards=1, n_clients=1, read_mode="conservative")
+    sim = _read_pauses(build_sharded_scenario(scenario).clients[0])
+    config = RuntimeScenarioConfig(scenario=scenario, backend="tcp", time_scale=0.04)
+    placed = place_sharded_scenario(
+        runtime_scenario._wall_clock_scenario(config), runtime_scenario._make_cluster(config)
+    )
+    assert sim == [100.0, 5.0]
+    assert _read_pauses(placed.clients[0]) == pytest.approx([4.0, 0.2])
+
+
 class TestOrderBatching:
     """Over sockets the sequencer orders when the loop has drained its
     input (``ProcessEnv.defer``); a window is the scenario's to ask for."""
@@ -265,7 +315,7 @@ def build_group(
         )
         servers.append(server)
         cluster.add_process(server)
-    client = OARClient("c1", group)
+    client = OARClient("c1", [group])
     cluster.add_process(client)
     return servers, client
 
@@ -458,21 +508,28 @@ def test_knob_budget():
     }
     assert len(fields(ShardedScenarioConfig)) == 43
     assert type(ScenarioConfig()) is ShardedScenarioConfig
+    # The one client's options: the paper's service is ``shard_groups=[group]``.
+    assert list(inspect.signature(OARClient).parameters) == [
+        "pid", "shard_groups", "router", "key_extractor", "tx_planner", "on_adopt",
+        "retry_interval", "route_authority", "redirect_delay", "max_redirects",
+        "read_mode", "is_read_only", "load_half_life", "splitter",
+    ]
 
 
 def test_one_way_to_wait_for_an_adoption():
-    """The client's budget: who gets an adoption is the request's
-    ``then`` (``OARClient._record_adoption``), not a table keyed by
-    request id; a new side table or private-hook override has to argue
-    its way past this list."""
-    overridden = set(vars(ShardedOARClient)) & set(vars(OARClient))
-    assert overridden - {"__doc__", "__module__", "__annotations__"} == {
-        "__init__", "submit", "outstanding", "_read_redirect",
-    }
+    """The client's budget: one client class (one group is the one-shard
+    case), and who gets an adoption is the request's ``then``
+    (``OARClient._record_adoption``), not a table keyed by request id; a
+    subclass or a new side table has to argue its way past this list."""
+    for module in pkgutil.walk_packages(repro.__path__, "repro."):
+        if not module.name.endswith("__main__"):
+            importlib.import_module(module.name)
+    assert not [cls for cls in OARClient.__subclasses__() if cls.__module__.startswith("repro")]
+    # The old name stays for the end-to-end benchmark's wrappers alone.
+    assert client_module.ShardedOARClient is OARClient
     assert list(inspect.signature(OARClient.submit).parameters) == [
-        "self", "op", "servers", "then", "submit_time",
+        "self", "op", "then", "submit_time",
     ]
-    assert inspect.signature(ShardedOARClient.submit) == inspect.signature(OARClient.submit)
     run = build_sharded_scenario(ShardedScenarioConfig(requests_per_client=0))
     coordinator = attach_rebalancer(run)
     gone = {

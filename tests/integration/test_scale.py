@@ -60,7 +60,8 @@ class TestLargeGroups:
         )
         for adoption in run.trace.events(kind="adopt"):
             assert len(adoption["weight"]) >= 2  # adopted reply's own W
-        assert run.clients[0].majority_weight == 5
+        client = run.clients[0]
+        assert client._pending[client.submit(("incr",))].majority_weight == 5
 
 
 class TestContention:

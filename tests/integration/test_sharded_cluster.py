@@ -7,7 +7,7 @@ including under crash-failover of a shard's sequencer.
 
 import pytest
 
-from repro.core.client import OARClient, ShardedOARClient
+from repro.core.client import OARClient
 from repro.core.server import OARConfig, OARServer
 from repro.faults import FaultSchedule
 from repro.harness import ShardedScenarioConfig, run_sharded_scenario
@@ -284,7 +284,8 @@ class TestOrderCostPipeline:
 
 
 class TestDegenerateSingleShard:
-    """A 1-shard cluster must behave exactly like the unsharded protocol."""
+    """Key routing over one group must behave exactly like the paper's
+    service, where every op goes to its one group."""
 
     def _run(self, client_factory, ops):
         sim = Simulator(seed=9)
@@ -320,10 +321,10 @@ class TestDegenerateSingleShard:
             ("get", "k2"),
         ]
         plain_client, plain_servers = self._run(
-            lambda group: OARClient("c1", group), ops
+            lambda group: OARClient("c1", [group]), ops
         )
         sharded_client, sharded_servers = self._run(
-            lambda group: ShardedOARClient(
+            lambda group: OARClient(
                 "c1",
                 [group],
                 HashShardRouter(1),

@@ -4,7 +4,7 @@ The paper's operator definitions are transcribed as hypothesis laws; any
 counterexample would mean our algebra disagrees with the paper's.
 """
 
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.sequences import (

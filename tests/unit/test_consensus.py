@@ -1,6 +1,6 @@
 """Unit tests for Chandra-Toueg consensus with Maj-validity."""
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import pytest
 

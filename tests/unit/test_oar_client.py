@@ -28,7 +28,7 @@ def build(n_servers: int = 3):
     group = [f"p{i + 1}" for i in range(n_servers)]
     for pid in group:
         network.add_process(Sink(pid))
-    client = OARClient("c1", group)
+    client = OARClient("c1", [group])
     network.add_process(client)
     network.start_all()
     return sim, network, client, group
@@ -47,12 +47,10 @@ def reply(rid, weight, epoch=0, value="v", position=1, conservative=False):
 
 class TestMajorityWeight:
     def test_majority_threshold(self):
-        _sim, _network, client, _group = build(3)
-        assert client.majority_weight == 2
-        _sim, _network, client, _group = build(4)
-        assert client.majority_weight == 3
-        _sim, _network, client, _group = build(5)
-        assert client.majority_weight == 3
+        for n_servers, majority in ((3, 2), (4, 3), (5, 3)):
+            _sim, _network, client, _group = build(n_servers)
+            rid = client.submit(("incr",))
+            assert client._pending[rid].majority_weight == majority
 
     def test_single_sequencer_reply_insufficient(self):
         sim, network, client, group = build(3)

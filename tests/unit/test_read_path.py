@@ -137,7 +137,7 @@ def build_client(read_mode: str, n_servers: int = 3, **kwargs):
         network.add_process(sink)
     client = OARClient(
         "c1",
-        group,
+        [group],
         read_mode=read_mode,
         is_read_only=KVStoreMachine.is_read_only,
         **kwargs,
@@ -201,9 +201,9 @@ class TestClientReadModes:
 
     def test_conservative_repolls_on_split_vote(self):
         # retry_interval pinned far out so only the split-vote re-poll
-        # (paced by read_retry_delay) drives the resend in this test.
+        # (paced by redirect_delay) drives the resend in this test.
         sim, client, sinks = build_client(
-            "conservative", read_retry_delay=2.0, retry_interval=1000.0
+            "conservative", redirect_delay=2.0, retry_interval=1000.0
         )
         rid = client.submit(("get", "k"))
         sim.run(until=3.0)
@@ -222,7 +222,7 @@ class TestClientReadModes:
         # A round-0 reply arriving after the re-poll must not combine
         # with round-1 replies into a majority no instant ever held.
         sim, client, sinks = build_client(
-            "conservative", read_retry_delay=2.0, retry_interval=1000.0
+            "conservative", redirect_delay=2.0, retry_interval=1000.0
         )
         rid = client.submit(("get", "k"))
         sim.run(until=3.0)
@@ -251,7 +251,7 @@ class TestClientReadModes:
         # interval with backoff), or it hangs forever.
         sim, client, sinks = build_client("optimistic")
         client.submit(("get", "k"))
-        default = OARClient.DEFAULT_READ_RETRY_INTERVAL
+        default = 20 * client.redirect_delay
         sim.run(until=default + 5.0)  # first retry at t=default
         assert client.read_retransmissions == 1
         polled = [pid for pid, s in sinks.items() if s.read_requests]

@@ -4,10 +4,8 @@ and for the event loop it runs."""
 import importlib
 import os
 import pkgutil
-import statistics
 import subprocess
 import sys
-import time
 from typing import Any, List
 
 import pytest
@@ -20,6 +18,8 @@ from repro.sharding.cluster import ShardedScenarioConfig
 from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
 from repro.sim.process import Host, Process, ProcessEnv
+
+from benchmarks.perf import wallclock
 
 pytestmark = pytest.mark.unit
 
@@ -275,24 +275,14 @@ class TestLoop:
         assert waits.selects == [pytest.approx(0.0003, abs=1e-6)]
         assert set(waits.polls) == {0.0}
 
-    def test_no_timer_fires_early_and_few_fire_late(self, monkeypatch):
+    def test_no_timer_fires_early_and_few_fire_late(self):
         """50 timers 0.1-0.9 ms out, on the real clock: none fires before
-        its deadline, and the median is late by well under the 0.5 ms
-        that waits rounded up to a millisecond make it."""
-        cluster = started("a")
-        env = cluster._processes["a"].env
-        late: List[float] = []
-        now = tcp._monotonic()
-        monkeypatch.setattr(tcp, "_monotonic", lambda: now)
-        for index in range(50):
-            delay = 0.0001 + 0.0008 * index / 49
-            env.post(delay, lambda due=now + delay: late.append(time.monotonic() - due))
-        monkeypatch.undo()
-        assert cluster.run_until(lambda: len(late) == 50, timeout=1)
-        stats = cluster.stats()
-        cluster.shutdown()
+        its deadline, and the loop counts no more lateness than the
+        callbacks saw.  How late the median fires is a wall-clock figure
+        of a shared machine: CI's runtime-smoke job gates it
+        (``wallclock.TIMER_MEDIAN_CEILING``)."""
+        late, stats = wallclock.timer_burst(50)
         assert min(late) >= 0.0
-        assert statistics.median(late) < 0.0004
         # counted when the batch is taken, before each callback runs
         assert 0 <= stats["timer_late_us"] <= sum(late) * 1e6
 

@@ -113,7 +113,7 @@ def _client() -> OARClient:
     for pid in ("p1", "p2", "p3"):
         network.add_process(_Sink(pid))
     client = OARClient(
-        "c1", ("p1", "p2", "p3"), read_mode="optimistic",
+        "c1", [("p1", "p2", "p3")], read_mode="optimistic",
         is_read_only=lambda op: op[0] == "get",
     )
     network.add_process(client)

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.statemachine import BankMachine, KVStoreMachine, StackMachine
-from repro.workload.drivers import ClosedLoopDriver, OpenLoopDriver
+from repro.workload.drivers import OpenLoopDriver
 from repro.workload.generators import bank_ops, counter_ops, kv_ops, stack_ops
 from repro.harness import ScenarioConfig, run_scenario
 
