@@ -1,9 +1,10 @@
 """Setuptools shim.
 
-Kept alongside pyproject.toml so that ``pip install -e .`` works on
-offline machines whose setuptools predates PEP 660 editable-wheel support
-(the legacy ``setup.py develop`` path needs no ``wheel`` package).
-All metadata lives in pyproject.toml.
+Kept alongside pyproject.toml for offline machines without the
+``wheel`` package: there ``pip install -e .`` fails (``invalid command
+'bdist_wheel'``, with or without this file, and ``--no-use-pep517``
+refuses to run without ``wheel``), while ``python setup.py develop``
+works and needs this file.  All metadata lives in pyproject.toml.
 """
 
 from setuptools import setup

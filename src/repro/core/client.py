@@ -97,6 +97,9 @@ Then = Callable[[AdoptedReply], None]
 #: An order certificate as first seen: (rid, slot, replying server).
 _Cert = Tuple[str, int, str]
 
+#: Half-life (simulated time units) of :attr:`OARClient.key_load`.
+KEY_LOAD_HALF_LIFE = 250.0
+
 
 class _PendingRequest:
     """Reply bookkeeping for one in-flight request."""
@@ -405,12 +408,6 @@ class OARClient(ComponentProcess):
         :meth:`~repro.statemachine.base.StateMachine.is_read_only`.
         Reads on a key the target shard lost (frozen mid-migration, or
         moved away) get the same WrongShard sync-and-retry as writes.
-    load_half_life:
-        Half-life (simulated time units) of the per-key submission
-        counters behind :attr:`key_load`.  The rebalance planner
-        snapshots these; decay makes the snapshot reflect *recent*
-        traffic instead of all-time totals, so a key that went cold is
-        not migrated on stale evidence.  ``None`` disables decay.
     splitter:
         The deployment's :class:`~repro.statemachine.base.
         SplittableMachine` subclass (the machine *class*, not an
@@ -436,7 +433,6 @@ class OARClient(ComponentProcess):
         max_redirects: int = 100,
         read_mode: str = "sequencer",
         is_read_only: Optional[Callable[[Tuple[Any, ...]], bool]] = None,
-        load_half_life: Optional[float] = 250.0,
         splitter: Optional[type] = None,
     ) -> None:
         super().__init__(pid)
@@ -512,12 +508,13 @@ class OARClient(ComponentProcess):
         #: Inverse index of :attr:`routed`, maintained at submit time so
         #: per-shard checkers do not rescan every routed request per shard.
         self._routed_by_shard: Dict[int, List[str]] = {}
-        #: Per-key submission load, exponentially decayed with
-        #: ``load_half_life``: the statistic the rebalance coordinator
-        #: plans from (cheap, works with tracing off).  ``snapshot()``
-        #: gives decayed loads, ``counts()`` exact submission counts.
+        #: Per-key submission load: the statistic the rebalance
+        #: coordinator plans from (cheap, works with tracing off).  It
+        #: decays, so a key that went cold is not migrated on stale
+        #: evidence.  ``snapshot()`` gives decayed loads, ``counts()``
+        #: exact submission counts.
         self.key_load = DecayingKeyLoad(
-            half_life=load_half_life, clock=lambda: self.env.now
+            half_life=KEY_LOAD_HALF_LIFE, clock=lambda: self.env.now
         )
         self._redirect_pending = 0
         self.cross_shard_started = 0

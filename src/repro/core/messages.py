@@ -1,9 +1,10 @@
 """Wire-level message types of the OAR protocol.
 
 All messages are frozen dataclasses: hashable, comparable, safe to put in
-sets and to pickle for the TCP runtime.  Client operations are plain
-tuples (e.g. ``("push", "x")``) so that they are deterministic and
-serializable without a registry.
+sets, and registered with the TCP runtime's wire codec
+(:mod:`repro.runtime.codec`).  Client operations are plain tuples (e.g.
+``("push", "x")``) so that they are deterministic and serializable
+without a registry.
 """
 
 from __future__ import annotations

@@ -9,9 +9,10 @@ dataclass's shape per message, and spells out class paths on the wire),
 so the wire format is a registry-driven binary codec:
 
 * every wire dataclass in :mod:`repro.core.messages`,
-  :mod:`repro.broadcast`, :mod:`repro.consensus.chandra_toueg`, and the
-  result payloads (:class:`~repro.statemachine.base.OpResult` and
-  friends) is registered under an integer tag (see :data:`WIRE_TAGS`);
+  :mod:`repro.broadcast`, :mod:`repro.consensus.chandra_toueg`,
+  :mod:`repro.replication.passive`, and the result payloads
+  (:class:`~repro.statemachine.base.OpResult` and friends) is
+  registered under an integer tag (see :data:`WIRE_TAGS`);
 * encode lowers each message to a flat *node* -- ``[tag, field, ...]``
   -- and hands the node tree to :mod:`marshal`, CPython's C-speed
   serializer for builtin values, so all string/int/tuple leaf work
@@ -27,10 +28,12 @@ so the wire format is a registry-driven binary codec:
   whose ``__init__`` sets its slots the same way), and ``_register``
   refuses one that is not, so a decoded message never carries a
   per-instance ``__dict__``;
-* anything unregistered rides a pickle *escape hatch*: unknown objects
-  become pickled leaf nodes, and a payload marshal cannot serialize at
-  all (e.g. a mis-annotated field holding an open file) falls back to
-  a whole-frame pickle, flagged by the leading discriminator byte.
+* the format is closed: ``encode_frame`` raises :class:`TypeError`
+  for a value that is neither registered, a marshal leaf nor a
+  container of those (e.g. a mis-annotated field holding an open file),
+  and ``decode_frame`` raises :class:`ValueError` for a frame whose
+  leading discriminator byte is not the binary one or that holds a
+  node tag nothing registers.
 
 The encoders and decoders are generated source (``exec``), one flat
 function per registered class, with every helper hoisted into default
@@ -50,16 +53,16 @@ Caveats, shared with pickle but worth stating: marshal promises no
 byte stability across Python *versions*.  Pinning the format
 (``_MARSHAL_VERSION``) is what makes the wire classes decode equal and
 re-encode byte-identical on every interpreter of the CI matrix
-(``tests/unit/test_wire_fixture.py`` holds the committed frames);
-anything riding the pickle escape hatch has no such pin.  And
-``decode`` is only safe on frames from trusted peers (the runtime is a
-closed benchmarking backend, not an open network service).
+(``tests/unit/test_wire_fixture.py`` holds the committed frames).  And
+``decode_frame`` is only safe on frames from trusted peers: it never
+unpickles, but a forged frame can still build any registered message
+(the runtime is a closed benchmarking backend, not an open network
+service).
 """
 
 from __future__ import annotations
 
 import marshal
-import pickle
 from dataclasses import fields as _dc_fields
 from functools import partial
 from types import MemberDescriptorType
@@ -80,8 +83,8 @@ from ..core.messages import (
     SeqOrder,
     ShedNotice,
 )
-from ..core.sequences import MessageSequence
 from ..failure.detector import Heartbeat
+from ..replication.passive import StateUpdate, UpdateAck
 from ..statemachine.base import OpResult, WrongShard
 
 __all__ = [
@@ -93,21 +96,17 @@ __all__ = [
 _MARSHAL_VERSION = 4
 _mdumps = marshal.dumps
 _mloads = marshal.loads
-_pdumps = pickle.dumps
-_ploads = pickle.loads
-_PICKLE_PROTO = pickle.HIGHEST_PROTOCOL
 
-#: discriminator bytes: every encoded buffer starts with one of these.
+#: discriminator byte: every frame starts with it.
 _F_BINARY = b"\x01"
-_F_PICKLE = b"\x00"
 
 # Node tags.  Registered classes use 0..N (list position in NODE_DEC);
-# structural marks are negative so they can never collide.
+# structural marks are negative so they can never collide (-2 and -3
+# marked the retired sequence and pickle nodes: never reuse them).
 _M_LIST = -1  #: a real ``list`` payload (bare lists are class nodes)
-_M_MSGSEQ = -2  #: a :class:`MessageSequence`
-_M_PICKLE = -3  #: an unregistered object, pickled as a leaf
 _M_FSET = -4  #: a frozenset whose items needed node conversion
 _M_DICT = -5  #: a dict whose *keys* needed node conversion
+_M_SET = -6  #: a set whose items needed node conversion
 
 #: registered class -> node encoder ``f(obj) -> list``
 _NODE_ENC: Dict[type, Callable[[Any], list]] = {}
@@ -137,10 +136,10 @@ def _walk(x: Any) -> Any:
         return x
     if x is None or t is bool or t is float or t is bytes or t is complex:
         return x
-    if t is frozenset:
+    if t is frozenset or t is set:
         for c in x:
             if _walk(c) is not c:
-                return [_M_FSET, *map(_walk, x)]
+                return [_M_FSET if t is frozenset else _M_SET, *map(_walk, x)]
         return x
     if t is dict:
         if any(_walk(k) is not k for k in x):
@@ -154,16 +153,18 @@ def _walk(x: Any) -> Any:
         return x
     if t is list:
         return [_M_LIST, *map(_walk, x)]
-    if t is MessageSequence:
-        return [_M_MSGSEQ, *map(_walk, x.items)]
-    return [_M_PICKLE, _pdumps(x, protocol=_PICKLE_PROTO)]
+    raise TypeError(f"not a wire value: {t.__qualname__} is not registered in the codec")
 
 
 def _unwalk(x: Any) -> Any:
     """Invert :func:`_walk`: rebuild class nodes, keep leaves as-is."""
     t = x.__class__
     if t is list:
-        return _NODE_DEC[x[0]](x)
+        try:
+            dec = _NODE_DEC[x[0]]
+        except KeyError:
+            raise _unknown_tag(x[0]) from None
+        return dec(x)
     if t is tuple:
         for i, c in enumerate(x):
             w = _unwalk(c)
@@ -186,16 +187,12 @@ def _un_list(x: list) -> list:
     return [_unwalk(c) for c in x[1:]]
 
 
-def _un_msgseq(x: list) -> MessageSequence:
-    return MessageSequence(_unwalk(c) for c in x[1:])
-
-
-def _un_pickle(x: list) -> Any:
-    return _ploads(x[1])
-
-
 def _un_fset(x: list) -> frozenset:
     return frozenset(_unwalk(c) for c in x[1:])
+
+
+def _un_set(x: list) -> set:
+    return {_unwalk(c) for c in x[1:]}
 
 
 def _un_dict(x: list) -> dict:
@@ -203,11 +200,14 @@ def _un_dict(x: list) -> dict:
     return {_unwalk(k): _unwalk(v) for k, v in zip(it, it)}
 
 
+def _unknown_tag(tag: Any) -> ValueError:
+    return ValueError(f"not a binary wire frame: unknown node tag {tag!r}")
+
+
 _NODE_DEC[_M_LIST] = _un_list
-_NODE_DEC[_M_MSGSEQ] = _un_msgseq
-_NODE_DEC[_M_PICKLE] = _un_pickle
 _NODE_DEC[_M_FSET] = _un_fset
 _NODE_DEC[_M_DICT] = _un_dict
+_NODE_DEC[_M_SET] = _un_set
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +217,7 @@ _NODE_DEC[_M_DICT] = _un_dict
 #: annotations whose values marshal serializes natively, so the codec
 #: passes them through without walking.  A field that lies about its
 #: annotation still round-trips (marshal doesn't care) unless the value
-#: is unmarshalable, in which case the whole frame takes the pickle
-#: escape -- slow but correct.
+#: is unmarshalable, in which case ``encode_frame`` refuses the frame.
 _TRUSTED = {
     "str",
     "int",
@@ -231,8 +230,7 @@ _TRUSTED = {
     "Optional[str]",
     # Operation tuples are native values (strings/ints/nested tuples) in
     # every shipped state machine; an exotic op containing a non-native
-    # object makes ``marshal.dumps`` raise and the frame takes the
-    # whole-frame pickle escape -- slower, still correct.
+    # object makes ``marshal.dumps`` raise and the frame is refused.
     "Tuple[Any, ...]",
 }
 #: annotations stored as a tuple node but rebuilt as a frozenset --
@@ -322,6 +320,8 @@ _WIRE_CLASSES: Tuple[Type[Any], ...] = (
     WrongShard,
     Overloaded,
     Heartbeat,
+    StateUpdate,
+    UpdateAck,
 )
 
 for _i, _cls in enumerate(_WIRE_CLASSES):
@@ -329,7 +329,7 @@ for _i, _cls in enumerate(_WIRE_CLASSES):
 
 
 def registered_types() -> Tuple[Type[Any], ...]:
-    """All wire classes with a specialized (non-escape-hatch) encoding."""
+    """All wire classes, in tag order."""
     return _WIRE_CLASSES
 
 
@@ -342,33 +342,25 @@ class BinaryCodec:
     """The compact tagged binary codec of the real backends."""
 
     @staticmethod
-    def encode(obj: Any) -> bytes:
-        try:
-            return _F_BINARY + _mdumps(_walk(obj), _MARSHAL_VERSION)
-        except (ValueError, RecursionError):
-            return _F_PICKLE + _pdumps(obj, protocol=_PICKLE_PROTO)
-
-    @staticmethod
-    def decode(buf: bytes) -> Any:
-        if buf[0]:
-            return _unwalk(_mloads(buf[1:]))
-        return _ploads(buf[1:])
-
-    @staticmethod
     def encode_frame(src: str, payload: Any) -> bytes:
         """One wire frame body: the source pid and the payload together."""
         try:
             return _F_BINARY + _mdumps((src, _walk(payload)), _MARSHAL_VERSION)
-        except (ValueError, RecursionError):
-            return _F_PICKLE + _pdumps((src, payload), protocol=_PICKLE_PROTO)
+        except (ValueError, RecursionError) as exc:
+            raise TypeError(
+                f"not a wire value: a {payload.__class__.__qualname__} payload does not marshal"
+            ) from exc
 
     @staticmethod
     def decode_frame(buf: bytes) -> Tuple[str, Any]:
-        if buf[0]:
-            src, node = _mloads(buf[1:])
-            # Inline the hot case (payload is a registered-class node)
-            # to skip one dispatch layer per frame.
-            if node.__class__ is list:
+        if buf[0] != 1:  # _F_BINARY
+            raise ValueError(f"not a binary wire frame: discriminator byte {buf[0]}")
+        src, node = _mloads(buf[1:])
+        # Inline the hot case (payload is a registered-class node)
+        # to skip one dispatch layer per frame.
+        if node.__class__ is list:
+            try:
                 return src, _NODE_DEC[node[0]](node)
-            return src, _unwalk(node)
-        return _ploads(buf[1:])
+            except KeyError:  # only the outer lookup: nested tags raise ValueError
+                raise _unknown_tag(node[0]) from None
+        return src, _unwalk(node)

@@ -212,7 +212,6 @@ def _wall_clock_scenario(config: RuntimeScenarioConfig) -> ShardedScenarioConfig
         exec_cost=scaled(scenario.exec_cost),
         retry_interval=scaled(scenario.retry_interval),
         redirect_delay=scenario.redirect_delay * scale,
-        load_half_life=scaled(scenario.load_half_life),
         fd_interval=config.fd_interval,
         fd_timeout=config.fd_timeout,
     )

@@ -218,10 +218,6 @@ class ShardedScenarioConfig:
     #: targets); None disables retransmission.
     retry_interval: Optional[float] = None
 
-    #: Half-life of the clients' per-key load counters (the rebalance
-    #: planner's statistic); None disables decay (all-time totals).
-    load_half_life: Optional[float] = 250.0
-
     #: Pause before a WrongShard-redirected operation is retried (covers
     #: the window where a migrating key is owned by no shard).
     redirect_delay: float = 5.0
@@ -773,7 +769,6 @@ def place_sharded_scenario(
                 max_redirects=config.max_redirects,
                 read_mode=oar_config.read_mode,
                 is_read_only=machine_cls.is_read_only,
-                load_half_life=config.load_half_life,
                 splitter=(
                     machine_cls
                     if issubclass(machine_cls, SplittableMachine)

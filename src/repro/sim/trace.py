@@ -59,7 +59,7 @@ class TraceLog:
     ----------
     level:
         ``"full"`` (default) records everything; ``"off"`` silently drops
-        every record/append -- the log stays empty and costs nothing on
+        every record -- the log stays empty and costs nothing on
         the protocol hot path.
     """
 
@@ -70,9 +70,8 @@ class TraceLog:
         self._by_kind: Dict[str, List[int]] = {}
         self._level = level
         if level == "off":
-            # Shadow the hot-path methods with no-ops so a disabled log
+            # Shadow the hot-path method with a no-op so a disabled log
             # costs one dropped call, not a branch per record.
-            self.append = self._drop_append  # type: ignore[method-assign]
             self.record = self._drop_record  # type: ignore[method-assign]
 
     @property
@@ -88,14 +87,6 @@ class TraceLog:
     # Recording
     # ------------------------------------------------------------------
 
-    def append(self, event: TraceEvent) -> None:
-        events = self._events
-        index = self._by_kind.get(event.kind)
-        if index is None:
-            index = self._by_kind[event.kind] = []
-        index.append(len(events))
-        events.append(event)
-
     def record(self, time: float, pid: str, kind: str, **fields: Any) -> None:
         events = self._events
         index = self._by_kind.get(kind)
@@ -103,9 +94,6 @@ class TraceLog:
             index = self._by_kind[kind] = []
         index.append(len(events))
         events.append(TraceEvent(time, pid, kind, fields))
-
-    def _drop_append(self, event: TraceEvent) -> None:
-        """append() of a level="off" log."""
 
     def _drop_record(self, time: float, pid: str, kind: str, **fields: Any) -> None:
         """record() of a level="off" log."""

@@ -25,8 +25,8 @@ from repro.statemachine.base import MigratableMachine, OpResult
 
 _ABSENT = object()  # sentinel: key had no previous binding
 
-#: Tags the composite snapshot shape so ``restore`` can tell it apart
-#: from a legacy bare data dict without sniffing user-controlled keys.
+#: Versions the snapshot's shape (the passive baseline ships snapshots
+#: on the wire, so their bytes stay as they are).
 _SNAPSHOT_TAG = "__kv_snapshot__"
 
 
@@ -51,12 +51,9 @@ class KVStoreMachine(MigratableMachine):
             "migration": copy.deepcopy(self._migration_state()),
         }
 
-    def restore(self, snapshot: Dict[Any, Any]) -> None:
-        if snapshot.get(_SNAPSHOT_TAG) == 1:
-            self._data = dict(snapshot["data"])
-            self._restore_migration(snapshot["migration"])
-        else:  # legacy shape: a bare data dict
-            self._data = dict(snapshot)
+    def restore(self, snapshot: Dict[str, Any]) -> None:
+        self._data = dict(snapshot["data"])
+        self._restore_migration(snapshot["migration"])
 
     def state(self) -> Dict[Any, Any]:
         return self._data

@@ -90,12 +90,24 @@ def test_real_backend_deploys_what_the_simulator_deploys(scenario, backend):
     assert run.view.routing_table.epoch == reference.routing_table.epoch == 0
 
 
+#: case id -> (protocol, fields over the one-group defaults).  A keyed
+#: workload gives the machine ownership books, so every passive
+#: ``StateUpdate`` snapshot carries the ``set`` of owned keys.
+_BASELINE_CASES = {
+    **{protocol: (protocol, {}) for protocol in sorted(BASELINE_SERVERS)},
+    "passive-kv-uniform": ("passive", dict(workload="uniform", n_keys=16)),
+    "passive-bank-uniform": ("passive", dict(machine="bank", workload="uniform", n_keys=16)),
+}
+
+
 @pytest.mark.parametrize("backend", ["tcp"])
-@pytest.mark.parametrize("protocol", sorted(BASELINE_SERVERS))
-def test_a_baseline_group_runs_on_the_real_backends_as_on_the_simulator(protocol, backend):
-    config = ScenarioConfig(
-        protocol=protocol, machine="kv", seed=17, n_clients=3, requests_per_client=12
-    )
+@pytest.mark.parametrize("case", list(_BASELINE_CASES))
+def test_a_baseline_group_runs_on_the_real_backends_as_on_the_simulator(case, backend):
+    protocol, fields = _BASELINE_CASES[case]
+    config = ScenarioConfig(**{
+        "protocol": protocol, "machine": "kv", "seed": 17, "n_clients": 3,
+        "requests_per_client": 12, **fields,
+    })
     reference = run_sharded_scenario(config)
     run = run_runtime_scenario(RuntimeScenarioConfig(scenario=config, backend=backend))
     assert reference.all_done() and run.completed

@@ -502,17 +502,17 @@ def test_knob_budget():
         "read_mode", "exec_cost", "exec_lanes", "workload", "read_ratio", "n_keys",
         "zipf_s", "cross_ratio", "hot_ratio", "accounts_per_shard", "initial_balance",
         "driver", "open_rate", "think_time", "driver_start_at", "arrival", "n_sessions",
-        "client_rate", "measure_from", "retry_interval", "load_half_life",
-        "redirect_delay", "max_redirects", "fault_schedule", "arm", "horizon",
-        "max_events", "grace", "trace_messages", "trace_level",
+        "client_rate", "measure_from", "retry_interval", "redirect_delay", "max_redirects",
+        "fault_schedule", "arm", "horizon", "max_events", "grace", "trace_messages",
+        "trace_level",
     }
-    assert len(fields(ShardedScenarioConfig)) == 43
+    assert len(fields(ShardedScenarioConfig)) == 42
     assert type(ScenarioConfig()) is ShardedScenarioConfig
     # The one client's options: the paper's service is ``shard_groups=[group]``.
     assert list(inspect.signature(OARClient).parameters) == [
         "pid", "shard_groups", "router", "key_extractor", "tx_planner", "on_adopt",
         "retry_interval", "route_authority", "redirect_delay", "max_redirects",
-        "read_mode", "is_read_only", "load_half_life", "splitter",
+        "read_mode", "is_read_only", "splitter",
     ]
 
 

@@ -4,9 +4,8 @@ The codec's correctness contract is *transparency*: a decoded frame is
 indistinguishable -- by field equality and by ``repr`` (which the trace
 digests and the PR-7 wire checksum both hang off) -- from the object
 that was encoded.  These properties drive every registered wire type
-through randomly generated field values, plus the structural payloads
-(``MessageSequence``, ``RMsg`` wrapping, the fault plane's
-``CorruptedPayload`` envelope) and a determinism check: a seeded sim
+through randomly generated field values, plus the ``RMsg`` wrapping and
+a determinism check: a seeded sim
 scenario whose every payload is round-tripped through the codec in
 flight produces the same trace digest as one that passes them by
 reference.
@@ -19,14 +18,13 @@ from hypothesis import strategies as st
 
 from repro.broadcast.reliable import RMsg
 from repro.core.messages import Request
-from repro.core.sequences import MessageSequence
 from repro.harness.scenario import ScenarioConfig, run_scenario
 from repro.runtime.codec import (
     WIRE_TAGS,
     BinaryCodec,
     registered_types,
 )
-from repro.sim.faultplane import CorruptedPayload, wire_checksum
+from repro.sim.faultplane import wire_checksum
 from repro.sim.network import SimNetwork
 
 # ---------------------------------------------------------------------------
@@ -47,10 +45,9 @@ _scalars = st.one_of(
 _hashables = st.one_of(_ids, st.integers(), st.tuples(_ids, st.integers()))
 
 #: Arbitrary ``Any``-annotated payload values: scalars plus nested
-#: containers, message sequences, and an unregistered object (exercises
-#: the pickle escape hatch as a leaf).
+#: containers.
 _payloads = st.recursive(
-    st.one_of(_scalars, _hashables.map(lambda v: MessageSequence([v]))),
+    _scalars,
     lambda children: st.one_of(
         st.lists(children, max_size=3),
         st.lists(children, max_size=3).map(tuple),
@@ -98,7 +95,7 @@ def _instances(cls):
 @given(st.data())
 def test_every_registered_type_roundtrips(data):
     """encode -> decode is the identity (by == and by repr) for every
-    registered wire class, as a frame and bare."""
+    registered wire class."""
     cls = data.draw(st.sampled_from(registered_types()))
     message = data.draw(_instances(cls))
     # frozenset iteration order is not guaranteed to survive
@@ -111,17 +108,6 @@ def test_every_registered_type_roundtrips(data):
     assert out == message
     if set_free:
         assert repr(out) == repr(message)
-    assert BinaryCodec.decode(BinaryCodec.encode(message)) == message
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(_hashables, max_size=8))
-def test_message_sequence_payload_roundtrips(items):
-    seq = MessageSequence(items)
-    out = BinaryCodec.decode(BinaryCodec.encode(seq))
-    assert isinstance(out, MessageSequence)
-    assert out == seq
-    assert tuple(out) == tuple(seq)
 
 
 @settings(max_examples=100, deadline=None)
@@ -143,19 +129,13 @@ def test_rmsg_wrapping_roundtrips(rid, sender, group, request):
 @given(st.data())
 def test_checksum_envelope_is_codec_stable(data):
     """The PR-7 wire checksum (CRC-32 of repr) is invariant under a
-    codec round-trip -- for registered messages and for the fault
-    plane's CorruptedPayload wrapper (which rides the pickle escape)."""
+    codec round-trip of any registered message."""
     cls = data.draw(st.sampled_from(registered_types()))
     message = data.draw(_instances(cls))
     # The checksum is CRC-32 of repr; see the set-order caveat above.
     assume("frozenset(" not in repr(message))
-    out = BinaryCodec.decode(BinaryCodec.encode(message))
+    _src, out = BinaryCodec.decode_frame(BinaryCodec.encode_frame("p1", message))
     assert wire_checksum(out) == wire_checksum(message)
-
-    mangled = CorruptedPayload(message)
-    out = BinaryCodec.decode(BinaryCodec.encode(mangled))
-    assert isinstance(out, CorruptedPayload)
-    assert wire_checksum(out) == wire_checksum(mangled)
 
 
 def test_registry_is_append_only_prefix():
@@ -192,7 +172,7 @@ def _digest(monkeypatch, through_codec):
     if through_codec:
 
         def transmit(self, src, dst, payload):
-            wired = BinaryCodec.decode(BinaryCodec.encode(payload))
+            _src, wired = BinaryCodec.decode_frame(BinaryCodec.encode_frame(src, payload))
             return real_transmit(self, src, dst, wired)
 
         monkeypatch.setattr(SimNetwork, "transmit", transmit)

@@ -76,9 +76,9 @@ class TestTraceLog:
 
     def test_appended_events_are_indexed(self):
         log = TraceLog()
-        log.append(TraceEvent(1.0, "p", "a", {"v": 1}))
+        log.record(1.0, "p", "a", v=1)
         log.record(2.0, "p", "b", v=2)
-        log.append(TraceEvent(3.0, "p", "a", {"v": 3}))
+        log.record(3.0, "p", "a", v=3)
         assert [e["v"] for e in log.events(kind="a")] == [1, 3]
 
     def test_clear_resets_kind_index(self):
@@ -92,7 +92,7 @@ class TestTraceLog:
     def test_level_off_drops_everything(self):
         log = TraceLog(level="off")
         log.record(1.0, "p", "a", x=1)
-        log.append(TraceEvent(2.0, "p", "b", {}))
+        log.record(2.0, "p", "b")
         assert len(log) == 0
         assert log.events() == []
         assert log.events(kind="a") == []
