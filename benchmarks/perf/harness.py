@@ -450,9 +450,10 @@ def bytes_per_op() -> Dict[str, Any]:
 
     The run of :func:`calls_per_op`, traced by ``tracemalloc`` instead:
     what the run allocated and still holds once it is over and the
-    cyclic collector has had a full pass -- the reply caches, undo logs,
-    order certificates and ordering logs of an epoch that never settles
-    -- divided by the adopted writes.  Blocks the build allocated are
+    cyclic collector has had a full pass -- the request bodies, undo
+    logs, order certificates and ordering logs of an epoch that never
+    settles (no client of this run retransmits, so no replica keeps more
+    than each client's latest reply) -- divided by the adopted writes.  Blocks the build allocated are
     not traced, so only what executing the writes left behind counts.
     Same seed, same objects, so the reading repeats to a fraction of a
     byte on one interpreter version; it moves when a write keeps more
@@ -487,7 +488,7 @@ def bytes_per_read_op() -> Dict[str, Any]:
     100 kv ops, nine in ten of them Zipf-1.2 replica-local optimistic
     reads, trace off.  What an adopted read keeps is its adopted reply
     (rid, result, position, weight) in the client's book; a write adds
-    its reply cache, undo and ordering entries.  It moves when an
+    its request body, undo and ordering entries.  It moves when an
     adoption keeps more objects alive: a result with a ``__dict__``, a
     weight tuple of its own.
     """

@@ -105,7 +105,7 @@ GATES = (
 #: interpreter makes calls (3.12 inlines comprehensions), so it repeats
 #: to the last call on any machine.  The ceilings sit 4 % above the
 #: 409.51 (CPython 3.10 and 3.11) and 407.58 (3.12 and 3.13) they were
-#: set at; this tree reads 402.51 and 400.58.  Any one of the shapes
+#: set at; this tree reads 401.62 and 399.69.  Any one of the shapes
 #: that used to surround a simulated message goes through it
 #: (``docs/BENCHMARKS.md`` lists their readings: a lambda and a second
 #: frame per hop 473.67, ``all_done()`` after every event 445.96,
@@ -115,27 +115,29 @@ CALLS_PER_OP_CEILING = {"3.10": 426.0, "3.11": 426.0, "3.12": 424.0, "3.13": 424
 #: Ceiling on ``harness.bytes_per_op``'s reading, by the interpreter that
 #: measured it (object sizes differ between versions).  The same run, so
 #: the reading repeats within 0.2 B under one hash seed and within 2 B
-#: across seeds; this tree reads 2 605.2 B on CPython 3.10, 2 387.2 on
-#: 3.11 and 2 362.6 on 3.12 and 3.13, and the ceilings sit 3 % above.
-#: A frozenset per optimistic reply put back reads 3 037.1 on 3.11
-#: (``docs/BENCHMARKS.md``, "Tracked performance").
-BYTES_PER_OP_CEILING = {"3.10": 2684.0, "3.11": 2459.0, "3.12": 2434.0, "3.13": 2434.0}
+#: across seeds; this tree reads 1 893.8 B on CPython 3.10, 1 703.6 on
+#: 3.11 and 1 687.9 on 3.12 and 3.13, and the ceilings sit 3 % above.
+#: A frozenset per optimistic reply put back reads 1 848.6 on 3.11: the
+#: replies a run still holds (each client's latest at each replica) and
+#: the clients' weight tables keep one each (``docs/BENCHMARKS.md``,
+#: "Tracked performance").
+BYTES_PER_OP_CEILING = {"3.10": 1951.0, "3.11": 1755.0, "3.12": 1739.0, "3.13": 1739.0}
 
 #: Ceiling on ``harness.bytes_per_read_op``'s reading, by interpreter:
-#: this tree reads 658.9 B on CPython 3.10 (651-655 after other cells
-#: ran in the same process), 616.1 on 3.11 and 604.0 on 3.12 and 3.13,
-#: and the ceilings sit 3 % above.  A fresh ``(src,)`` weight tuple per adopted read put
-#: back reads 696.9 on 3.10, 659.4 on 3.11 and 647.3 on 3.12 and 3.13.
-BYTES_PER_READ_OP_CEILING = {"3.10": 679.0, "3.11": 635.0, "3.12": 623.0, "3.13": 623.0}
+#: this tree reads 605.3 B on CPython 3.10 (601.4 after other cells
+#: ran in the same process), 564.0 on 3.11 and 552.7 on 3.12 and 3.13,
+#: and the ceilings sit 3 % above.  A fresh ``(src,)`` weight tuple per
+#: adopted read put back adds about 43 B on each.
+BYTES_PER_READ_OP_CEILING = {"3.10": 624.0, "3.11": 581.0, "3.12": 570.0, "3.13": 570.0}
 
 #: Ceiling on ``harness.bytes_per_tcp_write``'s reading, by interpreter.
 #: How writes batch into orders follows the wall clock, so the reading
-#: moves from run to run: five runs read 2 858.6-2 878.4 B on CPython
-#: 3.10, 2 728.8-2 734.5 on 3.11, 2 644.4-2 648.7 on 3.12 and
-#: 2 645.1-2 654.4 on 3.13 (within 1 %), and the ceilings sit 3 % above
+#: moves from run to run: five runs read 1 935.0-1 948.4 B on CPython
+#: 3.10, 1 816.9-1 818.8 on 3.11, 1 755.0-1 755.7 on 3.12 and
+#: 1 759.1-1 761.4 on 3.13 (within 1 %), and the ceilings sit 3 % above
 #: the highest.  Decoded pids and keys that are not the process's own
-#: strings (a copy per body per replica) read 3 094.6-3 100.1 on 3.11.
-BYTES_PER_TCP_WRITE_CEILING = {"3.10": 2965.0, "3.11": 2817.0, "3.12": 2728.0, "3.13": 2734.0}
+#: strings (a copy per body per replica) add about 360 B on 3.11.
+BYTES_PER_TCP_WRITE_CEILING = {"3.10": 2007.0, "3.11": 1874.0, "3.12": 1809.0, "3.13": 1815.0}
 
 #: The counts ``check`` judges (exact, but for the TCP one's 1 %):
 #: payload key (which is also the reading's field in its cell), ceilings
@@ -147,7 +149,7 @@ COUNTS = (
     ),
     (
         "bytes_per_op", BYTES_PER_OP_CEILING,
-        "a write leaves more objects behind in the reply cache, undo log or certificates",
+        "a write leaves more objects behind in the undo log, ordering logs or certificates",
     ),
     (
         "bytes_per_read_op", BYTES_PER_READ_OP_CEILING,

@@ -9,7 +9,7 @@ fire and to hold on synthetic payloads.
 import json
 import os
 import sys
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 import pytest
 
@@ -125,12 +125,19 @@ def _payload(
     digest: str = harness.GOLDEN_DIGEST,
     calls_per_op: float = 409.51,
     python: str = "3.11",
-    bytes_per_op: float = 2387.2,
-    bytes_per_read_op: float = 616.1,
-    bytes_per_tcp_write: float = 2734.5,
+    bytes_per_op: Optional[float] = None,
+    bytes_per_read_op: Optional[float] = None,
+    bytes_per_tcp_write: Optional[float] = None,
 ) -> Dict[str, Any]:
     """A synthetic payload: ``readings`` by gate name, each put where
-    its gate looks for it."""
+    its gate looks for it; a bytes count not given reads what this tree
+    reads on ``python``."""
+    if bytes_per_op is None:
+        bytes_per_op = _BYTES_READINGS[python]
+    if bytes_per_read_op is None:
+        bytes_per_read_op = _READ_BYTES_READINGS[python]
+    if bytes_per_tcp_write is None:
+        bytes_per_tcp_write = _TCP_BYTES_READINGS[python]
     payload: Dict[str, Any] = {
         "golden_digest": digest,
         "calls_per_op": {"calls_per_op": calls_per_op, "python": python},
@@ -236,15 +243,15 @@ def test_calls_per_op_is_not_judged_on_an_interpreter_nobody_recorded():
 
 
 #: What ``harness.bytes_per_op`` reads on this tree, by interpreter.
-_BYTES_READINGS = {"3.10": 2605.2, "3.11": 2387.2, "3.12": 2362.6, "3.13": 2362.6}
+_BYTES_READINGS = {"3.10": 1893.8, "3.11": 1703.6, "3.12": 1687.9, "3.13": 1687.9}
 
 #: What ``harness.bytes_per_read_op`` reads on this tree, by interpreter.
-_READ_BYTES_READINGS = {"3.10": 658.9, "3.11": 616.1, "3.12": 604.0, "3.13": 604.0}
+_READ_BYTES_READINGS = {"3.10": 605.3, "3.11": 564.0, "3.12": 552.7, "3.13": 552.7}
 
 #: The highest of five ``harness.bytes_per_tcp_write`` readings on this
 #: tree, by interpreter (the reading follows how writes batch, so it
 #: moves a little from run to run).
-_TCP_BYTES_READINGS = {"3.10": 2878.4, "3.11": 2734.5, "3.12": 2648.7, "3.13": 2654.4}
+_TCP_BYTES_READINGS = {"3.10": 1948.4, "3.11": 1818.8, "3.12": 1755.7, "3.13": 1761.4}
 
 
 @pytest.mark.parametrize("python", sorted(_BYTES_READINGS))
@@ -287,8 +294,9 @@ def test_bytes_per_op_repeats_and_fires_on_a_weight_per_delivery(monkeypatch):
 
     monkeypatch.setattr(OARServer, "__init__", planted)
     regressed = harness.bytes_per_op()
-    # Three replicas each keep one more frozenset per write.
-    assert regressed["bytes_per_op"] > reading["bytes_per_op"] + 500
+    # A replica keeps only each client's latest reply, so a frozenset
+    # per reply stays only in those and in the clients' weight tables.
+    assert regressed["bytes_per_op"] > reading["bytes_per_op"] + 100
     failures, _notes = run_perf.check(
         _payload(_LOW, python=regressed["python"], bytes_per_op=regressed["bytes_per_op"])
     )

@@ -44,7 +44,7 @@ from benchmarks.perf.harness import median_pair
 GROUP = ("p1", "p2", "p3")
 
 _RMSG = RMsg(
-    "p1:17",
+    17,
     "c1",
     Request("c1:17", "c1", ("set", "k042", 1234)),
     GROUP,

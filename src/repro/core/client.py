@@ -622,7 +622,10 @@ class OARClient(ComponentProcess):
         """
         group = self.shard_groups[shard]
         rid = f"{self.pid}-{next(self._counter)}"
-        request = Request(rid=rid, client=self.pid, op=tuple(op))
+        request = Request(
+            rid=rid, client=self.pid, op=tuple(op),
+            retransmits=self.retry_interval is not None,
+        )
         self._pending[rid] = _PendingRequest(
             rid, request.op, group, self.env.now if submit_time is None else submit_time, then
         )

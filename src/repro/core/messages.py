@@ -20,11 +20,14 @@ class Request:
 
     ``rid`` is globally unique (client id + client-local counter).
     ``op`` is the deterministic state-machine operation tuple.
+    ``retransmits`` says the client may send the rid again (it has a
+    retry interval): only then do replicas keep its reply to re-send.
     """
 
     rid: str
     client: str
     op: Tuple[Any, ...]
+    retransmits: bool = False
 
     def __repr__(self) -> str:
         return f"Request({self.rid}, {self.op})"

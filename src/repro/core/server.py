@@ -359,16 +359,22 @@ class OARServer(ComponentProcess):
         # Admission control (OARConfig.admission_limit /
         # read_queue_limit): shed counters by bulkhead class, plus the
         # notice cache that makes shedding idempotent under client
-        # retransmission (mirroring the reply cache).
+        # retransmission (mirroring the reply cache), kept only for a
+        # request whose client retransmits.
         self.shed = 0
         self.reads_shed = 0
         self._shed_cache: Dict[str, ShedNotice] = {}
 
         # At-most-once execution with at-least-once replies: the last
-        # reply sent per request, re-sent when a client retransmission
-        # R-delivers an already-known rid.  Entries are replaced when a
-        # message is re-delivered after an Opt-undeliver.
+        # reply sent per request, re-sent when an already-known rid is
+        # R-delivered again.  A client that retransmits
+        # (``Request.retransmits``) may ask for any rid again, so all its
+        # replies stay; of one that never does, only the latest
+        # (``_latest_rid``) stays, for a copy of a rid that comes back
+        # without it (a crossed ``BodyBatch``).  Entries are replaced when
+        # a message is re-delivered after an Opt-undeliver.
         self._reply_cache: Dict[str, Reply] = {}
+        self._latest_rid: Dict[str, str] = {}
 
         self.rmc = self.add_component(ReliableMulticast(self, self._on_rdeliver))
         self.consensus = self.add_component(
@@ -604,7 +610,8 @@ class OARServer(ComponentProcess):
         self.requests[request.rid] = request
         self.shed += 1
         notice = ShedNotice(rid=request.rid, cls="write", queue=queue, limit=limit)
-        self._shed_cache[request.rid] = notice
+        if request.retransmits:
+            self._shed_cache[request.rid] = notice
         self.env.trace("shed", rid=request.rid, cls="write", queue=queue, limit=limit)
         self.env.send(request.client, notice)
 
@@ -947,7 +954,7 @@ class OARServer(ComponentProcess):
             # after this reply, so it leaves the map here.
             slot=self._order_slots.pop(rid, None),
         )
-        self._reply_cache[rid] = reply
+        self._cache_reply(request, reply)
         self.env.send(request.client, reply)
 
     # ------------------------------------------------------------------
@@ -1169,8 +1176,21 @@ class OARServer(ComponentProcess):
             epoch=epoch,
             conservative=True,
         )
-        self._reply_cache[rid] = reply
+        self._cache_reply(request, reply)
         self.env.send(request.client, reply)
+
+    def _cache_reply(self, request: Request, reply: Reply) -> None:
+        """Keep ``reply`` for a re-sent rid: every reply of a client that
+        retransmits, the latest only of one that does not."""
+        rid = request.rid
+        if not request.retransmits:
+            client = request.client
+            previous = self._latest_rid.get(client)
+            if previous != rid:
+                if previous is not None:
+                    self._reply_cache.pop(previous, None)
+                self._latest_rid[client] = rid
+        self._reply_cache[rid] = reply
 
     def _replay_buffers(self) -> None:
         orders = self._future_orders.pop(self.epoch, [])

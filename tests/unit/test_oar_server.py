@@ -425,7 +425,7 @@ class TestDeferredOrdering:
         queue = self.queued(p1)
         for n in range(3):
             # Through on_message, so that the paranoid check itself runs.
-            p1.on_message("c1", RMsg(f"c1-m{n}", "c1", request(n), ("p1", "p2", "p3")))
+            p1.on_message("c1", RMsg(n, "c1", request(n), ("p1", "p2", "p3")))
             assert p1._order_deferred and len(queue) == 1
         assert tuple(p1._unordered) == ("c1-0", "c1-1", "c1-2")
         queue.pop()()

@@ -168,7 +168,7 @@ class TestOneObjectPerFact:
         client = _client()
         client.submit(("set", "k", 1))
         client.rmc.multicast(Request("x", "c1", ("noop",)), ("p1", "p2"))
-        assert client.rmc._seen == set()
+        assert client.rmc._low == {}
         # A member still remembers its own mid: its peers relay it back.
         client.rmc.multicast(Request("y", "c1", ("noop",)), ("c1", "p1"))
-        assert len(client.rmc._seen) == 1
+        assert len(client.rmc._low) == 1

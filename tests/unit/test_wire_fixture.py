@@ -57,7 +57,7 @@ INSTANCES = {
     "ShedNotice": ShedNotice("c1:8", "write", 65, 64),
     "OrderNack": OrderNack(2, ("c1:7",)),
     "BodyBatch": BodyBatch((_REQUEST, Request("c2:1", "c2", ("del", "k001")))),
-    "RMsg": RMsg("s0.p1#12", _P1, _REQUEST, (_P1, "s0.p2", "s0.p3")),
+    "RMsg": RMsg(12, _P1, _REQUEST, (_P1, "s0.p2", "s0.p3")),
     "PhaseII": PhaseII(3, "suspicion"),
 }
 
@@ -75,8 +75,8 @@ def _leaves(value: Any) -> Iterator[Any]:
 _PINNED = [leaf for instance in INSTANCES.values() for leaf in _leaves(instance)]
 
 FRAMES = {
-    "Request": "012902fa0573302e70315b04000000e900000000fa0463313a37da026331a903da03736574"
-    "da046b303432e907000000",
+    "Request": "012902fa0573302e70315b05000000e900000000fa0463313a37da026331a903da03736574"
+    "da046b303432e90700000046",
     "Reply": "012902fa0573302e70315b08000000e901000000fa0463313a375b04000000e91200000054"
     "e907000000da00e90300000029017200000000e90200000046e90b000000",
     "SeqOrder": "012902fa0573302e70315b04000000e905000000e902000000a902fa0463313a37"
@@ -88,11 +88,11 @@ FRAMES = {
     "ShedNotice": "012902fa0573302e70315b05000000e904000000fa0463313a38da057772697465"
     "e941000000e940000000",
     "OrderNack": "012902fa0573302e70315b03000000e906000000e902000000a901fa0463313a37",
-    "BodyBatch": "012902fa0573302e70315b02000000e90700000029025b04000000e900000000"
-    "fa0463313a37da026331a903da03736574da046b30343272010000005b040000007202000000"
-    "fa0463323a31da026332a902da0364656cda046b303031",
-    "RMsg": "012902fa0573302e70315b05000000e909000000fa0873302e703123313272000000005b04000000"
-    "e900000000fa0463313a37da026331a903da03736574da046b303432e907000000a9037200000000"
+    "BodyBatch": "012902fa0573302e70315b02000000e90700000029025b05000000e900000000"
+    "fa0463313a37da026331a903da03736574da046b3034327201000000465b050000007202000000"
+    "fa0463323a31da026332a902da0364656cda046b30303146",
+    "RMsg": "012902fa0573302e70315b05000000e909000000e90c00000072000000005b05000000"
+    "e900000000fa0463313a37da026331a903da03736574da046b303432e90700000046a9037200000000"
     "fa0573302e7032fa0573302e7033",
     "PhaseII": "012902fa0573302e70315b03000000e908000000e903000000da09737573706963696f6e",
 }
