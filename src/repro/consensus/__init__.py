@@ -12,8 +12,10 @@ consensus problem with a strengthened validity property (Section 5.5):
 :mod:`repro.consensus.chandra_toueg` implements the rotating-coordinator
 ◇S algorithm of [CT96]; the Maj-validity variant ([Fel98]) is obtained by
 making the first aggregated estimate the ordered vector of initial values
-collected from a majority (see
-:class:`~repro.consensus.chandra_toueg.ConsensusManager`).
+collected from a majority.  OAR runs it in the paper's footnote-5 mode,
+where a coordinator leaves the initial values of processes it suspects
+out of that vector (see the module docstring for the rules that keep it
+safe).
 """
 
 from repro.consensus.chandra_toueg import (

@@ -10,7 +10,7 @@ coordinator ``c(r) = Π[r mod n]``):
 2. *Phase 2* -- c(r) waits for estimates from a majority.  If any carries
    ``ts > 0`` it adopts the one with the highest ``ts``; otherwise it
    **aggregates**: the proposal becomes the vector of (pid, initial
-   value) pairs of the majority it heard from, ordered by pid.  This
+   value) pairs of the estimates it holds, ordered by pid.  This
    aggregation step is the entire Maj-validity modification ([Fel98]):
    the decided value is then always a sequence containing the initial
    values of a majority of processes.
@@ -20,6 +20,36 @@ coordinator ``c(r) = Π[r mod n]``):
 4. *Phase 4* -- when c(r) has acks from a majority it reliably broadcasts
    the decision (relay-on-first-receipt), which terminates the instance
    everywhere.
+
+The manager runs in one of two modes.  ``collect="majority"`` is [CT96]
+as above; the CT atomic-broadcast baseline uses it.  OAR's Cnsv-order
+uses ``collect="unsuspected"``, the paper's footnote 5: the coordinator
+aggregates only the initial values of processes it does not suspect, so
+that a wrongly suspected minority's optimistic order can be left out of
+the decision (the Opt-undelivery of Figure 4; such a decision covers
+fewer than a majority, so Maj-validity is [CT96] mode's alone).  Four
+rules keep agreement and termination as in [CT96]:
+
+(a) *Fixed quorum* (both modes).  A proposal needs estimates from a
+    majority of distinct senders of its round, counted against the fixed
+    ``n // 2 + 1``, never against the local view of who is suspected.
+(b) *Suspicion filters initial values only* (footnote 5).  The
+    highest-``ts`` aggregate among *all* the estimates held is adopted;
+    suspicion only decides which initial values get aggregated.
+(c) *Refusal* (footnote 5).  A participant that suspects c(r) on entering
+    r sends it no estimate, and its ``CNack`` counts as a refusal.  Once
+    some participant has refused, c(r) gives the round up as soon as a
+    majority can no longer arrive: the estimates it holds plus the
+    senders that neither refused nor are suspected.
+(d) *Notice* (footnote 5).  A coordinator that gives a round up sends its
+    ``CNack`` to everyone, and never proposes in that round.  A
+    participant that gets c(r)'s ``CNack`` leaves round r, even when the
+    ``CNack`` arrives before the participant enters r.
+
+In both modes a process never suspects itself as a coordinator, and a
+round left without a proposal advances on a zero-delay timer: a run of
+round skips at one instant stops within n - 1 rounds, at the process's
+own round.
 
 Safety does not depend on the failure detector; liveness needs ◇S and a
 majority of correct processes, exactly the paper's assumptions
@@ -82,7 +112,11 @@ class CAck:
 
 @frozen_value
 class CNack:
-    """Phase 3: rejection after suspecting the round's coordinator."""
+    """Phase 3: rejection after suspecting the round's coordinator.
+
+    From the coordinator itself, the notice that it gave the round up
+    (rule (d) of the module docstring).
+    """
 
     instance: Any
     round: int
@@ -112,7 +146,7 @@ class ConsensusInstance:
         self.majority = len(self.participants) // 2 + 1
         self.pid = manager.host.pid
         self.on_decide = on_decide
-        self.collect = manager.collect
+        self.footnote5 = manager.collect == "unsuspected"
 
         self.tag = INITIAL
         self.value: Any = initial_value
@@ -126,15 +160,22 @@ class ConsensusInstance:
         self._estimates: Dict[int, Dict[str, CEstimate]] = {}
         self._acks: Dict[int, Set[str]] = {}
         self._proposals_made: Dict[int, DecisionVector] = {}
+        self._refusals: Dict[int, Set[str]] = {}
 
-        # Participant-side: rounds whose phase 3 (ack/nack) is done.
+        # Participant-side: rounds whose phase 3 (ack/nack) is done, and
+        # rounds whose coordinator gave them up (rule (d); our own too).
         self._phase3_done: Set[int] = set()
+        self._abandoned: Set[int] = set()
 
     # ------------------------------------------------------------------
 
     def coordinator(self, round_number: int) -> str:
         """The rotating coordinator c(r) = Π[r mod n]."""
         return self.participants[round_number % len(self.participants)]
+
+    def _suspects(self, pid: str) -> bool:
+        """The detector's verdict on ``pid``; a process never suspects itself."""
+        return pid != self.pid and self.manager.fd.is_suspected(pid)
 
     def start(self) -> None:
         """Enter round 0 (phase 1: send the initial estimate)."""
@@ -145,21 +186,25 @@ class ConsensusInstance:
             return
         self.round = round_number
         self.rounds_executed += 1
+        if round_number in self._abandoned:
+            self._nack(round_number)
+            return
         coordinator = self.coordinator(round_number)
-        estimate = CEstimate(
-            instance=self.instance_id,
-            round=round_number,
-            tag=self.tag,
-            value=self.value,
-            ts=self.ts,
-        )
-        if coordinator == self.pid:
-            self._on_estimate(self.pid, estimate)
-        else:
-            self.manager.env.send(coordinator, estimate)
-        # Phase 3 may already be decidable: the coordinator is suspected,
-        # or its proposal arrived before we entered the round.
-        if self.manager.fd.is_suspected(coordinator):
+        suspected = self._suspects(coordinator)
+        if not (suspected and self.footnote5):  # rule (c): a refusal sends none
+            estimate = CEstimate(
+                instance=self.instance_id,
+                round=round_number,
+                tag=self.tag,
+                value=self.value,
+                ts=self.ts,
+            )
+            if coordinator == self.pid:
+                self._on_estimate(self.pid, estimate)
+            else:
+                self.manager.env.send(coordinator, estimate)
+        # Phase 3 at once when the coordinator is already suspected.
+        if suspected:
             self._nack(round_number)
 
     # ------------------------------------------------------------------
@@ -173,8 +218,6 @@ class ConsensusInstance:
             # the decision.
             if not isinstance(payload, CDecide) and src != self.pid:
                 self.manager.env.send(src, CDecide(self.instance_id, self.decision))
-            if isinstance(payload, CDecide):
-                pass  # already decided; relay was done on first receipt
             return
         if isinstance(payload, CEstimate):
             self._on_estimate(src, payload)
@@ -183,7 +226,7 @@ class ConsensusInstance:
         elif isinstance(payload, CAck):
             self._on_ack(src, payload)
         elif isinstance(payload, CNack):
-            pass  # nacks are informational; liveness comes from round advance
+            self._on_nack(src, payload)
         elif isinstance(payload, CDecide):
             self._on_decide(payload)
 
@@ -193,43 +236,21 @@ class ConsensusInstance:
         self._maybe_propose(estimate.round)
 
     def _maybe_propose(self, round_number: int) -> None:
-        """Phase 2 trigger.  Two collection disciplines:
+        """Phase 2 trigger.
 
-        * ``majority`` (strict [CT96]): wait for estimates from a majority
-          and aggregate over all of them.  This is the provably-safe
-          default.
-        * ``unsuspected`` (the paper's footnote 5, per [Fel98]): wait for
-          an estimate from every participant the coordinator does *not*
-          suspect, then aggregate over those estimates only.  A wrongly
-          suspected minority's initial values can thus be excluded from
-          the decision -- the precondition for the Opt-undelivery run of
-          Figure 4.  The ack quorum is still a majority, so a decision is
-          always anchored in a majority of processes.
+        Rule (a), both modes: propose once estimates from a majority of
+        distinct senders of the round are in.  Rule (d), footnote 5: never
+        in a round this coordinator gave up.  What is proposed (rule (b))
+        is :meth:`_choose_proposal`'s.
         """
-        bucket = self._estimates.get(round_number)
-        if not bucket or round_number in self._proposals_made:
+        bucket = self._estimates[round_number]
+        if (
+            len(bucket) < self.majority
+            or round_number in self._proposals_made
+            or round_number in self._abandoned
+        ):
             return
-        if self.collect == "unsuspected":
-            eligible = {
-                pid: est
-                for pid, est in bucket.items()
-                if not self.manager.fd.is_suspected(pid)
-            }
-            unsuspected = [
-                pid
-                for pid in self.participants
-                if not self.manager.fd.is_suspected(pid)
-            ]
-            ready = eligible and all(pid in bucket for pid in unsuspected)
-            if not ready and len(bucket) < len(self.participants):
-                return
-            if not eligible:
-                eligible = dict(bucket)
-        else:
-            if len(bucket) < self.majority:
-                return
-            eligible = dict(bucket)
-        proposal_value = self._choose_proposal(eligible)
+        proposal_value = self._choose_proposal(bucket)
         self._proposals_made[round_number] = proposal_value
         proposal = CProposal(self.instance_id, round_number, proposal_value)
         for member in self.participants:
@@ -241,16 +262,21 @@ class ConsensusInstance:
     def _choose_proposal(self, bucket: Dict[str, CEstimate]) -> DecisionVector:
         """Adopt the highest-ts aggregate, else aggregate the initial values.
 
-        The aggregation order (sorted by pid) is deterministic so that the
-        Cnsv-order reduction can reconstruct per-process proposals from
-        the decision vector.
+        Rule (b): the aggregate is chosen among *all* the estimates held;
+        in footnote-5 mode suspicion only drops the initial values of
+        suspected senders from the aggregation (all of them are kept when
+        every sender is suspected).  The aggregation order (sorted by pid)
+        is deterministic so that the Cnsv-order reduction can reconstruct
+        per-process proposals from the decision vector.
         """
         aggregated = [e for e in bucket.values() if e.tag == AGGREGATE]
         if aggregated:
             best = max(aggregated, key=lambda e: e.ts)
             return best.value
-        pairs = sorted((pid, e.value) for pid, e in bucket.items())
-        return tuple(pairs)
+        pairs = [(pid, e.value) for pid, e in bucket.items()]
+        if self.footnote5:
+            pairs = [pair for pair in pairs if not self._suspects(pair[0])] or pairs
+        return tuple(sorted(pairs))
 
     def _on_proposal(self, src: str, proposal: CProposal) -> None:
         round_number = proposal.round
@@ -272,31 +298,70 @@ class ConsensusInstance:
         self._enter_round(round_number + 1)
 
     def _nack(self, round_number: int) -> None:
+        """Leave the current round without a proposal.
+
+        The coordinator hears of it unless it is us or gave the round up
+        itself.  The next round is entered on a zero-delay timer, not by
+        a nested call, and only if no proposal moved us on meanwhile.
+        """
         if self.decided or round_number in self._phase3_done:
             return
         if round_number != self.round:
             return
         self._phase3_done.add(round_number)
         coordinator = self.coordinator(round_number)
-        if coordinator != self.pid:
+        if coordinator != self.pid and round_number not in self._abandoned:
             self.manager.env.send(coordinator, CNack(self.instance_id, round_number))
-        # Pace round-skipping so a burst of suspicions cannot starve the
-        # event loop; the delay is well below one message latency.
-        delay = self.manager.round_skip_delay
-        self.manager.env.set_timer(delay, lambda: self._enter_round(round_number + 1))
+        self.manager.env.post(0.0, lambda: self._advance(round_number))
+
+    def _advance(self, round_number: int) -> None:
+        """The zero-delay step out of a round left without a proposal."""
+        if self.round == round_number:
+            self._enter_round(round_number + 1)
+
+    def _on_nack(self, src: str, nack: CNack) -> None:
+        round_number = nack.round
+        if src == self.coordinator(round_number):
+            # Rule (d): c(r) gave the round up.
+            self._abandoned.add(round_number)
+            self._nack(round_number)
+        elif self.footnote5:
+            # Rule (c): a participant that suspects us refused the round.
+            # ([CT96] nacks are informational: the sender's estimate is
+            # already in, and liveness comes from round advance.)
+            self._refusals.setdefault(round_number, set()).add(src)
+            self._maybe_give_up(round_number)
+
+    def _maybe_give_up(self, round_number: int) -> None:
+        """Rules (c) and (d): give a refused round up once a majority of
+        estimates can no longer arrive."""
+        if round_number in self._proposals_made or round_number in self._abandoned:
+            return
+        bucket = self._estimates.get(round_number, {})
+        refused = self._refusals[round_number]
+        can_come = len(bucket) + sum(
+            1
+            for pid in self.participants
+            if pid not in bucket and pid not in refused and not self._suspects(pid)
+        )
+        if can_come >= self.majority:
+            return
+        self._abandoned.add(round_number)
+        self._broadcast(CNack(self.instance_id, round_number))
+        self._nack(round_number)
 
     def _on_ack(self, src: str, ack: CAck) -> None:
         acks = self._acks.setdefault(ack.round, set())
         acks.add(src)
         if len(acks) >= self.majority and ack.round in self._proposals_made:
             decision = CDecide(self.instance_id, self._proposals_made[ack.round])
-            self._broadcast_decide(decision)
+            self._broadcast(decision)
             self._on_decide(decision)
 
-    def _broadcast_decide(self, decision: CDecide) -> None:
+    def _broadcast(self, payload: Any) -> None:
         for member in self.participants:
             if member != self.pid:
-                self.manager.env.send(member, decision)
+                self.manager.env.send(member, payload)
 
     def _on_decide(self, decision: CDecide) -> None:
         if self.decided:
@@ -305,7 +370,7 @@ class ConsensusInstance:
         self.decision = decision.value
         # Relay-on-first-receipt: the decision reaches every correct
         # process even if its origin crashed mid-broadcast.
-        self._broadcast_decide(decision)
+        self._broadcast(decision)
         self.manager.env.trace(
             "consensus_decide",
             instance=self.instance_id,
@@ -316,19 +381,15 @@ class ConsensusInstance:
     # ------------------------------------------------------------------
 
     def on_suspicion(self, pid: str, suspected: bool) -> None:
-        """FD transition hook: nack the current round if its coordinator died.
-
-        In ``unsuspected`` collection mode a new suspicion can also
-        complete a pending phase-2 trigger (one fewer estimate to wait
-        for), so re-check every round we hold estimates for.
-        """
-        if self.decided or self.round < 0:
+        """FD transition hook: nack the current round if its coordinator is
+        newly suspected, and re-check the refused rounds we coordinate
+        (one fewer sender can still come)."""
+        if self.decided or self.round < 0 or not suspected or pid == self.pid:
             return
-        if suspected and pid == self.coordinator(self.round):
+        if pid == self.coordinator(self.round):
             self._nack(self.round)
-        if self.collect == "unsuspected" and suspected:
-            for round_number in list(self._estimates):
-                self._maybe_propose(round_number)
+        for round_number in list(self._refusals):
+            self._maybe_give_up(round_number)
 
 
 _CONSENSUS_TYPES = (CEstimate, CProposal, CAck, CNack, CDecide)
@@ -350,7 +411,6 @@ class ConsensusManager(Component):
         host: Process,
         participants: Sequence[str],
         fd: FailureDetector,
-        round_skip_delay: float = 0.05,
         collect: str = "majority",
     ) -> None:
         super().__init__(host)
@@ -360,7 +420,6 @@ class ConsensusManager(Component):
         if collect not in ("majority", "unsuspected"):
             raise ValueError(f"unknown estimate-collection mode: {collect}")
         self.fd = fd
-        self.round_skip_delay = round_skip_delay
         self.collect = collect
         self._instances: Dict[Any, ConsensusInstance] = {}
         self._buffered: Dict[Any, List[Tuple[str, Any]]] = {}

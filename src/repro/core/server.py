@@ -108,11 +108,6 @@ class OARConfig:
         Section 5.3: trigger phase 2 every N optimistic deliveries or
         every T time units.  ``None`` disables (the paper's base
         algorithm).
-    consensus_collect:
-        Estimate-collection discipline of the Cnsv-order consensus:
-        ``"majority"`` (strict [CT96]) or ``"unsuspected"`` (the paper's
-        footnote 5 -- required to reproduce the Opt-undelivery of
-        Figure 4 with four servers).
     read_mode:
         How clients execute read-only operations (the deployment-level
         default; scenario configs can override it per run):
@@ -149,7 +144,6 @@ class OARConfig:
     rotate_sequencer: bool = True
     gc_after_requests: Optional[int] = None
     gc_interval: Optional[float] = None
-    consensus_collect: str = "majority"
     read_mode: str = "sequencer"
     read_cost: float = 0.0
     exec_cost: float = 0.0
@@ -377,10 +371,9 @@ class OARServer(ComponentProcess):
         self._latest_rid: Dict[str, str] = {}
 
         self.rmc = self.add_component(ReliableMulticast(self, self._on_rdeliver))
+        # Cnsv-order's consensus runs the paper's footnote 5.
         self.consensus = self.add_component(
-            ConsensusManager(
-                self, self.group, fd, collect=self.config.consensus_collect
-            )
+            ConsensusManager(self, self.group, fd, collect="unsuspected")
         )
         if isinstance(fd, HeartbeatFailureDetector):
             self.add_component(fd)

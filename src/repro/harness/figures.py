@@ -98,7 +98,7 @@ def run_figure_3(seed: int = 0) -> ShardedRun:
         n_servers=3,
         n_clients=1,
         seed=seed,
-        oar=OARConfig(batch_interval=2.0, consensus_collect="majority"),
+        oar=OARConfig(batch_interval=2.0),
         fault_schedule=FaultSchedule().crash_during_multicast("p1", is_second_batch, {"p2"}),
     )
     client = run.clients[0]
@@ -121,15 +121,16 @@ def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> ShardedRu
 
     Four servers.  Only p2 receives the ordering of {m3;m4}; the network
     partitions {p1, p2} away from {p3, p4}, which also wrongly suspect
-    p2.  The Cnsv-order consensus (footnote-5 "unsuspected" estimate
-    collection) decides from p3/p4's proposals only; their merged
-    not-yet-delivered order is {m4;m3}, so p2 must Opt-undeliver m4 and
-    m3 and re-deliver in the agreed order {m4;m3}.
+    p2.  The Cnsv-order consensus (footnote 5: initial values of
+    suspected processes are not aggregated) decides from p3/p4's
+    proposals only; their merged not-yet-delivered order is {m4;m3}, so
+    p2 must Opt-undeliver m4 and m3 and re-deliver in the agreed order
+    {m4;m3}.
 
     ``config`` overrides the protocol knobs while keeping the figure's
-    required batching and footnote-5 consensus collection (used to
-    replay the scenario under the execution service model, where the
-    doomed suffix is undone while it may still be in a lane).
+    required batching (used to replay the scenario under the execution
+    service model, where the doomed suffix is undone while it may still
+    be in a lane).
     """
     # m3 (from c1) reaches p3 slowly; m4 (from c2) reaches p3 first, so
     # p3 proposes O_notdelivered = {m4;m3} while p4 proposes {m3;m4}.
@@ -147,11 +148,7 @@ def run_figure_4(seed: int = 0, config: Optional[OARConfig] = None) -> ShardedRu
         n_clients=2,
         seed=seed,
         latency=latency,
-        oar=replace(
-            config or OARConfig(),
-            batch_interval=2.0,
-            consensus_collect="unsuspected",
-        ),
+        oar=replace(config or OARConfig(), batch_interval=2.0),
         fault_schedule=FaultSchedule().crash_during_multicast("p1", is_second_batch, {"p2"}),
     )
     c1, c2 = run.clients

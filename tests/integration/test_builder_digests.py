@@ -165,7 +165,7 @@ DIGESTS: Dict[str, str] = {
     "sequencer-open": "0fa0668b7942e5950c988795d50e8f0b0ed71ca1f33e83b5d6a25c01d76a6075",
     "sequencer-session": "9e37015645642b97d491bfad75e5012ca29e5977c13e40de7340264bbf2cf63a",
     "sharded-bank-cross-sequencer-crash": (
-        "c8286a5234475aed4d8867c601f33812bf6a3e9bc3cf5876c95ee1f14853ae4d"
+        "f734a51bb09625291317b5e0eb44d2e2524f9d1a1632caccc86c6f2aeb496a48"
     ),
     "sharded-bank-split-unsplit": (
         "6b59f400bf43c9ffc85d0c768b91bbcf589c9c34c8db9eaba44fa570fb3f3cab"
@@ -267,7 +267,7 @@ COUNTS: Dict[str, Dict[str, int]] = {
         "trace:seq_assign": 24, "trace:submit": 24,
     },
     "sharded-bank-cross-sequencer-crash": {
-        "adopted": 45, "events": 3029, "send:CAck": 1, "send:CDecide": 8, "send:CEstimate": 6,
+        "adopted": 45, "events": 3026, "send:CAck": 1, "send:CDecide": 8, "send:CEstimate": 3,
         "send:CNack": 3, "send:CProposal": 4, "send:Heartbeat": 1228, "send:RMsg": 725,
         "send:Reply": 228, "send:SeqOrder": 158, "trace:a_deliver": 16, "trace:adopt": 87,
         "trace:cnsv_order": 2, "trace:cnsv_propose": 2, "trace:consensus_decide": 2,
@@ -337,10 +337,10 @@ COUNTS: Dict[str, Dict[str, int]] = {
 FIGURES: Dict[str, Tuple[str, int]] = {
     "1a": ("1457dc75875a48146b11c10b26ca2a2a6d99a1e8d93cb2f20da8bd7b9f16767b", 18),
     "1b": ("cf8844cba0d5de2dacae61ecd7cd43b4db42a68dff48e146b6571e5ab0f5d834", 22),
-    "1b_with_oar": ("2401aa0d559420e8d4d81bad8b8addf5b5155c1fefba40b9296b01bdf60dcc2b", 31),
+    "1b_with_oar": ("8be5b22ab5ead19f7d70df6899f8b37a6008500dafe481eb4580eb522586ba89", 31),
     "2": ("2bf45b1537706f1e16d06516401ef646cff4b60964659e9f54ad7167aecee226", 45),
-    "3": ("950b91c17024b465e68a5680be2988dbc3ec681a24a004a24c521fa0b552997c", 50),
-    "4": ("e39131abc4e0da6c1ac70fe26d8c85c86bb508e9d54a0f1e78b9cbc7411a8f7b", 88),
+    "3": ("bd4a07119898312ba08c7e5dad30f69f0873eff52f38742d42dca1644370b5a9", 50),
+    "4": ("75f80994570cb573bc408dceeccb62c506baaaab2240f87737ede9a994e43b27", 88),
 }
 
 

@@ -32,6 +32,7 @@ import pytest
 
 import repro
 from repro.analysis import checkers
+from repro.consensus import ConsensusManager
 from repro.core import client as client_module
 from repro.core.client import OARClient
 from repro.core.messages import ReadReply
@@ -513,6 +514,16 @@ def test_knob_budget():
         "pid", "shard_groups", "router", "key_extractor", "tx_planner", "on_adopt",
         "retry_interval", "route_authority", "redirect_delay", "max_redirects",
         "read_mode", "is_read_only", "splitter",
+    ]
+    # The protocol's options: OAR's consensus always runs footnote 5, so
+    # neither the discipline nor a round-skip pause is a setting.
+    assert [field.name for field in fields(OARConfig)] == [
+        "batch_interval", "order_cost", "rotate_sequencer", "gc_after_requests",
+        "gc_interval", "read_mode", "read_cost", "exec_cost", "exec_lanes",
+        "admission_limit", "read_queue_limit", "sync_interval", "paranoid",
+    ]
+    assert list(inspect.signature(ConsensusManager).parameters) == [
+        "host", "participants", "fd", "collect",
     ]
 
 

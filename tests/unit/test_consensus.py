@@ -1,10 +1,17 @@
 """Unit tests for Chandra-Toueg consensus with Maj-validity."""
 
-from typing import Any, Dict, List
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Tuple
 
 import pytest
 
-from repro.consensus.chandra_toueg import ConsensusManager
+from repro.consensus.chandra_toueg import (
+    CEstimate,
+    CNack,
+    ConsensusInstance,
+    ConsensusManager,
+    CProposal,
+)
 from repro.failure.detector import HeartbeatFailureDetector, ScriptedFailureDetector
 from repro.sim.component import ComponentProcess
 from repro.sim.latency import ConstantLatency
@@ -12,7 +19,6 @@ from repro.sim.loop import Simulator
 from repro.sim.network import SimNetwork
 
 pytestmark = pytest.mark.unit
-
 
 
 class Participant(ComponentProcess):
@@ -195,3 +201,119 @@ class TestUnsuspectedCollection:
         host = ComponentProcess("outsider")
         with pytest.raises(ValueError):
             ConsensusManager(host, ["p1", "p2"], ScriptedFailureDetector())
+
+
+class RecordingEnv:
+    """Just what an instance asks of its manager's env, recorded."""
+
+    def __init__(self) -> None:
+        self.sent: List[Tuple[str, Any]] = []
+        self.posted: List[Tuple[float, Callable[[], None]]] = []
+
+    def send(self, dst: str, payload: Any) -> None:
+        self.sent.append((dst, payload))
+
+    def post(self, delay: float, callback: Callable[[], None]) -> None:
+        self.posted.append((delay, callback))
+
+    def trace(self, kind: str, **fields: Any) -> None:
+        pass
+
+    def fire(self) -> None:
+        """Run the posted callbacks (and any they post)."""
+        while self.posted:
+            _delay, callback = self.posted.pop(0)
+            callback()
+
+    def take(self, kind: type) -> List[Tuple[str, Any]]:
+        """The recorded sends of ``kind``, which are then forgotten."""
+        taken = [(dst, p) for dst, p in self.sent if isinstance(p, kind)]
+        self.sent = [(dst, p) for dst, p in self.sent if not isinstance(p, kind)]
+        return taken
+
+
+def lone_instance(pid: str, n: int = 3, collect: str = "unsuspected"):
+    """One instance of a group of ``n``, driven by hand: messages in by
+    ``on_message``, suspicions by the scripted detector plus
+    ``on_suspicion``, and everything it sends lands in the env."""
+    env = RecordingEnv()
+    fd = ScriptedFailureDetector()
+    manager = SimpleNamespace(
+        participants=[f"p{i + 1}" for i in range(n)],
+        host=SimpleNamespace(pid=pid),
+        collect=collect,
+        fd=fd,
+        env=env,
+    )
+    instance = ConsensusInstance(manager, "k", f"v-{pid}", lambda k, v: None)
+    return instance, fd, env
+
+
+def suspect(instance: ConsensusInstance, fd: ScriptedFailureDetector, pid: str) -> None:
+    fd.force_suspect(pid)
+    instance.on_suspicion(pid, True)
+
+
+class TestFootnoteFiveRules:
+    """Rules (c) and (d) of ``repro.consensus.chandra_toueg``, one message
+    at a time (rounds 0, 1, 2 are coordinated by p1, p2, p3)."""
+
+    def test_refusal_sends_no_estimate(self):
+        instance, fd, env = lone_instance("p2")
+        fd.force_suspect("p1")
+        instance.start()
+        assert env.take(CEstimate) == []
+        assert env.take(CNack) == [("p1", CNack("k", 0))]
+        # [CT96] sends its estimate first, then nacks.
+        instance, fd, env = lone_instance("p2", collect="majority")
+        fd.force_suspect("p1")
+        instance.start()
+        assert [(dst, type(p)) for dst, p in env.sent] == [("p1", CEstimate), ("p1", CNack)]
+
+    def test_give_up_broadcasts_nack(self):
+        coordinator, fd, env = lone_instance("p1")
+        coordinator.start()
+        assert env.sent == []  # its own estimate stays local
+        coordinator.on_message("p2", CNack("k", 0))  # p2 refuses
+        assert env.sent == []  # p3's estimate can still make a majority
+        suspect(coordinator, fd, "p3")
+        assert env.take(CNack) == [("p2", CNack("k", 0)), ("p3", CNack("k", 0))]
+        # It leaves the round on a zero-delay timer.
+        assert [delay for delay, _cb in env.posted] == [0.0]
+        env.fire()
+        assert coordinator.round == 1
+
+    def test_notice_before_round_entry_skips_the_round(self):
+        participant, fd, env = lone_instance("p3")
+        participant.start()
+        assert env.take(CEstimate) == [("p1", CEstimate("k", 0, "init", "v-p3", 0))]
+        # p2 gives round 1 up while p3 is still in round 0.
+        participant.on_message("p2", CNack("k", 1))
+        assert participant.round == 0
+        suspect(participant, fd, "p1")
+        assert env.take(CNack) == [("p1", CNack("k", 0))]
+        env.fire()
+        # Round 1 is left at once (no estimate to p2, no CNack back), and
+        # round 2 is p3's own.
+        assert participant.round == 2
+        assert env.sent == []
+
+    def test_no_proposal_in_a_given_up_round(self):
+        coordinator, fd, env = lone_instance("p1")
+        coordinator.start()
+        coordinator.on_message("p2", CNack("k", 0))
+        suspect(coordinator, fd, "p3")
+        assert env.take(CNack)
+        # p3's estimate completes a majority for round 0, too late.
+        coordinator.on_message("p3", CEstimate("k", 0, "init", "v-p3", 0))
+        assert env.take(CProposal) == []
+        assert 0 not in coordinator._proposals_made
+
+    def test_a_process_never_suspects_itself_as_coordinator(self):
+        coordinator, fd, env = lone_instance("p1", collect="majority")
+        fd.force_suspect("p1")
+        coordinator.start()
+        coordinator.on_suspicion("p1", True)
+        assert env.sent == [] and env.posted == []
+        coordinator.on_message("p2", CEstimate("k", 0, "init", "v-p2", 0))
+        assert [dst for dst, _p in env.take(CProposal)] == ["p2", "p3"]
