@@ -14,8 +14,8 @@ consensus problem with a strengthened validity property (Section 5.5):
 making the first aggregated estimate the ordered vector of initial values
 collected from a majority.  OAR runs it in the paper's footnote-5 mode,
 where a coordinator leaves the initial values of processes it suspects
-out of that vector (see the module docstring for the rules that keep it
-safe).
+out of that vector while the rest still meet every majority (see the
+module docstring for the rules that keep it safe).
 """
 
 from repro.consensus.chandra_toueg import (

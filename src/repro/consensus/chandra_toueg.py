@@ -26,16 +26,21 @@ as above; the CT atomic-broadcast baseline uses it.  OAR's Cnsv-order
 uses ``collect="unsuspected"``, the paper's footnote 5: the coordinator
 aggregates only the initial values of processes it does not suspect, so
 that a wrongly suspected minority's optimistic order can be left out of
-the decision (the Opt-undelivery of Figure 4; such a decision covers
-fewer than a majority, so Maj-validity is [CT96] mode's alone).  Four
-rules keep agreement and termination as in [CT96]:
+the decision (the Opt-undelivery of Figure 4).  Such a decision may
+cover fewer than a majority, but never fewer than ``n - n // 2``
+processes (rule (b)), so it meets every majority: a message a majority
+Opt-delivered is in some aggregated initial value, which is what
+Cnsv-order's undo consistency rests on.  Four rules keep agreement and
+termination as in [CT96]:
 
 (a) *Fixed quorum* (both modes).  A proposal needs estimates from a
     majority of distinct senders of its round, counted against the fixed
     ``n // 2 + 1``, never against the local view of who is suspected.
 (b) *Suspicion filters initial values only* (footnote 5).  The
     highest-``ts`` aggregate among *all* the estimates held is adopted;
-    suspicion only decides which initial values get aggregated.
+    suspicion only decides which initial values get aggregated, and only
+    while the unsuspected ones left number at least ``n - n // 2`` (so
+    that they meet every majority); otherwise all are aggregated.
 (c) *Refusal* (footnote 5).  A participant that suspects c(r) on entering
     r sends it no estimate, and its ``CNack`` counts as a refusal.  Once
     some participant has refused, c(r) gives the round up as soon as a
@@ -76,7 +81,8 @@ INITIAL = "init"
 AGGREGATE = "agg"
 
 #: A decision is a vector of (pid, initial_value) pairs, sorted by pid,
-#: covering a majority of the group.
+#: covering a majority of the group ([CT96] mode) or at least
+#: ``n - n // 2`` of it (footnote 5), so meeting every majority.
 DecisionVector = Tuple[Tuple[str, Any], ...]
 
 DecisionCallback = Callable[[Any, DecisionVector], None]
@@ -144,6 +150,9 @@ class ConsensusInstance:
         self.instance_id = instance_id
         self.participants = manager.participants
         self.majority = len(self.participants) // 2 + 1
+        # Fewest initial values a footnote-5 aggregate keeps: any set this
+        # large meets every majority (rule (b)).
+        self.min_cover = len(self.participants) - self.majority + 1
         self.pid = manager.host.pid
         self.on_decide = on_decide
         self.footnote5 = manager.collect == "unsuspected"
@@ -264,8 +273,9 @@ class ConsensusInstance:
 
         Rule (b): the aggregate is chosen among *all* the estimates held;
         in footnote-5 mode suspicion only drops the initial values of
-        suspected senders from the aggregation (all of them are kept when
-        every sender is suspected).  The aggregation order (sorted by pid)
+        suspected senders from the aggregation, and only while at least
+        ``min_cover`` unsuspected ones are left (else all of them are
+        kept).  The aggregation order (sorted by pid)
         is deterministic so that the Cnsv-order reduction can reconstruct
         per-process proposals from the decision vector.
         """
@@ -275,7 +285,9 @@ class ConsensusInstance:
             return best.value
         pairs = [(pid, e.value) for pid, e in bucket.items()]
         if self.footnote5:
-            pairs = [pair for pair in pairs if not self._suspects(pair[0])] or pairs
+            kept = [pair for pair in pairs if not self._suspects(pair[0])]
+            if len(kept) >= self.min_cover:
+                pairs = kept
         return tuple(sorted(pairs))
 
     def _on_proposal(self, src: str, proposal: CProposal) -> None:
@@ -334,8 +346,17 @@ class ConsensusInstance:
 
     def _maybe_give_up(self, round_number: int) -> None:
         """Rules (c) and (d): give a refused round up once a majority of
-        estimates can no longer arrive."""
-        if round_number in self._proposals_made or round_number in self._abandoned:
+        estimates can no longer arrive.
+
+        A round already left, proposed in or given up is settled: its
+        refusals are dropped, so only rounds still ahead are re-checked.
+        """
+        if (
+            round_number < self.round
+            or round_number in self._proposals_made
+            or round_number in self._abandoned
+        ):
+            self._refusals.pop(round_number, None)
             return
         bucket = self._estimates.get(round_number, {})
         refused = self._refusals[round_number]
@@ -347,6 +368,7 @@ class ConsensusInstance:
         if can_come >= self.majority:
             return
         self._abandoned.add(round_number)
+        del self._refusals[round_number]
         self._broadcast(CNack(self.instance_id, round_number))
         self._nack(round_number)
 
@@ -383,7 +405,7 @@ class ConsensusInstance:
     def on_suspicion(self, pid: str, suspected: bool) -> None:
         """FD transition hook: nack the current round if its coordinator is
         newly suspected, and re-check the refused rounds we coordinate
-        (one fewer sender can still come)."""
+        that are still ahead (one fewer sender can still come)."""
         if self.decided or self.round < 0 or not suspected or pid == self.pid:
             return
         if pid == self.coordinator(self.round):

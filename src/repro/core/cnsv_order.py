@@ -2,7 +2,10 @@
 
 ``Cnsv-order`` is solved by reduction to consensus with Maj-validity: each
 process proposes the pair ``(O_delivered, O_notdelivered)``; the decision
-``Dk`` is a vector of such pairs covering a majority of processes.  The
+``Dk`` is a vector of such pairs that meets every majority of processes
+(it covers a majority, or under the paper's footnote 5 at least
+``n - n // 2`` processes), so a message a majority Opt-delivered is in
+``dlvmax``.  The
 post-processing of the decision -- computing which optimistic deliveries
 were *Bad* (must be undone) and which messages are *New* (must be
 A-delivered) -- is a pure function of the local ``O_delivered`` and the
@@ -34,8 +37,8 @@ from repro.core.sequences import (
 #: tuples of request ids in local order.
 CnsvProposal = Tuple[Tuple[str, ...], Tuple[str, ...]]
 
-#: The consensus decision: ((pid, proposal), ...) sorted by pid, covering a
-#: majority of the group (Maj-validity).
+#: The consensus decision: ((pid, proposal), ...) sorted by pid, meeting
+#: every majority of the group (Maj-validity, or footnote 5's bound).
 CnsvDecision = Tuple[Tuple[str, CnsvProposal], ...]
 
 

@@ -8,6 +8,9 @@ assert their semantics.
 
 from repro.analysis import checkers
 from repro.broadcast.reliable import RMsg
+from repro.core.messages import SeqOrder
+from repro.core.server import OARConfig
+from repro.faults.injection import FaultSchedule
 from repro.harness.figures import (
     run_figure_1a,
     run_figure_1b,
@@ -16,6 +19,8 @@ from repro.harness.figures import (
     run_figure_3,
     run_figure_4,
 )
+from repro.harness.scenario import ScenarioConfig, build_scenario
+from repro.sim.latency import ConstantLatency, PerLinkLatency
 
 import pytest
 
@@ -116,6 +121,77 @@ class TestFigure3:
 
     def test_full_checker_suite(self):
         run = run_figure_3()
+        run_checks(run, group_size=3)
+
+
+def run_figure_3_with_p3_suspecting_p2(seed: int = 0):
+    """Figure 3's crash, with p3 wrongly suspecting p2 across Cnsv-order.
+
+    As in Figure 3, the majority {p1, p2} Opt-delivered m3 before m4 and
+    p1 crashes; here m3 (from c1) reaches p3 after m4 (from c2), so p3's
+    own proposal orders them {m4;m3}.  p3 suspects p2 from t=8 to t=20:
+    it refuses round 1, and in round 2 it coordinates over the estimates
+    of {p2, p3} with p2 suspected.  Footnote 5 may drop p2's initial
+    value only if p3's alone met every majority; it does not (1 < 2), so
+    the decision keeps p2's order and nobody undoes m3.
+    """
+    latency = PerLinkLatency(
+        ConstantLatency(1.0), {("c1", "p3"): ConstantLatency(3.0)}
+    )
+
+    def is_second_batch(payload):
+        return isinstance(payload, SeqOrder) and len(payload.rids) == 2 and (
+            "c1-1" in payload.rids
+        )
+
+    run = build_scenario(ScenarioConfig(
+        fd_kind="scripted",
+        requests_per_client=0,
+        n_servers=3,
+        n_clients=2,
+        seed=seed,
+        latency=latency,
+        oar=OARConfig(batch_interval=2.0),
+        fault_schedule=FaultSchedule().crash_during_multicast("p1", is_second_batch, {"p2"}),
+    ))
+    c1, c2 = run.clients
+    run.sim.schedule_at(0.20, lambda: c1.submit(("incr",)))  # m1
+    run.sim.schedule_at(0.30, lambda: c2.submit(("incr",)))  # m2
+    run.sim.schedule_at(2.20, lambda: c1.submit(("incr",)))  # m3
+    run.sim.schedule_at(2.25, lambda: c2.submit(("incr",)))  # m4
+
+    def suspect() -> None:
+        for pid in ("p2", "p3"):
+            run.detectors[pid].force_suspect("p1")
+        run.detectors["p3"].force_suspect("p2")
+
+    run.sim.schedule_at(8.0, suspect)
+    run.sim.schedule_at(20.0, lambda: run.detectors["p3"].force_unsuspect("p2"))
+    run.sim.run(until=60.0, max_events=200_000)
+    return run
+
+
+class TestFigure3WrongSuspicion:
+    """A wrong suspicion cannot make footnote 5 undo what a majority
+    Opt-delivered (undo consistency, Proposition 7)."""
+
+    M1, M2, M3, M4 = "c1-0", "c2-0", "c1-1", "c2-1"
+
+    def test_majority_order_is_kept(self):
+        run = run_figure_3_with_p3_suspecting_p2()
+        assert run.server("p1").crashed
+        assert run.opt_delivered("p2") == (self.M1, self.M2, self.M3, self.M4)
+        assert run.opt_delivered("p3") == (self.M1, self.M2)
+        first = {
+            e.pid: (e["bad"], e["new"])
+            for e in run.trace.events(kind="cnsv_order")
+            if e["epoch"] == 0
+        }
+        assert first == {"p2": ((), ()), "p3": ((), (self.M3, self.M4))}
+        assert run.trace.events(kind="opt_undeliver") == []
+
+    def test_full_checker_suite(self):
+        run = run_figure_3_with_p3_suspecting_p2()
         run_checks(run, group_size=3)
 
 

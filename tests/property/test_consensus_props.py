@@ -125,14 +125,25 @@ def run_consensus(scenario):
     return survivors, crashed
 
 
+def min_cover(n: int, collect: str) -> int:
+    """Fewest processes a decision may cover: a majority ([CT96]
+    Maj-validity), or in footnote-5 mode ``n - n // 2``, the fewest that
+    still meet every majority (what Cnsv-order's undo consistency needs)."""
+    return n // 2 + 1 if collect == "majority" else n - n // 2
+
+
 def violation(scenario) -> str:
-    """``"termination"``, ``"agreement"`` or ``""`` for one scenario."""
+    """``"termination"``, ``"agreement"``, ``"cover"`` (a decision below
+    :func:`min_cover`) or ``""`` for one scenario."""
     survivors, _crashed = run_consensus(scenario)
     decisions = [p.decisions.get("k") for p in survivors]
     if any(d is None for d in decisions):
         return "termination"
     if len({repr(d) for d in decisions}) != 1:
         return "agreement"
+    n, _v, _t, _s, collect, _seed = scenario
+    if len(decisions[0]) < min_cover(n, collect):
+        return "cover"
     return ""
 
 
@@ -170,7 +181,9 @@ def sweep(seed: int, draws: int = 4_000) -> List[Tuple[str, Tuple[Any, ...]]]:
 
 def test_seeded_sweep_finds_no_violation():
     # Before footnote 5's four rules this seed read 4 agreement and 1
-    # termination violations, all in "unsuspected" mode.
+    # termination violations, all in "unsuspected" mode; before rule (b)
+    # bounded the filter by min_cover, 22 of its footnote-5 decisions
+    # covered too few processes.
     assert sweep(9) == []
 
 
@@ -234,7 +247,7 @@ def test_decided_values_are_genuine_proposals(scenario):
 def test_majority_collection_satisfies_maj_validity(scenario):
     n, _v, _t, _s, collect, _seed = scenario
     if collect != "majority":
-        return  # footnote 5 weakens it (repro.consensus.chandra_toueg)
+        return  # footnote 5 weakens it to min_cover, checked by violation()
     survivors, _crashed = run_consensus(scenario)
     decision = survivors[0].decisions.get("k")
     assert decision is not None

@@ -255,8 +255,29 @@ def suspect(instance: ConsensusInstance, fd: ScriptedFailureDetector, pid: str) 
 
 
 class TestFootnoteFiveRules:
-    """Rules (c) and (d) of ``repro.consensus.chandra_toueg``, one message
-    at a time (rounds 0, 1, 2 are coordinated by p1, p2, p3)."""
+    """Rules (b), (c) and (d) of ``repro.consensus.chandra_toueg``, one
+    message at a time (rounds 0, 1, 2 are coordinated by p1, p2, p3)."""
+
+    @pytest.mark.parametrize(
+        "n, held, kept",
+        [
+            # p3's value alone would miss the majority {p1, p2}.
+            (3, ["p2"], ["p2", "p3"]),
+            # Figure 4: {p3, p4} meets every majority of four.
+            (4, ["p2", "p4"], ["p3", "p4"]),
+        ],
+    )
+    def test_filter_keeps_a_set_that_meets_every_majority(self, n, held, kept):
+        coordinator, fd, env = lone_instance("p3", n=n)
+        coordinator.start()
+        suspect(coordinator, fd, "p1")
+        suspect(coordinator, fd, "p2")
+        env.fire()
+        assert coordinator.round == 2
+        for pid in held:
+            coordinator.on_message(pid, CEstimate("k", 2, "init", f"v-{pid}", 0))
+        proposals = {p.value for _dst, p in env.take(CProposal)}
+        assert proposals == {tuple((pid, f"v-{pid}") for pid in kept)}
 
     def test_refusal_sends_no_estimate(self):
         instance, fd, env = lone_instance("p2")
@@ -297,6 +318,18 @@ class TestFootnoteFiveRules:
         # round 2 is p3's own.
         assert participant.round == 2
         assert env.sent == []
+
+    def test_a_round_left_is_not_given_up_later(self):
+        coordinator, fd, env = lone_instance("p1")
+        coordinator.start()
+        coordinator.on_message("p2", CNack("k", 0))  # p2 refuses round 0
+        # A round-1 proposal moves p1 on before round 0 is settled.
+        coordinator.on_message("p2", CProposal("k", 1, (("p2", "v-p2"), ("p3", "v-p3"))))
+        assert coordinator.round == 2
+        suspect(coordinator, fd, "p3")
+        # Only round 2's coordinator hears of it; round 0 is not given up.
+        assert env.take(CNack) == [("p3", CNack("k", 2))]
+        assert 0 not in coordinator._abandoned and coordinator._refusals == {}
 
     def test_no_proposal_in_a_given_up_round(self):
         coordinator, fd, env = lone_instance("p1")
