@@ -2,7 +2,7 @@
 
 The paper's protocol orders *every* request through the sequencer, so a
 90/10 read/write mix pays the single ordering pipeline for reads that
-never change state.  The replica-local read path (``OARConfig.read_mode``)
+never change state.  The replica-local read path (the scenario's ``read_mode``)
 answers reads at the replicas instead: with a per-replica read service
 time (``read_cost``), optimistic reads spread round-robin over n
 replicas give an aggregate read capacity of ``n/read_cost`` -- read

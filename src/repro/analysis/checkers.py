@@ -1053,7 +1053,7 @@ def check_fragment_conservation(
 
 
 # ----------------------------------------------------------------------
-# Replica-local reads (OARConfig.read_mode)
+# Replica-local reads (the scenario's read_mode)
 # ----------------------------------------------------------------------
 
 def check_read_consistency(

@@ -19,8 +19,8 @@ concatenation (⊎), skipping already-delivered messages.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, Dict, List, Sequence, Set, Tuple
+from collections import OrderedDict
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.broadcast.reliable import ReliableMulticast
 from repro.consensus.chandra_toueg import ConsensusManager
@@ -62,11 +62,10 @@ class CTAtomicBroadcastServer(ComponentProcess):
         self._undecided: Dict[str, None] = {}
         self._instance = 0
         self._proposing = False
-        # Decided rids awaiting bodies.  A deque: this was a list popped
-        # with pop(0), which turned a long decided-but-unknown backlog
-        # into an O(n^2) drain (perf regression guard -- keep popleft).
-        self._deliver_queue: Deque[str] = deque()
-        self._queued: Set[str] = set()
+        # Decided rids awaiting bodies, in order.  An ordered set: O(1)
+        # membership, and popitem(last=False) takes the head in O(1), so
+        # a long decided-but-unknown backlog drains in linear time.
+        self._deliver_queue: OrderedDict[str, None] = OrderedDict()
         self.rmc = self.add_component(ReliableMulticast(self, self._on_rdeliver))
         self.consensus = self.add_component(ConsensusManager(self, self.group, fd))
         if isinstance(fd, HeartbeatFailureDetector):
@@ -86,7 +85,7 @@ class CTAtomicBroadcastServer(ComponentProcess):
             return
         self.requests[payload.rid] = payload
         self.r_delivered.append(payload.rid)
-        if payload.rid not in self._queued:
+        if payload.rid not in self._deliver_queue:
             self._undecided[payload.rid] = None
         self.env.trace("r_deliver", rid=payload.rid)
         self._drain_deliver_queue()
@@ -119,9 +118,8 @@ class CTAtomicBroadcastServer(ComponentProcess):
             "abcast_decide", instance=number, order=merged.items,
         )
         for rid in merged:
-            if rid not in self._delivered_set and rid not in self._queued:
-                self._deliver_queue.append(rid)
-                self._queued.add(rid)
+            if rid not in self._delivered_set and rid not in self._deliver_queue:
+                self._deliver_queue[rid] = None
                 self._undecided.pop(rid, None)
         self._instance += 1
         self._proposing = False
@@ -131,9 +129,8 @@ class CTAtomicBroadcastServer(ComponentProcess):
     def _drain_deliver_queue(self) -> None:
         queue = self._deliver_queue
         requests = self.requests
-        while queue and queue[0] in requests:
-            rid = queue.popleft()
-            self._queued.discard(rid)
+        while queue and next(iter(queue)) in requests:
+            rid, _ = queue.popitem(last=False)
             self._deliver(rid)
 
     def _deliver(self, rid: str) -> None:

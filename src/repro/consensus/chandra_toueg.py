@@ -63,12 +63,15 @@ majority of correct processes, exactly the paper's assumptions
 The :class:`ConsensusManager` multiplexes many instances (one per OAR
 epoch) over a single host process and buffers messages of instances that
 have not started locally yet (a process can receive round messages for
-epoch k before it has itself entered phase 2 of epoch k).
+epoch k before it has itself entered phase 2 of epoch k).  An instance
+that decides is dropped with all of its round state; the manager keeps
+its decision vector alone, which is all a late message needs (it is
+answered with ``CDecide``).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Set, Tuple
 
 from repro.failure.detector import FailureDetector
 from repro.sim.component import Component
@@ -162,7 +165,6 @@ class ConsensusInstance:
         self.ts = 0
         self.round = -1
         self.decided = False
-        self.decision: Optional[DecisionVector] = None
         self.rounds_executed = 0
 
         # Coordinator-side state, keyed by round.
@@ -221,12 +223,8 @@ class ConsensusInstance:
     # ------------------------------------------------------------------
 
     def on_message(self, src: str, payload: Any) -> None:
-        """Dispatch one round message (or help a laggard once decided)."""
+        """Dispatch one round message (the manager answers it once decided)."""
         if self.decided:
-            # Help laggards terminate: answer any instance traffic with
-            # the decision.
-            if not isinstance(payload, CDecide) and src != self.pid:
-                self.manager.env.send(src, CDecide(self.instance_id, self.decision))
             return
         if isinstance(payload, CEstimate):
             self._on_estimate(src, payload)
@@ -389,7 +387,6 @@ class ConsensusInstance:
         if self.decided:
             return
         self.decided = True
-        self.decision = decision.value
         # Relay-on-first-receipt: the decision reaches every correct
         # process even if its origin crashed mid-broadcast.
         self._broadcast(decision)
@@ -423,7 +420,10 @@ class ConsensusManager(Component):
     Messages for instances the local process has not proposed in yet are
     buffered and replayed when :meth:`propose` is called; decisions that
     arrive before the local propose are stored and delivered immediately
-    at propose time.
+    at propose time.  Only undecided instances are kept: a decided one
+    leaves its decision vector in :attr:`_decided`, and any later
+    traffic for it but a ``CDecide`` is answered with the decision, so
+    a laggard terminates.
     """
 
     MESSAGE_TYPES = _CONSENSUS_TYPES
@@ -444,6 +444,7 @@ class ConsensusManager(Component):
         self.fd = fd
         self.collect = collect
         self._instances: Dict[Any, ConsensusInstance] = {}
+        self._decided: Dict[Any, DecisionVector] = {}
         self._buffered: Dict[Any, List[Tuple[str, Any]]] = {}
         self._early_decisions: Dict[Any, DecisionVector] = {}
         fd.add_listener(self._on_suspicion)
@@ -453,23 +454,40 @@ class ConsensusManager(Component):
 
     def propose(self, instance_id: Any, value: Any, on_decide: DecisionCallback) -> None:
         """Start (or join) instance ``instance_id`` with initial value ``value``."""
-        if instance_id in self._instances:
+        if instance_id in self._instances or instance_id in self._decided:
             raise ValueError(f"already proposed in instance {instance_id!r}")
-        instance = ConsensusInstance(self, instance_id, value, on_decide)
-        self._instances[instance_id] = instance
+
+        def decided(instance_id: Any, vector: DecisionVector) -> None:
+            self._instances.pop(instance_id, None)
+            self._decided[instance_id] = vector
+            on_decide(instance_id, vector)
+
+        instance = ConsensusInstance(self, instance_id, value, decided)
         early = self._early_decisions.pop(instance_id, None)
         if early is not None:
+            # What arrived before the decision is never replayed.
+            self._buffered.pop(instance_id, None)
             instance._on_decide(CDecide(instance_id, early))
             return
+        self._instances[instance_id] = instance
         instance.start()
         for src, payload in self._buffered.pop(instance_id, []):
-            instance.on_message(src, payload)
+            # Through the manager: the instance may decide mid-replay.
+            self.on_message(src, payload)
 
     def on_message(self, src: str, payload: Any) -> None:
-        """Route to the instance; buffer/store traffic for unknown ones."""
+        """Route to the instance; answer traffic for decided ones and
+        buffer/store it for unknown ones."""
         instance = self._instances.get(payload.instance)
         if instance is not None:
             instance.on_message(src, payload)
+            return
+        decision = self._decided.get(payload.instance)
+        if decision is not None:
+            # Help laggards terminate: answer any instance traffic with
+            # the decision.
+            if not isinstance(payload, CDecide) and src != self.host.pid:
+                self.env.send(src, CDecide(payload.instance, decision))
             return
         if isinstance(payload, CDecide):
             # Decision for an instance we have not locally started: keep

@@ -56,7 +56,6 @@ from repro.broadcast.reliable import ReliableMulticast
 from repro.core.admission import Overloaded
 from repro.core.loadtrack import DecayingKeyLoad
 from repro.core.messages import ReadReply, ReadRequest, Reply, Request, ShedNotice
-from repro.core.server import READ_MODES
 from repro.sim.component import ComponentProcess
 from repro.statemachine.base import OpResult, WrongShard
 from repro.values import frozen_value
@@ -99,6 +98,14 @@ _Cert = Tuple[str, int, str]
 
 #: Half-life (simulated time units) of :attr:`OARClient.key_load`.
 KEY_LOAD_HALF_LIFE = 250.0
+
+#: How a client executes read-only operations (``OARClient(read_mode=)``).
+READ_MODES = ("sequencer", "optimistic", "conservative")
+
+#: Redirects one logical operation may take; once spent, the WrongShard
+#: error is surfaced as a terminal adoption (keeps runs with a
+#: permanently stranded key terminating).
+MAX_REDIRECTS = 100
 
 
 class _PendingRequest:
@@ -365,9 +372,6 @@ class OARClient(ComponentProcess):
     tx_planner:
         ``(op, txid) -> {key: branch_op}`` hook (usually
         ``Machine.tx_branches``) for cross-shard decomposition.
-    on_adopt:
-        Optional callback ``(AdoptedReply) -> None`` fired on adoption;
-        closed-loop workload drivers use it to submit the next request.
     retry_interval:
         When set, a request still unadopted after this much time is
         R-multicast again (same rid; the servers never re-execute --
@@ -388,12 +392,10 @@ class OARClient(ComponentProcess):
         The read path waits it too, for the same reason (the group has
         to converge): before re-polling a conservative read whose
         replies split, and, times 20, before re-sending an unanswered
-        read when no ``retry_interval`` is set.
-    max_redirects:
-        Retry budget per logical operation; when exhausted the final
-        WrongShard error is surfaced to the caller as a terminal
-        adoption (keeps runs with a permanently stranded key
-        terminating), counted in :attr:`redirects_exhausted`.
+        read when no ``retry_interval`` is set.  One logical operation
+        is redirected at most :data:`MAX_REDIRECTS` times; the
+        WrongShard error after that is its terminal adoption, counted in
+        :attr:`redirects_exhausted`.
     read_mode / is_read_only:
         The replica-local read path.  With ``read_mode="sequencer"``
         (the default, the paper's base protocol) every operation is
@@ -426,11 +428,9 @@ class OARClient(ComponentProcess):
         tx_planner: Optional[
             Callable[[Tuple[Any, ...], str], Optional[Dict[Any, Tuple[Any, ...]]]]
         ] = None,
-        on_adopt: Optional[Callable[[AdoptedReply], None]] = None,
         retry_interval: Optional[float] = None,
         route_authority: Optional[Any] = None,
         redirect_delay: float = 5.0,
-        max_redirects: int = 100,
         read_mode: str = "sequencer",
         is_read_only: Optional[Callable[[Tuple[Any, ...]], bool]] = None,
         splitter: Optional[type] = None,
@@ -453,11 +453,12 @@ class OARClient(ComponentProcess):
         self.router = router
         self.key_extractor = key_extractor
         self.tx_planner = tx_planner
-        self.on_adopt = on_adopt
+        #: Fired with every adoption whose request has no ``then``; the
+        #: workload drivers chain themselves onto it.
+        self.on_adopt: Optional[Callable[[AdoptedReply], None]] = None
         self.retry_interval = retry_interval
         self.route_authority = route_authority
         self.redirect_delay = redirect_delay
-        self.max_redirects = max_redirects
         self.retransmissions = 0
         self.read_mode = read_mode
         self.is_read_only = is_read_only
@@ -668,7 +669,7 @@ class OARClient(ComponentProcess):
             self._on_shed(src, payload)
 
     # ------------------------------------------------------------------
-    # Replica-local reads (OARConfig.read_mode)
+    # Replica-local reads (read_mode)
     # ------------------------------------------------------------------
 
     def _wants_read_path(self, op: Tuple[Any, ...]) -> bool:
@@ -1371,7 +1372,7 @@ class OARClient(ComponentProcess):
         time (client-perceived latency spans the whole redirect chain),
         the continuation ``then`` and ``attempts + 1``.
         """
-        if self.route_authority is None or attempts >= self.max_redirects:
+        if self.route_authority is None or attempts >= MAX_REDIRECTS:
             if self.route_authority is not None:
                 self.redirects_exhausted += 1
                 self.env.trace(

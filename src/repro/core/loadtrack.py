@@ -16,8 +16,6 @@ The counter keeps two books per key:
 * the **exact count** (an int), never decayed -- the "each logical
   operation counted exactly once" invariant the redirect-retry
   compensation relies on, and what tests assert against.
-
-``half_life=None`` disables decay entirely (the PR 3 behaviour).
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ class DecayingKeyLoad:
     ----------
     half_life:
         Time (in the clock's units) after which a recorded submission
-        counts for half.  ``None`` disables decay (pure counters).
+        counts for half.
     clock:
         Zero-argument callable returning the current time.  Evaluated
         lazily on every mutation/snapshot, so it is safe to pass a
@@ -44,11 +42,11 @@ class DecayingKeyLoad:
 
     def __init__(
         self,
-        half_life: Optional[float] = None,
+        half_life: float,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        if half_life is not None and half_life <= 0:
-            raise ValueError("half_life must be positive (or None to disable)")
+        if half_life <= 0:
+            raise ValueError("half_life must be positive")
         self.half_life = half_life
         self._clock = clock if clock is not None else (lambda: 0.0)
         #: key -> (decayed value, time it was last brought current).
@@ -65,7 +63,7 @@ class DecayingKeyLoad:
         if entry is None:
             return 0.0
         value, at = entry
-        if self.half_life is None or value == 0.0:
+        if value == 0.0:
             return value
         return value * 0.5 ** ((now - at) / self.half_life)
 

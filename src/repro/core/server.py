@@ -41,10 +41,10 @@ line 9's not-yet-ordered sequence is maintained incrementally, so Tasks
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.consensus.chandra_toueg import ConsensusManager
 from repro.core.admission import traffic_class
@@ -76,10 +76,6 @@ from repro.sim.component import ComponentProcess
 from repro.statemachine.base import OpResult, StateMachine
 from repro.statemachine.undo import UndoLog
 
-#: Client-side read execution strategies (see ``OARConfig.read_mode``).
-READ_MODES = ("sequencer", "optimistic", "conservative")
-
-
 @dataclass
 class OARConfig:
     """Tunable knobs of the OAR server.
@@ -108,19 +104,10 @@ class OARConfig:
         Section 5.3: trigger phase 2 every N optimistic deliveries or
         every T time units.  ``None`` disables (the paper's base
         algorithm).
-    read_mode:
-        How clients execute read-only operations (the deployment-level
-        default; scenario configs can override it per run):
-        ``"sequencer"`` (the paper's base protocol: reads are ordered
-        like writes), ``"optimistic"`` (one replica, chosen round-robin,
-        answers from its current state -- scales with replica count, may
-        observe state that is later undone), or ``"conservative"``
-        (every replica answers; the client adopts a value once a
-        majority of replicas agree on it -- safe by the undo-consistency
-        argument, but every replica serves every read).
     read_cost:
         Per-read service time at a replica for the replica-local read
-        path (``read_mode != "sequencer"``).  ``0.0`` answers instantly;
+        path (a client whose ``read_mode`` is not ``"sequencer"``, see
+        :class:`~repro.core.client.OARClient`).  ``0.0`` answers instantly;
         a positive value models a replica serving reads serially at rate
         ``1/read_cost``, which is what makes read goodput scale with
         replica count measurable (benchmark B12).
@@ -144,7 +131,6 @@ class OARConfig:
     rotate_sequencer: bool = True
     gc_after_requests: Optional[int] = None
     gc_interval: Optional[float] = None
-    read_mode: str = "sequencer"
     read_cost: float = 0.0
     exec_cost: float = 0.0
     exec_lanes: int = 1
@@ -201,10 +187,6 @@ class OARConfig:
             raise ValueError("gc_interval must be >= MIN_INTERVAL")
         if self.gc_after_requests is not None and self.gc_after_requests < 1:
             raise ValueError("gc_after_requests must be >= 1")
-        if self.read_mode not in READ_MODES:
-            raise ValueError(
-                f"read_mode {self.read_mode!r} not in {READ_MODES}"
-            )
         if self.read_cost < 0:
             raise ValueError("read_cost must be >= 0")
         if self.exec_cost < 0:
@@ -299,13 +281,11 @@ class OARServer(ComponentProcess):
         )
 
         # Ordered by the sequencer but not yet executable (request body
-        # not R-delivered yet); drained in order by Task 0.  A deque:
-        # this used to be a list drained with pop(0), which made a long
-        # ordered-but-unknown backlog O(n^2) to drain (perf regression
-        # guard -- keep popleft here).  The set mirrors the deque for
-        # O(1) membership.
-        self._opt_pending: Deque[str] = deque()
-        self._opt_pending_set: Set[str] = set()
+        # not R-delivered yet); drained in order by Task 0.  An ordered
+        # set: O(1) membership, and popitem(last=False) takes the head in
+        # O(1), so a long ordered-but-unknown backlog drains in linear
+        # time.
+        self._opt_pending: OrderedDict[str, None] = OrderedDict()
 
         # Buffers for messages belonging to future epochs.
         self._future_orders: Dict[int, List[SeqOrder]] = {}
@@ -328,8 +308,9 @@ class OARServer(ComponentProcess):
         self._order_gaps: Dict[int, SeqOrder] = {}
         self._order_slots: Dict[str, int] = {}
 
-        # Epochs for which this process already R-broadcast PhaseII.
-        self._phase2_requested: Set[int] = set()
+        # The last epoch for which this process R-broadcast PhaseII
+        # (epochs only grow, so one number remembers them all).
+        self._phase2_requested = -1
 
         # Pending Cnsv-order result waiting for missing New requests.
         self._pending_result: Optional[CnsvOrderResult] = None
@@ -621,7 +602,7 @@ class OARServer(ComponentProcess):
         # (sent in an earlier msgSet of this epoch) but still waiting
         # for their request body locally.
         not_delivered = MessageSequence(self._unordered).subtract(
-            self._opt_pending_set
+            self._opt_pending
         )
         if not not_delivered:
             return
@@ -646,7 +627,7 @@ class OARServer(ComponentProcess):
             remainder = (
                 batch.subtract(self.a_delivered)
                 .subtract(self.o_delivered)
-                .subtract(self._opt_pending_set)
+                .subtract(self._opt_pending)
             )
             if remainder:
                 self._send_order(remainder)
@@ -698,7 +679,7 @@ class OARServer(ComponentProcess):
             self._task0_request(request)
 
     # ------------------------------------------------------------------
-    # Replica-local reads (never ordered; see OARConfig.read_mode)
+    # Replica-local reads (never ordered; see OARClient's read_mode)
     # ------------------------------------------------------------------
 
     def _on_read_request(self, read: ReadRequest) -> None:
@@ -838,11 +819,10 @@ class OARServer(ComponentProcess):
             if (
                 rid in self.a_delivered
                 or rid in self.o_delivered
-                or rid in self._opt_pending_set
+                or rid in self._opt_pending
             ):
                 continue
-            self._opt_pending.append(rid)
-            self._opt_pending_set.add(rid)
+            self._opt_pending[rid] = None
 
     def _drain_order_gaps(self) -> None:
         """Adopt buffered out-of-order SeqOrders once their gap closes."""
@@ -861,9 +841,8 @@ class OARServer(ComponentProcess):
             return
         pending = self._opt_pending
         requests = self.requests
-        while pending and pending[0] in requests:
-            rid = pending.popleft()
-            self._opt_pending_set.discard(rid)
+        while pending and next(iter(pending)) in requests:
+            rid, _ = pending.popitem(last=False)
             self._opt_deliver(rid)
 
     def _opt_deliver(self, rid: str) -> None:
@@ -960,9 +939,9 @@ class OARServer(ComponentProcess):
 
     def _request_phase2(self, reason: str) -> None:
         """Fig. 6, line 21: R-broadcast (k, PhaseII) to the group, once."""
-        if self.epoch in self._phase2_requested:
+        if self._phase2_requested == self.epoch:
             return
-        self._phase2_requested.add(self.epoch)
+        self._phase2_requested = self.epoch
         self.env.trace("phase2_request", epoch=self.epoch, reason=reason)
         self.rmc.multicast(PhaseII(self.epoch, reason), self.group)
 
@@ -985,7 +964,6 @@ class OARServer(ComponentProcess):
         # not delivered; they are covered by O_notdelivered (if received)
         # or by a later epoch.
         self._opt_pending.clear()
-        self._opt_pending_set.clear()
         o_delivered = self.o_delivered.items
         o_notdelivered = tuple(self._unordered)
         self.env.trace(
@@ -1109,7 +1087,7 @@ class OARServer(ComponentProcess):
         if self.phase == 1:
             if (
                 self.fd.is_suspected(self.current_sequencer)
-                and self.epoch not in self._phase2_requested
+                and self._phase2_requested != self.epoch
             ):
                 # Task 1c for the new epoch: the new sequencer is already
                 # suspected.
@@ -1242,11 +1220,6 @@ class OARServer(ComponentProcess):
         if pending & delivered:
             raise RuntimeError(
                 f"{self.pid}: pending ∩ delivered = {sorted(pending & delivered)}"
-            )
-        if pending != self._opt_pending_set or len(pending) != len(self._opt_pending):
-            raise RuntimeError(
-                f"{self.pid}: pending queue {tuple(self._opt_pending)} out of "
-                f"sync with its membership index {sorted(self._opt_pending_set)}"
             )
         # The incrementally maintained line-9 sequence is, element for
         # element, the one the paper defines.

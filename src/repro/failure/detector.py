@@ -85,6 +85,10 @@ class ScriptedFailureDetector(FailureDetector):
         self._transition(pid, False)
 
 
+#: Multiplicative timeout increase after each false suspicion.
+BACKOFF = 2.0
+
+
 class HeartbeatFailureDetector(FailureDetector, Component):
     """◇S-style heartbeat failure detector.
 
@@ -92,8 +96,9 @@ class HeartbeatFailureDetector(FailureDetector, Component):
     processes and checks, per monitored process, whether the last
     heartbeat from it is older than that process's current timeout.  A
     false suspicion (heartbeat received while suspected) multiplies the
-    offender's timeout by ``backoff``, which yields eventual weak accuracy
-    once timeouts exceed the real (post-stabilization) message delays.
+    offender's timeout by :data:`BACKOFF`, which yields eventual weak
+    accuracy once timeouts exceed the real (post-stabilization) message
+    delays.
 
     Parameters
     ----------
@@ -107,8 +112,6 @@ class HeartbeatFailureDetector(FailureDetector, Component):
         Initial suspicion timeout.  Values close to the actual network
         delay produce aggressive (fast but mistake-prone) detection --
         the trade-off the paper discusses in Section 2.2.
-    backoff:
-        Multiplicative timeout increase after each false suspicion.
     """
 
     MESSAGE_TYPES = (Heartbeat,)
@@ -119,15 +122,13 @@ class HeartbeatFailureDetector(FailureDetector, Component):
         monitored: Iterable[str],
         interval: float = 5.0,
         timeout: float = 15.0,
-        backoff: float = 2.0,
     ) -> None:
         FailureDetector.__init__(self)
         Component.__init__(self, host)
-        if interval <= 0 or timeout <= 0 or backoff < 1.0:
+        if interval <= 0 or timeout <= 0:
             raise ValueError("invalid failure-detector parameters")
         self.monitored = [pid for pid in monitored if pid != host.pid]
         self.interval = interval
-        self.backoff = backoff
         self._timeout: Dict[str, float] = {pid: timeout for pid in self.monitored}
         self._last_heard: Dict[str, float] = {}
         self._sticky: Set[str] = set()
@@ -164,7 +165,7 @@ class HeartbeatFailureDetector(FailureDetector, Component):
         self._last_heard[src] = self.env.now
         if self.is_suspected(src) and src not in self._sticky:
             # False suspicion: recant and widen this process's timeout.
-            self._timeout[src] = self._timeout.get(src, self.interval) * self.backoff
+            self._timeout[src] = self._timeout.get(src, self.interval) * BACKOFF
             self._transition(src, False)
 
     def _tick(self) -> None:

@@ -37,8 +37,6 @@ class FirstReplyClient(ComponentProcess):
         expect reliable dissemination, e.g. the CT Atomic Broadcast
         replicas); when False, requests are plain sends to every replica
         (the sequencer baseline of Figure 1).
-    on_adopt:
-        Optional callback fired on adoption (for closed-loop drivers).
     """
 
     def __init__(
@@ -46,12 +44,12 @@ class FirstReplyClient(ComponentProcess):
         pid: str,
         servers: Sequence[str],
         reliable: bool = False,
-        on_adopt: Optional[Callable[[AdoptedReply], None]] = None,
     ) -> None:
         super().__init__(pid)
         self.servers: Tuple[str, ...] = tuple(servers)
         self.reliable = reliable
-        self.on_adopt = on_adopt
+        #: Fired with every adoption; the workload drivers chain onto it.
+        self.on_adopt: Optional[Callable[[AdoptedReply], None]] = None
         self.rmc = self.add_component(ReliableMulticast(self, self._unexpected_rdeliver))
         self._counter = itertools.count()
         self._submit_times: Dict[str, float] = {}

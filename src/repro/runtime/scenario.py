@@ -15,10 +15,11 @@ Two impedance mismatches are bridged here:
 * **Time.**  Scenario configs speak simulated time units (a redirect
   delay of 5.0, a horizon of 20 000).  The scenario that is placed is a
   copy with every time-valued knob scaled by ``time_scale`` seconds per
-  unit -- except the failure detector, whose wall-clock
-  interval/timeout are set explicitly (``fd_interval``/``fd_timeout``):
-  a scaled sim timeout can land under the event loop's scheduling
-  jitter and manufacture false suspicions that the sim never sees.
+  unit -- except the failure detector.  Whatever the scenario says, a
+  wall-clock run heartbeats every :data:`FD_INTERVAL` and suspects after
+  :data:`FD_TIMEOUT` (0.2 s and 1.5 s): a scaled sim timeout can land
+  under the event loop's scheduling jitter and manufacture false
+  suspicions that the sim never sees.
 * **Scheduling.**  The workload drivers only use the simulator's
   ``now`` and ``schedule_at`` / ``schedule`` / ``call_soon`` surface, so
   a thin :class:`_WallClock` adapter lets all three drivers -- closed,
@@ -58,6 +59,14 @@ from repro.sharding.cluster import (
 from repro.workload.drivers import ClosedLoopDriver, OpenLoopDriver
 
 BACKENDS = ("tcp",)
+
+#: The failure detector of every wall-clock run, in seconds (not scaled
+#: from the scenario: see the module docstring).
+FD_INTERVAL = 0.2
+FD_TIMEOUT = 1.5
+#: Settle window after quiescence (s): replies and settlements in flight
+#: land before the cluster shuts down.
+GRACE = 0.05
 
 
 class _WallClock:
@@ -105,17 +114,12 @@ class RuntimeScenarioConfig:
     scenario: ShardedScenarioConfig
     backend: str = "tcp"  #: the one wall-clock host: "tcp"
     time_scale: float = 0.04  #: wall-clock seconds per simulated unit
-    #: Wall-clock failure detector cadence (not scaled from the
-    #: scenario: see module docstring).
-    fd_interval: float = 0.2
-    fd_timeout: float = 1.5
     #: Timed coalescing window forwarded to :class:`TcpCluster`, one for
     #: all connections: the first frame buffered since the last pass
     #: arms it (``None`` = flush at the turn boundary; throughput cells
     #: set a small window to trade per-hop latency for fewer syscalls).
     tcp_flush_interval: Optional[float] = None
     timeout: float = 60.0  #: wall-clock quiescence deadline (s)
-    grace: float = 0.05  #: settle window after quiescence (s)
 
     def __post_init__(self) -> None:
         if self.backend not in BACKENDS:
@@ -212,8 +216,8 @@ def _wall_clock_scenario(config: RuntimeScenarioConfig) -> ShardedScenarioConfig
         exec_cost=scaled(scenario.exec_cost),
         retry_interval=scaled(scenario.retry_interval),
         redirect_delay=scenario.redirect_delay * scale,
-        fd_interval=config.fd_interval,
-        fd_timeout=config.fd_timeout,
+        fd_interval=FD_INTERVAL,
+        fd_timeout=FD_TIMEOUT,
     )
 
 
@@ -244,8 +248,7 @@ def run_runtime_scenario(config: RuntimeScenarioConfig) -> RuntimeShardedRun:
         started = time.perf_counter()
         run.completed = cluster.run_until(view.all_done, timeout=config.timeout)
         run.elapsed = time.perf_counter() - started
-        if config.grace > 0:
-            cluster.run_until(lambda: False, timeout=config.grace)
+        cluster.run_until(lambda: False, timeout=GRACE)
     finally:
         cluster.shutdown()
     return run

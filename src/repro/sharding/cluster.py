@@ -156,14 +156,19 @@ class ShardedScenarioConfig:
     #: OAR-specific knobs (ignored by other protocols).
     oar: OARConfig = field(default_factory=OARConfig)
 
+    #: How the clients execute read-only operations: "sequencer" orders
+    #: reads like writes (the paper's base protocol); "optimistic" (one
+    #: replica, chosen round-robin, answers from its current state, which
+    #: may later be undone) and "conservative" (every replica answers; a
+    #: value is adopted once a majority agree) answer replica-locally.
+    #: See :class:`~repro.core.client.OARClient`, which validates it.
+    read_mode: str = "sequencer"
+
     #: Scenario-level overrides of ``oar`` (see :func:`resolve_oar`);
-    #: None defers to the ``oar`` config.  ``read_mode`` is how clients
-    #: execute read-only operations ("sequencer" orders reads like
-    #: writes, the paper's base protocol; "optimistic" / "conservative"
-    #: answer replica-locally).  ``exec_cost`` / ``exec_lanes`` are the
-    #: replica execution service model: a per-operation execution cost
-    #: and that many conflict-scheduled worker lanes (benchmark B13).
-    read_mode: Optional[str] = None
+    #: None defers to the ``oar`` config.  ``exec_cost`` / ``exec_lanes``
+    #: are the replica execution service model: a per-operation
+    #: execution cost and that many conflict-scheduled worker lanes
+    #: (benchmark B13).
     exec_cost: Optional[float] = None
     exec_lanes: Optional[int] = None
 
@@ -219,12 +224,9 @@ class ShardedScenarioConfig:
     retry_interval: Optional[float] = None
 
     #: Pause before a WrongShard-redirected operation is retried (covers
-    #: the window where a migrating key is owned by no shard).
+    #: the window where a migrating key is owned by no shard; the budget
+    #: of redirects is ``repro.core.client.MAX_REDIRECTS``).
     redirect_delay: float = 5.0
-
-    #: Redirect budget per logical operation; once spent the WrongShard
-    #: error is surfaced as a terminal adoption.
-    max_redirects: int = 100
 
     #: Every fault of the run: standing rules (installed before any
     #: process starts) and timed actions (applied by ``execute``).
@@ -250,7 +252,7 @@ class ShardedScenarioConfig:
 
 
 def resolve_oar(config: ShardedScenarioConfig) -> OARConfig:
-    """The OAR knobs a scenario's servers and clients are built with.
+    """The OAR knobs a scenario's servers are built with.
 
     ``config.oar`` with every scenario-level override that is set
     applied; a scenario that sets none gets ``config.oar`` itself, so
@@ -259,7 +261,7 @@ def resolve_oar(config: ShardedScenarioConfig) -> OARConfig:
     """
     overrides = {
         name: value
-        for name in ("read_mode", "exec_cost", "exec_lanes")
+        for name in ("exec_cost", "exec_lanes")
         if (value := getattr(config, name)) is not None
     }
     return replace(config.oar, **overrides) if overrides else config.oar
@@ -766,8 +768,7 @@ def place_sharded_scenario(
                 retry_interval=config.retry_interval,
                 route_authority=routing_table,
                 redirect_delay=config.redirect_delay,
-                max_redirects=config.max_redirects,
-                read_mode=oar_config.read_mode,
+                read_mode=config.read_mode,
                 is_read_only=machine_cls.is_read_only,
                 splitter=(
                     machine_cls

@@ -107,7 +107,7 @@ class StateMachine:
 
         Read-only operations may be executed at a single replica against
         its current state and answered without submitting to the
-        sequencer (``OARConfig.read_mode``).  Must be a pure function of
+        sequencer (``OARClient(read_mode=)``).  Must be a pure function of
         the operation and *conservative*: anything not provably
         side-effect free stays False and takes the ordered path.  The
         ``mig_*``/``tx_*`` families are deliberately never classified

@@ -97,7 +97,7 @@ class DiurnalProcess(_ThinnedProcess):
     """Sinusoidal day/night intensity between ``base_rate`` and ``peak_rate``.
 
     ``rate_at(t)`` swings over one ``period`` from the trough
-    (``base_rate``, at ``t = phase``) up to ``peak_rate`` and back.
+    (``base_rate``, at ``t = 0``) up to ``peak_rate`` and back.
     """
 
     def __init__(
@@ -105,7 +105,6 @@ class DiurnalProcess(_ThinnedProcess):
         base_rate: float,
         peak_rate: float,
         period: float,
-        phase: float = 0.0,
     ) -> None:
         if base_rate <= 0 or peak_rate < base_rate:
             raise ValueError("need 0 < base_rate <= peak_rate")
@@ -114,13 +113,12 @@ class DiurnalProcess(_ThinnedProcess):
         self.base_rate = base_rate
         self.peak_rate = peak_rate
         self.period = period
-        self.phase = phase
 
     def rate_at(self, t: float) -> float:
         mid = (self.base_rate + self.peak_rate) / 2.0
         amp = (self.peak_rate - self.base_rate) / 2.0
-        # Cosine so the trough sits exactly at t == phase.
-        return mid - amp * math.cos(2.0 * math.pi * (t - self.phase) / self.period)
+        # Cosine so the trough sits exactly at t == 0.
+        return mid - amp * math.cos(2.0 * math.pi * t / self.period)
 
 
 class FlashCrowdProcess(_ThinnedProcess):
@@ -369,7 +367,6 @@ class SessionedOpenLoopDriver:
         n_sessions: int = 64,
         start_at: float = 0.0,
         bucket: Optional[TokenBucket] = None,
-        recorder: Optional[LatencyRecorder] = None,
         measure_from: float = 0.0,
     ) -> None:
         if n_sessions < 1:
@@ -382,7 +379,7 @@ class SessionedOpenLoopDriver:
         self.rng = rng
         self.n_sessions = n_sessions
         self.bucket = bucket
-        self.recorder = recorder if recorder is not None else LatencyRecorder()
+        self.recorder = LatencyRecorder()
         self.measure_from = measure_from
         self.submitted: List[str] = []
         #: lazily-populated per-session op counters: session id -> ops

@@ -9,6 +9,7 @@ from collections import Counter
 
 import pytest
 
+from repro.core.server import OARConfig
 from repro.faults.injection import FaultSchedule
 from repro.harness.scenario import ScenarioConfig, build_scenario
 
@@ -111,3 +112,24 @@ class TestReplyCache:
         for server in run.servers:
             assert set(server._reply_cache) == rids
             assert server._latest_rid == {}
+
+
+class TestConsensusState:
+    def test_a_decided_instance_leaves_only_its_decision(self):
+        # Phase 2 every 5 time units: one consensus instance per epoch,
+        # hundreds of them over 2 000 writes.
+        run = build_scenario(_kv(
+            requests_per_client=1_000,
+            oar=OARConfig(gc_interval=5.0),
+            trace_level="off",
+            seed=1,
+        ))
+        run.execute()
+        assert len(run.adopted()) == 2_000
+        for server in run.servers:
+            manager = server.consensus
+            # Every epoch settled by a decision, each kept as its vector
+            # alone; at most the epoch in progress has live round state.
+            assert len(manager._decided) == server.epoch > 500
+            assert len(manager._instances) <= 1
+            assert len(manager._buffered) <= 1 and len(manager._early_decisions) <= 1

@@ -37,8 +37,11 @@ from repro.core import client as client_module
 from repro.core.client import OARClient
 from repro.core.messages import ReadReply
 from repro.core.server import OARConfig, OARServer
+from repro.core.loadtrack import DecayingKeyLoad
+from repro.failure import detector as detector_module
 from repro.failure.detector import HeartbeatFailureDetector
 from repro.faults import FaultSchedule
+from repro.replication.active import FirstReplyClient
 from repro.runtime import scenario as runtime_scenario
 from repro.runtime import tcp
 from repro.runtime.scenario import (
@@ -56,6 +59,7 @@ from repro.sharding.rebalance import attach_rebalancer
 from repro.sim.process import Process, ProcessEnv
 from repro.statemachine import CounterMachine
 from repro.statemachine.base import OpResult
+from repro.workload.openloop import DiurnalProcess, SessionedOpenLoopDriver
 
 pytestmark = pytest.mark.integration
 
@@ -258,8 +262,10 @@ class TestOrderBatching:
         config = RuntimeScenarioConfig(
             scenario=_config(n_shards=1, n_clients=1, fd_kind="heartbeat"),
             backend="tcp",
-            fd_interval=0.02,
         )
+        # Three and a half heartbeat periods: each replica re-arms its
+        # detector's tick three times.
+        idle = 3.5 * runtime_scenario.FD_INTERVAL
         cluster = runtime_scenario._make_cluster(config)
         place_sharded_scenario(runtime_scenario._wall_clock_scenario(config), cluster)
         armed: List[Any] = []
@@ -272,7 +278,7 @@ class TestOrderBatching:
                 push(heap, entry)
 
             monkeypatch.setattr(tcp, "heappush", recording)
-            cluster.run_until(lambda: False, timeout=0.1)
+            cluster.run_until(lambda: False, timeout=idle)
             monkeypatch.undo()
         finally:
             cluster.shutdown()
@@ -280,7 +286,7 @@ class TestOrderBatching:
             owner for owner in armed
             if isinstance(getattr(owner, "__self__", None), HeartbeatFailureDetector)
         ]
-        assert len(ticks) >= 3 * 3  # three replicas, 20 ms cadence, 100 ms
+        assert len(ticks) >= 3 * 3  # three replicas, three ticks each
         assert [owner for owner in armed if owner not in ticks] == []
 
     def test_closed_loop_writes_pass_check_all_with_load_following_batches(self):
@@ -476,10 +482,12 @@ def test_knob_budget():
         "time_scale",
         "timeout",
         "tcp_flush_interval",
-        "fd_interval",
-        "fd_timeout",
-        "grace",
     }
+    assert len(fields(RuntimeScenarioConfig)) == 5
+    # The wall-clock detector and settle window are constants, set by no
+    # caller.
+    assert (runtime_scenario.FD_INTERVAL, runtime_scenario.FD_TIMEOUT) == (0.2, 1.5)
+    assert runtime_scenario.GRACE == 0.05
     assert list(inspect.signature(TcpCluster).parameters) == ["trace_level", "flush_interval"]
     # No module switch either: the TCP-only order window is gone.
     assert not hasattr(runtime_scenario, "TCP_BATCH_INTERVAL")
@@ -503,28 +511,54 @@ def test_knob_budget():
         "read_mode", "exec_cost", "exec_lanes", "workload", "read_ratio", "n_keys",
         "zipf_s", "cross_ratio", "hot_ratio", "accounts_per_shard", "initial_balance",
         "driver", "open_rate", "think_time", "driver_start_at", "arrival", "n_sessions",
-        "client_rate", "measure_from", "retry_interval", "redirect_delay", "max_redirects",
+        "client_rate", "measure_from", "retry_interval", "redirect_delay",
         "fault_schedule", "arm", "horizon", "max_events", "grace", "trace_messages",
         "trace_level",
     }
-    assert len(fields(ShardedScenarioConfig)) == 42
+    assert len(fields(ShardedScenarioConfig)) == 41
+    # ``read_mode`` is declared here alone: the client reads it, and no
+    # copy on ``OARConfig`` can disagree with it.
+    assert ShardedScenarioConfig().read_mode == "sequencer"
     assert type(ScenarioConfig()) is ShardedScenarioConfig
     # The one client's options: the paper's service is ``shard_groups=[group]``.
+    # The redirect budget is a constant, and who hears of an adoption is
+    # the ``on_adopt`` attribute the drivers chain onto.
     assert list(inspect.signature(OARClient).parameters) == [
-        "pid", "shard_groups", "router", "key_extractor", "tx_planner", "on_adopt",
-        "retry_interval", "route_authority", "redirect_delay", "max_redirects",
+        "pid", "shard_groups", "router", "key_extractor", "tx_planner",
+        "retry_interval", "route_authority", "redirect_delay",
         "read_mode", "is_read_only", "splitter",
+    ]
+    assert client_module.MAX_REDIRECTS == 100
+    assert list(inspect.signature(FirstReplyClient).parameters) == [
+        "pid", "servers", "reliable",
     ]
     # The protocol's options: OAR's consensus always runs footnote 5, so
     # neither the discipline nor a round-skip pause is a setting.
     assert [field.name for field in fields(OARConfig)] == [
         "batch_interval", "order_cost", "rotate_sequencer", "gc_after_requests",
-        "gc_interval", "read_mode", "read_cost", "exec_cost", "exec_lanes",
+        "gc_interval", "read_cost", "exec_cost", "exec_lanes",
         "admission_limit", "read_queue_limit", "sync_interval", "paranoid",
     ]
     assert list(inspect.signature(ConsensusManager).parameters) == [
         "host", "participants", "fd", "collect",
     ]
+    # The helpers' options: each is set by some caller outside its own
+    # tests (the detector's backoff, a driver's recorder, a diurnal
+    # phase and an undecayed load counter are not options).
+    assert list(inspect.signature(HeartbeatFailureDetector).parameters) == [
+        "host", "monitored", "interval", "timeout",
+    ]
+    assert detector_module.BACKOFF == 2.0
+    assert list(inspect.signature(SessionedOpenLoopDriver).parameters) == [
+        "sim", "client", "ops", "total", "arrival", "rng", "n_sessions",
+        "start_at", "bucket", "measure_from",
+    ]
+    assert list(inspect.signature(DiurnalProcess).parameters) == [
+        "base_rate", "peak_rate", "period",
+    ]
+    load = inspect.signature(DecayingKeyLoad).parameters
+    assert list(load) == ["half_life", "clock"]
+    assert load["half_life"].default is inspect.Parameter.empty
 
 
 def test_one_way_to_wait_for_an_adoption():

@@ -32,13 +32,13 @@ pytestmark = pytest.mark.property
 
 
 def _run(machine, seed, exec_cost, exec_lanes, gc_after=None, crash_at=None,
-         read_mode=None):
+         read_mode="sequencer"):
     config = ScenarioConfig(
         machine=machine,
         n_servers=3,
         n_clients=2,
         requests_per_client=15,
-        read_ratio=0.3 if (machine == "kv" and read_mode) else None,
+        read_ratio=0.3 if (machine == "kv" and read_mode != "sequencer") else None,
         n_keys=8,
         zipf_s=0.8,
         driver="open",

@@ -6,6 +6,7 @@ from typing import Any, Callable, Dict, List, Tuple
 import pytest
 
 from repro.consensus.chandra_toueg import (
+    CDecide,
     CEstimate,
     CNack,
     ConsensusInstance,
@@ -350,3 +351,41 @@ class TestFootnoteFiveRules:
         assert env.sent == [] and env.posted == []
         coordinator.on_message("p2", CEstimate("k", 0, "init", "v-p2", 0))
         assert [dst for dst, _p in env.take(CProposal)] == ["p2", "p3"]
+
+
+class TestDecidedInstances:
+    """A decided instance is dropped with its round state; the manager
+    keeps its decision vector, which answers every late message."""
+
+    VECTOR = (("p1", "v-p1"), ("p2", "v-p2"))
+
+    @staticmethod
+    def manager():
+        host = ComponentProcess("p1")
+        host.env = RecordingEnv()
+        return ConsensusManager(host, ["p1", "p2", "p3"], ScriptedFailureDetector()), host.env
+
+    def test_a_decided_instance_leaves_its_decision_which_answers_laggards(self):
+        manager, env = self.manager()
+        decisions = []
+        manager.propose("k", "v-p1", lambda k, v: decisions.append(v))
+        manager.on_message("p2", CDecide("k", self.VECTOR))
+        assert decisions == [self.VECTOR]
+        assert manager._instances == {} and manager._decided == {"k": self.VECTOR}
+        env.sent.clear()
+        manager.on_message("p3", CEstimate("k", 1, "init", "v-p3", 0))
+        assert env.sent == [("p3", CDecide("k", self.VECTOR))]
+        manager.on_message("p3", CDecide("k", self.VECTOR))  # not answered
+        assert len(env.sent) == 1
+        with pytest.raises(ValueError, match="already proposed"):
+            manager.propose("k", "v-p1", lambda k, v: None)
+
+    def test_an_early_decision_drops_the_messages_buffered_before_it(self):
+        manager, env = self.manager()
+        manager.on_message("p2", CEstimate("k", 0, "init", "v-p2", 0))
+        manager.on_message("p3", CDecide("k", self.VECTOR))
+        decisions = []
+        manager.propose("k", "v-p1", lambda k, v: decisions.append(v))
+        assert decisions == [self.VECTOR]
+        assert manager._buffered == {} and manager._instances == {}
+        assert manager._decided == {"k": self.VECTOR}

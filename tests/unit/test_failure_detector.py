@@ -110,8 +110,6 @@ class TestConfiguration:
             HeartbeatFailureDetector(host, ["h", "x"], interval=0)
         with pytest.raises(ValueError):
             HeartbeatFailureDetector(host, ["h", "x"], timeout=-1)
-        with pytest.raises(ValueError):
-            HeartbeatFailureDetector(host, ["h", "x"], backoff=0.5)
 
     def test_self_not_monitored(self):
         host = ComponentProcess("p1")

@@ -58,14 +58,6 @@ class TestDecayingKeyLoad:
         assert load["k"] == 0.0
         assert load.counts() == {"k": 0}
 
-    def test_half_life_none_is_a_plain_counter(self):
-        clock = ManualClock()
-        load = DecayingKeyLoad(half_life=None, clock=clock)
-        load.record("k")
-        clock.now = 1e9
-        load.record("k")
-        assert load["k"] == pytest.approx(2.0)
-
     def test_snapshot_brings_idle_keys_current(self):
         # The stale-hot-spot bug: an idle key's stored value is stale
         # until touched; snapshot() must decay it to *now* anyway.
@@ -143,10 +135,11 @@ class TestPlanFollowsTheCurrentHead:
         assert key == hot_new
         assert src == router.shard_of(hot_new)
 
-        # The same history through an undecayed counter migrates a key
-        # off the *old* hot shard -- a key nobody touches any more --
-        # which is exactly the stale-hot-spot bug this fixes.
-        stale_coordinator = self._coordinator([_StubClient(replay(None))])
+        # The same history through a counter that in effect never
+        # decays (a half-life far beyond the run) migrates a key off the
+        # *old* hot shard -- a key nobody touches any more -- which is
+        # exactly the stale-hot-spot bug this fixes.
+        stale_coordinator = self._coordinator([_StubClient(replay(1e12))])
         stale_moves = stale_coordinator.plan_moves(max_moves=1)
         assert stale_moves
         stale_key, stale_src, _ = stale_moves[0]

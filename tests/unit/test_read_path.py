@@ -1,4 +1,4 @@
-"""Unit tests for the replica-local read path (OARConfig.read_mode).
+"""Unit tests for the replica-local read path (OARClient(read_mode=)).
 
 Covers: read-only classification on the bundled machines, the server's
 read serving (current-state observation, non-read-only rejection, the

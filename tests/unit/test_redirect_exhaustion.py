@@ -2,7 +2,7 @@
 
 A key frozen by ``mig_prepare`` is owned by *no* shard until its install
 lands; if the migration never completes (stranded coordinator), every
-retry redirects again.  When ``max_redirects`` is spent the client must
+retry redirects again.  When ``MAX_REDIRECTS`` is spent the client must
 surface a deterministic terminal WrongShard failure, clear every piece
 of in-flight bookkeeping (``_pending`` / ``_redirect_pending`` /
 ``outstanding``), and let the workload driver finish -- a stranded
@@ -11,6 +11,7 @@ of in-flight bookkeeping (``_pending`` / ``_redirect_pending`` /
 
 import pytest
 
+from repro.core.client import MAX_REDIRECTS
 from repro.sharding import ShardedScenarioConfig, attach_rebalancer, build_sharded_scenario
 from repro.statemachine.base import OpResult, WrongShard
 
@@ -36,7 +37,7 @@ def freeze_first_key_forever(run):
     return key
 
 
-def run_against_frozen_key(read_mode="sequencer", max_redirects=3):
+def run_against_frozen_key(read_mode="sequencer"):
     state = {}
 
     def arm(run):
@@ -49,8 +50,8 @@ def run_against_frozen_key(read_mode="sequencer", max_redirects=3):
         machine="kv",
         workload="uniform",
         seed=11,
-        max_redirects=max_redirects,
-        redirect_delay=5.0,
+        # Short pauses keep the whole budget of redirects cheap.
+        redirect_delay=0.5,
         read_mode=read_mode,
     )
     run = build_sharded_scenario(config)
@@ -68,13 +69,13 @@ def run_against_frozen_key(read_mode="sequencer", max_redirects=3):
 
 class TestRedirectExhaustion:
     def test_write_surfaces_terminal_wrong_shard(self):
-        run, client, key, rids = run_against_frozen_key(max_redirects=3)
+        run, client, key, rids = run_against_frozen_key()
         assert key == "k000"
         # The run terminated: nothing in flight, nothing stranded.
         assert client.outstanding == 0
         assert client._pending == {}
         assert client._redirect_pending == 0
-        assert client.redirects == 3
+        assert client.redirects == MAX_REDIRECTS
         assert client.redirects_exhausted == 1
         # Exactly one logical outcome surfaced: a deterministic
         # WrongShard failure for the frozen key.
@@ -85,15 +86,14 @@ class TestRedirectExhaustion:
         assert isinstance(outcome.value, WrongShard)
         assert outcome.value.key == key
         exhausted = run.trace.events(kind="redirect_exhausted")
-        assert len(exhausted) == 1 and exhausted[0]["attempts"] == 3
+        assert len(exhausted) == 1 and exhausted[0]["attempts"] == MAX_REDIRECTS
 
     def test_read_surfaces_terminal_wrong_shard(self):
-        run, client, key, rids = run_against_frozen_key(
-            read_mode="optimistic", max_redirects=2
-        )
+        run, client, key, rids = run_against_frozen_key(read_mode="optimistic")
         assert client.outstanding == 0
         assert client._reads == {}
         assert client._redirect_pending == 0
+        assert client.redirects == MAX_REDIRECTS
         assert client.redirects_exhausted == 1
         surfaced = list(client.adopted.values())
         assert len(surfaced) == 1
@@ -101,17 +101,9 @@ class TestRedirectExhaustion:
         assert isinstance(outcome, OpResult) and not outcome.ok
         assert isinstance(outcome.value, WrongShard)
 
-    def test_zero_budget_surfaces_immediately(self):
-        run, client, key, rids = run_against_frozen_key(max_redirects=0)
-        assert client.redirects == 0
-        assert client.redirects_exhausted == 1
-        assert client.outstanding == 0
-        (surfaced,) = client.adopted.values()
-        assert isinstance(surfaced.value.value, WrongShard)
-
     def test_latency_spans_the_whole_redirect_chain(self):
-        run, client, key, rids = run_against_frozen_key(max_redirects=2)
+        run, client, key, rids = run_against_frozen_key()
         (surfaced,) = [a for a in client.adopted.values()]
-        # Two redirect pauses of redirect_delay each sit inside the
+        # Every redirect pause of redirect_delay sits inside the
         # surfaced latency: the chain is one logical operation.
-        assert surfaced.latency >= 2 * run.config.redirect_delay
+        assert surfaced.latency >= MAX_REDIRECTS * run.config.redirect_delay
